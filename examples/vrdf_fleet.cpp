@@ -1,4 +1,4 @@
-// Fleet-scale parallel verification (PR 8): expand a sweep spec into
+// Fleet-scale parallel verification: expand a sweep spec into
 // independent generate → analyze → two-phase-verify pipelines, run them
 // on a thread pool, and print the aggregated report.
 //
@@ -20,6 +20,7 @@
 //
 // The canonical report section is bit-identical for any --threads value
 // and across interrupt + resume; only the trailing wall-clock lines vary.
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -61,16 +62,25 @@ std::vector<std::string> split_list(const std::string& text) {
   return parts;
 }
 
+/// The whole of `text` as a decimal integer; trailing characters ("8x")
+/// are a usage error, not a silent truncation.
+std::int64_t parse_int(const std::string& flag, const std::string& text,
+                       const char* wanted) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    usage_error(flag + " wants " + wanted + ", got '" + text + "'");
+  }
+  return value;
+}
+
 std::int64_t parse_count(const std::string& flag, const std::string& text) {
-  try {
-    const long long value = std::stoll(text);
-    if (value <= 0) {
-      usage_error(flag + " wants a positive integer, got '" + text + "'");
-    }
-    return value;
-  } catch (const std::exception&) {
+  const std::int64_t value = parse_int(flag, text, "a positive integer");
+  if (value <= 0) {
     usage_error(flag + " wants a positive integer, got '" + text + "'");
   }
+  return value;
 }
 
 }  // namespace
@@ -112,11 +122,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--headroom") {
       spec.headroom_levels.clear();
       for (const std::string& level : split_list(value())) {
-        try {
-          spec.headroom_levels.push_back(std::stoll(level));
-        } catch (const std::exception&) {
-          usage_error("--headroom wants integers, got '" + level + "'");
-        }
+        spec.headroom_levels.push_back(parse_int(flag, level, "integers"));
       }
     } else if (flag == "--modes") {
       spec.modes.clear();
@@ -157,15 +163,7 @@ int main(int argc, char** argv) {
     }
     const sim::FleetReport report =
         sweep.run(threads, journal.has_value() ? &*journal : nullptr);
-    if (print_items) {
-      std::cout << sim::canonical_text(report, /*include_items=*/true);
-      std::cout << "threads " << report.threads_used << "\n"
-                << "resumed " << report.items_resumed << " items\n"
-                << "elapsed " << report.elapsed_seconds << " s ("
-                << report.firings_per_second << " firings/s aggregate)\n";
-    } else {
-      std::cout << sim::summary_text(report);
-    }
+    std::cout << sim::summary_text(report, print_items);
     return report.failed == 0 && report.rejected == 0 ? 0 : 1;
   } catch (const Error& error) {
     std::cerr << "vrdf_fleet: " << error.what() << "\n";

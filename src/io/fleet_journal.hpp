@@ -47,8 +47,10 @@ class FleetJournal {
 
   /// Copies the recorded result for `index` into `*result`; false when
   /// the item has not been recorded.  Only results loaded at open time
-  /// are visible — FleetSweep queries before dispatching, so in-run
-  /// records never race with lookups.
+  /// are visible, and record() never touches them, so pool workers may
+  /// look up concurrently with in-run records.  The line carries no RNG
+  /// stream: `result->item.rng_seed` is 0, and FleetSweep::run restores
+  /// the item from its own expansion.
   [[nodiscard]] bool lookup(std::size_t index,
                             sim::FleetItemResult* result) const;
 

@@ -3,37 +3,22 @@
 // formatting on the canonical byte path).
 #include "sim/deployment_frontier.hpp"
 
-#include <chrono>
-#include <future>
 #include <random>
 #include <sstream>
 #include <utility>
 
 #include "analysis/buffer_sizing.hpp"
+#include "analysis/deployment.hpp"
 #include "dataflow/rate_set.hpp"
+#include "sim/sweep.hpp"
 #include "sim/verify.hpp"
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf::sim {
 
 namespace {
-
-[[nodiscard]] std::string escape_detail(const std::string& detail) {
-  std::string out;
-  out.reserve(detail.size());
-  for (const char c : detail) {
-    if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 [[nodiscard]] std::string join_counts(const std::vector<std::int64_t>& values) {
   std::string out;
@@ -46,8 +31,13 @@ namespace {
   return out;
 }
 
-void write_cell_fields(std::ostringstream& os, const FrontierCellTally& t) {
-  os << "items=" << t.items << " admitted=" << t.admitted
+[[nodiscard]] std::string cell_key(std::int64_t streams, std::int64_t slot) {
+  return "cell streams=" + std::to_string(streams) +
+         " slot=" + std::to_string(slot);
+}
+
+void write_cell_fields(std::ostream& os, const FrontierTally& t) {
+  os << "items=" << t.total_items << " admitted=" << t.admitted
      << " rejected_wheel=" << t.rejected_wheel
      << " rejected_analysis=" << t.rejected_analysis
      << " verified=" << t.verified << " starvations=" << t.starvations
@@ -57,8 +47,8 @@ void write_cell_fields(std::ostringstream& os, const FrontierCellTally& t) {
      << " cert_failures=" << t.certificate_failures;
 }
 
-void tally_item(FrontierCellTally& tally, const FrontierItemResult& result) {
-  ++tally.items;
+void tally_item(FrontierTally& tally, const FrontierItemResult& result) {
+  ++tally.total_items;
   switch (result.outcome) {
     case FrontierOutcome::Admitted:
       ++tally.admitted;
@@ -115,6 +105,15 @@ FrontierSweep::FrontierSweep(FrontierSpec spec) : spec_(std::move(spec)) {
                "WCET draw range must satisfy 1 <= min <= max");
   for (const std::int64_t streams : spec_.stream_counts) {
     VRDF_REQUIRE(streams >= 1, "stream counts must be positive");
+    // run_item binds a shared root plus `streams` chains of
+    // tasks_per_stream tasks.
+    try {
+      (void)checked_add(1, checked_mul(streams, spec_.tasks_per_stream));
+    } catch (const OverflowError&) {
+      throw ContractError("stream count " + std::to_string(streams) +
+                          " with " + std::to_string(spec_.tasks_per_stream) +
+                          " tasks per stream overflows the task count");
+    }
   }
   for (const std::int64_t slot : spec_.slot_sixteenths) {
     VRDF_REQUIRE(slot >= 1 && slot <= 16,
@@ -146,9 +145,9 @@ FrontierSweep::FrontierSweep(FrontierSpec spec) : spec_(std::move(spec)) {
      << " period=" << spec_.stream_period.seconds().to_string()
      << " wcet=" << spec_.wcet_min_64ths << ".." << spec_.wcet_max_64ths
      << " observe=" << spec_.observe_firings
-     << " verify=" << (spec_.verify ? 1 : 0)
-     << " certify=" << (spec_.certify ? 1 : 0) << " derivation="
-     << analysis::kappa_derivation_name(spec_.derivation);
+     << " verify=1 certify=1 derivation="
+     << analysis::kappa_derivation_name(
+            analysis::KappaDerivation::PolicyExact);
   spec_summary_ = os.str();
 }
 
@@ -225,9 +224,8 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
           spec_.stream_period});
     }
 
-    analysis::DeploymentOptions options;
-    options.derivation = spec_.derivation;
-    options.certify = spec_.certify;
+    analysis::DeploymentOptions options;  // policy-exact κ derivation
+    options.certify = true;
     analysis::DeploymentResult deployed =
         analyze_deployment(tasks, platform, streams, options);
 
@@ -246,21 +244,18 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
     result.outcome = FrontierOutcome::Admitted;
     result.total_capacity = deployed.analysis.total_capacity;
 
-    if (spec_.verify) {
-      analysis::apply_capacities(deployed.construction.graph,
-                                 deployed.analysis);
-      VerifyOptions verify_options;
-      verify_options.observe_firings = spec_.observe_firings;
-      verify_options.default_seed = item.rng_seed;
-      const VerifyResult verdict =
-          verify_throughput(deployed.construction.graph, deployed.constraints,
-                            {}, verify_options);
-      result.verified = verdict.ok;
-      result.starvation_count = verdict.starvation_count;
-      result.firings = verdict.firings_simulated;
-      if (!verdict.ok) {
-        result.detail = verdict.detail;
-      }
+    analysis::apply_capacities(deployed.construction.graph, deployed.analysis);
+    VerifyOptions verify_options;
+    verify_options.observe_firings = spec_.observe_firings;
+    verify_options.default_seed = item.rng_seed;
+    const VerifyResult verdict =
+        verify_throughput(deployed.construction.graph, deployed.constraints,
+                          {}, verify_options);
+    result.verified = verdict.ok;
+    result.starvation_count = verdict.starvation_count;
+    result.firings = verdict.firings_simulated;
+    if (!verdict.ok) {
+      result.detail = verdict.detail;
     }
   } catch (const Error& error) {
     result.outcome = FrontierOutcome::RejectedAnalysis;
@@ -271,67 +266,24 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
 }
 
 FrontierReport FrontierSweep::run(std::size_t threads) const {
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<FrontierItemResult> results(items_.size());
-
-  const auto work = [&](std::size_t i) { results[i] = run_item(items_[i]); };
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      work(i);
-    }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(items_.size());
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      futures.push_back(pool.submit([&work, i] { work(i); }));
-    }
-    for (std::future<void>& future : futures) {
-      future.get();  // propagate the first worker exception, if any
-    }
-  }
-
-  // Merge in item order — the aggregation is independent of which worker
-  // finished when, so the report bytes match across thread counts.
   FrontierReport report;
+  report.items.resize(items_.size());
+  report.elapsed_seconds = run_sweep(
+      items_.size(), threads,
+      [&](std::size_t i) { report.items[i] = run_item(items_[i]); });
+
+  // Fold in item order — the aggregation is independent of which worker
+  // finished when, so the report bytes match across thread counts.
   report.spec_summary = spec_summary_;
-  report.cells.reserve(spec_.stream_counts.size() *
-                       spec_.slot_sixteenths.size());
   for (const std::int64_t streams : spec_.stream_counts) {
     for (const std::int64_t slot : spec_.slot_sixteenths) {
-      FrontierCellTally tally;
-      tally.streams = streams;
-      tally.slot_sixteenths = slot;
-      report.cells.push_back(tally);
+      report.cells.emplace_back().key = cell_key(streams, slot);
     }
   }
-  for (const FrontierItemResult& result : results) {
-    for (FrontierCellTally& tally : report.cells) {
-      if (tally.streams == result.item.streams &&
-          tally.slot_sixteenths == result.item.slot_sixteenths) {
-        tally_item(tally, result);
-        break;
-      }
-    }
-  }
-  for (const FrontierCellTally& tally : report.cells) {
-    report.total_items += tally.items;
-    report.admitted += tally.admitted;
-    report.rejected_wheel += tally.rejected_wheel;
-    report.rejected_analysis += tally.rejected_analysis;
-    report.verified += tally.verified;
-    report.starvations += tally.starvations;
-    report.total_capacity += tally.total_capacity;
-    report.firings += tally.firings;
-    report.certified += tally.certified;
-    report.certificate_clauses += tally.certificate_clauses;
-    report.certificate_failures += tally.certificate_failures;
-  }
-  report.items = std::move(results);
-
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - started;
-  report.elapsed_seconds = elapsed.count();
+  fold_tallies(report, report.cells, report.items, tally_item,
+               [](const FrontierItem& item) {
+                 return cell_key(item.streams, item.slot_sixteenths);
+               });
   report.threads_used = threads < 1 ? 1 : threads;
   return report;
 }
@@ -355,44 +307,9 @@ std::string encode_frontier_line(const FrontierItemResult& result) {
 }
 
 std::string canonical_text(const FrontierReport& report, bool include_items) {
-  std::ostringstream os;
-  os << "vrdf-frontier-report v1\n";
-  os << "spec " << report.spec_summary << '\n';
-  for (const FrontierCellTally& tally : report.cells) {
-    os << "cell streams=" << tally.streams
-       << " slot=" << tally.slot_sixteenths << ' ';
-    write_cell_fields(os, tally);
-    os << '\n';
-  }
-  FrontierCellTally totals;
-  totals.items = report.total_items;
-  totals.admitted = report.admitted;
-  totals.rejected_wheel = report.rejected_wheel;
-  totals.rejected_analysis = report.rejected_analysis;
-  totals.verified = report.verified;
-  totals.starvations = report.starvations;
-  totals.total_capacity = report.total_capacity;
-  totals.firings = report.firings;
-  totals.certified = report.certified;
-  totals.certificate_clauses = report.certificate_clauses;
-  totals.certificate_failures = report.certificate_failures;
-  os << "total ";
-  write_cell_fields(os, totals);
-  os << '\n';
-  if (include_items) {
-    for (const FrontierItemResult& item : report.items) {
-      os << encode_frontier_line(item) << '\n';
-    }
-  }
-  return os.str();
-}
-
-std::string summary_text(const FrontierReport& report) {
-  std::ostringstream os;
-  os << canonical_text(report, /*include_items=*/false);
-  os << "threads " << report.threads_used << '\n';
-  os << "elapsed " << report.elapsed_seconds << " s\n";
-  return os.str();
+  return canonical_report("vrdf-frontier-report v1", report, report.cells,
+                          write_cell_fields, encode_frontier_line,
+                          include_items);
 }
 
 }  // namespace vrdf::sim

@@ -1,32 +1,29 @@
-// Capacity-vs-allocation frontier sweep: the fleet harness applied to
-// deployments (ISSUE 10 / ROADMAP "N streams contending for M cores").
+// Capacity-vs-allocation frontier sweep: N streams contending for M TDM
+// cores, swept over stream counts and slot budgets.
 //
-// A FrontierSpec expands slot budgets × stream counts × seed ordinals
-// into independent items.  Each item builds N stream chains, binds their
-// tasks round-robin across M TDM processors at the cell's slot budget,
-// derives κ through analysis/deployment, runs the capacity analysis and
-// — for admissible deployments — installs the computed capacities and
-// verifies them end-to-end with the two-phase harness (actors run at
-// their arbiter-delayed response times; zero starvations expected).
-// Items that fail before analysis are classified: the TDM wheel was
-// binding (rejected_wheel) or a throughput constraint was
-// (rejected_analysis).  The per-cell tallies ARE the frontier: how much
-// total buffer capacity each (streams, slot) allocation point costs, and
-// where the feasible region ends on either side.
-//
-// Determinism rules are inherited from sim/fleet.hpp: stateless per-item
-// seeds (util::derive_seed(base_seed, index)), items write only their
-// own pre-allocated slot, results merge in item-index order, wall-clock
-// metrics are excluded from canonical_text().  The canonical report is
-// bit-identical at any thread count (tools/lint_determinism.py rules
-// R1–R3 apply to this file).
+// FrontierSweep is the second sweep on the shared engine in
+// sim/sweep.hpp, which owns dispatch, the wall clock, the detail codec,
+// the tally fold, the canonical layout and the determinism rules (the
+// canonical text is bit-identical at any thread count).  This file keeps
+// only the frontier's own pipeline.  A FrontierSpec expands slot budgets
+// × stream counts × seed ordinals into items.  run_item builds N stream
+// chains, binds their tasks round-robin across M TDM processors at the
+// cell's slot budget, derives κ through analysis/deployment, runs the
+// capacity analysis with a checked platform-claused certificate, and —
+// for admissible deployments — installs the computed capacities and
+// verifies them with the two-phase harness (actors run at their
+// arbiter-delayed response times; zero starvations expected).  Items
+// that fail before analysis are classified: the TDM wheel was binding
+// (rejected_wheel) or a throughput constraint was (rejected_analysis).
+// Tally rows are keyed by (streams, slot) cell, and the cells ARE the
+// frontier: how much total buffer capacity each allocation point costs,
+// and where the feasible region ends on either side.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "analysis/deployment.hpp"
 #include "util/time.hpp"
 
 namespace vrdf::sim {
@@ -48,8 +45,7 @@ struct FrontierItem {
 
 /// How one deployment item resolved.
 enum class FrontierOutcome {
-  /// Analysis admissible; capacities computed (and verified when
-  /// FrontierSpec::verify is set).
+  /// Analysis admissible; capacities computed, certified and verified.
   Admitted,
   /// The TDM wheel could not hold the cell's slot budget for every bound
   /// task — the *platform* was binding.
@@ -86,13 +82,6 @@ struct FrontierSpec {
   std::int64_t wcet_max_64ths = 12;
   /// Firings of the leading constrained actor simulated per phase.
   std::int64_t observe_firings = 200;
-  /// Run the two-phase harness on every admissible item.
-  bool verify = true;
-  /// Emit + independently check a platform-claused certificate per
-  /// admissible item.
-  bool certify = true;
-  analysis::KappaDerivation derivation =
-      analysis::KappaDerivation::PolicyExact;
 };
 
 /// Deterministic verdict of one item; every field participates in the
@@ -100,7 +89,7 @@ struct FrontierSpec {
 struct FrontierItemResult {
   FrontierItem item;
   FrontierOutcome outcome = FrontierOutcome::RejectedAnalysis;
-  /// Admitted + two-phase check passed (false when verify is off).
+  /// Admitted + two-phase check passed.
   bool verified = false;
   std::int64_t starvation_count = 0;
   /// Σζ of the admissible analysis; 0 on rejection.
@@ -114,18 +103,17 @@ struct FrontierItemResult {
   std::string detail;
 };
 
-/// One (streams, slot) allocation point of the frontier.
-struct FrontierCellTally {
-  std::int64_t streams = 0;
-  std::int64_t slot_sixteenths = 0;
-  std::int64_t items = 0;
+/// Counters over a set of item verdicts: one cell row, or the report's
+/// grand total.
+struct FrontierTally {
+  std::int64_t total_items = 0;
   std::int64_t admitted = 0;
   std::int64_t rejected_wheel = 0;
   std::int64_t rejected_analysis = 0;
   std::int64_t verified = 0;
   std::int64_t starvations = 0;
-  /// Σ total_capacity over the cell's admitted items — the frontier's
-  /// capacity cost at this allocation point.
+  /// Σ total_capacity over the admitted items — at a cell, the
+  /// frontier's capacity cost at that allocation point.
   std::int64_t total_capacity = 0;
   std::int64_t firings = 0;
   std::int64_t certified = 0;
@@ -133,25 +121,20 @@ struct FrontierCellTally {
   std::int64_t certificate_failures = 0;
 };
 
-struct FrontierReport {
+/// One (streams, slot) allocation point of the frontier.
+struct FrontierCellTally : FrontierTally {
+  /// "cell streams=<n> slot=<s>" — the row's label in the canonical text.
+  std::string key;
+};
+
+/// Report of one run; the inherited FrontierTally is the grand total.
+struct FrontierReport : FrontierTally {
   /// Canonical one-line summary of the spec that produced this report.
   std::string spec_summary;
   /// Cells in spec order: stream-count major, slot minor.
   std::vector<FrontierCellTally> cells;
   /// Every item verdict, in item-index order.
   std::vector<FrontierItemResult> items;
-  // Grand totals over `cells`.
-  std::int64_t total_items = 0;
-  std::int64_t admitted = 0;
-  std::int64_t rejected_wheel = 0;
-  std::int64_t rejected_analysis = 0;
-  std::int64_t verified = 0;
-  std::int64_t starvations = 0;
-  std::int64_t total_capacity = 0;
-  std::int64_t firings = 0;
-  std::int64_t certified = 0;
-  std::int64_t certificate_clauses = 0;
-  std::int64_t certificate_failures = 0;
   // ---- wall-clock section: excluded from canonical_text() ----
   double elapsed_seconds = 0.0;
   std::size_t threads_used = 1;
@@ -167,9 +150,6 @@ struct FrontierReport {
 [[nodiscard]] std::string canonical_text(const FrontierReport& report,
                                          bool include_items = true);
 
-/// Human summary for CLIs: canonical tallies plus the wall-clock section.
-[[nodiscard]] std::string summary_text(const FrontierReport& report);
-
 class FrontierSweep {
  public:
   explicit FrontierSweep(FrontierSpec spec);
@@ -181,9 +161,10 @@ class FrontierSweep {
     return spec_summary_;
   }
 
-  /// Runs every item and aggregates.  `threads` <= 1 runs inline on the
-  /// caller; larger values run on a util::ThreadPool of that many
-  /// workers.  The canonical report bytes are identical either way.
+  /// Runs every item on sim::run_sweep and aggregates.  `threads` <= 1
+  /// runs inline on the caller; larger values run on a util::ThreadPool
+  /// of that many workers.  The canonical report bytes are identical
+  /// either way.
   [[nodiscard]] FrontierReport run(std::size_t threads = 1) const;
 
   /// Runs one item's pipeline — public for tests and benchmarks.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
-#include <future>
 #include <sstream>
 
 #include "analysis/buffer_sizing.hpp"
@@ -13,9 +11,9 @@
 #include "analysis/robustness.hpp"
 #include "io/fleet_journal.hpp"
 #include "sim/fault_injection.hpp"
+#include "sim/sweep.hpp"
 #include "util/error.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf::sim {
 
@@ -27,33 +25,6 @@ using models::ModelClass;
   return model_class == ModelClass::Chain ||
          model_class == ModelClass::ForkJoin ||
          model_class == ModelClass::Cyclic;
-}
-
-[[nodiscard]] std::string escape_detail(const std::string& detail) {
-  std::string out;
-  out.reserve(detail.size());
-  for (const char c : detail) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] std::string unescape_detail(const std::string& escaped) {
-  std::string out;
-  out.reserve(escaped.size());
-  for (std::size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] == '\\' && i + 1 < escaped.size()) {
-      ++i;
-      out += escaped[i] == 'n' ? '\n' : escaped[i];
-    } else {
-      out += escaped[i];
-    }
-  }
-  return out;
 }
 
 /// `key=value` token reader over one encoded line.
@@ -102,8 +73,20 @@ class FieldReader {
   std::istringstream& in_;
 };
 
-void tally_item(FleetClassTally& tally, const FleetItemResult& result) {
-  ++tally.items;
+/// The fields of an item that its journal line records.
+[[nodiscard]] std::string identity(const FleetItem& item) {
+  return std::string("class=") + models::class_name(item.model_class) +
+         " seed=" + std::to_string(item.seed_ordinal) +
+         " headroom=" + std::to_string(item.headroom) +
+         " mode=" + constraint_mode_name(item.mode);
+}
+
+[[nodiscard]] std::string class_key(ModelClass model_class) {
+  return std::string("class ") + models::class_name(model_class);
+}
+
+void tally_item(FleetTally& tally, const FleetItemResult& result) {
+  ++tally.total_items;
   if (result.rejected) {
     ++tally.rejected;
   } else if (result.pass) {
@@ -125,9 +108,10 @@ void tally_item(FleetClassTally& tally, const FleetItemResult& result) {
       (result.certificate_clauses > 0 && !result.certificate_ok) ? 1 : 0;
 }
 
-void write_tally_fields(std::ostringstream& os, const FleetClassTally& t) {
-  os << "items=" << t.items << " passed=" << t.passed << " failed=" << t.failed
-     << " rejected=" << t.rejected << " starvations=" << t.starvations
+void write_tally_fields(std::ostream& os, const FleetTally& t) {
+  os << "items=" << t.total_items << " passed=" << t.passed
+     << " failed=" << t.failed << " rejected=" << t.rejected
+     << " starvations=" << t.starvations
      << " capacity=" << t.total_capacity << " firings=" << t.firings
      << " worst_lateness=" << t.worst_lateness.seconds().to_string()
      << " faults_expected=" << t.faults_expected
@@ -137,15 +121,14 @@ void write_tally_fields(std::ostringstream& os, const FleetClassTally& t) {
      << " cert_failures=" << t.certificate_failures;
 }
 
-[[nodiscard]] std::uint64_t fingerprint_text(const std::string& text,
-                                             std::uint64_t tag) {
+[[nodiscard]] std::uint64_t fingerprint_text(const std::string& text) {
   // FNV-1a over the canonical spec summary, finalized through the shared
-  // splitmix64 mixer with the caller's journal tag.
+  // splitmix64 mixer at stream 0.
   std::uint64_t hash = 0xCBF29CE484222325ULL;
   for (const unsigned char c : text) {
     hash = (hash ^ c) * 0x100000001B3ULL;
   }
-  return util::derive_seed(hash, tag);
+  return util::derive_seed(hash, 0);
 }
 
 }  // namespace
@@ -156,11 +139,7 @@ const char* constraint_mode_name(ConstraintMode mode) {
 
 std::string encode_item_line(const FleetItemResult& result) {
   std::ostringstream os;
-  os << "item " << result.item.index
-     << " class=" << models::class_name(result.item.model_class)
-     << " seed=" << result.item.seed_ordinal
-     << " headroom=" << result.item.headroom
-     << " mode=" << constraint_mode_name(result.item.mode)
+  os << "item " << result.item.index << ' ' << identity(result.item)
      << " pass=" << (result.pass ? 1 : 0)
      << " rejected=" << (result.rejected ? 1 : 0)
      << " starvations=" << result.starvation_count
@@ -289,7 +268,7 @@ FleetSweep::FleetSweep(SweepSpec spec) : spec_(std::move(spec)) {
      << " generator=" << (spec_.generator ? "custom" : "default")
      << " items=" << items_.size();
   spec_summary_ = os.str();
-  fingerprint_ = fingerprint_text(spec_summary_, spec_.journal_tag);
+  fingerprint_ = fingerprint_text(spec_summary_);
 }
 
 FleetItemResult FleetSweep::run_item(const FleetItem& item) const {
@@ -403,139 +382,66 @@ FleetItemResult FleetSweep::run_item(const FleetItem& item) const {
 
 FleetReport FleetSweep::run(std::size_t threads,
                             io::FleetJournal* journal) const {
-  const auto started = std::chrono::steady_clock::now();
-  std::vector<FleetItemResult> results(items_.size());
-  std::vector<char> done(items_.size(), 0);
-  std::size_t resumed = 0;
   if (journal != nullptr) {
     VRDF_REQUIRE(journal->fingerprint() == fingerprint_,
                  "journal was written for a different sweep spec");
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (journal->lookup(i, &results[i])) {
-        done[i] = 1;
-        ++resumed;
-      }
-    }
   }
-
-  std::int64_t fresh_firings = 0;
+  FleetReport report;
+  report.items.resize(items_.size());
+  std::vector<char> resumed(items_.size(), 0);
   const auto work = [&](std::size_t i) {
-    results[i] = run_item(items_[i]);
+    FleetItemResult& result = report.items[i];
+    if (journal != nullptr && journal->lookup(i, &result)) {
+      const std::string recorded = identity(result.item);
+      if (recorded != identity(items_[i])) {
+        throw ModelError("fleet journal item " + std::to_string(i) +
+                         " records " + recorded + " but the sweep expands " +
+                         identity(items_[i]));
+      }
+      // The line carries no RNG stream: take the item from the expansion.
+      result.item = items_[i];
+      resumed[i] = 1;
+      return;
+    }
+    result = run_item(items_[i]);
     if (journal != nullptr) {
-      journal->record(results[i]);  // thread-safe append + flush
+      journal->record(result);  // thread-safe append + flush
     }
   };
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (!done[i]) {
-        work(i);
-      }
-    }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(items_.size());
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      if (!done[i]) {
-        futures.push_back(pool.submit([&work, i] { work(i); }));
-      }
-    }
-    for (std::future<void>& future : futures) {
-      future.get();  // propagate the first worker exception, if any
-    }
-  }
-  for (std::size_t i = 0; i < items_.size(); ++i) {
-    if (!done[i]) {
-      fresh_firings += results[i].firings;
-    }
-  }
+  report.elapsed_seconds = run_sweep(items_.size(), threads, work);
 
-  // Merge in item order — the aggregation is independent of which worker
+  // Fold in item order — the aggregation is independent of which worker
   // finished when, so the report bytes match across thread counts.
-  FleetReport report;
   report.spec_summary = spec_summary_;
-  report.classes.reserve(spec_.classes.size());
   for (const ModelClass model_class : spec_.classes) {
-    FleetClassTally tally;
-    tally.model_class = model_class;
-    report.classes.push_back(tally);
+    report.classes.emplace_back().key = class_key(model_class);
   }
-  for (const FleetItemResult& result : results) {
-    for (FleetClassTally& tally : report.classes) {
-      if (tally.model_class == result.item.model_class) {
-        tally_item(tally, result);
-        break;
-      }
-    }
-  }
-  for (const FleetClassTally& tally : report.classes) {
-    report.total_items += tally.items;
-    report.passed += tally.passed;
-    report.failed += tally.failed;
-    report.rejected += tally.rejected;
-    report.starvations += tally.starvations;
-    report.total_capacity += tally.total_capacity;
-    report.firings += tally.firings;
-    if (tally.worst_lateness > report.worst_lateness) {
-      report.worst_lateness = tally.worst_lateness;
-    }
-    report.faults_expected += tally.faults_expected;
-    report.faults_named += tally.faults_named;
-    report.certified += tally.certified;
-    report.certificate_clauses += tally.certificate_clauses;
-    report.certificate_failures += tally.certificate_failures;
-  }
-  report.items = std::move(results);
+  fold_tallies(report, report.classes, report.items, tally_item,
+               [](const FleetItem& item) {
+                 return class_key(item.model_class);
+               });
 
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - started;
-  report.elapsed_seconds = elapsed.count();
+  std::int64_t fresh_firings = 0;
+  for (std::size_t i = 0; i < items_.size(); ++i) {
+    report.items_resumed += resumed[i] != 0 ? 1 : 0;
+    fresh_firings += resumed[i] != 0 ? 0 : report.items[i].firings;
+  }
   report.firings_per_second = report.elapsed_seconds > 0.0
                                   ? static_cast<double>(fresh_firings) /
                                         report.elapsed_seconds
                                   : 0.0;
   report.threads_used = std::max<std::size_t>(threads, 1);
-  report.items_resumed = resumed;
   return report;
 }
 
 std::string canonical_text(const FleetReport& report, bool include_items) {
-  std::ostringstream os;
-  os << "vrdf-fleet-report v1\n";
-  os << "spec " << report.spec_summary << '\n';
-  for (const FleetClassTally& tally : report.classes) {
-    os << "class " << models::class_name(tally.model_class) << ' ';
-    write_tally_fields(os, tally);
-    os << '\n';
-  }
-  FleetClassTally totals;
-  totals.items = report.total_items;
-  totals.passed = report.passed;
-  totals.failed = report.failed;
-  totals.rejected = report.rejected;
-  totals.starvations = report.starvations;
-  totals.total_capacity = report.total_capacity;
-  totals.firings = report.firings;
-  totals.worst_lateness = report.worst_lateness;
-  totals.faults_expected = report.faults_expected;
-  totals.faults_named = report.faults_named;
-  totals.certified = report.certified;
-  totals.certificate_clauses = report.certificate_clauses;
-  totals.certificate_failures = report.certificate_failures;
-  os << "total ";
-  write_tally_fields(os, totals);
-  os << '\n';
-  if (include_items) {
-    for (const FleetItemResult& item : report.items) {
-      os << encode_item_line(item) << '\n';
-    }
-  }
-  return os.str();
+  return canonical_report("vrdf-fleet-report v1", report, report.classes,
+                          write_tally_fields, encode_item_line, include_items);
 }
 
-std::string summary_text(const FleetReport& report) {
+std::string summary_text(const FleetReport& report, bool include_items) {
   std::ostringstream os;
-  os << canonical_text(report, /*include_items=*/false);
+  os << canonical_text(report, include_items);
   os << "threads " << report.threads_used << "\n";
   os << "resumed " << report.items_resumed << " items\n";
   os << "elapsed " << report.elapsed_seconds << " s ("

@@ -1,29 +1,22 @@
-// Fleet-scale parallel verification: a sharded sweep harness that runs
-// thousands of generate → analyze → two-phase-verify pipelines on a
-// thread pool and aggregates the verdicts into one report.
+// Fleet-scale parallel verification: thousands of independent
+// generate → analyze → (certify →) two-phase-verify pipelines, aggregated
+// into one report.
 //
-// The randomized sweeps of PRs 2–7 validate the paper's analysis on
-// 40–60 graphs per model class — a coverage ceiling set by one core, not
-// a confidence target.  FleetSweep lifts that ceiling: a SweepSpec
-// expands into independent work items (model classes × seed ordinals ×
-// headroom levels × sink/source modes), each item runs its whole
-// pipeline in isolation on a util::ThreadPool worker, and the results
-// merge into a FleetReport.
-//
-// Determinism rules — the report's canonical serialization is
-// bit-identical regardless of thread count and across interrupt+resume:
-//  * Every item derives its RNG stream statelessly:
-//    rng_seed = util::derive_seed(base_seed, item index).  No item reads
-//    another item's state, a worker-local counter, or a thread id.
-//  * Items write only their own pre-allocated result slot; results merge
-//    in item-index order after the pool drains.
-//  * Wall-clock metrics (elapsed seconds, firings/s, threads, resumed
-//    count) live in FleetReport but are excluded from canonical_text().
+// FleetSweep is one of the two sweeps on the shared engine in
+// sim/sweep.hpp, which owns dispatch (inline, or on a util::ThreadPool),
+// the wall clock, the item-line detail codec, the tally fold and the
+// canonical layout — and with them the determinism rules: the canonical
+// text is bit-identical at any thread count.  This file keeps only what
+// is the fleet's own: a SweepSpec expands into items (model classes ×
+// seed ordinals × headroom levels × sink/source modes), run_item is the
+// per-item pipeline, and tally rows are keyed by model class.
 //
 // Resumability: pass an io::FleetJournal and every finished item is
 // appended to it; on restart, journaled items are merged back without
 // recompute, so an interrupted 10k-model sweep continues where it left
-// off and still produces the canonical bytes of an uninterrupted run.
+// off and still produces the canonical bytes of an uninterrupted run.  A
+// journaled item always takes its FleetItem (RNG stream included) from
+// the sweep's own expansion; a record that disagrees with it is refused.
 #pragma once
 
 #include <cstdint>
@@ -104,10 +97,6 @@ struct SweepSpec {
   /// verifies.  When unset, models::make_random_model(item.rng_seed)
   /// generates.
   std::function<models::SyntheticModel(const FleetItem&)> generator;
-  /// Mixed into the journal fingerprint so callers with a custom
-  /// generator can version their journals (the function itself cannot be
-  /// fingerprinted).
-  std::uint64_t journal_tag = 0;
 };
 
 /// Deterministic verdict of one item.  Every field participates in the
@@ -145,10 +134,10 @@ struct FleetItemResult {
 [[nodiscard]] bool decode_item_line(const std::string& line,
                                     FleetItemResult* result);
 
-/// Per-class aggregation, in SweepSpec::classes order.
-struct FleetClassTally {
-  models::ModelClass model_class = models::ModelClass::Chain;
-  std::int64_t items = 0;
+/// Counters over a set of item verdicts: one class row, or the report's
+/// grand total.
+struct FleetTally {
+  std::int64_t total_items = 0;
   std::int64_t passed = 0;
   std::int64_t failed = 0;
   std::int64_t rejected = 0;
@@ -167,26 +156,19 @@ struct FleetClassTally {
   std::int64_t certificate_failures = 0;
 };
 
-struct FleetReport {
+/// One model class's row, in SweepSpec::classes order.
+struct FleetClassTally : FleetTally {
+  /// "class <name>" — the row's label in the canonical text.
+  std::string key;
+};
+
+/// Report of one run; the inherited FleetTally is the grand total.
+struct FleetReport : FleetTally {
   /// Canonical one-line summary of the spec that produced this report.
   std::string spec_summary;
   std::vector<FleetClassTally> classes;
   /// Every item verdict, in item-index order.
   std::vector<FleetItemResult> items;
-  // Grand totals (sums/maxima over `classes`).
-  std::int64_t total_items = 0;
-  std::int64_t passed = 0;
-  std::int64_t failed = 0;
-  std::int64_t rejected = 0;
-  std::int64_t starvations = 0;
-  std::int64_t total_capacity = 0;
-  std::int64_t firings = 0;
-  Duration worst_lateness;
-  std::int64_t faults_expected = 0;
-  std::int64_t faults_named = 0;
-  std::int64_t certified = 0;
-  std::int64_t certificate_clauses = 0;
-  std::int64_t certificate_failures = 0;
   // ---- wall-clock section: excluded from canonical_text() ----
   double elapsed_seconds = 0.0;
   double firings_per_second = 0.0;
@@ -201,8 +183,10 @@ struct FleetReport {
 [[nodiscard]] std::string canonical_text(const FleetReport& report,
                                          bool include_items = true);
 
-/// Human summary for CLIs: canonical tallies plus the wall-clock section.
-[[nodiscard]] std::string summary_text(const FleetReport& report);
+/// Human summary for CLIs: canonical_text(report, include_items) plus
+/// the wall-clock section.
+[[nodiscard]] std::string summary_text(const FleetReport& report,
+                                       bool include_items = false);
 
 class FleetSweep {
  public:
@@ -216,15 +200,17 @@ class FleetSweep {
     return spec_summary_;
   }
 
-  /// Fingerprint binding a journal to this spec (classes, counts, knobs,
-  /// journal_tag — not the custom generator, see SweepSpec::journal_tag).
+  /// Fingerprint binding a journal to this spec: a hash of the spec
+  /// summary, so classes, counts and knobs — but not the custom generator
+  /// function itself.
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Runs every item and aggregates.  `threads` <= 1 runs inline on the
-  /// caller (no pool, byte-identical to the pre-fleet loops); larger
-  /// values run on a pool of that many workers.  With a journal,
-  /// already-recorded items are merged without recompute and new results
-  /// are appended as they finish.
+  /// Runs every item on sim::run_sweep and aggregates.  `threads` <= 1
+  /// runs inline on the caller; larger values run on a pool of that many
+  /// workers.  With a journal, already-recorded items are merged without
+  /// recompute and new results are appended as they finish; a record
+  /// whose class, seed, headroom or mode disagrees with items()[i] is a
+  /// ModelError naming index i.
   [[nodiscard]] FleetReport run(std::size_t threads = 1,
                                 io::FleetJournal* journal = nullptr) const;
 

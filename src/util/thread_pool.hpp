@@ -1,11 +1,12 @@
 // A small fixed-size task pool for embarrassingly parallel passes.
 //
 // Design point: this is deliberately *not* a work-stealing scheduler.
-// The parallel passes in this library (fleet verification sweeps, future
-// frontier sweeps) consist of many independent, similarly sized items, so
-// a single FIFO queue guarded by one mutex is contention-free in practice
-// (items run for ~100 µs, dequeues take ~100 ns) and keeps the pool small
-// enough to audit for the determinism rules of sim/fleet.hpp.
+// The parallel passes in this library (the fleet and frontier sweeps,
+// both dispatched by sim::run_sweep) consist of many independent,
+// similarly sized items, so a single FIFO queue guarded by one mutex is
+// contention-free in practice (items run for ~100 µs, dequeues take
+// ~100 ns) and keeps the pool small enough to audit for the determinism
+// rules of sim/sweep.hpp.
 //
 //  * submit() enqueues one task and returns a future; an exception thrown
 //    by the task is captured and rethrown from future::get().

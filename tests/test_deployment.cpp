@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -490,6 +491,28 @@ TEST(DeploymentFrontier, CanonicalReportIsThreadCountInvariant) {
   EXPECT_EQ(serial.certificate_failures, 0);
   EXPECT_EQ(serial.total_items,
             static_cast<std::int64_t>(sweep.items().size()));
+}
+
+TEST(DeploymentFrontier, RefusesAStreamCountWhoseTaskCountOverflows) {
+  // Each item binds 1 + streams * tasks_per_stream tasks; a product past
+  // int64 must be refused up front, naming the stream count.
+  sim::FrontierSpec spec;
+  spec.tasks_per_stream = 4;
+  spec.stream_counts = {1, std::numeric_limits<std::int64_t>::max() / 3};
+  try {
+    const sim::FrontierSweep sweep(spec);
+    FAIL() << "an overflowing task count must be refused";
+  } catch (const ContractError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find(std::to_string(spec.stream_counts[1])),
+              std::string::npos)
+        << error.what();
+  }
+  // The sum overflows too: streams * tasks == INT64_MAX leaves no room for
+  // the shared root task.
+  spec.tasks_per_stream = 1;
+  spec.stream_counts = {std::numeric_limits<std::int64_t>::max()};
+  EXPECT_THROW(sim::FrontierSweep{spec}, ContractError);
 }
 
 }  // namespace

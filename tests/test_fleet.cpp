@@ -307,9 +307,31 @@ class TempPath {
   std::string path_;
 };
 
+/// Every item of a resumed report is the sweep's own (RNG stream
+/// included, though journal lines do not carry it), and re-running it
+/// reproduces the uninterrupted run's line.
+void expect_items_match_expansion(const FleetSweep& sweep,
+                                  const FleetReport& resumed,
+                                  const FleetReport& fresh) {
+  ASSERT_EQ(resumed.items.size(), sweep.items().size());
+  for (std::size_t i = 0; i < sweep.items().size(); ++i) {
+    const sim::FleetItem& item = resumed.items[i].item;
+    const sim::FleetItem& expected = sweep.items()[i];
+    EXPECT_EQ(item.index, expected.index);
+    EXPECT_EQ(item.model_class, expected.model_class);
+    EXPECT_EQ(item.seed_ordinal, expected.seed_ordinal);
+    EXPECT_EQ(item.headroom, expected.headroom);
+    EXPECT_EQ(item.mode, expected.mode);
+    EXPECT_EQ(item.rng_seed, expected.rng_seed) << "item " << i;
+    EXPECT_EQ(sim::encode_item_line(sweep.run_item(item)),
+              sim::encode_item_line(fresh.items[i]));
+  }
+}
+
 TEST(FleetJournal, ResumedRunMatchesUninterruptedBytes) {
   const FleetSweep sweep(mixed_spec());
-  const std::string uninterrupted = sim::canonical_text(sweep.run(2));
+  const FleetReport fresh = sweep.run(2);
+  const std::string uninterrupted = sim::canonical_text(fresh);
 
   // Simulate the interrupt: journal only a prefix of the items, as if the
   // process died mid-sweep...
@@ -331,6 +353,7 @@ TEST(FleetJournal, ResumedRunMatchesUninterruptedBytes) {
   EXPECT_EQ(resumed.items_resumed, sweep.items().size() / 2);
   EXPECT_EQ(sim::canonical_text(resumed), uninterrupted);
   EXPECT_EQ(journal.completed(), sweep.items().size());
+  expect_items_match_expansion(sweep, resumed, fresh);
 
   // A third pass finds everything journaled: zero recompute, same bytes.
   io::FleetJournal full(path.str(), sweep.fingerprint(),
@@ -339,6 +362,31 @@ TEST(FleetJournal, ResumedRunMatchesUninterruptedBytes) {
   const FleetReport replayed = sweep.run(1, &full);
   EXPECT_EQ(replayed.items_resumed, sweep.items().size());
   EXPECT_EQ(sim::canonical_text(replayed), uninterrupted);
+  expect_items_match_expansion(sweep, replayed, fresh);
+}
+
+TEST(FleetJournal, RefusesARecordThatDisagreesWithTheExpansion) {
+  const FleetSweep sweep(mixed_spec());
+  TempPath path("fleet_mismatch.journal");
+  {
+    io::FleetJournal journal(path.str(), sweep.fingerprint(),
+                             sweep.items().size());
+    journal.record(sweep.run_item(sweep.items()[0]));
+    FleetItemResult edited = sweep.run_item(sweep.items()[1]);
+    edited.item.seed_ordinal += 1;  // a hand-edited or foreign record
+    journal.record(edited);
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    io::FleetJournal journal(path.str(), sweep.fingerprint(),
+                             sweep.items().size());
+    try {
+      (void)sweep.run(threads, &journal);
+      FAIL() << "a record that disagrees with items()[1] must be refused";
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("item 1 "), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(FleetJournal, TornTrailingLineIsDroppedAndRerun) {

@@ -44,9 +44,13 @@ import sys
 from pathlib import Path
 
 # Files whose output participates in a canonical (bit-stable) byte
-# stream: the fleet report/codec, the deployment frontier report, the
-# resumable journal, and the graph text format.
+# stream: the shared sweep engine, the fleet report/codec, the deployment
+# frontier report, the resumable journal, and the graph text format.
+# Every entry must exist: a stale entry would silently exempt the code it
+# named once moved, so it fails the lint.
 CANONICAL_FILES = (
+    "src/sim/sweep.cpp",
+    "src/sim/sweep.hpp",
     "src/sim/fleet.cpp",
     "src/sim/fleet.hpp",
     "src/sim/deployment_frontier.cpp",
@@ -134,7 +138,12 @@ def main(argv: list[str]) -> int:
         print(f"lint_determinism: no src/ under {root}", file=sys.stderr)
         return 2
 
-    violations: list[str] = []
+    violations: list[str] = [
+        f"{rel}: stale CANONICAL_FILES entry (no such file); rules R1 "
+        f"and R3 would silently stop applying to the code it named"
+        for rel in CANONICAL_FILES
+        if not (root / rel).is_file()
+    ]
     for path in sorted(src.rglob("*")):
         if path.suffix in (".cpp", ".hpp"):
             lint_file(root, str(path.relative_to(root)), violations)
