@@ -34,7 +34,8 @@ int main() {
   analysis::apply_capacities(app.graph, sized);
 
   const analysis::RobustnessReport margins =
-      analysis::robustness_margins(app.graph, app.constraint);
+      analysis::robustness_margins(app.graph,
+                                     analysis::ConstraintSet{app.constraint});
   if (!margins.ok) {
     for (const auto& d : margins.diagnostics) {
       std::cerr << d << '\n';

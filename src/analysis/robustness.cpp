@@ -2,28 +2,27 @@
 
 #include <sstream>
 
-#include "util/error.hpp"
+#include "analysis/incremental.hpp"
+#include "analysis/snapshot.hpp"
 #include "util/log.hpp"
 
 namespace vrdf::analysis {
 
-using dataflow::ActorId;
-
 namespace {
 
-/// True when the analysis of `probe` is admissible and every pair fits
-/// the capacities installed in `probe` (only response times differ from
-/// the caller's graph, so these are the original installed capacities).
-[[nodiscard]] bool fits_installed(const dataflow::VrdfGraph& probe,
-                                  const ConstraintSet& constraints,
-                                  const AnalysisOptions& options) {
-  const GraphAnalysis analysis =
-      compute_buffer_capacities(probe, constraints, options);
+/// Margin search resolution: margins are multiples of slack/kGridSteps.
+constexpr std::int64_t kGridSteps = 64;
+
+/// True when `analysis` is admissible and every pair fits the capacities
+/// installed in `graph` (probes only move response times, so these are
+/// the original installed capacities).
+[[nodiscard]] bool fits_installed(const dataflow::VrdfGraph& graph,
+                                  const GraphAnalysis& analysis) {
   if (!analysis.admissible) {
     return false;
   }
   for (const PairAnalysis& pair : analysis.pairs) {
-    if (pair.capacity > probe.buffer_capacity(pair.buffer)) {
+    if (pair.capacity > graph.buffer_capacity(pair.buffer)) {
       return false;
     }
   }
@@ -47,17 +46,24 @@ template <typename Predicate>
   return lo;
 }
 
+/// ρ(v) + slack·k/kGridSteps: the response time of grid point k.
+[[nodiscard]] Duration grid_point(const ActorMargin& m, std::int64_t k) {
+  return m.response_time +
+         (m.max_response_time - m.response_time) * Rational(k, kGridSteps);
+}
+
 }  // namespace
 
 RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
-                                    const ConstraintSet& constraints,
-                                    const RobustnessOptions& options) {
-  VRDF_REQUIRE(options.grid_steps > 0, "margin grid needs at least one step");
+                                    const ConstraintSet& constraints) {
   RobustnessReport report;
   report.constraints = constraints;
 
-  const GraphAnalysis baseline =
-      compute_buffer_capacities(graph, constraints, options.analysis);
+  // Every probe below moves only response times, which enter neither the
+  // structural snapshot nor the pacing propagation: both are built once.
+  const TopologySnapshot snapshot(graph);
+  IncrementalAnalysis engine(snapshot, constraints);
+  const GraphAnalysis& baseline = engine.analysis();
   if (!baseline.admissible) {
     report.diagnostics = baseline.diagnostics;
     report.diagnostics.push_back(
@@ -90,74 +96,55 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     report.buffers.push_back(headroom);
   }
 
-  const ResponseTimeBudget budget =
-      max_admissible_response_times(graph, constraints);
-  if (!budget.ok) {
-    report.diagnostics.insert(report.diagnostics.end(),
-                              budget.diagnostics.begin(),
-                              budget.diagnostics.end());
-    return report;
+  // An admissible baseline carries the pacing φ(v), which is the maximal
+  // admissible response time of each actor.
+  report.actors.reserve(baseline.actors_in_order.size());
+  for (std::size_t i = 0; i < baseline.actors_in_order.size(); ++i) {
+    const dataflow::ActorId v = baseline.actors_in_order[i];
+    report.actors.push_back(ActorMargin{v, graph.actor(v).response_time,
+                                        baseline.pacing[i], Duration()});
   }
   if (!installed_ok) {
     // Report zero margins (honest: nothing extra is tolerable) but keep
     // ok=false so callers do not inject "within-margin" faults.
-    for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
-      report.actors.push_back(ActorMargin{
-          budget.actors_in_order[i],
-          graph.actor(budget.actors_in_order[i]).response_time,
-          budget.max_response_times[i], Duration()});
-    }
     return report;
   }
 
-  const std::int64_t grid = options.grid_steps;
-  report.actors.reserve(budget.actors_in_order.size());
-  for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
-    const ActorId v = budget.actors_in_order[i];
-    ActorMargin margin;
-    margin.actor = v;
-    margin.response_time = graph.actor(v).response_time;
-    margin.max_response_time = budget.max_response_times[i];
+  // Per actor: retune its ρ on the engine, which re-derives only the ω
+  // cone and pairs the actor reaches, then restore it.
+  for (ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
-      dataflow::VrdfGraph probe = graph;
-      const std::int64_t best = max_true(grid, [&](std::int64_t k) {
-        probe.set_response_time(
-            v, margin.response_time + slack * Rational(k, grid));
-        return fits_installed(probe, constraints, options.analysis);
+      const std::int64_t best = max_true(kGridSteps, [&](std::int64_t k) {
+        engine.retune(margin.actor, grid_point(margin, k));
+        return fits_installed(graph, engine.analysis());
       });
-      margin.margin = slack * Rational(best, grid);
+      engine.clear_retune(margin.actor);
+      margin.margin = slack * Rational(best, kGridSteps);
     }
-    VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(v).name
+    VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(margin.actor).name
                     << "' rho=" << margin.response_time.to_string()
                     << " phi=" << margin.max_response_time.to_string()
                     << " margin=" << margin.margin.to_string();
-    report.actors.push_back(margin);
   }
 
   // Per-actor margins hold the *other* actors at their declared ρ and do
   // not compose; the joint fraction is what all actors may take at once.
-  const std::int64_t joint = max_true(grid, [&](std::int64_t k) {
-    dataflow::VrdfGraph probe = graph;
+  // Every ρ moves, so each probe is one overlay analysis on the snapshot.
+  ParameterOverlay overlay;
+  const std::int64_t joint = max_true(kGridSteps, [&](std::int64_t k) {
     for (const ActorMargin& m : report.actors) {
-      const Duration slack = m.max_response_time - m.response_time;
-      if (slack.is_positive()) {
-        probe.set_response_time(m.actor,
-                                m.response_time + slack * Rational(k, grid));
+      if (m.max_response_time > m.response_time) {
+        overlay.set_response_time(m.actor, grid_point(m, k));
       }
     }
-    return fits_installed(probe, constraints, options.analysis);
+    return fits_installed(
+        graph, compute_buffer_capacities(snapshot, constraints, {}, overlay));
   });
-  report.joint_safe_fraction = Rational(joint, grid);
+  report.joint_safe_fraction = Rational(joint, kGridSteps);
 
   report.ok = true;
   return report;
-}
-
-RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
-                                    const ThroughputConstraint& constraint,
-                                    const RobustnessOptions& options) {
-  return robustness_margins(graph, ConstraintSet{constraint}, options);
 }
 
 }  // namespace vrdf::analysis

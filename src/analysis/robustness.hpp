@@ -24,7 +24,17 @@
 //
 // Both searches exploit that computed capacities are monotone
 // nondecreasing in every ρ(v), so a binary search over a 64-step grid of
-// the slack finds the margin exactly to grid resolution.
+// the slack finds the margin exactly to grid resolution.  Consequently
+// joint_safe_fraction · slack(v) ≤ margin(v) for every actor: raising
+// only v's ρ by that fraction asks for no more than raising every ρ by it.
+//
+// Cost: ρ enters neither the structural snapshot nor the pacing
+// propagation, so one TopologySnapshot and one IncrementalAnalysis serve
+// every probe.  A per-actor probe is a ρ-cone retune — only the ω leads
+// and pairs the actor reaches are re-derived — and the actor is restored
+// after its search; a joint probe moves every ρ at once and is one
+// overlay analysis on the snapshot.  On 8–32-actor models a report's
+// margins cost 13–17 one-shot analyses.
 #pragma once
 
 #include <string>
@@ -42,7 +52,8 @@ struct ActorMargin {
   dataflow::ActorId actor;
   /// Declared worst-case response time ρ(v).
   Duration response_time;
-  /// Maximal admissible response time φ(v) (max_admissible_response_times).
+  /// Maximal admissible response time φ(v): the baseline analysis' pacing,
+  /// the same value max_admissible_response_times reports.
   Duration max_response_time;
   /// Largest grid-resolved extra δ with capacities(ρ(v)+δ) ≤ installed.
   /// Zero when the actor has no slack (ρ = φ) or the baseline already
@@ -63,12 +74,6 @@ struct BufferHeadroom {
   std::int64_t headroom = 0;
 };
 
-struct RobustnessOptions {
-  AnalysisOptions analysis;
-  /// Margin search resolution: margins are multiples of slack/grid_steps.
-  std::int64_t grid_steps = 64;
-};
-
 struct RobustnessReport {
   /// True when the baseline analysis is admissible and the installed
   /// capacities cover it; margins are only meaningful when true.
@@ -86,15 +91,9 @@ struct RobustnessReport {
 
 /// Computes robustness margins of `graph` (which must already carry the
 /// installed capacities, e.g. via apply_capacities — possibly with extra
-/// headroom) against `constraints`.  Never throws on model-level
-/// infeasibility; inspect ok/diagnostics.
+/// headroom) against `constraints`, at the default AnalysisOptions.
+/// Never throws on model-level infeasibility; inspect ok/diagnostics.
 [[nodiscard]] RobustnessReport robustness_margins(
-    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints,
-    const RobustnessOptions& options = {});
-
-/// Single-constraint convenience overload.
-[[nodiscard]] RobustnessReport robustness_margins(
-    const dataflow::VrdfGraph& graph, const ThroughputConstraint& constraint,
-    const RobustnessOptions& options = {});
+    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints);
 
 }  // namespace vrdf::analysis

@@ -447,6 +447,312 @@ TEST(Robustness, ReportContainsTheMarginsSection) {
   EXPECT_NE(csv.find("buffer,required,installed,headroom"), std::string::npos);
 }
 
+// ------------------------------------- Robustness: per-probe reference check
+
+constexpr std::int64_t kReferenceGrid = 64;
+
+/// The margin search as one full re-analysis per probe: a graph copy
+/// carrying the probed ρ, a one-shot compute_buffer_capacities, and φ from
+/// max_admissible_response_times.  robustness_margins answers the same
+/// probes from one snapshot and the incremental engine, so the two must
+/// agree field for field.  Counts probes whose re-analysis came out
+/// inadmissible (not merely over the installed capacities).
+struct ReferenceMargins {
+  RobustnessReport report;
+  int inadmissible_probes = 0;
+};
+
+ReferenceMargins reference_margins(const VrdfGraph& graph,
+                                   const analysis::ConstraintSet& constraints) {
+  ReferenceMargins ref;
+  RobustnessReport& report = ref.report;
+  report.constraints = constraints;
+  const auto fits_installed = [&](const VrdfGraph& probe) {
+    const analysis::GraphAnalysis analysis =
+        analysis::compute_buffer_capacities(probe, constraints);
+    if (!analysis.admissible) {
+      ++ref.inadmissible_probes;
+      return false;
+    }
+    for (const analysis::PairAnalysis& pair : analysis.pairs) {
+      if (pair.capacity > probe.buffer_capacity(pair.buffer)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto max_true = [](const auto& holds) {
+    if (holds(kReferenceGrid)) {
+      return kReferenceGrid;
+    }
+    std::int64_t lo = 0;
+    std::int64_t hi = kReferenceGrid;
+    while (hi - lo > 1) {
+      const std::int64_t mid = lo + (hi - lo) / 2;
+      (holds(mid) ? lo : hi) = mid;
+    }
+    return lo;
+  };
+
+  const analysis::GraphAnalysis baseline =
+      analysis::compute_buffer_capacities(graph, constraints);
+  if (!baseline.admissible) {
+    report.diagnostics = baseline.diagnostics;
+    report.diagnostics.push_back(
+        "robustness margins undefined: baseline analysis inadmissible");
+    return ref;
+  }
+  bool installed_ok = true;
+  for (const analysis::PairAnalysis& pair : baseline.pairs) {
+    analysis::BufferHeadroom headroom;
+    headroom.buffer = pair.buffer;
+    headroom.producer = pair.producer;
+    headroom.consumer = pair.consumer;
+    headroom.required = pair.capacity;
+    headroom.installed = graph.buffer_capacity(pair.buffer);
+    headroom.headroom = headroom.installed - headroom.required;
+    if (headroom.headroom < 0) {
+      installed_ok = false;
+      report.diagnostics.push_back(
+          "installed capacity of buffer " + graph.actor(pair.producer).name +
+          "->" + graph.actor(pair.consumer).name + " (" +
+          std::to_string(headroom.installed) +
+          ") is below the analysed requirement (" +
+          std::to_string(headroom.required) + ")");
+    }
+    report.buffers.push_back(headroom);
+  }
+  const analysis::ResponseTimeBudget budget =
+      analysis::max_admissible_response_times(graph, constraints);
+  if (!budget.ok) {
+    report.diagnostics.insert(report.diagnostics.end(),
+                              budget.diagnostics.begin(),
+                              budget.diagnostics.end());
+    return ref;
+  }
+  for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
+    const ActorId v = budget.actors_in_order[i];
+    report.actors.push_back(analysis::ActorMargin{
+        v, graph.actor(v).response_time, budget.max_response_times[i],
+        Duration()});
+  }
+  if (!installed_ok) {
+    return ref;
+  }
+  for (analysis::ActorMargin& margin : report.actors) {
+    const Duration slack = margin.max_response_time - margin.response_time;
+    if (slack.is_positive()) {
+      VrdfGraph probe = graph;
+      const std::int64_t best = max_true([&](std::int64_t k) {
+        probe.set_response_time(
+            margin.actor,
+            margin.response_time + slack * Rational(k, kReferenceGrid));
+        return fits_installed(probe);
+      });
+      margin.margin = slack * Rational(best, kReferenceGrid);
+    }
+  }
+  const std::int64_t joint = max_true([&](std::int64_t k) {
+    VrdfGraph probe = graph;
+    for (const analysis::ActorMargin& m : report.actors) {
+      const Duration slack = m.max_response_time - m.response_time;
+      if (slack.is_positive()) {
+        probe.set_response_time(
+            m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
+      }
+    }
+    return fits_installed(probe);
+  });
+  report.joint_safe_fraction = Rational(joint, kReferenceGrid);
+  report.ok = true;
+  return ref;
+}
+
+void expect_same_report(const RobustnessReport& got,
+                        const RobustnessReport& want) {
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.diagnostics, want.diagnostics);
+  ASSERT_EQ(got.constraints.size(), want.constraints.size());
+  for (std::size_t i = 0; i < got.constraints.size(); ++i) {
+    EXPECT_EQ(got.constraints[i].actor, want.constraints[i].actor);
+    EXPECT_EQ(got.constraints[i].period, want.constraints[i].period);
+  }
+  ASSERT_EQ(got.actors.size(), want.actors.size());
+  for (std::size_t i = 0; i < got.actors.size(); ++i) {
+    SCOPED_TRACE("actor position " + std::to_string(i));
+    EXPECT_EQ(got.actors[i].actor, want.actors[i].actor);
+    EXPECT_EQ(got.actors[i].response_time, want.actors[i].response_time);
+    EXPECT_EQ(got.actors[i].max_response_time,
+              want.actors[i].max_response_time);
+    EXPECT_EQ(got.actors[i].margin, want.actors[i].margin);
+  }
+  ASSERT_EQ(got.buffers.size(), want.buffers.size());
+  for (std::size_t i = 0; i < got.buffers.size(); ++i) {
+    SCOPED_TRACE("buffer position " + std::to_string(i));
+    EXPECT_EQ(got.buffers[i].buffer.data, want.buffers[i].buffer.data);
+    EXPECT_EQ(got.buffers[i].buffer.space, want.buffers[i].buffer.space);
+    EXPECT_EQ(got.buffers[i].producer, want.buffers[i].producer);
+    EXPECT_EQ(got.buffers[i].consumer, want.buffers[i].consumer);
+    EXPECT_EQ(got.buffers[i].required, want.buffers[i].required);
+    EXPECT_EQ(got.buffers[i].installed, want.buffers[i].installed);
+    EXPECT_EQ(got.buffers[i].headroom, want.buffers[i].headroom);
+  }
+  EXPECT_EQ(got.joint_safe_fraction, want.joint_safe_fraction);
+}
+
+/// Installs the analysed capacities of `graph` plus `headroom` extra
+/// containers per buffer.
+void install_capacities(VrdfGraph& graph,
+                        const analysis::ConstraintSet& constraints,
+                        std::int64_t headroom) {
+  const analysis::GraphAnalysis sized =
+      analysis::compute_buffer_capacities(graph, constraints);
+  ASSERT_TRUE(sized.admissible);
+  analysis::apply_capacities(graph, sized);
+  for (const analysis::PairAnalysis& pair : sized.pairs) {
+    graph.set_initial_tokens(
+        pair.buffer.space,
+        graph.edge(pair.buffer.space).initial_tokens + headroom);
+  }
+}
+
+/// Halves every actor's response time, leaving each one slack to search.
+void halve_response_times(VrdfGraph& graph) {
+  for (std::size_t i = 0; i < graph.actor_count(); ++i) {
+    const ActorId v(static_cast<ActorId::underlying_type>(i));
+    graph.set_response_time(v, graph.actor(v).response_time * Rational(1, 2));
+  }
+}
+
+constexpr std::uint64_t kReferenceSeeds = 8;
+
+TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
+  int random_models = 0;
+  int cyclic_inadmissible_probes = 0;
+  for (const ModelClass model_class : kAllClasses) {
+    for (const std::int64_t headroom : {0, 1, 2}) {
+      for (std::uint64_t seed = 1; seed <= kReferenceSeeds; ++seed) {
+        SCOPED_TRACE(std::string(class_name(model_class)) + " headroom " +
+                     std::to_string(headroom) + " seed " +
+                     std::to_string(seed));
+        RandomModelSpec spec;
+        spec.model_class = model_class;
+        spec.seed = seed;
+        spec.capacity_headroom = headroom;
+        spec.source_constrained = (seed % 2) == 0;
+        const SyntheticModel model = make_random_model(spec);
+        const ReferenceMargins want =
+            reference_margins(model.graph, model.constraints);
+        ASSERT_TRUE(want.report.ok);
+        expect_same_report(
+            analysis::robustness_margins(model.graph, model.constraints),
+            want.report);
+        if (model_class == ModelClass::Cyclic) {
+          cyclic_inadmissible_probes += want.inadmissible_probes;
+        }
+        ++random_models;
+      }
+    }
+  }
+  EXPECT_EQ(random_models, 5 * 3 * static_cast<int>(kReferenceSeeds));
+  // Some cyclic probes must fail admissibility (the back-edge's tokens no
+  // longer cover the inflated loop), not just the installed capacities.
+  EXPECT_GT(cyclic_inadmissible_probes, 0);
+
+  {
+    SCOPED_TRACE("dual-presenter A/V (two constraints)");
+    models::AvDualSinkPipeline av = models::make_av_dual_sink_pipeline();
+    halve_response_times(av.graph);
+    install_capacities(av.graph, av.constraints, 1);
+    const ReferenceMargins want = reference_margins(av.graph, av.constraints);
+    ASSERT_TRUE(want.report.ok);
+    EXPECT_GT(want.report.joint_safe_fraction, Rational(0));
+    expect_same_report(analysis::robustness_margins(av.graph, av.constraints),
+                       want.report);
+  }
+  {
+    SCOPED_TRACE("feedback pipeline (cyclic)");
+    models::FeedbackPipeline fb = models::make_feedback_pipeline();
+    const analysis::ConstraintSet constraints{fb.constraint};
+    // Halve every ρ so the loop has slack, then prime it with exactly the
+    // credits it needs: an overrun on the loop makes the re-analysis
+    // inadmissible before it outgrows any installed capacity.
+    halve_response_times(fb.graph);
+    for (const analysis::PairAnalysis& pair :
+         analysis::compute_buffer_capacities(fb.graph, constraints).pairs) {
+      if (pair.is_feedback) {
+        fb.graph.set_initial_tokens(pair.buffer.data,
+                                    pair.required_initial_tokens);
+      }
+    }
+    install_capacities(fb.graph, constraints, 0);
+    const ReferenceMargins want = reference_margins(fb.graph, constraints);
+    ASSERT_TRUE(want.report.ok);
+    EXPECT_GT(want.inadmissible_probes, 0);
+    expect_same_report(analysis::robustness_margins(fb.graph, constraints),
+                       want.report);
+  }
+  {
+    SCOPED_TRACE("undersized capacities");
+    RandomModelSpec spec;
+    spec.model_class = ModelClass::ForkJoin;
+    spec.seed = 4;
+    SyntheticModel model = make_random_model(spec);
+    const dataflow::EdgeId space =
+        analysis::compute_buffer_capacities(model.graph, model.constraints)
+            .pairs.front()
+            .buffer.space;
+    model.graph.set_initial_tokens(
+        space, model.graph.edge(space).initial_tokens - 1);
+    const ReferenceMargins want =
+        reference_margins(model.graph, model.constraints);
+    ASSERT_FALSE(want.report.ok);
+    expect_same_report(
+        analysis::robustness_margins(model.graph, model.constraints),
+        want.report);
+  }
+}
+
+TEST(Robustness, JointFractionBoundedByEachActorsMargin) {
+  // Capacities are monotone in every ρ, so raising one actor's ρ by a
+  // fraction of its slack asks for no more than raising every actor's ρ
+  // by that fraction: the joint fraction can never exceed any actor's
+  // own margin fraction.  Margins are resolved on the 64-step grid.
+  int partial_joint = 0;  // 0 < joint fraction < 1: the bound can bind
+  for (const ModelClass model_class : kAllClasses) {
+    for (const std::int64_t headroom : {0, 1, 2}) {
+      for (std::uint64_t seed = 1; seed <= kReferenceSeeds; ++seed) {
+        SCOPED_TRACE(std::string(class_name(model_class)) + " headroom " +
+                     std::to_string(headroom) + " seed " +
+                     std::to_string(seed));
+        RandomModelSpec spec;
+        spec.model_class = model_class;
+        spec.seed = seed;
+        spec.capacity_headroom = headroom;
+        const SyntheticModel model = make_random_model(spec);
+        const RobustnessReport report =
+            analysis::robustness_margins(model.graph, model.constraints);
+        ASSERT_TRUE(report.ok);
+        partial_joint += report.joint_safe_fraction.is_positive() &&
+                         report.joint_safe_fraction < Rational(1);
+        for (const analysis::ActorMargin& m : report.actors) {
+          const Duration slack = m.max_response_time - m.response_time;
+          if (!slack.is_positive()) {
+            EXPECT_TRUE(m.margin.is_zero());
+            continue;
+          }
+          EXPECT_LE(slack * report.joint_safe_fraction, m.margin)
+              << model.graph.actor(m.actor).name;
+          const Rational steps = m.margin / slack * Rational(kReferenceGrid);
+          EXPECT_TRUE(steps.is_integer()) << model.graph.actor(m.actor).name;
+          EXPECT_LE(steps, Rational(kReferenceGrid));
+        }
+      }
+    }
+  }
+  EXPECT_GT(partial_joint, 0);
+}
+
 // ---------------------------------------------------------- Randomized sweep
 
 constexpr std::uint64_t kSweepSeeds = 40;
