@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/checked_int.hpp"
@@ -92,6 +93,14 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   return bridge;
 }
 
+// Clause idiom, after VRDF_REQUIRE: the condition is evaluated eagerly;
+// the subject, both sides and the message are expressions evaluated only
+// when the condition fails.
+#define VRDF_CLAUSE(condition, kind, subject, lhs, rhs, message)         \
+  expect_((condition), [&] {                                             \
+    return ClauseViolation{(kind), (subject), (lhs), (rhs), (message)};  \
+  })
+
 /// One full validation run; holds the derived structure between phases.
 class Checker {
  public:
@@ -112,21 +121,23 @@ class Checker {
     } catch (const Error& error) {
       // Exact arithmetic on a hostile certificate can overflow; a
       // certificate whose numbers do that is invalid, not a crash.
-      expect_(false, ClauseKind::Coverage, "certificate", "", "",
-              std::string("arithmetic failure while checking: ") +
-                  error.what());
+      VRDF_CLAUSE(false, ClauseKind::Coverage, "certificate", "", "",
+                  std::string("arithmetic failure while checking: ") +
+                      error.what());
     }
     out_.ok = out_.violations.empty();
     return std::move(out_);
   }
 
  private:
-  bool expect_(bool condition, ClauseKind kind, std::string subject,
-               std::string lhs, std::string rhs, std::string message) {
+  /// Counts one clause and, only when it fails, records the violation
+  /// `render` builds.  Call through VRDF_CLAUSE so that passing clauses
+  /// never format a subject, a side or a message.
+  template <typename Render>
+  bool expect_(bool condition, Render&& render) {
     ++out_.clauses_checked;
     if (!condition) {
-      out_.violations.push_back({kind, std::move(subject), std::move(lhs),
-                                 std::move(rhs), std::move(message)});
+      out_.violations.push_back(std::forward<Render>(render)());
     }
     return condition;
   }
@@ -151,111 +162,115 @@ class Checker {
   /// meaningless), so the caller stops on false.
   bool check_structure_() {
     const std::size_t n = graph_.actor_count();
-    if (!expect_(cert_.actors.size() == n, ClauseKind::Coverage, "certificate",
-                 num(static_cast<std::int64_t>(cert_.actors.size())),
-                 num(static_cast<std::int64_t>(n)),
-                 "certificate must carry exactly one fact per actor")) {
+    if (!VRDF_CLAUSE(cert_.actors.size() == n, ClauseKind::Coverage,
+                     "certificate",
+                     num(static_cast<std::int64_t>(cert_.actors.size())),
+                     num(static_cast<std::int64_t>(n)),
+                     "certificate must carry exactly one fact per actor")) {
       return false;
     }
     fact_of_.assign(n, kNone);
     for (std::size_t i = 0; i < cert_.actors.size(); ++i) {
       const std::size_t idx = cert_.actors[i].actor.index();
-      if (!expect_(idx < n, ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(idx)),
-                   num(static_cast<std::int64_t>(n)),
-                   "actor fact references an actor outside the graph")) {
+      if (!VRDF_CLAUSE(idx < n, ClauseKind::Coverage, "certificate",
+                       num(static_cast<std::int64_t>(idx)),
+                       num(static_cast<std::int64_t>(n)),
+                       "actor fact references an actor outside the graph")) {
         return false;
       }
-      if (!expect_(fact_of_[idx] == kNone, ClauseKind::Coverage,
-                   actor_subject_(cert_.actors[i].actor), "", "",
-                   "duplicate actor fact")) {
+      if (!VRDF_CLAUSE(fact_of_[idx] == kNone, ClauseKind::Coverage,
+                       actor_subject_(cert_.actors[i].actor), "", "",
+                       "duplicate actor fact")) {
         return false;
       }
       fact_of_[idx] = i;
     }
 
-    if (!expect_(!cert_.constraints.empty(), ClauseKind::Coverage,
-                 "certificate", "0", ">= 1",
-                 "certificate must carry at least one throughput "
-                 "constraint")) {
+    if (!VRDF_CLAUSE(!cert_.constraints.empty(), ClauseKind::Coverage,
+                     "certificate", "0", ">= 1",
+                     "certificate must carry at least one throughput "
+                     "constraint")) {
       return false;
     }
-    if (!expect_(cert_.constraint_is_sink_kind.size() ==
-                         cert_.constraints.size() &&
-                     cert_.constraint_is_source_kind.size() ==
-                         cert_.constraints.size(),
-                 ClauseKind::Coverage, "certificate",
-                 num(static_cast<std::int64_t>(
-                     cert_.constraint_is_sink_kind.size())),
-                 num(static_cast<std::int64_t>(cert_.constraints.size())),
-                 "anchor-kind vectors must match the constraint count")) {
+    if (!VRDF_CLAUSE(cert_.constraint_is_sink_kind.size() ==
+                             cert_.constraints.size() &&
+                         cert_.constraint_is_source_kind.size() ==
+                             cert_.constraints.size(),
+                     ClauseKind::Coverage, "certificate",
+                     num(static_cast<std::int64_t>(
+                         cert_.constraint_is_sink_kind.size())),
+                     num(static_cast<std::int64_t>(cert_.constraints.size())),
+                     "anchor-kind vectors must match the constraint count")) {
       return false;
     }
     constraint_of_.assign(n, kNone);
     for (std::size_t c = 0; c < cert_.constraints.size(); ++c) {
       const ActorId actor = cert_.constraints[c].actor;
-      if (!expect_(actor.index() < n, ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(actor.index())),
-                   num(static_cast<std::int64_t>(n)),
-                   "constraint references an actor outside the graph")) {
+      if (!VRDF_CLAUSE(actor.index() < n, ClauseKind::Coverage,
+                       "certificate",
+                       num(static_cast<std::int64_t>(actor.index())),
+                       num(static_cast<std::int64_t>(n)),
+                       "constraint references an actor outside the graph")) {
         return false;
       }
-      if (!expect_(constraint_of_[actor.index()] == kNone,
-                   ClauseKind::Coverage, actor_subject_(actor), "", "",
-                   "duplicate throughput constraint on one actor")) {
+      if (!VRDF_CLAUSE(constraint_of_[actor.index()] == kNone,
+                       ClauseKind::Coverage, actor_subject_(actor), "", "",
+                       "duplicate throughput constraint on one actor")) {
         return false;
       }
       constraint_of_[actor.index()] = c;
-      expect_(cert_.constraints[c].period.is_positive(), ClauseKind::Phi,
-              actor_subject_(actor), dur(cert_.constraints[c].period),
-              "> 0 s", "throughput period must be positive");
+      VRDF_CLAUSE(cert_.constraints[c].period.is_positive(), ClauseKind::Phi,
+                  actor_subject_(actor), dur(cert_.constraints[c].period),
+                  "> 0 s", "throughput period must be positive");
     }
 
     const std::vector<dataflow::BufferEdges> buffers = graph_.buffers();
-    if (!expect_(cert_.pairs.size() == buffers.size(), ClauseKind::Coverage,
-                 "certificate",
-                 num(static_cast<std::int64_t>(cert_.pairs.size())),
-                 num(static_cast<std::int64_t>(buffers.size())),
-                 "certificate must carry exactly one fact per buffer")) {
+    if (!VRDF_CLAUSE(cert_.pairs.size() == buffers.size(),
+                     ClauseKind::Coverage, "certificate",
+                     num(static_cast<std::int64_t>(cert_.pairs.size())),
+                     num(static_cast<std::int64_t>(buffers.size())),
+                     "certificate must carry exactly one fact per buffer")) {
       return false;
     }
     std::vector<std::size_t> pair_at_data(graph_.edge_count(), kNone);
     for (std::size_t p = 0; p < cert_.pairs.size(); ++p) {
       const PairFact& fact = cert_.pairs[p];
-      if (!expect_(fact.buffer.data.index() < graph_.edge_count(),
-                   ClauseKind::Coverage, "certificate",
-                   num(static_cast<std::int64_t>(fact.buffer.data.index())),
-                   num(static_cast<std::int64_t>(graph_.edge_count())),
-                   "pair fact references an edge outside the graph")) {
+      if (!VRDF_CLAUSE(fact.buffer.data.index() < graph_.edge_count(),
+                       ClauseKind::Coverage, "certificate",
+                       num(static_cast<std::int64_t>(
+                           fact.buffer.data.index())),
+                       num(static_cast<std::int64_t>(graph_.edge_count())),
+                       "pair fact references an edge outside the graph")) {
         return false;
       }
       const Edge& data = graph_.edge(fact.buffer.data);
-      if (!expect_(data.source == fact.producer && data.target == fact.consumer,
-                   ClauseKind::Coverage, pair_subject_(fact), "", "",
-                   "pair fact endpoints do not match the recorded data "
-                   "edge")) {
+      if (!VRDF_CLAUSE(data.source == fact.producer &&
+                           data.target == fact.consumer,
+                       ClauseKind::Coverage, pair_subject_(fact), "", "",
+                       "pair fact endpoints do not match the recorded data "
+                       "edge")) {
         return false;
       }
-      if (!expect_(pair_at_data[fact.buffer.data.index()] == kNone,
-                   ClauseKind::Coverage, pair_subject_(fact), "", "",
-                   "duplicate pair fact for one data edge")) {
+      if (!VRDF_CLAUSE(pair_at_data[fact.buffer.data.index()] == kNone,
+                       ClauseKind::Coverage, pair_subject_(fact), "", "",
+                       "duplicate pair fact for one data edge")) {
         return false;
       }
       pair_at_data[fact.buffer.data.index()] = p;
     }
     for (const dataflow::BufferEdges& buffer : buffers) {
       const std::size_t p = pair_at_data[buffer.data.index()];
-      if (!expect_(p != kNone, ClauseKind::Coverage, "certificate", "", "",
-                   "buffer " + graph_.actor(graph_.edge(buffer.data).source)
-                           .name + " -> " +
-                       graph_.actor(graph_.edge(buffer.data).target).name +
-                       " has no pair fact")) {
+      if (!VRDF_CLAUSE(
+              p != kNone, ClauseKind::Coverage, "certificate", "", "",
+              "buffer " + graph_.actor(graph_.edge(buffer.data).source).name +
+                  " -> " + graph_.actor(graph_.edge(buffer.data).target).name +
+                  " has no pair fact")) {
         return false;
       }
-      expect_(cert_.pairs[p].buffer.space == buffer.space,
-              ClauseKind::Coverage, pair_subject_(cert_.pairs[p]), "", "",
-              "pair fact records a different space edge than the graph's "
-              "buffer pairing");
+      VRDF_CLAUSE(cert_.pairs[p].buffer.space == buffer.space,
+                  ClauseKind::Coverage, pair_subject_(cert_.pairs[p]), "", "",
+                  "pair fact records a different space edge than the graph's "
+                  "buffer pairing");
     }
 
     // Static claims are structural: all rate sets singletons.
@@ -263,12 +278,12 @@ class Checker {
       const Edge& data = graph_.edge(fact.buffer.data);
       const bool is_static =
           data.production.is_singleton() && data.consumption.is_singleton();
-      expect_(fact.is_static == is_static, ClauseKind::Coverage,
-              pair_subject_(fact), fact.is_static ? "static" : "variable",
-              is_static ? "static" : "variable",
-              "recorded staticness does not match the edge's rate sets "
-              "(pi=" + data.production.to_string() +
-                  ", gamma=" + data.consumption.to_string() + ")");
+      VRDF_CLAUSE(fact.is_static == is_static, ClauseKind::Coverage,
+                  pair_subject_(fact), fact.is_static ? "static" : "variable",
+                  is_static ? "static" : "variable",
+                  "recorded staticness does not match the edge's rate sets "
+                  "(pi=" + data.production.to_string() +
+                      ", gamma=" + data.consumption.to_string() + ")");
     }
 
     // Skeleton adjacency and the recorded topological order.  Every
@@ -288,7 +303,7 @@ class Checker {
       }
       out_pairs_[fact.producer.index()].push_back(p);
       in_pairs_[fact.consumer.index()].push_back(p);
-      order_ok &= expect_(
+      order_ok &= VRDF_CLAUSE(
           order_pos_[fact.producer.index()] < order_pos_[fact.consumer.index()],
           ClauseKind::Coverage, pair_subject_(fact),
           num(static_cast<std::int64_t>(order_pos_[fact.producer.index()])),
@@ -329,14 +344,14 @@ class Checker {
           }
         }
       }
-      expect_(reaches || fact.producer == fact.consumer, ClauseKind::Coverage,
-              pair_subject_(fact), "", "",
-              "pair is recorded as a feedback back-edge but lies on no "
-              "directed cycle of the data edges");
-      expect_(fact.initial_tokens >= 1, ClauseKind::Coverage,
-              pair_subject_(fact), num(fact.initial_tokens), ">= 1",
-              "a feedback back-edge must carry at least one circulating "
-              "initial token");
+      VRDF_CLAUSE(reaches || fact.producer == fact.consumer,
+                  ClauseKind::Coverage, pair_subject_(fact), "", "",
+                  "pair is recorded as a feedback back-edge but lies on no "
+                  "directed cycle of the data edges");
+      VRDF_CLAUSE(fact.initial_tokens >= 1, ClauseKind::Coverage,
+                  pair_subject_(fact), num(fact.initial_tokens), ">= 1",
+                  "a feedback back-edge must carry at least one circulating "
+                  "initial token");
     }
     return true;
   }
@@ -358,19 +373,20 @@ class Checker {
       // A buffer-less actor counts as a data sink (its cone is itself).
       sink_kind_[c] = !in_pairs_[idx].empty() || out_pairs_[idx].empty();
       source_kind_[c] = !out_pairs_[idx].empty();
-      expect_(cert_.constraint_is_sink_kind[c] == sink_kind_[c],
-              ClauseKind::Coverage,
-              actor_subject_(cert_.constraints[c].actor),
-              cert_.constraint_is_sink_kind[c] ? "sink-kind" : "not sink-kind",
-              sink_kind_[c] ? "sink-kind" : "not sink-kind",
-              "recorded anchor kind does not match the skeleton structure");
-      expect_(cert_.constraint_is_source_kind[c] == source_kind_[c],
-              ClauseKind::Coverage,
-              actor_subject_(cert_.constraints[c].actor),
-              cert_.constraint_is_source_kind[c] ? "source-kind"
-                                                 : "not source-kind",
-              source_kind_[c] ? "source-kind" : "not source-kind",
-              "recorded anchor kind does not match the skeleton structure");
+      VRDF_CLAUSE(cert_.constraint_is_sink_kind[c] == sink_kind_[c],
+                  ClauseKind::Coverage,
+                  actor_subject_(cert_.constraints[c].actor),
+                  cert_.constraint_is_sink_kind[c] ? "sink-kind"
+                                                   : "not sink-kind",
+                  sink_kind_[c] ? "sink-kind" : "not sink-kind",
+                  "recorded anchor kind does not match the skeleton structure");
+      VRDF_CLAUSE(cert_.constraint_is_source_kind[c] == source_kind_[c],
+                  ClauseKind::Coverage,
+                  actor_subject_(cert_.constraints[c].actor),
+                  cert_.constraint_is_source_kind[c] ? "source-kind"
+                                                     : "not source-kind",
+                  source_kind_[c] ? "source-kind" : "not source-kind",
+                  "recorded anchor kind does not match the skeleton structure");
     }
 
     // Per-constraint demand cones over the skeleton: upstream of every
@@ -412,11 +428,11 @@ class Checker {
     // Actor coverage: every actor must receive a pacing demand.
     for (const ActorFact& fact : cert_.actors) {
       const std::size_t v = fact.actor.index();
-      expect_(sink_anchored_[v] || source_reached_[v], ClauseKind::Coverage,
-              actor_subject_(fact.actor), "", "",
-              "actor receives no pacing demand from any throughput "
-              "constraint (it neither reaches a sink-kind anchor nor hangs "
-              "off a source-kind anchor)");
+      VRDF_CLAUSE(sink_anchored_[v] || source_reached_[v],
+                  ClauseKind::Coverage, actor_subject_(fact.actor), "", "",
+                  "actor receives no pacing demand from any throughput "
+                  "constraint (it neither reaches a sink-kind anchor nor hangs "
+                  "off a source-kind anchor)");
     }
 
     // Per-edge pacing side, exactly the analyzer's assignment rule:
@@ -431,19 +447,20 @@ class Checker {
       } else if (source_reached_[fact.producer.index()]) {
         expected = ConstraintSide::Source;
       } else if (!fact.is_feedback) {
-        expect_(false, ClauseKind::Coverage, pair_subject_(fact), "", "",
-                "skeleton edge is paced by no throughput constraint (its "
-                "consumer reaches no sink-kind anchor and its producer "
-                "hangs off no source-kind anchor)");
+        VRDF_CLAUSE(false, ClauseKind::Coverage, pair_subject_(fact), "", "",
+                    "skeleton edge is paced by no throughput constraint (its "
+                    "consumer reaches no sink-kind anchor and its producer "
+                    "hangs off no source-kind anchor)");
         side_[p] = fact.side;  // keep the later phases deterministic
         continue;
       }
       side_[p] = expected;
-      expect_(fact.side == expected, ClauseKind::Coverage, pair_subject_(fact),
-              fact.side == ConstraintSide::Sink ? "Sink" : "Source",
-              expected == ConstraintSide::Sink ? "Sink" : "Source",
-              "recorded rate-determining side does not match the anchor "
-              "reachability of the edge's endpoints");
+      VRDF_CLAUSE(fact.side == expected, ClauseKind::Coverage,
+                  pair_subject_(fact),
+                  fact.side == ConstraintSide::Sink ? "Sink" : "Source",
+                  expected == ConstraintSide::Sink ? "Sink" : "Source",
+                  "recorded rate-determining side does not match the anchor "
+                  "reachability of the edge's endpoints");
     }
 
     // Variable-rate placement: data-dependent rates are only sound on
@@ -460,12 +477,12 @@ class Checker {
       if (is_static) {
         continue;
       }
-      expect_(bridge[p] != 0, ClauseKind::Coverage, pair_subject_(fact), "",
-              "",
-              "data-dependent rates (pi=" + data.production.to_string() +
-                  ", gamma=" + data.consumption.to_string() +
-                  ") off a chain-segment (bridge) edge; sibling branch "
-                  "flows could diverge unboundedly");
+      VRDF_CLAUSE(bridge[p] != 0, ClauseKind::Coverage, pair_subject_(fact),
+                  "", "",
+                  "data-dependent rates (pi=" + data.production.to_string() +
+                      ", gamma=" + data.consumption.to_string() +
+                      ") off a chain-segment (bridge) edge; sibling branch "
+                      "flows could diverge unboundedly");
     }
 
     // Constraint coupling: variable quanta must stay on *shared* chain
@@ -507,10 +524,10 @@ class Checker {
                  anc_max_sink[x] > sink_count_[x] || src_count_[x] > 0)
               : (src_count_[y] > src_count_[x] ||
                  desc_max_src[y] > src_count_[y]);
-      expect_(!coupled, ClauseKind::Coverage, pair_subject_(fact), "", "",
-              "data-dependent rates on a constraint-coupled path; a "
-              "variable realized flow could back-pressure an actor another "
-              "constraint depends on and starve it");
+      VRDF_CLAUSE(!coupled, ClauseKind::Coverage, pair_subject_(fact), "", "",
+                  "data-dependent rates on a constraint-coupled path; a "
+                  "variable realized flow could back-pressure an actor another "
+                  "constraint depends on and starve it");
     }
   }
 
@@ -524,18 +541,18 @@ class Checker {
       return;
     }
     for (const ActorFact& fact : cert_.actors) {
-      expect_(fact.rho == graph_.actor(fact.actor).response_time,
-              ClauseKind::Coverage, actor_subject_(fact.actor),
-              dur(fact.rho), dur(graph_.actor(fact.actor).response_time),
-              "recorded response time does not match the graph's rho");
+      VRDF_CLAUSE(fact.rho == graph_.actor(fact.actor).response_time,
+                  ClauseKind::Coverage, actor_subject_(fact.actor),
+                  dur(fact.rho), dur(graph_.actor(fact.actor).response_time),
+                  "recorded response time does not match the graph's rho");
     }
     for (const PairFact& fact : cert_.pairs) {
-      expect_(fact.initial_tokens ==
-                  graph_.edge(fact.buffer.data).initial_tokens,
-              ClauseKind::Coverage, pair_subject_(fact),
-              num(fact.initial_tokens),
-              num(graph_.edge(fact.buffer.data).initial_tokens),
-              "recorded initial tokens do not match the graph's delta");
+      VRDF_CLAUSE(fact.initial_tokens ==
+                      graph_.edge(fact.buffer.data).initial_tokens,
+                  ClauseKind::Coverage, pair_subject_(fact),
+                  num(fact.initial_tokens),
+                  num(graph_.edge(fact.buffer.data).initial_tokens),
+                  "recorded initial tokens do not match the graph's delta");
     }
   }
 
@@ -548,31 +565,33 @@ class Checker {
   void check_platform_() {
     std::vector<char> seen(graph_.actor_count(), 0);
     for (const PlatformFact& fact : cert_.platform) {
-      if (!expect_(fact.actor.index() < graph_.actor_count(),
-                   ClauseKind::Kappa, "certificate", "", "",
-                   "platform fact references an actor outside the graph")) {
+      if (!VRDF_CLAUSE(fact.actor.index() < graph_.actor_count(),
+                       ClauseKind::Kappa, "certificate", "", "",
+                       "platform fact references an actor outside the graph")) {
         continue;
       }
-      const std::string subject = actor_subject_(fact.actor);
-      if (!expect_(seen[fact.actor.index()] == 0, ClauseKind::Kappa, subject,
-                   "", "", "duplicate platform fact for one actor")) {
+      // Rendered only if one of this fact's clauses fails.
+      const auto subject = [&] { return actor_subject_(fact.actor); };
+      if (!VRDF_CLAUSE(seen[fact.actor.index()] == 0, ClauseKind::Kappa,
+                       subject(), "", "",
+                       "duplicate platform fact for one actor")) {
         continue;
       }
       seen[fact.actor.index()] = 1;
-      if (!expect_(fact.wcet.is_positive(), ClauseKind::Kappa, subject,
-                   dur(fact.wcet), "> 0 s",
-                   "platform WCET must be positive")) {
+      if (!VRDF_CLAUSE(fact.wcet.is_positive(), ClauseKind::Kappa,
+                       subject(), dur(fact.wcet), "> 0 s",
+                       "platform WCET must be positive")) {
         continue;
       }
       const bool tdm = fact.policy == ServicePolicy::TdmSlotGranular ||
                        fact.policy == ServicePolicy::TdmLatencyRate;
       Duration kappa;
       if (tdm) {
-        if (!expect_(fact.slot.is_positive() && fact.slot <= fact.wheel,
-                     ClauseKind::Kappa, subject, dur(fact.slot),
-                     dur(fact.wheel),
-                     "TDM slot must be positive and no larger than the "
-                     "wheel period")) {
+        if (!VRDF_CLAUSE(fact.slot.is_positive() && fact.slot <= fact.wheel,
+                         ClauseKind::Kappa, subject(), dur(fact.slot),
+                         dur(fact.wheel),
+                         "TDM slot must be positive and no larger than the "
+                         "wheel period")) {
           continue;
         }
         if (fact.policy == ServicePolicy::TdmSlotGranular) {
@@ -581,9 +600,9 @@ class Checker {
           const Rational chunks = fact.wcet.seconds() / fact.slot.seconds();
           const bool witness = Rational(fact.ceil_term) >= chunks &&
                                Rational(fact.ceil_term) - Rational(1) < chunks;
-          if (!expect_(witness, ClauseKind::Kappa, subject,
-                       num(fact.ceil_term), chunks.to_string(),
-                       "ceil term is not the ceiling of WCET/slot")) {
+          if (!VRDF_CLAUSE(witness, ClauseKind::Kappa, subject(),
+                           num(fact.ceil_term), chunks.to_string(),
+                           "ceil term is not the ceiling of WCET/slot")) {
             continue;
           }
           kappa = (fact.wheel - fact.slot) * Rational(fact.ceil_term) +
@@ -595,10 +614,11 @@ class Checker {
                   fact.wcet * (fact.wheel.seconds() / fact.slot.seconds());
         }
       } else {
-        if (!expect_(fact.total_wcet >= fact.wcet, ClauseKind::Kappa,
-                     subject, dur(fact.total_wcet), dur(fact.wcet),
-                     "round-robin total WCET must cover the task's own "
-                     "WCET")) {
+        if (!VRDF_CLAUSE(fact.total_wcet >= fact.wcet, ClauseKind::Kappa,
+                         subject(), dur(fact.total_wcet),
+                         dur(fact.wcet),
+                         "round-robin total WCET must cover the task's own "
+                         "WCET")) {
           continue;
         }
         if (fact.policy == ServicePolicy::RoundRobin) {
@@ -609,15 +629,16 @@ class Checker {
           kappa = fact.total_wcet * Rational(2) - fact.wcet;
         }
       }
-      expect_(fact.kappa == kappa, ClauseKind::Kappa, subject,
-              dur(fact.kappa), dur(kappa),
-              std::string("recorded kappa does not equal the ") +
-                  service_policy_name(fact.policy) +
-                  " bound re-derived from the arbiter terms");
-      expect_(fact.kappa == fact_(fact.actor).rho, ClauseKind::Kappa,
-              subject, dur(fact.kappa), dur(fact_(fact.actor).rho),
-              "platform kappa does not equal the response time the "
-              "capacity clauses ran with");
+      VRDF_CLAUSE(fact.kappa == kappa, ClauseKind::Kappa, subject(),
+                  dur(fact.kappa), dur(kappa),
+                  std::string("recorded kappa does not equal the ") +
+                      service_policy_name(fact.policy) +
+                      " bound re-derived from the arbiter terms");
+      VRDF_CLAUSE(fact.kappa == fact_(fact.actor).rho, ClauseKind::Kappa,
+                  subject(), dur(fact.kappa),
+                  dur(fact_(fact.actor).rho),
+                  "platform kappa does not equal the response time the "
+                  "capacity clauses ran with");
     }
   }
 
@@ -625,19 +646,19 @@ class Checker {
 
   void check_phi_() {
     for (const ActorFact& fact : cert_.actors) {
-      expect_(fact.phi.is_positive(), ClauseKind::Phi,
-              actor_subject_(fact.actor), dur(fact.phi), "> 0 s",
-              "pacing witness must be positive");
-      expect_(fact.rho <= fact.phi, ClauseKind::Phi,
-              actor_subject_(fact.actor), dur(fact.rho), dur(fact.phi),
-              "response time exceeds the pacing witness; no valid schedule "
-              "exists at the required rate");
+      VRDF_CLAUSE(fact.phi.is_positive(), ClauseKind::Phi,
+                  actor_subject_(fact.actor), dur(fact.phi), "> 0 s",
+                  "pacing witness must be positive");
+      VRDF_CLAUSE(fact.rho <= fact.phi, ClauseKind::Phi,
+                  actor_subject_(fact.actor), dur(fact.rho), dur(fact.phi),
+                  "response time exceeds the pacing witness; no valid schedule "
+                  "exists at the required rate");
     }
     for (const ThroughputConstraint& c : cert_.constraints) {
-      expect_(fact_(c.actor).phi == c.period, ClauseKind::Phi,
-              actor_subject_(c.actor), dur(fact_(c.actor).phi),
-              dur(c.period),
-              "a constrained actor's pacing witness must equal its period");
+      VRDF_CLAUSE(fact_(c.actor).phi == c.period, ClauseKind::Phi,
+                  actor_subject_(c.actor), dur(fact_(c.actor).phi),
+                  dur(c.period),
+                  "a constrained actor's pacing witness must equal its period");
     }
     for (std::size_t p = 0; p < cert_.pairs.size(); ++p) {
       const PairFact& fact = cert_.pairs[p];
@@ -647,45 +668,46 @@ class Checker {
       if (fact.is_feedback) {
         // Cycle flow balance: tokens produced per second must equal
         // tokens consumed per second (rates on cycle edges are static).
-        expect_(phi_c * Rational(data.production.min()) ==
-                    phi_p * Rational(data.consumption.min()),
-                ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_c * Rational(data.production.min())),
-                dur(phi_p * Rational(data.consumption.min())),
-                "back-edge rates are flow-inconsistent with the pacing "
-                "witnesses; the cycle's circulating token count would "
-                "drift");
+        VRDF_CLAUSE(phi_c * Rational(data.production.min()) ==
+                        phi_p * Rational(data.consumption.min()),
+                    ClauseKind::Phi, pair_subject_(fact),
+                    dur(phi_c * Rational(data.production.min())),
+                    dur(phi_p * Rational(data.consumption.min())),
+                    "back-edge rates are flow-inconsistent with the pacing "
+                    "witnesses; the cycle's circulating token count would "
+                    "drift");
         continue;
       }
       if (side_[p] == ConstraintSide::Sink) {
-        if (!expect_(data.production.min() >= 1, ClauseKind::Phi,
-                     pair_subject_(fact), num(data.production.min()), ">= 1",
-                     "minimum production quantum is zero on a "
-                     "sink-determined edge; the producer cannot sustain "
-                     "the consumer's maximum rate")) {
+        if (!VRDF_CLAUSE(data.production.min() >= 1, ClauseKind::Phi,
+                         pair_subject_(fact), num(data.production.min()),
+                         ">= 1",
+                         "minimum production quantum is zero on a "
+                         "sink-determined edge; the producer cannot sustain "
+                         "the consumer's maximum rate")) {
           continue;
         }
         const Duration demand =
             phi_c * Rational(data.production.min(), data.consumption.max());
-        expect_(phi_p == demand, ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_p), dur(demand),
-                "producer pacing witness does not equal the sink-side "
-                "demand phi(consumer) * pi_min / gamma_max");
+        VRDF_CLAUSE(phi_p == demand, ClauseKind::Phi, pair_subject_(fact),
+                    dur(phi_p), dur(demand),
+                    "producer pacing witness does not equal the sink-side "
+                    "demand phi(consumer) * pi_min / gamma_max");
       } else {
-        if (!expect_(data.consumption.min() >= 1, ClauseKind::Phi,
-                     pair_subject_(fact), num(data.consumption.min()),
-                     ">= 1",
-                     "minimum consumption quantum is zero on a "
-                     "source-determined edge; the consumer cannot keep up "
-                     "with the source's maximum rate")) {
+        if (!VRDF_CLAUSE(data.consumption.min() >= 1, ClauseKind::Phi,
+                         pair_subject_(fact), num(data.consumption.min()),
+                         ">= 1",
+                         "minimum consumption quantum is zero on a "
+                         "source-determined edge; the consumer cannot keep up "
+                         "with the source's maximum rate")) {
           continue;
         }
         const Duration demand =
             phi_p * Rational(data.consumption.min(), data.production.max());
-        expect_(phi_c == demand, ClauseKind::Phi, pair_subject_(fact),
-                dur(phi_c), dur(demand),
-                "consumer pacing witness does not equal the source-side "
-                "demand phi(producer) * gamma_min / pi_max");
+        VRDF_CLAUSE(phi_c == demand, ClauseKind::Phi, pair_subject_(fact),
+                    dur(phi_c), dur(demand),
+                    "consumer pacing witness does not equal the source-side "
+                    "demand phi(producer) * gamma_min / pi_max");
       }
     }
   }
@@ -701,9 +723,9 @@ class Checker {
       const std::size_t c = constraint_of_[v];
       if (sink_anchored_[v]) {
         if (c != kNone && sink_kind_[c]) {
-          expect_(fact.lead.is_zero(), ClauseKind::Omega,
-                  actor_subject_(fact.actor), dur(fact.lead), "0 s",
-                  "a sink-kind anchor's alignment lead must be zero");
+          VRDF_CLAUSE(fact.lead.is_zero(), ClauseKind::Omega,
+                      actor_subject_(fact.actor), dur(fact.lead), "0 s",
+                      "a sink-kind anchor's alignment lead must be zero");
           continue;
         }
         Duration longest;
@@ -721,16 +743,16 @@ class Checker {
           longest = std::max(longest, candidate);
         }
         const Duration expected = fact.rho + longest;
-        expect_(fact.lead == expected, ClauseKind::Omega,
-                actor_subject_(fact.actor), dur(fact.lead), dur(expected),
-                "alignment lead does not satisfy the sink-region "
-                "longest-path equation omega = rho + max(omega(consumer) + "
-                "s*(pi_max-1))");
+        VRDF_CLAUSE(fact.lead == expected, ClauseKind::Omega,
+                    actor_subject_(fact.actor), dur(fact.lead), dur(expected),
+                    "alignment lead does not satisfy the sink-region "
+                    "longest-path equation omega = rho + max(omega(consumer) + "
+                    "s*(pi_max-1))");
       } else {
         if (c != kNone && source_kind_[c]) {
-          expect_(fact.lead.is_zero(), ClauseKind::Omega,
-                  actor_subject_(fact.actor), dur(fact.lead), "0 s",
-                  "a source-kind anchor's alignment lead must be zero");
+          VRDF_CLAUSE(fact.lead.is_zero(), ClauseKind::Omega,
+                      actor_subject_(fact.actor), dur(fact.lead), "0 s",
+                      "a source-kind anchor's alignment lead must be zero");
           continue;
         }
         Duration longest;
@@ -747,11 +769,11 @@ class Checker {
               rate * Rational(data.production.max() - 1);
           longest = std::max(longest, candidate);
         }
-        expect_(fact.lead == longest, ClauseKind::Omega,
-                actor_subject_(fact.actor), dur(fact.lead), dur(longest),
-                "alignment lead does not satisfy the source-region "
-                "longest-path equation omega = max(omega(producer) + "
-                "rho(producer) + s*(pi_max-1))");
+        VRDF_CLAUSE(fact.lead == longest, ClauseKind::Omega,
+                    actor_subject_(fact.actor), dur(fact.lead), dur(longest),
+                    "alignment lead does not satisfy the source-region "
+                    "longest-path equation omega = max(omega(producer) + "
+                    "rho(producer) + s*(pi_max-1))");
       }
     }
   }
@@ -773,10 +795,10 @@ class Checker {
           sink_side ? fact_(fact.consumer).phi : fact_(fact.producer).phi;
       const Duration rate =
           basis / Rational(sink_side ? gamma_max : pi_max);
-      if (!expect_(rate.is_positive(), ClauseKind::Zeta, pair_subject_(fact),
-                   dur(rate), "> 0 s",
-                   "non-positive bound rate; the per-token linear bounds "
-                   "are degenerate")) {
+      if (!VRDF_CLAUSE(rate.is_positive(), ClauseKind::Zeta,
+                       pair_subject_(fact), dur(rate), "> 0 s",
+                       "non-positive bound rate; the per-token linear bounds "
+                       "are degenerate")) {
         continue;  // the divisions below would be meaningless
       }
 
@@ -784,22 +806,22 @@ class Checker {
       const Duration chain_local =
           fact_(fact.producer).rho + rate * Rational(pi_max - 1);
       const Duration delta_producer = std::max(gap, chain_local);
-      expect_(fact.delta_producer == delta_producer, ClauseKind::Zeta,
-              pair_subject_(fact), dur(fact.delta_producer),
-              dur(delta_producer),
-              "producer slack does not equal max(alignment gap, rho + "
-              "s*(pi_max-1))");
+      VRDF_CLAUSE(fact.delta_producer == delta_producer, ClauseKind::Zeta,
+                  pair_subject_(fact), dur(fact.delta_producer),
+                  dur(delta_producer),
+                  "producer slack does not equal max(alignment gap, rho + "
+                  "s*(pi_max-1))");
       const Duration delta_consumer =
           fact_(fact.consumer).rho + rate * Rational(gamma_max - 1);
-      expect_(fact.delta_consumer == delta_consumer, ClauseKind::Zeta,
-              pair_subject_(fact), dur(fact.delta_consumer),
-              dur(delta_consumer),
-              "consumer slack does not equal rho + s*(gamma_max-1)");
+      VRDF_CLAUSE(fact.delta_consumer == delta_consumer, ClauseKind::Zeta,
+                  pair_subject_(fact), dur(fact.delta_consumer),
+                  dur(delta_consumer),
+                  "consumer slack does not equal rho + s*(gamma_max-1)");
       const Rational raw = (delta_producer + delta_consumer) / rate;
-      expect_(fact.raw_tokens == raw, ClauseKind::Zeta, pair_subject_(fact),
-              fact.raw_tokens.to_string(), raw.to_string(),
-              "raw token count does not equal (delta_producer + "
-              "delta_consumer) / s");
+      VRDF_CLAUSE(fact.raw_tokens == raw, ClauseKind::Zeta, pair_subject_(fact),
+                  fact.raw_tokens.to_string(), raw.to_string(),
+                  "raw token count does not equal (delta_producer + "
+                  "delta_consumer) / s");
 
       // Tight-rounding adjacency: static, directly at its constrained
       // anchor on the rate-determining side, never a back-edge.
@@ -810,11 +832,11 @@ class Checker {
       const bool tight =
           is_static && !fact.is_feedback && c != kNone &&
           (sink_side ? sink_kind_[c] : source_kind_[c]);
-      expect_(fact.tight_rounding == tight, ClauseKind::Zeta,
-              pair_subject_(fact), fact.tight_rounding ? "tight" : "padded",
-              tight ? "tight" : "padded",
-              "recorded tight-rounding claim does not match the "
-              "static-and-adjacent-to-anchor predicate");
+      VRDF_CLAUSE(fact.tight_rounding == tight, ClauseKind::Zeta,
+                  pair_subject_(fact), fact.tight_rounding ? "tight" : "padded",
+                  tight ? "tight" : "padded",
+                  "recorded tight-rounding claim does not match the "
+                  "static-and-adjacent-to-anchor predicate");
 
       std::int64_t rounded = 0;
       switch (cert_.rounding) {
@@ -839,33 +861,34 @@ class Checker {
             ((reverse_gap + chain_local + rate * Rational(gamma_max - 1)) /
              rate)
                 .ceil();
-        expect_(fact.required_initial_tokens == required, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.required_initial_tokens),
-                num(required),
-                "recorded cycle token requirement does not equal the "
-                "schedule-aligned max-cycle-ratio bound");
-        expect_(fact.initial_tokens >= required, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.initial_tokens), num(required),
-                "circulating initial tokens fall short of the cycle's "
-                "max-cycle-ratio requirement; the period cannot be "
-                "sustained");
+        VRDF_CLAUSE(fact.required_initial_tokens == required, ClauseKind::Delta,
+                    pair_subject_(fact), num(fact.required_initial_tokens),
+                    num(required),
+                    "recorded cycle token requirement does not equal the "
+                    "schedule-aligned max-cycle-ratio bound");
+        VRDF_CLAUSE(fact.initial_tokens >= required, ClauseKind::Delta,
+                    pair_subject_(fact), num(fact.initial_tokens),
+                    num(required),
+                    "circulating initial tokens fall short of the cycle's "
+                    "max-cycle-ratio requirement; the period cannot be "
+                    "sustained");
       } else {
-        expect_(fact.required_initial_tokens == 0, ClauseKind::Delta,
-                pair_subject_(fact), num(fact.required_initial_tokens), "0",
-                "skeleton pairs have no cycle token requirement");
+        VRDF_CLAUSE(fact.required_initial_tokens == 0, ClauseKind::Delta,
+                    pair_subject_(fact), num(fact.required_initial_tokens), "0",
+                    "skeleton pairs have no cycle token requirement");
       }
 
       const std::int64_t capacity = checked_add(rounded, fact.initial_tokens);
-      expect_(fact.capacity == capacity, ClauseKind::Zeta,
-              pair_subject_(fact), num(fact.capacity), num(capacity),
-              "capacity does not equal the rounded slack plus the initial "
-              "tokens");
+      VRDF_CLAUSE(fact.capacity == capacity, ClauseKind::Zeta,
+                  pair_subject_(fact), num(fact.capacity), num(capacity),
+                  "capacity does not equal the rounded slack plus the initial "
+                  "tokens");
       total = checked_add(total, fact.capacity);
     }
-    expect_(cert_.total_capacity == total, ClauseKind::Zeta, "certificate",
-            num(cert_.total_capacity), num(total),
-            "total capacity does not equal the sum of the pair "
-            "capacities");
+    VRDF_CLAUSE(cert_.total_capacity == total, ClauseKind::Zeta, "certificate",
+                num(cert_.total_capacity), num(total),
+                "total capacity does not equal the sum of the pair "
+                "capacities");
   }
 
   const VrdfGraph& graph_;
@@ -887,6 +910,8 @@ class Checker {
   std::vector<char> source_reached_;
   std::vector<ConstraintSide> side_;
 };
+
+#undef VRDF_CLAUSE
 
 }  // namespace
 

@@ -16,7 +16,8 @@
 //
 // On failure the checker names the violated clause kind, the subject
 // (edge or actor), and the two sides of the (in)equality, so a bad
-// certificate is a diagnosis, not a boolean.
+// certificate is a diagnosis, not a boolean.  That text is rendered only
+// on failure: a passing clause is counted and formats nothing.
 #pragma once
 
 #include <cstdint>

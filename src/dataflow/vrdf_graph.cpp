@@ -6,9 +6,31 @@
 
 namespace vrdf::dataflow {
 
-void VrdfGraph::record_mutation(std::string what) {
+void VrdfGraph::record_mutation(Mutation kind, std::size_t index) {
   ++revision_;
-  last_mutation_ = std::move(what);
+  last_mutation_ = kind;
+  last_mutation_index_ = index;
+}
+
+std::string VrdfGraph::last_mutation() const {
+  const auto endpoints = [this](std::size_t e) {
+    return actors_[edges_[e].source.index()].name + " -> " +
+           actors_[edges_[e].target.index()].name;
+  };
+  switch (last_mutation_) {
+    case Mutation::None:
+      return {};
+    case Mutation::AddActor:
+      return "add_actor '" + actors_[last_mutation_index_].name + "'";
+    case Mutation::AddEdge:
+      return "add_edge " + endpoints(last_mutation_index_);
+    case Mutation::SetInitialTokens:
+      return "set_initial_tokens on edge " + endpoints(last_mutation_index_);
+    case Mutation::SetResponseTime:
+      return "set_response_time on actor '" +
+             actors_[last_mutation_index_].name + "'";
+  }
+  return {};
 }
 
 ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
@@ -18,7 +40,7 @@ ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
                "actor name '" + name + "' is already in use");
   const ActorId id = topology_.add_node();
   actors_.push_back(Actor{std::move(name), response_time});
-  record_mutation("add_actor '" + actors_.back().name + "'");
+  record_mutation(Mutation::AddActor, id.index());
   return id;
 }
 
@@ -31,8 +53,7 @@ EdgeId VrdfGraph::add_edge(ActorId source, ActorId target, RateSet production,
   edges_.push_back(Edge{source, target, std::move(production),
                         std::move(consumption), initial_tokens,
                         EdgeId::invalid()});
-  record_mutation("add_edge " + actors_[source.index()].name + " -> " +
-                  actors_[target.index()].name);
+  record_mutation(Mutation::AddEdge, id.index());
   return id;
 }
 
@@ -69,7 +90,7 @@ std::int64_t VrdfGraph::buffer_capacity(const BufferEdges& buffer) const {
   return edge(buffer.space).initial_tokens + edge(buffer.data).initial_tokens;
 }
 
-std::optional<ActorId> VrdfGraph::find_actor(const std::string& name) const {
+std::optional<ActorId> VrdfGraph::find_actor(std::string_view name) const {
   for (std::size_t i = 0; i < actors_.size(); ++i) {
     if (actors_[i].name == name) {
       return ActorId(static_cast<ActorId::underlying_type>(i));
@@ -235,9 +256,7 @@ void VrdfGraph::set_initial_tokens(EdgeId id, std::int64_t tokens) {
   VRDF_REQUIRE(topology_.contains(id), "edge id out of range");
   VRDF_REQUIRE(tokens >= 0, "initial tokens must be non-negative");
   edges_[id.index()].initial_tokens = tokens;
-  record_mutation("set_initial_tokens on edge " +
-                  actors_[edges_[id.index()].source.index()].name + " -> " +
-                  actors_[edges_[id.index()].target.index()].name);
+  record_mutation(Mutation::SetInitialTokens, id.index());
 }
 
 void VrdfGraph::set_response_time(ActorId id, Duration response_time) {
@@ -245,8 +264,7 @@ void VrdfGraph::set_response_time(ActorId id, Duration response_time) {
   VRDF_REQUIRE(response_time.is_positive(),
                "actor response time must be positive");
   actors_[id.index()].response_time = response_time;
-  record_mutation("set_response_time on actor '" + actors_[id.index()].name +
-                  "'");
+  record_mutation(Mutation::SetResponseTime, id.index());
 }
 
 }  // namespace vrdf::dataflow

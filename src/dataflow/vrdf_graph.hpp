@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/rate_set.hpp"
@@ -83,7 +84,7 @@ public:
   [[nodiscard]] std::vector<EdgeId> edges() const { return topology_.edges(); }
 
   /// Actor lookup by unique name.
-  [[nodiscard]] std::optional<ActorId> find_actor(const std::string& name) const;
+  [[nodiscard]] std::optional<ActorId> find_actor(std::string_view name) const;
 
   /// Edges entering/leaving an actor.
   [[nodiscard]] std::span<const EdgeId> in_edges(ActorId id) const {
@@ -119,10 +120,9 @@ public:
   [[nodiscard]] std::uint64_t revision() const { return revision_; }
   /// Human-readable description of the mutation that produced the current
   /// revision (names the actor or edge), empty on a freshly constructed
-  /// graph.  Used by the stale-snapshot diagnostic.
-  [[nodiscard]] const std::string& last_mutation() const {
-    return last_mutation_;
-  }
+  /// graph.  Mutators record only a kind and an index; the sentence is
+  /// rendered here, on demand, for the stale-snapshot diagnostic.
+  [[nodiscard]] std::string last_mutation() const;
 
   /// A VRDF graph seen as a chain of buffers: actors ordered from the data
   /// source to the data sink, with buffers[i] connecting actors[i] to
@@ -197,14 +197,22 @@ public:
   [[nodiscard]] std::optional<BufferView> buffer_view() const;
 
 private:
-  void record_mutation(std::string what);
+  enum class Mutation : std::uint8_t {
+    None,
+    AddActor,          // index: the actor
+    AddEdge,           // index: the edge
+    SetInitialTokens,  // index: the edge
+    SetResponseTime,   // index: the actor
+  };
+  void record_mutation(Mutation kind, std::size_t index);
 
   graph::Digraph topology_;
   std::vector<Actor> actors_;
   std::vector<Edge> edges_;
   std::vector<BufferEdges> buffers_;
   std::uint64_t revision_ = 0;
-  std::string last_mutation_;
+  Mutation last_mutation_ = Mutation::None;
+  std::size_t last_mutation_index_ = 0;
 };
 
 }  // namespace vrdf::dataflow

@@ -1,7 +1,12 @@
 #include "io/text_format.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <sstream>
+#include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -16,90 +21,148 @@ using dataflow::RateSet;
   throw ModelError("line " + std::to_string(line_no) + ": " + message);
 }
 
-/// Checked std::stoll: rejects non-numeric text, trailing garbage
-/// ("12abc") and values outside int64 with a line-numbered diagnostic
-/// instead of letting std::invalid_argument / std::out_of_range escape
-/// (or silently truncating the garbage suffix).
-std::int64_t parse_int64(const std::string& text, std::size_t line_no,
+/// The whitespace set of the classic locale, which the format tokenizes
+/// on.
+[[nodiscard]] constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// Checked base-10 integer with std::stoll's grammar (optional sign, then
+/// digits): rejects non-numeric text, trailing garbage ("12abc") and
+/// values outside int64 with a line-numbered diagnostic instead of
+/// silently truncating the garbage suffix.
+std::int64_t parse_int64(std::string_view text, std::size_t line_no,
                          const char* what) {
-  std::size_t consumed = 0;
-  try {
-    const std::int64_t value = std::stoll(text, &consumed);
-    if (consumed != text.size()) {
-      parse_error(line_no, std::string("malformed ") + what + " '" + text +
-                               "' (trailing characters)");
+  std::string_view number = text;
+  if (!number.empty() && number.front() == '+') {
+    number.remove_prefix(1);
+    if (number.empty() || number.front() < '0' || number.front() > '9') {
+      number = text;  // a sign must be followed by a digit
     }
-    return value;
-  } catch (const std::invalid_argument&) {
-    parse_error(line_no, std::string("malformed ") + what + " '" + text + "'");
-  } catch (const std::out_of_range&) {
-    parse_error(line_no,
-                std::string(what) + " '" + text + "' is out of range");
   }
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(number.data(), number.data() + number.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    parse_error(line_no,
+                std::string(what) + " '" + std::string(text) +
+                    "' is out of range");
+  }
+  if (ec != std::errc()) {
+    parse_error(line_no, std::string("malformed ") + what + " '" +
+                             std::string(text) + "'");
+  }
+  if (end != number.data() + number.size()) {
+    parse_error(line_no, std::string("malformed ") + what + " '" +
+                             std::string(text) + "' (trailing characters)");
+  }
+  return value;
 }
 
 /// Checked Rational::from_string: converts its ContractError /
 /// OverflowError into a line-numbered parse diagnostic.
-Rational parse_rational(const std::string& text, std::size_t line_no,
+Rational parse_rational(std::string_view text, std::size_t line_no,
                         const char* what) {
   try {
-    return Rational::from_string(text);
+    return Rational::from_string(std::string(text));
   } catch (const OverflowError&) {
-    parse_error(line_no,
-                std::string(what) + " '" + text + "' is out of range");
+    parse_error(line_no, std::string(what) + " '" + std::string(text) +
+                             "' is out of range");
   } catch (const Error&) {
-    parse_error(line_no, std::string("malformed ") + what + " '" + text + "'");
+    parse_error(line_no, std::string("malformed ") + what + " '" +
+                             std::string(text) + "'");
   }
 }
 
 std::string rate_set_to_text(const RateSet& set) { return set.to_string(); }
 
-RateSet parse_rate_set(const std::string& text, std::size_t line_no) {
+/// "{a,b,...}" or "[lo,hi]".  Every comma-separated item must be a
+/// number: an empty one ("{1,,2}", "{1,2,}") is rejected, as is a set
+/// RateSet would refuse (a negative quantum, no positive quantum, an
+/// interval with hi < lo).
+RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
+  const auto fail = [&](const std::string& why) {
+    parse_error(line_no, why + " '" + std::string(text) + "'");
+  };
   if (text.size() < 3) {
-    parse_error(line_no, "malformed rate set '" + text + "'");
+    fail("malformed rate set");
   }
   const char open = text.front();
   const char close = text.back();
-  const std::string body = text.substr(1, text.size() - 2);
+  const std::string_view body = text.substr(1, text.size() - 2);
   std::vector<std::int64_t> values;
-  std::istringstream is(body);
-  std::string item;
-  while (std::getline(is, item, ',')) {
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = body.find(',', start);
+    const std::string_view item = body.substr(
+        start, comma == std::string_view::npos ? comma : comma - start);
+    if (item.empty()) {
+      fail("empty item in rate set");
+    }
     values.push_back(parse_int64(item, line_no, "rate value"));
-  }
-  if (open == '{' && close == '}') {
-    if (values.empty()) {
-      parse_error(line_no, "empty rate set");
+    if (comma == std::string_view::npos) {
+      break;
     }
-    return RateSet::of(values);
+    start = comma + 1;
   }
-  if (open == '[' && close == ']') {
-    if (values.size() != 2) {
-      parse_error(line_no, "an interval needs exactly two bounds");
-    }
-    return RateSet::interval(values[0], values[1]);
+  const bool explicit_set = open == '{' && close == '}';
+  if (!explicit_set && !(open == '[' && close == ']')) {
+    parse_error(line_no, "rate sets are '{...}' or '[lo,hi]'");
   }
-  parse_error(line_no, "rate sets are '{...}' or '[lo,hi]'");
+  if (!explicit_set && values.size() != 2) {
+    parse_error(line_no, "an interval needs exactly two bounds");
+  }
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  if (*lo < 0) {
+    fail("negative quantum in rate set");
+  }
+  if (!explicit_set && values[1] < values[0]) {
+    fail("interval bounds out of order in rate set");
+  }
+  if (*hi == 0) {
+    fail("no positive quantum in rate set");
+  }
+  return explicit_set ? RateSet::of(std::move(values))
+                      : RateSet::interval(values[0], values[1]);
 }
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    out.push_back(token);
+/// Splits `line` on whitespace into views of the line buffer.
+void split_ws(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_space(line[i])) {
+      ++i;
+    }
+    const std::size_t start = i;
+    while (i < line.size() && !is_space(line[i])) {
+      ++i;
+    }
+    if (i > start) {
+      out.push_back(line.substr(start, i - start));
+    }
   }
-  return out;
 }
 
 /// "key=value" accessor; returns empty when the token has another key.
-std::optional<std::string> key_value(const std::string& token,
-                                     const std::string& key) {
-  const std::string prefix = key + "=";
-  if (token.rfind(prefix, 0) == 0) {
-    return token.substr(prefix.size());
+std::optional<std::string_view> key_value(std::string_view token,
+                                          std::string_view key) {
+  if (token.size() > key.size() && token.starts_with(key) &&
+      token[key.size()] == '=') {
+    return token.substr(key.size() + 1);
   }
   return std::nullopt;
+}
+
+/// Sets one buffer attribute; a second occurrence on the same line is an
+/// error, since neither value can be the one the author meant.
+template <typename T>
+void set_once(std::optional<T>& slot, T value, std::string_view key,
+              std::size_t line_no) {
+  if (slot.has_value()) {
+    parse_error(line_no, "duplicate attribute '" + std::string(key) + "='");
+  }
+  slot = std::move(value);
 }
 
 }  // namespace
@@ -170,17 +233,18 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
 
 ChainDocument read_chain(const std::string& text) {
   ChainDocument doc;
-  std::istringstream is(text);
-  std::string line;
+  std::vector<std::string_view> tokens;
   std::size_t line_no = 0;
   bool header_seen = false;
-  while (std::getline(is, line)) {
+  for (std::size_t begin = 0; begin < text.size();) {
+    const std::size_t newline = text.find('\n', begin);
+    const std::size_t end =
+        newline == std::string::npos ? text.size() : newline;
+    std::string_view line(text.data() + begin, end - begin);
+    begin = end + 1;
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.erase(hash);
-    }
-    const std::vector<std::string> tokens = split_ws(line);
+    line = line.substr(0, line.find('#'));
+    split_ws(line, tokens);
     if (tokens.empty()) {
       continue;
     }
@@ -199,8 +263,21 @@ ChainDocument read_chain(const std::string& text) {
       if (!rho.has_value()) {
         parse_error(line_no, "missing rho=");
       }
-      (void)doc.graph.add_actor(tokens[1],
-                                Duration(parse_rational(*rho, line_no, "rho")));
+      const Duration response_time(parse_rational(*rho, line_no, "rho"));
+      // The names write_chain refuses would not survive a round trip.
+      if (tokens[1] == "->" || tokens[1].find('=') != std::string_view::npos) {
+        parse_error(line_no, "actor name '" + std::string(tokens[1]) +
+                                 "' cannot be serialized (\"->\" or "
+                                 "containing '=')");
+      }
+      if (!response_time.is_positive()) {
+        parse_error(line_no, "rho must be positive");
+      }
+      if (doc.graph.find_actor(tokens[1]).has_value()) {
+        parse_error(line_no,
+                    "duplicate actor '" + std::string(tokens[1]) + "'");
+      }
+      (void)doc.graph.add_actor(std::string(tokens[1]), response_time);
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
@@ -214,29 +291,35 @@ ChainDocument read_chain(const std::string& text) {
       }
       std::optional<RateSet> pi;
       std::optional<RateSet> gamma;
-      std::int64_t capacity = 0;
-      std::int64_t delta = 0;
+      std::optional<std::int64_t> capacity;
+      std::optional<std::int64_t> delta;
       for (std::size_t i = 4; i < tokens.size(); ++i) {
         if (const auto v = key_value(tokens[i], "pi")) {
-          pi = parse_rate_set(*v, line_no);
+          set_once(pi, parse_rate_set(*v, line_no), "pi", line_no);
         } else if (const auto g = key_value(tokens[i], "gamma")) {
-          gamma = parse_rate_set(*g, line_no);
+          set_once(gamma, parse_rate_set(*g, line_no), "gamma", line_no);
         } else if (const auto c = key_value(tokens[i], "capacity")) {
-          capacity = parse_int64(*c, line_no, "capacity");
+          set_once(capacity, parse_int64(*c, line_no, "capacity"), "capacity",
+                   line_no);
         } else if (const auto d = key_value(tokens[i], "delta")) {
-          delta = parse_int64(*d, line_no, "delta");
+          set_once(delta, parse_int64(*d, line_no, "delta"), "delta",
+                   line_no);
         } else {
-          parse_error(line_no, "unknown attribute '" + tokens[i] + "'");
+          parse_error(line_no,
+                      "unknown attribute '" + std::string(tokens[i]) + "'");
         }
       }
       if (!pi.has_value() || !gamma.has_value()) {
         parse_error(line_no, "buffer needs pi= and gamma=");
       }
-      if (delta < 0 || capacity < 0 || (capacity != 0 && capacity < delta)) {
+      const std::int64_t total = capacity.value_or(0);
+      const std::int64_t tokens_at_start = delta.value_or(0);
+      if (tokens_at_start < 0 || total < 0 ||
+          (total != 0 && total < tokens_at_start)) {
         parse_error(line_no, "capacity must cover delta (initial tokens)");
       }
-      (void)doc.graph.add_buffer(*producer, *consumer, *pi, *gamma, capacity,
-                                 delta);
+      (void)doc.graph.add_buffer(*producer, *consumer, std::move(*pi),
+                                 std::move(*gamma), total, tokens_at_start);
     } else if (tokens[0] == "constraint") {
       if (tokens.size() != 3) {
         parse_error(line_no, "expected 'constraint <actor> period=<seconds>'");
@@ -247,8 +330,8 @@ ChainDocument read_chain(const std::string& text) {
       }
       for (const analysis::ThroughputConstraint& existing : doc.constraints) {
         if (existing.actor == *actor) {
-          parse_error(line_no,
-                      "duplicate constraint for actor '" + tokens[1] + "'");
+          parse_error(line_no, "duplicate constraint for actor '" +
+                                   std::string(tokens[1]) + "'");
         }
       }
       const auto period = key_value(tokens[2], "period");
@@ -261,7 +344,8 @@ ChainDocument read_chain(const std::string& text) {
         doc.constraint = doc.constraints.front();
       }
     } else {
-      parse_error(line_no, "unknown directive '" + tokens[0] + "'");
+      parse_error(line_no,
+                  "unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
   if (!header_seen) {

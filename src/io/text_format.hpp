@@ -18,7 +18,10 @@
 // `constraint` lines declare a simultaneous constraint set (one line per
 // constrained actor; repeating an actor is an error).  All integers and
 // rationals are parsed through checked helpers: malformed or overflowing
-// values produce a ModelError naming the line instead of aborting.
+// values produce a ModelError naming the line instead of aborting.  So do
+// an empty rate-set item ("{1,2,}"), a repeated buffer attribute, a
+// repeated actor name, a non-positive rho, a rate set with a negative or
+// no positive quantum, and an actor name write_chain could not emit.
 #pragma once
 
 #include <optional>
@@ -55,7 +58,9 @@ struct ChainDocument {
 
 /// Parses the format above; throws ModelError with a line number on
 /// malformed input (unknown directives/attributes, bad or overflowing
-/// numbers, duplicate constraint actors).
+/// numbers, duplicate actors, attributes or constraint actors).  Every
+/// accepted document round-trips: write_chain of the result reparses to
+/// the same bytes.
 [[nodiscard]] ChainDocument read_chain(const std::string& text);
 
 }  // namespace vrdf::io

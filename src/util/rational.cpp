@@ -123,7 +123,8 @@ Rational Rational::from_string(const std::string& text) {
           (whole.empty() || whole == "-" || whole == "+") ? 0
                                                           : component(whole);
       const std::int64_t f = component(frac);
-      const std::int64_t mag = checked_add(checked_mul(w < 0 ? -w : w, scale), f);
+      const std::int64_t mag =
+          checked_add(checked_mul(w < 0 ? checked_neg(w) : w, scale), f);
       return Rational(negative ? checked_neg(mag) : mag, scale);
     }
     return Rational(component(text));

@@ -371,6 +371,149 @@ TEST(CertificateMutations, ExhaustiveSingleFieldSweepIsFullyDetected) {
   EXPECT_GT(mutations_checked, 150);
 }
 
+// ------------------------------------------------ rendered-text goldens
+
+// The checker renders a violation only when its clause fails.  The pinned
+// describe() bytes and clause counts are those of a checker that renders
+// every clause eagerly; one mutation per clause family.
+[[nodiscard]] std::string describe_all(const CertificateCheck& check) {
+  std::string out;
+  for (const ClauseViolation& violation : check.violations) {
+    out += describe(violation) + "\n";
+  }
+  return out;
+}
+
+TEST(CertificateGoldens, ViolationTextPinnedPerClauseFamily) {
+  models::Mp3Playback mp3 = models::make_mp3_playback();
+  const GraphAnalysis sized = analysis::compute_buffer_capacities(
+      mp3.graph, analysis::ConstraintSet{mp3.constraint});
+  ASSERT_TRUE(sized.admissible);
+  const Certificate cert = analysis::make_certificate(mp3.graph, sized);
+
+  struct Golden {
+    const char* label;
+    void (*apply)(Certificate&);
+    std::uint64_t clauses;
+    const char* text;
+  };
+  const Golden goldens[] = {
+      {"phi",
+       [](Certificate& c) { c.actors[1].phi += Duration(Rational(1, 7)); },
+       95,
+       "phi clause violated at buffer 'vBR -> vMP3': producer pacing witness "
+       "does not equal the sink-side demand phi(consumer) * pi_min / "
+       "gamma_max (32/625 s vs 4672/13125 s)\n"
+       "phi clause violated at buffer 'vMP3 -> vSRC': producer pacing "
+       "witness does not equal the sink-side demand phi(consumer) * pi_min / "
+       "gamma_max (146/875 s vs 3/125 s)\n"
+       "omega clause violated at actor 'vBR': alignment lead does not "
+       "satisfy the sink-region longest-path equation omega = rho + "
+       "max(omega(consumer) + s*(pi_max-1)) (1201859/7056000 s vs "
+       "3351209/7056000 s)\n"
+       "zeta clause violated at buffer 'vBR -> vMP3': producer slack does "
+       "not equal max(alignment gap, rho + s*(pi_max-1)) (819/8000 s vs "
+       "34187/84000 s)\n"
+       "zeta clause violated at buffer 'vBR -> vMP3': consumer slack does "
+       "not equal rho + s*(gamma_max-1) (1919/40000 s vs 11441/60000 s)\n"
+       "zeta clause violated at buffer 'vBR -> vMP3': raw token count does "
+       "not equal (delta_producer + delta_consumer) / s (6014 vs "
+       "251022/73)\n"
+       "zeta clause violated at buffer 'vBR -> vMP3': capacity does not "
+       "equal the rounded slack plus the initial tokens (6015 vs 3439)\n"},
+      {"omega",
+       [](Certificate& c) { c.actors[3].lead = Duration(Rational(1, 2)); },
+       95,
+       "omega clause violated at actor 'vSRC': alignment lead does not "
+       "satisfy the sink-region longest-path equation omega = rho + "
+       "max(omega(consumer) + s*(pi_max-1)) (881/44100 s vs 22931/44100 s)\n"
+       "omega clause violated at actor 'vDAC': a sink-kind anchor's "
+       "alignment lead must be zero (1/2 s vs 0 s)\n"},
+      {"zeta",
+       [](Certificate& c) { c.pairs[2].raw_tokens += Rational(1, 2); }, 95,
+       "zeta clause violated at buffer 'vSRC -> vDAC': raw token count does "
+       "not equal (delta_producer + delta_consumer) / s (1765/2 vs 882)\n"},
+      {"delta",
+       [](Certificate& c) { c.pairs[1].required_initial_tokens = 2; }, 95,
+       "delta clause violated at buffer 'vMP3 -> vSRC': skeleton pairs have "
+       "no cycle token requirement (2 vs 0)\n"},
+      {"coverage", [](Certificate& c) { c.pairs[0].is_static = true; }, 95,
+       "coverage clause violated at buffer 'vBR -> vMP3': recorded "
+       "staticness does not match the edge's rate sets (pi={2048}, "
+       "gamma=[0,960]) (static vs variable)\n"},
+      {"coverage, structure",
+       [](Certificate& c) { c.pairs[0].buffer = c.pairs[1].buffer; }, 17,
+       "coverage clause violated at buffer 'vBR -> vMP3': pair fact "
+       "endpoints do not match the recorded data edge\n"},
+      {"kappa",
+       [](Certificate& c) {
+         // Round-robin: kappa must be the sum of WCETs, not one WCET.
+         analysis::PlatformFact rr;
+         rr.actor = c.actors[1].actor;
+         rr.policy = analysis::ServicePolicy::RoundRobin;
+         rr.wcet = c.actors[1].rho;
+         rr.total_wcet = c.actors[1].rho * Rational(2);
+         rr.kappa = c.actors[1].rho;
+         c.platform.push_back(rr);
+         // TDM slot-granular with a wrong ceiling witness.
+         analysis::PlatformFact tdm;
+         tdm.actor = c.actors[2].actor;
+         tdm.wcet = Duration(Rational(3, 1000));
+         tdm.slot = Duration(Rational(1, 1000));
+         tdm.wheel = Duration(Rational(4, 1000));
+         tdm.ceil_term = 4;
+         tdm.kappa = c.actors[2].rho;
+         c.platform.push_back(tdm);
+       },
+       106,
+       "kappa clause violated at actor 'vMP3': recorded kappa does not "
+       "equal the round-robin bound re-derived from the arbiter terms "
+       "(3/125 s vs 6/125 s)\n"
+       "kappa clause violated at actor 'vSRC': ceil term is not the ceiling "
+       "of WCET/slot (4 vs 3)\n"},
+  };
+  for (const Golden& golden : goldens) {
+    Certificate mutated = cert;
+    golden.apply(mutated);
+    const CertificateCheck check =
+        analysis::check_certificate(mp3.graph, mutated);
+    EXPECT_FALSE(check.ok) << golden.label;
+    EXPECT_EQ(check.clauses_checked, golden.clauses) << golden.label;
+    EXPECT_EQ(describe_all(check), golden.text) << golden.label;
+  }
+}
+
+TEST(CertificateGoldens, ClauseCountsPinnedOnEveryGeneratorClass) {
+  struct Expected {
+    models::ModelClass model_class;
+    std::uint64_t clauses[2];  // seeds 1 and 2
+  };
+  const Expected expected[] = {
+      {models::ModelClass::Chain, {99, 97}},
+      {models::ModelClass::ForkJoin, {165, 190}},
+      {models::ModelClass::Cyclic, {184, 209}},
+      {models::ModelClass::MultiConstraint, {149, 151}},
+      {models::ModelClass::InteriorPinned, {124, 122}},
+  };
+  for (const Expected& row : expected) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      models::RandomModelSpec spec;
+      spec.model_class = row.model_class;
+      spec.seed = seed;
+      const models::SyntheticModel model = models::make_random_model(spec);
+      const GraphAnalysis sized =
+          analysis::compute_buffer_capacities(model.graph, model.constraints);
+      ASSERT_TRUE(sized.admissible);
+      const CertificateCheck check = analysis::check_certificate(
+          model.graph, analysis::make_certificate(model.graph, sized));
+      EXPECT_TRUE(check.ok) << render(check);
+      EXPECT_EQ(check.clauses_checked, row.clauses[seed - 1])
+          << "class " << static_cast<int>(row.model_class) << " seed "
+          << seed;
+    }
+  }
+}
+
 // ----------------------------------------- acceptance: no false rejects
 
 // Every admissible analysis across the randomized sweep space must

@@ -473,5 +473,53 @@ TEST(IncrementalAnalysis, StaleSnapshotThrowsNamingTheMutation) {
   }
 }
 
+// The mutation log renders its sentence on demand; the full diagnostic is
+// pinned for each mutator kind.
+TEST(IncrementalAnalysis, StaleSnapshotTextPinnedForEveryMutatorKind) {
+  VrdfGraph graph;
+  const ActorId src = graph.add_actor("src", seconds(Rational(1, 1000)));
+  const ActorId dst = graph.add_actor("dst", seconds(Rational(1, 1000)));
+  const dataflow::BufferEdges buffer = graph.add_buffer(
+      src, dst, dataflow::RateSet::singleton(1),
+      dataflow::RateSet::singleton(1));
+  EXPECT_EQ(VrdfGraph().last_mutation(), "");
+
+  const auto stale_text = [&](const auto& mutate) {
+    const TopologySnapshot snapshot(graph);
+    mutate();
+    try {
+      snapshot.require_fresh();
+    } catch (const ContractError& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no ContractError)");
+  };
+  const auto expected = [](const std::string& mutation) {
+    return "topology snapshot is stale: the underlying graph was mutated (" +
+           mutation +
+           ") after capture; re-capture the snapshot instead of querying "
+           "memoized structure that no longer matches the graph";
+  };
+
+  EXPECT_EQ(stale_text([&] {
+              (void)graph.add_actor("late", seconds(Rational(1, 1000)));
+            }),
+            expected("add_actor 'late'"));
+  // add_buffer records its space edge last.
+  EXPECT_EQ(stale_text([&] {
+              (void)graph.add_buffer(dst, *graph.find_actor("late"),
+                                     dataflow::RateSet::singleton(2),
+                                     dataflow::RateSet::singleton(3));
+            }),
+            expected("add_edge late -> dst"));
+  EXPECT_EQ(stale_text([&] { graph.set_initial_tokens(buffer.space, 7); }),
+            expected("set_initial_tokens on edge dst -> src"));
+  EXPECT_EQ(stale_text([&] {
+              graph.set_response_time(dst, seconds(Rational(1, 500)));
+            }),
+            expected("set_response_time on actor 'dst'"));
+  EXPECT_EQ(graph.last_mutation(), "set_response_time on actor 'dst'");
+}
+
 }  // namespace
 }  // namespace vrdf::analysis

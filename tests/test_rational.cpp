@@ -117,6 +117,13 @@ TEST(Rational, FromStringDecimal) {
   EXPECT_EQ(Rational::from_string("-1.5"), Rational(-3, 2));
 }
 
+TEST(Rational, FromStringDecimalAtInt64MinIsOutOfRange) {
+  // The whole part's magnitude does not fit in int64: an OverflowError,
+  // never a negation of INT64_MIN.
+  EXPECT_THROW((void)Rational::from_string("-9223372036854775808.5"),
+               OverflowError);
+}
+
 TEST(Rational, FromStringRejectsGarbage) {
   EXPECT_THROW((void)Rational::from_string(""), ContractError);
   EXPECT_THROW((void)Rational::from_string("abc"), ContractError);

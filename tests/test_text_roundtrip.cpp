@@ -127,5 +127,74 @@ TEST(TextRoundTrip, UnserializableActorNamesRejectedAtWriteTime) {
   EXPECT_TRUE(parsed.graph.find_actor("dsp.core-1").has_value());
 }
 
+// ------------------------------------------------ parser rejections
+
+/// The ModelError text read_chain throws for `text`, or "" if it accepts.
+std::string rejection(const std::string& text) {
+  try {
+    (void)read_chain(text);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+const std::string kTwoActors =
+    "vrdf-chain v1\n"
+    "actor a rho=1/1000\n"
+    "actor b rho=1/1000\n";
+
+TEST(TextRoundTrip, EmptyRateSetItemsRejectedNamingTheLiteral) {
+  // An empty item is an error wherever it sits, trailing included.
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={1,2,} gamma={1}\n"),
+            "line 4: empty item in rate set '{1,2,}'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={1} gamma=[1,2,]\n"),
+            "line 4: empty item in rate set '[1,2,]'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={1,,2} gamma={1}\n"),
+            "line 4: empty item in rate set '{1,,2}'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={,} gamma={1}\n"),
+            "line 4: empty item in rate set '{,}'");
+  // A malformed item ahead of the empty one is still named first.
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={x,} gamma={1}\n"),
+            "line 4: malformed rate value 'x'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={1,2} gamma=[1,2]\n"),
+            "");
+}
+
+TEST(TextRoundTrip, RepeatedBufferAttributeRejected) {
+  // Each attribute may appear once per buffer line.
+  EXPECT_EQ(rejection(kTwoActors +
+                      "buffer a -> b pi={1} gamma={2} pi={3}\n"),
+            "line 4: duplicate attribute 'pi='");
+  EXPECT_EQ(rejection(kTwoActors +
+                      "buffer a -> b gamma={2} pi={1} gamma={2}\n"),
+            "line 4: duplicate attribute 'gamma='");
+  EXPECT_EQ(rejection(kTwoActors +
+                      "buffer a -> b pi={1} gamma={2} capacity=4 "
+                      "capacity=4\n"),
+            "line 4: duplicate attribute 'capacity='");
+  EXPECT_EQ(rejection(kTwoActors +
+                      "buffer a -> b pi={1} delta=0 gamma={2} delta=1\n"),
+            "line 4: duplicate attribute 'delta='");
+}
+
+TEST(TextRoundTrip, ConstructorContractsReportedOnTheirLine) {
+  // What the graph and RateSet constructors would refuse is a parse error
+  // on its line, and so is a name write_chain could not emit.
+  EXPECT_EQ(rejection(kTwoActors + "actor a rho=1\n"),
+            "line 4: duplicate actor 'a'");
+  EXPECT_EQ(rejection(kTwoActors + "actor c rho=0\n"),
+            "line 4: rho must be positive");
+  EXPECT_EQ(rejection(kTwoActors + "actor c=d rho=1\n"),
+            "line 4: actor name 'c=d' cannot be serialized (\"->\" or "
+            "containing '=')");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={-1,2} gamma={1}\n"),
+            "line 4: negative quantum in rate set '{-1,2}'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi={1} gamma={0}\n"),
+            "line 4: no positive quantum in rate set '{0}'");
+  EXPECT_EQ(rejection(kTwoActors + "buffer a -> b pi=[3,1] gamma={1}\n"),
+            "line 4: interval bounds out of order in rate set '[3,1]'");
+}
+
 }  // namespace
 }  // namespace vrdf::io
