@@ -87,7 +87,7 @@ void BM_FeedbackPipelineVerify(benchmark::State& state) {
     sim::VerifyOptions options;
     options.observe_firings = 500;
     const sim::VerifyResult verdict =
-        sim::verify_throughput(app.graph, app.constraint, {}, options);
+        sim::verify_throughput(app.graph, {app.constraint}, {}, options);
     benchmark::DoNotOptimize(verdict.ok);
   }
 }

@@ -78,7 +78,7 @@ void BM_VerifyAvPipeline(benchmark::State& state) {
   options.observe_firings = 500;
   for (auto _ : state) {
     const sim::VerifyResult verdict =
-        sim::verify_throughput(app.graph, app.constraint, {}, options);
+        sim::verify_throughput(app.graph, {app.constraint}, {}, options);
     benchmark::DoNotOptimize(verdict.ok);
   }
 }

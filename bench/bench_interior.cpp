@@ -66,7 +66,7 @@ void BM_InteriorVerify(benchmark::State& state) {
   options.observe_firings = 100;
   for (auto _ : state) {
     const sim::VerifyResult verdict =
-        sim::verify_throughput(app.graph, app.constraint, {}, options);
+        sim::verify_throughput(app.graph, {app.constraint}, {}, options);
     benchmark::DoNotOptimize(verdict.ok);
   }
 }

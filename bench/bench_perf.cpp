@@ -48,7 +48,7 @@ void BM_PacingOnly(benchmark::State& state) {
   const models::SyntheticChain chain = models::make_random_chain(spec);
   for (auto _ : state) {
     const auto budget = analysis::max_admissible_response_times(
-        chain.graph, chain.constraint);
+        chain.graph, {chain.constraint});
     benchmark::DoNotOptimize(budget.max_response_times.size());
   }
 }

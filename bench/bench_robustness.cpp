@@ -79,7 +79,7 @@ void BM_MonitoredVerify(benchmark::State& state) {
   options.monitor = true;
   for (auto _ : state) {
     const sim::VerifyResult verdict =
-        sim::verify_throughput(app.graph, app.constraint, {}, options);
+        sim::verify_throughput(app.graph, {app.constraint}, {}, options);
     benchmark::DoNotOptimize(verdict.ok);
   }
 }

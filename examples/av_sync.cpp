@@ -27,7 +27,7 @@ int main() {
   }
   analysis::apply_capacities(app.graph, sized);
 
-  std::cout << io::analysis_report(app.graph, app.constraint, sized) << '\n';
+  std::cout << io::analysis_report(app.graph, {app.constraint}, sized) << '\n';
 
   const baseline::TraditionalResult traditional =
       baseline::traditional_capacities(app.graph);
@@ -38,11 +38,11 @@ int main() {
   }
 
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint);
+      sim::verify_throughput(app.graph, {app.constraint});
   std::cout << "verify: " << (verdict.ok ? "OK" : "FAILED") << " — "
             << verdict.detail << "\n\n";
 
-  std::cout << io::to_dot(app.graph, app.constraint, sized);
+  std::cout << io::to_dot(app.graph, {app.constraint}, sized);
 
   // Dual-presenter variant: audio and video pinned at once.
   models::AvDualSinkPipeline dual = models::make_av_dual_sink_pipeline();

@@ -25,7 +25,7 @@ int main() {
   }
   analysis::apply_capacities(app.graph, sized);
 
-  std::cout << io::analysis_report(app.graph, app.constraint, sized) << '\n';
+  std::cout << io::analysis_report(app.graph, {app.constraint}, sized) << '\n';
 
   for (const analysis::PairAnalysis& pair : sized.pairs) {
     if (pair.is_feedback) {
@@ -46,10 +46,10 @@ int main() {
   }
 
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint);
+      sim::verify_throughput(app.graph, {app.constraint});
   std::cout << "verify: " << (verdict.ok ? "OK" : "FAILED") << " — "
             << verdict.detail << "\n\n";
 
-  std::cout << io::to_dot(app.graph, app.constraint, sized);
+  std::cout << io::to_dot(app.graph, {app.constraint}, sized);
   return verdict.ok ? 0 : 1;
 }

@@ -27,7 +27,7 @@ int main() {
   }
   analysis::apply_capacities(app.graph, sized);
 
-  std::cout << io::analysis_report(app.graph, app.constraint, sized) << '\n';
+  std::cout << io::analysis_report(app.graph, {app.constraint}, sized) << '\n';
 
   for (const analysis::PairAnalysis& pair : sized.pairs) {
     std::cout << "buffer " << app.graph.actor(pair.producer).name << " -> "
@@ -47,7 +47,7 @@ int main() {
   }
 
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint);
+      sim::verify_throughput(app.graph, {app.constraint});
   std::cout << "verify: " << (verdict.ok ? "OK" : "FAILED") << " — "
             << verdict.detail << "\n\n";
 

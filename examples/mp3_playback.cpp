@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   // Response times that "just allow" the throughput constraint (Sec 5).
   const auto budget =
-      analysis::max_admissible_response_times(app.graph, app.constraint);
+      analysis::max_admissible_response_times(app.graph, {app.constraint});
   std::cout << "Maximal admissible response times (phi propagation):\n";
   for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
     std::cout << "  " << app.graph.actor(budget.actors_in_order[i]).name
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   };
   for (const Profile& profile : profiles) {
     const sim::VerifyResult verdict = sim::verify_throughput(
-        app.graph, app.constraint, profile.configure, options);
+        app.graph, {app.constraint}, profile.configure, options);
     std::cout << "verify [" << profile.name
               << "]: " << (verdict.ok ? "OK" : "FAILED") << " — "
               << verdict.detail << '\n';

@@ -56,7 +56,7 @@ int main() {
   sim::VerifyOptions options;
   options.observe_firings = 10000;
   const sim::VerifyResult verdict =
-      sim::verify_throughput(model.graph, constraint, {}, options);
+      sim::verify_throughput(model.graph, {constraint}, {}, options);
   std::cout << "simulation: " << (verdict.ok ? "OK" : "FAILED") << " — "
             << verdict.detail << '\n';
   return verdict.ok ? 0 : 1;

@@ -42,7 +42,7 @@ int main() {
     }
     return 1;
   }
-  std::cout << io::analysis_report(app.graph, app.constraint, sized) << '\n';
+  std::cout << io::analysis_report(app.graph, {app.constraint}, sized) << '\n';
   std::cout << io::margins_to_csv(margins, app.graph) << '\n';
 
   // The actor with the widest tolerable overrun.
@@ -65,7 +65,7 @@ int main() {
   boundary.rho_overrun(target->actor, target->margin);
   std::cout << "-- within margin --\n" << boundary.describe(app.graph) << '\n';
   const sim::VerifyResult within = sim::verify_throughput(
-      app.graph, app.constraint,
+      app.graph, {app.constraint},
       [&](sim::Simulator& sim) { boundary.apply(sim); }, options);
   std::cout << "verify: " << (within.ok ? "OK" : "FAILED") << " — "
             << within.detail << '\n';
@@ -92,7 +92,7 @@ int main() {
                            Rational(4 * (feed->installed + 1)));
   std::cout << "-- beyond margin --\n" << starving.describe(app.graph) << '\n';
   const sim::VerifyResult beyond = sim::verify_throughput(
-      app.graph, app.constraint,
+      app.graph, {app.constraint},
       [&](sim::Simulator& sim) { starving.apply(sim); }, options);
   std::cout << "verify: " << (beyond.ok ? "OK" : "FAILED") << " — "
             << beyond.detail << '\n';

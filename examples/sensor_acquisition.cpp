@@ -51,7 +51,7 @@ int main() {
   sim::VerifyOptions options;
   options.observe_firings = 48000;  // one second of samples
   const sim::VerifyResult verdict =
-      sim::verify_throughput(chain.graph, chain.constraint, {}, options);
+      sim::verify_throughput(chain.graph, {chain.constraint}, {}, options);
   std::cout << "verify [random compressor output]: "
             << (verdict.ok ? "OK" : "FAILED") << " — " << verdict.detail
             << "\n\n";

@@ -62,7 +62,7 @@ int main() {
   sim::VerifyOptions options;
   options.observe_firings = 2000;  // 80 s of video at 25 fps
   const sim::VerifyResult verdict =
-      sim::verify_throughput(chain.graph, chain.constraint, {}, options);
+      sim::verify_throughput(chain.graph, {chain.constraint}, {}, options);
   std::cout << "verify [random rates]: " << (verdict.ok ? "OK" : "FAILED")
             << " — " << verdict.detail << '\n';
   return verdict.ok ? 0 : 1;

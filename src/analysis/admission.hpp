@@ -59,7 +59,8 @@ public:
 
   /// May the new stream start?  (Adds its throughput constraint.)  The
   /// actor must not already carry a constraint.
-  AdmissionDecision admit(const ThroughputConstraint& stream);
+  AdmissionDecision admit(
+      const ThroughputConstraint& stream);  // det-lint: ok(one stream)
   /// Stops the stream pinned at `actor`.  Removal rejects (and rolls
   /// back) when the remaining constraints no longer pace the whole
   /// graph — an actor or edge outside every remaining demand cone has

@@ -351,11 +351,6 @@ void apply_capacities(VrdfGraph& graph, const GraphAnalysis& analysis) {
 }
 
 ResponseTimeBudget max_admissible_response_times(
-    const VrdfGraph& graph, const ThroughputConstraint& constraint) {
-  return max_admissible_response_times(graph, ConstraintSet{constraint});
-}
-
-ResponseTimeBudget max_admissible_response_times(
     const VrdfGraph& graph, const ConstraintSet& constraints) {
   ResponseTimeBudget budget;
   PacingResult pacing = compute_pacing(graph, constraints);

@@ -36,41 +36,40 @@
 namespace vrdf::analysis {
 
 /// Computes buffer capacities for a VRDF graph (chain, fork-join DAG, or
-/// cyclic with tokened back-edges) so that the throughput constraint is
-/// satisfied for *every* admissible sequence of production/consumption
-/// quanta.  Returns an inadmissible result with diagnostics (never
-/// throws) for model-level infeasibility:
+/// cyclic with tokened back-edges) so that every throughput constraint of
+/// the set is satisfied for *every* admissible sequence of
+/// production/consumption quanta.  Several simultaneous constraints (e.g.
+/// an audio and a video presenter, or a pinned source *and* sink) must be
+/// mutually flow-consistent, and every actor must be paced by some
+/// constraint; per pair the rate-determining side is assigned
+/// individually (PairAnalysis::determined_by).  Returns an inadmissible
+/// result with diagnostics (never throws) for model-level infeasibility:
 ///  * the graph is not a consistent network of buffers, or contains a
 ///    token-free directed cycle (validate_cyclic_model);
-///  * the constrained actor is not the graph's unique data source or sink;
+///  * a lone end constraint is not the graph's unique data source or sink;
+///  * conflicting demands of the set, naming the binding constraint and
+///    path (see analysis/pacing.hpp);
 ///  * a zero minimum quantum on the rate-determining side;
 ///  * a response time exceeding the actor's pacing, ρ(v) > φ(v)
 ///    (the producer/consumer schedule validity constraints of Sec 4.2);
 ///  * a directed cycle whose latency exceeds its initial-token credit —
 ///    the max-cycle-ratio bound period ≥ cycle latency / initial tokens.
 [[nodiscard]] GraphAnalysis compute_buffer_capacities(
-    const dataflow::VrdfGraph& graph, const ThroughputConstraint& constraint,
+    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints,
     const AnalysisOptions& options = {});
 
-/// Constraint-set overload: sizes a graph with several simultaneous
-/// throughput constraints (e.g. an audio and a video presenter, or a
-/// pinned source *and* sink).  Every constrained actor must be a data
-/// source or sink of the skeleton, every actor must be paced by some
-/// constraint, and the periods must be mutually flow-consistent — the
-/// pacing propagation rejects anything else with diagnostics naming the
-/// binding constraint and path (see analysis/pacing.hpp).  Per pair the
-/// rate-determining side is assigned individually (PairAnalysis::
-/// determined_by); with exactly one constraint the result is bit-for-bit
-/// the single-constraint analysis.
+/// Exactly `compute_buffer_capacities(graph, {constraint}, options)`.
+/// Kept because the repository benchmark's MP3 gate calls it.
 [[nodiscard]] GraphAnalysis compute_buffer_capacities(
-    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints,
+    const dataflow::VrdfGraph& graph,
+    const ThroughputConstraint& constraint,  // det-lint: ok(benchmark-pinned)
     const AnalysisOptions& options = {});
 
 /// Snapshot entry point: identical semantics and bit-identical results,
 /// but the model validation and buffer-network view come from the
 /// captured TopologySnapshot, and per-actor ρ / per-edge δ reads go
 /// through the ParameterOverlay (empty overlay = the graph's own
-/// values).  The graph overloads above are exactly
+/// values).  The graph entry points above are exactly
 /// `compute_buffer_capacities(TopologySnapshot(graph), ...)` with an
 /// empty overlay.
 [[nodiscard]] GraphAnalysis compute_buffer_capacities(
@@ -94,10 +93,6 @@ struct ResponseTimeBudget {
   std::vector<dataflow::ActorId> actors_in_order;
   std::vector<Duration> max_response_times;
 };
-[[nodiscard]] ResponseTimeBudget max_admissible_response_times(
-    const dataflow::VrdfGraph& graph, const ThroughputConstraint& constraint);
-
-/// Constraint-set overload of the response-time budget.
 [[nodiscard]] ResponseTimeBudget max_admissible_response_times(
     const dataflow::VrdfGraph& graph, const ConstraintSet& constraints);
 

@@ -25,9 +25,11 @@
 // singleton sets this degenerates to the classical formula.)
 //
 // This capacity guarantees progress only — satisfying a throughput
-// constraint generally needs more (see compute_buffer_capacities and the
-// E1 bench, where the throughput minimum is 6 versus the deadlock-free
-// constant-sequence minima 3 and 4).
+// constraint generally needs more (see compute_buffer_capacities).  On
+// Fig 1 the throughput minimum is 6 versus the deadlock-free
+// constant-sequence minima 3 and 4; the tests
+// ExactMinimal.Fig1ThroughputMinimumIsDoubleBufferForMaxQuantum and
+// Simulator.Fig1MinimalCapacities pin both.
 #pragma once
 
 #include <cstdint>

@@ -123,7 +123,7 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   run_certification_();
 }
 
-void IncrementalAnalysis::admit(const ThroughputConstraint& stream) {
+void IncrementalAnalysis::admit(ThroughputConstraint stream) {
   snapshot_.require_fresh();
   ++stats_.queries;
   constraints_.push_back(stream);

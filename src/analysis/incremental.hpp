@@ -108,7 +108,7 @@ public:
 
   /// Adds a throughput constraint (a new stream's rate contract).
   /// Re-propagates pacing on the cached snapshot.
-  void admit(const ThroughputConstraint& stream);
+  void admit(ThroughputConstraint stream);
   /// Removes the constraint pinned at `actor` (which must carry one).
   void remove(dataflow::ActorId actor);
 

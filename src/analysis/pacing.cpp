@@ -572,18 +572,8 @@ bool validate_constraints(const ConstraintSet& constraints,
 }  // namespace
 
 PacingResult compute_pacing(const VrdfGraph& graph,
-                            const ThroughputConstraint& constraint) {
-  return compute_pacing(graph, ConstraintSet{constraint});
-}
-
-PacingResult compute_pacing(const VrdfGraph& graph,
                             const ConstraintSet& constraints) {
   return compute_pacing(TopologySnapshot(graph), constraints);
-}
-
-PacingResult compute_pacing(const TopologySnapshot& snapshot,
-                            const ThroughputConstraint& constraint) {
-  return compute_pacing(snapshot, ConstraintSet{constraint});
 }
 
 PacingResult compute_pacing(const TopologySnapshot& snapshot,

@@ -83,11 +83,10 @@ namespace vrdf::analysis {
 struct PacingResult {
   bool ok = false;
   std::vector<std::string> diagnostics;
-  /// Side of the primary (first) constraint — kept for single-constraint
-  /// call sites; per-buffer sides live in `determined_by`.
+  /// Side of the primary (first) constraint; per-buffer sides live in
+  /// `determined_by`.
   ConstraintSide side = ConstraintSide::Sink;
-  /// The constraint set the propagation ran with (size 1 for the
-  /// single-constraint entry point).
+  /// The constraint set the propagation ran with.
   ConstraintSet constraints;
   /// True when the data edges form a chain (Sec 3.1 shape).
   bool is_chain = false;
@@ -145,11 +144,14 @@ struct PacingResult {
 
 /// Validates that the graph is a consistent buffer network whose cycles
 /// break at tokened back-edges, and propagates pacing from the
-/// constrained actor.  A constrained end must be the graph's unique data
-/// sink (sink mode) or unique data source (source mode); an *interior*
-/// pin needs no uniqueness — it paces its whole upstream cone like a
-/// sink and its whole downstream cone like a source, and the coverage
-/// checks reject any actor or edge left unpaced.  Produces diagnostics
+/// constrained actors.  Constrained actors may be ends or interior pins,
+/// every actor must be paced by at least one constraint, and all demands
+/// must agree per actor (flow consistency — see the header comment).  A
+/// lone end constraint must be the graph's unique data sink (sink mode)
+/// or unique data source (source mode); an *interior* pin needs no
+/// uniqueness — it paces its whole upstream cone like a sink and its
+/// whole downstream cone like a source, and the coverage checks reject
+/// any actor or edge left unpaced.  Produces diagnostics
 /// instead of throwing for model-level infeasibility:
 ///  * a zero minimum quantum on the rate-determining side (would require
 ///    an infinite rate);
@@ -165,24 +167,13 @@ struct PacingResult {
 ///    balance, so the circulating token count drifts and either the loop
 ///    starves or its buffer fills regardless of capacity.
 [[nodiscard]] PacingResult compute_pacing(const dataflow::VrdfGraph& graph,
-                                          const ThroughputConstraint& constraint);
-
-/// Constraint-set overload: constrained actors may be ends or interior
-/// pins, every actor must be paced by at least one constraint, and all
-/// demands must agree per actor (flow consistency — see the header
-/// comment).  With exactly one end constraint this is bit-for-bit the
-/// single-constraint analysis, including its uniqueness requirement and
-/// diagnostics.
-[[nodiscard]] PacingResult compute_pacing(const dataflow::VrdfGraph& graph,
                                           const ConstraintSet& constraints);
 
-/// Snapshot entry points: identical semantics and diagnostics, but the
+/// Snapshot entry point: identical semantics and diagnostics, but the
 /// model validation and buffer-network view come from the captured
 /// TopologySnapshot instead of being rebuilt per call — the memoization
-/// tier every incremental query sits on.  The graph overloads above are
+/// tier every incremental query sits on.  The graph entry point above is
 /// exactly `compute_pacing(TopologySnapshot(graph), ...)`.
-[[nodiscard]] PacingResult compute_pacing(const TopologySnapshot& snapshot,
-                                          const ThroughputConstraint& constraint);
 [[nodiscard]] PacingResult compute_pacing(const TopologySnapshot& snapshot,
                                           const ConstraintSet& constraints);
 

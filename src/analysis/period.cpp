@@ -47,7 +47,7 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
   // Pacing coefficients c_v are rate-only: run the propagation with a unit
   // period and read φ(v) as c_v.
   const PacingResult unit = compute_pacing(
-      snapshot, ThroughputConstraint{actor, seconds(Rational(1))});
+      snapshot, {ThroughputConstraint{actor, seconds(Rational(1))}});
   if (!unit.ok) {
     result.diagnostics = unit.diagnostics;
     return result;
@@ -339,6 +339,18 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
                                       const AnalysisOptions& options,
                                       const ParameterOverlay& overlay) {
   MinPeriodResult result;
+  // The split below would silently drop a second constraint on
+  // `designated`; reject duplicates up front, as compute_pacing does.
+  for (std::size_t i = 0; i < constraints.size(); ++i) {
+    for (std::size_t j = i + 1; j < constraints.size(); ++j) {
+      if (constraints[i].actor == constraints[j].actor) {
+        result.diagnostics.push_back(
+            "duplicate throughput constraint on actor '" +
+            snapshot.graph().actor(constraints[i].actor).name + "'");
+        return result;
+      }
+    }
+  }
   ConstraintSet others;
   bool found = false;
   for (const ThroughputConstraint& c : constraints) {

@@ -28,7 +28,8 @@ struct ThroughputConstraint {
 /// audio presenter and a video presenter, or a feedback pipeline pinning
 /// both its source and its sink.  Periods must be mutually flow-consistent
 /// (the propagation rejects sets whose demands disagree anywhere, naming
-/// the binding constraint and path).
+/// the binding constraint and path).  Every analysis entry point takes a
+/// set; a single constraint `c` is passed as `{c}`.
 using ConstraintSet = std::vector<ThroughputConstraint>;
 
 /// Which endpoint of a producer-consumer pair determines its rate.  With a
@@ -130,12 +131,10 @@ struct GraphAnalysis {
   bool admissible = false;
   std::vector<std::string> diagnostics;
 
-  /// Rate-determining side of the *primary* (first) constraint; kept for
-  /// single-constraint call sites.  Per-pair sides live in
-  /// PairAnalysis::determined_by.
+  /// Rate-determining side of the *primary* (first) constraint.  Per-pair
+  /// sides live in PairAnalysis::determined_by.
   ConstraintSide side = ConstraintSide::Sink;
-  /// The constraint set the analysis ran with (size 1 for the
-  /// single-constraint entry point).
+  /// The constraint set the analysis ran with.
   ConstraintSet constraints;
   /// Per constraint index: whether the constrained actor anchors a
   /// sink-kind (upstream) and/or source-kind (downstream) pacing region.

@@ -22,7 +22,7 @@ bool capacity_feasible(const PairSearchSpec& spec, std::int64_t capacity) {
   sim::VerifyOptions options;
   options.observe_firings = spec.observe_firings;
   const sim::VerifyResult result = sim::verify_throughput(
-      graph, constraint,
+      graph, {constraint},
       [&](sim::Simulator& s) {
         if (spec.producer_sequence) {
           s.set_quantum_source(producer, buffer.data, spec.producer_sequence());

@@ -6,8 +6,11 @@
 // monotone in the capacity by Def 1: more initial space can only make
 // every start earlier).  This is the SDF3/Stuijk-style throughput-buffer
 // trade-off oracle and serves two roles:
-//  * grounding the Fig 1 discussion (minimum capacity 3 when n ≡ 3 but 4
-//    when n ≡ 2 — maximising quanta is not conservative);
+//  * grounding the Fig 1 pair under its throughput constraint: with
+//    ρ(va) = ρ(vb) = τ the minimum is a double buffer, 6, for both n ≡ 3
+//    and n ≡ 2.  The introduction's "3 when n ≡ 3 but 4 when n ≡ 2" is a
+//    deadlock-freedom result that this throughput oracle does not
+//    measure; Simulator.Fig1MinimalCapacities replays it;
 //  * quantifying how tight Eq (4) is against the per-sequence optimum.
 //
 // The oracle simulates a finite horizon, so the result is exact for the

@@ -7,8 +7,7 @@
 // acyclic topology (fork-join graphs) via topological_order() /
 // reverse_topological_order(); chains remain the special case the paper
 // treats and are detected for reporting.  The remaining algorithms support
-// general-graph diagnostics and the SDF/CSDF substrate (cycle detection,
-// SCCs).
+// general-graph diagnostics (cycle detection, SCCs).
 #pragma once
 
 #include <optional>

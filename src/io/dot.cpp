@@ -111,12 +111,6 @@ std::string to_dot(const dataflow::VrdfGraph& graph) {
 }
 
 std::string to_dot(const dataflow::VrdfGraph& graph,
-                   const analysis::ThroughputConstraint& constraint,
-                   const analysis::GraphAnalysis& analysis) {
-  return to_dot(graph, analysis::ConstraintSet{constraint}, analysis);
-}
-
-std::string to_dot(const dataflow::VrdfGraph& graph,
                    const analysis::ConstraintSet& constraints,
                    const analysis::GraphAnalysis& analysis) {
   VRDF_REQUIRE(analysis.admissible,

@@ -16,15 +16,10 @@ namespace vrdf::io {
 [[nodiscard]] std::string to_dot(const dataflow::VrdfGraph& graph);
 
 /// Annotated variant: space edges of analysed buffers additionally carry
-/// the computed capacity ζ (flagged when the installed δ differs), and the
-/// constrained actor is double-bordered with its period τ — so fork-join
-/// sizings can be checked visually.  Requires an admissible analysis.
-[[nodiscard]] std::string to_dot(const dataflow::VrdfGraph& graph,
-                                 const analysis::ThroughputConstraint& constraint,
-                                 const analysis::GraphAnalysis& analysis);
-
-/// Constraint-set variant: every constrained actor of the set is
-/// double-bordered with its own period.
+/// the computed capacity ζ (flagged when the installed δ differs), and
+/// every constrained actor of the set is double-bordered with its own
+/// period τ — so fork-join sizings can be checked visually.  Requires an
+/// admissible analysis.
 [[nodiscard]] std::string to_dot(const dataflow::VrdfGraph& graph,
                                  const analysis::ConstraintSet& constraints,
                                  const analysis::GraphAnalysis& analysis);

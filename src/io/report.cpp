@@ -204,12 +204,6 @@ std::string render_report(const dataflow::VrdfGraph& graph,
 }  // namespace
 
 std::string analysis_report(const dataflow::VrdfGraph& graph,
-                            const analysis::ThroughputConstraint& constraint,
-                            const analysis::GraphAnalysis& analysis) {
-  return render_report(graph, analysis::ConstraintSet{constraint}, analysis);
-}
-
-std::string analysis_report(const dataflow::VrdfGraph& graph,
                             const analysis::ConstraintSet& constraints,
                             const analysis::GraphAnalysis& analysis) {
   return render_report(graph, constraints, analysis);

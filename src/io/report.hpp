@@ -19,15 +19,10 @@ namespace vrdf::io {
 /// Renders a full report for an *admissible* analysis of `graph`.
 /// `graph` should already carry the computed capacities (the report reads
 /// δ(space) as the installed value and flags mismatches with the
-/// analysis).  Throws ContractError when the analysis is inadmissible.
-[[nodiscard]] std::string analysis_report(
-    const dataflow::VrdfGraph& graph,
-    const analysis::ThroughputConstraint& constraint,
-    const analysis::GraphAnalysis& analysis);
-
-/// Constraint-set overload: the header lists every constraint, the buffer
-/// table marks producer-paced pairs, and the rate-headroom section scales
-/// the first constraint with the others held fixed.
+/// analysis).  The header lists every constraint, the buffer table marks
+/// producer-paced pairs, and the rate-headroom section scales the first
+/// constraint with the others held fixed.  Throws ContractError when the
+/// analysis is inadmissible.
 [[nodiscard]] std::string analysis_report(
     const dataflow::VrdfGraph& graph,
     const analysis::ConstraintSet& constraints,

@@ -16,13 +16,6 @@ using dataflow::RateSet;
 using dataflow::VrdfGraph;
 
 std::optional<VrdfGraph> with_scaled_response_times(
-    const VrdfGraph& graph, const ThroughputConstraint& constraint,
-    Rational fraction) {
-  return with_scaled_response_times(graph, analysis::ConstraintSet{constraint},
-                                    fraction);
-}
-
-std::optional<VrdfGraph> with_scaled_response_times(
     const VrdfGraph& graph, const analysis::ConstraintSet& constraints,
     Rational fraction) {
   VRDF_REQUIRE(fraction.is_positive() && fraction <= Rational(1),
@@ -117,7 +110,7 @@ SyntheticChain make_random_chain(const RandomChainSpec& spec) {
       spec.source_constrained ? actors.front() : actors.back();
   const ThroughputConstraint constraint{constrained, spec.period};
   auto scaled =
-      with_scaled_response_times(bare, constraint, spec.response_fraction);
+      with_scaled_response_times(bare, {constraint}, spec.response_fraction);
   VRDF_REQUIRE(scaled.has_value(),
                "generated chain must be admissible by construction");
   return SyntheticChain{std::move(*scaled), constraint};
@@ -263,8 +256,8 @@ SyntheticChain make_random_fork_join(const RandomForkJoinSpec& spec) {
   ForkJoinBare bare = build_random_fork_join_bare(spec);
   const ActorId constrained = spec.source_constrained ? bare.source : bare.sink;
   const ThroughputConstraint constraint{constrained, spec.period};
-  auto scaled =
-      with_scaled_response_times(bare.graph, constraint, spec.response_fraction);
+  auto scaled = with_scaled_response_times(bare.graph, {constraint},
+                                           spec.response_fraction);
   VRDF_REQUIRE(scaled.has_value(),
                "generated fork-join graph must be admissible by construction");
   return SyntheticChain{std::move(*scaled), constraint};
@@ -306,7 +299,7 @@ SyntheticChain make_random_cyclic(const RandomCyclicSpec& spec) {
         /*initial_tokens=*/bare.gear[stage.fork_tail.index()]);
   }
 
-  auto scaled = with_scaled_response_times(bare.graph, constraint,
+  auto scaled = with_scaled_response_times(bare.graph, {constraint},
                                            spec.base.response_fraction);
   VRDF_REQUIRE(scaled.has_value(),
                "generated cyclic graph must be admissible by construction");
@@ -362,7 +355,8 @@ FeedbackPipeline make_feedback_pipeline() {
 
   model.constraint =
       analysis::ThroughputConstraint{model.present, milliseconds(Rational(40))};
-  auto scaled = with_scaled_response_times(bare, model.constraint, Rational(1));
+  auto scaled =
+      with_scaled_response_times(bare, {model.constraint}, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "feedback pipeline must be admissible");
   model.graph = std::move(*scaled);
   return model;
@@ -404,7 +398,8 @@ AvSyncPipeline make_av_sync_pipeline() {
 
   model.constraint =
       ThroughputConstraint{model.present, milliseconds(Rational(40))};
-  auto scaled = with_scaled_response_times(bare, model.constraint, Rational(1));
+  auto scaled =
+      with_scaled_response_times(bare, {model.constraint}, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "A/V pipeline must be admissible");
   model.graph = std::move(*scaled);
   return model;
@@ -450,7 +445,8 @@ AvDualSinkPipeline make_av_dual_sink_pipeline() {
   model.constraints = {
       ThroughputConstraint{model.apresent, milliseconds(Rational(15))},
       ThroughputConstraint{model.vpresent, milliseconds(Rational(40))}};
-  auto scaled = with_scaled_response_times(bare, model.constraints, Rational(1));
+  auto scaled =
+      with_scaled_response_times(bare, model.constraints, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "dual-sink A/V pipeline must be admissible");
   model.graph = std::move(*scaled);
   return model;
@@ -575,7 +571,8 @@ InteriorPinnedPipeline make_interior_pinned_pipeline() {
 
   model.constraint =
       analysis::ThroughputConstraint{model.dsp, milliseconds(Rational(5))};
-  auto scaled = with_scaled_response_times(bare, model.constraint, Rational(1));
+  auto scaled =
+      with_scaled_response_times(bare, {model.constraint}, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "interior-pinned pipeline must be admissible");
   model.graph = std::move(*scaled);
   return model;
@@ -652,7 +649,7 @@ SyntheticChain make_random_interior_pinned(const RandomInteriorPinSpec& spec) {
 
   const analysis::ThroughputConstraint constraint{pin, spec.period};
   auto scaled =
-      with_scaled_response_times(bare, constraint, spec.response_fraction);
+      with_scaled_response_times(bare, {constraint}, spec.response_fraction);
   VRDF_REQUIRE(scaled.has_value(),
                "generated interior-pinned chain must be admissible by "
                "construction");
@@ -682,7 +679,7 @@ SyntheticChain make_video_pipeline() {
 
   // 25 frames per second.
   const ThroughputConstraint constraint{display, milliseconds(Rational(40))};
-  auto scaled = with_scaled_response_times(bare, constraint, Rational(1));
+  auto scaled = with_scaled_response_times(bare, {constraint}, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "video pipeline must be admissible");
   return SyntheticChain{std::move(*scaled), constraint};
 }
@@ -705,7 +702,7 @@ SyntheticChain make_sensor_acquisition() {
 
   // The ADC samples at 48 kHz and is the constrained *source* (Sec 4.4).
   const ThroughputConstraint constraint{adc, period_of_hz(Rational(48000))};
-  auto scaled = with_scaled_response_times(bare, constraint, Rational(1));
+  auto scaled = with_scaled_response_times(bare, {constraint}, Rational(1));
   VRDF_REQUIRE(scaled.has_value(), "acquisition chain must be admissible");
   return SyntheticChain{std::move(*scaled), constraint};
 }

@@ -57,18 +57,12 @@ struct RandomChainSpec {
 [[nodiscard]] SyntheticChain make_sensor_acquisition();
 
 /// A copy of `graph` whose response times are replaced by
-/// fraction · φ(v) for the given constraint — the generator used to
+/// fraction · φ(v) for the given constraints — the generator used to
 /// produce admissible test instances from bare topologies.  Returns
 /// nullopt when pacing fails (token-free cyclic data edges, unpaced
-/// actors, ...).  Works on any topology and constraint placement
-/// compute_pacing accepts — chains, fork-join graphs, interior pins
-/// alike.
-[[nodiscard]] std::optional<dataflow::VrdfGraph> with_scaled_response_times(
-    const dataflow::VrdfGraph& graph,
-    const analysis::ThroughputConstraint& constraint, Rational fraction);
-
-/// Constraint-set overload: φ(v) comes from the multi-constraint pacing
-/// propagation (the set must be flow-consistent or nullopt is returned).
+/// actors, a flow-inconsistent set, ...).  Works on any topology and
+/// constraint placement compute_pacing accepts — chains, fork-join
+/// graphs, interior pins alike.
 [[nodiscard]] std::optional<dataflow::VrdfGraph> with_scaled_response_times(
     const dataflow::VrdfGraph& graph,
     const analysis::ConstraintSet& constraints, Rational fraction);

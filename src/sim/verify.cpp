@@ -9,14 +9,6 @@ namespace vrdf::sim {
 using dataflow::ActorId;
 
 VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
-                               const analysis::ThroughputConstraint& constraint,
-                               const SimulatorConfigurer& configure,
-                               const VerifyOptions& options) {
-  return verify_throughput(graph, analysis::ConstraintSet{constraint},
-                           configure, options);
-}
-
-VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
                                const analysis::ConstraintSet& constraints,
                                const SimulatorConfigurer& configure,
                                const VerifyOptions& options) {

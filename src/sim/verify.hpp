@@ -62,22 +62,16 @@ struct VerifyResult {
 };
 
 /// Runs the two-phase check.  `graph` must already carry the capacities
-/// under test (e.g. via analysis::apply_capacities).
-[[nodiscard]] VerifyResult verify_throughput(
-    const dataflow::VrdfGraph& graph,
-    const analysis::ThroughputConstraint& constraint,
-    const SimulatorConfigurer& configure = {}, const VerifyOptions& options = {});
-
-/// Constraint-set overload: phase 1 measures one periodic offset per
-/// constrained actor from the same self-timed run — the grids then keep
-/// phase 1's causally consistent relative alignment (a pinned sink
-/// naturally lags a pinned source by the realized pipeline latency), and
-/// every enforced activation is no earlier than its self-timed start
-/// (sound by monotonicity).  Phase 2 enforces *every* constrained actor
-/// strictly periodically at once and passes only when not a single
-/// activation of any of them starves.  The stop target counts firings of
-/// the first constraint's actor; VerifyResult reports that actor's offset
-/// and the worst phase-1 lateness across the set.
+/// under test (e.g. via analysis::apply_capacities).  Phase 1 measures one
+/// periodic offset per constrained actor from the same self-timed run —
+/// the grids then keep phase 1's causally consistent relative alignment
+/// (a pinned sink naturally lags a pinned source by the realized pipeline
+/// latency), and every enforced activation is no earlier than its
+/// self-timed start (sound by monotonicity).  Phase 2 enforces *every*
+/// constrained actor strictly periodically at once and passes only when
+/// not a single activation of any of them starves.  The stop target
+/// counts firings of the first constraint's actor; VerifyResult reports
+/// that actor's offset and the worst phase-1 lateness across the set.
 [[nodiscard]] VerifyResult verify_throughput(
     const dataflow::VrdfGraph& graph,
     const analysis::ConstraintSet& constraints,

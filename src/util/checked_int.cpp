@@ -24,16 +24,6 @@ std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   return std::gcd(a, b);
 }
 
-std::int64_t checked_lcm(std::int64_t a, std::int64_t b) {
-  if (a == 0 || b == 0) {
-    return 0;
-  }
-  const std::int64_t g = gcd64(a, b);
-  const std::int64_t a_abs = a < 0 ? checked_neg(a) : a;
-  const std::int64_t b_abs = b < 0 ? checked_neg(b) : b;
-  return checked_mul(a_abs / g, b_abs);
-}
-
 std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   VRDF_REQUIRE(b > 0, "floor_div requires a positive divisor");
   std::int64_t q = a / b;

@@ -64,10 +64,6 @@ namespace detail {
 /// Greatest common divisor of |a| and |b|; gcd(0, 0) == 0.
 [[nodiscard]] std::int64_t gcd64(std::int64_t a, std::int64_t b);
 
-/// Least common multiple of |a| and |b|; throws OverflowError when the
-/// result is not representable.  lcm(0, x) == 0.
-[[nodiscard]] std::int64_t checked_lcm(std::int64_t a, std::int64_t b);
-
 /// Floor division a / b for b > 0 (rounds towards negative infinity).
 [[nodiscard]] std::int64_t floor_div(std::int64_t a, std::int64_t b);
 

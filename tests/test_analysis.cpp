@@ -7,6 +7,7 @@
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/pacing.hpp"
 #include "models/fig1.hpp"
+#include "models/synthetic.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::analysis {
@@ -21,7 +22,7 @@ const Duration kTau = milliseconds(Rational(3));
 TEST(Pacing, Fig1PacingPropagatesUpstream) {
   // m = {3}, n = {2,3}: φ(va) = (τ/γ̂)·π̌ = (τ/3)·3 = τ.
   const models::Fig1Vrdf model = models::make_fig1_vrdf(kTau, kTau, kTau);
-  const PacingResult pacing = compute_pacing(model.graph, model.constraint);
+  const PacingResult pacing = compute_pacing(model.graph, {model.constraint});
   ASSERT_TRUE(pacing.ok);
   EXPECT_EQ(pacing.side, ConstraintSide::Sink);
   ASSERT_EQ(pacing.pacing.size(), 2u);
@@ -39,7 +40,7 @@ TEST(Pacing, AcceptsInteriorConstraint) {
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
   const PacingResult pacing =
-      compute_pacing(g, ThroughputConstraint{b, kTau});
+      compute_pacing(g, {ThroughputConstraint{b, kTau}});
   ASSERT_TRUE(pacing.ok) << pacing.diagnostics[0];
   EXPECT_EQ(pacing.pacing_of(a), kTau);
   EXPECT_EQ(pacing.pacing_of(b), kTau);
@@ -55,7 +56,7 @@ TEST(Pacing, AcceptsInteriorConstraint) {
 TEST(Pacing, RejectsNonPositivePeriod) {
   const models::Fig1Vrdf model = models::make_fig1_vrdf(kTau, kTau, kTau);
   const PacingResult pacing = compute_pacing(
-      model.graph, ThroughputConstraint{model.vb, Duration()});
+      model.graph, {ThroughputConstraint{model.vb, Duration()}});
   EXPECT_FALSE(pacing.ok);
 }
 
@@ -64,7 +65,8 @@ TEST(Pacing, RejectsZeroMinProductionInSinkMode) {
   const ActorId a = g.add_actor("a", kTau);
   const ActorId b = g.add_actor("b", kTau);
   (void)g.add_buffer(a, b, RateSet::of({0, 3}), RateSet::singleton(2));
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{b, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{b, kTau}});
   EXPECT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("minimum production quantum is zero"),
             std::string::npos);
@@ -75,7 +77,7 @@ TEST(Pacing, AllowsZeroMinConsumptionInSinkMode) {
   const ActorId a = g.add_actor("a", kTau);
   const ActorId b = g.add_actor("b", kTau * Rational(2, 3));
   (void)g.add_buffer(a, b, RateSet::singleton(3), RateSet::of({0, 2, 3}));
-  EXPECT_TRUE(compute_pacing(g, ThroughputConstraint{b, kTau}).ok);
+  EXPECT_TRUE(compute_pacing(g, {ThroughputConstraint{b, kTau}}).ok);
 }
 
 TEST(Pacing, SourceModeMirrorsZeroRules) {
@@ -84,14 +86,15 @@ TEST(Pacing, SourceModeMirrorsZeroRules) {
   const ActorId b = g.add_actor("b", kTau);
   (void)g.add_buffer(a, b, RateSet::of({0, 3}), RateSet::singleton(2));
   // Zero *production* is tolerated under a source constraint...
-  EXPECT_TRUE(compute_pacing(g, ThroughputConstraint{a, kTau}).ok);
+  EXPECT_TRUE(compute_pacing(g, {ThroughputConstraint{a, kTau}}).ok);
 
   VrdfGraph h;
   const ActorId c = h.add_actor("c", kTau);
   const ActorId d = h.add_actor("d", kTau);
   (void)h.add_buffer(c, d, RateSet::singleton(2), RateSet::of({0, 3}));
   // ...but zero consumption is not.
-  const PacingResult pacing = compute_pacing(h, ThroughputConstraint{c, kTau});
+  const PacingResult pacing =
+      compute_pacing(h, {ThroughputConstraint{c, kTau}});
   EXPECT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("minimum consumption quantum is zero"),
             std::string::npos);
@@ -181,32 +184,54 @@ TEST(BufferSizing, SourceConstrainedStaticPair) {
 }
 
 TEST(BufferSizing, SourceAndSinkModesAreMirrorImages) {
-  // Reversing the chain and swapping π/γ must give identical capacities.
-  const RateSet pi = RateSet::of({2, 5});
-  const RateSet gamma = RateSet::of({3, 4});
-  const Duration rho_a = kTau;
-  const Duration rho_b = kTau * Rational(3, 5);
+  // Reversing a source-constrained chain and swapping π/γ must give
+  // identical capacities under a sink constraint (Sec 4.4 mirrors
+  // Sec 4.2/4.3).
+  const auto expect_mirrored = [](const VrdfGraph& source_graph,
+                                  const ThroughputConstraint& constraint) {
+    const auto view = source_graph.chain_view();
+    ASSERT_TRUE(view.has_value());
+    const std::size_t n = view->actors.size();
+    VrdfGraph sink_graph;
+    std::vector<ActorId> ids;
+    for (std::size_t i = n; i-- > 0;) {
+      const dataflow::Actor& actor = source_graph.actor(view->actors[i]);
+      ids.push_back(sink_graph.add_actor(actor.name, actor.response_time));
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      const dataflow::Edge& data =
+          source_graph.edge(view->buffers[n - 2 - i].data);
+      (void)sink_graph.add_buffer(ids[i], ids[i + 1], data.consumption,
+                                  data.production);
+    }
+    const GraphAnalysis source_analysis =
+        compute_buffer_capacities(source_graph, {constraint});
+    const GraphAnalysis sink_analysis = compute_buffer_capacities(
+        sink_graph, {ThroughputConstraint{ids.back(), constraint.period}});
+    ASSERT_TRUE(source_analysis.admissible);
+    ASSERT_TRUE(sink_analysis.admissible);
+    EXPECT_EQ(source_analysis.side, ConstraintSide::Source);
+    EXPECT_EQ(sink_analysis.side, ConstraintSide::Sink);
+    ASSERT_EQ(sink_analysis.pairs.size(), n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      EXPECT_EQ(source_analysis.pairs[i].raw_tokens,
+                sink_analysis.pairs[n - 2 - i].raw_tokens);
+      EXPECT_EQ(source_analysis.pairs[i].capacity,
+                sink_analysis.pairs[n - 2 - i].capacity);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(source_analysis.pacing[i], sink_analysis.pacing[n - 1 - i]);
+    }
+  };
 
-  VrdfGraph source_graph;
-  const ActorId sa = source_graph.add_actor("sa", rho_a);
-  const ActorId sb = source_graph.add_actor("sb", rho_b);
-  (void)source_graph.add_buffer(sa, sb, pi, gamma);
-  const GraphAnalysis source_analysis = compute_buffer_capacities(
-      source_graph, ThroughputConstraint{sa, kTau});
+  VrdfGraph pair;
+  const ActorId a = pair.add_actor("a", kTau);
+  const ActorId b = pair.add_actor("b", kTau * Rational(3, 5));
+  (void)pair.add_buffer(a, b, RateSet::of({2, 5}), RateSet::of({3, 4}));
+  expect_mirrored(pair, ThroughputConstraint{a, kTau});
 
-  VrdfGraph sink_graph;
-  const ActorId kb = sink_graph.add_actor("kb", rho_b);
-  const ActorId ka = sink_graph.add_actor("ka", rho_a);
-  (void)sink_graph.add_buffer(kb, ka, gamma, pi);
-  const GraphAnalysis sink_analysis =
-      compute_buffer_capacities(sink_graph, ThroughputConstraint{ka, kTau});
-
-  ASSERT_TRUE(source_analysis.admissible);
-  ASSERT_TRUE(sink_analysis.admissible);
-  EXPECT_EQ(source_analysis.pairs[0].raw_tokens,
-            sink_analysis.pairs[0].raw_tokens);
-  EXPECT_EQ(source_analysis.pairs[0].capacity, sink_analysis.pairs[0].capacity);
-  EXPECT_EQ(source_analysis.pacing[1], sink_analysis.pacing[0]);
+  const models::SyntheticChain sensor = models::make_sensor_acquisition();
+  expect_mirrored(sensor.graph, sensor.constraint);
 }
 
 TEST(BufferSizing, SingleActorChainIsTriviallyAdmissible) {
@@ -266,7 +291,7 @@ TEST(BufferSizing, WiderConsumptionSetNeverShrinksCapacity) {
 TEST(ResponseTimeBudget, MatchesPacing) {
   const models::Fig1Vrdf model = models::make_fig1_vrdf(kTau, kTau, kTau);
   const ResponseTimeBudget budget =
-      max_admissible_response_times(model.graph, model.constraint);
+      max_admissible_response_times(model.graph, {model.constraint});
   ASSERT_TRUE(budget.ok);
   ASSERT_EQ(budget.max_response_times.size(), 2u);
   EXPECT_EQ(budget.max_response_times[0], kTau);
@@ -277,7 +302,7 @@ TEST(ResponseTimeBudget, FailsOnNonChain) {
   VrdfGraph g;
   const ActorId a = g.add_actor("a", kTau);
   const ResponseTimeBudget budget = max_admissible_response_times(
-      g, ThroughputConstraint{a, Duration()});
+      g, {ThroughputConstraint{a, Duration()}});
   EXPECT_FALSE(budget.ok);
 }
 

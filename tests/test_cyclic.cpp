@@ -184,7 +184,7 @@ TEST(CyclicValidation, AcceptsFeedbackPipeline) {
 TEST(CyclicPacing, PropagatesOverSkeletonAndChecksBackEdges) {
   const models::FeedbackPipeline app = models::make_feedback_pipeline();
   const PacingResult pacing =
-      compute_pacing(app.graph, app.constraint);
+      compute_pacing(app.graph, {app.constraint});
   ASSERT_TRUE(pacing.ok) << pacing.diagnostics[0];
   EXPECT_TRUE(pacing.is_cyclic);
   EXPECT_FALSE(pacing.is_chain);
@@ -211,7 +211,8 @@ TEST(CyclicPacing, RejectsFlowInconsistentBackEdge) {
   (void)g.add_buffer(b, a, RateSet::singleton(2), RateSet::singleton(1),
                      /*capacity=*/0, /*initial_tokens=*/4);
   EXPECT_TRUE(dataflow::validate_cyclic_model(g).ok());
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{snk, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{snk, kTau}});
   ASSERT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("flow-inconsistent"),
             std::string::npos);
@@ -387,7 +388,7 @@ TEST(CyclicIo, DotRendersBackEdgesDashed) {
       compute_buffer_capacities(app.graph, app.constraint);
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
-  const std::string dot = io::to_dot(app.graph, app.constraint, sized);
+  const std::string dot = io::to_dot(app.graph, {app.constraint}, sized);
   EXPECT_NE(dot.find("d=12 [feedback]\" style=dashed"), std::string::npos)
       << dot;
   EXPECT_NE(dot.find("zeta=17"), std::string::npos);
@@ -401,7 +402,7 @@ TEST(CyclicIo, ReportNamesTheModelClassAndBackEdges) {
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
   const std::string report =
-      io::analysis_report(app.graph, app.constraint, sized);
+      io::analysis_report(app.graph, {app.constraint}, sized);
   EXPECT_NE(report.find("cyclic graph"), std::string::npos);
   EXPECT_NE(report.find("1 feedback back-edge"), std::string::npos);
   EXPECT_NE(report.find("(feedback, delta=12)"), std::string::npos);
@@ -442,7 +443,7 @@ TEST(CyclicSufficiency, FeedbackPipelineSustainsPeriodicExecution) {
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint);
+      sim::verify_throughput(app.graph, {app.constraint});
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_EQ(verdict.starvation_count, 0);
 }

@@ -1,12 +1,10 @@
 // Unit tests for rate sets, VRDF graph construction, chain recognition,
-// validation, and the SDF/CSDF substrate (consistency, conversions).
+// and validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "dataflow/csdf_graph.hpp"
 #include "dataflow/rate_set.hpp"
-#include "dataflow/sdf_graph.hpp"
 #include "dataflow/validation.hpp"
 #include "dataflow/vrdf_graph.hpp"
 #include "util/error.hpp"
@@ -345,133 +343,6 @@ TEST(Validation, ReportsDisconnectedGraph) {
   (void)g.add_actor("lonely", kRho);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
   EXPECT_FALSE(validate_chain_model(g).ok());
-}
-
-TEST(SdfGraph, RepetitionVectorOfChain) {
-  SdfGraph g;
-  const auto a = g.add_actor("a", kRho);
-  const auto b = g.add_actor("b", kRho);
-  const auto c = g.add_actor("c", kRho);
-  (void)g.add_edge(a, b, 2, 3);
-  (void)g.add_edge(b, c, 1, 2);
-  const auto reps = g.repetition_vector();
-  ASSERT_TRUE(reps.has_value());
-  // q_a·2 = q_b·3, q_b·1 = q_c·2  =>  q = (3, 2, 1).
-  EXPECT_EQ(*reps, (std::vector<std::int64_t>{3, 2, 1}));
-  EXPECT_TRUE(g.is_consistent());
-}
-
-TEST(SdfGraph, DetectsInconsistency) {
-  SdfGraph g;
-  const auto a = g.add_actor("a", kRho);
-  const auto b = g.add_actor("b", kRho);
-  (void)g.add_edge(a, b, 2, 3);
-  (void)g.add_edge(a, b, 1, 1);  // demands q_a = q_b, contradiction
-  EXPECT_FALSE(g.repetition_vector().has_value());
-  EXPECT_FALSE(g.is_consistent());
-}
-
-TEST(SdfGraph, CycleWithConsistentRatesIsConsistent) {
-  SdfGraph g;
-  const auto a = g.add_actor("a", kRho);
-  const auto b = g.add_actor("b", kRho);
-  (void)g.add_edge(a, b, 3, 2);
-  (void)g.add_edge(b, a, 2, 3);
-  const auto reps = g.repetition_vector();
-  ASSERT_TRUE(reps.has_value());
-  EXPECT_EQ(*reps, (std::vector<std::int64_t>{2, 3}));
-}
-
-TEST(SdfGraph, Mp3RatesRepetitionVector) {
-  SdfGraph g;
-  const auto br = g.add_actor("br", kRho);
-  const auto mp3 = g.add_actor("mp3", kRho);
-  const auto src = g.add_actor("src", kRho);
-  const auto dac = g.add_actor("dac", kRho);
-  (void)g.add_edge(br, mp3, 2048, 960);
-  (void)g.add_edge(mp3, src, 1152, 480);
-  (void)g.add_edge(src, dac, 441, 1);
-  const auto reps = g.repetition_vector();
-  ASSERT_TRUE(reps.has_value());
-  // One hyperperiod: 75 BR blocks = 160 frames = 384 SRC firings = 169344
-  // DAC ticks.
-  EXPECT_EQ(*reps, (std::vector<std::int64_t>{75, 160, 384, 169344}));
-}
-
-TEST(SdfGraph, ToVrdfPreservesStructure) {
-  SdfGraph g;
-  const auto a = g.add_actor("a", kRho);
-  const auto b = g.add_actor("b", kRho);
-  (void)g.add_edge(a, b, 2, 3, 5);
-  const VrdfGraph v = g.to_vrdf();
-  EXPECT_EQ(v.actor_count(), 2u);
-  EXPECT_EQ(v.edge_count(), 1u);
-  const Edge& e = v.edge(v.edges()[0]);
-  EXPECT_EQ(e.production, RateSet::singleton(2));
-  EXPECT_EQ(e.consumption, RateSet::singleton(3));
-  EXPECT_EQ(e.initial_tokens, 5);
-}
-
-TEST(CsdfGraph, RepetitionVectorCountsFirings) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho, kRho});        // 2 phases
-  const auto b = g.add_actor("b", {kRho, kRho, kRho});  // 3 phases
-  // a produces (1,2)=3 per cycle; b consumes (1,0,1)=2 per cycle.
-  (void)g.add_edge(a, b, {1, 2}, {1, 0, 1});
-  const auto reps = g.repetition_vector();
-  ASSERT_TRUE(reps.has_value());
-  // Cycles: q_a·3 = q_b·2 => (2, 3) cycles => (4, 9) firings.
-  EXPECT_EQ(*reps, (std::vector<std::int64_t>{4, 9}));
-}
-
-TEST(CsdfGraph, RejectsPhaseLengthMismatch) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho, kRho});
-  const auto b = g.add_actor("b", {kRho});
-  EXPECT_THROW((void)g.add_edge(a, b, {1}, {1}), ContractError);
-}
-
-TEST(CsdfGraph, RejectsAllZeroPhaseSequences) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho, kRho});
-  const auto b = g.add_actor("b", {kRho});
-  EXPECT_THROW((void)g.add_edge(a, b, {0, 0}, {1}), ContractError);
-}
-
-TEST(CsdfGraph, ToSdfAggregatesCycles) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho, kRho});
-  const auto b = g.add_actor("b", {kRho});
-  (void)g.add_edge(a, b, {1, 2}, {3}, 7);
-  const SdfGraph s = g.to_sdf();
-  const SdfEdge& e = s.edge(graph::EdgeId(0));
-  EXPECT_EQ(e.production, 3);
-  EXPECT_EQ(e.consumption, 3);
-  EXPECT_EQ(e.initial_tokens, 7);
-  EXPECT_EQ(s.actor(graph::NodeId(0)).response_time,
-            milliseconds(Rational(2)));
-}
-
-TEST(CsdfGraph, ToVrdfAbstractsPhasesToSets) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho, milliseconds(Rational(3))});
-  const auto b = g.add_actor("b", {kRho});
-  (void)g.add_edge(a, b, {1, 2}, {3});
-  const VrdfGraph v = g.to_vrdf();
-  const Edge& e = v.edge(v.edges()[0]);
-  EXPECT_EQ(e.production, RateSet::of({1, 2}));
-  EXPECT_EQ(e.consumption, RateSet::singleton(3));
-  // Response time is the per-phase maximum.
-  EXPECT_EQ(v.actor(graph::NodeId(0)).response_time, milliseconds(Rational(3)));
-}
-
-TEST(CsdfGraph, InconsistentGraphDetected) {
-  CsdfGraph g;
-  const auto a = g.add_actor("a", {kRho});
-  const auto b = g.add_actor("b", {kRho});
-  (void)g.add_edge(a, b, {2}, {3});
-  (void)g.add_edge(a, b, {1}, {1});
-  EXPECT_FALSE(g.is_consistent());
 }
 
 }  // namespace

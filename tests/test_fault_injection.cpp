@@ -326,7 +326,7 @@ TEST(Monitor, VerifyEmbedsTheWatchdogDiagnosisOnDeadlock) {
   const ActorId c = graph.add_actor("c", kMs);
   (void)graph.add_buffer(p, c, RateSet::singleton(3), RateSet::singleton(3), 2);
   const analysis::ThroughputConstraint constraint{c, kMs};
-  const sim::VerifyResult result = sim::verify_throughput(graph, constraint);
+  const sim::VerifyResult result = sim::verify_throughput(graph, {constraint});
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.detail.find("deadlock"), std::string::npos);
   EXPECT_NE(result.detail.find("'p' waits for 3 free containers"),

@@ -59,7 +59,7 @@ TEST(DagPacing, DiamondPropagatesPerEdge) {
   ActorId a, d;
   const VrdfGraph g = make_diamond(&a, &d);
   const PacingResult pacing =
-      compute_pacing(g, ThroughputConstraint{d, kTau});
+      compute_pacing(g, {ThroughputConstraint{d, kTau}});
   ASSERT_TRUE(pacing.ok) << pacing.diagnostics[0];
   EXPECT_EQ(pacing.side, ConstraintSide::Sink);
   EXPECT_FALSE(pacing.is_chain);
@@ -90,7 +90,7 @@ TEST(DagPacing, RejectsConflictingForkDemands) {
   (void)g.add_buffer(b, d, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(c, d, RateSet::singleton(1), RateSet::singleton(1));
   const PacingResult pacing =
-      compute_pacing(g, ThroughputConstraint{d, kTau});
+      compute_pacing(g, {ThroughputConstraint{d, kTau}});
   ASSERT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("conflicting pacing demands"),
             std::string::npos);
@@ -116,7 +116,8 @@ TEST(DagPacing, RejectsFlowInconsistentDiamond) {
   (void)g.add_buffer(b, d, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(c, d, RateSet::singleton(2), RateSet::singleton(1));
   EXPECT_TRUE(dataflow::validate_dag_model(g).ok());
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{d, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{d, kTau}});
   ASSERT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("inconsistent rates"),
             std::string::npos);
@@ -131,7 +132,7 @@ TEST(DagPacing, RejectsVariableRatesOnReconvergentEdges) {
   const ActorId e = g.add_actor("e", seconds(Rational(1)));
   // d → e is a bridge: variability is fine there.
   (void)g.add_buffer(d, e, RateSet::singleton(1), RateSet::of({0, 1}));
-  ASSERT_TRUE(compute_pacing(g, ThroughputConstraint{e, kTau}).ok);
+  ASSERT_TRUE(compute_pacing(g, {ThroughputConstraint{e, kTau}}).ok);
   // ...but on the diamond edge b → d it must be rejected.
   VrdfGraph h;
   const Duration dummy = seconds(Rational(1));
@@ -143,7 +144,8 @@ TEST(DagPacing, RejectsVariableRatesOnReconvergentEdges) {
   (void)h.add_buffer(ha, hc, RateSet::singleton(1), RateSet::singleton(1));
   (void)h.add_buffer(hb, hd, RateSet::of({1, 2}), RateSet::singleton(1));
   (void)h.add_buffer(hc, hd, RateSet::singleton(1), RateSet::singleton(1));
-  const PacingResult pacing = compute_pacing(h, ThroughputConstraint{hd, kTau});
+  const PacingResult pacing =
+      compute_pacing(h, {ThroughputConstraint{hd, kTau}});
   ASSERT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("reconvergent fork-join path"),
             std::string::npos);
@@ -157,7 +159,7 @@ TEST(DagPacing, InteriorPinOnDiamondBranchLeavesSiblingUnpaced) {
   ActorId a, d;
   const VrdfGraph g = make_diamond(&a, &d);
   const PacingResult pacing = compute_pacing(
-      g, ThroughputConstraint{*g.find_actor("b"), kTau});
+      g, {ThroughputConstraint{*g.find_actor("b"), kTau}});
   EXPECT_FALSE(pacing.ok);
   ASSERT_FALSE(pacing.diagnostics.empty());
   EXPECT_EQ(pacing.diagnostics[0].find("interior"), std::string::npos)
@@ -176,7 +178,8 @@ TEST(DagPacing, RejectsSecondSinkInSinkMode) {
   const ActorId c = g.add_actor("c", dummy);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{b, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{b, kTau}});
   EXPECT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("unique data sink"), std::string::npos);
 }
@@ -189,7 +192,8 @@ TEST(DagPacing, RejectsSecondSourceInSourceMode) {
   const ActorId c = g.add_actor("c", dummy);
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{a, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{a, kTau}});
   EXPECT_FALSE(pacing.ok);
   EXPECT_NE(pacing.diagnostics[0].find("unique data source"),
             std::string::npos);
@@ -204,7 +208,8 @@ TEST(DagPacing, SecondSourceInSinkModeIsFine) {
   const ActorId c = g.add_actor("c", dummy);
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
-  const PacingResult pacing = compute_pacing(g, ThroughputConstraint{c, kTau});
+  const PacingResult pacing =
+      compute_pacing(g, {ThroughputConstraint{c, kTau}});
   ASSERT_TRUE(pacing.ok);
   EXPECT_EQ(pacing.pacing_of(a), kTau);
   EXPECT_EQ(pacing.pacing_of(b), kTau);
@@ -249,7 +254,7 @@ TEST(AlignmentCapacity, AvPipelineEndToEnd) {
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint);
+      sim::verify_throughput(app.graph, {app.constraint});
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_EQ(verdict.starvation_count, 0);
 
@@ -264,7 +269,7 @@ TEST(AlignmentCapacity, AvPipelineEndToEnd) {
 
   // Reporting stack handles the fork-join shape.
   const std::string report =
-      io::analysis_report(app.graph, app.constraint, sized);
+      io::analysis_report(app.graph, {app.constraint}, sized);
   EXPECT_NE(report.find("fork-join graph"), std::string::npos);
   const baseline::TraditionalResult traditional =
       baseline::traditional_capacities(app.graph);
@@ -278,13 +283,13 @@ TEST(AlignmentCapacity, DotRendersCapacitiesAndPeriod) {
       compute_buffer_capacities(app.graph, app.constraint);
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
-  const std::string dot = io::to_dot(app.graph, app.constraint, sized);
+  const std::string dot = io::to_dot(app.graph, {app.constraint}, sized);
   EXPECT_NE(dot.find("zeta=19"), std::string::npos);
   EXPECT_NE(dot.find("tau=1/25 s"), std::string::npos);
   EXPECT_NE(dot.find("peripheries=2"), std::string::npos);
   EXPECT_EQ(dot.find("(!)"), std::string::npos);  // installed == computed
   app.graph.set_initial_tokens(app.adec_sync.space, 1);
-  const std::string stale = io::to_dot(app.graph, app.constraint, sized);
+  const std::string stale = io::to_dot(app.graph, {app.constraint}, sized);
   EXPECT_NE(stale.find("(!)"), std::string::npos);
 }
 
@@ -516,7 +521,8 @@ TEST(ChainRegression, ChainDiagnosticsKeepTheirWording) {
   const ActorId c = g.add_actor("c", kTau);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
-  const PacingResult interior = compute_pacing(g, ThroughputConstraint{b, kTau});
+  const PacingResult interior =
+      compute_pacing(g, {ThroughputConstraint{b, kTau}});
   EXPECT_TRUE(interior.ok);
 
   // Zero-quantum diagnostics keep the "chains" wording on chains.
@@ -524,7 +530,7 @@ TEST(ChainRegression, ChainDiagnosticsKeepTheirWording) {
   const ActorId d = h.add_actor("d", kTau);
   const ActorId e = h.add_actor("e", kTau);
   (void)h.add_buffer(d, e, RateSet::of({0, 3}), RateSet::singleton(2));
-  const PacingResult zero = compute_pacing(h, ThroughputConstraint{e, kTau});
+  const PacingResult zero = compute_pacing(h, {ThroughputConstraint{e, kTau}});
   ASSERT_FALSE(zero.ok);
   EXPECT_NE(zero.diagnostics[0].find("sink-constrained chains"),
             std::string::npos);

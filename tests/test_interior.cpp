@@ -98,7 +98,7 @@ TEST(Interior, PinnedPipelineSurvivesTwoPhaseSimulation) {
   sim::VerifyOptions options;
   options.observe_firings = 2000;
   const sim::VerifyResult verdict =
-      sim::verify_throughput(app.graph, app.constraint, {}, options);
+      sim::verify_throughput(app.graph, {app.constraint}, {}, options);
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_EQ(verdict.starvation_count, 0);
 }
@@ -124,7 +124,7 @@ TEST(Interior, PinnedForkJoinThroughTheInteriorJoin) {
   (void)bare.add_buffer(bb, mix, RateSet::singleton(4), RateSet::singleton(2));
   (void)bare.add_buffer(mix, out, RateSet::of({0, 2}), RateSet::singleton(1));
   const ThroughputConstraint pin{mix, milliseconds(Rational(4))};
-  auto scaled = models::with_scaled_response_times(bare, pin, Rational(1));
+  auto scaled = models::with_scaled_response_times(bare, {pin}, Rational(1));
   ASSERT_TRUE(scaled.has_value());
   VrdfGraph graph = std::move(*scaled);
   const GraphAnalysis sized = compute_buffer_capacities(graph, pin);
@@ -134,7 +134,7 @@ TEST(Interior, PinnedForkJoinThroughTheInteriorJoin) {
   sim::VerifyOptions options;
   options.observe_firings = 1000;
   const sim::VerifyResult verdict =
-      sim::verify_throughput(graph, pin, {}, options);
+      sim::verify_throughput(graph, {pin}, {}, options);
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_EQ(verdict.starvation_count, 0);
 }
@@ -240,7 +240,7 @@ TEST(Interior, ReconvergentVariableQuantaStillRejectedNamingTheBuffer) {
   (void)g.add_buffer(bb, pin, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(pin, out, RateSet::singleton(1), RateSet::singleton(1));
   const PacingResult rejected =
-      compute_pacing(g, ThroughputConstraint{pin, milliseconds(Rational(1))});
+      compute_pacing(g, {ThroughputConstraint{pin, milliseconds(Rational(1))}});
   ASSERT_FALSE(rejected.ok);
   ASSERT_FALSE(rejected.diagnostics.empty());
   EXPECT_EQ(rejected.diagnostics[0].find("is interior"), std::string::npos)
@@ -266,7 +266,7 @@ TEST(Interior, ActorBypassingThePinRejectedByName) {
   (void)g.add_buffer(pin, snk, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(side, snk, RateSet::singleton(1), RateSet::singleton(1));
   const PacingResult rejected =
-      compute_pacing(g, ThroughputConstraint{pin, tau});
+      compute_pacing(g, {ThroughputConstraint{pin, tau}});
   ASSERT_FALSE(rejected.ok);
   ASSERT_FALSE(rejected.diagnostics.empty());
   EXPECT_EQ(rejected.diagnostics[0].find("is interior"), std::string::npos)
@@ -359,7 +359,7 @@ TEST(Interior, ReportNamesTheInteriorPin) {
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
   const std::string report =
-      io::analysis_report(app.graph, app.constraint, sized);
+      io::analysis_report(app.graph, {app.constraint}, sized);
   EXPECT_NE(report.find("interior-pinned chain"), std::string::npos) << report;
   EXPECT_NE(report.find("`dsp`"), std::string::npos);
   // The downstream (source-determined) pairs are marked producer-paced.

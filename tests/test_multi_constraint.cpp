@@ -12,6 +12,7 @@
 #include "io/dot.hpp"
 #include "io/report.hpp"
 #include "io/text_format.hpp"
+#include "models/fig1.hpp"
 #include "models/mp3.hpp"
 #include "models/synthetic.hpp"
 #include "sim/fleet.hpp"
@@ -295,6 +296,32 @@ TEST(MultiConstraint, DuplicateAndEmptyConstraintsRejected) {
   ASSERT_FALSE(dup.ok);
   EXPECT_NE(dup.diagnostics[0].find("duplicate throughput constraint"),
             std::string::npos);
+
+  // min_admissible_period rejects the same sets with the same diagnostic,
+  // whether the duplicated actor is the designated one or a fixed one.
+  models::Fig1Vrdf fig1 = models::make_fig1_vrdf(
+      milliseconds(Rational(3)), milliseconds(Rational(3)),
+      milliseconds(Rational(3)));
+  analysis::apply_capacities(
+      fig1.graph, compute_buffer_capacities(fig1.graph, {fig1.constraint}));
+  const MinPeriodResult twice_designated = min_admissible_period(
+      fig1.graph,
+      {ThroughputConstraint{fig1.vb, milliseconds(Rational(3))},
+       ThroughputConstraint{fig1.vb, milliseconds(Rational(7))}},
+      fig1.vb);
+  EXPECT_FALSE(twice_designated.ok);
+  ASSERT_FALSE(twice_designated.diagnostics.empty());
+  EXPECT_EQ(twice_designated.diagnostics[0],
+            "duplicate throughput constraint on actor 'vb'");
+  const MinPeriodResult twice_fixed = min_admissible_period(
+      app.graph, {app.constraints[0], app.constraints[1], app.constraints[1]},
+      app.constraints[0].actor);
+  EXPECT_FALSE(twice_fixed.ok);
+  ASSERT_FALSE(twice_fixed.diagnostics.empty());
+  EXPECT_EQ(twice_fixed.diagnostics[0],
+            compute_pacing(app.graph, {app.constraints[0], app.constraints[1],
+                                       app.constraints[1]})
+                .diagnostics[0]);
 
   // PR 5: an interior pin is a valid constraint.  Adding the shared
   // demultiplexer at its flow-consistent period (φ(demux) = 10 ms) now

@@ -90,7 +90,7 @@ TEST(MinPeriod, VerifiedBySimulationAtTheMinimum) {
   options.observe_firings = 3000;
   const sim::VerifyResult verdict = sim::verify_throughput(
       model.graph,
-      ThroughputConstraint{model.vb, inverse.min_period}, {}, options);
+      {ThroughputConstraint{model.vb, inverse.min_period}}, {}, options);
   EXPECT_TRUE(verdict.ok) << verdict.detail;
 }
 

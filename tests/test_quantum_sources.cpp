@@ -137,7 +137,7 @@ TEST_P(JitteredMp3, WorstCaseCapacitiesToleratEarlyFinishes) {
   VerifyOptions options;
   options.observe_firings = 50000;
   const VerifyResult verdict = verify_throughput(
-      app.graph, app.constraint,
+      app.graph, {app.constraint},
       [&](Simulator& s) {
         s.set_response_time_jitter(app.br, GetParam(), Rational(1, 4));
         s.set_response_time_jitter(app.mp3, GetParam() + 1, Rational(1, 4));

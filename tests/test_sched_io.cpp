@@ -174,7 +174,7 @@ TEST(Report, ContainsAllSections) {
       analysis::compute_buffer_capacities(app.graph, app.constraint);
   analysis::apply_capacities(app.graph, sized);
   const std::string report =
-      io::analysis_report(app.graph, app.constraint, sized);
+      io::analysis_report(app.graph, {app.constraint}, sized);
   EXPECT_NE(report.find("# Buffer-capacity analysis report"),
             std::string::npos);
   EXPECT_NE(report.find("## Pacing budget"), std::string::npos);
@@ -192,7 +192,7 @@ TEST(Report, FlagsInstalledCapacityMismatch) {
   analysis::apply_capacities(app.graph, sized);
   app.graph.set_initial_tokens(app.b2.space, 9999);
   const std::string report =
-      io::analysis_report(app.graph, app.constraint, sized);
+      io::analysis_report(app.graph, {app.constraint}, sized);
   EXPECT_NE(report.find("9999 (!)"), std::string::npos);
   EXPECT_NE(report.find("WARNING"), std::string::npos);
 }
@@ -206,7 +206,8 @@ TEST(Report, RejectsInadmissibleAnalysis) {
   EXPECT_THROW(
       (void)io::analysis_report(
           app.graph,
-          analysis::ThroughputConstraint{app.dac, period_of_hz(Rational(96000))},
+          {analysis::ThroughputConstraint{app.dac,
+                                          period_of_hz(Rational(96000))}},
           bad),
       ContractError);
 }

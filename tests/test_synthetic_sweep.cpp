@@ -74,7 +74,7 @@ TEST(VideoPipeline, AdmissibleAndVerified) {
   sim::VerifyOptions options;
   options.observe_firings = 500;
   const sim::VerifyResult result =
-      sim::verify_throughput(chain.graph, chain.constraint, {}, options);
+      sim::verify_throughput(chain.graph, {chain.constraint}, {}, options);
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
@@ -84,18 +84,27 @@ TEST(SensorAcquisition, SourceConstrainedAdmissibleAndVerified) {
       analysis::compute_buffer_capacities(chain.graph, chain.constraint);
   ASSERT_TRUE(analysis.admissible);
   EXPECT_EQ(analysis.side, analysis::ConstraintSide::Source);
+  // Sec 4.4 on adc -> filter -> compressor -> writer: φ of each consumer
+  // and the capacities of the three buffers.
+  ASSERT_EQ(analysis.pairs.size(), 3u);
+  EXPECT_EQ(analysis.pacing[1], milliseconds(Rational(4, 3)));
+  EXPECT_EQ(analysis.pacing[2], milliseconds(Rational(4, 3)));
+  EXPECT_EQ(analysis.pacing[3], milliseconds(Rational(32, 3)));
+  EXPECT_EQ(analysis.pairs[0].capacity, 128);
+  EXPECT_EQ(analysis.pairs[1].capacity, 255);
+  EXPECT_EQ(analysis.pairs[2].capacity, 1151);
   analysis::apply_capacities(chain.graph, analysis);
   sim::VerifyOptions options;
   options.observe_firings = 20000;  // source fires per sample, needs depth
   const sim::VerifyResult result =
-      sim::verify_throughput(chain.graph, chain.constraint, {}, options);
+      sim::verify_throughput(chain.graph, {chain.constraint}, {}, options);
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
 TEST(ScaledResponseTimes, FractionOneIsTight) {
   SyntheticChain chain = models::make_video_pipeline();
   const auto budget = analysis::max_admissible_response_times(
-      chain.graph, chain.constraint);
+      chain.graph, {chain.constraint});
   ASSERT_TRUE(budget.ok);
   for (std::size_t i = 0; i < budget.actors_in_order.size(); ++i) {
     EXPECT_EQ(chain.graph.actor(budget.actors_in_order[i]).response_time,
@@ -110,7 +119,9 @@ TEST(ScaledResponseTimes, RejectsNonChain) {
   (void)g.add_edge(a, b, dataflow::RateSet::singleton(1),
                    dataflow::RateSet::singleton(1));
   EXPECT_FALSE(models::with_scaled_response_times(
-                   g, analysis::ThroughputConstraint{b, milliseconds(Rational(1))},
+                   g,
+                   {analysis::ThroughputConstraint{b,
+                                                   milliseconds(Rational(1))}},
                    Rational(1))
                    .has_value());
 }

@@ -46,12 +46,6 @@ TEST(CheckedInt, Gcd) {
   EXPECT_EQ(gcd64(-12, 18), 6);
 }
 
-TEST(CheckedInt, Lcm) {
-  EXPECT_EQ(checked_lcm(4, 6), 12);
-  EXPECT_EQ(checked_lcm(0, 6), 0);
-  EXPECT_THROW((void)checked_lcm(kMax, kMax - 1), OverflowError);
-}
-
 TEST(CheckedInt, FloorAndCeilDiv) {
   EXPECT_EQ(floor_div(7, 2), 3);
   EXPECT_EQ(floor_div(-7, 2), -4);

@@ -2,6 +2,8 @@
 // property checkers (Defs 1 and 2), and linear-bound conservativeness.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/linear_bounds.hpp"
 #include "models/fig1.hpp"
@@ -38,7 +40,7 @@ TEST(Verify, Fig1ComputedCapacityPassesAllSequences) {
         +[]() { return sim::cyclic_source({2, 3}); },
         +[]() { return sim::uniform_random_source(RateSet::of({2, 3}), 99); }}) {
     const sim::VerifyResult result = sim::verify_throughput(
-        model.graph, model.constraint,
+        model.graph, {model.constraint},
         [&](sim::Simulator& s) {
           s.set_quantum_source(model.vb, model.buffer.data, make_source());
         },
@@ -57,7 +59,7 @@ TEST(Verify, OneBelowPerSequenceMinimumFails) {
     sim::VerifyOptions options;
     options.observe_firings = 2000;
     return sim::verify_throughput(
-               model.graph, model.constraint,
+               model.graph, {model.constraint},
                [&](sim::Simulator& s) {
                  s.set_quantum_source(model.vb, model.buffer.data,
                                       sim::cyclic_source({2, 3}));
@@ -79,7 +81,7 @@ TEST(Verify, ReportsDeadlockInPhaseOne) {
   Fig1Vrdf model = models::make_fig1_vrdf(kTau, kTau, kTau);
   model.graph.set_initial_tokens(model.buffer.space, 2);  // < π̂ = 3
   const sim::VerifyResult result =
-      sim::verify_throughput(model.graph, model.constraint);
+      sim::verify_throughput(model.graph, {model.constraint});
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.detail.find("deadlock"), std::string::npos);
 }
@@ -262,6 +264,26 @@ TEST(LinearBounds, JustConservativeSchedulesAreConservative) {
       bounds.data_consumption_lower, consumer_quanta);
   EXPECT_TRUE(analysis::consumption_conservative(bounds.data_consumption_lower,
                                                  consumptions));
+
+  // Fig 3/4 over many admissible sequences: 1000 random {2,3} consumer
+  // sequences of 32 firings against the always-3 producer witness.
+  const auto witness = analysis::just_conservative_producer_schedule(
+      bounds.data_production_upper, std::vector<std::int64_t>(32, 3));
+  EXPECT_TRUE(
+      analysis::production_conservative(bounds.data_production_upper, witness));
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<int> pick(0, 1);
+  for (int round = 0; round < 1000; ++round) {
+    std::vector<std::int64_t> quanta;
+    for (int i = 0; i < 32; ++i) {
+      quanta.push_back(pick(rng) == 0 ? 2 : 3);
+    }
+    const auto schedule = analysis::just_conservative_consumer_schedule(
+        bounds.data_consumption_lower, quanta);
+    ASSERT_TRUE(analysis::consumption_conservative(
+        bounds.data_consumption_lower, schedule))
+        << "round " << round;
+  }
 }
 
 TEST(LinearBounds, ViolationsAreDetected) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Determinism and independence lint for the vrdf sources.
+"""Determinism, independence and API-shape lint for the vrdf sources.
 
 The fleet report's canonical serialization is bit-identical across
 thread counts and across interrupt+resume (see src/sim/fleet.hpp), and
@@ -33,6 +33,15 @@ known footguns:
       analysis/sizing_core.hpp, analysis/incremental.hpp,
       analysis/period.hpp.  A checker that leans on the code under
       test certifies nothing.
+
+  R5  One constraint entry point.
+      Every analysis takes a ConstraintSet; a single constraint `c` is
+      passed as `{c}`.  A `const ThroughputConstraint&` parameter in a
+      src/ header is a second, single-constraint entry point that
+      forwards to the set form, so it is rejected unless the line
+      carries a `// det-lint: ok(<reason>)` annotation (a caller outside
+      the library pins it, or the function takes one constraint by
+      meaning, such as admitting one stream).
 
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage.
 """
@@ -70,6 +79,13 @@ AMBIENT = re.compile(
 )
 FLOAT_FORMAT = re.compile(
     r"\bto_double\s*\(|\bsetprecision\s*\(|%[-+ #0-9.*]*[fFeEgG]\b"
+)
+
+# A `const ThroughputConstraint&` parameter: the name (if any) is
+# followed by `,` or `)` or the end of the line, which leaves out
+# range-for variables and initialised locals.
+SINGLE_CONSTRAINT_PARAM = re.compile(
+    r"\bconst\s+(?:analysis::)?ThroughputConstraint\s*&\s*\w*\s*(?:[,)]|$)"
 )
 
 CHECKER_FILE = "src/analysis/checker.cpp"
@@ -115,6 +131,15 @@ def lint_file(root: Path, rel: str, violations: list[str]) -> None:
                 f"{rel}:{number}: R3 float formatting in a "
                 f"canonical-serialization file; canonical text carries "
                 f"exact Rational strings only"
+            )
+        if (
+            rel.endswith(".hpp")
+            and SINGLE_CONSTRAINT_PARAM.search(code.rstrip())
+            and not annotated
+        ):
+            violations.append(
+                f"{rel}:{number}: R5 single-constraint parameter; take "
+                f"a `const ConstraintSet&` and let callers pass `{{c}}`"
             )
         if rel == CHECKER_FILE:
             for header in ANALYZER_HEADERS:
