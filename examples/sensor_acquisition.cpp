@@ -57,6 +57,6 @@ int main() {
             << "\n\n";
 
   std::cout << "Serialized model (vrdf-chain v1):\n"
-            << io::write_chain(chain.graph, chain.constraint);
+            << io::write_chain(chain.graph, {chain.constraint});
   return verdict.ok ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 #include "analysis/deadlock.hpp"
 
+#include <string>
+
 #include "dataflow/validation.hpp"
 #include "util/checked_int.hpp"
 #include "util/error.hpp"
@@ -34,18 +36,20 @@ std::int64_t min_deadlock_free_pair_capacity(
   return checked_sub(checked_add(production.max(), consumption.max()), g);
 }
 
-std::vector<std::int64_t> min_deadlock_free_capacities(
-    const dataflow::VrdfGraph& graph) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
+namespace {
+
+/// Per-buffer minima over a validated graph's view; throws ModelError
+/// prefixed with `what` when validation failed.
+std::vector<std::int64_t> minima_of(const dataflow::VrdfGraph& graph,
+                                    const dataflow::ValidationReport& validation,
+                                    const std::string& what) {
   if (!validation.ok()) {
-    throw ModelError("not a consistent network of buffers: " +
-                     validation.summary());
+    throw ModelError(what + validation.summary());
   }
-  const auto view = graph.buffer_view();
   std::vector<std::int64_t> minima;
-  minima.reserve(view->buffers.size());
-  for (const dataflow::BufferEdges& b : view->buffers) {
+  const dataflow::VrdfGraph::BufferView& view = validation.view.value();
+  minima.reserve(view.buffers.size());
+  for (const dataflow::BufferEdges& b : view.buffers) {
     const dataflow::Edge& data = graph.edge(b.data);
     // Initial tokens occupy containers from t=0 on: the pair slack must
     // exist on top of them or the capacity itself deadlocks the loop.
@@ -56,22 +60,18 @@ std::vector<std::int64_t> min_deadlock_free_capacities(
   return minima;
 }
 
-std::int64_t min_deadlock_free_total(const dataflow::VrdfGraph& graph) {
-  std::int64_t total = 0;
-  for (const std::int64_t minimum : min_deadlock_free_capacities(graph)) {
-    total = checked_add(total, minimum);
-  }
-  return total;
+}  // namespace
+
+std::vector<std::int64_t> min_deadlock_free_capacities(
+    const dataflow::VrdfGraph& graph) {
+  return minima_of(graph, dataflow::validate_cyclic_model(graph),
+                   "not a consistent network of buffers: ");
 }
 
 std::vector<std::int64_t> min_deadlock_free_chain_capacities(
     const dataflow::VrdfGraph& graph) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_chain_model(graph);
-  if (!validation.ok()) {
-    throw ModelError("not a chain of buffers: " + validation.summary());
-  }
-  return min_deadlock_free_capacities(graph);
+  return minima_of(graph, dataflow::validate_chain_model(graph),
+                   "not a chain of buffers: ");
 }
 
 }  // namespace vrdf::analysis

@@ -69,14 +69,6 @@ namespace vrdf::analysis {
 [[nodiscard]] std::vector<std::int64_t> min_deadlock_free_capacities(
     const dataflow::VrdfGraph& graph);
 
-/// Sum of min_deadlock_free_capacities over every buffer — the graph-wide
-/// container floor no sizing may dip under.  The deadlock minima are
-/// throughput-constraint-independent, so the floor applies unchanged to
-/// multi-constraint sizings; the analysis report prints it as a sanity
-/// anchor next to the computed totals.
-[[nodiscard]] std::int64_t min_deadlock_free_total(
-    const dataflow::VrdfGraph& graph);
-
 /// The per-buffer minima for a whole chain, in chain order.  Throws
 /// ModelError when the graph is not a chain of buffers.
 [[nodiscard]] std::vector<std::int64_t> min_deadlock_free_chain_capacities(

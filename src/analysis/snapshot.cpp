@@ -8,17 +8,13 @@ using dataflow::VrdfGraph;
 
 TopologySnapshot::TopologySnapshot(const VrdfGraph& graph)
     : graph_(&graph), revision_(graph.revision()) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
+  dataflow::ValidationReport validation = dataflow::validate_cyclic_model(graph);
   if (!validation.ok()) {
-    diagnostics_ = validation.errors;
+    diagnostics_ = std::move(validation.errors);
     return;
   }
-  auto view = graph.buffer_view();
-  // validate_cyclic_model guarantees a buffer network whose cycles all
-  // break at tokened back-edges, so the view always materialises.
-  VRDF_REQUIRE(view.has_value(), "validated model yielded no buffer view");
-  view_ = std::make_shared<const VrdfGraph::BufferView>(std::move(*view));
+  view_ = std::make_shared<const VrdfGraph::BufferView>(
+      std::move(validation.view.value()));
   ok_ = true;
 }
 

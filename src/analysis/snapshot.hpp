@@ -2,13 +2,13 @@
 // of the incremental re-analysis engine (analysis/incremental.hpp).
 //
 // A full capacity analysis spends a large share of its time on work that
-// depends only on the graph's *structure* (connectivity validation, SCC
-// condensation and feedback-edge classification, topological ordering,
-// bridge finding): none of it changes when an actor is retuned, a
-// constraint's period moves, or a buffer is resized.  TopologySnapshot
-// captures that structural artifact once — it is exactly the separable
-// part of VrdfGraph::buffer_view() plus validate_cyclic_model — and every
-// analysis entry point accepts it in place of the raw graph.
+// depends only on the graph's *structure* (connectivity, bridges, SCCs and
+// feedback-edge classification, the skeleton topological order): none of
+// it changes when an actor is retuned, a constraint's period moves, or a
+// buffer is resized.  TopologySnapshot captures that structural artifact
+// once — one validate_cyclic_model call, whose single structural pass over
+// the data edges yields both the diagnostics and the buffer view — and
+// every analysis entry point accepts it in place of the raw graph.
 //
 // The *parameters* that do change between queries (per-actor ρ, per-edge
 // initial tokens / installed capacities) are layered on top as a
@@ -37,10 +37,11 @@ namespace vrdf::analysis {
 
 class TopologySnapshot {
 public:
-  /// Captures the structural artifact of `graph`: connectivity/pairing
-  /// validation, cycle classification and the buffer network view.  The
-  /// graph must outlive the snapshot (the snapshot keeps a reference);
-  /// mutations after capture are detected, not followed.
+  /// Captures the structural artifact of `graph` in one
+  /// validate_cyclic_model pass: connectivity/pairing validation, cycle
+  /// classification and the buffer network view.  The graph must outlive
+  /// the snapshot (the snapshot keeps a reference); mutations after
+  /// capture are detected, not followed.
   explicit TopologySnapshot(const dataflow::VrdfGraph& graph);
 
   /// False when the graph is not a consistent buffer network whose cycles

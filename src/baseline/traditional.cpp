@@ -16,16 +16,16 @@ std::int64_t sriram_pair_capacity(std::int64_t production,
   return checked_mul(2, window);
 }
 
-TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
+namespace {
+
+TraditionalResult traditional_from(const dataflow::VrdfGraph& graph,
+                                   dataflow::ValidationReport validation) {
   TraditionalResult result;
-  const dataflow::ValidationReport validation =
-      dataflow::validate_cyclic_model(graph);
   if (!validation.ok()) {
-    result.diagnostics = validation.errors;
+    result.diagnostics = std::move(validation.errors);
     return result;
   }
-  const auto view = graph.buffer_view();
-  for (const dataflow::BufferEdges& b : view->buffers) {
+  for (const dataflow::BufferEdges& b : validation.view.value().buffers) {
     const dataflow::Edge& data = graph.edge(b.data);
     TraditionalPair pair;
     pair.producer = data.source;
@@ -45,15 +45,14 @@ TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
   return result;
 }
 
+}  // namespace
+
+TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
+  return traditional_from(graph, dataflow::validate_cyclic_model(graph));
+}
+
 TraditionalResult traditional_chain_capacities(const dataflow::VrdfGraph& graph) {
-  const dataflow::ValidationReport validation =
-      dataflow::validate_chain_model(graph);
-  if (!validation.ok()) {
-    TraditionalResult result;
-    result.diagnostics = validation.errors;
-    return result;
-  }
-  return traditional_capacities(graph);
+  return traditional_from(graph, dataflow::validate_chain_model(graph));
 }
 
 }  // namespace vrdf::baseline

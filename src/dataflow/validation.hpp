@@ -15,8 +15,16 @@
 // predictive decoders), validate_dag_model() restricts to acyclic
 // fork-join topologies, and validate_chain_model() adds the Sec 3.1 chain
 // restriction on top.
+//
+// All three run one structural pass over one compact adjacency of the data
+// edges: weak connectivity and bridges (one undirected DFS), Tarjan SCC
+// (which edges lie on directed cycles), the greedy feedback-edge
+// classification and the skeleton topological order.  The pass also
+// yields the buffer view (VrdfGraph::buffer_view() and chain_view() are
+// projections of it), so a caller that validates gets the view for free.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +34,9 @@ namespace vrdf::dataflow {
 
 struct ValidationReport {
   std::vector<std::string> errors;
+  /// The buffer network view, present whenever every edge is paired and
+  /// no directed data cycle is token-free — even when other errors fire.
+  std::optional<VrdfGraph::BufferView> view;
 
   [[nodiscard]] bool ok() const { return errors.empty(); }
   /// All messages joined with "; " (empty string when ok).

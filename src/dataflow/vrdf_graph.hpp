@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "dataflow/rate_set.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "util/time.hpp"
 
@@ -109,9 +108,6 @@ public:
   /// containers plus δ(data edge) containers occupied by initial tokens.
   [[nodiscard]] std::int64_t buffer_capacity(const BufferEdges& buffer) const;
 
-  /// Underlying topology (for the generic graph algorithms).
-  [[nodiscard]] const graph::Digraph& topology() const { return topology_; }
-
   /// Monotonic mutation counter: bumped by every mutator (add_actor,
   /// add_edge/add_buffer, set_initial_tokens, set_response_time).  Captured
   /// by analysis::TopologySnapshot so that a query against a snapshot of a
@@ -134,8 +130,8 @@ public:
 
   /// Chain recognition over *data* edges (space edges are the anti-parallel
   /// buffer partners and do not count towards the topology restriction of
-  /// Sec 3.1).  Returns nullopt when the graph is not a chain of buffers or
-  /// contains unpaired edges.
+  /// Sec 3.1): buffer_view()'s actors and buffers when its is_chain holds,
+  /// nullopt otherwise (unpaired edges, branching, any cycle, no actor).
   [[nodiscard]] std::optional<ChainView> chain_view() const;
 
   /// A VRDF graph seen as a network of buffers — the general view the
@@ -186,12 +182,14 @@ public:
     /// True when the data edges contain a directed cycle (equivalently:
     /// feedback_buffers is non-empty).
     bool is_cyclic = false;
-    /// True when the data edges form a chain (every fan-in and fan-out at
-    /// most one, weakly connected, acyclic) — the Sec 3.1 shape.
+    /// True when the data edges form a chain (at least one actor, every
+    /// fan-in and fan-out at most one, weakly connected, acyclic) — the
+    /// Sec 3.1 shape.
     bool is_chain = false;
   };
 
-  /// Buffer-network recognition over data edges.  Returns nullopt when the
+  /// Buffer-network recognition over data edges: the view computed by
+  /// validate_cyclic_model's structural pass.  Returns nullopt when the
   /// graph contains unpaired edges or a directed data cycle with no
   /// initial token on any of its edges (a token-free cycle deadlocks).
   [[nodiscard]] std::optional<BufferView> buffer_view() const;

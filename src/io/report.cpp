@@ -9,6 +9,7 @@
 #include "analysis/period.hpp"
 #include "analysis/robustness.hpp"
 #include "io/table.hpp"
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::io {
@@ -89,6 +90,10 @@ std::string render_report(const dataflow::VrdfGraph& graph,
   Table caps({"buffer", "pi / gamma", "capacity", "installed",
               "raw bound x", "deadlock-free min"});
   bool mismatch = false;
+  // The graph-wide container floor no sizing may dip under: the deadlock
+  // minimum of every buffer plus the initial tokens it holds (see
+  // min_deadlock_free_capacities).
+  std::int64_t deadlock_floor = 0;
   for (const analysis::PairAnalysis& pair : analysis.pairs) {
     const dataflow::Edge& data = graph.edge(pair.buffer.data);
     const std::int64_t installed = graph.buffer_capacity(pair.buffer);
@@ -105,14 +110,16 @@ std::string render_report(const dataflow::VrdfGraph& graph,
         (multi || analysis.side == analysis::ConstraintSide::Sink)) {
       name += " (producer-paced)";
     }
+    const std::int64_t deadlock_min = analysis::min_deadlock_free_pair_capacity(
+        data.production, data.consumption);
+    deadlock_floor = checked_add(
+        deadlock_floor, checked_add(deadlock_min, data.initial_tokens));
     caps.add_row(
         {std::move(name),
          data.production.to_string() + " / " + data.consumption.to_string(),
          std::to_string(pair.capacity),
          std::to_string(installed) + (installed == pair.capacity ? "" : " (!)"),
-         pair.raw_tokens.to_string(),
-         std::to_string(analysis::min_deadlock_free_pair_capacity(
-             data.production, data.consumption))});
+         pair.raw_tokens.to_string(), std::to_string(deadlock_min)});
   }
   os << caps.to_string() << '\n';
   os << "Total: " << analysis.total_capacity << " containers";
@@ -120,8 +127,7 @@ std::string render_report(const dataflow::VrdfGraph& graph,
     os << " — WARNING: installed capacities differ from the analysis";
   }
   os << ".\n";
-  os << "Deadlock-free floor: " << analysis::min_deadlock_free_total(graph)
-     << " containers.\n\n";
+  os << "Deadlock-free floor: " << deadlock_floor << " containers.\n\n";
 
   const analysis::MinPeriodResult headroom =
       multi ? analysis::min_admissible_period(graph, constraints,

@@ -167,16 +167,6 @@ void set_once(std::optional<T>& slot, T value, std::string_view key,
 
 }  // namespace
 
-std::string write_chain(
-    const dataflow::VrdfGraph& graph,
-    const std::optional<analysis::ThroughputConstraint>& constraint) {
-  analysis::ConstraintSet constraints;
-  if (constraint.has_value()) {
-    constraints.push_back(*constraint);
-  }
-  return write_chain(graph, constraints);
-}
-
 std::string write_chain(const dataflow::VrdfGraph& graph,
                         const analysis::ConstraintSet& constraints) {
   for (const dataflow::EdgeId e : graph.edges()) {

@@ -42,16 +42,11 @@ struct ChainDocument {
   analysis::ConstraintSet constraints;
 };
 
-/// Serializes a chain model (buffers only; bare edges are rejected).
-/// Actor names that cannot round-trip through the whitespace-tokenized
-/// format — empty, the "->" token, or containing whitespace, '=' or
-/// '#' — are a ContractError at write time, never a silently-wrong
-/// document.
-[[nodiscard]] std::string write_chain(
-    const dataflow::VrdfGraph& graph,
-    const std::optional<analysis::ThroughputConstraint>& constraint);
-
-/// Constraint-set overload: one `constraint` line per entry.
+/// Serializes a chain model (buffers only; bare edges are rejected), one
+/// `constraint` line per entry of `constraints`.  Actor names that cannot
+/// round-trip through the whitespace-tokenized format — empty, the "->"
+/// token, or containing whitespace, '=' or '#' — are a ContractError at
+/// write time, never a silently-wrong document.
 [[nodiscard]] std::string write_chain(
     const dataflow::VrdfGraph& graph,
     const analysis::ConstraintSet& constraints);

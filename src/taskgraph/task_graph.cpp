@@ -1,6 +1,5 @@
 #include "taskgraph/task_graph.hpp"
 
-#include "graph/algorithms.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::taskgraph {
@@ -61,25 +60,24 @@ bool TaskGraph::is_chain() const {
 }
 
 std::optional<TaskGraph::ChainOrder> TaskGraph::chain_order() const {
-  const auto order = graph::chain_order(topology_);
-  if (!order.has_value()) {
+  // Sec 3.1: at most one input and one output buffer per task — exactly
+  // the chain shape of the Sec 3.3 construction's data edges.
+  const VrdfConstruction built = to_vrdf();
+  const auto view = built.graph.chain_view();
+  if (!view.has_value()) {
     return std::nullopt;
   }
-  // Sec 3.1: at most one input and one output buffer per task.  chain_order
-  // already enforces exactly one forward edge per adjacent pair and the
-  // task graph has no anti-parallel edges, so back edges must be absent.
-  for (const auto& back : order->back_edges) {
-    if (!back.empty()) {
-      return std::nullopt;
-    }
+  // to_vrdf adds task i as actor i and buffer j as edges_of_buffer[j].
+  std::vector<BufferId> buffer_of_data(built.graph.edge_count());
+  for (std::size_t j = 0; j < built.edges_of_buffer.size(); ++j) {
+    buffer_of_data[built.edges_of_buffer[j].data.index()] =
+        BufferId(static_cast<BufferId::underlying_type>(j));
   }
   ChainOrder out;
-  out.tasks = order->nodes;
-  out.buffers_in_order.reserve(order->forward_edges.size());
-  for (const graph::EdgeId e : order->forward_edges) {
-    // Buffers are added to the topology in buffers_ order.
-    out.buffers_in_order.push_back(
-        BufferId(static_cast<BufferId::underlying_type>(e.index())));
+  out.tasks = view->actors;
+  out.buffers_in_order.reserve(view->buffers.size());
+  for (const dataflow::BufferEdges& b : view->buffers) {
+    out.buffers_in_order.push_back(buffer_of_data[b.data.index()]);
   }
   return out;
 }

@@ -64,7 +64,6 @@ public:
   [[nodiscard]] const Task& task(TaskId id) const;
   [[nodiscard]] const Buffer& buffer(BufferId id) const;
   [[nodiscard]] std::optional<TaskId> find_task(const std::string& name) const;
-  [[nodiscard]] const graph::Digraph& topology() const { return topology_; }
 
   /// Sets ζ(b).
   void set_capacity(BufferId id, std::int64_t capacity);

@@ -82,13 +82,16 @@ TEST(CyclicBufferView, MultiTokenedCycleBreaksAtOneEdgeOnly) {
   // Ping-pong loop a ⇄ b with initial tokens on *both* directions: only
   // a minimal feedback set is stripped (the later-inserted b→a), so a→b
   // keeps ordering the skeleton and the graph stays analysable with a
-  // unique data sink.
+  // unique data sink.  A side branch a → tap → snk pins the skeleton's
+  // topological order: a releases its off-cycle edge a → tap before the
+  // re-admitted a → b, so b (pushed last) is ordered before tap.
   VrdfGraph g;
   const Duration rho = seconds(Rational(1));
   const ActorId src = g.add_actor("src", rho);
   const ActorId a = g.add_actor("a", rho);
   const ActorId b = g.add_actor("b", rho);
   const ActorId snk = g.add_actor("snk", rho);
+  const ActorId tap = g.add_actor("tap", rho);
   (void)g.add_buffer(src, a, RateSet::singleton(1), RateSet::singleton(1));
   const BufferEdges ab =
       g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1),
@@ -97,8 +100,11 @@ TEST(CyclicBufferView, MultiTokenedCycleBreaksAtOneEdgeOnly) {
       g.add_buffer(b, a, RateSet::singleton(1), RateSet::singleton(1),
                    /*capacity=*/0, /*initial_tokens=*/2);
   (void)g.add_buffer(b, snk, RateSet::singleton(1), RateSet::singleton(1));
+  (void)g.add_buffer(a, tap, RateSet::singleton(1), RateSet::singleton(1));
+  (void)g.add_buffer(tap, snk, RateSet::singleton(1), RateSet::singleton(1));
   const auto view = g.buffer_view();
   ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->actors, (std::vector<ActorId>{src, a, b, tap, snk}));
   ASSERT_EQ(view->feedback_buffers.size(), 1u);
   EXPECT_EQ(view->buffers[view->feedback_buffers[0]].data, ba.data);
   for (std::size_t pos = 0; pos < view->buffers.size(); ++pos) {
@@ -419,7 +425,7 @@ TEST(CyclicIo, TextFormatRoundTripsBackEdgeTokens) {
       compute_buffer_capacities(app.graph, app.constraint);
   ASSERT_TRUE(sized.admissible);
   apply_capacities(app.graph, sized);
-  const std::string text = io::write_chain(app.graph, app.constraint);
+  const std::string text = io::write_chain(app.graph, {app.constraint});
   EXPECT_NE(text.find("delta=12"), std::string::npos) << text;
   EXPECT_NE(text.find("capacity=17"), std::string::npos) << text;
   const io::ChainDocument doc = io::read_chain(text);

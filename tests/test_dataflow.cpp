@@ -3,16 +3,51 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "dataflow/rate_set.hpp"
 #include "dataflow/validation.hpp"
 #include "dataflow/vrdf_graph.hpp"
+#include "models/synthetic.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::dataflow {
 namespace {
 
 const Duration kRho = milliseconds(Rational(1));
+
+/// A data-edge shape: actors a0, a1, ... and one unit-rate buffer per
+/// (producer, consumer, initial data tokens) triple, in order, then the
+/// bare (unpaired) edges.
+struct Shape {
+  std::size_t actors = 0;
+  std::vector<std::tuple<std::size_t, std::size_t, std::int64_t>> buffers;
+  std::vector<std::pair<std::size_t, std::size_t>> bare = {};
+};
+
+ActorId actor(std::size_t index) {
+  return ActorId(static_cast<ActorId::underlying_type>(index));
+}
+
+VrdfGraph build(const Shape& shape) {
+  VrdfGraph g;
+  for (std::size_t i = 0; i < shape.actors; ++i) {
+    (void)g.add_actor("a" + std::to_string(i), kRho);
+  }
+  for (const auto& [from, to, tokens] : shape.buffers) {
+    (void)g.add_buffer(actor(from), actor(to), RateSet::singleton(1),
+                       RateSet::singleton(1), /*capacity=*/0, tokens);
+  }
+  for (const auto& [from, to] : shape.bare) {
+    (void)g.add_edge(actor(from), actor(to), RateSet::singleton(1),
+                     RateSet::singleton(1));
+  }
+  return g;
+}
 
 TEST(RateSet, SingletonBasics) {
   const RateSet s = RateSet::singleton(3);
@@ -137,6 +172,19 @@ TEST(VrdfGraph, ChainViewOrdersActorsAndBuffers) {
   ASSERT_EQ(view->buffers.size(), 2u);
   EXPECT_EQ(view->buffers[0].data, ab.data);
   EXPECT_EQ(view->buffers[1].data, bc.data);
+
+  // Buffers added sink-first, and a single actor (a chain of length one).
+  const auto backwards = build({3, {{2, 1, 0}, {1, 0, 0}}}).chain_view();
+  ASSERT_TRUE(backwards.has_value());
+  EXPECT_EQ(backwards->actors, (std::vector<ActorId>{actor(2), actor(1),
+                                                     actor(0)}));
+  ASSERT_EQ(backwards->buffers.size(), 2u);
+  EXPECT_EQ(backwards->buffers[0].data, EdgeId(0));
+  EXPECT_EQ(backwards->buffers[1].data, EdgeId(2));
+  const auto single = build({1, {}}).chain_view();
+  ASSERT_TRUE(single.has_value());
+  EXPECT_EQ(single->actors, (std::vector<ActorId>{actor(0)}));
+  EXPECT_TRUE(single->buffers.empty());
 }
 
 TEST(VrdfGraph, ChainViewRejectsBareEdges) {
@@ -148,13 +196,30 @@ TEST(VrdfGraph, ChainViewRejectsBareEdges) {
 }
 
 TEST(VrdfGraph, ChainViewRejectsBranching) {
-  VrdfGraph g;
-  const ActorId a = g.add_actor("a", kRho);
-  const ActorId b = g.add_actor("b", kRho);
-  const ActorId c = g.add_actor("c", kRho);
-  (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_FALSE(g.chain_view().has_value());
+  const std::vector<std::pair<const char*, Shape>> shapes = {
+      {"fork", {3, {{0, 1, 0}, {0, 2, 0}}}},
+      {"mixed direction a -> b <- c", {3, {{0, 1, 0}, {2, 1, 0}}}},
+      {"parallel forward buffers", {2, {{0, 1, 0}, {0, 1, 0}}}},
+      {"parallel buffers inside a longer chain",
+       {3, {{0, 1, 0}, {1, 2, 0}, {1, 2, 0}}}},
+      {"two-actor feedback loop", {2, {{0, 1, 0}, {1, 0, 1}}}},
+      {"tokened self-loop", {2, {{0, 1, 0}, {0, 0, 1}}}},
+      {"single actor with a self-loop", {1, {{0, 0, 1}}}},
+      {"token-free cycle", {3, {{0, 1, 0}, {1, 2, 0}, {2, 0, 0}}}},
+      {"two isolated actors", {2, {}}},
+      {"union of two paths", {4, {{0, 1, 0}, {2, 3, 0}}}},
+      {"path plus an isolated actor", {4, {{0, 1, 0}, {1, 2, 0}}}},
+      {"empty graph", {0, {}}},
+  };
+  for (const auto& [label, shape] : shapes) {
+    EXPECT_FALSE(build(shape).chain_view().has_value()) << label;
+  }
+  // The two-actor loop is a cyclic buffer network, not a chain: both of
+  // its buffers stay in the view.
+  const auto loop = build(shapes[4].second).buffer_view();
+  ASSERT_TRUE(loop.has_value());
+  EXPECT_EQ(loop->buffers.size(), 2u);
+  EXPECT_TRUE(loop->is_cyclic);
 }
 
 TEST(VrdfGraph, BufferViewOnChainMatchesChainView) {
@@ -267,6 +332,251 @@ TEST(VrdfGraph, BufferViewAllowsParallelBuffers) {
   ASSERT_TRUE(view.has_value());
   EXPECT_FALSE(view->is_chain);  // double fan-out is not the Sec 3.1 shape
   EXPECT_EQ(view->buffers.size(), 2u);
+}
+
+/// Checks every BufferView field, connectivity and the chain verdicts of
+/// the structural pass against brute-force definitions: BFS reachability
+/// and connectivity over the data edges, recomputed per edge.
+void expect_pass_matches_brute_force(const VrdfGraph& g,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::size_t n = g.actor_count();
+  const std::vector<BufferEdges> buffers = g.buffers();
+  const std::size_t nb = buffers.size();
+  const auto src = [&](std::size_t i) {
+    return g.edge(buffers[i].data).source.index();
+  };
+  const auto dst = [&](std::size_t i) {
+    return g.edge(buffers[i].data).target.index();
+  };
+  const auto tokens = [&](std::size_t i) {
+    return g.edge(buffers[i].data).initial_tokens;
+  };
+  // Directed reachability over the data edges `use` keeps.
+  const auto reaches = [&](std::size_t from, std::size_t to,
+                           const auto& use) {
+    std::vector<char> seen(n, 0);
+    std::deque<std::size_t> queue{from};
+    seen[from] = 1;
+    while (!queue.empty()) {
+      const std::size_t v = queue.front();
+      queue.pop_front();
+      if (v == to) {
+        return true;
+      }
+      for (std::size_t i = 0; i < nb; ++i) {
+        if (use(i) && src(i) == v && seen[dst(i)] == 0) {
+          seen[dst(i)] = 1;
+          queue.push_back(dst(i));
+        }
+      }
+    }
+    return false;
+  };
+  // Undirected reachability over the data and bare edges (a space edge
+  // only doubles its data edge) except `skip`.
+  std::vector<EdgeId> undirected;
+  for (const EdgeId e : g.edges()) {
+    const EdgeId paired = g.edge(e).paired;
+    if (!paired.is_valid() || paired.value() > e.value()) {
+      undirected.push_back(e);
+    }
+  }
+  const auto linked = [&](std::size_t from, std::size_t to, EdgeId skip) {
+    std::vector<char> seen(n, 0);
+    std::deque<std::size_t> queue{from};
+    seen[from] = 1;
+    while (!queue.empty()) {
+      const std::size_t v = queue.front();
+      queue.pop_front();
+      for (const EdgeId e : undirected) {
+        const Edge& edge = g.edge(e);
+        if (e == skip || (edge.source.index() != v && edge.target.index() != v)) {
+          continue;
+        }
+        for (const std::size_t m : {edge.source.index(), edge.target.index()}) {
+          if (seen[m] == 0) {
+            seen[m] = 1;
+            queue.push_back(m);
+          }
+        }
+      }
+    }
+    return seen[to] != 0;
+  };
+  bool connected = true;
+  for (std::size_t v = 1; v < n; ++v) {
+    connected = connected && linked(0, v, EdgeId::invalid());
+  }
+  bool all_paired = true;
+  for (const EdgeId e : g.edges()) {
+    all_paired = all_paired && g.edge(e).paired.is_valid();
+  }
+  const auto any = [](std::size_t) { return true; };
+  const auto token_free = [&](std::size_t i) { return tokens(i) == 0; };
+  std::vector<char> on_cycle(nb, 0);
+  bool token_free_cycle = false;
+  bool cyclic = false;
+  for (std::size_t i = 0; i < nb; ++i) {
+    on_cycle[i] = static_cast<char>(reaches(dst(i), src(i), any));
+    cyclic = cyclic || on_cycle[i] != 0;
+    token_free_cycle = token_free_cycle ||
+                       (tokens(i) == 0 && reaches(dst(i), src(i), token_free));
+  }
+
+  const ValidationReport report = validate_cyclic_model(g);
+  const auto has_error = [&](const std::string& text) {
+    return std::any_of(report.errors.begin(), report.errors.end(),
+                       [&](const std::string& e) { return e == text; });
+  };
+  EXPECT_EQ(has_error("graph is not weakly connected"), !connected);
+  EXPECT_EQ(has_error("graph has no actors"), n == 0);
+  const bool network_ok = n > 0 && connected && all_paired;
+  EXPECT_EQ(validate_dag_model(g).ok(), network_ok && !cyclic);
+  ASSERT_EQ(report.view.has_value(), all_paired && !token_free_cycle);
+  EXPECT_EQ(g.buffer_view().has_value(), report.view.has_value());
+  if (!report.view.has_value()) {
+    EXPECT_FALSE(g.chain_view().has_value());
+    return;
+  }
+  const VrdfGraph::BufferView& view = *report.view;
+
+  // Greedy feedback classification in buffer order: a tokened cycle edge
+  // is a back-edge when the skeleton built so far already closes it.
+  std::vector<char> in_skeleton(nb, 0);
+  std::vector<char> feedback(nb, 0);
+  for (std::size_t i = 0; i < nb; ++i) {
+    in_skeleton[i] = static_cast<char>(on_cycle[i] == 0 || tokens(i) == 0);
+  }
+  const auto skeleton = [&](std::size_t i) { return in_skeleton[i] != 0; };
+  for (std::size_t i = 0; i < nb; ++i) {
+    if (in_skeleton[i] == 0) {
+      feedback[i] = static_cast<char>(reaches(dst(i), src(i), skeleton));
+      in_skeleton[i] = static_cast<char>(feedback[i] == 0);
+    }
+  }
+
+  // `actors` is a permutation and a topological order of the skeleton.
+  ASSERT_EQ(view.actors.size(), n);
+  std::vector<std::size_t> position(n, n);
+  for (std::size_t p = 0; p < n; ++p) {
+    ASSERT_EQ(position[view.actors[p].index()], n) << "repeated actor";
+    position[view.actors[p].index()] = p;
+  }
+  // `buffers` is ordered by (producer position, buffer index).
+  std::vector<std::size_t> expected(nb);
+  for (std::size_t i = 0; i < nb; ++i) {
+    expected[i] = i;
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return position[src(a)] < position[src(b)];
+                   });
+  ASSERT_EQ(view.buffers.size(), nb);
+  std::vector<std::vector<std::size_t>> in_buffers(n);
+  std::vector<std::vector<std::size_t>> out_buffers(n);
+  std::vector<std::size_t> feedback_buffers;
+  for (std::size_t p = 0; p < nb; ++p) {
+    const std::size_t i = expected[p];
+    EXPECT_EQ(view.buffers[p].data, buffers[i].data) << "position " << p;
+    EXPECT_EQ(view.buffers[p].space, buffers[i].space) << "position " << p;
+    EXPECT_EQ(view.on_cycle[p], on_cycle[i] != 0) << "buffer " << i;
+    EXPECT_EQ(view.is_feedback[p], feedback[i] != 0) << "buffer " << i;
+    EXPECT_EQ(view.on_reconvergent_path[p],
+              linked(src(i), dst(i), buffers[i].data))
+        << "buffer " << i;
+    if (feedback[i] != 0) {
+      feedback_buffers.push_back(p);
+    } else {
+      EXPECT_LT(position[src(i)], position[dst(i)]) << "buffer " << i;
+      out_buffers[src(i)].push_back(p);
+      in_buffers[dst(i)].push_back(p);
+    }
+  }
+  EXPECT_EQ(view.in_buffers, in_buffers);
+  EXPECT_EQ(view.out_buffers, out_buffers);
+  EXPECT_EQ(view.feedback_buffers, feedback_buffers);
+  EXPECT_EQ(view.is_cyclic, cyclic);
+  std::vector<ActorId> sources;
+  std::vector<ActorId> sinks;
+  bool degrees_chain_like = true;
+  for (const ActorId a : view.actors) {
+    if (in_buffers[a.index()].empty()) {
+      sources.push_back(a);
+    }
+    if (out_buffers[a.index()].empty()) {
+      sinks.push_back(a);
+    }
+    degrees_chain_like = degrees_chain_like &&
+                         in_buffers[a.index()].size() <= 1 &&
+                         out_buffers[a.index()].size() <= 1;
+  }
+  EXPECT_EQ(view.data_sources, sources);
+  EXPECT_EQ(view.data_sinks, sinks);
+  const bool is_chain = n > 0 && connected && !cyclic && degrees_chain_like;
+  EXPECT_EQ(view.is_chain, is_chain);
+  EXPECT_EQ(validate_chain_model(g).ok(), network_ok && is_chain);
+  const auto chain = g.chain_view();
+  ASSERT_EQ(chain.has_value(), is_chain);
+  if (is_chain) {
+    EXPECT_EQ(chain->actors, view.actors);
+    ASSERT_EQ(chain->buffers.size(), nb);
+    for (std::size_t p = 0; p < nb; ++p) {
+      EXPECT_EQ(chain->buffers[p].data, view.buffers[p].data);
+    }
+  }
+}
+
+TEST(VrdfGraph, StructuralPassMatchesBruteForce) {
+  const std::vector<std::pair<const char*, Shape>> shapes = {
+      {"empty graph", {0, {}}},
+      {"single actor", {1, {}}},
+      {"two isolated actors", {2, {}}},
+      {"chain", {4, {{0, 1, 0}, {1, 2, 0}, {2, 3, 0}}}},
+      {"chain built backwards", {3, {{2, 1, 0}, {1, 0, 0}}}},
+      {"mixed direction a -> b <- c", {3, {{0, 1, 0}, {2, 1, 0}}}},
+      {"parallel buffers", {2, {{0, 1, 0}, {0, 1, 0}}}},
+      {"parallel buffers inside a longer chain",
+       {3, {{0, 1, 0}, {1, 2, 0}, {1, 2, 0}}}},
+      {"diamond with a tail",
+       {5, {{0, 1, 0}, {0, 2, 0}, {1, 3, 0}, {2, 3, 0}, {3, 4, 0}}}},
+      {"tokened self-loop", {2, {{0, 1, 0}, {1, 1, 2}}}},
+      {"single actor with a tokened self-loop", {1, {{0, 0, 1}}}},
+      {"anti-parallel data buffers", {2, {{0, 1, 0}, {1, 0, 1}}}},
+      {"anti-parallel data buffers, tokened forward",
+       {2, {{0, 1, 1}, {1, 0, 0}}}},
+      {"multi-tokened cycle", {3, {{0, 1, 1}, {1, 2, 2}, {2, 0, 1}}}},
+      {"every cycle edge tokened, plus a chord",
+       {4, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}, {3, 0, 1}, {0, 2, 0}}}},
+      {"two tokened cycles joined by a bridge, self-loop on the first",
+       {4, {{0, 1, 0}, {1, 0, 1}, {1, 2, 0}, {2, 3, 0}, {3, 2, 1}, {0, 0, 1}}}},
+      {"parallel and anti-parallel buffers",
+       {3, {{0, 1, 0}, {0, 1, 0}, {1, 2, 0}, {2, 1, 3}}}},
+      {"disconnected components", {4, {{0, 1, 0}, {2, 3, 0}, {3, 2, 1}}}},
+      {"union of two paths", {4, {{0, 1, 0}, {2, 3, 0}}}},
+      {"path plus an isolated actor", {4, {{0, 1, 0}, {1, 2, 0}}}},
+      {"unpaired edge", {2, {}, {{0, 1}}}},
+      {"unpaired edge joining two components", {4, {{0, 1, 0}, {2, 3, 0}}, {{1, 2}}}},
+      {"token-free cycle", {3, {{0, 1, 0}, {1, 2, 0}, {2, 0, 0}}}},
+      {"token-free self-loop", {2, {{0, 1, 0}, {1, 1, 0}}}},
+      {"token-free cycle beside a tokened one",
+       {4, {{0, 1, 0}, {1, 0, 1}, {2, 3, 0}, {3, 2, 0}, {1, 2, 0}}}},
+  };
+  for (const auto& [label, shape] : shapes) {
+    expect_pass_matches_brute_force(build(shape), label);
+  }
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
+        models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const models::SyntheticModel model =
+          models::make_random_model({.model_class = model_class, .seed = seed});
+      expect_pass_matches_brute_force(
+          model.graph, std::string(models::class_name(model_class)) +
+                           " seed " + std::to_string(seed));
+    }
+  }
 }
 
 TEST(Validation, DagModelAcceptsForkJoin) {

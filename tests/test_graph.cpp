@@ -1,24 +1,13 @@
-// Unit tests for the digraph container and topology algorithms.
+// Unit tests for the digraph container and its ids.  The structural
+// algorithms over the data edges are tested through VrdfGraph
+// (test_dataflow: VrdfGraph.StructuralPassMatchesBruteForce).
 #include <gtest/gtest.h>
 
-#include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::graph {
 namespace {
-
-Digraph path_graph(std::size_t n) {
-  Digraph g;
-  std::vector<NodeId> nodes;
-  for (std::size_t i = 0; i < n; ++i) {
-    nodes.push_back(g.add_node());
-  }
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    (void)g.add_edge(nodes[i], nodes[i + 1]);
-  }
-  return g;
-}
 
 TEST(Digraph, AddAndQuery) {
   Digraph g;
@@ -50,431 +39,6 @@ TEST(Digraph, ParallelEdgesAndSelfLoopsRepresentable) {
   (void)g.add_edge(a, a);
   EXPECT_EQ(g.edge_count(), 3u);
   EXPECT_EQ(g.out_degree(a), 3u);
-}
-
-TEST(WeakConnectivity, EmptyAndSingletonAreConnected) {
-  Digraph g;
-  EXPECT_TRUE(is_weakly_connected(g));
-  (void)g.add_node();
-  EXPECT_TRUE(is_weakly_connected(g));
-}
-
-TEST(WeakConnectivity, DirectionIsIgnored) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(b, a);
-  (void)g.add_edge(b, c);
-  EXPECT_TRUE(is_weakly_connected(g));
-}
-
-TEST(WeakConnectivity, DetectsDisconnection) {
-  Digraph g;
-  (void)g.add_node();
-  (void)g.add_node();
-  EXPECT_FALSE(is_weakly_connected(g));
-}
-
-TEST(ChainOrder, RecognizesForwardChain) {
-  const Digraph g = path_graph(4);
-  const auto order = chain_order(g);
-  ASSERT_TRUE(order.has_value());
-  ASSERT_EQ(order->nodes.size(), 4u);
-  EXPECT_EQ(order->nodes.front(), NodeId(0));
-  EXPECT_EQ(order->nodes.back(), NodeId(3));
-  EXPECT_EQ(order->forward_edges.size(), 3u);
-  for (const auto& back : order->back_edges) {
-    EXPECT_TRUE(back.empty());
-  }
-}
-
-TEST(ChainOrder, RecognizesChainBuiltBackwards) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(c, b);
-  (void)g.add_edge(b, a);
-  const auto order = chain_order(g);
-  ASSERT_TRUE(order.has_value());
-  EXPECT_EQ(order->nodes.front(), c);
-  EXPECT_EQ(order->nodes.back(), a);
-}
-
-TEST(ChainOrder, AcceptsAntiParallelBackEdges) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const EdgeId fwd = g.add_edge(a, b);
-  const EdgeId back = g.add_edge(b, a);
-  const auto order = chain_order(g);
-  ASSERT_TRUE(order.has_value());
-  // Ambiguous orientation: both (a,b) and (b,a) admit exactly one forward
-  // edge; the walk starts from the lower endpoint, so a comes first.
-  EXPECT_EQ(order->nodes.front(), a);
-  EXPECT_EQ(order->forward_edges[0], fwd);
-  ASSERT_EQ(order->back_edges[0].size(), 1u);
-  EXPECT_EQ(order->back_edges[0][0], back);
-}
-
-TEST(ChainOrder, SingleNodeIsAChain) {
-  Digraph g;
-  (void)g.add_node();
-  const auto order = chain_order(g);
-  ASSERT_TRUE(order.has_value());
-  EXPECT_EQ(order->nodes.size(), 1u);
-  EXPECT_TRUE(order->forward_edges.empty());
-}
-
-TEST(ChainOrder, RejectsBranching) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsCycle) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, c);
-  (void)g.add_edge(c, a);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsSelfLoop) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, a);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsDisconnected) {
-  Digraph g = path_graph(3);
-  (void)g.add_node();
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsMixedDirectionPath) {
-  // a -> b <- c is an undirected path but has no consistent orientation.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(c, b);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsParallelForwardEdges) {
-  // Two a -> b edges leave the undirected shape a path, but the chain
-  // orientation is ambiguous (two candidate forward edges).
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, b);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsParallelForwardEdgesInsideLongerChain) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, c);
-  (void)g.add_edge(b, c);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsEmptyGraph) {
-  EXPECT_FALSE(chain_order(Digraph{}).has_value());
-}
-
-TEST(ChainOrder, RejectsSingleNodeWithSelfLoop) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  (void)g.add_edge(a, a);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsTwoIsolatedNodes) {
-  Digraph g;
-  (void)g.add_node();
-  (void)g.add_node();
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(ChainOrder, RejectsDisconnectedUnionOfTwoPaths) {
-  // Degree profile looks chain-like (four endpoints fail fast), but also
-  // check a disconnected 2+2 shape where the pair count gives it away.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  const NodeId d = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(c, d);
-  EXPECT_FALSE(chain_order(g).has_value());
-}
-
-TEST(TopologicalOrder, OrdersDag) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  (void)g.add_edge(b, c);
-  const auto order = topological_order(g);
-  ASSERT_TRUE(order.has_value());
-  std::vector<std::size_t> position(3);
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    position[(*order)[i].index()] = i;
-  }
-  EXPECT_LT(position[a.index()], position[b.index()]);
-  EXPECT_LT(position[b.index()], position[c.index()]);
-}
-
-TEST(TopologicalOrder, ReverseOrderPutsSuccessorsFirst) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  (void)g.add_edge(b, c);
-  const auto reversed = reverse_topological_order(g);
-  ASSERT_TRUE(reversed.has_value());
-  std::vector<std::size_t> position(3);
-  for (std::size_t i = 0; i < reversed->size(); ++i) {
-    position[(*reversed)[i].index()] = i;
-  }
-  EXPECT_LT(position[c.index()], position[b.index()]);
-  EXPECT_LT(position[b.index()], position[a.index()]);
-  Digraph cyclic;
-  const NodeId x = cyclic.add_node();
-  const NodeId y = cyclic.add_node();
-  (void)cyclic.add_edge(x, y);
-  (void)cyclic.add_edge(y, x);
-  EXPECT_FALSE(reverse_topological_order(cyclic).has_value());
-}
-
-TEST(TopologicalOrder, DetectsCycle) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);
-  EXPECT_FALSE(topological_order(g).has_value());
-  EXPECT_TRUE(has_directed_cycle(g));
-}
-
-TEST(Bridges, PathEdgesAreAllBridges) {
-  const Digraph g = path_graph(4);
-  const auto bridge = undirected_bridges(g);
-  ASSERT_EQ(bridge.size(), 3u);
-  for (const bool b : bridge) {
-    EXPECT_TRUE(b);
-  }
-}
-
-TEST(Bridges, DiamondEdgesAreNotBridgesButTailIs) {
-  //   a -> b -> d -> e
-  //   a -> c -> d
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  const NodeId d = g.add_node();
-  const NodeId e = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, c);
-  (void)g.add_edge(b, d);
-  (void)g.add_edge(c, d);
-  const EdgeId tail = g.add_edge(d, e);
-  const auto bridge = undirected_bridges(g);
-  EXPECT_EQ(bridge, (std::vector<bool>{false, false, false, false, true}));
-  EXPECT_TRUE(bridge[tail.index()]);
-}
-
-TEST(Bridges, ParallelEdgesAndSelfLoopsAreNotBridges) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);  // anti-parallel pair: undirected cycle
-  (void)g.add_edge(b, b);  // self-loop
-  (void)g.add_edge(b, c);  // bridge
-  EXPECT_EQ(undirected_bridges(g),
-            (std::vector<bool>{false, false, false, true}));
-}
-
-TEST(Bridges, DisconnectedComponentsHandled) {
-  Digraph g = path_graph(2);
-  const NodeId x = g.add_node();
-  const NodeId y = g.add_node();
-  (void)g.add_edge(x, y);
-  (void)g.add_edge(y, x);
-  EXPECT_EQ(undirected_bridges(g), (std::vector<bool>{true, false, false}));
-}
-
-TEST(Scc, FindsComponents) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  const NodeId d = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);
-  (void)g.add_edge(b, c);
-  (void)g.add_edge(c, d);
-  (void)g.add_edge(d, c);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  // Each component has two nodes.
-  EXPECT_EQ(sccs[0].size(), 2u);
-  EXPECT_EQ(sccs[1].size(), 2u);
-}
-
-TEST(Scc, SingletonComponents) {
-  const Digraph g = path_graph(3);
-  EXPECT_EQ(strongly_connected_components(g).size(), 3u);
-}
-
-TEST(Scc, BufferPairIsOneComponent) {
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);
-  EXPECT_EQ(strongly_connected_components(g).size(), 1u);
-}
-
-TEST(Scc, SelfLoopStaysASingletonComponent) {
-  // A self-loop does not merge its node with anything; the node is still
-  // its own (cyclic) component.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_edge(a, a);
-  (void)g.add_edge(a, b);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  EXPECT_EQ(sccs[0].size(), 1u);
-  EXPECT_EQ(sccs[1].size(), 1u);
-}
-
-TEST(Scc, ParallelAndAntiParallelEdgesDoNotOverMerge) {
-  // Parallel edges a→b (twice) create no cycle; the anti-parallel pair
-  // b⇄c does.  Components: {a}, {b, c}.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, c);
-  (void)g.add_edge(c, b);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  std::size_t merged = 0;
-  for (const auto& component : sccs) {
-    merged = std::max(merged, component.size());
-  }
-  EXPECT_EQ(merged, 2u);
-}
-
-TEST(Scc, DisconnectedGraphCoversEveryNode) {
-  // Two disjoint pieces: a 2-cycle and an isolated node; every node must
-  // appear in exactly one component.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  (void)g.add_node();  // isolated
-  (void)g.add_edge(a, b);
-  (void)g.add_edge(b, a);
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 2u);
-  std::size_t covered = 0;
-  for (const auto& component : sccs) {
-    covered += component.size();
-  }
-  EXPECT_EQ(covered, 3u);
-}
-
-TEST(Scc, SingleNodeGraph) {
-  Digraph g;
-  (void)g.add_node();
-  const auto sccs = strongly_connected_components(g);
-  ASSERT_EQ(sccs.size(), 1u);
-  EXPECT_EQ(sccs[0], (std::vector<NodeId>{NodeId(0)}));
-}
-
-TEST(Scc, EmptyGraphHasNoComponents) {
-  EXPECT_TRUE(strongly_connected_components(Digraph{}).empty());
-}
-
-TEST(FeedbackArcView, ClassifiesEdgesAgainstTheCondensation) {
-  // a ⇄ b → c → d → c, plus self-loop on a: the a↔b and c↔d cycles are
-  // components, the bridge b→c is the only acyclic edge.
-  Digraph g;
-  const NodeId a = g.add_node();
-  const NodeId b = g.add_node();
-  const NodeId c = g.add_node();
-  const NodeId d = g.add_node();
-  const EdgeId ab = g.add_edge(a, b);
-  const EdgeId ba = g.add_edge(b, a);
-  const EdgeId bc = g.add_edge(b, c);
-  const EdgeId cd = g.add_edge(c, d);
-  const EdgeId dc = g.add_edge(d, c);
-  const EdgeId aa = g.add_edge(a, a);
-  const FeedbackArcView view = feedback_arc_view(g);
-  ASSERT_EQ(view.components.size(), 2u);
-  // Components come in topological order: {a, b} feeds {c, d}.
-  EXPECT_EQ(view.component_of[a.index()], view.component_of[b.index()]);
-  EXPECT_EQ(view.component_of[c.index()], view.component_of[d.index()]);
-  EXPECT_LT(view.component_of[a.index()], view.component_of[c.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[ab.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[ba.index()]);
-  EXPECT_FALSE(view.edge_on_cycle[bc.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[cd.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[dc.index()]);
-  EXPECT_TRUE(view.edge_on_cycle[aa.index()]);  // self-loop
-}
-
-TEST(FindDirectedCycle, ReportsACycleOrNothing) {
-  EXPECT_FALSE(find_directed_cycle(path_graph(4)).has_value());
-
-  Digraph g = path_graph(3);  // 0 → 1 → 2
-  (void)g.add_edge(NodeId(2), NodeId(0));
-  const auto cycle = find_directed_cycle(g);
-  ASSERT_TRUE(cycle.has_value());
-  EXPECT_EQ(*cycle, (std::vector<NodeId>{NodeId(0), NodeId(1), NodeId(2)}));
-
-  Digraph h;
-  const NodeId n = h.add_node();
-  (void)h.add_edge(n, n);
-  const auto loop = find_directed_cycle(h);
-  ASSERT_TRUE(loop.has_value());
-  EXPECT_EQ(*loop, (std::vector<NodeId>{n}));
-}
-
-TEST(HasPath, FindsAndRejectsPaths) {
-  const Digraph g = path_graph(4);
-  EXPECT_TRUE(has_path(g, NodeId(0), NodeId(3)));
-  EXPECT_FALSE(has_path(g, NodeId(3), NodeId(0)));
-  EXPECT_TRUE(has_path(g, NodeId(2), NodeId(2)));
 }
 
 TEST(Ids, InvalidAndValidBehaviour) {

@@ -14,7 +14,6 @@
 #include "baseline/traditional.hpp"
 #include "models/mp3.hpp"
 #include "models/synthetic.hpp"
-#include "sim/stats.hpp"
 #include "sim/verify.hpp"
 
 namespace vrdf {
@@ -233,21 +232,18 @@ TEST(Mp3Reproduction, PeakOccupancyStaysWithinCapacity) {
         },
         {.observe_firings = 50000, .default_seed = 1});
     EXPECT_TRUE(verdict.ok) << verdict.detail;
-    sim::Simulator recorded(app.graph);
-    recorded.set_quantum_source(app.mp3, app.b1.data, make_source());
-    recorded.set_default_sources(1);
-    recorded.set_actor_mode(app.dac,
+    sim::Simulator periodic(app.graph);
+    periodic.set_quantum_source(app.mp3, app.b1.data, make_source());
+    periodic.set_default_sources(1);
+    periodic.set_actor_mode(app.dac,
                             sim::ActorMode::strictly_periodic(
                                 verdict.offset_used, app.constraint.period));
-    for (const dataflow::BufferEdges& buffer : buffers) {
-      recorded.record_transfers(buffer.data, 1 << 22);
-    }
     sim::StopCondition stop;
     stop.firing_target = sim::StopCondition::FiringTarget{app.dac, 50000};
-    (void)recorded.run(stop);
+    (void)periodic.run(stop);
     std::vector<std::int64_t> out;
     for (std::size_t i = 0; i < 3; ++i) {
-      out.push_back(sim::peak_occupancy(recorded, app.graph, buffers[i].data));
+      out.push_back(periodic.edge_metrics(buffers[i].data).max_tokens);
       EXPECT_LE(out.back(), sized.pairs[i].capacity) << "d" << i + 1;
     }
     return out;

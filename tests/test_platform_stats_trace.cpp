@@ -1,12 +1,10 @@
-// Tests for the TDM platform layer, token-residency statistics, and trace
-// export (CSV + VCD).
+// Tests for the TDM platform layer and trace export (CSV + VCD).
 #include <gtest/gtest.h>
 
 #include "analysis/buffer_sizing.hpp"
 #include "io/trace.hpp"
 #include "models/fig1.hpp"
 #include "sched/platform.hpp"
-#include "sim/stats.hpp"
 #include "sim/verify.hpp"
 #include "util/error.hpp"
 
@@ -168,53 +166,6 @@ TracedRun traced_run() {
   stop.firing_target = sim::StopCondition::FiringTarget{run.b, 20};
   (void)run.sim->run(stop);
   return run;
-}
-
-TEST(Stats, ResidencyIsPositiveAndBounded) {
-  const TracedRun run = traced_run();
-  const auto stats =
-      sim::token_residency(*run.sim, run.graph, run.buffer.data);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->tokens, 0);
-  EXPECT_GE(stats->min_residency, Duration());
-  EXPECT_GE(stats->max_residency, stats->min_residency);
-  EXPECT_GE(stats->mean_seconds, stats->min_residency.seconds());
-  EXPECT_LE(stats->mean_seconds, stats->max_residency.seconds());
-}
-
-TEST(Stats, ResidencyCountsInitialTokensFromTimeZero) {
-  // Space edge: the first 6 tokens are initial; their residency equals the
-  // consumer... producer's first consumption time.
-  const TracedRun run = traced_run();
-  const auto stats =
-      sim::token_residency(*run.sim, run.graph, run.buffer.space);
-  ASSERT_TRUE(stats.has_value());
-  // Producer consumes 2 space tokens at t = 0: zero residency observed.
-  EXPECT_EQ(stats->min_residency, Duration());
-}
-
-TEST(Stats, NulloptWithoutConsumptions) {
-  dataflow::VrdfGraph g;
-  const auto a = g.add_actor("a", milliseconds(Rational(1)));
-  const auto b = g.add_actor("b", milliseconds(Rational(1)));
-  const auto buf =
-      g.add_buffer(a, b, RateSet::singleton(3), RateSet::singleton(3), 1);
-  sim::Simulator s(g);
-  s.set_default_sources(1);
-  s.record_transfers(buf.data);
-  sim::StopCondition stop;
-  stop.until_time = TimePoint(Rational(1));
-  (void)s.run(stop);  // deadlocks immediately
-  EXPECT_FALSE(sim::token_residency(s, g, buf.data).has_value());
-}
-
-TEST(Stats, PeakOccupancyNeverExceedsCapacity) {
-  const TracedRun run = traced_run();
-  const std::int64_t peak =
-      sim::peak_occupancy(*run.sim, run.graph, run.buffer.data);
-  EXPECT_GT(peak, 0);
-  EXPECT_LE(peak, 6);  // capacity
-  EXPECT_EQ(peak, run.sim->edge_metrics(run.buffer.data).max_tokens);
 }
 
 TEST(Trace, FiringsCsvShape) {

@@ -104,7 +104,7 @@ TEST(Dot, TaskGraphExportContainsCapacities) {
 
 TEST(TextFormat, RoundTripPreservesModel) {
   const models::Mp3Playback app = models::make_mp3_playback();
-  const std::string text = io::write_chain(app.graph, app.constraint);
+  const std::string text = io::write_chain(app.graph, {app.constraint});
   const io::ChainDocument parsed = io::read_chain(text);
   ASSERT_EQ(parsed.graph.actor_count(), 4u);
   ASSERT_EQ(parsed.graph.edge_count(), 6u);
@@ -124,7 +124,7 @@ TEST(TextFormat, RoundTripPreservesCapacities) {
   const auto a = g.add_actor("a", milliseconds(Rational(1)));
   const auto b = g.add_actor("b", milliseconds(Rational(512, 10)));
   (void)g.add_buffer(a, b, RateSet::of({2, 5}), RateSet::interval(0, 7), 13);
-  const std::string text = io::write_chain(g, std::nullopt);
+  const std::string text = io::write_chain(g, {});
   const io::ChainDocument parsed = io::read_chain(text);
   const auto view = parsed.graph.chain_view();
   ASSERT_TRUE(view.has_value());

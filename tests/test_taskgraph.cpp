@@ -63,6 +63,24 @@ TEST(TaskGraph, ChainRecognition) {
   EXPECT_EQ(order->tasks, (std::vector<TaskId>{TaskId(0), TaskId(1), TaskId(2)}));
   EXPECT_EQ(order->buffers_in_order,
             (std::vector<BufferId>{BufferId(0), BufferId(1)}));
+
+  // Built backwards: buffers added sink-first keep their own ids.
+  TaskGraph backwards;
+  const TaskId x = backwards.add_task("x", kKappa);
+  const TaskId y = backwards.add_task("y", kKappa);
+  const TaskId z = backwards.add_task("z", kKappa);
+  (void)backwards.add_buffer(z, y, RateSet::singleton(1), RateSet::singleton(1));
+  (void)backwards.add_buffer(y, x, RateSet::singleton(1), RateSet::singleton(1));
+  const auto reversed = backwards.chain_order();
+  ASSERT_TRUE(reversed.has_value());
+  EXPECT_EQ(reversed->tasks, (std::vector<TaskId>{z, y, x}));
+  EXPECT_EQ(reversed->buffers_in_order,
+            (std::vector<BufferId>{BufferId(0), BufferId(1)}));
+
+  TaskGraph single;
+  (void)single.add_task("only", kKappa);
+  EXPECT_TRUE(single.is_chain());
+  EXPECT_FALSE(TaskGraph{}.is_chain());
 }
 
 TEST(TaskGraph, NonChainDetected) {
@@ -73,6 +91,36 @@ TEST(TaskGraph, NonChainDetected) {
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
   EXPECT_FALSE(g.is_chain());
+
+  // Mixed direction a -> b <- c is an undirected path but no chain.
+  TaskGraph mixed;
+  const TaskId p = mixed.add_task("p", kKappa);
+  const TaskId q = mixed.add_task("q", kKappa);
+  const TaskId r = mixed.add_task("r", kKappa);
+  (void)mixed.add_buffer(p, q, RateSet::singleton(1), RateSet::singleton(1));
+  (void)mixed.add_buffer(r, q, RateSet::singleton(1), RateSet::singleton(1));
+  EXPECT_FALSE(mixed.is_chain());
+
+  // Two isolated tasks, and a union of two paths, are not connected.
+  TaskGraph isolated;
+  (void)isolated.add_task("u", kKappa);
+  (void)isolated.add_task("v", kKappa);
+  EXPECT_FALSE(isolated.is_chain());
+  TaskGraph two_paths = isolated;
+  const TaskId w = two_paths.add_task("w", kKappa);
+  const TaskId t = two_paths.add_task("t", kKappa);
+  (void)two_paths.add_buffer(TaskId(0), TaskId(1), RateSet::singleton(1),
+                             RateSet::singleton(1));
+  (void)two_paths.add_buffer(w, t, RateSet::singleton(1), RateSet::singleton(1));
+  EXPECT_FALSE(two_paths.is_chain());
+
+  // A buffer pair in both directions is a cycle.
+  TaskGraph loop;
+  const TaskId m = loop.add_task("m", kKappa);
+  const TaskId o = loop.add_task("o", kKappa);
+  (void)loop.add_buffer(m, o, RateSet::singleton(1), RateSet::singleton(1));
+  (void)loop.add_buffer(o, m, RateSet::singleton(1), RateSet::singleton(1));
+  EXPECT_FALSE(loop.is_chain());
 }
 
 TEST(TaskGraph, TwoBuffersBetweenSameTasksIsNotAChain) {
