@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const analysis::GraphAnalysis ours =
       analysis::compute_buffer_capacities(app.graph, app.constraint);
   const baseline::TraditionalResult trad =
-      baseline::traditional_chain_capacities(app.graph);
+      baseline::traditional_capacities(app.graph);
   if (!ours.admissible || !trad.ok) {
     std::cerr << "analysis failed\n";
     return 1;

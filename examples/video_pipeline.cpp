@@ -25,7 +25,7 @@ int main() {
   const analysis::GraphAnalysis ours =
       analysis::compute_buffer_capacities(chain.graph, chain.constraint);
   const baseline::TraditionalResult trad =
-      baseline::traditional_chain_capacities(chain.graph);
+      baseline::traditional_capacities(chain.graph);
   if (!ours.admissible || !trad.ok) {
     std::cerr << "analysis failed\n";
     return 1;

@@ -17,7 +17,12 @@
 //   --annotate      writes the model back with computed capacities,
 //   --report        writes a markdown analysis report.
 //
-// Exit code: 0 on success (and verification pass, if requested).
+// FIRINGS must be a positive integer and N an unsigned one.
+//
+// Exit code: 0 on success (and verification pass, if requested); 1 when
+// the constraints cannot be met or verification fails; 2 on a bad
+// argument or an unreadable or malformed model file.
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -49,6 +54,15 @@ struct Options {
   std::string report_path;
 };
 
+/// Parses all of `text` as a T: false on a sign an unsigned T cannot take,
+/// trailing characters, or overflow.
+template <typename T>
+bool parse_number(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  return error == std::errc() && stop == end;
+}
+
 bool parse_args(int argc, char** argv, Options& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,9 +85,20 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.verify = true;
     } else if (arg.rfind("--verify=", 0) == 0) {
       options.verify = true;
-      options.verify_firings = std::stoll(value_of("--verify="));
+      const std::string firings = value_of("--verify=");
+      if (!parse_number(firings, options.verify_firings) ||
+          options.verify_firings <= 0) {
+        std::cerr << "--verify wants a positive firing count, got '"
+                  << firings << "'\n";
+        return false;
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::stoull(value_of("--seed="));
+      const std::string seed = value_of("--seed=");
+      if (!parse_number(seed, options.seed)) {
+        std::cerr << "--seed wants an unsigned integer, got '" << seed
+                  << "'\n";
+        return false;
+      }
     } else if (arg.rfind("--dot=", 0) == 0) {
       options.dot_path = value_of("--dot=");
     } else if (arg.rfind("--trace-csv=", 0) == 0) {
@@ -162,13 +187,9 @@ int main(int argc, char** argv) {
   // Rate headroom: the fastest period the just-computed capacities (and
   // the given response times) can sustain — for a constraint set, the
   // first constraint is scaled with the others held fixed.
-  const analysis::MinPeriodResult headroom =
-      doc.constraints.size() > 1
-          ? analysis::min_admissible_period(doc.graph, doc.constraints,
-                                            doc.constraints.front().actor,
-                                            analysis_options)
-          : analysis::min_admissible_period(
-                doc.graph, doc.constraints.front().actor, analysis_options);
+  const analysis::MinPeriodResult headroom = analysis::min_admissible_period(
+      doc.graph, doc.constraints, doc.constraints.front().actor,
+      analysis_options);
   if (headroom.ok) {
     std::cout << "fastest admissible period with these capacities: "
               << headroom.min_period.seconds().to_string() << " s (binding: "
@@ -191,18 +212,17 @@ int main(int argc, char** argv) {
       // periodic phase (the first constraint's grid; the others run
       // self-timed here, which monotonicity makes a valid occupancy
       // envelope).
+      const analysis::ThroughputConstraint& first = doc.constraints.front();
       sim::Simulator sim(doc.graph);
       sim.set_default_sources(options.seed);
-      sim.set_actor_mode(doc.constraint->actor,
-                         sim::ActorMode::strictly_periodic(
-                             verdict.offset_used, doc.constraint->period));
+      sim.set_actor_mode(first.actor, sim::ActorMode::strictly_periodic(
+                                          verdict.offset_used, first.period));
       for (const dataflow::EdgeId e : doc.graph.edges()) {
         sim.record_transfers(e);
       }
       sim::StopCondition stop;
       stop.firing_target = sim::StopCondition::FiringTarget{
-          doc.constraint->actor, std::min<std::int64_t>(options.verify_firings,
-                                                        2000)};
+          first.actor, std::min<std::int64_t>(options.verify_firings, 2000)};
       (void)sim.run(stop);
       std::ofstream trace(options.trace_path);
       trace << io::occupancy_to_csv(sim, doc.graph, doc.graph.edges());

@@ -350,6 +350,17 @@ void apply_capacities(VrdfGraph& graph, const GraphAnalysis& analysis) {
   }
 }
 
+const PairAnalysis* first_over_installed(const VrdfGraph& graph,
+                                         const GraphAnalysis& analysis,
+                                         const ParameterOverlay& overlay) {
+  for (const PairAnalysis& pair : analysis.pairs) {
+    if (pair.capacity > overlay.buffer_capacity_of(graph, pair.buffer)) {
+      return &pair;
+    }
+  }
+  return nullptr;
+}
+
 ResponseTimeBudget max_admissible_response_times(
     const VrdfGraph& graph, const ConstraintSet& constraints) {
   ResponseTimeBudget budget;

@@ -82,6 +82,13 @@ namespace vrdf::analysis {
 /// of this very graph.
 void apply_capacities(dataflow::VrdfGraph& graph, const GraphAnalysis& analysis);
 
+/// The first pair of `analysis` whose capacity exceeds the buffer's
+/// installed total (δ(space) + δ(data), read through `overlay`); nullptr
+/// when every pair fits.
+[[nodiscard]] const PairAnalysis* first_over_installed(
+    const dataflow::VrdfGraph& graph, const GraphAnalysis& analysis,
+    const ParameterOverlay& overlay = {});
+
 /// Maximal admissible worst-case response times (the paper derives the MP3
 /// response times 51.2/24/10/0.0227 ms this way): κ(w) may be at most
 /// φ(v) for the throughput constraint to be satisfiable.  Returned in

@@ -36,15 +36,13 @@ std::int64_t min_deadlock_free_pair_capacity(
   return checked_sub(checked_add(production.max(), consumption.max()), g);
 }
 
-namespace {
-
-/// Per-buffer minima over a validated graph's view; throws ModelError
-/// prefixed with `what` when validation failed.
-std::vector<std::int64_t> minima_of(const dataflow::VrdfGraph& graph,
-                                    const dataflow::ValidationReport& validation,
-                                    const std::string& what) {
+std::vector<std::int64_t> min_deadlock_free_capacities(
+    const dataflow::VrdfGraph& graph) {
+  const dataflow::ValidationReport validation =
+      dataflow::validate_cyclic_model(graph);
   if (!validation.ok()) {
-    throw ModelError(what + validation.summary());
+    throw ModelError("not a consistent network of buffers: " +
+                     validation.summary());
   }
   std::vector<std::int64_t> minima;
   const dataflow::VrdfGraph::BufferView& view = validation.view.value();
@@ -58,20 +56,6 @@ std::vector<std::int64_t> minima_of(const dataflow::VrdfGraph& graph,
         data.initial_tokens));
   }
   return minima;
-}
-
-}  // namespace
-
-std::vector<std::int64_t> min_deadlock_free_capacities(
-    const dataflow::VrdfGraph& graph) {
-  return minima_of(graph, dataflow::validate_cyclic_model(graph),
-                   "not a consistent network of buffers: ");
-}
-
-std::vector<std::int64_t> min_deadlock_free_chain_capacities(
-    const dataflow::VrdfGraph& graph) {
-  return minima_of(graph, dataflow::validate_chain_model(graph),
-                   "not a chain of buffers: ");
 }
 
 }  // namespace vrdf::analysis

@@ -69,9 +69,4 @@ namespace vrdf::analysis {
 [[nodiscard]] std::vector<std::int64_t> min_deadlock_free_capacities(
     const dataflow::VrdfGraph& graph);
 
-/// The per-buffer minima for a whole chain, in chain order.  Throws
-/// ModelError when the graph is not a chain of buffers.
-[[nodiscard]] std::vector<std::int64_t> min_deadlock_free_chain_capacities(
-    const dataflow::VrdfGraph& graph);
-
 }  // namespace vrdf::analysis

@@ -623,11 +623,6 @@ PacingResult compute_pacing(const TopologySnapshot& snapshot,
   return result;
 }
 
-PartialPacing compute_partial_pacing(const VrdfGraph& graph,
-                                     const ConstraintSet& constraints) {
-  return compute_partial_pacing(TopologySnapshot(graph), constraints);
-}
-
 PartialPacing compute_partial_pacing(const TopologySnapshot& snapshot,
                                      const ConstraintSet& constraints) {
   PartialPacing partial;

@@ -190,8 +190,6 @@ struct PartialPacing {
   std::vector<std::optional<Duration>> phi_by_actor;
 };
 [[nodiscard]] PartialPacing compute_partial_pacing(
-    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints);
-[[nodiscard]] PartialPacing compute_partial_pacing(
     const TopologySnapshot& snapshot, const ConstraintSet& constraints);
 
 }  // namespace vrdf::analysis

@@ -30,18 +30,35 @@ struct AffineLead {
   }
 };
 
-}  // namespace
-
-MinPeriodResult min_admissible_period(const VrdfGraph& graph,
-                                      dataflow::ActorId actor,
-                                      const AnalysisOptions& options) {
-  return min_admissible_period(TopologySnapshot(graph), actor, options);
+/// "a->b" for a data edge.
+std::string endpoints(const VrdfGraph& graph, const Edge& data) {
+  return graph.actor(data.source).name + "->" + graph.actor(data.target).name;
 }
 
-MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
-                                      dataflow::ActorId actor,
-                                      const AnalysisOptions& options,
-                                      const ParameterOverlay& overlay) {
+/// What bound min_period: a kind plus a position in the pacing's
+/// actors_in_order (Actor) or buffers_in_order (Buffer, Cycle), rendered
+/// once, when the fixed point is reached.  Every response time is
+/// positive, so some actor always binds first.
+struct Binding {
+  enum class Kind { Actor, Buffer, Cycle };
+  Kind kind = Kind::Actor;
+  std::size_t index = 0;
+
+  [[nodiscard]] std::string label(const VrdfGraph& graph,
+                                  const PacingResult& unit) const {
+    if (kind == Kind::Actor) {
+      return "actor " + graph.actor(unit.actors_in_order[index]).name;
+    }
+    return (kind == Kind::Buffer ? "buffer " : "cycle through back-edge ") +
+           endpoints(graph, graph.edge(unit.buffers_in_order[index].data));
+  }
+};
+
+/// The single-constraint solver: the closed form below, forward-verified.
+MinPeriodResult solve_single(const TopologySnapshot& snapshot,
+                             dataflow::ActorId actor,
+                             const AnalysisOptions& options,
+                             const ParameterOverlay& overlay) {
   MinPeriodResult result;
 
   // Pacing coefficients c_v are rate-only: run the propagation with a unit
@@ -130,14 +147,13 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
   };
 
   Rational candidate_tau(1);
+  std::vector<AffineLead> lead = leads_at(candidate_tau);
   for (int iteration = 0; iteration < 8; ++iteration) {
-    const std::vector<AffineLead> lead = leads_at(candidate_tau);
-
     Rational min_tau(0);
     Rational infimum_tau(0);
     bool infimum_attained = true;
-    std::string binding = "(none)";
-    const auto tighten = [&](const Rational& cand, const std::string& what) {
+    Binding binding;
+    const auto tighten = [&](const Rational& cand, Binding what) {
       if (cand > min_tau) {
         min_tau = cand;
         binding = what;
@@ -157,10 +173,9 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
       const dataflow::ActorId v = unit.actors_in_order[i];
       const Rational rho = overlay.response_time_of(graph, v).seconds();
       const Rational c_v = unit.pacing[i].seconds();
-      tighten(rho / c_v, "actor " + graph.actor(v).name);
+      tighten(rho / c_v, {Binding::Kind::Actor, i});
       tighten_infimum(rho / c_v, true);
     }
-
 
     // Capacity constraints per pair: with delta_total = R + C·τ and
     // s = (c/q)·τ, sufficiency x = delta_total/s ≤ d − adj becomes
@@ -172,8 +187,6 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
       const std::int64_t d = overlay.initial_tokens_of(graph, buffer.space);
       const std::int64_t pi_max = data.production.max();
       const std::int64_t gamma_max = data.consumption.max();
-      const std::string label = "buffer " + graph.actor(data.source).name +
-                                "->" + graph.actor(data.target).name;
 
       const ConstraintSide pair_side = unit.determined_by[i];
       const bool is_static =
@@ -227,7 +240,7 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
           Rational(d) - rate_tokens - Rational(tight ? 0 : 1);
       if (!margin.is_positive()) {
         std::ostringstream os;
-        os << label << ": capacity " << d
+        os << "buffer " << endpoints(graph, data) << ": capacity " << d
            << " cannot sustain any rate (needs more than "
            << (rate_tokens + Rational(tight ? 0 : 1)).to_string()
            << " containers)";
@@ -236,7 +249,8 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
         break;
       }
       // R·q/(c·τ) ≤ margin  ⇔  τ ≥ q·R/(c·margin).
-      tighten(Rational(q) * resp_part / (c * margin), label);
+      tighten(Rational(q) * resp_part / (c * margin),
+              {Binding::Kind::Buffer, i});
       // The forward rounding ⌊x⌋+1 ≤ d is the open condition x < d, one
       // token looser than the attained criterion: margin+1, not attained.
       // On tight pairs the forward condition ⌈x⌉ ≤ d equals x ≤ d and the
@@ -263,19 +277,18 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
         const Rational cycle_resp =
             reverse.resp +
             overlay.response_time_of(graph, data.source).seconds();
-        const std::string cycle_label = "cycle through back-edge " +
-                                        graph.actor(data.source).name + "->" +
-                                        graph.actor(data.target).name;
         if (!token_margin.is_positive()) {
           std::ostringstream os;
-          os << cycle_label << ": delta=" << delta
+          os << "cycle through back-edge " << endpoints(graph, data)
+             << ": delta=" << delta
              << " initial tokens cannot sustain any rate (the cycle's "
                 "transfer slack alone consumes the credit)";
           result.diagnostics.push_back(os.str());
           diagnosed = true;
           break;
         }
-        tighten(Rational(q) * cycle_resp / (c * token_margin), cycle_label);
+        tighten(Rational(q) * cycle_resp / (c * token_margin),
+                {Binding::Kind::Cycle, i});
         tighten_infimum(Rational(q) * cycle_resp / (c * token_margin), true);
       }
     }
@@ -285,16 +298,18 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
 
     // The binding structure of the alignment max may differ at the solved
     // period; iterate until it reproduces itself (`lead` is exactly
-    // leads_at(candidate_tau)).
-    if (leads_at(min_tau) == lead) {
+    // leads_at(candidate_tau), carried over from the previous check).
+    std::vector<AffineLead> next = leads_at(min_tau);
+    if (next == lead) {
       result.ok = true;
       result.min_period = Duration(min_tau);
       result.infimum_period = Duration(infimum_tau);
       result.infimum_attained = infimum_attained;
-      result.binding_constraint = binding;
+      result.binding_constraint = binding.label(graph, unit);
       break;
     }
     candidate_tau = min_tau;
+    lead = std::move(next);
   }
   if (!result.ok) {
     result.diagnostics.push_back(
@@ -307,22 +322,21 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
   // fork-join graphs; never triggers on chains, whose max is trivial).
   const GraphAnalysis forward = compute_buffer_capacities(
       snapshot, ConstraintSet{{actor, result.min_period}}, options, overlay);
-  bool fits = forward.admissible;
-  if (fits) {
-    for (const PairAnalysis& pair : forward.pairs) {
-      // pair.capacity is the *total* container count; compare against the
-      // installed total (free containers + containers holding initial
-      // tokens).
-      fits = fits && pair.capacity <= overlay.buffer_capacity_of(graph,
-                                                                 pair.buffer);
-    }
-  }
-  if (!fits) {
+  if (!forward.admissible ||
+      first_over_installed(graph, forward, overlay) != nullptr) {
     result.ok = false;
     result.diagnostics.push_back(
         "closed-form period failed forward verification");
   }
   return result;
+}
+
+}  // namespace
+
+MinPeriodResult min_admissible_period(const VrdfGraph& graph,
+                                      dataflow::ActorId actor,
+                                      const AnalysisOptions& options) {
+  return min_admissible_period(graph, {{actor, Duration()}}, actor, options);
 }
 
 MinPeriodResult min_admissible_period(const VrdfGraph& graph,
@@ -366,7 +380,7 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
     return result;
   }
   if (others.empty()) {
-    return min_admissible_period(snapshot, designated, options, overlay);
+    return solve_single(snapshot, designated, options, overlay);
   }
   const VrdfGraph& graph = snapshot.graph();
 
@@ -386,8 +400,12 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
     result.diagnostics = fixed.diagnostics;
     return result;
   }
+  const auto name_at = [&graph](std::size_t i) {
+    using Index = dataflow::ActorId::underlying_type;
+    return graph.actor(dataflow::ActorId(static_cast<Index>(i))).name;
+  };
   std::optional<Rational> tau;
-  dataflow::ActorId pin_actor;
+  std::size_t pin = 0;
   for (std::size_t i = 0; i < unit.phi_by_actor.size(); ++i) {
     if (!unit.phi_by_actor[i].has_value() ||
         !fixed.phi_by_actor[i].has_value()) {
@@ -397,18 +415,13 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
         fixed.phi_by_actor[i]->seconds() / unit.phi_by_actor[i]->seconds();
     if (!tau.has_value()) {
       tau = candidate;
-      pin_actor = dataflow::ActorId(
-          static_cast<dataflow::ActorId::underlying_type>(i));
+      pin = i;
     } else if (candidate != *tau) {
       std::ostringstream os;
       os << "the fixed constraints pin incompatible periods for '"
          << graph.actor(designated).name << "' (" << tau->to_string()
-         << " s at actor '" << graph.actor(pin_actor).name << "' vs "
-         << candidate.to_string() << " s at actor '"
-         << graph
-                .actor(dataflow::ActorId(
-                    static_cast<dataflow::ActorId::underlying_type>(i)))
-                .name
+         << " s at actor '" << name_at(pin) << "' vs "
+         << candidate.to_string() << " s at actor '" << name_at(i)
          << "'); the constraint set is not flow-consistent at any period";
       result.diagnostics.push_back(os.str());
       return result;
@@ -435,26 +448,22 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
         " s is not admissible for the full constraint set");
     return result;
   }
-  for (const PairAnalysis& pair : forward.pairs) {
-    const std::int64_t installed =
-        overlay.buffer_capacity_of(graph, pair.buffer);
-    if (pair.capacity > installed) {
-      std::ostringstream os;
-      os << "buffer " << graph.actor(pair.producer).name << "->"
-         << graph.actor(pair.consumer).name << ": installed capacity "
-         << installed << " cannot sustain the "
-         << "flow-coupled period " << tau->to_string() << " s (needs "
-         << pair.capacity << " containers)";
-      result.diagnostics.push_back(os.str());
-      return result;
-    }
+  if (const PairAnalysis* over =
+          first_over_installed(graph, forward, overlay)) {
+    std::ostringstream os;
+    os << "buffer " << endpoints(graph, graph.edge(over->buffer.data))
+       << ": installed capacity "
+       << overlay.buffer_capacity_of(graph, over->buffer)
+       << " cannot sustain the flow-coupled period " << tau->to_string()
+       << " s (needs " << over->capacity << " containers)";
+    result.diagnostics.push_back(os.str());
+    return result;
   }
   result.ok = true;
   result.min_period = Duration(*tau);
   result.infimum_period = Duration(*tau);
   result.infimum_attained = true;
-  result.binding_constraint =
-      "flow-coupling at actor '" + graph.actor(pin_actor).name + "'";
+  result.binding_constraint = "flow-coupling at actor '" + name_at(pin) + "'";
   return result;
 }
 

@@ -49,50 +49,49 @@ struct MinPeriodResult {
   /// is integral at the binding pair (e.g. the MP3 chain).
   Duration infimum_period;
   bool infimum_attained = false;
-  /// Which constraint was binding for min_period: actor name (response
-  /// time) or "buffer producer->consumer" (capacity).
+  /// Which constraint was binding for min_period: "actor <name>" (response
+  /// time), "buffer producer->consumer" (capacity), "cycle through
+  /// back-edge producer->consumer" (cycle credit) or "flow-coupling at
+  /// actor '<name>'" (a designated constraint coupled to fixed ones).
   std::string binding_constraint;
 };
 
-/// Reads each buffer's installed free-container count from δ(space edge)
-/// and returns the fastest admissible strictly periodic rate of `actor`
-/// (which must be the graph's unique data source or sink).  On cyclic
-/// graphs the result additionally honours the max-cycle-ratio bound:
-/// period ≥ cycle latency / initial-token credit for every directed cycle
-/// (the binding_constraint then names the back-edge).  Inadmissible
+/// The solver.  Takes the structure from the captured `snapshot` and reads
+/// ρ and the installed capacities (δ of each buffer's space and data edge)
+/// through `overlay` (empty = the graph's own values); returns the fastest
+/// admissible strictly periodic rate of `designated`, whose constraint must
+/// be in `constraints` (its period there is ignored).
+///
+/// With no other constraint in the set this is the closed form above: the
+/// designated actor may be a data source, a sink or an interior pin.  On
+/// cyclic graphs the result additionally honours the max-cycle-ratio
+/// bound: period ≥ cycle latency / initial-token credit for every directed
+/// cycle (the binding_constraint then names the back-edge).  Inadmissible
 /// situations (zero capacity, capacity below the structural minimum
 /// π̂+γ̂−1, rate-side zero quanta) yield ok == false with diagnostics.
-[[nodiscard]] MinPeriodResult min_admissible_period(
-    const dataflow::VrdfGraph& graph, dataflow::ActorId actor,
-    const AnalysisOptions& options = {});
-
-/// Multi-constraint variant: scales the period of the constraint on
-/// `designated` while every other constraint in the set is held fixed.
-/// Because constraint sets must be flow-consistent (demands have to agree
-/// at every shared actor, see analysis/pacing.hpp), a designated
-/// constraint that shares pacing with a fixed one has exactly one
-/// admissible period — the flow-coupled value; the function derives it
-/// from the overlap of the two demand cones, forward-verifies it against
-/// the installed capacities, and reports infeasibility (with diagnostics)
-/// when the coupled value violates a response time, a capacity, or a
-/// cycle bound.  `designated` must carry a constraint in `constraints`
-/// (its period in the set is ignored); with no other constraints this is
-/// exactly the single-constraint solver.
-[[nodiscard]] MinPeriodResult min_admissible_period(
-    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints,
-    dataflow::ActorId designated, const AnalysisOptions& options = {});
-
-/// Snapshot entry points: identical semantics and bit-identical results,
-/// with the structural artifact taken from the captured TopologySnapshot
-/// and every ρ / δ / installed-capacity read going through the
-/// ParameterOverlay (empty overlay = the graph's own values).  These are
-/// what the admission controller queries between topology changes.
-[[nodiscard]] MinPeriodResult min_admissible_period(
-    const TopologySnapshot& snapshot, dataflow::ActorId actor,
-    const AnalysisOptions& options = {}, const ParameterOverlay& overlay = {});
+///
+/// With other constraints, those are held fixed.  Because constraint sets
+/// must be flow-consistent (demands have to agree at every shared actor,
+/// see analysis/pacing.hpp), a designated constraint that shares pacing
+/// with a fixed one has exactly one admissible period — the flow-coupled
+/// value; the solver derives it from the overlap of the two demand cones,
+/// forward-verifies it against the installed capacities, and reports
+/// infeasibility (with diagnostics) when the coupled value violates a
+/// response time, a capacity, or a cycle bound.
 [[nodiscard]] MinPeriodResult min_admissible_period(
     const TopologySnapshot& snapshot, const ConstraintSet& constraints,
     dataflow::ActorId designated, const AnalysisOptions& options = {},
     const ParameterOverlay& overlay = {});
+
+/// The solver on a fresh snapshot of `graph` with an empty overlay.
+[[nodiscard]] MinPeriodResult min_admissible_period(
+    const dataflow::VrdfGraph& graph, const ConstraintSet& constraints,
+    dataflow::ActorId designated, const AnalysisOptions& options = {});
+
+/// Exactly `min_admissible_period(graph, {{actor, any period}}, actor,
+/// options)`.  Kept because the repository benchmark calls it.
+[[nodiscard]] MinPeriodResult min_admissible_period(
+    const dataflow::VrdfGraph& graph, dataflow::ActorId actor,
+    const AnalysisOptions& options = {});
 
 }  // namespace vrdf::analysis

@@ -13,22 +13,6 @@ namespace {
 /// Margin search resolution: margins are multiples of slack/kGridSteps.
 constexpr std::int64_t kGridSteps = 64;
 
-/// True when `analysis` is admissible and every pair fits the capacities
-/// installed in `graph` (probes only move response times, so these are
-/// the original installed capacities).
-[[nodiscard]] bool fits_installed(const dataflow::VrdfGraph& graph,
-                                  const GraphAnalysis& analysis) {
-  if (!analysis.admissible) {
-    return false;
-  }
-  for (const PairAnalysis& pair : analysis.pairs) {
-    if (pair.capacity > graph.buffer_capacity(pair.buffer)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Largest k in [0, grid] such that predicate(k) holds, assuming the
 /// predicate is monotone (true at 0, and once false stays false) — the
 /// capacity of every pair is monotone nondecreasing in every ρ(v).
@@ -110,6 +94,12 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     return report;
   }
 
+  // A probe holds when it is admissible and every pair fits the graph's
+  // installed capacities (probes move only response times).
+  const auto fits = [&graph](const GraphAnalysis& probe) {
+    return probe.admissible && first_over_installed(graph, probe) == nullptr;
+  };
+
   // Per actor: retune its ρ on the engine, which re-derives only the ω
   // cone and pairs the actor reaches, then restore it.
   for (ActorMargin& margin : report.actors) {
@@ -117,7 +107,7 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     if (slack.is_positive()) {
       const std::int64_t best = max_true(kGridSteps, [&](std::int64_t k) {
         engine.retune(margin.actor, grid_point(margin, k));
-        return fits_installed(graph, engine.analysis());
+        return fits(engine.analysis());
       });
       engine.clear_retune(margin.actor);
       margin.margin = slack * Rational(best, kGridSteps);
@@ -138,8 +128,7 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
         overlay.set_response_time(m.actor, grid_point(m, k));
       }
     }
-    return fits_installed(
-        graph, compute_buffer_capacities(snapshot, constraints, {}, overlay));
+    return fits(compute_buffer_capacities(snapshot, constraints, {}, overlay));
   });
   report.joint_safe_fraction = Rational(joint, kGridSteps);
 

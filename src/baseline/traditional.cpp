@@ -16,10 +16,9 @@ std::int64_t sriram_pair_capacity(std::int64_t production,
   return checked_mul(2, window);
 }
 
-namespace {
-
-TraditionalResult traditional_from(const dataflow::VrdfGraph& graph,
-                                   dataflow::ValidationReport validation) {
+TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
+  dataflow::ValidationReport validation =
+      dataflow::validate_cyclic_model(graph);
   TraditionalResult result;
   if (!validation.ok()) {
     result.diagnostics = std::move(validation.errors);
@@ -43,16 +42,6 @@ TraditionalResult traditional_from(const dataflow::VrdfGraph& graph,
   }
   result.ok = true;
   return result;
-}
-
-}  // namespace
-
-TraditionalResult traditional_capacities(const dataflow::VrdfGraph& graph) {
-  return traditional_from(graph, dataflow::validate_cyclic_model(graph));
-}
-
-TraditionalResult traditional_chain_capacities(const dataflow::VrdfGraph& graph) {
-  return traditional_from(graph, dataflow::validate_chain_model(graph));
 }
 
 }  // namespace vrdf::baseline

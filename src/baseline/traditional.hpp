@@ -57,9 +57,4 @@ struct TraditionalResult {
 [[nodiscard]] TraditionalResult traditional_capacities(
     const dataflow::VrdfGraph& graph);
 
-/// traditional_capacities() restricted to chains (rejects anything the
-/// Sec 3.1 shape check rejects) — the pre-refactor entry point.
-[[nodiscard]] TraditionalResult traditional_chain_capacities(
-    const dataflow::VrdfGraph& graph);
-
 }  // namespace vrdf::baseline

@@ -62,7 +62,7 @@ struct Frame {
   std::size_t next;
 };
 
-/// Everything the three validators and the buffer view derive from the
+/// Everything the validator and the buffer view derive from the
 /// data-edge topology, computed in one pass.
 struct Pass {
   /// Buffer-network errors (connectivity, pairing, strong consistency) and
@@ -463,25 +463,6 @@ ValidationReport validate_cyclic_model(const VrdfGraph& graph) {
     }
   }
   return std::move(report);
-}
-
-ValidationReport validate_dag_model(const VrdfGraph& graph) {
-  Pass pass = structural_pass(graph);
-  if (pass.report.ok() &&
-      std::find(pass.on_cycle.begin(), pass.on_cycle.end(), 1) !=
-          pass.on_cycle.end()) {
-    pass.report.errors.push_back("data edges contain a directed cycle");
-  }
-  return std::move(pass.report);
-}
-
-ValidationReport validate_chain_model(const VrdfGraph& graph) {
-  ValidationReport report = validate_dag_model(graph);
-  // An acyclic, fully paired graph always has a view.
-  if (report.ok() && !report.view.value().is_chain) {
-    report.errors.push_back("data edges do not form a chain (Sec 3.1)");
-  }
-  return report;
 }
 
 }  // namespace vrdf::dataflow

@@ -10,18 +10,19 @@
 // The analysis itself only needs the per-buffer invariants plus a data
 // topology whose cycles all break at initial tokens — the per-pair bound
 // of Eqs (1)-(4) propagates along each buffer edge, not along a global
-// chain index.  validate_cyclic_model() admits weakly connected cyclic
-// topologies whose back-edges carry initial tokens (rate-control loops,
-// predictive decoders), validate_dag_model() restricts to acyclic
-// fork-join topologies, and validate_chain_model() adds the Sec 3.1 chain
-// restriction on top.
+// chain index.  validate_cyclic_model() is the one validator: it admits
+// weakly connected chains, fork-join DAGs and cyclic topologies whose
+// back-edges carry initial tokens (rate-control loops, predictive
+// decoders).  Narrower shapes are properties of the view it returns: the
+// Sec 3.1 chain restriction is BufferView::is_chain, acyclicity is
+// !BufferView::is_cyclic.
 //
-// All three run one structural pass over one compact adjacency of the data
+// It runs one structural pass over one compact adjacency of the data
 // edges: weak connectivity and bridges (one undirected DFS), Tarjan SCC
 // (which edges lie on directed cycles), the greedy feedback-edge
 // classification and the skeleton topological order.  The pass also
-// yields the buffer view (VrdfGraph::buffer_view() and chain_view() are
-// projections of it), so a caller that validates gets the view for free.
+// yields the buffer view (VrdfGraph::buffer_view() is a projection of
+// it), so a caller that validates gets the view for free.
 #pragma once
 
 #include <optional>
@@ -56,15 +57,5 @@ struct ValidationReport {
 ///    the circulating token count drift, so no finite capacity satisfies
 ///    a throughput constraint for every admissible sequence.
 [[nodiscard]] ValidationReport validate_cyclic_model(const VrdfGraph& graph);
-
-/// validate_cyclic_model() minus cycles: the data edges must form an
-/// acyclic graph (fork-join generalisation of the Sec 3.1 restriction;
-/// parallel buffers between one actor pair are allowed, directed data
-/// cycles — with or without initial tokens — are not).
-[[nodiscard]] ValidationReport validate_dag_model(const VrdfGraph& graph);
-
-/// validate_dag_model() plus the Sec 3.1 chain restriction: the data edges
-/// must form a single directed chain.
-[[nodiscard]] ValidationReport validate_chain_model(const VrdfGraph& graph);
 
 }  // namespace vrdf::dataflow

@@ -98,14 +98,6 @@ std::optional<ActorId> VrdfGraph::find_actor(std::string_view name) const {
   return std::nullopt;
 }
 
-std::optional<VrdfGraph::ChainView> VrdfGraph::chain_view() const {
-  std::optional<BufferView> view = buffer_view();
-  if (!view.has_value() || !view->is_chain) {
-    return std::nullopt;
-  }
-  return ChainView{std::move(view->actors), std::move(view->buffers)};
-}
-
 std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {
   return validate_cyclic_model(*this).view;
 }

@@ -120,20 +120,6 @@ public:
   /// rendered here, on demand, for the stale-snapshot diagnostic.
   [[nodiscard]] std::string last_mutation() const;
 
-  /// A VRDF graph seen as a chain of buffers: actors ordered from the data
-  /// source to the data sink, with buffers[i] connecting actors[i] to
-  /// actors[i+1] in data direction.
-  struct ChainView {
-    std::vector<ActorId> actors;
-    std::vector<BufferEdges> buffers;
-  };
-
-  /// Chain recognition over *data* edges (space edges are the anti-parallel
-  /// buffer partners and do not count towards the topology restriction of
-  /// Sec 3.1): buffer_view()'s actors and buffers when its is_chain holds,
-  /// nullopt otherwise (unpaired edges, branching, any cycle, no actor).
-  [[nodiscard]] std::optional<ChainView> chain_view() const;
-
   /// A VRDF graph seen as a network of buffers — the general view the
   /// analysis pipeline runs on.  Buffers are keyed per data edge; chains
   /// are the degenerate case with every fan-in/fan-out equal to one.
@@ -184,7 +170,8 @@ public:
     bool is_cyclic = false;
     /// True when the data edges form a chain (at least one actor, every
     /// fan-in and fan-out at most one, weakly connected, acyclic) — the
-    /// Sec 3.1 shape.
+    /// Sec 3.1 shape.  Space edges are the anti-parallel buffer partners
+    /// and do not count towards it.
     bool is_chain = false;
   };
 

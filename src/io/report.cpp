@@ -129,10 +129,8 @@ std::string render_report(const dataflow::VrdfGraph& graph,
   os << ".\n";
   os << "Deadlock-free floor: " << deadlock_floor << " containers.\n\n";
 
-  const analysis::MinPeriodResult headroom =
-      multi ? analysis::min_admissible_period(graph, constraints,
-                                              constraints.front().actor)
-            : analysis::min_admissible_period(graph, constraints.front().actor);
+  const analysis::MinPeriodResult headroom = analysis::min_admissible_period(
+      graph, constraints, constraints.front().actor);
   if (headroom.ok) {
     os << "## Rate headroom\n\n"
        << "Fastest admissible period ";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <system_error>
@@ -330,9 +331,6 @@ ChainDocument read_chain(const std::string& text) {
       }
       doc.constraints.push_back(analysis::ThroughputConstraint{
           *actor, Duration(parse_rational(*period, line_no, "period"))});
-      if (!doc.constraint.has_value()) {
-        doc.constraint = doc.constraints.front();
-      }
     } else {
       parse_error(line_no,
                   "unknown directive '" + std::string(tokens[0]) + "'");

@@ -24,7 +24,6 @@
 // no positive quantum, and an actor name write_chain could not emit.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,6 @@ namespace vrdf::io {
 
 struct ChainDocument {
   dataflow::VrdfGraph graph;
-  /// The first declared constraint (kept for single-constraint call
-  /// sites); unset when the document declares none.
-  std::optional<analysis::ThroughputConstraint> constraint;
   /// Every declared constraint, in document order.
   analysis::ConstraintSet constraints;
 };

@@ -4,15 +4,6 @@ namespace vrdf::models {
 
 using dataflow::RateSet;
 
-Fig1Model make_fig1_task_graph(Duration rho_a, Duration rho_b) {
-  Fig1Model model;
-  model.wa = model.task_graph.add_task("wa", rho_a);
-  model.wb = model.task_graph.add_task("wb", rho_b);
-  model.buffer = model.task_graph.add_buffer(
-      model.wa, model.wb, RateSet::singleton(3), RateSet::of({2, 3}));
-  return model;
-}
-
 Fig1Vrdf make_fig1_vrdf(Duration tau, Duration rho_a, Duration rho_b) {
   Fig1Vrdf model;
   model.va = model.graph.add_actor("va", rho_a);

@@ -9,19 +9,8 @@
 
 #include "analysis/types.hpp"
 #include "dataflow/vrdf_graph.hpp"
-#include "taskgraph/task_graph.hpp"
 
 namespace vrdf::models {
-
-struct Fig1Model {
-  taskgraph::TaskGraph task_graph;
-  taskgraph::TaskId wa;
-  taskgraph::TaskId wb;
-  taskgraph::BufferId buffer;
-};
-
-/// The task graph of Fig 1 with configurable worst-case response times.
-[[nodiscard]] Fig1Model make_fig1_task_graph(Duration rho_a, Duration rho_b);
 
 struct Fig1Vrdf {
   dataflow::VrdfGraph graph;

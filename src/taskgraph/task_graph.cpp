@@ -56,30 +56,8 @@ void TaskGraph::set_capacity(BufferId id, std::int64_t capacity) {
 }
 
 bool TaskGraph::is_chain() const {
-  return chain_order().has_value();
-}
-
-std::optional<TaskGraph::ChainOrder> TaskGraph::chain_order() const {
-  // Sec 3.1: at most one input and one output buffer per task — exactly
-  // the chain shape of the Sec 3.3 construction's data edges.
-  const VrdfConstruction built = to_vrdf();
-  const auto view = built.graph.chain_view();
-  if (!view.has_value()) {
-    return std::nullopt;
-  }
-  // to_vrdf adds task i as actor i and buffer j as edges_of_buffer[j].
-  std::vector<BufferId> buffer_of_data(built.graph.edge_count());
-  for (std::size_t j = 0; j < built.edges_of_buffer.size(); ++j) {
-    buffer_of_data[built.edges_of_buffer[j].data.index()] =
-        BufferId(static_cast<BufferId::underlying_type>(j));
-  }
-  ChainOrder out;
-  out.tasks = view->actors;
-  out.buffers_in_order.reserve(view->buffers.size());
-  for (const dataflow::BufferEdges& b : view->buffers) {
-    out.buffers_in_order.push_back(buffer_of_data[b.data.index()]);
-  }
-  return out;
+  const auto view = to_vrdf().graph.buffer_view();
+  return view.has_value() && view->is_chain;
 }
 
 VrdfConstruction TaskGraph::to_vrdf() const {

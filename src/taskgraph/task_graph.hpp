@@ -69,17 +69,10 @@ public:
   void set_capacity(BufferId id, std::int64_t capacity);
 
   /// True when every task has at most one input and one output buffer and
-  /// the graph is a weakly connected chain (Sec 3.1 restriction).
+  /// the graph is a weakly connected chain (Sec 3.1 restriction): the
+  /// buffer view of the Sec 3.3 construction is a chain.  The chain order
+  /// itself is that view's `actors` (actor i is task i).
   [[nodiscard]] bool is_chain() const;
-
-  /// Tasks ordered from the chain's source to its sink; nullopt when the
-  /// graph is not a chain.  buffers_in_order[i] connects tasks[i] to
-  /// tasks[i+1].
-  struct ChainOrder {
-    std::vector<TaskId> tasks;
-    std::vector<BufferId> buffers_in_order;
-  };
-  [[nodiscard]] std::optional<ChainOrder> chain_order() const;
 
   /// Sec 3.3 construction: one actor per task with ρ(v) = κ(w); one buffer
   /// pair of anti-parallel edges per buffer with δ(space edge) = ζ(b).

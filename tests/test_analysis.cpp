@@ -189,8 +189,8 @@ TEST(BufferSizing, SourceAndSinkModesAreMirrorImages) {
   // Sec 4.2/4.3).
   const auto expect_mirrored = [](const VrdfGraph& source_graph,
                                   const ThroughputConstraint& constraint) {
-    const auto view = source_graph.chain_view();
-    ASSERT_TRUE(view.has_value());
+    const auto view = source_graph.buffer_view();
+    ASSERT_TRUE(view.has_value() && view->is_chain);
     const std::size_t n = view->actors.size();
     VrdfGraph sink_graph;
     std::vector<ActorId> ids;

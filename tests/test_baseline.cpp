@@ -29,7 +29,7 @@ TEST(Traditional, SriramFormula) {
 
 TEST(Traditional, ChainCapacitiesUseMaxQuanta) {
   const models::Fig1Vrdf model = models::make_fig1_vrdf(kTau, kTau, kTau);
-  const TraditionalResult result = traditional_chain_capacities(model.graph);
+  const TraditionalResult result = traditional_capacities(model.graph);
   ASSERT_TRUE(result.ok);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].production, 3);
@@ -40,8 +40,9 @@ TEST(Traditional, ChainCapacitiesUseMaxQuanta) {
 TEST(Traditional, RejectsNonChain) {
   dataflow::VrdfGraph g;
   (void)g.add_actor("only", kTau);
-  const TraditionalResult result = traditional_chain_capacities(g);
-  // Single actor *is* a chain with no buffers.
+  const TraditionalResult result = traditional_capacities(g);
+  // A single actor is a chain with no buffers; a bare (unpaired) edge is
+  // no buffer network at all.
   ASSERT_TRUE(result.ok);
   EXPECT_TRUE(result.pairs.empty());
 
@@ -49,7 +50,7 @@ TEST(Traditional, RejectsNonChain) {
   const auto a = bad.add_actor("a", kTau);
   const auto b = bad.add_actor("b", kTau);
   (void)bad.add_edge(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_FALSE(traditional_chain_capacities(bad).ok);
+  EXPECT_FALSE(traditional_capacities(bad).ok);
 }
 
 TEST(ExactMinimal, Fig1ThroughputMinimumIsDoubleBufferForMaxQuantum) {

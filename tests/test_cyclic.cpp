@@ -178,11 +178,13 @@ TEST(CyclicValidation, RejectsVariableRatesOnCycleEdges) {
 
 TEST(CyclicValidation, AcceptsFeedbackPipeline) {
   const models::FeedbackPipeline app = models::make_feedback_pipeline();
-  EXPECT_TRUE(dataflow::validate_cyclic_model(app.graph).ok());
-  // The DAG model class still rejects it.
-  const dataflow::ValidationReport dag = dataflow::validate_dag_model(app.graph);
-  ASSERT_FALSE(dag.ok());
-  EXPECT_NE(dag.summary().find("directed cycle"), std::string::npos);
+  const dataflow::ValidationReport report =
+      dataflow::validate_cyclic_model(app.graph);
+  EXPECT_TRUE(report.ok());
+  // It is no DAG: the view records the directed cycle.
+  ASSERT_TRUE(report.view.has_value());
+  EXPECT_TRUE(report.view->is_cyclic);
+  EXPECT_FALSE(report.view->is_chain);
 }
 
 // ----------------------------------------------------------------- pacing
@@ -321,20 +323,6 @@ TEST(CyclicCapacity, SelfLoopIsAnalysable) {
 
 // ------------------------------------------------------------- min period
 
-TEST(CyclicMinPeriod, SizedPipelineAttainsItsDesignPeriod) {
-  models::FeedbackPipeline app = models::make_feedback_pipeline();
-  const GraphAnalysis sized =
-      compute_buffer_capacities(app.graph, app.constraint);
-  ASSERT_TRUE(sized.admissible);
-  apply_capacities(app.graph, sized);
-  const MinPeriodResult headroom =
-      min_admissible_period(app.graph, app.constraint.actor);
-  ASSERT_TRUE(headroom.ok) << (headroom.diagnostics.empty()
-                                   ? ""
-                                   : headroom.diagnostics[0]);
-  EXPECT_EQ(headroom.min_period, app.constraint.period);
-}
-
 TEST(CyclicMinPeriod, CycleBoundBindsWhenCapacitiesAreGenerous) {
   // a → b → snk with a single-token loop b → a; response times τ/4 and
   // huge capacities leave the max-cycle-ratio constraint as the binding
@@ -432,9 +420,9 @@ TEST(CyclicIo, TextFormatRoundTripsBackEdgeTokens) {
   const auto view = doc.graph.buffer_view();
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->is_cyclic);
-  ASSERT_TRUE(doc.constraint.has_value());
+  ASSERT_EQ(doc.constraints.size(), 1u);
   const GraphAnalysis reloaded =
-      compute_buffer_capacities(doc.graph, *doc.constraint);
+      compute_buffer_capacities(doc.graph, doc.constraints);
   ASSERT_TRUE(reloaded.admissible)
       << (reloaded.diagnostics.empty() ? "" : reloaded.diagnostics[0]);
   EXPECT_EQ(reloaded.total_capacity, sized.total_capacity);

@@ -156,7 +156,7 @@ TEST(VrdfGraph, SetInitialTokens) {
   EXPECT_THROW(g.set_initial_tokens(buf.space, -1), ContractError);
 }
 
-TEST(VrdfGraph, ChainViewOrdersActorsAndBuffers) {
+TEST(VrdfGraph, ChainShapeOrdersActorsAndBuffers) {
   VrdfGraph g;
   const ActorId c = g.add_actor("c", kRho);
   const ActorId a = g.add_actor("a", kRho);
@@ -166,36 +166,39 @@ TEST(VrdfGraph, ChainViewOrdersActorsAndBuffers) {
       g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
   const BufferEdges ab =
       g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  const auto view = g.chain_view();
-  ASSERT_TRUE(view.has_value());
+  const auto view = validate_cyclic_model(g).view;
+  ASSERT_TRUE(view.has_value() && view->is_chain);
   EXPECT_EQ(view->actors, (std::vector<ActorId>{a, b, c}));
   ASSERT_EQ(view->buffers.size(), 2u);
   EXPECT_EQ(view->buffers[0].data, ab.data);
   EXPECT_EQ(view->buffers[1].data, bc.data);
+  EXPECT_EQ(view->data_sources, (std::vector<ActorId>{a}));
+  EXPECT_EQ(view->data_sinks, (std::vector<ActorId>{c}));
 
   // Buffers added sink-first, and a single actor (a chain of length one).
-  const auto backwards = build({3, {{2, 1, 0}, {1, 0, 0}}}).chain_view();
-  ASSERT_TRUE(backwards.has_value());
+  const auto backwards =
+      validate_cyclic_model(build({3, {{2, 1, 0}, {1, 0, 0}}})).view;
+  ASSERT_TRUE(backwards.has_value() && backwards->is_chain);
   EXPECT_EQ(backwards->actors, (std::vector<ActorId>{actor(2), actor(1),
                                                      actor(0)}));
   ASSERT_EQ(backwards->buffers.size(), 2u);
   EXPECT_EQ(backwards->buffers[0].data, EdgeId(0));
   EXPECT_EQ(backwards->buffers[1].data, EdgeId(2));
-  const auto single = build({1, {}}).chain_view();
-  ASSERT_TRUE(single.has_value());
+  const auto single = validate_cyclic_model(build({1, {}})).view;
+  ASSERT_TRUE(single.has_value() && single->is_chain);
   EXPECT_EQ(single->actors, (std::vector<ActorId>{actor(0)}));
   EXPECT_TRUE(single->buffers.empty());
 }
 
-TEST(VrdfGraph, ChainViewRejectsBareEdges) {
+TEST(VrdfGraph, ChainShapeRejectsBareEdges) {
   VrdfGraph g;
   const ActorId a = g.add_actor("a", kRho);
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_edge(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_FALSE(g.chain_view().has_value());
+  EXPECT_FALSE(validate_cyclic_model(g).view.has_value());
 }
 
-TEST(VrdfGraph, ChainViewRejectsBranching) {
+TEST(VrdfGraph, ChainShapeRejectsBranching) {
   const std::vector<std::pair<const char*, Shape>> shapes = {
       {"fork", {3, {{0, 1, 0}, {0, 2, 0}}}},
       {"mixed direction a -> b <- c", {3, {{0, 1, 0}, {2, 1, 0}}}},
@@ -212,7 +215,8 @@ TEST(VrdfGraph, ChainViewRejectsBranching) {
       {"empty graph", {0, {}}},
   };
   for (const auto& [label, shape] : shapes) {
-    EXPECT_FALSE(build(shape).chain_view().has_value()) << label;
+    const auto view = validate_cyclic_model(build(shape)).view;
+    EXPECT_FALSE(view.has_value() && view->is_chain) << label;
   }
   // The two-actor loop is a cyclic buffer network, not a chain: both of
   // its buffers stay in the view.
@@ -220,26 +224,6 @@ TEST(VrdfGraph, ChainViewRejectsBranching) {
   ASSERT_TRUE(loop.has_value());
   EXPECT_EQ(loop->buffers.size(), 2u);
   EXPECT_TRUE(loop->is_cyclic);
-}
-
-TEST(VrdfGraph, BufferViewOnChainMatchesChainView) {
-  VrdfGraph g;
-  const ActorId c = g.add_actor("c", kRho);
-  const ActorId a = g.add_actor("a", kRho);
-  const ActorId b = g.add_actor("b", kRho);
-  const BufferEdges bc =
-      g.add_buffer(b, c, RateSet::singleton(1), RateSet::singleton(1));
-  const BufferEdges ab =
-      g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  const auto view = g.buffer_view();
-  ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(view->is_chain);
-  EXPECT_EQ(view->actors, (std::vector<ActorId>{a, b, c}));
-  ASSERT_EQ(view->buffers.size(), 2u);
-  EXPECT_EQ(view->buffers[0].data, ab.data);
-  EXPECT_EQ(view->buffers[1].data, bc.data);
-  EXPECT_EQ(view->data_sources, (std::vector<ActorId>{a}));
-  EXPECT_EQ(view->data_sinks, (std::vector<ActorId>{c}));
 }
 
 TEST(VrdfGraph, BufferViewOnDiamond) {
@@ -432,11 +416,9 @@ void expect_pass_matches_brute_force(const VrdfGraph& g,
   EXPECT_EQ(has_error("graph is not weakly connected"), !connected);
   EXPECT_EQ(has_error("graph has no actors"), n == 0);
   const bool network_ok = n > 0 && connected && all_paired;
-  EXPECT_EQ(validate_dag_model(g).ok(), network_ok && !cyclic);
   ASSERT_EQ(report.view.has_value(), all_paired && !token_free_cycle);
   EXPECT_EQ(g.buffer_view().has_value(), report.view.has_value());
   if (!report.view.has_value()) {
-    EXPECT_FALSE(g.chain_view().has_value());
     return;
   }
   const VrdfGraph::BufferView& view = *report.view;
@@ -497,6 +479,8 @@ void expect_pass_matches_brute_force(const VrdfGraph& g,
   EXPECT_EQ(view.out_buffers, out_buffers);
   EXPECT_EQ(view.feedback_buffers, feedback_buffers);
   EXPECT_EQ(view.is_cyclic, cyclic);
+  // The fork-join (DAG) class: an acyclic network validates.
+  EXPECT_EQ(report.ok() && !view.is_cyclic, network_ok && !cyclic);
   std::vector<ActorId> sources;
   std::vector<ActorId> sinks;
   bool degrees_chain_like = true;
@@ -515,16 +499,8 @@ void expect_pass_matches_brute_force(const VrdfGraph& g,
   EXPECT_EQ(view.data_sinks, sinks);
   const bool is_chain = n > 0 && connected && !cyclic && degrees_chain_like;
   EXPECT_EQ(view.is_chain, is_chain);
-  EXPECT_EQ(validate_chain_model(g).ok(), network_ok && is_chain);
-  const auto chain = g.chain_view();
-  ASSERT_EQ(chain.has_value(), is_chain);
-  if (is_chain) {
-    EXPECT_EQ(chain->actors, view.actors);
-    ASSERT_EQ(chain->buffers.size(), nb);
-    for (std::size_t p = 0; p < nb; ++p) {
-      EXPECT_EQ(chain->buffers[p].data, view.buffers[p].data);
-    }
-  }
+  // The Sec 3.1 class: a chain-shaped network validates.
+  EXPECT_EQ(report.ok() && view.is_chain, network_ok && is_chain);
 }
 
 TEST(VrdfGraph, StructuralPassMatchesBruteForce) {
@@ -589,12 +565,12 @@ TEST(Validation, DagModelAcceptsForkJoin) {
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, d, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(c, d, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_TRUE(validate_dag_model(g).ok());
-  // ...which the chain validator still rejects, with its Sec 3.1 message.
-  const ValidationReport chain_report = validate_chain_model(g);
-  ASSERT_FALSE(chain_report.ok());
-  EXPECT_NE(chain_report.summary().find("do not form a chain"),
-            std::string::npos);
+  const ValidationReport report = validate_cyclic_model(g);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  ASSERT_TRUE(report.view.has_value());
+  EXPECT_FALSE(report.view->is_cyclic);
+  // ...and is not the Sec 3.1 chain shape.
+  EXPECT_FALSE(report.view->is_chain);
 }
 
 TEST(Validation, DagModelRejectsDataCycle) {
@@ -602,10 +578,17 @@ TEST(Validation, DagModelRejectsDataCycle) {
   const ActorId a = g.add_actor("a", kRho);
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  (void)g.add_buffer(b, a, RateSet::singleton(1), RateSet::singleton(1));
-  const ValidationReport report = validate_dag_model(g);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.summary().find("directed cycle"), std::string::npos);
+  const BufferEdges back =
+      g.add_buffer(b, a, RateSet::singleton(1), RateSet::singleton(1));
+  // Token-free, the cycle deadlocks and has no view.
+  EXPECT_FALSE(validate_cyclic_model(g).ok());
+  EXPECT_FALSE(validate_cyclic_model(g).view.has_value());
+  // Tokened, it validates as a cyclic network: still no DAG.
+  g.set_initial_tokens(back.data, 1);
+  const ValidationReport tokened = validate_cyclic_model(g);
+  EXPECT_TRUE(tokened.ok()) << tokened.summary();
+  ASSERT_TRUE(tokened.view.has_value());
+  EXPECT_TRUE(tokened.view->is_cyclic);
 }
 
 TEST(Validation, DagModelReportsDisconnectionAndBareEdges) {
@@ -614,7 +597,7 @@ TEST(Validation, DagModelReportsDisconnectionAndBareEdges) {
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_actor("lonely", kRho);
   (void)g.add_edge(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  const ValidationReport report = validate_dag_model(g);
+  const ValidationReport report = validate_cyclic_model(g);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("not weakly connected"), std::string::npos);
   EXPECT_NE(report.summary().find("not part of a buffer pair"),
@@ -626,13 +609,15 @@ TEST(Validation, AcceptsConsistentChain) {
   const ActorId a = g.add_actor("a", kRho);
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_buffer(a, b, RateSet::singleton(3), RateSet::of({2, 3}));
-  const ValidationReport report = validate_chain_model(g);
+  const ValidationReport report = validate_cyclic_model(g);
   EXPECT_TRUE(report.ok()) << report.summary();
+  ASSERT_TRUE(report.view.has_value());
+  EXPECT_TRUE(report.view->is_chain);
 }
 
 TEST(Validation, ReportsEmptyGraph) {
   VrdfGraph g;
-  EXPECT_FALSE(validate_chain_model(g).ok());
+  EXPECT_FALSE(validate_cyclic_model(g).ok());
 }
 
 TEST(Validation, ReportsUnpairedEdge) {
@@ -640,7 +625,7 @@ TEST(Validation, ReportsUnpairedEdge) {
   const ActorId a = g.add_actor("a", kRho);
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_edge(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  const ValidationReport report = validate_chain_model(g);
+  const ValidationReport report = validate_cyclic_model(g);
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("not part of a buffer pair"),
             std::string::npos);
@@ -652,7 +637,7 @@ TEST(Validation, ReportsDisconnectedGraph) {
   const ActorId b = g.add_actor("b", kRho);
   (void)g.add_actor("lonely", kRho);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_FALSE(validate_chain_model(g).ok());
+  EXPECT_FALSE(validate_cyclic_model(g).ok());
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(Deadlock, MixedSequenceBeatsConstantMinima) {
 TEST(Deadlock, ChainCapacitiesInOrder) {
   const models::Mp3Playback app = models::make_mp3_playback();
   const std::vector<std::int64_t> minima =
-      min_deadlock_free_chain_capacities(app.graph);
+      min_deadlock_free_capacities(app.graph);
   ASSERT_EQ(minima.size(), 3u);
   EXPECT_EQ(minima[0], 2048 + 960 - 1);
   EXPECT_EQ(minima[1], 1152 + 480 - 96);
@@ -80,7 +80,7 @@ TEST(Deadlock, ChainRejectsNonChain) {
   const auto a = g.add_actor("a", milliseconds(Rational(1)));
   const auto b = g.add_actor("b", milliseconds(Rational(1)));
   (void)g.add_edge(a, b, RateSet::singleton(1), RateSet::singleton(1));
-  EXPECT_THROW((void)min_deadlock_free_chain_capacities(g), ModelError);
+  EXPECT_THROW((void)min_deadlock_free_capacities(g), ModelError);
 }
 
 // Cross-validation: the formula must equal the simulation-search minimum

@@ -101,10 +101,10 @@ TEST(DagPacing, RejectsConflictingForkDemands) {
 
 TEST(DagPacing, RejectsFlowInconsistentDiamond) {
   // Unit rates everywhere except c→d producing 2 per firing: branch c
-  // delivers twice branch b's flow to the join.  validate_dag_model is
-  // happy structurally, but pacing must reject (demand via b: τ, via c:
-  // 2τ) — previously this returned admissible capacities under which the
-  // self-timed simulation deadlocked.
+  // delivers twice branch b's flow to the join.  validate_cyclic_model
+  // accepts it as an acyclic network, but pacing must reject (demand via
+  // b: τ, via c: 2τ) — previously this returned admissible capacities
+  // under which the self-timed simulation deadlocked.
   VrdfGraph g;
   const Duration dummy = seconds(Rational(1));
   const ActorId a = g.add_actor("a", dummy);
@@ -115,7 +115,8 @@ TEST(DagPacing, RejectsFlowInconsistentDiamond) {
   (void)g.add_buffer(a, c, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(b, d, RateSet::singleton(1), RateSet::singleton(1));
   (void)g.add_buffer(c, d, RateSet::singleton(2), RateSet::singleton(1));
-  EXPECT_TRUE(dataflow::validate_dag_model(g).ok());
+  const dataflow::ValidationReport report = dataflow::validate_cyclic_model(g);
+  EXPECT_TRUE(report.ok() && !report.view->is_cyclic) << report.summary();
   const PacingResult pacing =
       compute_pacing(g, {ThroughputConstraint{d, kTau}});
   ASSERT_FALSE(pacing.ok);
@@ -368,8 +369,8 @@ struct ReferenceChainAnalysis {
 ReferenceChainAnalysis reference_chain_analysis(
     const VrdfGraph& graph, const ThroughputConstraint& constraint) {
   ReferenceChainAnalysis ref;
-  const auto chain = graph.chain_view();
-  VRDF_REQUIRE(chain.has_value(), "reference needs a chain");
+  const auto chain = graph.buffer_view();
+  VRDF_REQUIRE(chain.has_value() && chain->is_chain, "reference needs a chain");
   ref.actors_in_order = chain->actors;
   const std::size_t n = chain->actors.size();
   ref.side = constraint.actor == chain->actors.back() ? ConstraintSide::Sink

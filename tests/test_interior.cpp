@@ -172,22 +172,6 @@ TEST(Interior, RandomInteriorPinnedChainsSustainPeriodicExecution) {
 
 // ------------------------------------------------------ min-period solvers
 
-TEST(Interior, MinPeriodOfThePinMatchesTightResponseTimes) {
-  // At tight response times ρ(v) = φ(v) every response-time constraint
-  // binds at exactly the construction period, so the fastest admissible
-  // period with the installed capacities is τ itself.
-  models::InteriorPinnedPipeline app = models::make_interior_pinned_pipeline();
-  const GraphAnalysis sized =
-      compute_buffer_capacities(app.graph, app.constraint);
-  ASSERT_TRUE(sized.admissible);
-  apply_capacities(app.graph, sized);
-  const MinPeriodResult headroom =
-      min_admissible_period(app.graph, app.dsp);
-  ASSERT_TRUE(headroom.ok)
-      << (headroom.diagnostics.empty() ? "" : headroom.diagnostics[0]);
-  EXPECT_EQ(headroom.min_period, milliseconds(Rational(5)));
-}
-
 TEST(Interior, DesignatedMinPeriodCouplesThePinToAFixedSink) {
   // Chain src → pin → snk, static flow-balanced rates; with the sink
   // fixed at 8 ms, flow consistency pins the interior actor to exactly

@@ -145,7 +145,7 @@ TEST(Mp3Reproduction, CapacityVersusDecoderInterval) {
 
 TEST(Mp3Reproduction, TraditionalBaselineMatchesPaper) {
   const Mp3Playback app = make_mp3_playback();
-  const auto traditional = baseline::traditional_chain_capacities(app.graph);
+  const auto traditional = baseline::traditional_capacities(app.graph);
   ASSERT_TRUE(traditional.ok);
   ASSERT_EQ(traditional.pairs.size(), 3u);
   EXPECT_EQ(traditional.pairs[0].capacity,

@@ -496,41 +496,6 @@ TEST(MultiConstraint, RandomMultiSinkGraphsSustainPeriodicExecution) {
 
 // --------------------------------------------- designated min-period solver
 
-TEST(MultiConstraint, MinPeriodScalesDesignatedConstraintAgainstFixedOnes) {
-  models::AvDualSinkPipeline app = models::make_av_dual_sink_pipeline();
-  const GraphAnalysis sized =
-      compute_buffer_capacities(app.graph, app.constraints);
-  ASSERT_TRUE(sized.admissible);
-  apply_capacities(app.graph, sized);
-
-  // With the audio presenter fixed at 15 ms, flow consistency pins the
-  // video presenter to exactly 40 ms.
-  const MinPeriodResult coupled =
-      min_admissible_period(app.graph, app.constraints, app.vpresent);
-  ASSERT_TRUE(coupled.ok) << (coupled.diagnostics.empty()
-                                  ? ""
-                                  : coupled.diagnostics[0]);
-  EXPECT_EQ(coupled.min_period, milliseconds(Rational(40)));
-  EXPECT_EQ(coupled.infimum_period, coupled.min_period);
-  EXPECT_TRUE(coupled.infimum_attained);
-  EXPECT_NE(coupled.binding_constraint.find("flow-coupling"),
-            std::string::npos);
-
-  // Starving the installed capacities makes the coupled period infeasible.
-  VrdfGraph strangled = app.graph;
-  strangled.set_initial_tokens(app.vdec_vpresent.space, 1);
-  const MinPeriodResult infeasible =
-      min_admissible_period(strangled, app.constraints, app.vpresent);
-  EXPECT_FALSE(infeasible.ok);
-  ASSERT_FALSE(infeasible.diagnostics.empty());
-
-  // An actor without a constraint in the set is a usage error.
-  const MinPeriodResult unknown =
-      min_admissible_period(app.graph, app.constraints, app.demux);
-  EXPECT_FALSE(unknown.ok);
-  EXPECT_NE(unknown.diagnostics[0].find("no constraint"), std::string::npos);
-}
-
 // ----------------------------------------------------------- io round trips
 
 TEST(MultiConstraint, TextFormatRoundTripsConstraintSets) {
@@ -547,8 +512,7 @@ TEST(MultiConstraint, TextFormatRoundTripsConstraintSets) {
 
   const io::ChainDocument parsed = io::read_chain(text);
   ASSERT_EQ(parsed.constraints.size(), 2u);
-  ASSERT_TRUE(parsed.constraint.has_value());
-  EXPECT_EQ(parsed.constraint->period, milliseconds(Rational(15)));
+  EXPECT_EQ(parsed.constraints[0].period, milliseconds(Rational(15)));
   const GraphAnalysis reparsed =
       compute_buffer_capacities(parsed.graph, parsed.constraints);
   ASSERT_TRUE(reparsed.admissible);

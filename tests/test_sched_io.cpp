@@ -108,11 +108,11 @@ TEST(TextFormat, RoundTripPreservesModel) {
   const io::ChainDocument parsed = io::read_chain(text);
   ASSERT_EQ(parsed.graph.actor_count(), 4u);
   ASSERT_EQ(parsed.graph.edge_count(), 6u);
-  ASSERT_TRUE(parsed.constraint.has_value());
-  EXPECT_EQ(parsed.constraint->period, period_of_hz(Rational(44100)));
+  ASSERT_EQ(parsed.constraints.size(), 1u);
+  EXPECT_EQ(parsed.constraints[0].period, period_of_hz(Rational(44100)));
   // The parsed model must produce the same capacities.
   const analysis::GraphAnalysis analysis = analysis::compute_buffer_capacities(
-      parsed.graph, *parsed.constraint);
+      parsed.graph, parsed.constraints);
   ASSERT_TRUE(analysis.admissible);
   EXPECT_EQ(analysis.pairs[0].capacity, 6015);
   EXPECT_EQ(analysis.pairs[1].capacity, 3263);
@@ -126,8 +126,8 @@ TEST(TextFormat, RoundTripPreservesCapacities) {
   (void)g.add_buffer(a, b, RateSet::of({2, 5}), RateSet::interval(0, 7), 13);
   const std::string text = io::write_chain(g, {});
   const io::ChainDocument parsed = io::read_chain(text);
-  const auto view = parsed.graph.chain_view();
-  ASSERT_TRUE(view.has_value());
+  const auto view = parsed.graph.buffer_view();
+  ASSERT_TRUE(view.has_value() && view->is_chain);
   const dataflow::Edge& data = parsed.graph.edge(view->buffers[0].data);
   const dataflow::Edge& space = parsed.graph.edge(view->buffers[0].space);
   EXPECT_EQ(data.production, RateSet::of({2, 5}));
@@ -147,7 +147,7 @@ TEST(TextFormat, CommentsAndBlankLinesIgnored) {
       "buffer a -> b pi={3} gamma={2,3}\n";
   const io::ChainDocument parsed = io::read_chain(text);
   EXPECT_EQ(parsed.graph.actor_count(), 2u);
-  EXPECT_FALSE(parsed.constraint.has_value());
+  EXPECT_TRUE(parsed.constraints.empty());
 }
 
 TEST(TextFormat, MalformedInputsRejectedWithLineNumbers) {

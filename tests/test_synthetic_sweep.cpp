@@ -27,7 +27,9 @@ TEST_P(RandomChainSweep, GeneratedChainsAreValidAndAdmissible) {
   spec.source_constrained = std::get<1>(GetParam());
   spec.length = 3 + spec.seed % 4;
   SyntheticChain chain = models::make_random_chain(spec);
-  EXPECT_TRUE(dataflow::validate_chain_model(chain.graph).ok());
+  const dataflow::ValidationReport report =
+      dataflow::validate_cyclic_model(chain.graph);
+  EXPECT_TRUE(report.ok() && report.view->is_chain) << report.summary();
   const GraphAnalysis analysis =
       analysis::compute_buffer_capacities(chain.graph, chain.constraint);
   ASSERT_TRUE(analysis.admissible);

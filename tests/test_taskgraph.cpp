@@ -56,13 +56,21 @@ TEST(TaskGraph, CapacityAssignment) {
 }
 
 TEST(TaskGraph, ChainRecognition) {
-  const TaskGraph g = three_task_chain();
-  EXPECT_TRUE(g.is_chain());
-  const auto order = g.chain_order();
-  ASSERT_TRUE(order.has_value());
-  EXPECT_EQ(order->tasks, (std::vector<TaskId>{TaskId(0), TaskId(1), TaskId(2)}));
-  EXPECT_EQ(order->buffers_in_order,
-            (std::vector<BufferId>{BufferId(0), BufferId(1)}));
+  // The chain order is the buffer view of the Sec 3.3 construction, which
+  // adds task i as actor i and buffer j as edges_of_buffer[j].
+  const auto expect_order = [](const TaskGraph& g,
+                               const std::vector<TaskId>& tasks) {
+    EXPECT_TRUE(g.is_chain());
+    const VrdfConstruction built = g.to_vrdf();
+    const auto view = dataflow::validate_cyclic_model(built.graph).view;
+    ASSERT_TRUE(view.has_value() && view->is_chain);
+    EXPECT_EQ(view->actors, tasks);
+    ASSERT_EQ(view->buffers.size(), built.edges_of_buffer.size());
+    for (std::size_t j = 0; j < view->buffers.size(); ++j) {
+      EXPECT_EQ(view->buffers[j].data, built.edges_of_buffer[j].data);
+    }
+  };
+  expect_order(three_task_chain(), {TaskId(0), TaskId(1), TaskId(2)});
 
   // Built backwards: buffers added sink-first keep their own ids.
   TaskGraph backwards;
@@ -71,11 +79,7 @@ TEST(TaskGraph, ChainRecognition) {
   const TaskId z = backwards.add_task("z", kKappa);
   (void)backwards.add_buffer(z, y, RateSet::singleton(1), RateSet::singleton(1));
   (void)backwards.add_buffer(y, x, RateSet::singleton(1), RateSet::singleton(1));
-  const auto reversed = backwards.chain_order();
-  ASSERT_TRUE(reversed.has_value());
-  EXPECT_EQ(reversed->tasks, (std::vector<TaskId>{z, y, x}));
-  EXPECT_EQ(reversed->buffers_in_order,
-            (std::vector<BufferId>{BufferId(0), BufferId(1)}));
+  expect_order(backwards, {z, y, x});
 
   TaskGraph single;
   (void)single.add_task("only", kKappa);
@@ -172,11 +176,10 @@ TEST(Construction, ResultIsStronglyConsistentChain) {
   TaskGraph g = three_task_chain();
   const VrdfConstruction built = g.to_vrdf();
   const dataflow::ValidationReport report =
-      dataflow::validate_chain_model(built.graph);
+      dataflow::validate_cyclic_model(built.graph);
   EXPECT_TRUE(report.ok()) << report.summary();
-  const auto view = built.graph.chain_view();
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->actors.size(), 3u);
+  ASSERT_TRUE(report.view.has_value() && report.view->is_chain);
+  EXPECT_EQ(report.view->actors.size(), 3u);
 }
 
 }  // namespace
