@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "analysis/buffer_sizing.hpp"
 #include "models/mp3.hpp"
 #include "models/synthetic.hpp"
+#include "sim/fault_injection.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/time_scale.hpp"
@@ -457,6 +459,97 @@ TEST(TickRationalEquivalence, TimeLimitedRun) {
   StopCondition stop;
   stop.until_time = TimePoint(Rational(1, 10));
   expect_paths_equivalent(g, {}, stop);
+}
+
+// ------------------------------------------------------ perturbation goldens
+
+/// FNV-1a digest of every firing record's exact start and finish times (all
+/// actors, in actor order) plus the run's end time.
+std::uint64_t firing_digest(const VrdfGraph& graph, ClockMode mode,
+                            const Configure& configure,
+                            const StopCondition& stop) {
+  Simulator sim(graph);
+  sim.set_clock_mode(mode);
+  configure(sim);
+  sim.set_default_sources(7);
+  for (const ActorId a : graph.actors()) {
+    sim.record_firings(a);
+  }
+  const RunResult result = sim.run(stop);
+  if (mode == ClockMode::Auto) {
+    EXPECT_TRUE(sim.using_tick_clock());
+  }
+  std::string text;
+  for (const ActorId a : graph.actors()) {
+    for (const FiringRecord& r : sim.firings(a)) {
+      text += std::to_string(a.value()) + ' ' + std::to_string(r.index) + ' ' +
+              r.start.seconds().to_string() + ' ' +
+              r.finish.seconds().to_string() + '\n';
+    }
+  }
+  text += result.end_time.seconds().to_string();
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+TEST(TickClock, PerturbationGoldens) {
+  // Pins the exact firing times of jittered runs, alone and combined with a
+  // fault plan, so any change to how response-time perturbations are
+  // lowered onto the engine must reproduce them bit for bit on both clocks.
+  models::Mp3Playback app = models::make_mp3_playback();
+  const analysis::GraphAnalysis sized =
+      analysis::compute_buffer_capacities(app.graph, app.constraint);
+  ASSERT_TRUE(sized.admissible);
+  analysis::apply_capacities(app.graph, sized);
+  StopCondition stop;
+  stop.firing_target = StopCondition::FiringTarget{app.dac, 2000};
+
+  struct Case {
+    const char* name;
+    Configure configure;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases = {
+      {"jitter on src, br and mp3",
+       [&](Simulator& sim) {
+         sim.set_response_time_jitter(app.src, 3, Rational(1, 4));
+         sim.set_response_time_jitter(app.br, 4, Rational(1, 2));
+         sim.set_response_time_jitter(app.mp3, 5, Rational(3, 5));
+       },
+       1330819637408280508ULL},
+      {"jitter plus rho_overrun on mp3",
+       [&](Simulator& sim) {
+         sim.set_response_time_jitter(app.mp3, 9, Rational(1, 3));
+         FaultPlan(2)
+             .rho_overrun(app.mp3, microseconds(Rational(20)), Rational(11, 10))
+             .apply(sim);
+       },
+       3523305502828244942ULL},
+      {"jitter set twice on br",
+       [&](Simulator& sim) {
+         sim.set_response_time_jitter(app.br, 1, Rational(1, 5));
+         sim.set_response_time_jitter(app.br, 2, Rational(3, 4));
+       },
+       8030731389251055219ULL},
+      {"jitter with fraction 1 on mp3",
+       [&](Simulator& sim) {
+         sim.set_response_time_jitter(app.mp3, 6, Rational(1));
+       },
+       17068049015315190120ULL},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(firing_digest(app.graph, ClockMode::Auto, c.configure, stop),
+              c.digest)
+        << c.name << " (Auto)";
+    EXPECT_EQ(firing_digest(app.graph, ClockMode::ForceExactRational,
+                            c.configure, stop),
+              c.digest)
+        << c.name << " (ForceExactRational)";
+  }
 }
 
 }  // namespace
