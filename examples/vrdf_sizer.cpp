@@ -125,34 +125,9 @@ bool parse_args(int argc, char** argv, Options& options) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options options;
-  if (!parse_args(argc, argv, options)) {
-    return 2;
-  }
-
-  std::ifstream in(options.model_path);
-  if (!in) {
-    std::cerr << "cannot open '" << options.model_path << "'\n";
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-
-  io::ChainDocument doc;
-  try {
-    doc = io::read_chain(buffer.str());
-  } catch (const vrdf::Error& err) {
-    std::cerr << options.model_path << ": " << err.what() << '\n';
-    return 2;
-  }
-  if (doc.constraints.empty()) {
-    std::cerr << options.model_path << ": no 'constraint' line\n";
-    return 2;
-  }
-
+/// Sizes, reports and optionally verifies one parsed model; returns the
+/// exit status.
+int size_model(const Options& options, io::ChainDocument& doc) {
   analysis::AnalysisOptions analysis_options;
   analysis_options.rounding = options.rounding;
   analysis::GraphAnalysis result = analysis::compute_buffer_capacities(
@@ -246,4 +221,41 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << options.annotate_path << '\n';
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  if (!parse_args(argc, argv, options)) {
+    return 2;
+  }
+
+  std::ifstream in(options.model_path);
+  if (!in) {
+    std::cerr << "cannot open '" << options.model_path << "'\n";
+    return 2;
+  }
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+
+  io::ChainDocument doc;
+  try {
+    doc = io::read_chain(buffer.str());
+  } catch (const vrdf::Error& err) {
+    std::cerr << options.model_path << ": " << err.what() << '\n';
+    return 2;
+  }
+  if (doc.constraints.empty()) {
+    std::cerr << options.model_path << ": no 'constraint' line\n";
+    return 2;
+  }
+  // A well-formed model can still exceed the exact arithmetic (e.g. the
+  // robustness margins of --report): say so instead of aborting.
+  try {
+    return size_model(options, doc);
+  } catch (const vrdf::Error& err) {
+    std::cerr << options.model_path << ": " << err.what() << '\n';
+    return 1;
+  }
 }

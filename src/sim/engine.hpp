@@ -74,8 +74,6 @@ struct TickClock {
 };
 
 /// A live port: the staged PortConfig with its installed quantum stream.
-/// Shared across clock instantiations so an engine conversion can move
-/// ports (and their stream positions) wholesale.
 struct Port {
   dataflow::EdgeId in_edge;   // consumed from at start (may be invalid)
   dataflow::EdgeId out_edge;  // produced onto at finish (may be invalid)
@@ -84,7 +82,7 @@ struct Port {
   /// (equals the consumption set of the in edge for buffer ports).  Cached
   /// so the per-firing quantum validation skips the graph lookup.
   const dataflow::RateSet* rate_set = nullptr;
-  /// Set when fill_default_sources installed a constant source for a
+  /// Set when set_default_sources installed a constant source for a
   /// singleton rate set: the draw can skip the virtual stream call (a
   /// constant source is stateless and its value is in-set by construction).
   bool constant = false;
@@ -97,29 +95,10 @@ struct Port {
 
 enum class EventKind : std::uint8_t { FiringFinish, Wakeup };
 
-/// The response-time jitter grid of set_response_time_jitter expressed as
-/// base + step * s for s in [0, 1024]:  base = rho * min_fraction and
-/// step = rho * (1 - min_fraction) / 1024, so that every grid point is a
-/// linear combination with integer coefficients (which a tick scale can
-/// represent exactly).
-struct JitterGrid {
-  Rational base;
-  Rational step;
-};
-
-[[nodiscard]] inline JitterGrid jitter_grid(const Rational& rho_seconds,
-                                            const Rational& min_fraction) {
-  return JitterGrid{rho_seconds * min_fraction,
-                    rho_seconds * (Rational(1) - min_fraction) / Rational(1024)};
-}
-
 template <class Clock>
 class Engine {
 public:
   using Time = typename Clock::Time;
-
-  template <class>
-  friend class Engine;
 
   Engine(const dataflow::VrdfGraph& graph, SimConfig&& config, Clock clock)
       : graph_(&graph), clock_(std::move(clock)) {
@@ -162,199 +141,32 @@ public:
       const dataflow::ActorId id(
           static_cast<dataflow::ActorId::underlying_type>(i));
       state.rho = clock_.from_rational(graph.actor(id).response_time.seconds());
-      apply_mode(state, cfg.mode);
-      if (cfg.jitter_enabled) {
-        apply_jitter(state, id, cfg.jitter_min_fraction, cfg.jitter_seed_state);
+      state.mode_kind = cfg.mode.kind;
+      if (cfg.mode.kind != ActorMode::Kind::SelfTimed) {
+        state.mode_offset = clock_.from_rational(cfg.mode.offset.seconds());
+        state.mode_period = clock_.from_rational(cfg.mode.period.seconds());
       }
       for (const auto& [index, delay] : cfg.release_delays) {
         state.release_delays.emplace(index, clock_.from_rational(delay));
       }
       state.has_release_delays = !state.release_delays.empty();
       for (const ResponseTimeFault& fault : cfg.faults) {
-        add_response_time_fault(id, fault);
+        state.faults.push_back(
+            FaultEntry{clock_.from_rational(fault.base.seconds()),
+                       clock_.from_rational(fault.step.seconds()),
+                       fault.rng_seed, fault.from, fault.until,
+                       fault.burst_length, fault.burst_period});
       }
+      state.has_faults = !state.faults.empty();
       state.record = cfg.record;
       state.record_cap = cfg.record_cap;
     }
   }
 
-  /// Exact conversion from an engine running under another clock; used to
-  /// fall back from ticks to rationals mid-life.  Sources are moved, so
-  /// `other` must be discarded afterwards.
-  template <class FromClock>
-  Engine(Engine<FromClock>&& other, Clock clock)
-      : graph_(other.graph_), clock_(std::move(clock)) {
-    const auto cv = [&](const typename FromClock::Time& t) {
-      return clock_.from_rational(other.clock_.to_rational(t));
-    };
-    const auto cv_opt = [&](const std::optional<typename FromClock::Time>& t) {
-      return t.has_value() ? std::optional<Time>(cv(*t)) : std::nullopt;
-    };
-
-    now_ = cv(other.now_);
-    next_seq_ = other.next_seq_;
-    total_firings_ = other.total_firings_;
-    heap_.reserve(other.heap_.capacity());
-    for (const auto& e : other.heap_) {
-      heap_.push_back(Event{cv(e.time), e.seq, e.kind, e.actor});
-    }
-    // The heap property is preserved: cv is strictly monotone.
-    edges_ = other.edges_;
-    edge_target_ = other.edge_target_;
-    actor_metrics_ = other.actor_metrics_;
-    firing_records_ = std::move(other.firing_records_);
-    production_records_ = std::move(other.production_records_);
-    consumption_records_ = std::move(other.consumption_records_);
-    transfer_recording_ = std::move(other.transfer_recording_);
-    transfer_caps_ = std::move(other.transfer_caps_);
-    starvations_ = std::move(other.starvations_);
-
-    actor_times_.resize(other.actor_times_.size());
-    for (std::size_t i = 0; i < other.actor_times_.size(); ++i) {
-      actor_times_[i].first_start = cv_opt(other.actor_times_[i].first_start);
-      actor_times_[i].last_start = cv_opt(other.actor_times_[i].last_start);
-      actor_times_[i].max_lateness = cv_opt(other.actor_times_[i].max_lateness);
-    }
-
-    actors_.resize(other.actors_.size());
-    worklist_.reserve(actors_.size());
-    for (std::size_t i = 0; i < other.actors_.size(); ++i) {
-      auto& src = other.actors_[i];
-      ActorState& dst = actors_[i];
-      dst.ports = std::move(src.ports);
-      dst.mode_kind = src.mode_kind;
-      dst.mode_offset = cv(src.mode_offset);
-      dst.mode_period = cv(src.mode_period);
-      dst.rho = cv(src.rho);
-      dst.jitter_enabled = src.jitter_enabled;
-      if (src.jitter_enabled) {
-        dst.jitter_base = cv(src.jitter_base);
-        dst.jitter_step = cv(src.jitter_step);
-      }
-      dst.jitter_state = src.jitter_state;
-      dst.jitter_min_fraction = src.jitter_min_fraction;
-      for (const auto& [index, delay] : src.release_delays) {
-        dst.release_delays.emplace(index, cv(delay));
-      }
-      dst.has_release_delays = src.has_release_delays;
-      dst.has_faults = src.has_faults;
-      dst.faults.reserve(src.faults.size());
-      for (const auto& f : src.faults) {
-        dst.faults.push_back(FaultEntry{cv(f.base), cv(f.step), f.rng_seed,
-                                        f.from, f.until, f.burst_length,
-                                        f.burst_period});
-      }
-      dst.record = src.record;
-      dst.record_cap = src.record_cap;
-      dst.busy = src.busy;
-      dst.quanta_drawn = src.quanta_drawn;
-      dst.started = src.started;
-      dst.finished = src.finished;
-      dst.pending_quanta = std::move(src.pending_quanta);
-      dst.active_quanta = std::move(src.active_quanta);
-      dst.active_start = cv(src.active_start);
-      dst.active_finish = cv(src.active_finish);
-      dst.last_start = cv_opt(src.last_start);
-      dst.release_not_before = cv_opt(src.release_not_before);
-      dst.scheduled_wakeup = cv_opt(src.scheduled_wakeup);
-      dst.open_starvation = src.open_starvation;
-    }
-  }
-
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  Engine(Engine&&) = default;
 
   [[nodiscard]] const Clock& clock() const { return clock_; }
-
-  // ------------------------------------------------------------- config
-  void set_actor_mode(dataflow::ActorId actor, const ActorMode& mode) {
-    ActorState& state = actors_[actor.index()];
-    apply_mode(state, mode);
-    if (mode.kind == ActorMode::Kind::RateLimited) {
-      // The gate measures against the previous start even when the mode is
-      // switched on mid-life; start_firing only maintains last_start while
-      // rate-limited, so seed it from the metrics copy.
-      state.last_start = actor_times_[actor.index()].last_start;
-    }
-  }
-
-  void set_quantum_source(dataflow::ActorId actor, dataflow::EdgeId edge,
-                          std::unique_ptr<QuantumSource> source) {
-    // An invalid id must not match a bare port's unused EdgeId::invalid()
-    // half below.
-    VRDF_REQUIRE(edge.is_valid() && edge.index() < edges_.size(),
-                 "edge id out of range");
-    for (Port& port : actors_[actor.index()].ports) {
-      if (port.in_edge == edge || port.out_edge == edge) {
-        port.source = std::move(source);
-        port.constant = false;
-        port.trusted = false;
-        return;
-      }
-    }
-    const dataflow::Edge& named = graph_->edge(edge);
-    std::ostringstream os;
-    os << "actor '" << graph_->actor(actor).name << "' has no port on edge "
-       << graph_->actor(named.source).name << " -> "
-       << graph_->actor(named.target).name;
-    throw ContractError(os.str());
-  }
-
-  void fill_default_sources(std::uint64_t seed) {
-    std::uint64_t salt = 0;
-    for (ActorState& state : actors_) {
-      for (Port& port : state.ports) {
-        ++salt;
-        if (port.source != nullptr) {
-          continue;
-        }
-        const dataflow::RateSet& set = *port.rate_set;
-        if (set.is_singleton()) {
-          port.source = constant_source(set.max());
-          port.constant = true;
-          port.constant_quantum = set.max();
-        } else {
-          port.source =
-              uniform_random_source(set, seed * 0x9E3779B97F4A7C15ULL + salt);
-        }
-        port.trusted = true;
-      }
-    }
-  }
-
-  void inject_release_delay(dataflow::ActorId actor, std::int64_t firing_index,
-                            const Rational& delay_seconds) {
-    ActorState& state = actors_[actor.index()];
-    state.release_delays[firing_index] = clock_.from_rational(delay_seconds);
-    state.has_release_delays = true;
-  }
-
-  void set_response_time_jitter(dataflow::ActorId actor,
-                                const Rational& min_fraction,
-                                std::uint64_t seed_state) {
-    apply_jitter(actors_[actor.index()], actor, min_fraction, seed_state);
-  }
-
-  void add_response_time_fault(dataflow::ActorId actor,
-                               const ResponseTimeFault& fault) {
-    ActorState& state = actors_[actor.index()];
-    state.faults.push_back(FaultEntry{clock_.from_rational(fault.base.seconds()),
-                                      clock_.from_rational(fault.step.seconds()),
-                                      fault.rng_seed, fault.from, fault.until,
-                                      fault.burst_length, fault.burst_period});
-    state.has_faults = true;
-  }
-
-  void record_firings(dataflow::ActorId actor, std::size_t max_records) {
-    actors_[actor.index()].record = true;
-    actors_[actor.index()].record_cap = max_records;
-  }
-
-  void record_transfers(dataflow::EdgeId edge, std::size_t max_records) {
-    transfer_recording_[edge.index()] = 1;
-    transfer_caps_[edge.index()] = max_records;
-  }
 
   // --------------------------------------------------------------- run
   RunResult run(const StopCondition& stop) {
@@ -362,7 +174,8 @@ public:
     if (stop.until_time.has_value()) {
       until = clock_.from_rational(stop.until_time->seconds());
     }
-    // Config may have changed since the last run; rescan everything once.
+    // Rescan every actor once: a fresh engine has nothing queued, and a
+    // run that stopped at its firing target left its enabling pass undone.
     for (std::size_t i = 0; i < actors_.size(); ++i) {
       mark_dirty(dataflow::ActorId(
           static_cast<dataflow::ActorId::underlying_type>(i)));
@@ -462,10 +275,6 @@ public:
     const ActorTimes& t = actor_times_[actor.index()];
     m.first_start = to_opt_time_point(t.first_start);
     m.last_start = to_opt_time_point(t.last_start);
-    m.max_lateness_vs_period =
-        t.max_lateness.has_value()
-            ? std::optional<Duration>(Duration(clock_.to_rational(*t.max_lateness)))
-            : std::nullopt;
     return m;
   }
 
@@ -504,11 +313,6 @@ private:
     Time mode_offset{};
     Time mode_period{};
     Time rho{};
-    bool jitter_enabled = false;
-    Time jitter_base{};
-    Time jitter_step{};
-    std::uint64_t jitter_state = 0;
-    Rational jitter_min_fraction;  // kept for exact clock conversion
     bool has_faults = false;
     std::vector<FaultEntry> faults;
     bool has_release_delays = false;
@@ -525,7 +329,6 @@ private:
     std::vector<std::int64_t> active_quanta;
     Time active_start{};
     Time active_finish{};
-    std::optional<Time> last_start;
     std::optional<Time> release_not_before;
     std::optional<Time> scheduled_wakeup;
     std::optional<std::size_t> open_starvation;
@@ -534,7 +337,6 @@ private:
   struct ActorTimes {
     std::optional<Time> first_start;
     std::optional<Time> last_start;
-    std::optional<Time> max_lateness;
   };
 
   struct Event {
@@ -563,28 +365,6 @@ private:
       const std::optional<Time>& t) const {
     return t.has_value() ? std::optional<TimePoint>(to_time_point(*t))
                          : std::nullopt;
-  }
-
-  void apply_mode(ActorState& state, const ActorMode& mode) {
-    state.mode_kind = mode.kind;
-    if (mode.kind != ActorMode::Kind::SelfTimed) {
-      state.mode_offset = clock_.from_rational(mode.offset.seconds());
-      state.mode_period = clock_.from_rational(mode.period.seconds());
-    } else {
-      state.mode_offset = Time{};
-      state.mode_period = Time{};
-    }
-  }
-
-  void apply_jitter(ActorState& state, dataflow::ActorId actor,
-                    const Rational& min_fraction, std::uint64_t seed_state) {
-    const JitterGrid grid =
-        jitter_grid(graph_->actor(actor).response_time.seconds(), min_fraction);
-    state.jitter_enabled = true;
-    state.jitter_state = seed_state;
-    state.jitter_min_fraction = min_fraction;
-    state.jitter_base = clock_.from_rational(grid.base);
-    state.jitter_step = clock_.from_rational(grid.step);
   }
 
   void push_event(const Time& time, EventKind kind,
@@ -691,9 +471,11 @@ private:
       if (!have_tokens) {
         return;
       }
+      const std::optional<Time>& last_start =
+          actor_times_[actor.index()].last_start;
       if (state.mode_kind == ActorMode::Kind::RateLimited &&
-          state.last_start.has_value()) {
-        const Time earliest = Clock::add(*state.last_start, state.mode_period);
+          last_start.has_value()) {
+        const Time earliest = Clock::add(*last_start, state.mode_period);
         if (now_ < earliest) {
           schedule_wakeup(actor, state, earliest);
           return;
@@ -760,30 +542,8 @@ private:
     }
     times.last_start = now_;
     ++metrics.firings_started;
-    if (state.mode_kind == ActorMode::Kind::RateLimited) {
-      // Only the rate-limit gate reads ActorState::last_start; metrics use
-      // the ActorTimes copy above.
-      state.last_start = now_;
-      // Lateness of firing k versus a periodic schedule anchored at the
-      // first start: start_k − (first + k·period).
-      const Time lateness = Clock::sub(
-          now_, Clock::add(*times.first_start,
-                           Clock::mul_int(state.mode_period, state.started - 1)));
-      if (!times.max_lateness.has_value() || *times.max_lateness < lateness) {
-        times.max_lateness = lateness;
-      }
-    }
 
     Time rho = state.rho;
-    if (state.jitter_enabled) {
-      // splitmix64 step; map to a 1024-step grid over [min_fraction, 1]·ρ.
-      std::uint64_t z = (state.jitter_state += 0x9E3779B97F4A7C15ULL);
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      z ^= z >> 31;
-      const std::int64_t step = static_cast<std::int64_t>(z % 1025);
-      rho = Clock::add(state.jitter_base, Clock::mul_int(state.jitter_step, step));
-    }
     if (state.has_faults) {
       rho = Clock::add(rho, fault_extra(state));
     }
@@ -795,7 +555,7 @@ private:
   /// (index started − 1): the sum over the actor's fault entries whose
   /// window and burst pattern cover it.  The random part is a *stateless*
   /// hash of (rng_seed, firing index), so replay is exact regardless of
-  /// how the run is segmented across run() calls or clock conversions.
+  /// how the run is segmented across run() calls.
   [[nodiscard]] Time fault_extra(const ActorState& state) const {
     Time extra{};
     const std::int64_t k = state.started - 1;

@@ -110,9 +110,9 @@ public:
   [[nodiscard]] bool empty() const { return specs_.empty(); }
 
   /// Installs the plan on a simulator (resolves ρ factors against the
-  /// simulator's graph).  Must be called before the first run if the
-  /// simulator should use the tick clock; calling later falls back to
-  /// exact Rational time when the grid does not fit the chosen scale.
+  /// simulator's graph).  Must be called before the simulator's first run,
+  /// like every simulator setter; the plan's grids then join the tick
+  /// scale.
   void apply(Simulator& sim) const;
 
   /// One line per spec, e.g. "rho_overrun on 'dec': +1/2 ms from firing 0".

@@ -18,8 +18,6 @@ namespace vrdf::sim {
 enum class ClockMode {
   /// Tick clock when a scale exists, exact Rational otherwise (default).
   Auto,
-  /// Require the tick clock; throws ContractError when no scale exists.
-  ForceTickClock,
   /// Always use exact Rational time (reference path for equivalence tests).
   ForceExactRational,
 };
@@ -101,9 +99,6 @@ struct ActorMetrics {
   std::optional<TimePoint> last_start;
   /// StrictlyPeriodic actors: number of activations that started late.
   std::int64_t starvation_count = 0;
-  /// Max over recorded firings k of start_k − k·period (self-timed /
-  /// rate-limited actors; the offset a periodic schedule would need).
-  std::optional<Duration> max_lateness_vs_period;
 };
 
 /// One unsatisfied token demand of an idle actor at a deadlock: the

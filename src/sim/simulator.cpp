@@ -1,11 +1,9 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "sim/engine.hpp"
-#include "util/checked_int.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -56,19 +54,6 @@ Simulator::Simulator(const dataflow::VrdfGraph& graph) : graph_(graph) {
 
 Simulator::~Simulator() = default;
 
-template <typename Fn>
-bool Simulator::forward_config(Fn&& fn) {
-  if (tick_ != nullptr) {
-    fn(*tick_);
-    return true;
-  }
-  if (rational_ != nullptr) {
-    fn(*rational_);
-    return true;
-  }
-  return false;
-}
-
 template <typename Fn, typename Fallback>
 decltype(auto) Simulator::dispatch(Fn&& fn, Fallback&& fallback) const {
   if (tick_ != nullptr) {
@@ -90,9 +75,12 @@ void Simulator::check_edge(EdgeId edge) const {
                "edge id out of range");
 }
 
+void Simulator::check_configurable() const {
+  VRDF_REQUIRE(!has_engine(), "configure the simulator before its first run");
+}
+
 void Simulator::set_clock_mode(ClockMode mode) {
-  VRDF_REQUIRE(!has_engine(),
-               "set_clock_mode must be called before the first run");
+  check_configurable();
   clock_mode_ = mode;
 }
 
@@ -106,32 +94,20 @@ std::optional<std::int64_t> Simulator::tick_resolution() const {
 }
 
 void Simulator::set_actor_mode(ActorId actor, ActorMode mode) {
+  check_configurable();
   check_actor(actor);
   if (mode.kind != ActorMode::Kind::SelfTimed) {
     VRDF_REQUIRE(mode.period.is_positive(), "mode period must be positive");
-  }
-  if (tick_ != nullptr && mode.kind != ActorMode::Kind::SelfTimed &&
-      !(tick_->clock().scale.fits(mode.offset.seconds()) &&
-        tick_->clock().scale.fits(mode.period.seconds()))) {
-    fall_back_to_rational("actor mode not representable at the tick scale");
-  }
-  if (forward_config([&](auto& e) { e.set_actor_mode(actor, mode); })) {
-    return;
   }
   config_.actors[actor.index()].mode = mode;
 }
 
 void Simulator::set_quantum_source(ActorId actor, EdgeId edge,
                                    std::unique_ptr<QuantumSource> source) {
+  check_configurable();
   check_actor(actor);
   check_edge(edge);
   VRDF_REQUIRE(source != nullptr, "quantum source must not be null");
-  // The lambda runs at most once, so moving `source` into it is safe.
-  if (forward_config([&](auto& e) {
-        e.set_quantum_source(actor, edge, std::move(source));
-      })) {
-    return;
-  }
   // Normalize a space edge to its data edge: ports store buffer edges as
   // (in, out) pairs, so matching either half works, but bare-edge matching
   // needs the concrete edge.
@@ -152,9 +128,7 @@ void Simulator::set_quantum_source(ActorId actor, EdgeId edge,
 }
 
 void Simulator::set_default_sources(std::uint64_t seed) {
-  if (forward_config([&](auto& e) { e.fill_default_sources(seed); })) {
-    return;
-  }
+  check_configurable();
   std::uint64_t salt = 0;
   for (detail::ActorConfig& actor : config_.actors) {
     for (detail::PortConfig& port : actor.ports) {
@@ -180,55 +154,37 @@ void Simulator::set_default_sources(std::uint64_t seed) {
 
 void Simulator::inject_release_delay(ActorId actor, std::int64_t firing_index,
                                      Duration delay) {
+  check_configurable();
   check_actor(actor);
   VRDF_REQUIRE(firing_index >= 0, "firing index must be non-negative");
   VRDF_REQUIRE(!delay.is_negative(), "release delay must be non-negative");
-  if (tick_ != nullptr && !tick_->clock().scale.fits(delay.seconds())) {
-    fall_back_to_rational("release delay not representable at the tick scale");
-  }
-  if (forward_config([&](auto& e) {
-        e.inject_release_delay(actor, firing_index, delay.seconds());
-      })) {
-    return;
-  }
   config_.actors[actor.index()].release_delays[firing_index] = delay.seconds();
 }
 
 void Simulator::set_response_time_jitter(ActorId actor, std::uint64_t seed,
                                          Rational min_fraction) {
+  check_configurable();
   check_actor(actor);
   VRDF_REQUIRE(min_fraction.is_positive() && min_fraction <= Rational(1),
                "jitter fraction must be in (0, 1]");
-  // splitmix-style seeding keeps streams independent across actors.
+  // Duration ρ + base + step·u_k = ρ·min_fraction + step·u_k for u_k in
+  // [0, 1024].  The splitmix-style seed state keeps streams independent
+  // across actors.  The fault hash of firing k reads
+  // rng_seed + k·G = seed_state + (k+1)·G: splitmix64's (k+1)-th state
+  // after the seed state.
+  const Rational rho = graph_.actor(actor).response_time.seconds();
   const std::uint64_t seed_state =
       seed * 0x9E3779B97F4A7C15ULL + actor.value() + 1;
-  if (tick_ != nullptr) {
-    bool ok = true;
-    try {
-      const detail::JitterGrid grid = detail::jitter_grid(
-          graph_.actor(actor).response_time.seconds(), min_fraction);
-      ok = tick_->clock().scale.fits(grid.base) &&
-           tick_->clock().scale.fits(grid.step);
-    } catch (const OverflowError&) {
-      ok = false;
-    }
-    if (!ok) {
-      fall_back_to_rational("jitter grid not representable at the tick scale");
-    }
-  }
-  if (forward_config([&](auto& e) {
-        e.set_response_time_jitter(actor, min_fraction, seed_state);
-      })) {
-    return;
-  }
-  detail::ActorConfig& cfg = config_.actors[actor.index()];
-  cfg.jitter_enabled = true;
-  cfg.jitter_seed_state = seed_state;
-  cfg.jitter_min_fraction = min_fraction;
+  ResponseTimeFault grid;
+  grid.base = Duration(rho * min_fraction - rho);
+  grid.step = Duration(rho * (Rational(1) - min_fraction) / Rational(1024));
+  grid.rng_seed = seed_state + 0x9E3779B97F4A7C15ULL;
+  config_.actors[actor.index()].jitter = grid;
 }
 
 void Simulator::add_response_time_fault(ActorId actor,
                                         const ResponseTimeFault& fault) {
+  check_configurable();
   check_actor(actor);
   VRDF_REQUIRE(!fault.base.is_negative() && !fault.step.is_negative(),
                "fault base/step must be non-negative");
@@ -237,30 +193,19 @@ void Simulator::add_response_time_fault(ActorId actor,
   VRDF_REQUIRE(fault.burst_period >= 0 && fault.burst_length >= 0 &&
                    fault.burst_length <= fault.burst_period,
                "fault burst pattern must satisfy 0 <= length <= period");
-  if (tick_ != nullptr && !(tick_->clock().scale.fits(fault.base.seconds()) &&
-                            tick_->clock().scale.fits(fault.step.seconds()))) {
-    fall_back_to_rational("fault grid not representable at the tick scale");
-  }
-  if (forward_config([&](auto& e) { e.add_response_time_fault(actor, fault); })) {
-    return;
-  }
   config_.actors[actor.index()].faults.push_back(fault);
 }
 
 void Simulator::record_firings(ActorId actor, std::size_t max_records) {
+  check_configurable();
   check_actor(actor);
-  if (forward_config([&](auto& e) { e.record_firings(actor, max_records); })) {
-    return;
-  }
   config_.actors[actor.index()].record = true;
   config_.actors[actor.index()].record_cap = max_records;
 }
 
 void Simulator::record_transfers(EdgeId edge, std::size_t max_records) {
+  check_configurable();
   check_edge(edge);
-  if (forward_config([&](auto& e) { e.record_transfers(edge, max_records); })) {
-    return;
-  }
   config_.transfer_recording[edge.index()] = 1;
   config_.transfer_caps[edge.index()] = max_records;
 }
@@ -277,21 +222,13 @@ std::optional<TimeScale> Simulator::compute_scale(
     for (const ActorId a : graph_.actors()) {
       fold(graph_.actor(a).response_time.seconds());
     }
-    for (std::size_t i = 0; i < config_.actors.size(); ++i) {
-      const detail::ActorConfig& cfg = config_.actors[i];
+    for (const detail::ActorConfig& cfg : config_.actors) {
       if (cfg.mode.kind != ActorMode::Kind::SelfTimed) {
         fold(cfg.mode.offset.seconds());
         fold(cfg.mode.period.seconds());
       }
       for (const auto& [index, delay] : cfg.release_delays) {
         fold(delay);
-      }
-      if (cfg.jitter_enabled) {
-        const ActorId id(static_cast<ActorId::underlying_type>(i));
-        const detail::JitterGrid grid = detail::jitter_grid(
-            graph_.actor(id).response_time.seconds(), cfg.jitter_min_fraction);
-        fold(grid.base);
-        fold(grid.step);
       }
       for (const ResponseTimeFault& fault : cfg.faults) {
         fold(fault.base.seconds());
@@ -319,14 +256,15 @@ std::optional<TimeScale> Simulator::compute_scale(
 }
 
 void Simulator::create_engine(const StopCondition& stop) {
+  // From here on jitter is one more fault grid.
+  for (detail::ActorConfig& cfg : config_.actors) {
+    if (cfg.jitter.has_value()) {
+      cfg.faults.push_back(*cfg.jitter);
+    }
+  }
   std::optional<TimeScale> scale;
   if (clock_mode_ != ClockMode::ForceExactRational) {
     scale = compute_scale(stop);
-  }
-  if (clock_mode_ == ClockMode::ForceTickClock && !scale.has_value()) {
-    throw ContractError(
-        "tick clock forced but no int64 tick scale exists for this "
-        "configuration (denominator LCM overflow)");
   }
   if (scale.has_value()) {
     tick_ = std::make_unique<detail::Engine<detail::TickClock>>(
@@ -342,23 +280,28 @@ void Simulator::create_engine(const StopCondition& stop) {
   }
 }
 
-void Simulator::fall_back_to_rational(const char* why) {
-  VRDF_REQUIRE(tick_ != nullptr, "no tick engine to fall back from");
-  VRDF_REQUIRE(clock_mode_ != ClockMode::ForceTickClock, why);
-  VRDF_LOG(Info) << "simulator: " << why << "; falling back to exact "
-                    "Rational time";
-  rational_ = std::make_unique<detail::Engine<detail::RationalClock>>(
-      std::move(*tick_), detail::RationalClock{});
-  tick_.reset();
-}
-
 RunResult Simulator::run(const StopCondition& stop) {
+  if (stop.firing_target.has_value()) {
+    check_actor(stop.firing_target->actor);
+  }
+  if (stop.until_time.has_value() && *stop.until_time < now()) {
+    std::ostringstream os;
+    os << "stop horizon " << stop.until_time->seconds().to_string()
+       << " s lies before the simulation clock ("
+       << now().seconds().to_string() << " s)";
+    throw ContractError(os.str());
+  }
   if (!has_engine()) {
     create_engine(stop);
-  }
-  if (tick_ != nullptr && stop.until_time.has_value() &&
-      !tick_->clock().scale.fits(stop.until_time->seconds())) {
-    fall_back_to_rational("stop horizon not representable at the tick scale");
+  } else if (tick_ != nullptr && stop.until_time.has_value() &&
+             !tick_->clock().scale.fits(stop.until_time->seconds())) {
+    std::ostringstream os;
+    os << "stop horizon " << stop.until_time->seconds().to_string()
+       << " s is not a whole int64 number of ticks at this simulator's "
+       << tick_->clock().scale.ticks_per_second()
+       << " ticks per second; pass the horizon to the first run, or pin "
+          "ClockMode::ForceExactRational";
+    throw ContractError(os.str());
   }
   return tick_ != nullptr ? tick_->run(stop) : rational_->run(stop);
 }

@@ -12,15 +12,20 @@
 // Time is exact; runs are fully deterministic: events are ordered by
 // (time, sequence number) and quantum sources are deterministic streams.
 //
+// Configure, then run: every setter must be called before the first
+// run(), which freezes the configuration and chooses the clock.  Later
+// run() calls continue the same simulation on that clock.
+//
 // Internally the engine runs on an integer tick clock whenever possible:
-// before the first run it collects every rational time constant the
+// at the first run it collects every rational time constant the
 // simulation can produce (response times, periods, offsets, injected
-// delays, the 1/1024 jitter grid, the stop horizon) and sets the tick
-// resolution to the LCM of their denominators, so the hot path is int64
-// arithmetic instead of rational gcd normalization.  When no such scale
-// exists (denominator LCM overflow) it falls back to exact Rational time
-// with a diagnostic; both paths produce bit-for-bit identical results.
-// See docs/performance.md.
+// delays, the 1/1024 fault and jitter grids, the first stop horizon) and
+// sets the tick resolution to the LCM of their denominators, so the hot
+// path is int64 arithmetic instead of rational gcd normalization.  When no
+// such scale exists (denominator LCM overflow) it uses exact Rational time
+// instead; both paths produce bit-for-bit identical results.  A later
+// horizon that is not a whole int64 number of ticks at the chosen scale is
+// a ContractError.  See docs/performance.md.
 //
 // Buffer-paired edges share one quantum stream per endpoint: the producer
 // of a buffer draws one value q per firing and uses it both as the space
@@ -66,9 +71,10 @@ struct EdgeTransfer {
 /// becomes ρ + base + step·u_k, where u_k ∈ [0, 1024] is a stateless
 /// splitmix64 hash of (rng_seed, k) — replayable regardless of run
 /// segmentation, and exactly representable by a tick clock because every
-/// grid point is base + step·integer (the same trick as the jitter grid).
+/// grid point is base + step·integer.
 struct ResponseTimeFault {
-  /// Additive extra duration per affected firing (>= 0).
+  /// Additive extra duration per affected firing (>= 0; only the internal
+  /// grid of set_response_time_jitter has a negative base).
   Duration base;
   /// Grid step of the random extra (zero disables the random part).
   Duration step;
@@ -102,9 +108,9 @@ struct ActorConfig {
   ActorMode mode;
   std::vector<PortConfig> ports;
   std::unordered_map<std::int64_t, Rational> release_delays;  // seconds
-  bool jitter_enabled = false;
-  std::uint64_t jitter_seed_state = 0;
-  Rational jitter_min_fraction;
+  /// set_response_time_jitter's grid; joins `faults` when the engine is
+  /// built.
+  std::optional<ResponseTimeFault> jitter;
   std::vector<ResponseTimeFault> faults;
   bool record = false;
   std::size_t record_cap = 0;
@@ -138,9 +144,10 @@ public:
 
   /// Selects the internal time representation.  Auto (the default) uses
   /// the integer tick clock when a scale exists and exact rationals
-  /// otherwise; the Force modes pin one path (ForceTickClock throws
-  /// ContractError when no scale exists).  Must be called before the
-  /// first run.
+  /// otherwise; ForceExactRational pins the Rational path.
+  ///
+  /// This and every other setter below must be called before the first
+  /// run; a later call is a ContractError.
   void set_clock_mode(ClockMode mode);
   /// True once the engine runs on the integer tick clock (false before
   /// the first run and in the Rational fallback).
@@ -175,7 +182,9 @@ public:
   /// [min_fraction·ρ(v), ρ(v)].  ρ(v) is a *worst-case* response time in
   /// the model, so capacities must tolerate any such run (monotonicity,
   /// Def 1); this is the engine's failure-injection hook for testing that
-  /// claim end to end.  min_fraction must be in (0, 1].
+  /// claim end to end.  The grid is one response-time fault with a
+  /// non-positive base (ρ·min_fraction − ρ) on every firing; a second call
+  /// on the same actor replaces it.  min_fraction must be in (0, 1].
   void set_response_time_jitter(dataflow::ActorId actor, std::uint64_t seed,
                                 Rational min_fraction);
 
@@ -197,7 +206,11 @@ public:
   void record_transfers(dataflow::EdgeId edge, std::size_t max_records = 1 << 20);
 
   /// Runs until the stop condition triggers; may be called repeatedly with
-  /// new conditions to continue a run.
+  /// new conditions to continue a run.  The firing target must name an
+  /// actor of the graph, and the horizon must not lie before now(); on the
+  /// tick clock a later horizon must also be a whole int64 number of ticks
+  /// (otherwise pass it to the first run, or pin ForceExactRational).
+  /// Violations are ContractErrors.
   RunResult run(const StopCondition& stop);
 
   /// The simulator's full timing-relevant state at the current instant:
@@ -228,11 +241,8 @@ private:
   [[nodiscard]] bool has_engine() const {
     return tick_ != nullptr || rational_ != nullptr;
   }
-  /// Applies `fn` to the live engine; false when none exists yet (the
-  /// caller then updates the staged config instead).  Defined in
-  /// simulator.cpp (all uses live there).
-  template <typename Fn>
-  bool forward_config(Fn&& fn);
+  /// Throws ContractError once the first run has built the engine.
+  void check_configurable() const;
   /// Reads through the live engine, or `fallback` before the first run.
   template <typename Fn, typename Fallback>
   decltype(auto) dispatch(Fn&& fn, Fallback&& fallback) const;
@@ -242,9 +252,6 @@ private:
   /// or nullopt when it overflows the cap (Rational fallback).
   [[nodiscard]] std::optional<TimeScale> compute_scale(
       const StopCondition& stop) const;
-  /// Moves a live tick engine onto the exact Rational clock (used when a
-  /// later stop horizon is not representable at the chosen scale).
-  void fall_back_to_rational(const char* why);
   void check_actor(dataflow::ActorId actor) const;
   void check_edge(dataflow::EdgeId edge) const;
 

@@ -4,6 +4,7 @@
 
 #include "dataflow/vrdf_graph.hpp"
 #include "sim/simulator.hpp"
+#include "sim/steady_state.hpp"
 #include "util/error.hpp"
 
 namespace vrdf::sim {
@@ -366,6 +367,40 @@ TEST(Simulator, EventBudgetStopsRunawayRuns) {
   const RunResult result = sim.run(stop);
   EXPECT_EQ(result.reason, StopReason::EventBudgetExhausted);
   EXPECT_GE(result.total_firings, 10);
+}
+
+TEST(Simulator, FiringTargetOutsideTheGraphIsAContractError) {
+  TwoActorFixture f = make_pair(1, 1, 2, kMs, kMs);
+  for (const ActorId bad : {ActorId(57), ActorId::invalid()}) {
+    Simulator sim(f.graph);
+    sim.set_default_sources(1);
+    StopCondition stop;
+    stop.firing_target = StopCondition::FiringTarget{bad, 3};
+    EXPECT_THROW((void)sim.run(stop), ContractError);
+    EXPECT_THROW((void)detect_steady_state(f.graph, bad, 10), ContractError);
+  }
+}
+
+TEST(Simulator, HorizonBeforeTheClockIsAContractError) {
+  TwoActorFixture f = make_pair(1, 1, 2, kMs, kMs);
+  Simulator sim(f.graph);
+  sim.set_default_sources(1);
+  StopCondition stop;
+  stop.until_time = TimePoint(Rational(1, 100));
+  (void)sim.run(stop);
+  ASSERT_EQ(sim.now().seconds(), Rational(1, 100));
+  stop.until_time = TimePoint(Rational(1, 200));
+  EXPECT_THROW((void)sim.run(stop), ContractError);
+  EXPECT_EQ(sim.now().seconds(), Rational(1, 100));
+  // Re-running to the current instant is a no-op, not a step back.
+  stop.until_time = TimePoint(Rational(1, 100));
+  EXPECT_EQ(sim.run(stop).end_time.seconds(), Rational(1, 100));
+
+  Simulator fresh(f.graph);
+  fresh.set_default_sources(1);
+  stop.until_time = TimePoint(Rational(-1));
+  EXPECT_THROW((void)fresh.run(stop), ContractError);
+  EXPECT_EQ(fresh.now().seconds(), Rational(0));
 }
 
 }  // namespace

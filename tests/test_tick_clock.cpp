@@ -1,9 +1,8 @@
 // Tick-clock tests: TimeScale arithmetic, clock selection, the Rational
-// fallback, and the bit-for-bit equivalence of the tick and exact-Rational
+// fallback, the configure-then-run contract, and the bit-for-bit equivalence of the tick and exact-Rational
 // simulation paths on random chains and the MP3 model.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -68,7 +67,6 @@ TEST(TickClock, SimpleModelRunsOnTicks) {
   const ActorId b = g.add_actor("b", kMs * Rational(2));
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1), 4);
   Simulator sim(g);
-  sim.set_clock_mode(ClockMode::ForceTickClock);
   sim.set_default_sources(1);
   StopCondition stop;
   stop.firing_target = StopCondition::FiringTarget{b, 10};
@@ -90,11 +88,6 @@ TEST(TickClock, LcmOverflowFallsBackToRational) {
   StopCondition stop;
   stop.firing_target = StopCondition::FiringTarget{b, 3};
 
-  Simulator forced(g);
-  forced.set_clock_mode(ClockMode::ForceTickClock);
-  forced.set_default_sources(1);
-  EXPECT_THROW((void)forced.run(stop), ContractError);
-
   Simulator sim(g);
   sim.set_default_sources(1);
   const RunResult result = sim.run(stop);
@@ -102,35 +95,46 @@ TEST(TickClock, LcmOverflowFallsBackToRational) {
   EXPECT_FALSE(sim.using_tick_clock());
 }
 
-TEST(TickClock, UnrepresentableHorizonFallsBackMidLife) {
+TEST(TickClock, UnrepresentableLaterHorizonIsAContractError) {
   VrdfGraph g;
   const ActorId a = g.add_actor("a", kMs);
   const ActorId b = g.add_actor("b", kMs);
   (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1), 4);
+  StopCondition first;
+  first.firing_target = StopCondition::FiringTarget{b, 5};
+  // 1/7919 s is not a whole number of ticks at 1000 ticks/s.
+  StopCondition second;
+  second.until_time = TimePoint(Rational(100, 7919));
 
-  const auto run_both_phases = [&](ClockMode mode) {
-    Simulator sim(g);
-    sim.set_clock_mode(mode);
-    sim.set_default_sources(1);
-    sim.record_firings(b, 1 << 12);
-    StopCondition first;
-    first.firing_target = StopCondition::FiringTarget{b, 5};
-    (void)sim.run(first);
-    if (mode == ClockMode::Auto) {
-      EXPECT_TRUE(sim.using_tick_clock());
-    }
-    // 1/7919 s is not a whole number of ticks at 1000 ticks/s.
-    StopCondition second;
-    second.until_time = TimePoint(Rational(100, 7919));
-    const RunResult result = sim.run(second);
-    EXPECT_EQ(result.reason, StopReason::ReachedTimeLimit);
-    EXPECT_FALSE(sim.using_tick_clock());
-    EXPECT_EQ(sim.now().seconds(), Rational(100, 7919));
-    return sim.firings(b).size();
-  };
+  Simulator sim(g);
+  sim.set_default_sources(1);
+  (void)sim.run(first);
+  ASSERT_TRUE(sim.using_tick_clock());
+  try {
+    (void)sim.run(second);
+    ADD_FAILURE() << "expected ContractError";
+  } catch (const ContractError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("100/7919"), std::string::npos) << what;
+    EXPECT_NE(what.find("1000 ticks per second"), std::string::npos) << what;
+    EXPECT_NE(what.find("first run"), std::string::npos) << what;
+    EXPECT_NE(what.find("ForceExactRational"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(sim.using_tick_clock());
 
-  EXPECT_EQ(run_both_phases(ClockMode::Auto),
-            run_both_phases(ClockMode::ForceExactRational));
+  // Both remedies reach the horizon exactly.
+  Simulator exact(g);
+  exact.set_clock_mode(ClockMode::ForceExactRational);
+  exact.set_default_sources(1);
+  (void)exact.run(first);
+  EXPECT_EQ(exact.run(second).reason, StopReason::ReachedTimeLimit);
+  EXPECT_EQ(exact.now().seconds(), Rational(100, 7919));
+
+  Simulator folded(g);
+  folded.set_default_sources(1);
+  EXPECT_EQ(folded.run(second).reason, StopReason::ReachedTimeLimit);
+  EXPECT_TRUE(folded.using_tick_clock());
+  EXPECT_EQ(folded.now().seconds(), Rational(100, 7919));
 }
 
 TEST(TickClock, OversizedConstantAtFineScaleFallsBackToRational) {
@@ -154,9 +158,9 @@ TEST(TickClock, OversizedConstantAtFineScaleFallsBackToRational) {
   EXPECT_FALSE(sim.using_tick_clock());
 }
 
-TEST(TickClock, ConfigurationBetweenRunsUsesTheLiveEngine) {
-  // Regression: config setters called after the first run must forward to
-  // the engine (the staged config is consumed when the engine is built).
+TEST(TickClock, ConfigurationAfterTheFirstRunIsAContractError) {
+  // The first run freezes the configuration; every setter says so instead
+  // of reconfiguring a live engine.
   VrdfGraph g;
   const ActorId a = g.add_actor("a", kMs);
   const ActorId b = g.add_actor("b", kMs);
@@ -169,27 +173,37 @@ TEST(TickClock, ConfigurationBetweenRunsUsesTheLiveEngine) {
   (void)sim.run(first);
   ASSERT_TRUE(sim.using_tick_clock());
 
-  sim.record_transfers(buf.data);
-  sim.record_firings(b);
-  sim.inject_release_delay(b, 7, kMs * Rational(2));
+  ResponseTimeFault fault;
+  fault.base = kMs;
+  const std::vector<std::function<void()>> setters = {
+      [&] { sim.set_clock_mode(ClockMode::ForceExactRational); },
+      [&] { sim.set_actor_mode(b, ActorMode::rate_limited(kMs * Rational(2))); },
+      [&] { sim.set_quantum_source(b, buf.data, constant_source(1)); },
+      [&] { sim.set_default_sources(2); },
+      [&] { sim.inject_release_delay(b, 7, kMs * Rational(2)); },
+      [&] { sim.set_response_time_jitter(b, 3, Rational(1, 2)); },
+      [&] { sim.add_response_time_fault(b, fault); },
+      [&] { sim.record_firings(b); },
+      [&] { sim.record_transfers(buf.data); },
+  };
+  for (std::size_t i = 0; i < setters.size(); ++i) {
+    try {
+      setters[i]();
+      ADD_FAILURE() << "setter " << i << " accepted a late call";
+    } catch (const ContractError& error) {
+      EXPECT_NE(std::string(error.what())
+                    .find("configure the simulator before its first run"),
+                std::string::npos)
+          << "setter " << i << ": " << error.what();
+    }
+  }
+
+  // The frozen configuration keeps running as configured.
   StopCondition second;
   second.firing_target = StopCondition::FiringTarget{b, 10};
-  (void)sim.run(second);
-  EXPECT_FALSE(sim.production_events(buf.data).empty());
-  EXPECT_FALSE(sim.firings(b).empty());
-  // Firing 7 was gated by the injected 2 ms delay.
-  const auto& records = sim.firings(b);
-  const auto firing7 = std::find_if(records.begin(), records.end(),
-                                    [](const FiringRecord& r) {
-                                      return r.index == 7;
-                                    });
-  ASSERT_NE(firing7, records.end());
-  const auto firing6 = std::find_if(records.begin(), records.end(),
-                                    [](const FiringRecord& r) {
-                                      return r.index == 6;
-                                    });
-  ASSERT_NE(firing6, records.end());
-  EXPECT_GE(firing7->start - firing6->start, kMs * Rational(2));
+  EXPECT_EQ(sim.run(second).reason, StopReason::ReachedFiringTarget);
+  EXPECT_TRUE(sim.firings(b).empty());
+  EXPECT_EQ(sim.actor_metrics(b).firings_finished, 10);
 }
 
 TEST(TickClock, InvalidEdgeIdInSetQuantumSourceThrows) {
@@ -205,9 +219,9 @@ TEST(TickClock, InvalidEdgeIdInSetQuantumSourceThrows) {
       ContractError);
 }
 
-TEST(TickClock, OversizedHorizonFallsBackInsteadOfOverflowing) {
+TEST(TickClock, OversizedLaterHorizonIsAContractError) {
   // An until_time whose denominator divides the scale but whose tick count
-  // does not fit int64 must take the Rational fallback, not throw.
+  // does not fit int64 is rejected, not overflowed.
   VrdfGraph g;
   const ActorId a =
       g.add_actor("a", seconds(Rational(1, TimeScale::kMaxTicksPerSecond)));
@@ -223,9 +237,14 @@ TEST(TickClock, OversizedHorizonFallsBackInsteadOfOverflowing) {
   StopCondition stop;
   stop.until_time = TimePoint(Rational(std::int64_t{1} << 33));  // ~2^73 ticks
   stop.max_firings = 100;
-  const RunResult result = sim.run(stop);
-  EXPECT_FALSE(sim.using_tick_clock());
-  EXPECT_EQ(result.reason, StopReason::EventBudgetExhausted);
+  EXPECT_THROW((void)sim.run(stop), ContractError);
+  EXPECT_TRUE(sim.using_tick_clock());
+
+  // Passed to the first run, the same horizon keeps the model on Rational.
+  Simulator fresh(g);
+  fresh.set_default_sources(1);
+  EXPECT_EQ(fresh.run(stop).reason, StopReason::EventBudgetExhausted);
+  EXPECT_FALSE(fresh.using_tick_clock());
 }
 
 // ------------------------------------------------------------- equivalence
