@@ -462,24 +462,33 @@ struct ReferenceMargins {
   int inadmissible_probes = 0;
 };
 
+/// One full re-analysis of `probe` against the capacities installed in
+/// it: true when the analysis is admissible and every pair fits.  Counts
+/// inadmissible re-analyses in `inadmissible`.
+bool fits_installed(const VrdfGraph& probe,
+                    const analysis::ConstraintSet& constraints,
+                    int& inadmissible) {
+  const analysis::GraphAnalysis analysis =
+      analysis::compute_buffer_capacities(probe, constraints);
+  if (!analysis.admissible) {
+    ++inadmissible;
+    return false;
+  }
+  for (const analysis::PairAnalysis& pair : analysis.pairs) {
+    if (pair.capacity > probe.buffer_capacity(pair.buffer)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 ReferenceMargins reference_margins(const VrdfGraph& graph,
                                    const analysis::ConstraintSet& constraints) {
   ReferenceMargins ref;
   RobustnessReport& report = ref.report;
   report.constraints = constraints;
-  const auto fits_installed = [&](const VrdfGraph& probe) {
-    const analysis::GraphAnalysis analysis =
-        analysis::compute_buffer_capacities(probe, constraints);
-    if (!analysis.admissible) {
-      ++ref.inadmissible_probes;
-      return false;
-    }
-    for (const analysis::PairAnalysis& pair : analysis.pairs) {
-      if (pair.capacity > probe.buffer_capacity(pair.buffer)) {
-        return false;
-      }
-    }
-    return true;
+  const auto fits = [&](const VrdfGraph& probe) {
+    return fits_installed(probe, constraints, ref.inadmissible_probes);
   };
   const auto max_true = [](const auto& holds) {
     if (holds(kReferenceGrid)) {
@@ -547,7 +556,7 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
         probe.set_response_time(
             margin.actor,
             margin.response_time + slack * Rational(k, kReferenceGrid));
-        return fits_installed(probe);
+        return fits(probe);
       });
       margin.margin = slack * Rational(best, kReferenceGrid);
     }
@@ -561,7 +570,7 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
             m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
       }
     }
-    return fits_installed(probe);
+    return fits(probe);
   });
   report.joint_safe_fraction = Rational(joint, kReferenceGrid);
   report.ok = true;
@@ -624,6 +633,40 @@ void halve_response_times(VrdfGraph& graph) {
   }
 }
 
+/// A model with installed capacities, searched by the margin tests.
+struct MarginFixture {
+  VrdfGraph graph;
+  analysis::ConstraintSet constraints;
+};
+
+/// The dual-presenter A/V pipeline (two constraints) with every ρ halved
+/// and one spare container per buffer.
+MarginFixture halved_av_fixture() {
+  models::AvDualSinkPipeline av = models::make_av_dual_sink_pipeline();
+  halve_response_times(av.graph);
+  install_capacities(av.graph, av.constraints, 1);
+  return {std::move(av.graph), av.constraints};
+}
+
+/// The cyclic feedback pipeline with every ρ halved so the loop has
+/// slack, primed with exactly the credits it needs: an overrun on the
+/// loop makes the re-analysis inadmissible before it outgrows any
+/// installed capacity.
+MarginFixture primed_feedback_fixture() {
+  models::FeedbackPipeline fb = models::make_feedback_pipeline();
+  const analysis::ConstraintSet constraints{fb.constraint};
+  halve_response_times(fb.graph);
+  for (const analysis::PairAnalysis& pair :
+       analysis::compute_buffer_capacities(fb.graph, constraints).pairs) {
+    if (pair.is_feedback) {
+      fb.graph.set_initial_tokens(pair.buffer.data,
+                                  pair.required_initial_tokens);
+    }
+  }
+  install_capacities(fb.graph, constraints, 0);
+  return {std::move(fb.graph), constraints};
+}
+
 constexpr std::uint64_t kReferenceSeeds = 8;
 
 TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
@@ -661,9 +704,7 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
 
   {
     SCOPED_TRACE("dual-presenter A/V (two constraints)");
-    models::AvDualSinkPipeline av = models::make_av_dual_sink_pipeline();
-    halve_response_times(av.graph);
-    install_capacities(av.graph, av.constraints, 1);
+    const MarginFixture av = halved_av_fixture();
     const ReferenceMargins want = reference_margins(av.graph, av.constraints);
     ASSERT_TRUE(want.report.ok);
     EXPECT_GT(want.report.joint_safe_fraction, Rational(0));
@@ -672,24 +713,11 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
   }
   {
     SCOPED_TRACE("feedback pipeline (cyclic)");
-    models::FeedbackPipeline fb = models::make_feedback_pipeline();
-    const analysis::ConstraintSet constraints{fb.constraint};
-    // Halve every ρ so the loop has slack, then prime it with exactly the
-    // credits it needs: an overrun on the loop makes the re-analysis
-    // inadmissible before it outgrows any installed capacity.
-    halve_response_times(fb.graph);
-    for (const analysis::PairAnalysis& pair :
-         analysis::compute_buffer_capacities(fb.graph, constraints).pairs) {
-      if (pair.is_feedback) {
-        fb.graph.set_initial_tokens(pair.buffer.data,
-                                    pair.required_initial_tokens);
-      }
-    }
-    install_capacities(fb.graph, constraints, 0);
-    const ReferenceMargins want = reference_margins(fb.graph, constraints);
+    const MarginFixture fb = primed_feedback_fixture();
+    const ReferenceMargins want = reference_margins(fb.graph, fb.constraints);
     ASSERT_TRUE(want.report.ok);
     EXPECT_GT(want.inadmissible_probes, 0);
-    expect_same_report(analysis::robustness_margins(fb.graph, constraints),
+    expect_same_report(analysis::robustness_margins(fb.graph, fb.constraints),
                        want.report);
   }
   {
@@ -751,6 +779,92 @@ TEST(Robustness, JointFractionBoundedByEachActorsMargin) {
     }
   }
   EXPECT_GT(partial_joint, 0);
+}
+
+TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
+  // Every margin search assumes its predicate is monotone in the grid
+  // index: once a grid point misses the installed capacities, no larger
+  // one fits again.  Evaluate all 65 points of every search by full
+  // re-analysis, check that, and check that each reported margin and the
+  // joint fraction is the last point that fits.
+  int searches = 0;
+  int interior = 0;  // thresholds strictly inside the grid
+  const auto check = [&](const VrdfGraph& graph,
+                         const analysis::ConstraintSet& constraints) {
+    const RobustnessReport report =
+        analysis::robustness_margins(graph, constraints);
+    ASSERT_TRUE(report.ok);
+    int inadmissible = 0;
+    // The last grid point at which set_point(probe, k) fits.
+    const auto last_fit = [&](const auto& set_point) {
+      VrdfGraph probe = graph;
+      std::int64_t last = -1;
+      bool missed = false;
+      for (std::int64_t k = 0; k <= kReferenceGrid; ++k) {
+        set_point(probe, k);
+        const bool fits = fits_installed(probe, constraints, inadmissible);
+        EXPECT_FALSE(fits && missed) << "grid point " << k << " fits again";
+        missed = missed || !fits;
+        last = fits ? k : last;
+      }
+      EXPECT_GE(last, 0);
+      ++searches;
+      interior += last > 0 && last < kReferenceGrid;
+      return last;
+    };
+    for (const analysis::ActorMargin& m : report.actors) {
+      const Duration slack = m.max_response_time - m.response_time;
+      if (!slack.is_positive()) {
+        continue;
+      }
+      SCOPED_TRACE(graph.actor(m.actor).name);
+      const std::int64_t last = last_fit([&](VrdfGraph& probe, std::int64_t k) {
+        probe.set_response_time(
+            m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
+      });
+      EXPECT_EQ(m.margin, slack * Rational(last, kReferenceGrid));
+    }
+    SCOPED_TRACE("joint fraction");
+    const std::int64_t joint = last_fit([&](VrdfGraph& probe, std::int64_t k) {
+      for (const analysis::ActorMargin& m : report.actors) {
+        const Duration slack = m.max_response_time - m.response_time;
+        if (slack.is_positive()) {
+          probe.set_response_time(
+              m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
+        }
+      }
+    });
+    EXPECT_EQ(report.joint_safe_fraction, Rational(joint, kReferenceGrid));
+  };
+
+  for (const ModelClass model_class : kAllClasses) {
+    for (const std::int64_t headroom : {0, 1}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        SCOPED_TRACE(std::string(class_name(model_class)) + " headroom " +
+                     std::to_string(headroom) + " seed " +
+                     std::to_string(seed));
+        RandomModelSpec spec;
+        spec.model_class = model_class;
+        spec.seed = seed;
+        spec.capacity_headroom = headroom;
+        spec.source_constrained = (seed % 2) == 0;
+        const SyntheticModel model = make_random_model(spec);
+        check(model.graph, model.constraints);
+      }
+    }
+  }
+  {
+    SCOPED_TRACE("dual-presenter A/V (two constraints)");
+    const MarginFixture av = halved_av_fixture();
+    check(av.graph, av.constraints);
+  }
+  {
+    SCOPED_TRACE("feedback pipeline (cyclic)");
+    const MarginFixture fb = primed_feedback_fixture();
+    check(fb.graph, fb.constraints);
+  }
+  EXPECT_GT(interior, 0);
+  EXPECT_GT(searches, interior);
 }
 
 // ---------------------------------------------------------- Randomized sweep
