@@ -1,9 +1,11 @@
 #include "analysis/robustness.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/incremental.hpp"
 #include "analysis/snapshot.hpp"
+#include "util/error.hpp"
 #include "util/log.hpp"
 
 namespace vrdf::analysis {
@@ -13,21 +15,85 @@ namespace {
 /// Margin search resolution: margins are multiples of slack/kGridSteps.
 constexpr std::int64_t kGridSteps = 64;
 
-/// Largest k in [0, grid] such that predicate(k) holds, assuming the
-/// predicate is monotone (true at 0, and once false stays false) — the
-/// capacity of every pair is monotone nondecreasing in every ρ(v).
-template <typename Predicate>
-[[nodiscard]] std::int64_t max_true(std::int64_t grid, Predicate&& holds) {
+/// Largest k in [0, grid] such that holds(k), assuming the predicate is
+/// monotone (true at 0, and once false stays false) — the capacity of
+/// every pair is monotone nondecreasing in every ρ(v).  After the top
+/// probe fails, the search probes hint() and, if that holds, the point
+/// after it, then bisects what is left of the bracket.  Monotonicity makes
+/// the threshold unique, so any hint returns what plain bisection
+/// returns; a good hint ends the search in three probes, a wrong one
+/// costs at most two extra.
+template <typename Predicate, typename Hint>
+[[nodiscard]] std::int64_t max_true(std::int64_t grid, Predicate&& holds,
+                                    Hint&& hint) {
   if (holds(grid)) {
     return grid;
   }
   std::int64_t lo = 0;  // known true (caller checks the baseline)
   std::int64_t hi = grid;  // known false
+  const std::int64_t guess = std::clamp<std::int64_t>(hint(), 1, grid - 1);
+  if (holds(guess)) {
+    lo = guess;
+    if (guess + 1 < hi) {
+      (holds(guess + 1) ? lo : hi) = guess + 1;
+    }
+  } else {
+    hi = guess;
+  }
   while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     (holds(mid) ? lo : hi) = mid;
   }
   return lo;
+}
+
+/// One pair's side of the secant hint, fixed before the searches: its raw
+/// token count at the declared ρ (grid point 0) and what its installed
+/// capacity admits.
+struct PairLine {
+  Rational x0;
+  /// Installed capacity minus δ(data): the most the rounded x may reach.
+  std::int64_t room = 0;
+  /// analyse_pair's default PaperPublished rule rounds this pair to ⌈x⌉
+  /// (fits while x ≤ room) rather than ⌊x⌋+1 (fits while x < room): a
+  /// static pair off the feedback edges whose rate-determining endpoint
+  /// carries a constraint (that endpoint touches the pair's edge, so it
+  /// is always of the anchoring kind).
+  bool tight = false;
+};
+
+/// The secant prediction of the largest fitting grid point, from grid
+/// point 0 and the failing top probe: every pair over its installed
+/// capacity at the top is taken as linear in k between the two, and the
+/// hint is the smallest largest-fitting k among them.  On a chain x is
+/// affine in one ρ, so the hint is exact.  With no pair to extrapolate
+/// (the top failed only on a back-edge's credit) or on overflow, the hint
+/// is the midpoint; it only steers the search, never its result.
+[[nodiscard]] std::int64_t secant_hint(const std::vector<PairLine>& lines,
+                                       const GraphAnalysis& top) {
+  constexpr std::int64_t kMidpoint = kGridSteps / 2;
+  if (top.pairs.size() != lines.size()) {
+    return kMidpoint;
+  }
+  std::int64_t hint = kGridSteps;
+  try {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const PairLine& line = lines[i];
+      const PairAnalysis& pair = top.pairs[i];
+      const Rational rise = pair.raw_tokens - line.x0;
+      if (pair.capacity - pair.initial_tokens <= line.room ||
+          !rise.is_positive()) {
+        continue;
+      }
+      // x0 + rise·k/kGridSteps reaches the room at k = t.
+      const Rational t =
+          (Rational(line.room) - line.x0) * Rational(kGridSteps) / rise;
+      hint = std::min(hint, line.tight ? t.floor() : t.ceil() - 1);
+    }
+  } catch (const OverflowError&) {
+    return kMidpoint;
+  }
+  return hint == kGridSteps ? kMidpoint : hint;
 }
 
 /// ρ(v) + slack·k/kGridSteps: the response time of grid point k.
@@ -100,15 +166,37 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     return probe.admissible && first_over_installed(graph, probe) == nullptr;
   };
 
+  // Grid point 0 of every search, kept for the secant hints: `baseline`
+  // is the engine's live analysis, which the retunes below overwrite.
+  std::vector<bool> constrained(graph.actor_count(), false);
+  for (const ThroughputConstraint& c : constraints) {
+    constrained[c.actor.index()] = true;
+  }
+  std::vector<PairLine> lines;
+  lines.reserve(baseline.pairs.size());
+  for (const PairAnalysis& pair : baseline.pairs) {
+    const dataflow::ActorId anchor = pair.determined_by == ConstraintSide::Sink
+                                         ? pair.consumer
+                                         : pair.producer;
+    lines.push_back(PairLine{
+        pair.raw_tokens,
+        graph.buffer_capacity(pair.buffer) - pair.initial_tokens,
+        pair.is_static && !pair.is_feedback && constrained[anchor.index()]});
+  }
+
   // Per actor: retune its ρ on the engine, which re-derives only the ω
   // cone and pairs the actor reaches, then restore it.
   for (ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
-      const std::int64_t best = max_true(kGridSteps, [&](std::int64_t k) {
-        engine.retune(margin.actor, grid_point(margin, k));
-        return fits(engine.analysis());
-      });
+      const std::int64_t best = max_true(
+          kGridSteps,
+          [&](std::int64_t k) {
+            ++report.probes;
+            engine.retune(margin.actor, grid_point(margin, k));
+            return fits(engine.analysis());
+          },
+          [&] { return secant_hint(lines, engine.analysis()); });
       engine.clear_retune(margin.actor);
       margin.margin = slack * Rational(best, kGridSteps);
     }
@@ -122,14 +210,20 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
   // not compose; the joint fraction is what all actors may take at once.
   // Every ρ moves, so each probe is one overlay analysis on the snapshot.
   ParameterOverlay overlay;
-  const std::int64_t joint = max_true(kGridSteps, [&](std::int64_t k) {
-    for (const ActorMargin& m : report.actors) {
-      if (m.max_response_time > m.response_time) {
-        overlay.set_response_time(m.actor, grid_point(m, k));
-      }
-    }
-    return fits(compute_buffer_capacities(snapshot, constraints, {}, overlay));
-  });
+  GraphAnalysis probe;
+  const std::int64_t joint = max_true(
+      kGridSteps,
+      [&](std::int64_t k) {
+        ++report.probes;
+        for (const ActorMargin& m : report.actors) {
+          if (m.max_response_time > m.response_time) {
+            overlay.set_response_time(m.actor, grid_point(m, k));
+          }
+        }
+        probe = compute_buffer_capacities(snapshot, constraints, {}, overlay);
+        return fits(probe);
+      },
+      [&] { return secant_hint(lines, probe); });
   report.joint_safe_fraction = Rational(joint, kGridSteps);
 
   report.ok = true;

@@ -23,18 +23,28 @@
 //    *every* actor may consume simultaneously.
 //
 // Both searches exploit that computed capacities are monotone
-// nondecreasing in every ρ(v), so a binary search over a 64-step grid of
-// the slack finds the margin exactly to grid resolution.  Consequently
-// joint_safe_fraction · slack(v) ≤ margin(v) for every actor: raising
-// only v's ρ by that fraction asks for no more than raising every ρ by it.
+// nondecreasing in every ρ(v), so the largest fitting point of a 64-step
+// grid of the slack is unique and gives the margin exactly to grid
+// resolution.  Consequently joint_safe_fraction · slack(v) ≤ margin(v)
+// for every actor: raising only v's ρ by that fraction asks for no more
+// than raising every ρ by it.
+//
+// Each search probes the top grid point first.  If that fails, it probes
+// the point a secant predicts — every over-capacity pair's raw token
+// count taken as linear between grid point 0 and the top — and the point
+// after it, then bisects what is left.  On a chain the prediction is
+// exact.  Any prediction yields the same margin; only the probe count
+// depends on it.
 //
 // Cost: ρ enters neither the structural snapshot nor the pacing
 // propagation, so one TopologySnapshot and one IncrementalAnalysis serve
 // every probe.  A per-actor probe is a ρ-cone retune — only the ω leads
 // and pairs the actor reaches are re-derived — and the actor is restored
 // after its search; a joint probe moves every ρ at once and is one
-// overlay analysis on the snapshot.  On 8–32-actor models a report's
-// margins cost 13–17 one-shot analyses.
+// overlay analysis on the snapshot.  On the repo benchmark's 8–32-actor
+// margins pool a report runs about 58 probes, 2.7 per search (plain
+// bisection ran 143, 6.8 per search); RobustnessReport::probes counts
+// them.
 #pragma once
 
 #include <string>
@@ -87,6 +97,9 @@ struct RobustnessReport {
   /// Largest fraction of its individual slack φ(v) − ρ(v) that every
   /// actor may consume at once (grid-resolved, in [0, 1]).
   Rational joint_safe_fraction;
+  /// Search probes the margins cost: per-actor ρ retunes plus joint
+  /// overlay analyses.  Observability only; no report renders it.
+  std::int64_t probes = 0;
 };
 
 /// Computes robustness margins of `graph` (which must already carry the

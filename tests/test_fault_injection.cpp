@@ -455,8 +455,9 @@ constexpr std::int64_t kReferenceGrid = 64;
 /// carrying the probed ρ, a one-shot compute_buffer_capacities, and φ from
 /// max_admissible_response_times.  robustness_margins answers the same
 /// probes from one snapshot and the incremental engine, so the two must
-/// agree field for field.  Counts probes whose re-analysis came out
-/// inadmissible (not merely over the installed capacities).
+/// agree field for field.  Counts its probes in report.probes, and the
+/// probes whose re-analysis came out inadmissible (not merely over the
+/// installed capacities).
 struct ReferenceMargins {
   RobustnessReport report;
   int inadmissible_probes = 0;
@@ -488,6 +489,7 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
   RobustnessReport& report = ref.report;
   report.constraints = constraints;
   const auto fits = [&](const VrdfGraph& probe) {
+    ++report.probes;
     return fits_installed(probe, constraints, ref.inadmissible_probes);
   };
   const auto max_true = [](const auto& holds) {
@@ -651,8 +653,8 @@ MarginFixture halved_av_fixture() {
 /// The cyclic feedback pipeline with every ρ halved so the loop has
 /// slack, primed with exactly the credits it needs: an overrun on the
 /// loop makes the re-analysis inadmissible before it outgrows any
-/// installed capacity.
-MarginFixture primed_feedback_fixture() {
+/// installed capacity.  `headroom` spare containers per buffer.
+MarginFixture primed_feedback_fixture(std::int64_t headroom) {
   models::FeedbackPipeline fb = models::make_feedback_pipeline();
   const analysis::ConstraintSet constraints{fb.constraint};
   halve_response_times(fb.graph);
@@ -663,7 +665,7 @@ MarginFixture primed_feedback_fixture() {
                                   pair.required_initial_tokens);
     }
   }
-  install_capacities(fb.graph, constraints, 0);
+  install_capacities(fb.graph, constraints, headroom);
   return {std::move(fb.graph), constraints};
 }
 
@@ -672,6 +674,8 @@ constexpr std::uint64_t kReferenceSeeds = 8;
 TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
   int random_models = 0;
   int cyclic_inadmissible_probes = 0;
+  std::int64_t probes = 0;
+  std::int64_t reference_probes = 0;
   for (const ModelClass model_class : kAllClasses) {
     for (const std::int64_t headroom : {0, 1, 2}) {
       for (std::uint64_t seed = 1; seed <= kReferenceSeeds; ++seed) {
@@ -687,9 +691,11 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
         const ReferenceMargins want =
             reference_margins(model.graph, model.constraints);
         ASSERT_TRUE(want.report.ok);
-        expect_same_report(
-            analysis::robustness_margins(model.graph, model.constraints),
-            want.report);
+        const RobustnessReport got =
+            analysis::robustness_margins(model.graph, model.constraints);
+        expect_same_report(got, want.report);
+        probes += got.probes;
+        reference_probes += want.report.probes;
         if (model_class == ModelClass::Cyclic) {
           cyclic_inadmissible_probes += want.inadmissible_probes;
         }
@@ -701,6 +707,10 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
   // Some cyclic probes must fail admissibility (the back-edge's tokens no
   // longer cover the inflated loop), not just the installed capacities.
   EXPECT_GT(cyclic_inadmissible_probes, 0);
+  // The secant-seeded bracket finds the same margins in at most half the
+  // probes of the plain bisection.
+  EXPECT_LE(2 * probes, reference_probes)
+      << probes << " probes vs the reference's " << reference_probes;
 
   {
     SCOPED_TRACE("dual-presenter A/V (two constraints)");
@@ -713,7 +723,7 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
   }
   {
     SCOPED_TRACE("feedback pipeline (cyclic)");
-    const MarginFixture fb = primed_feedback_fixture();
+    const MarginFixture fb = primed_feedback_fixture(0);
     const ReferenceMargins want = reference_margins(fb.graph, fb.constraints);
     ASSERT_TRUE(want.report.ok);
     EXPECT_GT(want.inadmissible_probes, 0);
@@ -837,9 +847,12 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
     EXPECT_EQ(report.joint_safe_fraction, Rational(joint, kReferenceGrid));
   };
 
+  // Seed 13's fork-join and cyclic models each hold a search whose
+  // threshold lies two or more grid points past the secant hint, so the
+  // search must bisect after the hint, not trust it.
   for (const ModelClass model_class : kAllClasses) {
     for (const std::int64_t headroom : {0, 1}) {
-      for (const std::uint64_t seed : {1, 2}) {
+      for (const std::uint64_t seed : {1, 2, 13}) {
         SCOPED_TRACE(std::string(class_name(model_class)) + " headroom " +
                      std::to_string(headroom) + " seed " +
                      std::to_string(seed));
@@ -860,7 +873,15 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
   }
   {
     SCOPED_TRACE("feedback pipeline (cyclic)");
-    const MarginFixture fb = primed_feedback_fixture();
+    const MarginFixture fb = primed_feedback_fixture(0);
+    check(fb.graph, fb.constraints);
+  }
+  {
+    // With ample containers only the back-edge's credit can fail a
+    // probe: no pair rises over its capacity, so a search whose top
+    // probe fails starts from the midpoint instead of a secant.
+    SCOPED_TRACE("feedback pipeline (cyclic), ample capacities");
+    const MarginFixture fb = primed_feedback_fixture(1000);
     check(fb.graph, fb.constraints);
   }
   EXPECT_GT(interior, 0);
