@@ -367,17 +367,17 @@ TEST(AdmissionControl, RefusesInadmissibleInitialStateAndLastRemoval) {
 
 // ------------------------------------------------- single-period rescale
 
-TEST(IncrementalAnalysis, SingleConstraintPeriodRescaleIsBitIdentical) {
-  const models::Mp3Playback app = models::make_mp3_playback();
-  const TopologySnapshot snapshot(app.graph);
+/// Moves the single constraint through four period factors on one engine;
+/// after every move the rescaled analysis must equal a fresh full one.
+void expect_rescale_bit_identical(const TopologySnapshot& snapshot,
+                                  const ThroughputConstraint& constraint) {
   const AnalysisOptions options;
-  IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint},
-                             options);
+  IncrementalAnalysis engine(snapshot, ConstraintSet{constraint}, options);
   const Rational factors[] = {Rational(2), Rational(1, 2), Rational(3, 7),
                               Rational(441, 480)};
   for (const Rational& f : factors) {
-    engine.set_period(app.constraint.actor,
-                      Duration(app.constraint.period.seconds() * f));
+    engine.set_period(constraint.actor,
+                      Duration(constraint.period.seconds() * f));
     const GraphAnalysis full = compute_buffer_capacities(
         snapshot, engine.constraints(), options, engine.overlay());
     expect_identical(engine.analysis(), full);
@@ -386,6 +386,26 @@ TEST(IncrementalAnalysis, SingleConstraintPeriodRescaleIsBitIdentical) {
   // construction.
   EXPECT_EQ(engine.stats().pacing_recomputes, 1u);
   EXPECT_EQ(engine.stats().pacing_cache_hits, 4u);
+}
+
+TEST(IncrementalAnalysis, SingleConstraintPeriodRescaleIsBitIdentical) {
+  const models::Mp3Playback app = models::make_mp3_playback();
+  expect_rescale_bit_identical(TopologySnapshot(app.graph), app.constraint);
+  for (const models::ModelClass model_class :
+       {models::ModelClass::ForkJoin, models::ModelClass::Cyclic,
+        models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(models::class_name(model_class)) + " seed " +
+                   std::to_string(seed));
+      models::RandomModelSpec spec;
+      spec.model_class = model_class;
+      spec.seed = seed;
+      const models::SyntheticModel model = models::make_random_model(spec);
+      ASSERT_EQ(model.constraints.size(), 1u);
+      expect_rescale_bit_identical(TopologySnapshot(model.graph),
+                                   model.constraints.front());
+    }
+  }
 }
 
 // ------------------------------------------------------ δ override paths

@@ -145,6 +145,50 @@ TEST_P(MinPeriodRoundTrip, ForwardThenInverseIsConsistentOnRandomChains) {
   }
 }
 
+/// True when the forward analysis at `period` is admissible and every
+/// pair fits the capacities installed in `graph`.
+bool fits_at(const VrdfGraph& graph, ActorId actor, const Duration& period) {
+  const GraphAnalysis forward =
+      compute_buffer_capacities(graph, ThroughputConstraint{actor, period});
+  return forward.admissible && first_over_installed(graph, forward) == nullptr;
+}
+
+TEST_P(MinPeriodRoundTrip, ForwardFitsAtTheMinimumOnRandomModels) {
+  // Every single-constraint class, sized and installed with 0, 1 and 3
+  // extra containers per buffer.  The attained minimum fits; the infimum
+  // fits exactly when it is attained; and any period above the infimum
+  // fits, however close (the open forward condition x < d is what the
+  // infimum bounds).
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t round = 0; round < 20; ++round) {
+      for (const std::int64_t headroom : {0, 1, 3}) {
+        models::RandomModelSpec spec;
+        spec.model_class = model_class;
+        spec.seed = GetParam() + 100 * round;
+        spec.capacity_headroom = headroom;
+        const models::SyntheticModel model = models::make_random_model(spec);
+        ASSERT_EQ(model.constraints.size(), 1u);
+        const ActorId actor = model.constraints.front().actor;
+        const std::string where = std::string(models::class_name(model_class)) +
+                                  " seed " + std::to_string(spec.seed) +
+                                  " headroom " + std::to_string(headroom);
+        const MinPeriodResult inverse =
+            min_admissible_period(model.graph, actor);
+        ASSERT_TRUE(inverse.ok) << where;
+        EXPECT_TRUE(fits_at(model.graph, actor, inverse.min_period)) << where;
+        EXPECT_EQ(fits_at(model.graph, actor, inverse.infimum_period),
+                  inverse.infimum_attained)
+            << where;
+        EXPECT_TRUE(fits_at(model.graph, actor,
+                            inverse.infimum_period * Rational(4097, 4096)))
+            << where;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MinPeriodRoundTrip,
                          ::testing::Values(2u, 3u, 5u, 7u, 11u, 13u, 17u, 19u));
 

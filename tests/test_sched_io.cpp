@@ -11,6 +11,7 @@
 #include "io/text_format.hpp"
 #include "models/fig1.hpp"
 #include "models/mp3.hpp"
+#include "models/synthetic.hpp"
 #include "sched/arbiter.hpp"
 #include "util/error.hpp"
 
@@ -210,6 +211,44 @@ TEST(Report, RejectsInadmissibleAnalysis) {
                                           period_of_hz(Rational(96000))}},
           bad),
       ContractError);
+}
+
+TEST(ReportGoldens, RandomClassesDigest) {
+  // The full --report text (pacing, capacities, rate headroom, robustness
+  // margins, checker verdict) over 8 models of every class, once with the
+  // sized capacities installed and once with one extra container per
+  // buffer.  An arithmetic overflow renders as its message.
+  std::string text;
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
+        models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const std::int64_t headroom : {0, 1}) {
+        models::RandomModelSpec spec;
+        spec.model_class = model_class;
+        spec.seed = seed;
+        spec.capacity_headroom = headroom;
+        const models::SyntheticModel model = models::make_random_model(spec);
+        text += std::string(models::class_name(model_class)) + ' ' +
+                std::to_string(seed) + ' ' + std::to_string(headroom) + '\n';
+        try {
+          const analysis::GraphAnalysis sized =
+              analysis::compute_buffer_capacities(model.graph,
+                                                  model.constraints);
+          text += io::analysis_report(model.graph, model.constraints, sized);
+        } catch (const OverflowError& e) {
+          text += e.what();
+        }
+      }
+    }
+  }
+  // 64-bit FNV-1a of the text; a mismatch prints the text itself.
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char byte : text) {
+    fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(fnv, 0x6509b4b2b6d1fdb0ULL) << text;
 }
 
 TEST(Table, RendersAlignedColumns) {
