@@ -28,14 +28,6 @@ std::int64_t round_capacity(const Rational& raw, bool tight_pair,
   throw ContractError("unknown rounding mode");
 }
 
-// Bound rate s: time per token of the pair's linear bounds.
-Duration bound_rate_of(const PacingResult& pacing, std::size_t pos,
-                       const Edge& data) {
-  return pacing.determined_by[pos] == ConstraintSide::Sink
-             ? pacing.pacing_of(data.target) / Rational(data.consumption.max())
-             : pacing.pacing_of(data.source) / Rational(data.production.max());
-}
-
 }  // namespace
 
 namespace detail {
@@ -83,8 +75,7 @@ Duration lead_pass_a_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
     }
     const Edge& data = graph.edge(view.buffers[pos].data);
     const Duration candidate =
-        lead[data.target.index()] +
-        bound_rate_of(pacing, pos, data) * Rational(data.production.max() - 1);
+        lead[data.target.index()] + pacing.producer_slack[pos];
     if (candidate > longest) {
       longest = candidate;
     }
@@ -103,10 +94,9 @@ Duration lead_pass_b_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
       continue;
     }
     const Edge& data = graph.edge(view.buffers[pos].data);
-    const Duration candidate =
-        lead[data.source.index()] +
-        overlay.response_time_of(graph, data.source) +
-        bound_rate_of(pacing, pos, data) * Rational(data.production.max() - 1);
+    const Duration candidate = lead[data.source.index()] +
+                               overlay.response_time_of(graph, data.source) +
+                               pacing.producer_slack[pos];
     if (candidate > longest) {
       longest = candidate;
     }
@@ -180,16 +170,11 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
   pair.is_static =
       data.production.is_singleton() && data.consumption.is_singleton();
 
-  const std::int64_t pi_max = data.production.max();
-  const std::int64_t gamma_max = data.consumption.max();
-
-  if (pair_side == ConstraintSide::Sink) {
-    pair.pacing_basis = pacing.pacing_of(data.target);  // φ(consumer)
-    pair.bound_rate = pair.pacing_basis / Rational(gamma_max);
-  } else {
-    pair.pacing_basis = pacing.pacing_of(data.source);  // φ(producer)
-    pair.bound_rate = pair.pacing_basis / Rational(pi_max);
-  }
+  // φ(consumer) on a sink-determined pair, φ(producer) on a
+  // source-determined one.
+  pair.pacing_basis = pacing.pacing_of(
+      pair_side == ConstraintSide::Sink ? data.target : data.source);
+  pair.bound_rate = pacing.bound_rate[pos];
 
   pair.is_feedback = view.is_feedback[pos];
   pair.initial_tokens = overlay.initial_tokens_of(graph, buffer.data);
@@ -208,12 +193,11 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
       pair_side == ConstraintSide::Sink
           ? lead[pair.producer.index()] - lead[pair.consumer.index()]
           : lead[pair.consumer.index()] - lead[pair.producer.index()];
-  const Duration chain_local =
-      overlay.response_time_of(graph, pair.producer) +
-      pair.bound_rate * Rational(pi_max - 1);
+  const Duration chain_local = overlay.response_time_of(graph, pair.producer) +
+                               pacing.producer_slack[pos];
   pair.delta_producer = std::max(alignment_gap, chain_local);
   // Eq (2): symmetric for the consumer with its maximum quantum γ̂.
-  pair.delta_consumer = rho_b + pair.bound_rate * Rational(gamma_max - 1);
+  pair.delta_consumer = rho_b + pacing.consumer_slack[pos];
   // Eq (3).
   pair.delta_total = pair.delta_producer + pair.delta_consumer;
   // Eq (4): horizontal distance between the space-edge bounds in tokens.
@@ -249,7 +233,7 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
             ? lead[pair.consumer.index()] - lead[pair.producer.index()]
             : lead[pair.producer.index()] - lead[pair.consumer.index()];
     pair.required_initial_tokens =
-        ((reverse_gap + chain_local + pair.bound_rate * Rational(gamma_max - 1)) /
+        ((reverse_gap + chain_local + pacing.consumer_slack[pos]) /
          pair.bound_rate)
             .ceil();
     if (pair.initial_tokens < pair.required_initial_tokens) {
@@ -273,6 +257,50 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
   return pair;
 }
 
+GraphAnalysis size_from_pacing(const VrdfGraph& graph,
+                               const PacingResult& pacing,
+                               const AnalysisOptions& options,
+                               const ParameterOverlay& overlay) {
+  GraphAnalysis analysis;
+  analysis.rounding = options.rounding;
+  analysis.diagnostics = pacing.diagnostics;
+  if (!pacing.ok) {
+    return analysis;
+  }
+  analysis.side = pacing.side;
+  analysis.constraints = pacing.constraints;
+  analysis.constraint_is_sink_kind = pacing.constraint_is_sink_kind;
+  analysis.constraint_is_source_kind = pacing.constraint_is_source_kind;
+  analysis.is_chain = pacing.is_chain;
+  analysis.is_cyclic = pacing.is_cyclic;
+  analysis.actors_in_order = pacing.actors_in_order;
+  analysis.pacing = pacing.pacing;
+
+  if (!check_schedule_validity(graph, overlay, pacing, analysis.diagnostics)) {
+    return analysis;
+  }
+
+  const std::vector<Duration> lead =
+      compute_alignment_leads(graph, overlay, pacing);
+  analysis.leads.reserve(pacing.actors_in_order.size());
+  for (const dataflow::ActorId v : pacing.actors_in_order) {
+    analysis.leads.push_back(lead[v.index()]);
+  }
+
+  bool admissible = true;
+  analysis.pairs.reserve(pacing.buffers_in_order.size());
+  for (std::size_t i = 0; i < pacing.buffers_in_order.size(); ++i) {
+    PairAnalysis pair = analyse_pair(graph, overlay, pacing, lead, i, options,
+                                     analysis.diagnostics, admissible);
+    analysis.total_capacity =
+        checked_add(analysis.total_capacity, pair.capacity);
+    analysis.pairs.push_back(pair);
+  }
+
+  analysis.admissible = admissible;
+  return analysis;
+}
+
 }  // namespace detail
 
 GraphAnalysis compute_buffer_capacities(const VrdfGraph& graph,
@@ -292,49 +320,9 @@ GraphAnalysis compute_buffer_capacities(const TopologySnapshot& snapshot,
                                         const ConstraintSet& constraints,
                                         const AnalysisOptions& options,
                                         const ParameterOverlay& overlay) {
-  GraphAnalysis analysis;
-  analysis.rounding = options.rounding;
-
-  PacingResult pacing = compute_pacing(snapshot, constraints);
-  analysis.diagnostics = pacing.diagnostics;
-  if (!pacing.ok) {
-    return analysis;
-  }
-  const VrdfGraph& graph = snapshot.graph();
-  analysis.side = pacing.side;
-  analysis.constraints = pacing.constraints;
-  analysis.constraint_is_sink_kind = pacing.constraint_is_sink_kind;
-  analysis.constraint_is_source_kind = pacing.constraint_is_source_kind;
-  analysis.is_chain = pacing.is_chain;
-  analysis.is_cyclic = pacing.is_cyclic;
-  analysis.actors_in_order = pacing.actors_in_order;
-  analysis.pacing = pacing.pacing;
-
-  if (!detail::check_schedule_validity(graph, overlay, pacing,
-                                       analysis.diagnostics)) {
-    return analysis;
-  }
-
-  const std::vector<Duration> lead =
-      detail::compute_alignment_leads(graph, overlay, pacing);
-  analysis.leads.reserve(pacing.actors_in_order.size());
-  for (const dataflow::ActorId v : pacing.actors_in_order) {
-    analysis.leads.push_back(lead[v.index()]);
-  }
-
-  bool admissible = true;
-  analysis.pairs.reserve(pacing.buffers_in_order.size());
-  for (std::size_t i = 0; i < pacing.buffers_in_order.size(); ++i) {
-    PairAnalysis pair =
-        detail::analyse_pair(graph, overlay, pacing, lead, i, options,
-                             analysis.diagnostics, admissible);
-    analysis.total_capacity =
-        checked_add(analysis.total_capacity, pair.capacity);
-    analysis.pairs.push_back(pair);
-  }
-
-  analysis.admissible = admissible;
-  return analysis;
+  return detail::size_from_pacing(snapshot.graph(),
+                                  compute_pacing(snapshot, constraints),
+                                  options, overlay);
 }
 
 void apply_capacities(VrdfGraph& graph, const GraphAnalysis& analysis) {

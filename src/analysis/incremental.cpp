@@ -39,6 +39,11 @@ const GraphAnalysis& IncrementalAnalysis::analysis() const {
   return analysis_;
 }
 
+const PacingResult& IncrementalAnalysis::pacing() const {
+  snapshot_.require_fresh();
+  return pacing_;
+}
+
 void IncrementalAnalysis::set_certify(bool enabled) {
   certify_enabled_ = enabled;
   if (!enabled) {
@@ -100,20 +105,10 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   const Duration old = constraints_[index].period;
   constraints_[index].period = tau;
   if (constraints_.size() == 1 && pacing_.ok && tau.is_positive()) {
-    // φ is linear in τ, so the cached propagation rescales exactly: every
-    // φ is a product of τ with rate ratios and Rational arithmetic
-    // canonicalises, making the rescaled values bit-identical to a fresh
-    // propagation.  All demands scale by the same positive factor, so
-    // which edge binds each minimum cannot change; with one constraint
-    // there are no cross-seed checks that could flip either.
-    const Rational factor = tau.seconds() / old.seconds();
-    for (Duration& phi : pacing_.pacing) {
-      phi = Duration(phi.seconds() * factor);
-    }
-    for (Duration& phi : pacing_.pacing_by_actor) {
-      phi = Duration(phi.seconds() * factor);
-    }
-    pacing_.constraints[index].period = tau;
+    // φ is linear in τ, so the cached propagation rescales exactly (see
+    // rescale_pacing); with one constraint there are no cross-seed checks
+    // that a rescale could flip.
+    rescale_pacing(pacing_, snapshot_.graph(), tau.seconds() / old.seconds());
     ++stats_.pacing_cache_hits;
     resize_from_pacing_();
     run_certification_();

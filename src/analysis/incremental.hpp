@@ -93,6 +93,12 @@ public:
   /// The current analysis result (never stale with respect to the
   /// operations applied through this engine).
   [[nodiscard]] const GraphAnalysis& analysis() const;
+  /// The pacing of constraints() the analysis was sized on, pair rates
+  /// included — what compute_pacing(snapshot(), constraints()) returns.
+  /// ρ moves leave it as it is, so a caller probing many ρ vectors at
+  /// once sizes each with detail::size_from_pacing instead of
+  /// propagating again.
+  [[nodiscard]] const PacingResult& pacing() const;
 
   /// Re-tunes one actor's worst-case response time.  Reuses the cached
   /// pacing (ρ does not enter pacing propagation) and re-derives only

@@ -569,6 +569,25 @@ bool validate_constraints(const ConstraintSet& constraints,
   return true;
 }
 
+/// Fills the pair rates of an ok pacing from its φ (see PacingResult).
+void derive_pair_rates(PacingResult& pacing, const VrdfGraph& graph) {
+  const std::size_t pairs = pacing.buffers_in_order.size();
+  pacing.bound_rate.resize(pairs);
+  pacing.producer_slack.resize(pairs);
+  pacing.consumer_slack.resize(pairs);
+  for (std::size_t pos = 0; pos < pairs; ++pos) {
+    const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
+    const std::int64_t pi_max = data.production.max();
+    const std::int64_t gamma_max = data.consumption.max();
+    Duration& s = pacing.bound_rate[pos];
+    s = pacing.determined_by[pos] == ConstraintSide::Sink
+            ? pacing.pacing_by_actor[data.target.index()] / Rational(gamma_max)
+            : pacing.pacing_by_actor[data.source.index()] / Rational(pi_max);
+    pacing.producer_slack[pos] = s * Rational(pi_max - 1);
+    pacing.consumer_slack[pos] = s * Rational(gamma_max - 1);
+  }
+}
+
 }  // namespace
 
 PacingResult compute_pacing(const VrdfGraph& graph,
@@ -619,8 +638,25 @@ PacingResult compute_pacing(const TopologySnapshot& snapshot,
   for (const ActorId v : result.actors_in_order) {
     result.pacing.push_back(result.pacing_by_actor[v.index()]);
   }
+  derive_pair_rates(result, graph);
   result.ok = true;
   return result;
+}
+
+void rescale_pacing(PacingResult& pacing, const VrdfGraph& graph,
+                    const Rational& factor) {
+  VRDF_REQUIRE(pacing.ok && factor.is_positive(),
+               "rescale_pacing: needs an ok pacing and a positive factor");
+  for (ThroughputConstraint& c : pacing.constraints) {
+    c.period = Duration(c.period.seconds() * factor);
+  }
+  for (Duration& phi : pacing.pacing) {
+    phi = Duration(phi.seconds() * factor);
+  }
+  for (Duration& phi : pacing.pacing_by_actor) {
+    phi = Duration(phi.seconds() * factor);
+  }
+  derive_pair_rates(pacing, graph);
 }
 
 PartialPacing compute_partial_pacing(const TopologySnapshot& snapshot,

@@ -128,6 +128,16 @@ struct PacingResult {
   /// φ indexed by ActorId::index() — the per-edge lookup the capacity
   /// computation uses.
   std::vector<Duration> pacing_by_actor;
+  /// Per position in buffers_in_order, set with φ (compute_pacing,
+  /// rescale_pacing): the pair's bound rate s = φ(near)/q̂ — time per token
+  /// of its linear bounds, near = the rate-determining endpoint, q̂ = γ̂ on
+  /// a sink-determined pair and π̂ on a source-determined one — and the
+  /// quantum slacks s·(π̂ − 1) and s·(γ̂ − 1) of Eqs (1) and (2).  They
+  /// depend on φ alone, so every lead pass and pair analysis on this
+  /// pacing reads them instead of re-deriving them per ρ move.
+  std::vector<Duration> bound_rate;
+  std::vector<Duration> producer_slack;
+  std::vector<Duration> consumer_slack;
 
   /// φ(actor).  Fails loudly (ContractError) on an out-of-range id or an
   /// actor the propagation never paced, instead of silently reading a
@@ -176,6 +186,15 @@ struct PacingResult {
 /// exactly `compute_pacing(TopologySnapshot(graph), ...)`.
 [[nodiscard]] PacingResult compute_pacing(const TopologySnapshot& snapshot,
                                           const ConstraintSet& constraints);
+
+/// Scales an ok pacing in place to the same constraint set with every
+/// period multiplied by `factor` (> 0): φ, the constraint periods and the
+/// pair rates.  Each φ is a period times a product of rate ratios and
+/// Rational arithmetic canonicalises, so the result is bit-identical to a
+/// fresh compute_pacing of the scaled set; a uniform positive factor
+/// cannot change which demand binds a minimum or whether demands agree.
+void rescale_pacing(PacingResult& pacing, const dataflow::VrdfGraph& graph,
+                    const Rational& factor);
 
 /// Pacing restricted to the actors a constraint subset reaches, used by
 /// the multi-constraint min-period solver: actors outside the subset's

@@ -4,6 +4,8 @@
 
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/pacing.hpp"
+#include "analysis/sizing_core.hpp"
+#include "util/checked_int.hpp"
 
 namespace vrdf::analysis {
 
@@ -61,9 +63,12 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
                              const ParameterOverlay& overlay) {
   MinPeriodResult result;
 
-  // Pacing coefficients c_v are rate-only: run the propagation with a unit
-  // period and read φ(v) as c_v.
-  const PacingResult unit = compute_pacing(
+  // Pacing is linear in τ: run the propagation with a unit period and
+  // read φ(v) as the coefficient c_v, and each pair's bound rate
+  // s_e = c_near/q_e and quantum slacks as coefficients of τ (per-edge
+  // since an interior pin splits the graph into a sink-determined
+  // upstream cone and a source-determined downstream cone).
+  PacingResult unit = compute_pacing(
       snapshot, {ThroughputConstraint{actor, seconds(Rational(1))}});
   if (!unit.ok) {
     result.diagnostics = unit.diagnostics;
@@ -71,19 +76,11 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
   }
   const VrdfGraph& graph = snapshot.graph();
   const dataflow::VrdfGraph::BufferView& view = *unit.view;
-
-  // Per-edge bound-rate coefficient: s_e = (c_near / q_e)·τ, where the
-  // near endpoint is the pair's rate-determining side (per-edge since an
-  // interior pin splits the graph into a sink-determined upstream cone
-  // and a source-determined downstream cone; with an end constraint every
-  // edge carries the constraint's global side, as before).
-  const auto rate_coefficient = [&](std::size_t pos, const Edge& data) {
-    return unit.determined_by[pos] == ConstraintSide::Sink
-               ? unit.pacing_of(data.target).seconds() /
-                     Rational(data.consumption.max())
-               : unit.pacing_of(data.source).seconds() /
-                     Rational(data.production.max());
-  };
+  // ρ(v) in seconds by ActorId::index(), read once per actor.
+  std::vector<Rational> rho(graph.actor_count());
+  for (const dataflow::ActorId v : unit.actors_in_order) {
+    rho[v.index()] = overlay.response_time_of(graph, v).seconds();
+  }
 
   // Schedule alignment ω(v) as an affine function of τ (see
   // compute_buffer_capacities): the two-pass split of the forward
@@ -115,11 +112,9 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
         const AffineLead& down = lead[data.target.index()];
         consider(longest,
                  AffineLead{down.resp,
-                            down.rate + rate_coefficient(pos, data) *
-                                            Rational(data.production.max() - 1)});
+                            down.rate + unit.producer_slack[pos].seconds()});
       }
-      longest.resp =
-          longest.resp + overlay.response_time_of(graph, v).seconds();
+      longest.resp = longest.resp + rho[v.index()];
       lead[v.index()] = longest;
     }
     // Pass B — the rest, forward order.
@@ -135,24 +130,35 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
         const Edge& data = graph.edge(view.buffers[pos].data);
         const AffineLead& up = lead[data.source.index()];
         consider(longest,
-                 AffineLead{up.resp + overlay
-                                          .response_time_of(graph, data.source)
-                                          .seconds(),
-                            up.rate + rate_coefficient(pos, data) *
-                                          Rational(data.production.max() - 1)});
+                 AffineLead{up.resp + rho[data.source.index()],
+                            up.rate + unit.producer_slack[pos].seconds()});
       }
       lead[v.index()] = longest;
     }
     return lead;
   };
 
+  // Response-time constraints ρ(v) ≤ c_v·τ (closed, attained) do not
+  // depend on the alignment: their largest bound is a floor on τ that
+  // every iteration below starts from.
+  Rational actor_floor(0);
+  std::size_t floor_actor = 0;
+  for (std::size_t i = 0; i < unit.actors_in_order.size(); ++i) {
+    const Rational bound =
+        rho[unit.actors_in_order[i].index()] / unit.pacing[i].seconds();
+    if (bound > actor_floor) {
+      actor_floor = bound;
+      floor_actor = i;
+    }
+  }
+
   Rational candidate_tau(1);
   std::vector<AffineLead> lead = leads_at(candidate_tau);
   for (int iteration = 0; iteration < 8; ++iteration) {
-    Rational min_tau(0);
-    Rational infimum_tau(0);
+    Rational min_tau = actor_floor;
+    Rational infimum_tau = actor_floor;
     bool infimum_attained = true;
-    Binding binding;
+    Binding binding{Binding::Kind::Actor, floor_actor};
     const auto tighten = [&](const Rational& cand, Binding what) {
       if (cand > min_tau) {
         min_tau = cand;
@@ -168,18 +174,9 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       }
     };
 
-    // Response-time constraints ρ(v) ≤ c_v·τ (closed).
-    for (std::size_t i = 0; i < unit.actors_in_order.size(); ++i) {
-      const dataflow::ActorId v = unit.actors_in_order[i];
-      const Rational rho = overlay.response_time_of(graph, v).seconds();
-      const Rational c_v = unit.pacing[i].seconds();
-      tighten(rho / c_v, {Binding::Kind::Actor, i});
-      tighten_infimum(rho / c_v, true);
-    }
-
     // Capacity constraints per pair: with delta_total = R + C·τ and
-    // s = (c/q)·τ, sufficiency x = delta_total/s ≤ d − adj becomes
-    //   τ ≥ q·R / (c·(d − adj − q·C/c)).
+    // bound rate s·τ, sufficiency x = delta_total/(s·τ) ≤ d − adj becomes
+    //   τ ≥ R / (s·(d − adj − C/s)),  with s = c/q.
     bool diagnosed = false;
     for (std::size_t i = 0; i < unit.buffers_in_order.size(); ++i) {
       const dataflow::BufferEdges buffer = unit.buffers_in_order[i];
@@ -199,6 +196,7 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       const bool tight = options.rounding == RoundingMode::Ceil ||
                          (options.rounding == RoundingMode::PaperPublished &&
                           is_static && adjacent && !view.is_feedback[i]);
+      const Rational& s = unit.bound_rate[i].seconds();
 
       // Δ_producer = max(alignment gap, chain-local ρ_a + s·(π̂−1)) — the
       // affine branch is chosen at the candidate period, like the
@@ -213,50 +211,58 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
                                lead[data.source.index()].resp,
                            lead[data.target.index()].rate -
                                lead[data.source.index()].rate};
-      const AffineLead chain_local{
-          overlay.response_time_of(graph, data.source).seconds(),
-          rate_coefficient(i, data) * Rational(pi_max - 1)};
+      const AffineLead chain_local{rho[data.source.index()],
+                                   unit.producer_slack[i].seconds()};
       // Ties keep `aligned`, which on skeleton edges is always ≥ the
       // chain-local value — acyclic graphs reproduce the pre-cyclic
       // results exactly.
-      const AffineLead gap =
+      const AffineLead& gap =
           chain_local.at(candidate_tau) > aligned.at(candidate_tau)
               ? chain_local
               : aligned;
-      const Rational c = pair_side == ConstraintSide::Sink
-                             ? unit.pacing_of(data.target).seconds()
-                             : unit.pacing_of(data.source).seconds();
-      const std::int64_t q = pair_side == ConstraintSide::Sink ? gamma_max
-                                                               : pi_max;
       // delta_total = R + C·τ with the consumer-side Eq (2) terms added.
-      const Rational resp_part =
-          gap.resp + overlay.response_time_of(graph, data.target).seconds();
-      const Rational rate_tokens =  // (C·q/c): τ-independent token count
-          (gap.rate + (c / Rational(q)) * Rational(gamma_max - 1)) *
-          Rational(q) / c;
+      const Rational resp_part = gap.resp + rho[data.target.index()];
+      // C/s, the τ-independent token count; with the chain-local rate
+      // s·(π̂−1) it is the integer (π̂−1) + (γ̂−1).
+      const Rational rate_tokens =
+          gap.rate == chain_local.rate
+              ? Rational(checked_add(pi_max - 1, gamma_max - 1))
+              : (gap.rate + unit.consumer_slack[i].seconds()) / s;
       // Sufficiency margin in tokens: x ≤ d − 1 in general (the +1 of
       // Eq (4)); x ≤ d when the rounding mode grants the tight value.
       const Rational margin =
           Rational(d) - rate_tokens - Rational(tight ? 0 : 1);
       if (!margin.is_positive()) {
+        // Stated in installed containers: the circulating tokens of a
+        // back-edge occupy containers on top of the free ones.
+        const std::int64_t tokens =
+            overlay.initial_tokens_of(graph, buffer.data);
         std::ostringstream os;
-        os << "buffer " << endpoints(graph, data) << ": capacity " << d
+        os << "buffer " << endpoints(graph, data) << ": capacity "
+           << checked_add(d, tokens)
            << " cannot sustain any rate (needs more than "
-           << (rate_tokens + Rational(tight ? 0 : 1)).to_string()
+           << (rate_tokens + Rational(tight ? 0 : 1) + Rational(tokens))
+                  .to_string()
            << " containers)";
         result.diagnostics.push_back(os.str());
         diagnosed = true;
         break;
       }
-      // R·q/(c·τ) ≤ margin  ⇔  τ ≥ q·R/(c·margin).
-      tighten(Rational(q) * resp_part / (c * margin),
-              {Binding::Kind::Buffer, i});
+      // R/(c·τ/q) ≤ margin  ⇔  τ ≥ q·R/(c·margin).
+      const Rational& c =
+          unit.pacing_of(pair_side == ConstraintSide::Sink ? data.target
+                                                           : data.source)
+              .seconds();
+      const std::int64_t q = pair_side == ConstraintSide::Sink ? gamma_max
+                                                               : pi_max;
+      const Rational bound = Rational(q) * resp_part / (c * margin);
+      tighten(bound, {Binding::Kind::Buffer, i});
       // The forward rounding ⌊x⌋+1 ≤ d is the open condition x < d, one
       // token looser than the attained criterion: margin+1, not attained.
       // On tight pairs the forward condition ⌈x⌉ ≤ d equals x ≤ d and the
       // bound is attained.
       if (tight) {
-        tighten_infimum(Rational(q) * resp_part / (c * margin), true);
+        tighten_infimum(bound, true);
       } else {
         tighten_infimum(
             Rational(q) * resp_part / (c * (margin + Rational(1))), false);
@@ -265,18 +271,16 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       // Back-edges additionally carry the cycle bound (see the forward
       // analysis): the δ circulating tokens must cover the reversed
       // alignment gap plus the transfer slack,
-      //   (rev + ρ_p)/s + (π̂−1) + (γ̂−1) ≤ δ,  s = (c/q)·τ
-      // ⇔ τ ≥ q·(rev.resp + ρ_p) / (c·(δ − (π̂−1) − (γ̂−1) − q·rev.rate/c)).
+      //   (rev + ρ_p)/(s·τ) + (π̂−1) + (γ̂−1) ≤ δ
+      // ⇔ τ ≥ q·(rev.resp + ρ_p) / (c·(δ − (π̂−1) − (γ̂−1) − rev.rate/s)).
       if (view.is_feedback[i]) {
         const std::int64_t delta =
             overlay.initial_tokens_of(graph, buffer.data);
         const AffineLead reverse{-aligned.resp, -aligned.rate};
-        const Rational token_margin =
-            Rational(delta) - Rational(pi_max - 1) -
-            Rational(gamma_max - 1) - reverse.rate * Rational(q) / c;
-        const Rational cycle_resp =
-            reverse.resp +
-            overlay.response_time_of(graph, data.source).seconds();
+        const Rational token_margin = Rational(delta) - Rational(pi_max - 1) -
+                                      Rational(gamma_max - 1) -
+                                      reverse.rate / s;
+        const Rational cycle_resp = reverse.resp + rho[data.source.index()];
         if (!token_margin.is_positive()) {
           std::ostringstream os;
           os << "cycle through back-edge " << endpoints(graph, data)
@@ -287,9 +291,10 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
           diagnosed = true;
           break;
         }
-        tighten(Rational(q) * cycle_resp / (c * token_margin),
-                {Binding::Kind::Cycle, i});
-        tighten_infimum(Rational(q) * cycle_resp / (c * token_margin), true);
+        const Rational cycle_bound =
+            Rational(q) * cycle_resp / (c * token_margin);
+        tighten(cycle_bound, {Binding::Kind::Cycle, i});
+        tighten_infimum(cycle_bound, true);
       }
     }
     if (diagnosed) {
@@ -320,8 +325,11 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
   // Soundness check: the forward analysis at min_period must fit the
   // installed capacities (guards the fixed-binding closed form on
   // fork-join graphs; never triggers on chains, whose max is trivial).
-  const GraphAnalysis forward = compute_buffer_capacities(
-      snapshot, ConstraintSet{{actor, result.min_period}}, options, overlay);
+  // The unit pacing scaled by min_period is, bit for bit, the pacing a
+  // fresh propagation at min_period returns (see rescale_pacing).
+  rescale_pacing(unit, graph, result.min_period.seconds());
+  const GraphAnalysis forward =
+      detail::size_from_pacing(graph, unit, options, overlay);
   if (!forward.admissible ||
       first_over_installed(graph, forward, overlay) != nullptr) {
     result.ok = false;

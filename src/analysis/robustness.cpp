@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analysis/incremental.hpp"
+#include "analysis/sizing_core.hpp"
 #include "analysis/snapshot.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -208,7 +209,8 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
 
   // Per-actor margins hold the *other* actors at their declared ρ and do
   // not compose; the joint fraction is what all actors may take at once.
-  // Every ρ moves, so each probe is one overlay analysis on the snapshot.
+  // Every ρ moves, so each probe sizes the engine's pacing (which no ρ
+  // move changes) under one overlay.
   ParameterOverlay overlay;
   GraphAnalysis probe;
   const std::int64_t joint = max_true(
@@ -220,7 +222,7 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
             overlay.set_response_time(m.actor, grid_point(m, k));
           }
         }
-        probe = compute_buffer_capacities(snapshot, constraints, {}, overlay);
+        probe = detail::size_from_pacing(graph, engine.pacing(), {}, overlay);
         return fits(probe);
       },
       [&] { return secant_hint(lines, probe); });

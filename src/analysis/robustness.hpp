@@ -40,8 +40,8 @@
 // propagation, so one TopologySnapshot and one IncrementalAnalysis serve
 // every probe.  A per-actor probe is a ρ-cone retune — only the ω leads
 // and pairs the actor reaches are re-derived — and the actor is restored
-// after its search; a joint probe moves every ρ at once and is one
-// overlay analysis on the snapshot.  On the repo benchmark's 8–32-actor
+// after its search; a joint probe moves every ρ at once and sizes the
+// engine's pacing under one overlay (detail::size_from_pacing).  On the repo benchmark's 8–32-actor
 // margins pool a report runs about 58 probes, 2.7 per search (plain
 // bisection ran 143, 6.8 per search); RobustnessReport::probes counts
 // them.

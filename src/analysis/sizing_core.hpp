@@ -9,6 +9,13 @@
 // All helpers read parameters through a ParameterOverlay (an empty
 // overlay reproduces the graph's own values bit for bit, since the
 // overlay merely forwards to the graph accessor).
+//
+// Every helper takes a PacingResult and reads each pair's bound rate and
+// quantum slacks from it (PacingResult::bound_rate, producer_slack,
+// consumer_slack): they depend on φ alone, so a caller that holds a
+// pacing — the incremental engine across ρ moves, the robustness joint
+// probes, min-period's forward check on its rescaled unit pacing — sizes
+// from it with size_from_pacing instead of propagating again.
 #pragma once
 
 #include <string>
@@ -73,5 +80,16 @@ namespace vrdf::analysis::detail {
                                         const AnalysisOptions& options,
                                         std::vector<std::string>& diagnostics,
                                         bool& admissible);
+
+/// Everything compute_buffer_capacities does after the propagation, on a
+/// given pacing: the ρ ≤ φ check, the leads and every pair.  With the
+/// pacing compute_pacing(snapshot, constraints) returns (or one
+/// rescale_pacing made from it) the result is field for field what
+/// compute_buffer_capacities(snapshot, constraints, options, overlay)
+/// returns, which is exactly this call on a fresh propagation.
+[[nodiscard]] GraphAnalysis size_from_pacing(const dataflow::VrdfGraph& graph,
+                                             const PacingResult& pacing,
+                                             const AnalysisOptions& options,
+                                             const ParameterOverlay& overlay);
 
 }  // namespace vrdf::analysis::detail

@@ -16,6 +16,7 @@
 #include "analysis/admission.hpp"
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/incremental.hpp"
+#include "analysis/pacing.hpp"
 #include "analysis/snapshot.hpp"
 #include "io/report.hpp"
 #include "models/mp3.hpp"
@@ -367,20 +368,61 @@ TEST(AdmissionControl, RefusesInadmissibleInitialStateAndLastRemoval) {
 
 // ------------------------------------------------- single-period rescale
 
+/// The pair rates of `pacing`, recomputed from φ and the graph's rates:
+/// s = φ(near)/q̂, s·(π̂ − 1) and s·(γ̂ − 1).
+void expect_pair_rates(const VrdfGraph& graph, const PacingResult& pacing) {
+  ASSERT_EQ(pacing.bound_rate.size(), pacing.buffers_in_order.size());
+  ASSERT_EQ(pacing.producer_slack.size(), pacing.buffers_in_order.size());
+  ASSERT_EQ(pacing.consumer_slack.size(), pacing.buffers_in_order.size());
+  for (std::size_t pos = 0; pos < pacing.buffers_in_order.size(); ++pos) {
+    const dataflow::Edge& data =
+        graph.edge(pacing.buffers_in_order[pos].data);
+    const bool sink = pacing.determined_by[pos] == ConstraintSide::Sink;
+    const Duration s =
+        pacing.pacing_of(sink ? data.target : data.source) /
+        Rational(sink ? data.consumption.max() : data.production.max());
+    EXPECT_EQ(pacing.bound_rate[pos], s) << "pair " << pos;
+    EXPECT_EQ(pacing.producer_slack[pos],
+              s * Rational(data.production.max() - 1))
+        << "pair " << pos;
+    EXPECT_EQ(pacing.consumer_slack[pos],
+              s * Rational(data.consumption.max() - 1))
+        << "pair " << pos;
+  }
+}
+
 /// Moves the single constraint through four period factors on one engine;
-/// after every move the rescaled analysis must equal a fresh full one.
+/// after every move the rescaled analysis must equal a fresh full one, and
+/// a pacing rescaled alongside must equal a fresh propagation, pair rates
+/// included.
 void expect_rescale_bit_identical(const TopologySnapshot& snapshot,
                                   const ThroughputConstraint& constraint) {
   const AnalysisOptions options;
   IncrementalAnalysis engine(snapshot, ConstraintSet{constraint}, options);
+  PacingResult rescaled = compute_pacing(snapshot, {constraint});
+  ASSERT_TRUE(rescaled.ok);
+  expect_pair_rates(snapshot.graph(), rescaled);
   const Rational factors[] = {Rational(2), Rational(1, 2), Rational(3, 7),
                               Rational(441, 480)};
   for (const Rational& f : factors) {
-    engine.set_period(constraint.actor,
-                      Duration(constraint.period.seconds() * f));
+    const Duration tau(constraint.period.seconds() * f);
+    engine.set_period(constraint.actor, tau);
     const GraphAnalysis full = compute_buffer_capacities(
         snapshot, engine.constraints(), options, engine.overlay());
     expect_identical(engine.analysis(), full);
+
+    rescale_pacing(rescaled, snapshot.graph(),
+                   tau.seconds() / rescaled.constraints.front().period.seconds());
+    const PacingResult fresh =
+        compute_pacing(snapshot, {ThroughputConstraint{constraint.actor, tau}});
+    EXPECT_EQ(rescaled.constraints.front().period, tau);
+    EXPECT_EQ(rescaled.pacing, fresh.pacing);
+    EXPECT_EQ(rescaled.pacing_by_actor, fresh.pacing_by_actor);
+    EXPECT_EQ(rescaled.bound_rate, fresh.bound_rate);
+    EXPECT_EQ(rescaled.producer_slack, fresh.producer_slack);
+    EXPECT_EQ(rescaled.consumer_slack, fresh.consumer_slack);
+    expect_pair_rates(snapshot.graph(), rescaled);
+    EXPECT_EQ(engine.pacing().bound_rate, fresh.bound_rate);
   }
   // Every move rode the rescale path: the only propagation was at
   // construction.

@@ -315,6 +315,22 @@ TEST(MinPeriodGoldens, FailureCases) {
             "b->a: delta=2 initial tokens cannot sustain any rate (the "
             "cycle's transfer slack alone consumes the credit)");
 
+  // Back-edge without free containers: the 12 installed containers of
+  // dec->rctl all hold circulating tokens, and the requirement counts them
+  // too.  The skeleton buffers are roomy, so the back-edge binds.
+  models::FeedbackPipeline feedback = models::make_feedback_pipeline();
+  for (const dataflow::BufferEdges& skeleton :
+       {feedback.src_dec, feedback.dec_present, feedback.rctl_src}) {
+    feedback.graph.set_initial_tokens(skeleton.space, 40);
+  }
+  feedback.graph.set_initial_tokens(feedback.dec_rctl.data, 12);
+  feedback.graph.set_initial_tokens(feedback.dec_rctl.space, 0);
+  EXPECT_EQ(golden_of(feedback.graph, {feedback.constraint},
+                      feedback.constraint.actor),
+            "ok=0 min=0 inf=0 attained=0 binding= | buffer dec->rctl: "
+            "capacity 12 cannot sustain any rate (needs more than 14 "
+            "containers)");
+
   // Strangled: the flow-coupled period needs more than the installed
   // capacity of the video branch.
   models::AvDualSinkPipeline av = models::make_av_dual_sink_pipeline();
