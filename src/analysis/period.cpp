@@ -222,12 +222,9 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
               : aligned;
       // delta_total = R + C·τ with the consumer-side Eq (2) terms added.
       const Rational resp_part = gap.resp + rho[data.target.index()];
-      // C/s, the τ-independent token count; with the chain-local rate
-      // s·(π̂−1) it is the integer (π̂−1) + (γ̂−1).
+      // C/s, the τ-independent token count.
       const Rational rate_tokens =
-          gap.rate == chain_local.rate
-              ? Rational(checked_add(pi_max - 1, gamma_max - 1))
-              : (gap.rate + unit.consumer_slack[i].seconds()) / s;
+          (gap.rate + unit.consumer_slack[i].seconds()) / s;
       // Sufficiency margin in tokens: x ≤ d − 1 in general (the +1 of
       // Eq (4)); x ≤ d when the rounding mode grants the tight value.
       const Rational margin =
@@ -248,14 +245,8 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
         diagnosed = true;
         break;
       }
-      // R/(c·τ/q) ≤ margin  ⇔  τ ≥ q·R/(c·margin).
-      const Rational& c =
-          unit.pacing_of(pair_side == ConstraintSide::Sink ? data.target
-                                                           : data.source)
-              .seconds();
-      const std::int64_t q = pair_side == ConstraintSide::Sink ? gamma_max
-                                                               : pi_max;
-      const Rational bound = Rational(q) * resp_part / (c * margin);
+      // R/(s·τ) ≤ margin  ⇔  τ ≥ R/(s·margin).
+      const Rational bound = resp_part / (s * margin);
       tighten(bound, {Binding::Kind::Buffer, i});
       // The forward rounding ⌊x⌋+1 ≤ d is the open condition x < d, one
       // token looser than the attained criterion: margin+1, not attained.
@@ -264,15 +255,14 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       if (tight) {
         tighten_infimum(bound, true);
       } else {
-        tighten_infimum(
-            Rational(q) * resp_part / (c * (margin + Rational(1))), false);
+        tighten_infimum(resp_part / (s * (margin + Rational(1))), false);
       }
 
       // Back-edges additionally carry the cycle bound (see the forward
       // analysis): the δ circulating tokens must cover the reversed
       // alignment gap plus the transfer slack,
       //   (rev + ρ_p)/(s·τ) + (π̂−1) + (γ̂−1) ≤ δ
-      // ⇔ τ ≥ q·(rev.resp + ρ_p) / (c·(δ − (π̂−1) − (γ̂−1) − rev.rate/s)).
+      // ⇔ τ ≥ (rev.resp + ρ_p) / (s·(δ − (π̂−1) − (γ̂−1) − rev.rate/s)).
       if (view.is_feedback[i]) {
         const std::int64_t delta =
             overlay.initial_tokens_of(graph, buffer.data);
@@ -291,8 +281,7 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
           diagnosed = true;
           break;
         }
-        const Rational cycle_bound =
-            Rational(q) * cycle_resp / (c * token_margin);
+        const Rational cycle_bound = cycle_resp / (s * token_margin);
         tighten(cycle_bound, {Binding::Kind::Cycle, i});
         tighten_infimum(cycle_bound, true);
       }
