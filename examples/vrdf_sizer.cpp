@@ -192,7 +192,9 @@ int size_model(const Options& options, io::ChainDocument& doc) {
       sim.set_default_sources(options.seed);
       sim.set_actor_mode(first.actor, sim::ActorMode::strictly_periodic(
                                           verdict.offset_used, first.period));
-      for (const dataflow::EdgeId e : doc.graph.edges()) {
+      const auto edge_ids = doc.graph.edges();
+      const std::vector<dataflow::EdgeId> edges(edge_ids.begin(), edge_ids.end());
+      for (const dataflow::EdgeId e : edges) {
         sim.record_transfers(e);
       }
       sim::StopCondition stop;
@@ -200,7 +202,7 @@ int size_model(const Options& options, io::ChainDocument& doc) {
           first.actor, std::min<std::int64_t>(options.verify_firings, 2000)};
       (void)sim.run(stop);
       std::ofstream trace(options.trace_path);
-      trace << io::occupancy_to_csv(sim, doc.graph, doc.graph.edges());
+      trace << io::occupancy_to_csv(sim, doc.graph, edges);
       std::cout << "wrote " << options.trace_path << '\n';
     }
   }

@@ -37,7 +37,7 @@ ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
   VRDF_REQUIRE(response_time.is_positive(), "actor response time must be positive");
   VRDF_REQUIRE(!find_actor(name).has_value(),
                "actor name '" + name + "' is already in use");
-  const ActorId id = topology_.add_node();
+  const ActorId id(static_cast<ActorId::underlying_type>(actors_.size()));
   actors_.push_back(Actor{std::move(name), response_time});
   record_mutation(Mutation::AddActor, id.index());
   return id;
@@ -45,10 +45,12 @@ ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
 
 EdgeId VrdfGraph::add_edge(ActorId source, ActorId target, RateSet production,
                            RateSet consumption, std::int64_t initial_tokens) {
-  VRDF_REQUIRE(topology_.contains(source), "edge source actor does not exist");
-  VRDF_REQUIRE(topology_.contains(target), "edge target actor does not exist");
+  VRDF_REQUIRE(source.index() < actors_.size(),
+               "edge source actor does not exist");
+  VRDF_REQUIRE(target.index() < actors_.size(),
+               "edge target actor does not exist");
   VRDF_REQUIRE(initial_tokens >= 0, "initial tokens must be non-negative");
-  const EdgeId id = topology_.add_edge(source, target);
+  const EdgeId id(static_cast<EdgeId::underlying_type>(edges_.size()));
   edges_.push_back(Edge{source, target, std::move(production),
                         std::move(consumption), initial_tokens,
                         EdgeId::invalid()});
@@ -76,12 +78,12 @@ BufferEdges VrdfGraph::add_buffer(ActorId producer, ActorId consumer,
 }
 
 const Actor& VrdfGraph::actor(ActorId id) const {
-  VRDF_REQUIRE(topology_.contains(id), "actor id out of range");
+  VRDF_REQUIRE(id.index() < actors_.size(), "actor id out of range");
   return actors_[id.index()];
 }
 
 const Edge& VrdfGraph::edge(EdgeId id) const {
-  VRDF_REQUIRE(topology_.contains(id), "edge id out of range");
+  VRDF_REQUIRE(id.index() < edges_.size(), "edge id out of range");
   return edges_[id.index()];
 }
 
@@ -103,14 +105,14 @@ std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {
 }
 
 void VrdfGraph::set_initial_tokens(EdgeId id, std::int64_t tokens) {
-  VRDF_REQUIRE(topology_.contains(id), "edge id out of range");
+  VRDF_REQUIRE(id.index() < edges_.size(), "edge id out of range");
   VRDF_REQUIRE(tokens >= 0, "initial tokens must be non-negative");
   edges_[id.index()].initial_tokens = tokens;
   record_mutation(Mutation::SetInitialTokens, id.index());
 }
 
 void VrdfGraph::set_response_time(ActorId id, Duration response_time) {
-  VRDF_REQUIRE(topology_.contains(id), "actor id out of range");
+  VRDF_REQUIRE(id.index() < actors_.size(), "actor id out of range");
   VRDF_REQUIRE(response_time.is_positive(),
                "actor response time must be positive");
   actors_[id.index()].response_time = response_time;

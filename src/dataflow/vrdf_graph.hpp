@@ -12,6 +12,11 @@
 // (data edge + space edge); such pairs are recorded so that analysis and
 // simulation can enforce the task-level coupling "space returned equals
 // data consumed" that makes chains strongly consistent (Sec 3.3).
+//
+// The graph owns its topology: each Edge stores its source and target, and
+// an ActorId/EdgeId is valid exactly when it indexes the actor/edge array.
+// actors() and edges() are non-allocating ranges over those ids, in
+// insertion order.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +26,15 @@
 #include <vector>
 
 #include "dataflow/rate_set.hpp"
-#include "graph/digraph.hpp"
+#include "graph/ids.hpp"
 #include "util/time.hpp"
 
 namespace vrdf::dataflow {
 
-using ActorId = graph::NodeId;
-using EdgeId = graph::EdgeId;
+struct ActorTag {};
+struct EdgeTag {};
+using ActorId = graph::Id<ActorTag>;
+using EdgeId = graph::Id<EdgeTag>;
 
 struct Actor {
   std::string name;
@@ -79,19 +86,18 @@ public:
   [[nodiscard]] const Actor& actor(ActorId id) const;
   [[nodiscard]] const Edge& edge(EdgeId id) const;
 
-  [[nodiscard]] std::vector<ActorId> actors() const { return topology_.nodes(); }
-  [[nodiscard]] std::vector<EdgeId> edges() const { return topology_.edges(); }
+  /// Actor ids 0..actor_count()-1 in insertion order, as a range over the
+  /// count at the time of the call (it allocates nothing).
+  [[nodiscard]] auto actors() const {
+    return graph::ids_below<ActorId>(actors_.size());
+  }
+  /// Edge ids 0..edge_count()-1 in insertion order, likewise.
+  [[nodiscard]] auto edges() const {
+    return graph::ids_below<EdgeId>(edges_.size());
+  }
 
   /// Actor lookup by unique name.
   [[nodiscard]] std::optional<ActorId> find_actor(std::string_view name) const;
-
-  /// Edges entering/leaving an actor.
-  [[nodiscard]] std::span<const EdgeId> in_edges(ActorId id) const {
-    return topology_.in_edges(id);
-  }
-  [[nodiscard]] std::span<const EdgeId> out_edges(ActorId id) const {
-    return topology_.out_edges(id);
-  }
 
   /// Replaces δ(e); used to install computed buffer capacities.
   void set_initial_tokens(EdgeId id, std::int64_t tokens);
@@ -191,7 +197,6 @@ private:
   };
   void record_mutation(Mutation kind, std::size_t index);
 
-  graph::Digraph topology_;
   std::vector<Actor> actors_;
   std::vector<Edge> edges_;
   std::vector<BufferEdges> buffers_;

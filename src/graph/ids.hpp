@@ -1,8 +1,11 @@
-// Strongly typed indices for graph entities.
+// Strongly typed indices for model entities.
 //
-// Nodes and edges are dense indices into the owning graph's arrays.  The
-// phantom Tag parameter prevents an actor id from being used where a task
-// id is expected even though both are "small integers".
+// An id is a dense index into its owning model's arrays (VrdfGraph's actors
+// and edges, TaskGraph's tasks and buffers).  Each kind of entity has its
+// own phantom Tag, declared next to the model that owns it, so an actor id
+// cannot be used where a task id is expected even though both are "small
+// integers".  invalid() is UINT32_MAX, so the owner's `index() < size()`
+// check rejects it along with any other out-of-range id.
 #pragma once
 
 #include <cstddef>
@@ -10,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <ranges>
 
 namespace vrdf::graph {
 
@@ -36,11 +40,14 @@ private:
   underlying_type value_ = kInvalid;
 };
 
-struct NodeTag {};
-struct EdgeTag {};
-
-using NodeId = Id<NodeTag>;
-using EdgeId = Id<EdgeTag>;
+/// The ids 0..count-1 of one kind in increasing order, as a range that
+/// allocates nothing and refers to nothing.
+template <typename IdT>
+auto ids_below(std::size_t count) {
+  using Index = typename IdT::underlying_type;
+  return std::views::iota(Index{0}, static_cast<Index>(count)) |
+         std::views::transform([](Index i) { return IdT(i); });
+}
 
 template <typename Tag>
 std::ostream& operator<<(std::ostream& os, Id<Tag> id) {

@@ -10,7 +10,7 @@ TaskId TaskGraph::add_task(std::string name, Duration worst_case_response_time) 
                "task worst-case response time must be positive");
   VRDF_REQUIRE(!find_task(name).has_value(),
                "task name '" + name + "' is already in use");
-  const TaskId id = topology_.add_node();
+  const TaskId id(static_cast<TaskId::underlying_type>(tasks_.size()));
   tasks_.push_back(Task{std::move(name), worst_case_response_time});
   return id;
 }
@@ -18,10 +18,11 @@ TaskId TaskGraph::add_task(std::string name, Duration worst_case_response_time) 
 BufferId TaskGraph::add_buffer(TaskId producer, TaskId consumer,
                                dataflow::RateSet production,
                                dataflow::RateSet consumption) {
-  VRDF_REQUIRE(topology_.contains(producer), "buffer producer does not exist");
-  VRDF_REQUIRE(topology_.contains(consumer), "buffer consumer does not exist");
+  VRDF_REQUIRE(producer.index() < tasks_.size(),
+               "buffer producer does not exist");
+  VRDF_REQUIRE(consumer.index() < tasks_.size(),
+               "buffer consumer does not exist");
   VRDF_REQUIRE(producer != consumer, "a task cannot buffer to itself");
-  (void)topology_.add_edge(producer, consumer);
   const BufferId id(static_cast<BufferId::underlying_type>(buffers_.size()));
   buffers_.push_back(Buffer{producer, consumer, std::move(production),
                             std::move(consumption), std::nullopt});
@@ -29,17 +30,16 @@ BufferId TaskGraph::add_buffer(TaskId producer, TaskId consumer,
 }
 
 const Task& TaskGraph::task(TaskId id) const {
-  VRDF_REQUIRE(topology_.contains(id), "task id out of range");
+  VRDF_REQUIRE(id.index() < tasks_.size(), "task id out of range");
   return tasks_[id.index()];
 }
 
 const Buffer& TaskGraph::buffer(BufferId id) const {
-  VRDF_REQUIRE(id.is_valid() && id.index() < buffers_.size(),
-               "buffer id out of range");
+  VRDF_REQUIRE(id.index() < buffers_.size(), "buffer id out of range");
   return buffers_[id.index()];
 }
 
-std::optional<TaskId> TaskGraph::find_task(const std::string& name) const {
+std::optional<TaskId> TaskGraph::find_task(std::string_view name) const {
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
     if (tasks_[i].name == name) {
       return TaskId(static_cast<TaskId::underlying_type>(i));
@@ -49,8 +49,7 @@ std::optional<TaskId> TaskGraph::find_task(const std::string& name) const {
 }
 
 void TaskGraph::set_capacity(BufferId id, std::int64_t capacity) {
-  VRDF_REQUIRE(id.is_valid() && id.index() < buffers_.size(),
-               "buffer id out of range");
+  VRDF_REQUIRE(id.index() < buffers_.size(), "buffer id out of range");
   VRDF_REQUIRE(capacity > 0, "buffer capacity must be positive");
   buffers_[id.index()].capacity = capacity;
 }

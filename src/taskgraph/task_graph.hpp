@@ -12,19 +12,26 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "dataflow/rate_set.hpp"
 #include "dataflow/vrdf_graph.hpp"
-#include "graph/digraph.hpp"
+#include "graph/ids.hpp"
 #include "util/time.hpp"
 
 namespace vrdf::taskgraph {
 
-using TaskId = graph::NodeId;
-
+struct TaskTag {};
 struct BufferTag {};
+using TaskId = graph::Id<TaskTag>;
 using BufferId = graph::Id<BufferTag>;
+
+// A task id and the actor id the Sec 3.3 construction gives it are
+// different types; VrdfConstruction::actor_of_task maps one to the other.
+static_assert(!std::is_convertible_v<TaskId, dataflow::ActorId> &&
+              !std::is_convertible_v<dataflow::ActorId, TaskId>);
 
 struct Task {
   std::string name;
@@ -63,7 +70,7 @@ public:
   [[nodiscard]] std::size_t buffer_count() const { return buffers_.size(); }
   [[nodiscard]] const Task& task(TaskId id) const;
   [[nodiscard]] const Buffer& buffer(BufferId id) const;
-  [[nodiscard]] std::optional<TaskId> find_task(const std::string& name) const;
+  [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Sets ζ(b).
   void set_capacity(BufferId id, std::int64_t capacity);
@@ -87,7 +94,6 @@ public:
       const std::vector<Duration>& response_times) const;
 
 private:
-  graph::Digraph topology_;  // one node per task, one edge per buffer
   std::vector<Task> tasks_;
   std::vector<Buffer> buffers_;
 };

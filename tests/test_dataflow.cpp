@@ -138,6 +138,51 @@ TEST(VrdfGraph, RejectsDuplicateNamesAndBadInputs) {
   EXPECT_THROW(g.add_actor("b", Duration()), ContractError);
 }
 
+TEST(VrdfGraph, RejectsDanglingEdgesAndOutOfRangeIds) {
+  VrdfGraph g;
+  const ActorId a = g.add_actor("a", kRho);
+  const RateSet one = RateSet::singleton(1);
+  for (const ActorId bad : {ActorId(7), ActorId::invalid()}) {
+    EXPECT_THROW(g.add_edge(a, bad, one, one), ContractError);
+    EXPECT_THROW(g.add_edge(bad, a, one, one), ContractError);
+    EXPECT_THROW(g.add_buffer(a, bad, one, one), ContractError);
+    EXPECT_THROW(g.add_buffer(bad, a, one, one), ContractError);
+    EXPECT_THROW((void)g.actor(bad), ContractError);
+    EXPECT_THROW(g.set_response_time(bad, kRho), ContractError);
+  }
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_TRUE(g.buffers().empty());
+  for (const EdgeId bad : {EdgeId(0), EdgeId::invalid()}) {
+    EXPECT_THROW((void)g.edge(bad), ContractError);
+    EXPECT_THROW(g.set_initial_tokens(bad, 1), ContractError);
+  }
+}
+
+TEST(VrdfGraph, ParallelBuffersAndSelfLoopsRepresentable) {
+  VrdfGraph g;
+  const ActorId a = g.add_actor("a", kRho);
+  const ActorId b = g.add_actor("b", kRho);
+  const RateSet one = RateSet::singleton(1);
+  (void)g.add_buffer(a, b, one, one);
+  (void)g.add_buffer(a, b, one, one);
+  const EdgeId loop = g.add_edge(a, a, one, one, 1);
+  const std::vector<std::pair<ActorId, ActorId>> ends = {
+      {a, b}, {b, a}, {a, b}, {b, a}, {a, a}};
+  ASSERT_EQ(g.edge_count(), ends.size());
+  EXPECT_EQ(g.buffers().size(), 2u);
+  EXPECT_FALSE(g.edge(loop).paired.is_valid());
+  // edges() yields every id once, in insertion order.
+  std::size_t i = 0;
+  for (const EdgeId e : g.edges()) {
+    ASSERT_LT(i, ends.size());
+    EXPECT_EQ(e.index(), i);
+    EXPECT_EQ(g.edge(e).source, ends[i].first);
+    EXPECT_EQ(g.edge(e).target, ends[i].second);
+    ++i;
+  }
+  EXPECT_EQ(i, ends.size());
+}
+
 TEST(VrdfGraph, FindActorByName) {
   VrdfGraph g;
   const ActorId a = g.add_actor("vMP3", kRho);

@@ -39,6 +39,16 @@ TEST(TaskGraph, RejectsBadInputs) {
   EXPECT_THROW(
       g.add_buffer(a, a, RateSet::singleton(1), RateSet::singleton(1)),
       ContractError);
+  // Buffers may only join tasks that exist; ids index the task array.
+  EXPECT_THROW(
+      g.add_buffer(a, TaskId(5), RateSet::singleton(1), RateSet::singleton(1)),
+      ContractError);
+  EXPECT_THROW(g.add_buffer(TaskId::invalid(), a, RateSet::singleton(1),
+                            RateSet::singleton(1)),
+               ContractError);
+  EXPECT_EQ(g.buffer_count(), 0u);
+  EXPECT_THROW((void)g.task(TaskId(5)), ContractError);
+  EXPECT_THROW((void)g.task(TaskId::invalid()), ContractError);
 }
 
 TEST(TaskGraph, FindTask) {
@@ -64,7 +74,11 @@ TEST(TaskGraph, ChainRecognition) {
     const VrdfConstruction built = g.to_vrdf();
     const auto view = dataflow::validate_cyclic_model(built.graph).view;
     ASSERT_TRUE(view.has_value() && view->is_chain);
-    EXPECT_EQ(view->actors, tasks);
+    std::vector<dataflow::ActorId> actors;
+    for (const TaskId t : tasks) {
+      actors.push_back(built.actor_of_task[t.index()]);
+    }
+    EXPECT_EQ(view->actors, actors);
     ASSERT_EQ(view->buffers.size(), built.edges_of_buffer.size());
     for (std::size_t j = 0; j < view->buffers.size(); ++j) {
       EXPECT_EQ(view->buffers[j].data, built.edges_of_buffer[j].data);

@@ -385,7 +385,7 @@ TEST(TickRationalEquivalence, RandomChainWithJitterAndDelays) {
   ASSERT_TRUE(sized.admissible);
   dataflow::VrdfGraph graph = chain.graph;
   analysis::apply_capacities(graph, sized);
-  const std::vector<ActorId> actors = graph.actors();
+  const auto actors = graph.actors();
   const Configure configure = [&](Simulator& sim) {
     sim.set_response_time_jitter(actors[1], 99, Rational(1, 3));
     sim.set_response_time_jitter(actors[3], 17, Rational(7, 10));
