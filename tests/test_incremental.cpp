@@ -5,8 +5,9 @@
 // recompute after every operation — including rejection shapes and
 // diagnostics), the MP3 anchor {6015, 3263, 882} served through the
 // controller, rollback-on-rejection, the single-constraint period
-// rescale path, δ-override contracts, and stale-snapshot contract
-// errors naming the offending mutation.
+// rescale path, δ-override contracts, the invalidation counters of
+// every engine branch, and stale-snapshot contract errors naming the
+// offending mutation.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -15,6 +16,8 @@
 
 #include "analysis/admission.hpp"
 #include "analysis/buffer_sizing.hpp"
+#include "analysis/certificate.hpp"
+#include "analysis/checker.hpp"
 #include "analysis/incremental.hpp"
 #include "analysis/pacing.hpp"
 #include "analysis/snapshot.hpp"
@@ -494,6 +497,256 @@ TEST(IncrementalAnalysis, DeltaOverrideContractAndSpaceInertness) {
       compute_buffer_capacities(snapshot, engine.constraints(),
                                 engine.options(), engine.overlay());
   expect_identical(engine.analysis(), full);
+}
+
+// ------------------------------------------------- invalidation counters
+
+/// One model driven through every branch of the engine, with the
+/// invalidation counters each branch must add.  `cone_actor` retuned to
+/// `cone_rho` re-derives `cone_actors` leads and `cone_pairs` pairs;
+/// `block_actor` is retuned past its pacing; `pair`'s data edge takes
+/// `tokens` circulating tokens (kept above zero on a back-edge);
+/// `stream` is admitted at its own pacing as a second constraint, and
+/// the pinned period is then moved until the pacing fails and back.
+struct CounterScenario {
+  const VrdfGraph* graph = nullptr;
+  ThroughputConstraint constraint;
+  ActorId cone_actor;
+  Duration cone_rho;
+  std::uint64_t cone_actors = 0;
+  std::uint64_t cone_pairs = 0;
+  ActorId block_actor;
+  dataflow::BufferEdges pair;
+  std::int64_t tokens = 0;
+  ActorId stream;
+  /// Whether the model with `stream` pinned as well still paces; when
+  /// not, admit fails the pacing and only remove recovers it.
+  bool two_pins_pace = true;
+};
+
+/// Runs `scenario` on one certifying engine.  After each step every
+/// InvalidationStats field must equal a running expectation, except
+/// that the last_cone_* pair is left out (`cone` false) where the result
+/// is ρ-blocked or pacing-failed and where a retune leaves a ρ-blocked
+/// state.  Every step's analysis must also equal a full recompute.
+void pin_counters(const CounterScenario& scenario) {
+  const VrdfGraph& graph = *scenario.graph;
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  IncrementalAnalysis engine(snapshot, ConstraintSet{scenario.constraint});
+  const std::uint64_t n = graph.actor_count();
+  const std::uint64_t pairs = snapshot.view().buffers.size();
+
+  InvalidationStats want;
+  const auto expect = [&](const std::string& step, bool cone) {
+    SCOPED_TRACE(step);
+    const GraphAnalysis& got = engine.analysis();
+    expect_identical(got, compute_buffer_capacities(
+                              snapshot, engine.constraints(),
+                              engine.options(), engine.overlay()));
+    if (engine.certify() && got.admissible) {
+      CheckerOptions checker_options;
+      checker_options.bind_parameters_to_graph = false;
+      ++want.certificates_checked;
+      want.certificate_clauses +=
+          check_certificate(graph,
+                            make_certificate(graph, got, engine.overlay()),
+                            checker_options)
+              .clauses_checked;
+    }
+    const InvalidationStats& s = engine.stats();
+    EXPECT_EQ(s.queries, want.queries);
+    EXPECT_EQ(s.pacing_recomputes, want.pacing_recomputes);
+    EXPECT_EQ(s.pacing_cache_hits, want.pacing_cache_hits);
+    EXPECT_EQ(s.leads_recomputed, want.leads_recomputed);
+    EXPECT_EQ(s.leads_reused, want.leads_reused);
+    EXPECT_EQ(s.pairs_recomputed, want.pairs_recomputed);
+    EXPECT_EQ(s.pairs_reused, want.pairs_reused);
+    if (cone) {
+      EXPECT_EQ(s.last_cone_actors, want.last_cone_actors);
+      EXPECT_EQ(s.last_cone_pairs, want.last_cone_pairs);
+    }
+    EXPECT_EQ(s.certificates_checked, want.certificates_checked);
+    EXPECT_EQ(s.certificate_clauses, want.certificate_clauses);
+    EXPECT_EQ(s.certificate_violations, 0u);
+  };
+  // The query tails every operation shares.
+  const auto cache_hit = [&] {
+    ++want.queries;
+    ++want.pacing_cache_hits;
+  };
+  const auto full_size = [&] {
+    want.leads_recomputed += n;
+    want.pairs_recomputed += pairs;
+    want.last_cone_actors = n;
+    want.last_cone_pairs = pairs;
+  };
+  const auto repropagate = [&] {
+    ++want.queries;
+    ++want.pacing_recomputes;
+  };
+
+  ++want.pacing_recomputes;
+  full_size();
+  expect("construction", true);
+  engine.set_certify(true);
+
+  engine.retune(scenario.cone_actor, scenario.cone_rho);
+  cache_hit();
+  want.leads_recomputed += scenario.cone_actors;
+  want.leads_reused += n - scenario.cone_actors;
+  want.pairs_recomputed += scenario.cone_pairs;
+  want.pairs_reused += pairs - scenario.cone_pairs;
+  want.last_cone_actors = scenario.cone_actors;
+  want.last_cone_pairs = scenario.cone_pairs;
+  expect("cone retune", true);
+
+  engine.set_initial_tokens(scenario.pair.data, scenario.tokens);
+  cache_hit();
+  want.leads_reused += n;
+  want.pairs_recomputed += 1;
+  want.pairs_reused += pairs - 1;
+  want.last_cone_actors = 0;
+  want.last_cone_pairs = 1;
+  expect("data-edge delta, sized", true);
+
+  engine.set_initial_tokens(scenario.pair.space, 1000);
+  cache_hit();
+  want.leads_reused += n;
+  want.pairs_reused += pairs;
+  want.last_cone_pairs = 0;
+  expect("space-edge delta, sized", true);
+
+  engine.retune(scenario.block_actor, seconds(Rational(1000)));
+  cache_hit();
+  ASSERT_FALSE(engine.analysis().admissible);
+  ASSERT_TRUE(engine.analysis().leads.empty());
+  expect("retune past phi", false);
+
+  engine.set_initial_tokens(scenario.pair.data, scenario.tokens + 1);
+  cache_hit();
+  expect("data-edge delta, blocked", false);
+
+  engine.set_initial_tokens(scenario.pair.space, 2000);
+  cache_hit();
+  expect("space-edge delta, blocked", false);
+
+  engine.clear_retune(scenario.block_actor);
+  cache_hit();
+  full_size();
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect("clear_retune recovers", false);
+
+  engine.retune(scenario.block_actor, seconds(Rational(1000)));
+  cache_hit();
+  expect("retune past phi again", false);
+
+  engine.retune(scenario.block_actor,
+                graph.actor(scenario.block_actor).response_time);
+  cache_hit();
+  full_size();
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect("retune recovers", false);
+
+  const ActorId pinned = scenario.constraint.actor;
+  const Duration relaxed(scenario.constraint.period.seconds() * Rational(2));
+  engine.set_period(pinned, relaxed);
+  cache_hit();
+  full_size();
+  expect("single-constraint set_period", true);
+
+  Duration phi;
+  const GraphAnalysis& current = engine.analysis();
+  for (std::size_t i = 0; i < current.actors_in_order.size(); ++i) {
+    if (current.actors_in_order[i] == scenario.stream) {
+      phi = current.pacing[i];
+    }
+  }
+  engine.admit(ThroughputConstraint{scenario.stream, phi});
+  repropagate();
+  if (scenario.two_pins_pace) {
+    full_size();
+    ASSERT_TRUE(engine.analysis().admissible);
+    expect("admit", true);
+
+    engine.set_period(pinned, relaxed);
+    repropagate();
+    full_size();
+    expect("multi-constraint set_period", true);
+  } else {
+    ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+    expect("admit fails pacing", false);
+  }
+
+  engine.set_period(pinned, Duration(relaxed.seconds() * Rational(3)));
+  repropagate();
+  ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+  expect("set_period fails pacing", false);
+
+  engine.retune(scenario.cone_actor, scenario.cone_rho);
+  cache_hit();
+  expect("retune, pacing failed", false);
+
+  engine.set_initial_tokens(scenario.pair.data, scenario.tokens);
+  cache_hit();
+  expect("data-edge delta, pacing failed", false);
+
+  engine.set_period(pinned, relaxed);
+  repropagate();
+  if (scenario.two_pins_pace) {
+    full_size();
+    expect("set_period recovers pacing", true);
+  } else {
+    expect("set_period, pacing still failed", false);
+  }
+
+  engine.remove(scenario.stream);
+  repropagate();
+  full_size();
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect("remove", true);
+}
+
+TEST(IncrementalAnalysis, CountersPinnedThroughEveryBranchOnMp3) {
+  const models::Mp3Playback app = models::make_mp3_playback();
+  CounterScenario scenario;
+  scenario.graph = &app.graph;
+  scenario.constraint = app.constraint;
+  // On the chain the block reader's ω is a pass-A leaf: one lead, and
+  // its one pair.
+  scenario.cone_actor = app.br;
+  scenario.cone_rho =
+      Duration(app.graph.actor(app.br).response_time.seconds() *
+               Rational(1, 2));
+  scenario.cone_actors = 1;
+  scenario.cone_pairs = 1;
+  scenario.block_actor = app.mp3;
+  scenario.pair = app.b2;
+  scenario.tokens = 2;
+  scenario.stream = app.src;
+  pin_counters(scenario);
+}
+
+TEST(IncrementalAnalysis, CountersPinnedThroughEveryBranchOnFeedbackLoop) {
+  const models::FeedbackPipeline app = models::make_feedback_pipeline();
+  CounterScenario scenario;
+  scenario.graph = &app.graph;
+  scenario.constraint = app.constraint;
+  scenario.cone_actor = app.rctl;
+  scenario.cone_rho =
+      Duration(app.graph.actor(app.rctl).response_time.seconds() *
+               Rational(1, 2));
+  // rctl's ω is recomputed alone; both pairs it touches re-size.
+  scenario.cone_actors = 1;
+  scenario.cone_pairs = 2;
+  scenario.block_actor = app.dec;
+  scenario.pair = app.dec_rctl;
+  scenario.tokens = 13;
+  // The variable dec -> present rates make any second pin fail the
+  // multi-constraint pacing.
+  scenario.stream = app.src;
+  scenario.two_pins_pace = false;
+  pin_counters(scenario);
 }
 
 // ------------------------------------------------------- stale contracts
