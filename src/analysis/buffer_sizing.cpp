@@ -154,9 +154,7 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
                           const ParameterOverlay& overlay,
                           const PacingResult& pacing,
                           const std::vector<Duration>& lead, std::size_t pos,
-                          const AnalysisOptions& options,
-                          std::vector<std::string>& diagnostics,
-                          bool& admissible) {
+                          const AnalysisOptions& options) {
   const dataflow::VrdfGraph::BufferView& view = *pacing.view;
   const dataflow::BufferEdges buffer = pacing.buffers_in_order[pos];
   const Edge& data = graph.edge(buffer.data);
@@ -224,9 +222,10 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
   // also cover the producer's transfer slack ρ(p) + s·(π̂−1) (its
   // production lands that late against its linear bound) and the
   // consumer's per-firing jump s·(γ̂−1).  δ below ⌈that credit⌉ cannot
-  // sustain the period — diagnose instead of emitting starving
-  // capacities (the leads are δ-independent, so the requirement can be
-  // used to size a loop's tokens).
+  // sustain the period — such a pair starves, and the analysis diagnoses
+  // it instead of emitting starving capacities (the leads are
+  // δ-independent, so the requirement can be used to size a loop's
+  // tokens).
   if (pair.is_feedback) {
     const Duration reverse_gap =
         pair_side == ConstraintSide::Sink
@@ -236,25 +235,35 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
         ((reverse_gap + chain_local + pacing.consumer_slack[pos]) /
          pair.bound_rate)
             .ceil();
-    if (pair.initial_tokens < pair.required_initial_tokens) {
-      std::ostringstream os;
-      os << "cycle through back-edge " << graph.actor(pair.producer).name
-         << " -> " << graph.actor(pair.consumer).name << ": delta="
-         << pair.initial_tokens
-         << " initial tokens cannot sustain the period; the cycle's "
-            "schedule-alignment credit requires at least "
-         << pair.required_initial_tokens
-         << " (the max-cycle-ratio bound period >= cycle latency / "
-            "initial tokens) — add initial tokens or relax the period";
-      diagnostics.push_back(os.str());
-      admissible = false;
-    }
   }
   // The containers holding the initial tokens come on top of the
   // schedule slack: a back-edge's capacity covers its circulating
   // tokens plus the cycle's alignment slack.
   pair.capacity = checked_add(pair.capacity, pair.initial_tokens);
   return pair;
+}
+
+bool append_starving_diagnostics(const VrdfGraph& graph,
+                                 const std::vector<PairAnalysis>& pairs,
+                                 std::vector<std::string>& diagnostics) {
+  bool admissible = true;
+  for (const PairAnalysis& pair : pairs) {
+    if (!starves(pair)) {
+      continue;
+    }
+    std::ostringstream os;
+    os << "cycle through back-edge " << graph.actor(pair.producer).name
+       << " -> " << graph.actor(pair.consumer).name
+       << ": delta=" << pair.initial_tokens
+       << " initial tokens cannot sustain the period; the cycle's "
+          "schedule-alignment credit requires at least "
+       << pair.required_initial_tokens
+       << " (the max-cycle-ratio bound period >= cycle latency / "
+          "initial tokens) — add initial tokens or relax the period";
+    diagnostics.push_back(os.str());
+    admissible = false;
+  }
+  return admissible;
 }
 
 GraphAnalysis size_from_pacing(const VrdfGraph& graph,
@@ -287,17 +296,15 @@ GraphAnalysis size_from_pacing(const VrdfGraph& graph,
     analysis.leads.push_back(lead[v.index()]);
   }
 
-  bool admissible = true;
   analysis.pairs.reserve(pacing.buffers_in_order.size());
   for (std::size_t i = 0; i < pacing.buffers_in_order.size(); ++i) {
-    PairAnalysis pair = analyse_pair(graph, overlay, pacing, lead, i, options,
-                                     analysis.diagnostics, admissible);
+    analysis.pairs.push_back(
+        analyse_pair(graph, overlay, pacing, lead, i, options));
     analysis.total_capacity =
-        checked_add(analysis.total_capacity, pair.capacity);
-    analysis.pairs.push_back(pair);
+        checked_add(analysis.total_capacity, analysis.pairs.back().capacity);
   }
-
-  analysis.admissible = admissible;
+  analysis.admissible =
+      append_starving_diagnostics(graph, analysis.pairs, analysis.diagnostics);
   return analysis;
 }
 

@@ -1,5 +1,7 @@
 #include "analysis/incremental.hpp"
 
+#include <string>
+
 #include "analysis/certificate.hpp"
 #include "analysis/sizing_core.hpp"
 #include "util/checked_int.hpp"
@@ -93,15 +95,7 @@ void IncrementalAnalysis::clear_retune(dataflow::ActorId actor) {
 void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   snapshot_.require_fresh();
   ++stats_.queries;
-  std::size_t index = npos;
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    if (constraints_[i].actor == actor) {
-      index = i;
-      break;
-    }
-  }
-  VRDF_REQUIRE(index != npos,
-               "set_period: actor carries no constraint in the set");
+  const std::size_t index = constraint_index_(actor, "set_period");
   const Duration old = constraints_[index].period;
   constraints_[index].period = tau;
   if (constraints_.size() == 1 && pacing_.ok && tau.is_positive()) {
@@ -110,11 +104,10 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
     // that a rescale could flip.
     rescale_pacing(pacing_, snapshot_.graph(), tau.seconds() / old.seconds());
     ++stats_.pacing_cache_hits;
-    resize_from_pacing_();
-    run_certification_();
-    return;
+    rebuild_();
+  } else {
+    repropagate_();
   }
-  repropagate_();
   run_certification_();
 }
 
@@ -129,19 +122,23 @@ void IncrementalAnalysis::admit(ThroughputConstraint stream) {
 void IncrementalAnalysis::remove(dataflow::ActorId actor) {
   snapshot_.require_fresh();
   ++stats_.queries;
-  std::size_t index = npos;
-  for (std::size_t i = 0; i < constraints_.size(); ++i) {
-    if (constraints_[i].actor == actor) {
-      index = i;
-      break;
-    }
-  }
-  VRDF_REQUIRE(index != npos,
-               "remove: actor carries no constraint in the set");
+  const std::size_t index = constraint_index_(actor, "remove");
   constraints_.erase(constraints_.begin() +
                      static_cast<std::ptrdiff_t>(index));
   repropagate_();
   run_certification_();
+}
+
+std::size_t IncrementalAnalysis::constraint_index_(dataflow::ActorId actor,
+                                                   const char* what) const {
+  std::size_t index = 0;
+  while (index < constraints_.size() && constraints_[index].actor != actor) {
+    ++index;
+  }
+  VRDF_REQUIRE(index < constraints_.size(),
+               std::string(what) +
+                   ": actor carries no constraint in the set");
+  return index;
 }
 
 void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
@@ -173,39 +170,21 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
   }
   overlay_.set_initial_tokens(edge, tokens);
   ++stats_.pacing_cache_hits;
-  if (!pacing_.ok || !rho_ok_) {
-    // δ enters neither pacing nor the ρ checks; the failed shape stands.
-    render_();
-    run_certification_();
-    return;
-  }
-  if (!sized_valid_) {
-    lead_ = detail::compute_alignment_leads(graph, overlay_, pacing_);
-    stats_.leads_recomputed += graph.actor_count();
-    recompute_all_pairs_();
-    sized_valid_ = true;
-    render_();
-    run_certification_();
-    return;
-  }
-  // Pacing and leads are δ-independent; only the pair whose circulating
-  // credit moved re-analyses.  A space-edge override affects nothing in
-  // the sized analysis (only min_admissible_period reads installed
-  // space).
-  stats_.leads_reused += graph.actor_count();
   stats_.last_cone_actors = 0;
-  if (is_data_edge) {
-    const std::optional<std::string> old = std::move(pair_diag_[pos]);
-    recompute_pair_(pos);
-    ++stats_.pairs_recomputed;
-    stats_.pairs_reused += pairs_.size() - 1;
-    stats_.last_cone_pairs = 1;
-    render_patch_({pos}, pair_diag_[pos] != old);
-  } else {
-    // Space-edge override: nothing in the sized analysis reads installed
-    // space, so the rendered result stands as-is.
-    stats_.pairs_reused += pairs_.size();
-    stats_.last_cone_pairs = 0;
+  stats_.last_cone_pairs = 0;
+  if (sized_()) {
+    // Pacing and leads are δ-independent, and only the pair whose
+    // circulating credit moved re-analyses: nothing in the sized analysis
+    // reads installed space (only min_admissible_period does).  A failed
+    // or ρ-blocked shape stands as it is, since δ enters neither pacing
+    // nor the ρ checks.
+    stats_.leads_reused += graph.actor_count();
+    if (is_data_edge) {
+      scratch_dirty_.assign(1, pos);
+      patch_pairs_(scratch_dirty_);
+    } else {
+      stats_.pairs_reused += analysis_.pairs.size();
+    }
   }
   run_certification_();
 }
@@ -213,38 +192,13 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
 void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {
   const VrdfGraph& graph = snapshot_.graph();
   ++stats_.pacing_cache_hits;  // ρ never enters pacing propagation
-  if (!pacing_.ok) {
-    render_();
-    return;
-  }
-  if (!rho_ok_ || !sized_valid_) {
-    // Coming out of a ρ-blocked or unsized state: full ρ re-check (the
-    // diagnostics list in actor order has to be rebuilt from scratch)
-    // and, if it passes, a full lead/pair rebuild.
-    rho_diags_.clear();
-    rho_ok_ = detail::check_schedule_validity(graph, overlay_, pacing_,
-                                              rho_diags_);
-    if (!rho_ok_) {
-      sized_valid_ = false;
-      render_();
-      return;
-    }
-    lead_ = detail::compute_alignment_leads(graph, overlay_, pacing_);
-    stats_.leads_recomputed += graph.actor_count();
-    recompute_all_pairs_();
-    sized_valid_ = true;
-    render_();
-    return;
-  }
   // ρ-admissibility is per actor (ρ(v) <= φ(v)) and only this actor's ρ
-  // moved, so one comparison decides the whole check.
-  if (overlay_.response_time_of(graph, actor) >
-      pacing_.pacing_by_actor[actor.index()]) {
-    rho_diags_.clear();
-    rho_ok_ = detail::check_schedule_validity(graph, overlay_, pacing_,
-                                              rho_diags_);
-    sized_valid_ = false;
-    render_();
+  // moved, so on a sized result one comparison decides the whole check.
+  // Entering or leaving a ρ-blocked state (or retuning under a failed
+  // pacing) re-sizes in full.
+  if (!sized_() || overlay_.response_time_of(graph, actor) >
+                       pacing_.pacing_by_actor[actor.index()]) {
+    rebuild_();
     return;
   }
   std::vector<char>& changed_lead = scratch_changed_lead_;
@@ -254,7 +208,7 @@ void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {
   // their chain-local and consumer slack terms) plus pairs touching any
   // actor whose ω moved (their alignment gap reads both endpoint leads).
   std::vector<char>& dirty_pair = scratch_dirty_pair_;
-  dirty_pair.assign(pairs_.size(), 0);
+  dirty_pair.assign(analysis_.pairs.size(), 0);
   for (const std::size_t pos : snapshot_.incident_pairs()[actor.index()]) {
     dirty_pair[pos] = 1;
   }
@@ -268,20 +222,12 @@ void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {
   }
   std::vector<std::size_t>& dirty = scratch_dirty_;
   dirty.clear();
-  bool diag_moved = false;
-  for (std::size_t pos = 0; pos < pairs_.size(); ++pos) {
-    if (!dirty_pair[pos]) {
-      continue;
+  for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
+    if (dirty_pair[pos]) {
+      dirty.push_back(pos);
     }
-    const std::optional<std::string> old = std::move(pair_diag_[pos]);
-    recompute_pair_(pos);
-    diag_moved = diag_moved || pair_diag_[pos] != old;
-    dirty.push_back(pos);
   }
-  stats_.pairs_recomputed += dirty.size();
-  stats_.pairs_reused += pairs_.size() - dirty.size();
-  stats_.last_cone_pairs = dirty.size();
-  render_patch_(dirty, diag_moved);
+  patch_pairs_(dirty);
 }
 
 void IncrementalAnalysis::update_lead_cone_(dataflow::ActorId seed,
@@ -371,113 +317,57 @@ void IncrementalAnalysis::update_lead_cone_(dataflow::ActorId seed,
 void IncrementalAnalysis::repropagate_() {
   ++stats_.pacing_recomputes;
   pacing_ = compute_pacing(snapshot_, constraints_);
-  if (!pacing_.ok) {
-    rho_ok_ = false;
-    sized_valid_ = false;
-    render_();
-    return;
-  }
-  resize_from_pacing_();
+  rebuild_();
 }
 
-void IncrementalAnalysis::resize_from_pacing_() {
+void IncrementalAnalysis::rebuild_() {
   const VrdfGraph& graph = snapshot_.graph();
-  rho_diags_.clear();
-  rho_ok_ = detail::check_schedule_validity(graph, overlay_, pacing_,
-                                            rho_diags_);
-  if (!rho_ok_) {
-    sized_valid_ = false;
-    render_();
+  analysis_ = detail::size_from_pacing(graph, pacing_, options_, overlay_);
+  if (!sized_()) {
+    stats_.last_cone_actors = 0;
+    stats_.last_cone_pairs = 0;
     return;
   }
-  lead_ = detail::compute_alignment_leads(graph, overlay_, pacing_);
+  lead_.assign(graph.actor_count(), Duration());
+  for (std::size_t i = 0; i < analysis_.leads.size(); ++i) {
+    lead_[analysis_.actors_in_order[i].index()] = analysis_.leads[i];
+  }
   stats_.leads_recomputed += graph.actor_count();
+  stats_.pairs_recomputed += analysis_.pairs.size();
   stats_.last_cone_actors = graph.actor_count();
-  recompute_all_pairs_();
-  sized_valid_ = true;
-  render_();
+  stats_.last_cone_pairs = analysis_.pairs.size();
 }
 
-void IncrementalAnalysis::recompute_all_pairs_() {
-  pairs_.resize(pacing_.buffers_in_order.size());
-  pair_diag_.assign(pacing_.buffers_in_order.size(), std::nullopt);
-  for (std::size_t pos = 0; pos < pairs_.size(); ++pos) {
-    recompute_pair_(pos);
-  }
-  stats_.pairs_recomputed += pairs_.size();
-  stats_.last_cone_pairs = pairs_.size();
-}
-
-void IncrementalAnalysis::recompute_pair_(std::size_t pos) {
+void IncrementalAnalysis::patch_pairs_(const std::vector<std::size_t>& dirty) {
   const VrdfGraph& graph = snapshot_.graph();
-  std::vector<std::string> diags;
-  bool admissible = true;
-  pairs_[pos] = detail::analyse_pair(graph, overlay_, pacing_, lead_, pos,
-                                     options_, diags, admissible);
-  pair_diag_[pos] =
-      diags.empty() ? std::nullopt : std::optional<std::string>(diags.front());
-}
-
-void IncrementalAnalysis::render_patch_(const std::vector<std::size_t>& dirty,
-                                        bool diag_moved) {
-  if (!analysis_sized_ || diag_moved) {
-    render_();
-    return;
-  }
-  // The lead cone may have moved some ω values; refresh the rendered
-  // leads (trivially copyable, O(V), no allocation in steady state).
-  for (std::size_t i = 0; i < pacing_.actors_in_order.size(); ++i) {
-    analysis_.leads[i] = lead_[pacing_.actors_in_order[i].index()];
-  }
+  bool diagnostics_moved = false;
   for (const std::size_t pos : dirty) {
-    analysis_.total_capacity =
-        checked_add(analysis_.total_capacity,
-                    pairs_[pos].capacity - analysis_.pairs[pos].capacity);
-    analysis_.pairs[pos] = pairs_[pos];
+    const PairAnalysis fresh = detail::analyse_pair(
+        graph, overlay_, pacing_, lead_, pos, options_);
+    PairAnalysis& pair = analysis_.pairs[pos];
+    // A starving back-edge's diagnostic names its δ and required count.
+    diagnostics_moved =
+        diagnostics_moved || detail::starves(pair) != detail::starves(fresh) ||
+        (detail::starves(fresh) &&
+         (pair.initial_tokens != fresh.initial_tokens ||
+          pair.required_initial_tokens != fresh.required_initial_tokens));
+    analysis_.total_capacity = checked_add(analysis_.total_capacity,
+                                           fresh.capacity - pair.capacity);
+    pair = fresh;
   }
-}
-
-void IncrementalAnalysis::render_() {
-  // Reproduces the three result shapes of compute_buffer_capacities
-  // exactly: pacing-failed (diagnostics only), ρ-blocked (headers and
-  // pacing, no pairs), and sized (everything, feedback diagnostics in
-  // pair order).
-  analysis_sized_ = pacing_.ok && rho_ok_;
-  analysis_ = GraphAnalysis{};
-  analysis_.rounding = options_.rounding;
-  analysis_.diagnostics = pacing_.diagnostics;
-  if (!pacing_.ok) {
-    return;
+  // The lead cone may have moved some ω values (trivially copyable, O(V),
+  // no allocation in steady state).
+  for (std::size_t i = 0; i < analysis_.leads.size(); ++i) {
+    analysis_.leads[i] = lead_[analysis_.actors_in_order[i].index()];
   }
-  analysis_.side = pacing_.side;
-  analysis_.constraints = pacing_.constraints;
-  analysis_.constraint_is_sink_kind = pacing_.constraint_is_sink_kind;
-  analysis_.constraint_is_source_kind = pacing_.constraint_is_source_kind;
-  analysis_.is_chain = pacing_.is_chain;
-  analysis_.is_cyclic = pacing_.is_cyclic;
-  analysis_.actors_in_order = pacing_.actors_in_order;
-  analysis_.pacing = pacing_.pacing;
-  if (!rho_ok_) {
-    for (const std::string& d : rho_diags_) {
-      analysis_.diagnostics.push_back(d);
-    }
-    return;
+  if (diagnostics_moved) {
+    analysis_.diagnostics = pacing_.diagnostics;
+    analysis_.admissible = detail::append_starving_diagnostics(
+        graph, analysis_.pairs, analysis_.diagnostics);
   }
-  analysis_.leads.reserve(pacing_.actors_in_order.size());
-  for (const dataflow::ActorId v : pacing_.actors_in_order) {
-    analysis_.leads.push_back(lead_[v.index()]);
-  }
-  analysis_.pairs = pairs_;
-  bool admissible = true;
-  for (std::size_t pos = 0; pos < pairs_.size(); ++pos) {
-    if (pair_diag_[pos].has_value()) {
-      analysis_.diagnostics.push_back(*pair_diag_[pos]);
-      admissible = false;
-    }
-    analysis_.total_capacity =
-        checked_add(analysis_.total_capacity, pairs_[pos].capacity);
-  }
-  analysis_.admissible = admissible;
+  stats_.pairs_recomputed += dirty.size();
+  stats_.pairs_reused += analysis_.pairs.size() - dirty.size();
+  stats_.last_cone_pairs = dirty.size();
 }
 
 }  // namespace vrdf::analysis

@@ -30,6 +30,17 @@
 //    credit / capacity), a space-edge override changes nothing in the
 //    sized analysis (only min_admissible_period reads installed space).
 //
+// The engine holds one result, the GraphAnalysis it serves.  Every full
+// re-size (construction, admit, remove, set_period, and entering or
+// leaving a ρ-blocked state) assigns detail::size_from_pacing's result
+// on the current pacing — the same code compute_buffer_capacities runs,
+// so the three result shapes (pacing failed, ρ-blocked, sized) are
+// assembled in one place.  The retune cone and the data-edge δ override
+// patch that result in place: each re-analysed pair is written over its
+// old entry, total_capacity moves by the difference, and the
+// diagnostics are re-rendered only when a starving back-edge's
+// diagnostic appears, vanishes or changes.
+//
 // Parameter changes are applied to a ParameterOverlay, never to the
 // graph; mutating the graph itself invalidates the snapshot and every
 // subsequent query throws a ContractError naming the mutation.
@@ -37,7 +48,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "analysis/checker.hpp"
@@ -65,9 +75,12 @@ struct InvalidationStats {
   /// Pairs re-analysed / reused from cache.
   std::uint64_t pairs_recomputed = 0;
   std::uint64_t pairs_reused = 0;
-  /// Actors in the invalidation cone of the most recent query.
+  /// Actors whose ω the most recent query re-derived: every actor on a
+  /// full re-size, the cone on a retune, 0 on a δ override and whenever
+  /// the result is ρ-blocked or pacing-failed.
   std::uint64_t last_cone_actors = 0;
-  /// Pairs re-analysed by the most recent query.
+  /// Pairs re-analysed by the most recent query (0 whenever the result
+  /// is ρ-blocked or pacing-failed).
   std::uint64_t last_cone_pairs = 0;
   /// Certification (set_certify): certificates emitted + checked after
   /// mutating queries, individual clauses validated, and clause
@@ -150,35 +163,36 @@ public:
   [[nodiscard]] const InvalidationStats& stats() const { return stats_; }
 
 private:
-  /// Full pipeline on the cached snapshot: pacing + ρ-check + leads +
-  /// all pairs + render.
+  /// Re-propagates pacing on the cached snapshot, then rebuild_().
   void repropagate_();
-  /// Shared retune/clear_retune tail: re-checks ρ admissibility on the
-  /// cached pacing and re-derives the ω cone + dirty pairs.
+  /// Full re-size on the current pacing_: analysis_ becomes
+  /// detail::size_from_pacing's result, and lead_ is refilled from its
+  /// leads when it is sized.
+  void rebuild_();
+  /// True when analysis_ holds the sized shape — false after a failed
+  /// pacing or a ρ-blocked check, which carry no leads.
+  [[nodiscard]] bool sized_() const { return !analysis_.leads.empty(); }
+  /// Shared retune/clear_retune tail: on a sized result whose ρ check
+  /// still holds, re-derives the ω cone and patches the dirty pairs;
+  /// otherwise rebuild_().
   void apply_rho_change_(dataflow::ActorId actor);
-  /// ρ-check + leads + all pairs + render, on the current pacing_.
-  void resize_from_pacing_();
-  /// Recomputes every pair from the cached pacing_ and lead_.
-  void recompute_all_pairs_();
-  /// Re-analyses one pair in place, updating its cached diagnostic.
-  void recompute_pair_(std::size_t pos);
   /// Re-derives the ω cone after ρ(seed) changed; records which actors'
   /// leads changed in changed_lead (indexed by ActorId::index()).
   void update_lead_cone_(dataflow::ActorId seed,
                          std::vector<char>& changed_lead);
-  /// Rebuilds total_capacity / admissible and renders analysis_ from the
-  /// cached tiers, reproducing the exact full-analysis shape
-  /// (pacing-failed, ρ-blocked, or sized).
-  void render_();
-  /// Patches the rendered sized shape in place: copies just the `dirty`
-  /// pair positions into analysis_ and adjusts total_capacity by their
-  /// deltas.  Falls back to a full render_() when the previous render was
-  /// not the sized shape or a per-pair diagnostic changed (the
-  /// diagnostics vector and admissibility then need rebuilding).
-  void render_patch_(const std::vector<std::size_t>& dirty, bool diag_moved);
+  /// Re-analyses the pairs at the `dirty` positions into analysis_ in
+  /// place: adjusts total_capacity by their change, refreshes the leads
+  /// from lead_, and re-renders the diagnostics (and admissibility) when
+  /// a starving back-edge's diagnostic appeared, vanished or changed.
+  void patch_pairs_(const std::vector<std::size_t>& dirty);
+  /// Position in constraints_ of the constraint pinned at `actor`; a
+  /// ContractError "<what>: actor carries no constraint in the set" when
+  /// there is none.
+  [[nodiscard]] std::size_t constraint_index_(dataflow::ActorId actor,
+                                              const char* what) const;
   /// Certification tail of every mutating query: resets
-  /// last_violation_, and when certify mode is on and the rendered
-  /// analysis is admissible, emits + checks its certificate.
+  /// last_violation_, and when certify mode is on and the analysis is
+  /// admissible, emits + checks its certificate.
   void run_certification_();
 
   TopologySnapshot snapshot_;
@@ -187,26 +201,16 @@ private:
   ParameterOverlay overlay_;
 
   PacingResult pacing_;
-  bool rho_ok_ = false;
-  std::vector<std::string> rho_diags_;
-  /// ω by ActorId::index(); valid only when sized_valid_.
+  /// The one result analysis() serves; every query rebuilds or patches
+  /// it.
+  GraphAnalysis analysis_;
+  /// ω by ActorId::index(), the working array of the ω-cone pass; equal
+  /// to analysis_.leads (in topological order) while sized_().
   std::vector<Duration> lead_;
-  /// Per pair position: cached PairAnalysis and its feedback diagnostic
-  /// (engaged only for starving back-edges); valid only when
-  /// sized_valid_.
-  std::vector<PairAnalysis> pairs_;
-  std::vector<std::optional<std::string>> pair_diag_;
-  /// True when lead_/pairs_ match (pacing_, overlay_) — false after a
-  /// ρ-blocked or pacing-failed state skipped the sizing tiers.
-  bool sized_valid_ = false;
 
   /// Edge index -> pair position for data/space edges.
   std::vector<std::size_t> pair_of_edge_;
 
-  GraphAnalysis analysis_;
-  /// True when analysis_ currently holds the sized shape (pairs present)
-  /// — the precondition for render_patch_.
-  bool analysis_sized_ = false;
   InvalidationStats stats_;
 
   bool certify_enabled_ = false;

@@ -4,7 +4,11 @@
 // incremental engine promises field-for-field identical GraphAnalysis
 // results, and the only way to keep that promise cheaply is to compute
 // every lead and every pair with the same code and the same evaluation
-// order as the full analysis.
+// order as the full analysis.  The three result shapes (pacing failed,
+// ρ-blocked, sized) are assembled in size_from_pacing alone: the engine
+// takes its result on every full re-size and, between re-sizes, patches
+// single pairs with analyse_pair and re-renders the starving back-edge
+// diagnostics with append_starving_diagnostics.
 //
 // All helpers read parameters through a ParameterOverlay (an empty
 // overlay reproduces the graph's own values bit for bit, since the
@@ -70,16 +74,27 @@ namespace vrdf::analysis::detail {
 
 /// Analyses the pair at position `pos` of pacing.buffers_in_order: bound
 /// rate, Eq (1)–(4) capacity with the tight-adjacency rounding rule, and
-/// — for back-edges — the max-cycle-ratio initial-token requirement.  A
-/// violating back-edge appends its diagnostic and clears `admissible`.
+/// — for back-edges — the max-cycle-ratio initial-token requirement.
 [[nodiscard]] PairAnalysis analyse_pair(const dataflow::VrdfGraph& graph,
                                         const ParameterOverlay& overlay,
                                         const PacingResult& pacing,
                                         const std::vector<Duration>& lead,
                                         std::size_t pos,
-                                        const AnalysisOptions& options,
-                                        std::vector<std::string>& diagnostics,
-                                        bool& admissible);
+                                        const AnalysisOptions& options);
+
+/// True when the pair is a back-edge whose circulating tokens fall short
+/// of its schedule-alignment credit: the period cannot be sustained.
+[[nodiscard]] inline bool starves(const PairAnalysis& pair) {
+  return pair.is_feedback &&
+         pair.initial_tokens < pair.required_initial_tokens;
+}
+
+/// Appends one diagnostic per starving back-edge of `pairs`, in pair
+/// order; returns true when none starves.  A sized analysis's diagnostics
+/// are its pacing's followed by these.
+bool append_starving_diagnostics(const dataflow::VrdfGraph& graph,
+                                 const std::vector<PairAnalysis>& pairs,
+                                 std::vector<std::string>& diagnostics);
 
 /// Everything compute_buffer_capacities does after the propagation, on a
 /// given pacing: the ρ ≤ φ check, the leads and every pair.  With the

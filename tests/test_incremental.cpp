@@ -749,6 +749,205 @@ TEST(IncrementalAnalysis, CountersPinnedThroughEveryBranchOnFeedbackLoop) {
   pin_counters(scenario);
 }
 
+// The last_cone_* pair describes the most recent query even when it
+// leaves, enters or stays in a state without leads.
+TEST(IncrementalAnalysis, LastConeDescribesTheMostRecentQuery) {
+  const models::Mp3Playback app = models::make_mp3_playback();
+  const TopologySnapshot snapshot(app.graph);
+  IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+  const InvalidationStats& stats = engine.stats();
+  const auto expect_cone = [&](std::uint64_t actors, std::uint64_t pairs) {
+    EXPECT_EQ(stats.last_cone_actors, actors);
+    EXPECT_EQ(stats.last_cone_pairs, pairs);
+  };
+
+  engine.retune(app.br, Duration(app.graph.actor(app.br).response_time
+                                     .seconds() *
+                                 Rational(1, 2)));
+  expect_cone(1, 1);
+
+  engine.retune(app.mp3, seconds(Rational(1000)));
+  ASSERT_FALSE(engine.analysis().admissible);
+  expect_cone(0, 0);
+
+  engine.set_initial_tokens(app.b1.data, 3);
+  expect_cone(0, 0);
+
+  const std::uint64_t leads_before = stats.leads_recomputed;
+  engine.clear_retune(app.mp3);
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect_cone(4, 3);
+  EXPECT_EQ(stats.leads_recomputed - leads_before, 4u);
+
+  // A flow-inconsistent second stream fails the pacing.
+  engine.admit(ThroughputConstraint{app.src, seconds(Rational(1, 7))});
+  ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+  expect_cone(0, 0);
+
+  engine.retune(app.br, app.graph.actor(app.br).response_time);
+  expect_cone(0, 0);
+
+  engine.remove(app.src);
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect_cone(4, 3);
+}
+
+// -------------------------------------------------- starving back-edges
+
+/// The engine's analysis equals a full recompute over its own constraints
+/// and overlay.
+void expect_matches_full(const IncrementalAnalysis& engine) {
+  expect_identical(engine.analysis(),
+                   compute_buffer_capacities(engine.snapshot(),
+                                             engine.constraints(),
+                                             engine.options(),
+                                             engine.overlay()));
+}
+
+/// The pair of `analysis` on `buffer`.
+const PairAnalysis& pair_on(const GraphAnalysis& analysis,
+                            const dataflow::BufferEdges& buffer) {
+  for (const PairAnalysis& pair : analysis.pairs) {
+    if (pair.buffer.data == buffer.data) {
+      return pair;
+    }
+  }
+  throw ContractError("no pair on the buffer");
+}
+
+// A cone retune raises a back-edge's requirement past its δ and a
+// clear_retune lowers it again: the diagnostic appears and vanishes on
+// the patch path, never through a full re-size.
+TEST(IncrementalAnalysis, RetuneStarvesAndReleasesABackEdge) {
+  const models::FeedbackPipeline app = models::make_feedback_pipeline();
+  const TopologySnapshot snapshot(app.graph);
+  IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+  engine.set_certify(true);
+  // A relaxed period leaves dec room below its pacing; a δ at exactly
+  // the relaxed requirement leaves the loop no slack.
+  const Duration relaxed(app.constraint.period.seconds() * Rational(2));
+  engine.set_period(app.present, relaxed);
+  const std::int64_t required =
+      pair_on(engine.analysis(), app.dec_rctl).required_initial_tokens;
+  engine.set_initial_tokens(app.dec_rctl.data, required);
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect_matches_full(engine);
+
+  const std::size_t actors = app.graph.actor_count();
+  engine.retune(app.dec, Duration(app.graph.actor(app.dec).response_time
+                                      .seconds() *
+                                  Rational(2)));
+  EXPECT_LT(engine.stats().last_cone_actors, actors);
+  EXPECT_FALSE(engine.analysis().admissible);
+  EXPECT_GT(pair_on(engine.analysis(), app.dec_rctl).required_initial_tokens,
+            required);
+  ASSERT_EQ(engine.analysis().diagnostics.size(), 1u);
+  EXPECT_NE(engine.analysis().diagnostics.front().find(
+                "cycle through back-edge dec -> rctl"),
+            std::string::npos);
+  expect_matches_full(engine);
+
+  engine.clear_retune(app.dec);
+  EXPECT_LT(engine.stats().last_cone_actors, actors);
+  EXPECT_TRUE(engine.analysis().admissible);
+  EXPECT_TRUE(engine.analysis().diagnostics.empty());
+  expect_matches_full(engine);
+  EXPECT_EQ(engine.stats().certificate_violations, 0u);
+}
+
+// A δ override below the requirement starves the back-edge; a second one
+// still below it rewrites the diagnostic's δ; restoring δ releases it.
+TEST(IncrementalAnalysis, DeltaOverrideStarvesAndReleasesABackEdge) {
+  const models::FeedbackPipeline app = models::make_feedback_pipeline();
+  const TopologySnapshot snapshot(app.graph);
+  IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+  const std::int64_t required =
+      pair_on(engine.analysis(), app.dec_rctl).required_initial_tokens;
+  ASSERT_GT(required, 2);
+  const std::int64_t delta = app.graph.edge(app.dec_rctl.data).initial_tokens;
+
+  for (const std::int64_t tokens : {required - 2, required - 1}) {
+    engine.set_initial_tokens(app.dec_rctl.data, tokens);
+    EXPECT_EQ(engine.stats().last_cone_pairs, 1u);
+    EXPECT_FALSE(engine.analysis().admissible);
+    ASSERT_EQ(engine.analysis().diagnostics.size(), 1u);
+    EXPECT_NE(engine.analysis().diagnostics.front().find(
+                  "delta=" + std::to_string(tokens) + " "),
+              std::string::npos);
+    expect_matches_full(engine);
+  }
+
+  engine.set_initial_tokens(app.dec_rctl.data, delta);
+  EXPECT_EQ(engine.stats().last_cone_pairs, 1u);
+  EXPECT_TRUE(engine.analysis().admissible);
+  EXPECT_TRUE(engine.analysis().diagnostics.empty());
+  expect_matches_full(engine);
+}
+
+// Two credit loops share src -> dec: dec -> rctl -> src and
+// dec -> mon -> src, each closed by a tokened back-edge.  With both
+// back-edges starving, a retune of rctl moves only the first one's
+// requirement: its diagnostic changes in place, ahead of the second
+// one's, which stays as it was.
+TEST(IncrementalAnalysis, OneOfTwoStarvingBackEdgesMoves) {
+  using dataflow::RateSet;
+  VrdfGraph graph;
+  // Gears src 4 / dec 2 / rctl 2 / mon 1 / present 1 at a 40 ms period
+  // pace each actor at g·40 ms; every actor runs well inside its pacing.
+  const auto ms = [](std::int64_t v) { return milliseconds(Rational(v)); };
+  const ActorId src = graph.add_actor("src", ms(80));
+  const ActorId dec = graph.add_actor("dec", ms(40));
+  const ActorId present = graph.add_actor("present", ms(20));
+  const ActorId rctl = graph.add_actor("rctl", ms(20));
+  const ActorId mon = graph.add_actor("mon", ms(20));
+  (void)graph.add_buffer(src, dec, RateSet::singleton(4),
+                         RateSet::singleton(2));
+  (void)graph.add_buffer(dec, present, RateSet::singleton(2),
+                         RateSet::of({0, 1}));
+  const dataflow::BufferEdges dec_rctl =
+      graph.add_buffer(dec, rctl, RateSet::singleton(2),
+                       RateSet::singleton(2), /*capacity=*/0,
+                       /*initial_tokens=*/20);
+  (void)graph.add_buffer(rctl, src, RateSet::singleton(2),
+                         RateSet::singleton(4));
+  const dataflow::BufferEdges dec_mon =
+      graph.add_buffer(dec, mon, RateSet::singleton(2), RateSet::singleton(1),
+                       /*capacity=*/0, /*initial_tokens=*/20);
+  (void)graph.add_buffer(mon, src, RateSet::singleton(1),
+                         RateSet::singleton(4));
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot.view().feedback_buffers.size(), 2u);
+
+  IncrementalAnalysis engine(
+      snapshot, ConstraintSet{ThroughputConstraint{present, ms(40)}});
+  ASSERT_TRUE(engine.analysis().admissible);
+  expect_matches_full(engine);
+
+  engine.set_initial_tokens(dec_rctl.data, 1);
+  engine.set_initial_tokens(dec_mon.data, 1);
+  ASSERT_EQ(engine.analysis().diagnostics.size(), 2u);
+  expect_matches_full(engine);
+  const std::string mon_diagnostic = engine.analysis().diagnostics[1];
+  EXPECT_NE(mon_diagnostic.find("back-edge dec -> mon"), std::string::npos);
+  const std::int64_t rctl_required =
+      pair_on(engine.analysis(), dec_rctl).required_initial_tokens;
+  const std::int64_t mon_required =
+      pair_on(engine.analysis(), dec_mon).required_initial_tokens;
+
+  engine.retune(rctl, ms(80));
+  EXPECT_EQ(engine.stats().last_cone_actors, 1u);
+  EXPECT_NE(pair_on(engine.analysis(), dec_rctl).required_initial_tokens,
+            rctl_required);
+  EXPECT_EQ(pair_on(engine.analysis(), dec_mon).required_initial_tokens,
+            mon_required);
+  ASSERT_EQ(engine.analysis().diagnostics.size(), 2u);
+  EXPECT_NE(engine.analysis().diagnostics[0].find("back-edge dec -> rctl"),
+            std::string::npos);
+  EXPECT_EQ(engine.analysis().diagnostics[1], mon_diagnostic);
+  expect_matches_full(engine);
+}
+
 // ------------------------------------------------------- stale contracts
 
 TEST(IncrementalAnalysis, StaleSnapshotThrowsNamingTheMutation) {
