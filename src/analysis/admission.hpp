@@ -8,7 +8,8 @@
 // reading admissibility off the result, and — on rejection — rolling the
 // change back so the serviced state never degrades.  Every operation is
 // self-inverse through the engine, so rollback is another (cheap)
-// incremental step, not a state copy.
+// incremental step, not a state copy; undoing a change that left the
+// result without leads swaps in the sized state the engine parked.
 //
 // Decisions carry the binding constraint on rejection (the first
 // diagnostic of the rejected candidate state: the ρ-violation, starving

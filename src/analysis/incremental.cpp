@@ -1,6 +1,8 @@
 #include "analysis/incremental.hpp"
 
+#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "analysis/certificate.hpp"
 #include "analysis/sizing_core.hpp"
@@ -14,6 +16,14 @@ using dataflow::VrdfGraph;
 namespace {
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+bool same_constraints(const ConstraintSet& a, const ConstraintSet& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ThroughputConstraint& x,
+                       const ThroughputConstraint& y) {
+                      return x.actor == y.actor && x.period == y.period;
+                    });
+}
 
 }  // namespace
 
@@ -33,7 +43,9 @@ IncrementalAnalysis::IncrementalAnalysis(const TopologySnapshot& snapshot,
       pair_of_edge_[view.buffers[pos].space.index()] = pos;
     }
   }
-  repropagate_();
+  ++stats_.pacing_recomputes;
+  pacing_ = compute_pacing(snapshot_, constraints_);
+  rebuild_();
 }
 
 const GraphAnalysis& IncrementalAnalysis::analysis() const {
@@ -76,19 +88,23 @@ void IncrementalAnalysis::run_certification_() {
 
 void IncrementalAnalysis::retune(dataflow::ActorId actor, Duration rho) {
   snapshot_.require_fresh();
-  (void)snapshot_.graph().actor(actor);  // range check before caching
+  const VrdfGraph& graph = snapshot_.graph();
+  (void)graph.actor(actor);  // range check before caching
   ++stats_.queries;
+  const Duration before = overlay_.response_time_of(graph, actor);
   overlay_.set_response_time(actor, rho);
-  apply_rho_change_(actor);
+  apply_rho_change_(actor, before);
   run_certification_();
 }
 
 void IncrementalAnalysis::clear_retune(dataflow::ActorId actor) {
   snapshot_.require_fresh();
-  (void)snapshot_.graph().actor(actor);
+  const VrdfGraph& graph = snapshot_.graph();
+  (void)graph.actor(actor);
   ++stats_.queries;
+  const Duration before = overlay_.response_time_of(graph, actor);
   overlay_.clear_response_time(actor);
-  apply_rho_change_(actor);
+  apply_rho_change_(actor, before);
   run_certification_();
 }
 
@@ -96,26 +112,25 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   snapshot_.require_fresh();
   ++stats_.queries;
   const std::size_t index = constraint_index_(actor, "set_period");
-  const Duration old = constraints_[index].period;
+  ConstraintSet before = constraints_;
   constraints_[index].period = tau;
+  std::optional<Rational> rescale;
   if (constraints_.size() == 1 && pacing_.ok && tau.is_positive()) {
     // φ is linear in τ, so the cached propagation rescales exactly (see
     // rescale_pacing); with one constraint there are no cross-seed checks
     // that a rescale could flip.
-    rescale_pacing(pacing_, snapshot_.graph(), tau.seconds() / old.seconds());
-    ++stats_.pacing_cache_hits;
-    rebuild_();
-  } else {
-    repropagate_();
+    rescale = tau.seconds() / before[index].period.seconds();
   }
+  change_constraints_(std::move(before), rescale);
   run_certification_();
 }
 
 void IncrementalAnalysis::admit(ThroughputConstraint stream) {
   snapshot_.require_fresh();
   ++stats_.queries;
+  ConstraintSet before = constraints_;
   constraints_.push_back(stream);
-  repropagate_();
+  change_constraints_(std::move(before), std::nullopt);
   run_certification_();
 }
 
@@ -123,10 +138,36 @@ void IncrementalAnalysis::remove(dataflow::ActorId actor) {
   snapshot_.require_fresh();
   ++stats_.queries;
   const std::size_t index = constraint_index_(actor, "remove");
+  ConstraintSet before = constraints_;
   constraints_.erase(constraints_.begin() +
                      static_cast<std::ptrdiff_t>(index));
-  repropagate_();
+  change_constraints_(std::move(before), std::nullopt);
   run_certification_();
+}
+
+void IncrementalAnalysis::change_constraints_(
+    ConstraintSet before, std::optional<Rational> rescale) {
+  if (park_.has_value() && !park_->rho_key &&
+      same_constraints(park_->constraints, constraints_)) {
+    restore_(std::move(*park_));
+    ++stats_.pacing_cache_hits;
+    return;
+  }
+  if (park_.has_value() && park_->rho_key) {
+    park_.reset();  // the parked result was sized on the old set
+  }
+  Park replaced;
+  replaced.constraints = std::move(before);
+  if (rescale.has_value()) {
+    replaced.pacing = pacing_;
+    rescale_pacing(pacing_, snapshot_.graph(), *rescale);
+    ++stats_.pacing_cache_hits;
+  } else {
+    replaced.pacing =
+        std::exchange(pacing_, compute_pacing(snapshot_, constraints_));
+    ++stats_.pacing_recomputes;
+  }
+  rebuild_(std::move(replaced));
 }
 
 std::size_t IncrementalAnalysis::constraint_index_(dataflow::ActorId actor,
@@ -169,6 +210,7 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
     }
   }
   overlay_.set_initial_tokens(edge, tokens);
+  park_.reset();  // the parked result was sized on the old δ
   ++stats_.pacing_cache_hits;
   stats_.last_cone_actors = 0;
   stats_.last_cone_pairs = 0;
@@ -189,16 +231,33 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
   run_certification_();
 }
 
-void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {
+void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor,
+                                            Duration before) {
   const VrdfGraph& graph = snapshot_.graph();
   ++stats_.pacing_cache_hits;  // ρ never enters pacing propagation
+  const Duration& rho = overlay_.response_time_of(graph, actor);
+  if (!sized_()) {
+    // Leaving a ρ-blocked state (or retuning under a failed pacing):
+    // back to the parked ρ restores, anything else re-sizes in full.
+    if (park_.has_value() && park_->rho_key && park_->actor == actor) {
+      if (park_->rho == rho) {
+        restore_(std::move(*park_));
+        return;
+      }
+    } else {
+      park_.reset();  // the parked result was sized on the old ρ
+    }
+    rebuild_();
+    return;
+  }
   // ρ-admissibility is per actor (ρ(v) <= φ(v)) and only this actor's ρ
   // moved, so on a sized result one comparison decides the whole check.
-  // Entering or leaving a ρ-blocked state (or retuning under a failed
-  // pacing) re-sizes in full.
-  if (!sized_() || overlay_.response_time_of(graph, actor) >
-                       pacing_.pacing_by_actor[actor.index()]) {
-    rebuild_();
+  if (rho > pacing_.pacing_by_actor[actor.index()]) {
+    Park replaced;
+    replaced.rho_key = true;
+    replaced.actor = actor;
+    replaced.rho = before;
+    rebuild_(std::move(replaced));
     return;
   }
   std::vector<char>& changed_lead = scratch_changed_lead_;
@@ -314,28 +373,47 @@ void IncrementalAnalysis::update_lead_cone_(dataflow::ActorId seed,
   stats_.last_cone_actors = recomputed;
 }
 
-void IncrementalAnalysis::repropagate_() {
-  ++stats_.pacing_recomputes;
-  pacing_ = compute_pacing(snapshot_, constraints_);
-  rebuild_();
-}
-
-void IncrementalAnalysis::rebuild_() {
+void IncrementalAnalysis::rebuild_(std::optional<Park> replaced) {
   const VrdfGraph& graph = snapshot_.graph();
-  analysis_ = detail::size_from_pacing(graph, pacing_, options_, overlay_);
-  if (!sized_()) {
+  GraphAnalysis next =
+      detail::size_from_pacing(graph, pacing_, options_, overlay_);
+  if (next.leads.empty()) {
+    if (replaced.has_value() && sized_()) {
+      replaced->analysis = std::move(analysis_);
+      park_ = std::move(replaced);
+    }
+    analysis_ = std::move(next);
     stats_.last_cone_actors = 0;
     stats_.last_cone_pairs = 0;
     return;
   }
-  lead_.assign(graph.actor_count(), Duration());
-  for (std::size_t i = 0; i < analysis_.leads.size(); ++i) {
-    lead_[analysis_.actors_in_order[i].index()] = analysis_.leads[i];
-  }
+  park_.reset();
+  analysis_ = std::move(next);
+  refill_leads_();
   stats_.leads_recomputed += graph.actor_count();
   stats_.pairs_recomputed += analysis_.pairs.size();
   stats_.last_cone_actors = graph.actor_count();
   stats_.last_cone_pairs = analysis_.pairs.size();
+}
+
+void IncrementalAnalysis::restore_(Park parked) {
+  park_.reset();
+  if (!parked.rho_key) {
+    pacing_ = std::move(parked.pacing);
+  }
+  analysis_ = std::move(parked.analysis);
+  refill_leads_();
+  stats_.leads_reused += snapshot_.graph().actor_count();
+  stats_.pairs_reused += analysis_.pairs.size();
+  stats_.last_cone_actors = 0;
+  stats_.last_cone_pairs = 0;
+}
+
+void IncrementalAnalysis::refill_leads_() {
+  lead_.assign(snapshot_.graph().actor_count(), Duration());
+  for (std::size_t i = 0; i < analysis_.leads.size(); ++i) {
+    lead_[analysis_.actors_in_order[i].index()] = analysis_.leads[i];
+  }
 }
 
 void IncrementalAnalysis::patch_pairs_(const std::vector<std::size_t>& dirty) {

@@ -41,6 +41,23 @@
 // diagnostics are re-rendered only when a starving back-edge's
 // diagnostic appears, vanishes or changes.
 //
+// Park and restore.  The sized result is a function of the constraint
+// set and the overlay's resolved ρ/δ alone.  A query that takes a sized
+// result to one without leads (a retune past φ, or a constraint change
+// whose pacing fails or leaves some ρ > φ) parks the sized pacing and
+// analysis, keyed by the one input it changed: the retuned actor's
+// resolved ρ before the retune, or the constraint set before the admit,
+// remove or set_period.  While the result stays without leads, the
+// next query that brings that input back to exactly the parked value
+// swaps the parked state back in and refills the ω array from its
+// leads — no propagation, lead pass or pair analysis, and the inputs
+// are identical, so the result is bit-identical by construction.  This
+// is how an admission controller's reject-then-undo rollback returns to
+// the state it held one query earlier.  A query that changes any other
+// input drops the park: a δ override, a retune of another actor (or of
+// any actor while a constraint set is parked), a constraint change
+// while a ρ is parked, and any query whose result is sized again.
+//
 // Parameter changes are applied to a ParameterOverlay, never to the
 // graph; mutating the graph itself invalidates the snapshot and every
 // subsequent query throws a ContractError naming the mutation.
@@ -81,6 +98,10 @@ struct InvalidationStats {
   std::uint64_t last_cone_actors = 0;
   /// Pairs re-analysed by the most recent query (0 whenever the result
   /// is ρ-blocked or pacing-failed).
+  ///
+  /// A query that restores the parked sized state (see the header
+  /// comment) counts one pacing cache hit, reuses all n leads and P
+  /// pairs, and leaves last_cone_actors/last_cone_pairs at 0/0.
   std::uint64_t last_cone_pairs = 0;
   /// Certification (set_certify): certificates emitted + checked after
   /// mutating queries, individual clauses validated, and clause
@@ -163,19 +184,45 @@ public:
   [[nodiscard]] const InvalidationStats& stats() const { return stats_; }
 
 private:
-  /// Re-propagates pacing on the cached snapshot, then rebuild_().
-  void repropagate_();
+  /// The last sized state, parked by the query that took it to a result
+  /// without leads, with the one input that query changed.
+  struct Park {
+    /// A ρ key: the retuned actor and its resolved ρ before the retune
+    /// (pacing_ did not move, so no pacing is parked).
+    bool rho_key = false;
+    dataflow::ActorId actor;
+    Duration rho;
+    /// A constraint key: the set before the change, and its pacing.
+    ConstraintSet constraints;
+    PacingResult pacing;
+    GraphAnalysis analysis;
+  };
+
+  /// Shared tail of admit / remove / set_period once constraints_ holds
+  /// the new set (`before`: the old one): restores the parked state when
+  /// the new set is the parked one; otherwise rescales pacing_ by
+  /// `rescale` (a single constraint's τ_new/τ_old) or, when there is
+  /// none, re-propagates on the cached snapshot, then rebuild_()s.
+  void change_constraints_(ConstraintSet before,
+                           std::optional<Rational> rescale);
   /// Full re-size on the current pacing_: analysis_ becomes
   /// detail::size_from_pacing's result, and lead_ is refilled from its
-  /// leads when it is sized.
-  void rebuild_();
+  /// leads when it is sized.  A sized result drops the park; a sized
+  /// analysis_ replaced by one without leads is parked as `replaced`.
+  void rebuild_(std::optional<Park> replaced = std::nullopt);
+  /// Swaps `parked` (taken out of park_) back in and refills lead_ from
+  /// its leads.
+  void restore_(Park parked);
+  /// lead_ from analysis_.leads (by ActorId::index()).
+  void refill_leads_();
   /// True when analysis_ holds the sized shape — false after a failed
   /// pacing or a ρ-blocked check, which carry no leads.
   [[nodiscard]] bool sized_() const { return !analysis_.leads.empty(); }
-  /// Shared retune/clear_retune tail: on a sized result whose ρ check
-  /// still holds, re-derives the ω cone and patches the dirty pairs;
-  /// otherwise rebuild_().
-  void apply_rho_change_(dataflow::ActorId actor);
+  /// Shared retune/clear_retune tail (`before`: the actor's resolved ρ
+  /// before the move): on a sized result whose ρ check still holds,
+  /// re-derives the ω cone and patches the dirty pairs; on a return to
+  /// a parked ρ, restore_(); otherwise rebuild_().
+  void apply_rho_change_(dataflow::ActorId actor, Duration before);
   /// Re-derives the ω cone after ρ(seed) changed; records which actors'
   /// leads changed in changed_lead (indexed by ActorId::index()).
   void update_lead_cone_(dataflow::ActorId seed,
@@ -201,9 +248,11 @@ private:
   ParameterOverlay overlay_;
 
   PacingResult pacing_;
-  /// The one result analysis() serves; every query rebuilds or patches
-  /// it.
+  /// The one result analysis() serves; every query rebuilds, patches or
+  /// restores it.
   GraphAnalysis analysis_;
+  /// Held only while analysis_ is not sized_().
+  std::optional<Park> park_;
   /// ω by ActorId::index(), the working array of the ω-cone pass; equal
   /// to analysis_.leads (in topological order) while sized_().
   std::vector<Duration> lead_;

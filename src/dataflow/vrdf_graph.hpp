@@ -108,7 +108,9 @@ public:
   void set_response_time(ActorId id, Duration response_time);
 
   /// All buffers (each anti-parallel pair reported once, as it was added).
-  [[nodiscard]] std::vector<BufferEdges> buffers() const { return buffers_; }
+  [[nodiscard]] const std::vector<BufferEdges>& buffers() const {
+    return buffers_;
+  }
 
   /// Total installed container count of a buffer: δ(space edge) free
   /// containers plus δ(data edge) containers occupied by initial tokens.

@@ -1,15 +1,17 @@
 // Incremental re-analysis engine and admission controller: randomized
 // differential sweeps (every ModelClass × 40 seeds × random
-// retune/set_period/admit/remove/δ-override sequences, asserting the
-// incremental GraphAnalysis is field-for-field identical to a full
-// recompute after every operation — including rejection shapes and
-// diagnostics), the MP3 anchor {6015, 3263, 882} served through the
-// controller, rollback-on-rejection, the single-constraint period
-// rescale path, δ-override contracts, the invalidation counters of
-// every engine branch, and stale-snapshot contract errors naming the
-// offending mutation.
+// retune/set_period/admit/remove/δ-override and reject-then-roll-back
+// sequences, asserting the incremental GraphAnalysis is field-for-field
+// identical to a full recompute after every operation — including
+// rejection shapes and diagnostics), the MP3 anchor {6015, 3263, 882}
+// served through the controller, rollback-on-rejection, the
+// single-constraint period rescale path, δ-override contracts, the
+// invalidation counters of every engine branch, the exact restore of a
+// parked sized state and the queries that drop it, and stale-snapshot
+// contract errors naming the offending mutation.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -76,14 +78,18 @@ void expect_identical(const GraphAnalysis& got, const GraphAnalysis& want) {
 
 // ----------------------------------------------- randomized differential
 
-void run_differential_sequence(models::ModelClass model_class,
-                               std::uint64_t seed) {
+/// Returns how many rejections it rolled back through the parked state.
+std::size_t run_differential_sequence(models::ModelClass model_class,
+                                      std::uint64_t seed) {
   models::RandomModelSpec spec;
   spec.model_class = model_class;
   spec.seed = seed;
   models::SyntheticModel model = models::make_random_model(spec);
   const TopologySnapshot snapshot(model.graph);
-  ASSERT_TRUE(snapshot.ok());
+  EXPECT_TRUE(snapshot.ok());
+  if (!snapshot.ok()) {
+    return 0;
+  }
   const AnalysisOptions options;
   IncrementalAnalysis engine(snapshot, model.constraints, options);
   // Certify every admissible post-op state: the emitted certificate must
@@ -118,9 +124,19 @@ void run_differential_sequence(models::ModelClass model_class,
     return false;
   };
   const dataflow::VrdfGraph::BufferView& view = snapshot.view();
+  const auto unconstrained_actor = [&]() -> std::optional<ActorId> {
+    for (std::size_t tries = 0; tries < n; ++tries) {
+      const ActorId actor = random_actor();
+      if (!constrained(actor)) {
+        return actor;
+      }
+    }
+    return std::nullopt;
+  };
+  std::size_t restores = 0;
 
   for (int step = 0; step < 12; ++step) {
-    switch (rng() % 6) {
+    switch (rng() % 7) {
       case 0: {
         // Retune: mostly small ρ, occasionally huge to drive the
         // ρ-blocked shape (and its recovery on a later step).
@@ -179,18 +195,11 @@ void run_differential_sequence(models::ModelClass model_class,
         // Admit: half the time at the actor's current φ (flow-consistent
         // — should be accepted), half at a random period (usually a
         // flow-consistency rejection shape).
-        ActorId actor = random_actor();
-        bool found = false;
-        for (std::size_t tries = 0; tries < n; ++tries) {
-          if (!constrained(actor)) {
-            found = true;
-            break;
-          }
-          actor = random_actor();
-        }
-        if (!found) {
+        const std::optional<ActorId> free = unconstrained_actor();
+        if (!free.has_value()) {
           break;
         }
+        const ActorId actor = *free;
         const GraphAnalysis& current = engine.analysis();
         Duration period = Duration(
             Rational(static_cast<std::int64_t>(1 + rng() % 50), 1000));
@@ -204,6 +213,59 @@ void run_differential_sequence(models::ModelClass model_class,
         }
         engine.admit(ThroughputConstraint{actor, period});
         check("admit");
+        break;
+      }
+      case 5: {
+        // Reject and roll back, as an admission controller does: retune
+        // past φ and restore the prior ρ, or admit at a conflicting
+        // period and remove again.  From a sized state the roll back
+        // must restore the parked result without re-sizing.
+        const bool was_sized = !engine.analysis().leads.empty();
+        std::uint64_t leads_recomputed = 0;
+        const auto rejected = [&] {
+          leads_recomputed = engine.stats().leads_recomputed;
+          return was_sized && engine.analysis().leads.empty();
+        };
+        bool parked = false;
+        if (rng() % 2 == 0) {
+          const ActorId actor = random_actor();
+          std::optional<Duration> prior;
+          if (actor.index() < engine.overlay().response_time.size()) {
+            prior = engine.overlay().response_time[actor.index()];
+          }
+          engine.retune(actor, seconds(Rational(1000)));
+          check("retune past phi");
+          parked = rejected();
+          if (prior.has_value()) {
+            engine.retune(actor, *prior);
+          } else {
+            engine.clear_retune(actor);
+          }
+          check("roll back the retune");
+        } else {
+          const std::optional<ActorId> actor = unconstrained_actor();
+          if (!actor.has_value()) {
+            break;
+          }
+          Duration period = Duration(Rational(1, 1000));
+          const GraphAnalysis& current = engine.analysis();
+          for (std::size_t i = 0; i < current.actors_in_order.size(); ++i) {
+            if (current.actors_in_order[i] == *actor) {
+              period = current.pacing[i] * Rational(3, 2);
+              break;
+            }
+          }
+          engine.admit(ThroughputConstraint{*actor, period});
+          check("admit at a conflicting period");
+          parked = rejected();
+          engine.remove(*actor);
+          check("roll back the admit");
+        }
+        if (parked) {
+          EXPECT_EQ(engine.stats().leads_recomputed, leads_recomputed);
+          EXPECT_EQ(engine.stats().last_cone_actors, 0u);
+          ++restores;
+        }
         break;
       }
       default: {
@@ -225,36 +287,35 @@ void run_differential_sequence(models::ModelClass model_class,
       << (engine.last_certificate_violation().has_value()
               ? describe(*engine.last_certificate_violation())
               : std::string());
+  return restores;
+}
+
+void run_differential_sweep(models::ModelClass model_class) {
+  std::size_t restores = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    restores += run_differential_sequence(model_class, seed);
+  }
+  EXPECT_GT(restores, 0u) << "no rejection was rolled back through the park";
 }
 
 TEST(IncrementalDifferential, ChainSweepMatchesFullRecompute) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    run_differential_sequence(models::ModelClass::Chain, seed);
-  }
+  run_differential_sweep(models::ModelClass::Chain);
 }
 
 TEST(IncrementalDifferential, ForkJoinSweepMatchesFullRecompute) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    run_differential_sequence(models::ModelClass::ForkJoin, seed);
-  }
+  run_differential_sweep(models::ModelClass::ForkJoin);
 }
 
 TEST(IncrementalDifferential, CyclicSweepMatchesFullRecompute) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    run_differential_sequence(models::ModelClass::Cyclic, seed);
-  }
+  run_differential_sweep(models::ModelClass::Cyclic);
 }
 
 TEST(IncrementalDifferential, MultiConstraintSweepMatchesFullRecompute) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    run_differential_sequence(models::ModelClass::MultiConstraint, seed);
-  }
+  run_differential_sweep(models::ModelClass::MultiConstraint);
 }
 
 TEST(IncrementalDifferential, InteriorPinnedSweepMatchesFullRecompute) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    run_differential_sequence(models::ModelClass::InteriorPinned, seed);
-  }
+  run_differential_sweep(models::ModelClass::InteriorPinned);
 }
 
 // ------------------------------------------------------- MP3 anchor
@@ -585,6 +646,14 @@ void pin_counters(const CounterScenario& scenario) {
     ++want.queries;
     ++want.pacing_recomputes;
   };
+  // A return to the parked sized state: nothing re-derived.
+  const auto restore = [&] {
+    cache_hit();
+    want.leads_reused += n;
+    want.pairs_reused += pairs;
+    want.last_cone_actors = 0;
+    want.last_cone_pairs = 0;
+  };
 
   ++want.pacing_recomputes;
   full_size();
@@ -623,6 +692,8 @@ void pin_counters(const CounterScenario& scenario) {
   ASSERT_TRUE(engine.analysis().leads.empty());
   expect("retune past phi", false);
 
+  // The δ override drops the state parked by the retune past φ, so the
+  // recovery below re-sizes in full.
   engine.set_initial_tokens(scenario.pair.data, scenario.tokens + 1);
   cache_hit();
   expect("data-edge delta, blocked", false);
@@ -643,10 +714,9 @@ void pin_counters(const CounterScenario& scenario) {
 
   engine.retune(scenario.block_actor,
                 graph.actor(scenario.block_actor).response_time);
-  cache_hit();
-  full_size();
+  restore();
   ASSERT_TRUE(engine.analysis().admissible);
-  expect("retune recovers", false);
+  expect("retune recovers", true);
 
   const ActorId pinned = scenario.constraint.actor;
   const Duration relaxed(scenario.constraint.period.seconds() * Rational(2));
@@ -946,6 +1016,155 @@ TEST(IncrementalAnalysis, OneOfTwoStarvingBackEdgesMoves) {
             std::string::npos);
   EXPECT_EQ(engine.analysis().diagnostics[1], mon_diagnostic);
   expect_matches_full(engine);
+}
+
+// ---------------------------------------------------- park and restore
+
+/// Runs `reject`, a query that leaves `engine`'s sized result without
+/// leads, then `undo`, which brings the one input it changed back to its
+/// value.  The undo must swap the parked state back in: the analysis and
+/// pacing equal the ones held before `reject` and a full recompute, and
+/// no propagation, lead pass or pair analysis ran — one pacing cache hit,
+/// all n leads and P pairs reused, an empty cone.
+template <typename Reject, typename Undo>
+void expect_restored(IncrementalAnalysis& engine, Reject reject, Undo undo) {
+  const GraphAnalysis before = engine.analysis();
+  ASSERT_FALSE(before.leads.empty());
+  reject();
+  ASSERT_TRUE(engine.analysis().leads.empty());
+  const InvalidationStats rejected = engine.stats();
+
+  undo();
+  const InvalidationStats& s = engine.stats();
+  EXPECT_EQ(s.pacing_recomputes, rejected.pacing_recomputes);
+  EXPECT_EQ(s.leads_recomputed, rejected.leads_recomputed);
+  EXPECT_EQ(s.pairs_recomputed, rejected.pairs_recomputed);
+  EXPECT_EQ(s.pacing_cache_hits, rejected.pacing_cache_hits + 1);
+  EXPECT_EQ(s.leads_reused,
+            rejected.leads_reused + engine.snapshot().graph().actor_count());
+  EXPECT_EQ(s.pairs_reused, rejected.pairs_reused + before.pairs.size());
+  EXPECT_EQ(s.last_cone_actors, 0u);
+  EXPECT_EQ(s.last_cone_pairs, 0u);
+  expect_identical(engine.analysis(), before);
+  expect_matches_full(engine);
+  const PacingResult fresh =
+      compute_pacing(engine.snapshot(), engine.constraints());
+  EXPECT_EQ(engine.pacing().constraints.size(), fresh.constraints.size());
+  EXPECT_EQ(engine.pacing().pacing_by_actor, fresh.pacing_by_actor);
+  EXPECT_EQ(engine.pacing().bound_rate, fresh.bound_rate);
+  EXPECT_EQ(s.certificate_violations, 0u);
+}
+
+TEST(IncrementalAnalysis, RestoreIsExactForEveryRejectionKind) {
+  const models::Mp3Playback app = models::make_mp3_playback();
+  const TopologySnapshot snapshot(app.graph);
+  IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+  engine.set_certify(true);
+  const ActorId pinned = app.constraint.actor;
+  const Duration tau = app.constraint.period;
+  const Duration original = app.graph.actor(app.mp3).response_time;
+  const Duration faster(original.seconds() * Rational(1, 2));
+
+  {
+    SCOPED_TRACE("retune past phi, cleared back");
+    expect_restored(
+        engine, [&] { engine.retune(app.mp3, seconds(Rational(1000))); },
+        [&] { engine.clear_retune(app.mp3); });
+  }
+  {
+    SCOPED_TRACE("retune past phi, retuned back");
+    engine.retune(app.mp3, faster);
+    expect_restored(
+        engine, [&] { engine.retune(app.mp3, seconds(Rational(1000))); },
+        [&] { engine.retune(app.mp3, faster); });
+  }
+  {
+    SCOPED_TRACE("single-constraint set_period below the rho floor");
+    expect_restored(
+        engine,
+        [&] {
+          engine.set_period(pinned,
+                            Duration(tau.seconds() * Rational(1, 1000)));
+        },
+        [&] { engine.set_period(pinned, tau); });
+  }
+  {
+    SCOPED_TRACE("admit that fails the pacing");
+    expect_restored(
+        engine,
+        [&] {
+          engine.admit(ThroughputConstraint{app.src, seconds(Rational(1, 7))});
+          ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+        },
+        [&] { engine.remove(app.src); });
+  }
+  {
+    SCOPED_TRACE("multi-constraint set_period that is not flow-consistent");
+    engine.admit(ThroughputConstraint{app.src, engine.pacing().pacing_of(app.src)});
+    ASSERT_TRUE(engine.analysis().admissible);
+    ASSERT_EQ(engine.constraints().size(), 2u);
+    expect_restored(
+        engine,
+        [&] {
+          engine.set_period(pinned, Duration(tau.seconds() * Rational(3)));
+          ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+        },
+        [&] { engine.set_period(pinned, tau); });
+  }
+}
+
+// A query that changes an input other than the parked one drops the park:
+// the return to the parked value then re-sizes in full, on the inputs as
+// they are now.
+TEST(IncrementalAnalysis, StaleParkIsDropped) {
+  const auto expect_resized = [](IncrementalAnalysis& engine,
+                                 std::uint64_t leads_before) {
+    ASSERT_FALSE(engine.analysis().leads.empty());
+    EXPECT_EQ(engine.stats().leads_recomputed - leads_before,
+              engine.snapshot().graph().actor_count());
+    expect_matches_full(engine);
+  };
+  {
+    SCOPED_TRACE("delta override on a data edge");
+    const models::FeedbackPipeline app = models::make_feedback_pipeline();
+    const TopologySnapshot snapshot(app.graph);
+    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+    const std::int64_t delta =
+        app.graph.edge(app.dec_rctl.data).initial_tokens;
+    engine.retune(app.dec, seconds(Rational(1000)));
+    ASSERT_TRUE(engine.analysis().leads.empty());
+    engine.set_initial_tokens(app.dec_rctl.data, delta + 7);
+    const std::uint64_t leads_before = engine.stats().leads_recomputed;
+    engine.clear_retune(app.dec);
+    expect_resized(engine, leads_before);
+    EXPECT_EQ(pair_on(engine.analysis(), app.dec_rctl).initial_tokens,
+              delta + 7);
+  }
+  const models::Mp3Playback app = models::make_mp3_playback();
+  const TopologySnapshot snapshot(app.graph);
+  {
+    SCOPED_TRACE("retune of another actor");
+    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+    engine.retune(app.mp3, seconds(Rational(1000)));
+    engine.retune(app.br, Duration(app.graph.actor(app.br).response_time
+                                       .seconds() *
+                                   Rational(1, 2)));
+    ASSERT_TRUE(engine.analysis().leads.empty());
+    const std::uint64_t leads_before = engine.stats().leads_recomputed;
+    engine.clear_retune(app.mp3);
+    expect_resized(engine, leads_before);
+  }
+  {
+    SCOPED_TRACE("constraint change while a rho is parked");
+    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
+    engine.retune(app.mp3, seconds(Rational(1000)));
+    engine.set_period(app.constraint.actor,
+                      Duration(app.constraint.period.seconds() * Rational(2)));
+    ASSERT_TRUE(engine.analysis().leads.empty());
+    const std::uint64_t leads_before = engine.stats().leads_recomputed;
+    engine.clear_retune(app.mp3);
+    expect_resized(engine, leads_before);
+  }
 }
 
 // ------------------------------------------------------- stale contracts
