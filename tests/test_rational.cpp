@@ -2,8 +2,13 @@
 // capacity number rests on.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 #include "util/rational.hpp"
 
@@ -159,6 +164,189 @@ TEST(Rational, FromStringSignAndComponentForms) {
   EXPECT_THROW((void)Rational::from_string("-"), ContractError);
   EXPECT_THROW((void)Rational::from_string("+"), ContractError);
   EXPECT_THROW((void)Rational::from_string("."), ContractError);
+}
+
+/// The ContractError / OverflowError text `text` raises, cut at the
+/// " [expr at file:line]" suffix VRDF_REQUIRE appends, or "" if it parses.
+std::string rejection(const std::string& text) {
+  try {
+    (void)Rational::from_string(text);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.substr(0, what.find(" ["));
+  }
+  return "";
+}
+
+TEST(Rational, FromStringGrammarPinned) {
+  // Signs: a leading '+' is accepted on either component, as std::stoll
+  // accepts it.
+  EXPECT_EQ(Rational::from_string("+3"), Rational(3));
+  EXPECT_EQ(Rational::from_string("3/+4"), Rational(3, 4));
+  EXPECT_EQ(Rational::from_string("3/-4"), Rational(-3, 4));
+  EXPECT_EQ(Rational::from_string("-0.5"), Rational(-1, 2));
+  EXPECT_EQ(Rational::from_string("007"), Rational(7));
+  EXPECT_EQ(Rational::from_string("12.340"), Rational(617, 50));
+  // Decimal edges: the whole part may be empty, the fraction may not.
+  EXPECT_EQ(Rational::from_string(".5"), Rational(1, 2));
+  EXPECT_EQ(Rational::from_string("-.5"), Rational(-1, 2));
+  EXPECT_THROW((void)Rational::from_string("5."), ContractError);
+  EXPECT_EQ(rejection("5."),
+            "contract violation: decimal literal needs digits after '.'");
+  EXPECT_EQ(rejection("1.+5"),
+            "contract violation: decimal fraction must be digits");
+  // Bare symbols and missing parts.
+  for (const char* text : {"+", "-", "/4", "4/", "+-3", "3/+-4", "+ 3"}) {
+    EXPECT_THROW((void)Rational::from_string(text), ContractError) << text;
+    EXPECT_EQ(rejection(text),
+              std::string("malformed rational literal: '") + text + "'");
+  }
+  // Zero denominator.
+  EXPECT_THROW((void)Rational::from_string("1/0"), ContractError);
+  EXPECT_EQ(rejection("1/0"),
+            "contract violation: rational denominator must be non-zero");
+  // Whitespace is never skipped.
+  EXPECT_THROW((void)Rational::from_string(" 3"), ContractError);
+  EXPECT_THROW((void)Rational::from_string("3 "), ContractError);
+  EXPECT_EQ(rejection(" 3"), "malformed rational literal: ' 3'");
+  EXPECT_EQ(rejection("3 "),
+            "malformed rational literal: '3 ' (trailing characters)");
+  // Overflow: a component outside int64, and a decimal whose scale 10^19
+  // does not fit.
+  EXPECT_THROW((void)Rational::from_string("9223372036854775808"),
+               OverflowError);
+  EXPECT_EQ(rejection("9223372036854775808"),
+            "rational literal out of range: '9223372036854775808'");
+  EXPECT_THROW((void)Rational::from_string("0.0000000000000000001"),
+               OverflowError);
+  EXPECT_EQ(rejection("0.0000000000000000001"),
+            "int64 overflow in multiplication");
+  EXPECT_EQ(Rational::from_string("0.000000000000000001"),
+            Rational(1, 1000000000000000000));
+  EXPECT_EQ(Rational::from_string("-9223372036854775808"),
+            Rational(std::numeric_limits<std::int64_t>::min()));
+}
+
+// ------------------------------------------------ reference parser
+//
+// A std::stoll-based from_string, the reference the parser is compared
+// against: the same grammar, the same error types, the same messages.
+
+Rational reference_from_string(const std::string& text) {
+  VRDF_REQUIRE(!text.empty(), "cannot parse rational from empty string");
+  const auto slash = text.find('/');
+  const auto dot = text.find('.');
+  const auto component = [&text](const std::string& part) {
+    if (part.empty() ||
+        std::isspace(static_cast<unsigned char>(part.front())) != 0) {
+      throw ContractError("malformed rational literal: '" + text + "'");
+    }
+    std::size_t consumed = 0;
+    const std::int64_t value = std::stoll(part, &consumed);
+    if (consumed != part.size()) {
+      throw ContractError("malformed rational literal: '" + text +
+                          "' (trailing characters)");
+    }
+    return value;
+  };
+  try {
+    if (slash != std::string::npos) {
+      const std::int64_t n = component(text.substr(0, slash));
+      const std::int64_t d = component(text.substr(slash + 1));
+      return Rational(n, d);
+    }
+    if (dot != std::string::npos) {
+      const std::string whole = text.substr(0, dot);
+      const std::string frac = text.substr(dot + 1);
+      VRDF_REQUIRE(!frac.empty(), "decimal literal needs digits after '.'");
+      for (const char c : frac) {
+        VRDF_REQUIRE(std::isdigit(static_cast<unsigned char>(c)) != 0,
+                     "decimal fraction must be digits");
+      }
+      std::int64_t scale = 1;
+      for (std::size_t i = 0; i < frac.size(); ++i) {
+        scale = checked_mul(scale, 10);
+      }
+      const bool negative = !whole.empty() && whole[0] == '-';
+      const std::int64_t w =
+          (whole.empty() || whole == "-" || whole == "+") ? 0
+                                                          : component(whole);
+      const std::int64_t f = component(frac);
+      const std::int64_t mag =
+          checked_add(checked_mul(w < 0 ? checked_neg(w) : w, scale), f);
+      return Rational(negative ? checked_neg(mag) : mag, scale);
+    }
+    return Rational(component(text));
+  } catch (const std::invalid_argument&) {
+    throw ContractError("malformed rational literal: '" + text + "'");
+  } catch (const std::out_of_range&) {
+    throw OverflowError("rational literal out of range: '" + text + "'");
+  }
+}
+
+/// "=value", "!OverflowError: what" or "!ContractError: what" (cut at the
+/// " [expr at file:line]" suffix, which names the throwing source line).
+template <typename Parse>
+std::string outcome(Parse parse, const std::string& text) {
+  const auto cut = [](const std::string& what) {
+    return what.substr(0, what.find(" ["));
+  };
+  std::string out;
+  try {
+    out = "=";
+    out += parse(text).to_string();
+  } catch (const OverflowError& e) {
+    out = "!OverflowError: ";
+    out += cut(e.what());
+  } catch (const ContractError& e) {
+    out = "!ContractError: ";
+    out += cut(e.what());
+  }
+  return out;
+}
+
+TEST(Rational, FromStringMatchesReferenceParser) {
+  // Every string of up to five characters over an alphabet of digits,
+  // signs, separators, whitespace and junk, plus literals at the int64
+  // and decimal-scale limits.
+  const std::string alphabet = "019+-./ x";
+  std::vector<std::string> corpus = {
+      "9223372036854775807",    "9223372036854775808",
+      "-9223372036854775808",   "-9223372036854775809",
+      "99999999999999999999x",  "1/-9223372036854775808",
+      "9223372036854775807/-1", "0.000000000000000001",
+      "0.0000000000000000001",  "x.0000000000000000001",
+      "9223372036854775807.5",  "922337203685477580.7",
+      "-922337203685477580.8",  "-9223372036854775808.5",
+      "1.999999999999999999",   "99999999999999999999.5",
+      "3/4/5",                  "1\t2",
+      "\t3",                    "3\n",
+      "0x10",                   "1e3"};
+  std::vector<std::string> frontier = {""};
+  for (int length = 1; length <= 5; ++length) {
+    std::vector<std::string> next;
+    for (const std::string& prefix : frontier) {
+      for (const char c : alphabet) {
+        next.push_back(prefix + c);
+      }
+    }
+    corpus.insert(corpus.end(), next.begin(), next.end());
+    frontier = std::move(next);
+  }
+  corpus.push_back("");
+  const auto parse = [](const std::string& text) {
+    return Rational::from_string(text);
+  };
+  std::size_t accepted = 0;
+  for (const std::string& text : corpus) {
+    const std::string got = outcome(parse, text);
+    ASSERT_EQ(got, outcome(reference_from_string, text))
+        << "literal '" << text << "'";
+    accepted += got.front() == '=' ? 1 : 0;
+  }
+  // The corpus exercises both sides of the grammar.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(corpus.size() - accepted, 10000u);
 }
 
 TEST(Rational, OverflowDetectedInAddition) {

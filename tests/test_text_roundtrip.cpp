@@ -5,6 +5,8 @@
 // names the whitespace-tokenized format cannot represent.
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "analysis/buffer_sizing.hpp"
 #include "io/text_format.hpp"
 #include "models/synthetic.hpp"
@@ -99,6 +101,75 @@ TEST(TextRoundTrip, RandomInteriorPins) {
     expect_round_trip_identity(model.graph, {model.constraint},
                                "interior seed " + std::to_string(seed));
   }
+}
+
+/// A copy of `graph` in which every second interval rate set becomes the
+/// explicit set of its bounds and midpoint, so a corpus written from it
+/// carries multi-valued explicit sets (no generator draws one).
+VrdfGraph with_explicit_sets(const VrdfGraph& graph) {
+  VrdfGraph out;
+  for (const ActorId a : graph.actors()) {
+    (void)out.add_actor(graph.actor(a).name, graph.actor(a).response_time);
+  }
+  std::size_t intervals = 0;
+  const auto rewrite = [&intervals](const RateSet& set) {
+    if (set.to_string().front() != '[' || intervals++ % 2 == 0) {
+      return set;
+    }
+    return RateSet::of({set.min(), (set.min() + set.max()) / 2, set.max()});
+  };
+  for (const dataflow::BufferEdges& b : graph.buffers()) {
+    const dataflow::Edge& data = graph.edge(b.data);
+    (void)out.add_buffer(data.source, data.target, rewrite(data.production),
+                         rewrite(data.consumption), graph.buffer_capacity(b),
+                         data.initial_tokens);
+  }
+  return out;
+}
+
+TEST(TextRoundTrip, WriterBytesPinnedByDigest) {
+  // write_chain over eight models of each generator class, with installed
+  // capacities, varied response fractions and headroom, hashed together.
+  // The corpus must carry every construct the writer renders: intervals,
+  // multi-valued explicit sets, capacity=, delta=, and non-integer rho=
+  // and period=.
+  std::string corpus;
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
+        models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      models::RandomModelSpec spec;
+      spec.model_class = model_class;
+      spec.seed = seed;
+      spec.response_fraction = Rational(1 + seed % 3, 3);
+      spec.capacity_headroom = static_cast<std::int64_t>(seed % 3);
+      spec.source_constrained = seed % 2 == 0;
+      const models::SyntheticModel model = models::make_random_model(spec);
+      const std::string text =
+          write_chain(with_explicit_sets(model.graph), model.constraints);
+      // The returned text holds no spare capacity: callers keep many
+      // documents alive at once.
+      EXPECT_EQ(text.capacity(), text.size());
+      corpus += text;
+    }
+  }
+  const auto contains = [&corpus](const std::string& needle) {
+    return corpus.find(needle) != std::string::npos;
+  };
+  EXPECT_TRUE(contains("pi=[") || contains("gamma=["));
+  EXPECT_TRUE(std::regex_search(corpus, std::regex(R"(=\{[0-9]+,[0-9]+,)")));
+  EXPECT_TRUE(contains(" capacity="));
+  EXPECT_TRUE(contains(" delta="));
+  EXPECT_TRUE(contains(" rho=1/"));
+  EXPECT_TRUE(contains(" rho=") && contains("/3000\n"));
+  EXPECT_TRUE(contains(" period=1/"));
+  // 64-bit FNV-1a of the corpus; a mismatch prints its size.
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char byte : corpus) {
+    fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(fnv, 0x96703707a47d5f66ULL) << corpus.size() << " bytes";
 }
 
 TEST(TextRoundTrip, UnserializableActorNamesRejectedAtWriteTime) {
