@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/rational.hpp"
 
 namespace vrdf::dataflow {
 
-RateSet::RateSet(Kind kind, std::vector<std::int64_t> values, std::int64_t lo,
+RateSet::RateSet(std::vector<std::int64_t> values, std::int64_t lo,
                  std::int64_t hi)
-    : kind_(kind), values_(std::move(values)), min_(lo), max_(hi) {}
+    : values_(std::move(values)), min_(lo), max_(hi) {}
 
 RateSet RateSet::singleton(std::int64_t value) {
   VRDF_REQUIRE(value > 0, "a singleton rate set must hold a positive quantum");
-  return RateSet(Kind::Explicit, {value}, value, value);
+  return RateSet({}, value, value);
 }
 
 RateSet RateSet::of(std::initializer_list<std::int64_t> values) {
@@ -30,21 +30,21 @@ RateSet RateSet::of(std::vector<std::int64_t> values) {
                "a rate set must contain a positive quantum (Pf(N) excludes {0})");
   const std::int64_t lo = values.front();
   const std::int64_t hi = values.back();
-  return RateSet(Kind::Explicit, std::move(values), lo, hi);
+  if (lo == hi) {
+    return RateSet({}, lo, hi);
+  }
+  return RateSet(std::move(values), lo, hi);
 }
 
 RateSet RateSet::interval(std::int64_t lo, std::int64_t hi) {
   VRDF_REQUIRE(lo >= 0, "rate quanta must be non-negative");
   VRDF_REQUIRE(hi >= lo, "rate interval must satisfy hi >= lo");
   VRDF_REQUIRE(hi > 0, "a rate set must contain a positive quantum");
-  if (lo == hi) {
-    return singleton(hi);
-  }
-  return RateSet(Kind::Interval, {}, lo, hi);
+  return RateSet({}, lo, hi);
 }
 
 std::vector<std::int64_t> RateSet::values() const {
-  if (kind_ == Kind::Explicit) {
+  if (!values_.empty()) {
     return values_;
   }
   std::vector<std::int64_t> out;
@@ -57,38 +57,52 @@ std::vector<std::int64_t> RateSet::values() const {
 
 std::int64_t RateSet::nth(std::size_t i) const {
   VRDF_REQUIRE(i < size(), "rate set index out of range");
-  if (kind_ == Kind::Interval) {
+  if (values_.empty()) {
     return min_ + static_cast<std::int64_t>(i);
   }
   return values_[i];
 }
 
 std::string RateSet::to_string() const {
-  std::ostringstream os;
-  if (kind_ == Kind::Interval) {
-    os << '[' << min_ << ',' << max_ << ']';
-    return os.str();
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void RateSet::append_to(std::string& out) const {
+  if (is_singleton()) {
+    out += '{';
+    append_integer(out, min_);
+    out += '}';
+    return;
   }
-  os << '{';
+  if (values_.empty()) {
+    out += '[';
+    append_integer(out, min_);
+    out += ',';
+    append_integer(out, max_);
+    out += ']';
+    return;
+  }
+  out += '{';
   for (std::size_t i = 0; i < values_.size(); ++i) {
     if (i != 0) {
-      os << ',';
+      out += ',';
     }
-    os << values_[i];
+    append_integer(out, values_[i]);
   }
-  os << '}';
-  return os.str();
+  out += '}';
 }
 
 bool operator==(const RateSet& a, const RateSet& b) {
   if (a.min_ != b.min_ || a.max_ != b.max_) {
     return false;
   }
-  if (a.kind_ == b.kind_) {
-    return a.kind_ == RateSet::Kind::Interval || a.values_ == b.values_;
+  if (a.values_.empty() == b.values_.empty()) {
+    return a.values_ == b.values_;
   }
   // Mixed representations are equal iff the explicit one is the full range.
-  const RateSet& explicit_set = a.kind_ == RateSet::Kind::Explicit ? a : b;
+  const RateSet& explicit_set = a.values_.empty() ? b : a;
   return explicit_set.values_.size() ==
          static_cast<std::size_t>(explicit_set.max_ - explicit_set.min_ + 1);
 }

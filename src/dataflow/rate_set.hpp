@@ -7,9 +7,11 @@
 // Schedule").
 //
 // Two representations share one interface:
-//  * Explicit — an enumerated set such as {2, 3} from Fig 1;
-//  * Interval — a dense range such as the MP3 decoder's bytes-per-frame
-//    n in [0, 960], which would be wasteful to enumerate.
+//  * Dense — every integer from min to max, stored as the two bounds: an
+//    interval such as the MP3 decoder's bytes-per-frame n in [0, 960],
+//    which would be wasteful to enumerate, and every singleton {v};
+//  * Explicit — an enumerated set of two or more values such as {2, 3}
+//    from Fig 1, the only representation that holds a heap array.
 // The analysis only reads min/max; the simulator also samples members.
 #pragma once
 
@@ -49,15 +51,13 @@ public:
     if (value < min_ || value > max_) {
       return false;
     }
-    if (kind_ == Kind::Interval) {
-      return true;
-    }
-    return std::binary_search(values_.begin(), values_.end(), value);
+    return values_.empty() ||
+           std::binary_search(values_.begin(), values_.end(), value);
   }
 
   /// Number of elements.  Inline: random quantum sources sample per firing.
   [[nodiscard]] std::size_t size() const {
-    if (kind_ == Kind::Interval) {
+    if (values_.empty()) {
       return static_cast<std::size_t>(max_ - min_ + 1);
     }
     return values_.size();
@@ -71,17 +71,17 @@ public:
 
   /// "{3}", "{2,3}" or "[0,960]".
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string() to `out`.
+  void append_to(std::string& out) const;
 
   friend bool operator==(const RateSet& a, const RateSet& b);
 
 private:
-  enum class Kind { Explicit, Interval };
+  RateSet(std::vector<std::int64_t> values, std::int64_t lo, std::int64_t hi);
 
-  RateSet(Kind kind, std::vector<std::int64_t> values, std::int64_t lo,
-          std::int64_t hi);
-
-  Kind kind_;
-  std::vector<std::int64_t> values_;  // Explicit only: sorted, unique
+  /// Explicit: the elements, sorted and unique (two or more).  Dense:
+  /// empty, the bounds say it all.
+  std::vector<std::int64_t> values_;
   std::int64_t min_;
   std::int64_t max_;
 };

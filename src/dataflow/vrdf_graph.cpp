@@ -35,9 +35,9 @@ std::string VrdfGraph::last_mutation() const {
 ActorId VrdfGraph::add_actor(std::string name, Duration response_time) {
   VRDF_REQUIRE(!name.empty(), "actor name must be non-empty");
   VRDF_REQUIRE(response_time.is_positive(), "actor response time must be positive");
-  VRDF_REQUIRE(!find_actor(name).has_value(),
-               "actor name '" + name + "' is already in use");
   const ActorId id(static_cast<ActorId::underlying_type>(actors_.size()));
+  const bool fresh = names_.insert(id, name, actor_name());
+  VRDF_REQUIRE(fresh, "actor name '" + name + "' is already in use");
   actors_.push_back(Actor{std::move(name), response_time});
   record_mutation(Mutation::AddActor, id.index());
   return id;
@@ -92,12 +92,7 @@ std::int64_t VrdfGraph::buffer_capacity(const BufferEdges& buffer) const {
 }
 
 std::optional<ActorId> VrdfGraph::find_actor(std::string_view name) const {
-  for (std::size_t i = 0; i < actors_.size(); ++i) {
-    if (actors_[i].name == name) {
-      return ActorId(static_cast<ActorId::underlying_type>(i));
-    }
-  }
-  return std::nullopt;
+  return names_.find(name, actor_name());
 }
 
 std::optional<VrdfGraph::BufferView> VrdfGraph::buffer_view() const {

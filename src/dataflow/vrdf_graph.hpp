@@ -16,7 +16,8 @@
 // The graph owns its topology: each Edge stores its source and target, and
 // an ActorId/EdgeId is valid exactly when it indexes the actor/edge array.
 // actors() and edges() are non-allocating ranges over those ids, in
-// insertion order.
+// insertion order.  Actor names are found by binary search over the ids
+// sorted by name.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +97,7 @@ public:
     return graph::ids_below<EdgeId>(edges_.size());
   }
 
-  /// Actor lookup by unique name.
+  /// Actor lookup by unique name, O(log n).
   [[nodiscard]] std::optional<ActorId> find_actor(std::string_view name) const;
 
   /// Replaces δ(e); used to install computed buffer capacities.
@@ -198,8 +199,14 @@ private:
     SetResponseTime,   // index: the actor
   };
   void record_mutation(Mutation kind, std::size_t index);
+  [[nodiscard]] auto actor_name() const {
+    return [this](ActorId id) -> const std::string& {
+      return actors_[id.index()].name;
+    };
+  }
 
   std::vector<Actor> actors_;
+  graph::NameIndex<ActorId> names_;
   std::vector<Edge> edges_;
   std::vector<BufferEdges> buffers_;
   std::uint64_t revision_ = 0;

@@ -1,16 +1,14 @@
 #include "io/text_format.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rational.hpp"
 
 namespace vrdf::io {
 
@@ -22,29 +20,22 @@ using dataflow::RateSet;
   throw ModelError("line " + std::to_string(line_no) + ": " + message);
 }
 
-/// The whitespace set of the classic locale, which the format tokenizes
-/// on.
+/// The whitespace set of the classic locale: the reader tokenizes on it
+/// and the writer refuses names containing it, whatever the process
+/// locale.
 [[nodiscard]] constexpr bool is_space(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
          c == '\r';
 }
 
-/// Checked base-10 integer with std::stoll's grammar (optional sign, then
-/// digits): rejects non-numeric text, trailing garbage ("12abc") and
-/// values outside int64 with a line-numbered diagnostic instead of
+/// Checked base-10 integer with std::stoll's grammar (see
+/// parse_integer): rejects non-numeric text, trailing garbage ("12abc")
+/// and values outside int64 with a line-numbered diagnostic instead of
 /// silently truncating the garbage suffix.
 std::int64_t parse_int64(std::string_view text, std::size_t line_no,
                          const char* what) {
-  std::string_view number = text;
-  if (!number.empty() && number.front() == '+') {
-    number.remove_prefix(1);
-    if (number.empty() || number.front() < '0' || number.front() > '9') {
-      number = text;  // a sign must be followed by a digit
-    }
-  }
   std::int64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(number.data(), number.data() + number.size(), value);
+  const auto [end, ec] = parse_integer(text, value);
   if (ec == std::errc::result_out_of_range) {
     parse_error(line_no,
                 std::string(what) + " '" + std::string(text) +
@@ -54,7 +45,7 @@ std::int64_t parse_int64(std::string_view text, std::size_t line_no,
     parse_error(line_no, std::string("malformed ") + what + " '" +
                              std::string(text) + "'");
   }
-  if (end != number.data() + number.size()) {
+  if (end != text.data() + text.size()) {
     parse_error(line_no, std::string("malformed ") + what + " '" +
                              std::string(text) + "' (trailing characters)");
   }
@@ -66,7 +57,7 @@ std::int64_t parse_int64(std::string_view text, std::size_t line_no,
 Rational parse_rational(std::string_view text, std::size_t line_no,
                         const char* what) {
   try {
-    return Rational::from_string(std::string(text));
+    return Rational::from_string(text);
   } catch (const OverflowError&) {
     parse_error(line_no, std::string(what) + " '" + std::string(text) +
                              "' is out of range");
@@ -76,13 +67,13 @@ Rational parse_rational(std::string_view text, std::size_t line_no,
   }
 }
 
-std::string rate_set_to_text(const RateSet& set) { return set.to_string(); }
-
-/// "{a,b,...}" or "[lo,hi]".  Every comma-separated item must be a
-/// number: an empty one ("{1,,2}", "{1,2,}") is rejected, as is a set
-/// RateSet would refuse (a negative quantum, no positive quantum, an
-/// interval with hi < lo).
-RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
+/// "{a,b,...}" or "[lo,hi]", its items parsed into `values` (a buffer
+/// the caller reuses).  Every comma-separated item must be a number: an
+/// empty one ("{1,,2}", "{1,2,}") is rejected, as is a set RateSet would
+/// refuse (a negative quantum, no positive quantum, an interval with
+/// hi < lo).
+RateSet parse_rate_set(std::string_view text, std::size_t line_no,
+                       std::vector<std::int64_t>& values) {
   const auto fail = [&](const std::string& why) {
     parse_error(line_no, why + " '" + std::string(text) + "'");
   };
@@ -92,7 +83,7 @@ RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
   const char open = text.front();
   const char close = text.back();
   const std::string_view body = text.substr(1, text.size() - 2);
-  std::vector<std::int64_t> values;
+  values.clear();
   for (std::size_t start = 0;;) {
     const std::size_t comma = body.find(',', start);
     const std::string_view item = body.substr(
@@ -123,8 +114,11 @@ RateSet parse_rate_set(std::string_view text, std::size_t line_no) {
   if (*hi == 0) {
     fail("no positive quantum in rate set");
   }
-  return explicit_set ? RateSet::of(std::move(values))
-                      : RateSet::interval(values[0], values[1]);
+  if (!explicit_set) {
+    return RateSet::interval(values[0], values[1]);
+  }
+  return values.size() == 1 ? RateSet::singleton(values[0])
+                            : RateSet::of(values);
 }
 
 /// Splits `line` on whitespace into views of the line buffer.
@@ -178,53 +172,70 @@ std::string write_chain(const dataflow::VrdfGraph& graph,
   // buffer endpoints on the literal "->" token, so a name containing any
   // of those would serialize into a document that reparses wrong (or off
   // by one token).  Reject at write time instead of emitting garbage.
+  std::size_t name_bytes = 0;
   for (const dataflow::ActorId a : graph.actors()) {
     const std::string& name = graph.actor(a).name;
-    bool bad = name.empty() || name == "->" ||
-               name.find('#') != std::string::npos ||
-               name.find('=') != std::string::npos;
-    for (const char c : name) {
-      bad = bad || std::isspace(static_cast<unsigned char>(c)) != 0;
-    }
+    const bool bad = name.empty() || name == "->" ||
+                     name.find_first_of("#=") != std::string::npos ||
+                     std::any_of(name.begin(), name.end(), is_space);
     VRDF_REQUIRE(!bad, "write_chain: actor name '" + name +
                            "' cannot be serialized (empty, \"->\", or "
                            "containing whitespace, '=' or '#')");
+    name_bytes += name.size();
   }
-  std::ostringstream os;
-  os << "vrdf-chain v1\n";
+  // Room for a typical document; the text is trimmed to its length at the
+  // end, so callers that keep many documents hold no spare capacity.
+  std::string out;
+  out.reserve(16 + 3 * name_bytes + 32 * graph.actor_count() +
+              64 * graph.buffers().size() + 32 * constraints.size());
+  out += "vrdf-chain v1\n";
   for (const dataflow::ActorId a : graph.actors()) {
     const dataflow::Actor& actor = graph.actor(a);
-    os << "actor " << actor.name
-       << " rho=" << actor.response_time.seconds().to_string() << '\n';
+    out += "actor ";
+    out += actor.name;
+    out += " rho=";
+    actor.response_time.seconds().append_to(out);
+    out += '\n';
   }
   for (const dataflow::BufferEdges& b : graph.buffers()) {
     const dataflow::Edge& data = graph.edge(b.data);
-    os << "buffer " << graph.actor(data.source).name << " -> "
-       << graph.actor(data.target).name
-       << " pi=" << rate_set_to_text(data.production)
-       << " gamma=" << rate_set_to_text(data.consumption);
+    out += "buffer ";
+    out += graph.actor(data.source).name;
+    out += " -> ";
+    out += graph.actor(data.target).name;
+    out += " pi=";
+    data.production.append_to(out);
+    out += " gamma=";
+    data.consumption.append_to(out);
     // capacity= is the *total* container count (free + occupied by
     // initial data tokens); delta= carries the initial tokens of cyclic
     // back-edges so cyclic models round-trip.
     if (const std::int64_t capacity = graph.buffer_capacity(b);
         capacity != 0) {
-      os << " capacity=" << capacity;
+      out += " capacity=";
+      append_integer(out, capacity);
     }
     if (data.initial_tokens != 0) {
-      os << " delta=" << data.initial_tokens;
+      out += " delta=";
+      append_integer(out, data.initial_tokens);
     }
-    os << '\n';
+    out += '\n';
   }
   for (const analysis::ThroughputConstraint& c : constraints) {
-    os << "constraint " << graph.actor(c.actor).name
-       << " period=" << c.period.seconds().to_string() << '\n';
+    out += "constraint ";
+    out += graph.actor(c.actor).name;
+    out += " period=";
+    c.period.seconds().append_to(out);
+    out += '\n';
   }
-  return os.str();
+  out.shrink_to_fit();
+  return out;
 }
 
 ChainDocument read_chain(const std::string& text) {
   ChainDocument doc;
   std::vector<std::string_view> tokens;
+  std::vector<std::int64_t> rate_values;
   std::size_t line_no = 0;
   bool header_seen = false;
   for (std::size_t begin = 0; begin < text.size();) {
@@ -264,11 +275,15 @@ ChainDocument read_chain(const std::string& text) {
       if (!response_time.is_positive()) {
         parse_error(line_no, "rho must be positive");
       }
-      if (doc.graph.find_actor(tokens[1]).has_value()) {
+      // The name is non-empty and rho positive, so the one contract
+      // add_actor can still refuse is a taken name; its own index lookup
+      // is the only one.
+      try {
+        (void)doc.graph.add_actor(std::string(tokens[1]), response_time);
+      } catch (const ContractError&) {
         parse_error(line_no,
                     "duplicate actor '" + std::string(tokens[1]) + "'");
       }
-      (void)doc.graph.add_actor(std::string(tokens[1]), response_time);
     } else if (tokens[0] == "buffer") {
       if (tokens.size() < 6 || tokens[2] != "->") {
         parse_error(line_no,
@@ -286,9 +301,11 @@ ChainDocument read_chain(const std::string& text) {
       std::optional<std::int64_t> delta;
       for (std::size_t i = 4; i < tokens.size(); ++i) {
         if (const auto v = key_value(tokens[i], "pi")) {
-          set_once(pi, parse_rate_set(*v, line_no), "pi", line_no);
+          set_once(pi, parse_rate_set(*v, line_no, rate_values), "pi",
+                   line_no);
         } else if (const auto g = key_value(tokens[i], "gamma")) {
-          set_once(gamma, parse_rate_set(*g, line_no), "gamma", line_no);
+          set_once(gamma, parse_rate_set(*g, line_no, rate_values), "gamma",
+                   line_no);
         } else if (const auto c = key_value(tokens[i], "capacity")) {
           set_once(capacity, parse_int64(*c, line_no, "capacity"), "capacity",
                    line_no);

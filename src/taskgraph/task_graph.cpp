@@ -8,9 +8,9 @@ TaskId TaskGraph::add_task(std::string name, Duration worst_case_response_time) 
   VRDF_REQUIRE(!name.empty(), "task name must be non-empty");
   VRDF_REQUIRE(worst_case_response_time.is_positive(),
                "task worst-case response time must be positive");
-  VRDF_REQUIRE(!find_task(name).has_value(),
-               "task name '" + name + "' is already in use");
   const TaskId id(static_cast<TaskId::underlying_type>(tasks_.size()));
+  const bool fresh = names_.insert(id, name, task_name());
+  VRDF_REQUIRE(fresh, "task name '" + name + "' is already in use");
   tasks_.push_back(Task{std::move(name), worst_case_response_time});
   return id;
 }
@@ -40,12 +40,7 @@ const Buffer& TaskGraph::buffer(BufferId id) const {
 }
 
 std::optional<TaskId> TaskGraph::find_task(std::string_view name) const {
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (tasks_[i].name == name) {
-      return TaskId(static_cast<TaskId::underlying_type>(i));
-    }
-  }
-  return std::nullopt;
+  return names_.find(name, task_name());
 }
 
 void TaskGraph::set_capacity(BufferId id, std::int64_t capacity) {

@@ -70,6 +70,7 @@ public:
   [[nodiscard]] std::size_t buffer_count() const { return buffers_.size(); }
   [[nodiscard]] const Task& task(TaskId id) const;
   [[nodiscard]] const Buffer& buffer(BufferId id) const;
+  /// Task lookup by unique name, O(log n).
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Sets ζ(b).
@@ -94,7 +95,14 @@ public:
       const std::vector<Duration>& response_times) const;
 
 private:
+  [[nodiscard]] auto task_name() const {
+    return [this](TaskId id) -> const std::string& {
+      return tasks_[id.index()].name;
+    };
+  }
+
   std::vector<Task> tasks_;
+  graph::NameIndex<TaskId> names_;
   std::vector<Buffer> buffers_;
 };
 

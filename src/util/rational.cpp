@@ -1,9 +1,9 @@
 #include "util/rational.hpp"
 
 #include <cctype>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
+#include <system_error>
 
 #include "util/checked_int.hpp"
 #include "util/error.hpp"
@@ -33,6 +33,32 @@ Int128 gcd_128(Int128 a, Int128 b) {
     b = t;
   }
   return a;
+}
+
+[[noreturn]] void malformed_literal(std::string_view text, const char* why) {
+  throw ContractError("malformed rational literal: '" + std::string(text) +
+                      "'" + why);
+}
+
+/// One integer of the literal `text` (see parse_integer), and nothing
+/// after it.  Leading whitespace, trailing characters ("3/4x", "1e3",
+/// "3/4/5") and a bare or doubled sign are malformed; a value outside
+/// int64 is an OverflowError.
+std::int64_t parse_component(std::string_view part, std::string_view text) {
+  std::int64_t value = 0;
+  const char* const last = part.data() + part.size();
+  const auto [end, ec] = parse_integer(part, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw OverflowError("rational literal out of range: '" +
+                        std::string(text) + "'");
+  }
+  if (ec != std::errc()) {
+    malformed_literal(text, "");
+  }
+  if (end != last) {
+    malformed_literal(text, " (trailing characters)");
+  }
+  return value;
 }
 
 }  // namespace
@@ -72,67 +98,71 @@ double Rational::to_double() const {
 }
 
 std::string Rational::to_string() const {
-  if (den_ == 1) {
-    return std::to_string(num_);
-  }
-  return std::to_string(num_) + "/" + std::to_string(den_);
+  std::string out;
+  append_to(out);
+  return out;
 }
 
-Rational Rational::from_string(const std::string& text) {
-  VRDF_REQUIRE(!text.empty(), "cannot parse rational from empty string");
-  const auto slash = text.find('/');
-  const auto dot = text.find('.');
-  // Checked std::stoll over a component: the whole substring must be one
-  // integer.  std::stoll alone stops at the first non-digit, silently
-  // truncating trailing garbage — "3/4x" parsed as 3/4, "1e3" as 1,
-  // "3/4/5" as 3/4 — and accepts leading whitespace; both are rejected
-  // here with the full literal named.
-  const auto component = [&text](const std::string& part) {
-    if (part.empty() ||
-        std::isspace(static_cast<unsigned char>(part.front())) != 0) {
-      throw ContractError("malformed rational literal: '" + text + "'");
-    }
-    std::size_t consumed = 0;
-    const std::int64_t value = std::stoll(part, &consumed);
-    if (consumed != part.size()) {
-      throw ContractError("malformed rational literal: '" + text +
-                          "' (trailing characters)");
-    }
-    return value;
-  };
-  try {
-    if (slash != std::string::npos) {
-      const std::int64_t n = component(text.substr(0, slash));
-      const std::int64_t d = component(text.substr(slash + 1));
-      return Rational(n, d);
-    }
-    if (dot != std::string::npos) {
-      const std::string whole = text.substr(0, dot);
-      const std::string frac = text.substr(dot + 1);
-      VRDF_REQUIRE(!frac.empty(), "decimal literal needs digits after '.'");
-      for (const char c : frac) {
-        VRDF_REQUIRE(std::isdigit(static_cast<unsigned char>(c)) != 0,
-                     "decimal fraction must be digits");
-      }
-      std::int64_t scale = 1;
-      for (std::size_t i = 0; i < frac.size(); ++i) {
-        scale = checked_mul(scale, 10);
-      }
-      const bool negative = !whole.empty() && whole[0] == '-';
-      const std::int64_t w =
-          (whole.empty() || whole == "-" || whole == "+") ? 0
-                                                          : component(whole);
-      const std::int64_t f = component(frac);
-      const std::int64_t mag =
-          checked_add(checked_mul(w < 0 ? checked_neg(w) : w, scale), f);
-      return Rational(negative ? checked_neg(mag) : mag, scale);
-    }
-    return Rational(component(text));
-  } catch (const std::invalid_argument&) {
-    throw ContractError("malformed rational literal: '" + text + "'");
-  } catch (const std::out_of_range&) {
-    throw OverflowError("rational literal out of range: '" + text + "'");
+void Rational::append_to(std::string& out) const {
+  append_integer(out, num_);
+  if (den_ != 1) {
+    out += '/';
+    append_integer(out, den_);
   }
+}
+
+std::from_chars_result parse_integer(std::string_view text,
+                                     std::int64_t& value) {
+  std::string_view digits = text;
+  if (!digits.empty() && digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (digits.empty() || digits.front() < '0' || digits.front() > '9') {
+      return {text.data(), std::errc::invalid_argument};  // one sign only
+    }
+  }
+  return std::from_chars(digits.data(), digits.data() + digits.size(),
+                         value);
+}
+
+void append_integer(std::string& out, std::int64_t value) {
+  char digits[20];  // INT64_MIN: a sign and 19 digits
+  const auto [end, ec] =
+      std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, end);
+}
+
+Rational Rational::from_string(std::string_view text) {
+  VRDF_REQUIRE(!text.empty(), "cannot parse rational from empty string");
+  if (const auto slash = text.find('/'); slash != std::string_view::npos) {
+    const std::int64_t n = parse_component(text.substr(0, slash), text);
+    const std::int64_t d = parse_component(text.substr(slash + 1), text);
+    return Rational(n, d);
+  }
+  const auto dot = text.find('.');
+  if (dot == std::string_view::npos) {
+    return Rational(parse_component(text, text));
+  }
+  const std::string_view whole = text.substr(0, dot);
+  const std::string_view frac = text.substr(dot + 1);
+  VRDF_REQUIRE(!frac.empty(), "decimal literal needs digits after '.'");
+  for (const char c : frac) {
+    VRDF_REQUIRE(std::isdigit(static_cast<unsigned char>(c)) != 0,
+                 "decimal fraction must be digits");
+  }
+  std::int64_t scale = 1;
+  for (std::size_t i = 0; i < frac.size(); ++i) {
+    scale = checked_mul(scale, 10);
+  }
+  // The whole part may be empty or a bare sign (".5", "-.5").
+  const bool negative = !whole.empty() && whole[0] == '-';
+  const std::int64_t w =
+      (whole.empty() || whole == "-" || whole == "+")
+          ? 0
+          : parse_component(whole, text);
+  const std::int64_t f = parse_component(frac, text);
+  const std::int64_t mag =
+      checked_add(checked_mul(w < 0 ? checked_neg(w) : w, scale), f);
+  return Rational(negative ? checked_neg(mag) : mag, scale);
 }
 
 Rational Rational::operator-() const {

@@ -11,10 +11,12 @@
 // OverflowError.
 #pragma once
 
+#include <charconv>
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace vrdf {
 
@@ -49,10 +51,14 @@ public:
 
   /// "p/q" for non-integers, "p" for integers.
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string() to `out`.
+  void append_to(std::string& out) const;
 
-  /// Parses "p", "p/q", or a simple decimal literal like "51.2".
-  /// Throws ContractError on malformed input.
-  [[nodiscard]] static Rational from_string(const std::string& text);
+  /// Parses "p", "p/q", or a simple decimal literal like "51.2"; each
+  /// integer takes an optional sign ('+' or '-') and no whitespace.
+  /// Throws ContractError on malformed input and OverflowError on a value
+  /// outside int64.
+  [[nodiscard]] static Rational from_string(std::string_view text);
 
   [[nodiscard]] Rational operator-() const;
   [[nodiscard]] Rational reciprocal() const;
@@ -80,6 +86,16 @@ private:
 };
 
 std::ostream& operator<<(std::ostream& os, const Rational& r);
+
+/// Appends the decimal digits of `value` (with a '-' when negative) to
+/// `out`, as std::to_string renders them.
+void append_integer(std::string& out, std::int64_t value);
+
+/// std::from_chars over `text` with std::stoll's grammar minus its
+/// whitespace skipping: an optional '+' or '-', then digits.  The caller
+/// checks that the result ends where `text` does.
+[[nodiscard]] std::from_chars_result parse_integer(std::string_view text,
+                                                   std::int64_t& value);
 
 /// min/max by value.
 [[nodiscard]] Rational min(const Rational& a, const Rational& b);

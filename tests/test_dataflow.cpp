@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -107,6 +108,45 @@ TEST(RateSet, EqualityAcrossRepresentations) {
   EXPECT_EQ(RateSet::of({2, 3}), RateSet::of({3, 2}));
 }
 
+TEST(RateSet, SingletonSpellingsAgree) {
+  // singleton(v), of({v}), of({v,v}) and interval(v,v) are one set: equal,
+  // rendered "{v}", and alike on every member query.
+  for (const std::int64_t v : {1, 7, 960}) {
+    const std::vector<RateSet> spellings = {
+        RateSet::singleton(v), RateSet::of({v}), RateSet::of({v, v}),
+        RateSet::interval(v, v)};
+    for (const RateSet& s : spellings) {
+      EXPECT_EQ(s, spellings[0]);
+      EXPECT_EQ(s.to_string(), "{" + std::to_string(v) + "}");
+      EXPECT_TRUE(s.is_singleton());
+      EXPECT_EQ(s.size(), 1u);
+      EXPECT_EQ(s.nth(0), v);
+      EXPECT_THROW((void)s.nth(1), ContractError);
+      EXPECT_EQ(s.values(), (std::vector<std::int64_t>{v}));
+      EXPECT_TRUE(s.contains(v));
+      EXPECT_FALSE(s.contains(v - 1));
+      EXPECT_FALSE(s.contains(v + 1));
+    }
+  }
+}
+
+TEST(RateSet, MixedRepresentationEquality) {
+  // An explicit set equals an interval exactly when it enumerates it, and
+  // each keeps its own spelling.
+  EXPECT_EQ(RateSet::of({1, 2}), RateSet::interval(1, 2));
+  EXPECT_EQ(RateSet::of({1, 2}).to_string(), "{1,2}");
+  EXPECT_EQ(RateSet::interval(1, 2).to_string(), "[1,2]");
+  EXPECT_NE(RateSet::of({0, 2}), RateSet::interval(0, 2));
+  EXPECT_NE(RateSet::singleton(2), RateSet::interval(2, 3));
+  EXPECT_NE(RateSet::of({2, 3}), RateSet::singleton(2));
+  EXPECT_NE(RateSet::interval(1, 3), RateSet::interval(1, 4));
+  const RateSet gappy = RateSet::of({0, 2, 5});
+  EXPECT_EQ(gappy.size(), 3u);
+  EXPECT_EQ(gappy.nth(1), 2);
+  EXPECT_FALSE(gappy.contains(1));
+  EXPECT_TRUE(gappy.contains(5));
+}
+
 TEST(VrdfGraph, ActorsAndBuffers) {
   VrdfGraph g;
   const ActorId a = g.add_actor("a", kRho);
@@ -188,6 +228,83 @@ TEST(VrdfGraph, FindActorByName) {
   const ActorId a = g.add_actor("vMP3", kRho);
   EXPECT_EQ(g.find_actor("vMP3"), a);
   EXPECT_FALSE(g.find_actor("nope").has_value());
+}
+
+/// The ContractError text `call` raises, cut at VRDF_REQUIRE's
+/// " [expr at file:line]" suffix, or "" if it returns.
+template <typename Call>
+std::string contract_message(Call call) {
+  try {
+    call();
+  } catch (const ContractError& e) {
+    const std::string what = e.what();
+    return what.substr(0, what.find(" ["));
+  }
+  return "";
+}
+
+TEST(VrdfGraph, NameIndexResolvesPrefixesAndSlices) {
+  VrdfGraph g;
+  const ActorId a10 = g.add_actor("a10", kRho);
+  const ActorId a = g.add_actor("a", kRho);
+  const ActorId a1 = g.add_actor("a1", kRho);
+  EXPECT_EQ(g.find_actor("a"), a);
+  EXPECT_EQ(g.find_actor("a1"), a1);
+  EXPECT_EQ(g.find_actor("a10"), a10);
+  EXPECT_FALSE(g.find_actor("a100").has_value());
+  EXPECT_FALSE(g.find_actor("").has_value());
+  EXPECT_FALSE(g.find_actor("A").has_value());
+  // A slice of a longer buffer, not NUL-terminated.
+  const std::string text = "a10xyz";
+  EXPECT_EQ(g.find_actor(std::string_view(text).substr(0, 2)), a1);
+  EXPECT_EQ(g.find_actor(std::string_view(text).substr(0, 1)), a);
+  EXPECT_EQ(g.find_actor(std::string_view(text).substr(0, 3)), a10);
+  // A copy answers with the same ids, and its index is its own.
+  VrdfGraph copy = g;
+  for (const char* name : {"a", "a1", "a10"}) {
+    EXPECT_EQ(copy.find_actor(name), g.find_actor(name)) << name;
+  }
+  const ActorId b = copy.add_actor("b", kRho);
+  EXPECT_EQ(copy.find_actor("b"), b);
+  EXPECT_FALSE(g.find_actor("b").has_value());
+}
+
+TEST(VrdfGraph, NameIndexScalesAndKeepsInsertionOrder) {
+  // 4096 names inserted out of name order: each is found at its insertion
+  // id, and actors() still runs in insertion order.
+  constexpr std::size_t kActors = 4096;
+  const auto name_of = [](std::size_t i) {
+    return "n" + std::to_string((i * 2654435761u) % kActors);
+  };
+  VrdfGraph g;
+  for (std::size_t i = 0; i < kActors; ++i) {
+    ASSERT_EQ(g.add_actor(name_of(i), kRho), actor(i));
+  }
+  std::size_t expected = 0;
+  for (const ActorId id : g.actors()) {
+    ASSERT_EQ(id, actor(expected));
+    ASSERT_EQ(g.actor(id).name, name_of(expected));
+    ASSERT_EQ(g.find_actor(name_of(expected)), id);
+    ++expected;
+  }
+  EXPECT_EQ(expected, kActors);
+  EXPECT_FALSE(g.find_actor("n4096").has_value());
+}
+
+TEST(VrdfGraph, DuplicateNameErrorUnchanged) {
+  VrdfGraph g;
+  (void)g.add_actor("a1", kRho);
+  (void)g.add_actor("a", kRho);
+  const std::uint64_t revision = g.revision();
+  EXPECT_EQ(contract_message([&] { (void)g.add_actor("a1", kRho); }),
+            "contract violation: actor name 'a1' is already in use");
+  EXPECT_EQ(contract_message([&] { (void)g.add_actor("a", kRho); }),
+            "contract violation: actor name 'a' is already in use");
+  // A refused name leaves the graph and its index as they were.
+  EXPECT_EQ(g.actor_count(), 2u);
+  EXPECT_EQ(g.revision(), revision);
+  EXPECT_EQ(g.find_actor("a1"), actor(0));
+  EXPECT_EQ(g.add_actor("a10", kRho), actor(2));
 }
 
 TEST(VrdfGraph, SetInitialTokens) {

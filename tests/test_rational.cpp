@@ -166,14 +166,19 @@ TEST(Rational, FromStringSignAndComponentForms) {
   EXPECT_THROW((void)Rational::from_string("."), ContractError);
 }
 
-/// The ContractError / OverflowError text `text` raises, cut at the
-/// " [expr at file:line]" suffix VRDF_REQUIRE appends, or "" if it parses.
+/// An error's text cut at the " [expr at file:line]" suffix VRDF_REQUIRE
+/// appends, which names the throwing source line.
+std::string message(const Error& e) {
+  const std::string what = e.what();
+  return what.substr(0, what.find(" ["));
+}
+
+/// The message of the error `text` raises, or "" if it parses.
 std::string rejection(const std::string& text) {
   try {
     (void)Rational::from_string(text);
   } catch (const Error& e) {
-    const std::string what = e.what();
-    return what.substr(0, what.find(" ["));
+    return message(e);
   }
   return "";
 }
@@ -284,23 +289,19 @@ Rational reference_from_string(const std::string& text) {
   }
 }
 
-/// "=value", "!OverflowError: what" or "!ContractError: what" (cut at the
-/// " [expr at file:line]" suffix, which names the throwing source line).
+/// "=value", "!OverflowError: message" or "!ContractError: message".
 template <typename Parse>
 std::string outcome(Parse parse, const std::string& text) {
-  const auto cut = [](const std::string& what) {
-    return what.substr(0, what.find(" ["));
-  };
   std::string out;
   try {
     out = "=";
     out += parse(text).to_string();
   } catch (const OverflowError& e) {
     out = "!OverflowError: ";
-    out += cut(e.what());
+    out += message(e);
   } catch (const ContractError& e) {
     out = "!ContractError: ";
-    out += cut(e.what());
+    out += message(e);
   }
   return out;
 }

@@ -1,6 +1,9 @@
 // Unit tests for the task-graph model and the Sec 3.3 VRDF construction.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "dataflow/validation.hpp"
 #include "taskgraph/task_graph.hpp"
 #include "util/error.hpp"
@@ -55,6 +58,70 @@ TEST(TaskGraph, FindTask) {
   const TaskGraph g = three_task_chain();
   EXPECT_EQ(g.find_task("b"), TaskId(1));
   EXPECT_FALSE(g.find_task("zz").has_value());
+}
+
+TEST(TaskGraph, NameIndexResolvesPrefixesSlicesAndCopies) {
+  TaskGraph g;
+  const TaskId a10 = g.add_task("a10", kKappa);
+  const TaskId a = g.add_task("a", kKappa);
+  const TaskId a1 = g.add_task("a1", kKappa);
+  EXPECT_EQ(g.find_task("a"), a);
+  EXPECT_EQ(g.find_task("a1"), a1);
+  EXPECT_EQ(g.find_task("a10"), a10);
+  EXPECT_FALSE(g.find_task("a100").has_value());
+  // A slice of a longer buffer, not NUL-terminated.
+  const std::string text = "a10xyz";
+  EXPECT_EQ(g.find_task(std::string_view(text).substr(0, 2)), a1);
+  EXPECT_EQ(g.find_task(std::string_view(text).substr(0, 3)), a10);
+  // A copy answers with the same ids, and its index is its own.
+  TaskGraph copy = g;
+  for (const char* name : {"a", "a1", "a10"}) {
+    EXPECT_EQ(copy.find_task(name), g.find_task(name)) << name;
+  }
+  const TaskId b = copy.add_task("b", kKappa);
+  EXPECT_EQ(copy.find_task("b"), b);
+  EXPECT_FALSE(g.find_task("b").has_value());
+  // The construction's actors carry the task names.
+  const VrdfConstruction vrdf = g.to_vrdf();
+  for (const char* name : {"a", "a1", "a10"}) {
+    EXPECT_EQ(vrdf.graph.find_actor(name),
+              vrdf.actor_of_task[g.find_task(name)->index()])
+        << name;
+  }
+}
+
+TEST(TaskGraph, NameIndexScalesAndKeepsInsertionOrder) {
+  constexpr std::size_t kTasks = 4096;
+  const auto name_of = [](std::size_t i) {
+    return "t" + std::to_string((i * 2654435761u) % kTasks);
+  };
+  TaskGraph g;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(g.add_task(name_of(i), kKappa),
+              TaskId(static_cast<TaskId::underlying_type>(i)));
+  }
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    const TaskId id(static_cast<TaskId::underlying_type>(i));
+    ASSERT_EQ(g.task(id).name, name_of(i));
+    ASSERT_EQ(g.find_task(name_of(i)), id);
+  }
+  EXPECT_FALSE(g.find_task("t4096").has_value());
+}
+
+TEST(TaskGraph, DuplicateNameErrorUnchanged) {
+  TaskGraph g;
+  (void)g.add_task("a1", kKappa);
+  std::string what;
+  try {
+    (void)g.add_task("a1", kKappa);
+  } catch (const ContractError& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what.substr(0, what.find(" [")),
+            "contract violation: task name 'a1' is already in use");
+  EXPECT_EQ(g.task_count(), 1u);
+  EXPECT_EQ(g.add_task("a", kKappa), TaskId(1));
+  EXPECT_EQ(g.find_task("a1"), TaskId(0));
 }
 
 TEST(TaskGraph, CapacityAssignment) {

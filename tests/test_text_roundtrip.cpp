@@ -198,6 +198,32 @@ TEST(TextRoundTrip, UnserializableActorNamesRejectedAtWriteTime) {
   EXPECT_TRUE(parsed.graph.find_actor("dsp.core-1").has_value());
 }
 
+TEST(TextRoundTrip, WriterAndReaderAgreeOnWhitespace) {
+  // Writer and reader share one whitespace set, the classic locale's: a
+  // name write_chain accepts reparses as the same single token, and the
+  // bytes it refuses are exactly that set plus '#' and '='.
+  const std::string refused = std::string(" \t\n\v\f\r#=");
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    const std::string name = std::string("a") + c + "b";
+    VrdfGraph g;
+    const ActorId a = g.add_actor(name, milliseconds(Rational(1)));
+    const ActorId b = g.add_actor("ok", milliseconds(Rational(1)));
+    (void)g.add_buffer(a, b, RateSet::singleton(1), RateSet::singleton(1));
+    std::string text;
+    try {
+      text = write_chain(g, analysis::ConstraintSet{});
+    } catch (const ContractError&) {
+      EXPECT_NE(refused.find(c), std::string::npos) << "byte " << byte;
+      continue;
+    }
+    EXPECT_EQ(refused.find(c), std::string::npos) << "byte " << byte;
+    const ChainDocument parsed = read_chain(text);
+    ASSERT_EQ(parsed.graph.actor_count(), 2u) << "byte " << byte;
+    EXPECT_EQ(parsed.graph.actor(ActorId(0)).name, name) << "byte " << byte;
+  }
+}
+
 // ------------------------------------------------ parser rejections
 
 /// The ModelError text read_chain throws for `text`, or "" if it accepts.

@@ -54,9 +54,10 @@ from pathlib import Path
 
 # Files whose output participates in a canonical (bit-stable) byte
 # stream: the shared sweep engine, the fleet report/codec, the deployment
-# frontier report, the resumable journal, and the graph text format.
-# Every entry must exist: a stale entry would silently exempt the code it
-# named once moved, so it fails the lint.
+# frontier report, the resumable journal, the graph text format, and the
+# models it writes (actor names, their name index, rate sets).  Every
+# entry must exist: a stale entry would silently exempt the code it named
+# once moved, so it fails the lint.
 CANONICAL_FILES = (
     "src/sim/sweep.cpp",
     "src/sim/sweep.hpp",
@@ -68,6 +69,13 @@ CANONICAL_FILES = (
     "src/io/fleet_journal.hpp",
     "src/io/text_format.cpp",
     "src/io/text_format.hpp",
+    "src/dataflow/vrdf_graph.cpp",
+    "src/dataflow/vrdf_graph.hpp",
+    "src/dataflow/rate_set.cpp",
+    "src/dataflow/rate_set.hpp",
+    "src/taskgraph/task_graph.cpp",
+    "src/taskgraph/task_graph.hpp",
+    "src/graph/ids.hpp",
 )
 
 ANNOTATION = re.compile(r"//\s*det-lint:\s*ok\([^)]+\)")
