@@ -51,19 +51,25 @@ BenchDeployment make_bench_deployment(std::int64_t streams) {
     ++index;
     return id;
   };
+  const auto task_name = [](std::int64_t s, std::int64_t t) {
+    std::string name = "s";
+    name += std::to_string(s);
+    name += 't';
+    name += std::to_string(t);
+    return name;
+  };
   const taskgraph::TaskId root = add("root");
   for (std::int64_t s = 0; s < streams; ++s) {
     taskgraph::TaskId previous = root;
     for (std::int64_t t = 0; t < 3; ++t) {
-      const taskgraph::TaskId id =
-          add("s" + std::to_string(s) + "t" + std::to_string(t));
+      const taskgraph::TaskId id = add(task_name(s, t));
       (void)d.tasks.add_buffer(previous, id,
                                dataflow::RateSet::singleton(1),
                                dataflow::RateSet::singleton(1));
       previous = id;
     }
     d.streams.push_back(analysis::DeploymentConstraint{
-        "s" + std::to_string(s) + "t2", milliseconds(Rational(8))});
+        task_name(s, 2), milliseconds(Rational(8))});
   }
   return d;
 }

@@ -46,7 +46,9 @@ int main(int argc, char** argv) {
   const char* const paper_trad[] = {"5888", "3072", "882"};
   for (std::size_t i = 0; i < ours.pairs.size(); ++i) {
     const auto& data = app.graph.edge(ours.pairs[i].buffer.data);
-    table.add_row({"d" + std::to_string(i + 1),
+    std::string buffer = "d";
+    buffer += std::to_string(i + 1);
+    table.add_row({buffer,
                    data.production.to_string() + " / " +
                        data.consumption.to_string(),
                    std::to_string(ours.pairs[i].capacity),

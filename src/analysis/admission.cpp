@@ -63,14 +63,14 @@ AdmissionController::AdmissionController(const TopologySnapshot& snapshot,
 }
 
 AdmissionDecision AdmissionController::admit(
-    const ThroughputConstraint& stream) {
+    const ThroughputConstraint& stream, std::optional<std::size_t> at) {
   for (const ThroughputConstraint& c : engine_.constraints()) {
     VRDF_REQUIRE(!(c.actor == stream.actor),
                  "admit: actor already carries a stream constraint "
                  "(use set_period to change its rate)");
   }
   const std::int64_t before = engine_.analysis().total_capacity;
-  engine_.admit(stream);
+  engine_.admit(stream, at);
   bool accepted = false;
   AdmissionDecision decision = decide(engine_, before, &accepted);
   if (accepted) {
@@ -85,16 +85,14 @@ AdmissionDecision AdmissionController::remove(dataflow::ActorId actor) {
   VRDF_REQUIRE(engine_.constraints().size() > 1,
                "remove: cannot stop the last stream — an unconstrained "
                "graph has no analysis");
-  ThroughputConstraint removed{};
-  bool found = false;
-  for (const ThroughputConstraint& c : engine_.constraints()) {
-    if (c.actor == actor) {
-      removed = c;
-      found = true;
-      break;
-    }
+  const ConstraintSet& streams = engine_.constraints();
+  std::size_t at = 0;
+  while (at < streams.size() && !(streams[at].actor == actor)) {
+    ++at;
   }
-  VRDF_REQUIRE(found, "remove: actor carries no stream constraint");
+  VRDF_REQUIRE(at < streams.size(),
+               "remove: actor carries no stream constraint");
+  const ThroughputConstraint removed = streams[at];
   const std::int64_t before = engine_.analysis().total_capacity;
   engine_.remove(actor);
   bool accepted = false;
@@ -102,7 +100,7 @@ AdmissionDecision AdmissionController::remove(dataflow::ActorId actor) {
   if (accepted) {
     return decision;
   }
-  engine_.admit(removed);
+  engine_.admit(removed, at);
   decision.total_capacity = engine_.analysis().total_capacity;
   return decision;
 }

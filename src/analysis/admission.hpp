@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,17 +59,19 @@ public:
                       ConstraintSet initial_streams,
                       AnalysisOptions options = {});
 
-  /// May the new stream start?  (Adds its throughput constraint.)  The
-  /// actor must not already carry a constraint.
+  /// May the new stream start?  (Adds its throughput constraint, at
+  /// position `at` of streams() when given, else at the end.)  The actor
+  /// must not already carry a constraint.
   AdmissionDecision admit(
-      const ThroughputConstraint& stream);  // det-lint: ok(one stream)
+      const ThroughputConstraint& stream,  // det-lint: ok(one stream)
+      std::optional<std::size_t> at = std::nullopt);
   /// Stops the stream pinned at `actor`.  Removal rejects (and rolls
   /// back) when the remaining constraints no longer pace the whole
   /// graph — an actor or edge outside every remaining demand cone has
   /// no derivable rate.  Removing the *last* stream is refused with
   /// ContractError: an unconstrained graph has no analysis at all.
-  /// Rollback re-admits the stream at the end of the set (stream order
-  /// may change across a rejected removal).
+  /// Rollback re-admits the stream at the position it was removed from,
+  /// so a rejected removal keeps the stream order.
   AdmissionDecision remove(dataflow::ActorId actor);
   /// May `actor` run with worst-case response time `rho`?
   AdmissionDecision retune(dataflow::ActorId actor, Duration rho);

@@ -310,17 +310,19 @@ DeploymentDecision DeploymentController::admit(const std::string& task,
 
 DeploymentDecision DeploymentController::remove(const std::string& task) {
   const dataflow::ActorId actor = actor_of(task);
-  // Remember the stream's period for the certificate-gate rollback.
-  Duration old_period;
-  for (const ThroughputConstraint& stream : controller_->streams()) {
-    if (stream.actor == actor) {
-      old_period = stream.period;
-    }
+  // Remember the stream and its position for the certificate-gate
+  // rollback, which puts it back where it was.
+  const ConstraintSet& streams = controller_->streams();
+  std::size_t at = 0;
+  while (at < streams.size() && !(streams[at].actor == actor)) {
+    ++at;
   }
+  const std::optional<ThroughputConstraint> removed =
+      at < streams.size() ? std::optional(streams[at]) : std::nullopt;
   AdmissionDecision inner = controller_->remove(actor);
   if (inner.accepted) {
     if (auto violation = certificate_gate_()) {
-      (void)controller_->admit(ThroughputConstraint{actor, old_period});
+      (void)controller_->admit(*removed, at);
       DeploymentDecision out;
       out.binding_constraint = *violation;
       out.diagnostics.push_back(*violation);

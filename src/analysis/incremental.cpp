@@ -125,11 +125,17 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   run_certification_();
 }
 
-void IncrementalAnalysis::admit(ThroughputConstraint stream) {
+void IncrementalAnalysis::admit(ThroughputConstraint stream,
+                                std::optional<std::size_t> at) {
   snapshot_.require_fresh();
+  VRDF_REQUIRE(!at.has_value() || *at <= constraints_.size(),
+               "admit: insertion index past the end of the set");
   ++stats_.queries;
   ConstraintSet before = constraints_;
-  constraints_.push_back(stream);
+  constraints_.insert(
+      constraints_.begin() +
+          static_cast<std::ptrdiff_t>(at.value_or(constraints_.size())),
+      stream);
   change_constraints_(std::move(before), std::nullopt);
   run_certification_();
 }
@@ -166,8 +172,109 @@ void IncrementalAnalysis::change_constraints_(
     replaced.pacing =
         std::exchange(pacing_, compute_pacing(snapshot_, constraints_));
     ++stats_.pacing_recomputes;
+    if (patch_moved_(replaced.pacing)) {
+      return;
+    }
   }
   rebuild_(std::move(replaced));
+}
+
+bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
+  if (!sized_() || !pacing_.ok) {
+    return false;
+  }
+  const VrdfGraph& graph = snapshot_.graph();
+  const dataflow::VrdfGraph::BufferView& view = *pacing_.view;
+  const std::size_t n = graph.actor_count();
+  const auto kinds = [](const PacingResult& pacing, dataflow::ActorId v) {
+    return std::pair(detail::constrained_kind(pacing, v, /*sink_kind=*/true),
+                     detail::constrained_kind(pacing, v, /*sink_kind=*/false));
+  };
+
+  // Seeds: actors whose ω formula may read something new — φ, region or
+  // anchor kinds (which pass computes ω, or pins it at 0).  A moved φ
+  // is also the only way the ρ ≤ φ check can newly fail.
+  std::vector<char>& dirty_a = scratch_dirty_a_;
+  std::vector<char>& dirty_b = scratch_dirty_b_;
+  dirty_a.assign(n, 0);
+  dirty_b.assign(n, 0);
+  for (const dataflow::ActorId v : pacing_.actors_in_order) {
+    const std::size_t i = v.index();
+    const bool phi_moved = pacing_.pacing_by_actor[i] != held.pacing_by_actor[i];
+    if (phi_moved &&
+        overlay_.response_time_of(graph, v) > pacing_.pacing_by_actor[i]) {
+      return false;  // ρ-blocked: rebuild_() renders and parks
+    }
+    if (phi_moved || pacing_.sink_anchored[i] != held.sink_anchored[i] ||
+        kinds(pacing_, v) != kinds(held, v)) {
+      dirty_a[i] = 1;
+      dirty_b[i] = 1;
+    }
+  }
+  // Pairs whose rates or tight-adjacency rounding moved re-analyse, and
+  // their endpoints' ω formulas read the rates.
+  const auto tight_adjacent = [&](const PacingResult& pacing,
+                                  std::size_t pos) {
+    const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
+    return pacing.determined_by[pos] == ConstraintSide::Sink
+               ? detail::constrained_kind(pacing, data.target, true)
+               : detail::constrained_kind(pacing, data.source, false);
+  };
+  std::vector<char>& dirty_pair = scratch_dirty_pair_;
+  dirty_pair.assign(analysis_.pairs.size(), 0);
+  for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
+    if (pacing_.determined_by[pos] != held.determined_by[pos] ||
+        pacing_.bound_rate[pos] != held.bound_rate[pos] ||
+        pacing_.producer_slack[pos] != held.producer_slack[pos] ||
+        pacing_.consumer_slack[pos] != held.consumer_slack[pos]) {
+      dirty_pair[pos] = 1;
+      const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
+      for (const dataflow::ActorId v : {data.source, data.target}) {
+        dirty_a[v.index()] = 1;
+        dirty_b[v.index()] = 1;
+      }
+    } else if (tight_adjacent(pacing_, pos) != tight_adjacent(held, pos)) {
+      dirty_pair[pos] = 1;
+    }
+  }
+
+  // A pair reads ω only as the difference across it (reversed on a
+  // back-edge), so a pair whose two ω shifted by the same amount keeps
+  // its entry: compare the endpoints' shifts, 0 where ω did not move.
+  std::vector<Duration>& shift = scratch_lead_shift_;
+  shift = lead_;
+  std::vector<char>& changed_lead = scratch_changed_lead_;
+  changed_lead.assign(n, 0);
+  update_lead_cone_(changed_lead);
+  for (std::size_t i = 0; i < n; ++i) {
+    shift[i] = changed_lead[i] ? lead_[i] - shift[i] : Duration();
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!changed_lead[i]) {
+      continue;
+    }
+    for (const std::size_t pos : snapshot_.incident_pairs()[i]) {
+      const PairAnalysis& pair = analysis_.pairs[pos];
+      if (shift[pair.producer.index()] != shift[pair.consumer.index()]) {
+        dirty_pair[pos] = 1;
+      }
+    }
+  }
+  std::vector<std::size_t>& dirty = scratch_dirty_;
+  dirty.clear();
+  for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
+    if (dirty_pair[pos]) {
+      dirty.push_back(pos);
+    }
+  }
+
+  analysis_.side = pacing_.side;
+  analysis_.constraints = pacing_.constraints;
+  analysis_.constraint_is_sink_kind = pacing_.constraint_is_sink_kind;
+  analysis_.constraint_is_source_kind = pacing_.constraint_is_source_kind;
+  analysis_.pacing = pacing_.pacing;
+  patch_pairs_(dirty);  // an ok pacing carries no diagnostics
+  return true;
 }
 
 std::size_t IncrementalAnalysis::constraint_index_(dataflow::ActorId actor,
@@ -260,9 +367,20 @@ void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor,
     rebuild_(std::move(replaced));
     return;
   }
+  // ρ(actor) enters its own pass-A formula and — as ρ(source) — the
+  // pass-B formula of every consumer behind a source-determined out-edge.
+  const dataflow::VrdfGraph::BufferView& view = *pacing_.view;
+  scratch_dirty_a_.assign(graph.actor_count(), 0);
+  scratch_dirty_b_.assign(graph.actor_count(), 0);
+  scratch_dirty_a_[actor.index()] = 1;
+  for (const std::size_t pos : view.out_buffers[actor.index()]) {
+    if (pacing_.determined_by[pos] == ConstraintSide::Source) {
+      scratch_dirty_b_[graph.edge(view.buffers[pos].data).target.index()] = 1;
+    }
+  }
   std::vector<char>& changed_lead = scratch_changed_lead_;
   changed_lead.assign(graph.actor_count(), 0);
-  update_lead_cone_(actor, changed_lead);
+  update_lead_cone_(changed_lead);
   // Pair invalidation: pairs touching the retuned actor (its ρ enters
   // their chain-local and consumer slack terms) plus pairs touching any
   // actor whose ω moved (their alignment gap reads both endpoint leads).
@@ -289,48 +407,29 @@ void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor,
   patch_pairs_(dirty);
 }
 
-void IncrementalAnalysis::update_lead_cone_(dataflow::ActorId seed,
-                                            std::vector<char>& changed_lead) {
+void IncrementalAnalysis::update_lead_cone_(std::vector<char>& changed_lead) {
   const VrdfGraph& graph = snapshot_.graph();
   const dataflow::VrdfGraph::BufferView& view = *pacing_.view;
   const std::size_t n = graph.actor_count();
-
-  const auto processed_in_a = [&](dataflow::ActorId v) {
-    return pacing_.sink_anchored[v.index()] &&
-           !detail::constrained_kind(pacing_, v, /*sink_kind=*/true);
-  };
-  const auto processed_in_b = [&](dataflow::ActorId v) {
-    return !pacing_.sink_anchored[v.index()] &&
-           !detail::constrained_kind(pacing_, v, /*sink_kind=*/false);
-  };
-
   std::vector<char>& dirty_a = scratch_dirty_a_;
   std::vector<char>& dirty_b = scratch_dirty_b_;
-  dirty_a.assign(n, 0);
-  dirty_b.assign(n, 0);
-  // ρ(seed) enters the seed's own pass-A formula and — as ρ(source) —
-  // the pass-B formula of every consumer behind a source-determined
-  // out-edge.
-  dirty_a[seed.index()] = 1;
-  for (const std::size_t pos : view.out_buffers[seed.index()]) {
-    if (pacing_.determined_by[pos] == ConstraintSide::Source) {
-      dirty_b[graph.edge(view.buffers[pos].data).target.index()] = 1;
-    }
-  }
 
   std::uint64_t recomputed = 0;
   // Pass A — reverse topological order over the dirty sink-anchored
   // actors; a changed ω wakes its pass-A producers (sink-determined
   // in-edges point at actors earlier in the order, visited later in this
   // sweep) and hands off to pass B through source-determined out-edges.
+  // A sink-anchored actor outside pass A is a sink-kind anchor (ω = 0).
   for (std::size_t i = pacing_.actors_in_order.size(); i-- > 0;) {
     const dataflow::ActorId v = pacing_.actors_in_order[i];
-    if (!dirty_a[v.index()] || !processed_in_a(v)) {
+    if (!dirty_a[v.index()] || !pacing_.sink_anchored[v.index()]) {
       continue;
     }
-    const Duration fresh =
-        detail::lead_pass_a_of(graph, overlay_, pacing_, lead_, v);
-    ++recomputed;
+    Duration fresh;
+    if (!detail::constrained_kind(pacing_, v, /*sink_kind=*/true)) {
+      fresh = detail::lead_pass_a_of(graph, overlay_, pacing_, lead_, v);
+      ++recomputed;
+    }
     if (fresh == lead_[v.index()]) {
       continue;  // early stop: the cone ends where ω is unchanged
     }
@@ -349,14 +448,17 @@ void IncrementalAnalysis::update_lead_cone_(dataflow::ActorId seed,
   }
   // Pass B — forward order over the rest; a changed ω wakes the
   // consumers behind source-determined out-edges (pass A never reads a
-  // pass-B lead: sink-determined targets are always sink-anchored).
+  // pass-B lead: sink-determined targets are always sink-anchored).  An
+  // actor here outside pass B is a source-kind anchor (ω = 0).
   for (const dataflow::ActorId v : pacing_.actors_in_order) {
-    if (!dirty_b[v.index()] || !processed_in_b(v)) {
+    if (!dirty_b[v.index()] || pacing_.sink_anchored[v.index()]) {
       continue;
     }
-    const Duration fresh =
-        detail::lead_pass_b_of(graph, overlay_, pacing_, lead_, v);
-    ++recomputed;
+    Duration fresh;
+    if (!detail::constrained_kind(pacing_, v, /*sink_kind=*/false)) {
+      fresh = detail::lead_pass_b_of(graph, overlay_, pacing_, lead_, v);
+      ++recomputed;
+    }
     if (fresh == lead_[v.index()]) {
       continue;
     }

@@ -23,23 +23,32 @@
 //    propagation); leads and pairs re-derive on top.
 //  * admit / remove / multi-constraint set_period: the constraint
 //    structure itself changes (sides, anchors, seed interactions), so
-//    pacing re-propagates — but on the cached snapshot, skipping the
-//    structural tier entirely.
+//    pacing re-propagates on the cached snapshot, skipping the
+//    structural tier entirely.  The sized result reads the constraint
+//    set only through that pacing, so when the held result and the new
+//    one are both sized, the new pacing is diffed against the held one
+//    instead of re-sizing: the ω cone is seeded with every actor whose
+//    φ, region (sink_anchored), anchor kinds or incident pair rates
+//    moved, and only the pairs whose rates, tight-adjacency rounding or
+//    endpoint-lead difference moved re-analyse.  An anchor that moves
+//    shifts a whole region's ω by a constant; Eq (1)–(4) read ω only as
+//    the difference across a pair, so such a shift re-sizes nothing.
 //  * set_initial_tokens(edge, δ): pacing and leads are δ-independent;
 //    a data-edge override re-analyses just its own pair (feedback
 //    credit / capacity), a space-edge override changes nothing in the
 //    sized analysis (only min_admissible_period reads installed space).
 //
 // The engine holds one result, the GraphAnalysis it serves.  Every full
-// re-size (construction, admit, remove, set_period, and entering or
-// leaving a ρ-blocked state) assigns detail::size_from_pacing's result
-// on the current pacing — the same code compute_buffer_capacities runs,
-// so the three result shapes (pacing failed, ρ-blocked, sized) are
-// assembled in one place.  The retune cone and the data-edge δ override
-// patch that result in place: each re-analysed pair is written over its
-// old entry, total_capacity moves by the difference, and the
-// diagnostics are re-rendered only when a starving back-edge's
-// diagnostic appears, vanishes or changes.
+// re-size (construction, the single-constraint set_period rescale, and
+// entering or leaving a ρ-blocked or pacing-failed state) assigns
+// detail::size_from_pacing's result on the current pacing — the same
+// code compute_buffer_capacities runs, so the three result shapes
+// (pacing failed, ρ-blocked, sized) are assembled in one place.  The
+// retune cone, the constraint diff and the data-edge δ override patch
+// that result in place: each re-analysed pair is written over its old
+// entry, total_capacity moves by the difference, and the diagnostics
+// are re-rendered only when a starving back-edge's diagnostic appears,
+// vanishes or changes.
 //
 // Park and restore.  The sized result is a function of the constraint
 // set and the overlay's resolved ρ/δ alone.  A query that takes a sized
@@ -82,7 +91,10 @@ struct InvalidationStats {
   /// set_initial_tokens).
   std::uint64_t queries = 0;
   /// Queries that re-ran the pacing propagation (admit / remove /
-  /// multi-constraint set_period).
+  /// multi-constraint set_period).  One that takes a sized result to a
+  /// sized result counts this one propagation, the cone's leads (as a
+  /// retune does) and the pairs it re-analysed, and sets last_cone_* to
+  /// those; any other one re-sizes in full or restores the park.
   std::uint64_t pacing_recomputes = 0;
   /// Queries that reused the cached pacing verbatim or rescaled it.
   std::uint64_t pacing_cache_hits = 0;
@@ -93,8 +105,10 @@ struct InvalidationStats {
   std::uint64_t pairs_recomputed = 0;
   std::uint64_t pairs_reused = 0;
   /// Actors whose ω the most recent query re-derived: every actor on a
-  /// full re-size, the cone on a retune, 0 on a δ override and whenever
-  /// the result is ρ-blocked or pacing-failed.
+  /// full re-size, the cone on a retune or a sized-to-sized constraint
+  /// change, 0 on a δ override and whenever the result is ρ-blocked or
+  /// pacing-failed.  The cone counts each ω formula it evaluates; an
+  /// actor that became an anchor drops to ω = 0 uncounted.
   std::uint64_t last_cone_actors = 0;
   /// Pairs re-analysed by the most recent query (0 whenever the result
   /// is ρ-blocked or pacing-failed).
@@ -146,9 +160,12 @@ public:
   /// pacing; multi-constraint sets re-propagate on the cached snapshot.
   void set_period(dataflow::ActorId actor, Duration tau);
 
-  /// Adds a throughput constraint (a new stream's rate contract).
-  /// Re-propagates pacing on the cached snapshot.
-  void admit(ThroughputConstraint stream);
+  /// Adds a throughput constraint (a new stream's rate contract) at
+  /// position `at` of constraints(), at the end when none is given — a
+  /// rollback puts a removed stream back where it was.  Re-propagates
+  /// pacing on the cached snapshot.
+  void admit(ThroughputConstraint stream,
+             std::optional<std::size_t> at = std::nullopt);
   /// Removes the constraint pinned at `actor` (which must carry one).
   void remove(dataflow::ActorId actor);
 
@@ -201,10 +218,18 @@ private:
   /// Shared tail of admit / remove / set_period once constraints_ holds
   /// the new set (`before`: the old one): restores the parked state when
   /// the new set is the parked one; otherwise rescales pacing_ by
-  /// `rescale` (a single constraint's τ_new/τ_old) or, when there is
-  /// none, re-propagates on the cached snapshot, then rebuild_()s.
+  /// `rescale` (a single constraint's τ_new/τ_old) and rebuild_()s or,
+  /// when there is none, re-propagates on the cached snapshot and
+  /// patch_moved_()s, falling back to rebuild_().
   void change_constraints_(ConstraintSet before,
                            std::optional<Rational> rescale);
+  /// Sized-to-sized tail of a re-propagated constraint change: diffs
+  /// pacing_ against `held`, the pacing analysis_ was sized on, and
+  /// patches analysis_ where they differ (see the header comment).
+  /// Returns false, touching nothing but scratch, when either result is
+  /// not sized — analysis_ is not, pacing_ failed, or a moved φ falls
+  /// below its actor's ρ.
+  bool patch_moved_(const PacingResult& held);
   /// Full re-size on the current pacing_: analysis_ becomes
   /// detail::size_from_pacing's result, and lead_ is refilled from its
   /// leads when it is sized.  A sized result drops the park; a sized
@@ -223,10 +248,11 @@ private:
   /// re-derives the ω cone and patches the dirty pairs; on a return to
   /// a parked ρ, restore_(); otherwise rebuild_().
   void apply_rho_change_(dataflow::ActorId actor, Duration before);
-  /// Re-derives the ω cone after ρ(seed) changed; records which actors'
-  /// leads changed in changed_lead (indexed by ActorId::index()).
-  void update_lead_cone_(dataflow::ActorId seed,
-                         std::vector<char>& changed_lead);
+  /// Re-derives the ω cone in lead_ from the seeds marked in
+  /// scratch_dirty_a_ / scratch_dirty_b_ (by ActorId::index(): actors
+  /// whose pass-A / pass-B formula may have moved; a marked anchor drops
+  /// to ω = 0); records which actors' leads changed in changed_lead.
+  void update_lead_cone_(std::vector<char>& changed_lead);
   /// Re-analyses the pairs at the `dirty` positions into analysis_ in
   /// place: adjusts total_capacity by their change, refreshes the leads
   /// from lead_, and re-renders the diagnostics (and admissibility) when
@@ -272,6 +298,8 @@ private:
   std::vector<char> scratch_dirty_a_;
   std::vector<char> scratch_dirty_b_;
   std::vector<std::size_t> scratch_dirty_;
+  /// Per actor, how far a constraint change's cone moved its ω.
+  std::vector<Duration> scratch_lead_shift_;
 };
 
 }  // namespace vrdf::analysis

@@ -37,7 +37,9 @@ ActorId actor(std::size_t index) {
 VrdfGraph build(const Shape& shape) {
   VrdfGraph g;
   for (std::size_t i = 0; i < shape.actors; ++i) {
-    (void)g.add_actor("a" + std::to_string(i), kRho);
+    std::string name = "a";
+    name += std::to_string(i);
+    (void)g.add_actor(name, kRho);
   }
   for (const auto& [from, to, tokens] : shape.buffers) {
     (void)g.add_buffer(actor(from), actor(to), RateSet::singleton(1),
@@ -117,7 +119,10 @@ TEST(RateSet, SingletonSpellingsAgree) {
         RateSet::interval(v, v)};
     for (const RateSet& s : spellings) {
       EXPECT_EQ(s, spellings[0]);
-      EXPECT_EQ(s.to_string(), "{" + std::to_string(v) + "}");
+      std::string braced = "{";
+      braced += std::to_string(v);
+      braced += '}';
+      EXPECT_EQ(s.to_string(), braced);
       EXPECT_TRUE(s.is_singleton());
       EXPECT_EQ(s.size(), 1u);
       EXPECT_EQ(s.nth(0), v);
@@ -274,7 +279,9 @@ TEST(VrdfGraph, NameIndexScalesAndKeepsInsertionOrder) {
   // id, and actors() still runs in insertion order.
   constexpr std::size_t kActors = 4096;
   const auto name_of = [](std::size_t i) {
-    return "n" + std::to_string((i * 2654435761u) % kActors);
+    std::string name = "n";
+    name += std::to_string((i * 2654435761u) % kActors);
+    return name;
   };
   VrdfGraph g;
   for (std::size_t i = 0; i < kActors; ++i) {

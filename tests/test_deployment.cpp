@@ -298,12 +298,18 @@ RandomDeployment make_random_deployment(std::mt19937_64& rng,
     ++index;
     return id;
   };
+  const auto task_name = [](std::int64_t s, std::int64_t t) {
+    std::string name = "s";
+    name += std::to_string(s);
+    name += 't';
+    name += std::to_string(t);
+    return name;
+  };
   const taskgraph::TaskId root = add("root");
   for (std::int64_t s = 0; s < stream_count; ++s) {
     taskgraph::TaskId previous = root;
     for (std::int64_t t = 0; t < tasks_per_stream; ++t) {
-      const taskgraph::TaskId id =
-          add("s" + std::to_string(s) + "t" + std::to_string(t));
+      const taskgraph::TaskId id = add(task_name(s, t));
       (void)d.tasks.add_buffer(previous, id, RateSet::singleton(1),
                                RateSet::singleton(1));
       previous = id;

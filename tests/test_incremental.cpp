@@ -3,8 +3,10 @@
 // retune/set_period/admit/remove/δ-override and reject-then-roll-back
 // sequences, asserting the incremental GraphAnalysis is field-for-field
 // identical to a full recompute after every operation — including
-// rejection shapes and diagnostics), the MP3 anchor {6015, 3263, 882}
-// served through the controller, rollback-on-rejection, the
+// rejection shapes and diagnostics), every single pin and unpin from a
+// sized state against a full recompute, the partial re-size of a
+// constraint change, the MP3 anchor {6015, 3263, 882} served through
+// the controller, rollback-on-rejection and the stream order it keeps, the
 // single-constraint period rescale path, δ-override contracts, the
 // invalidation counters of every engine branch, the exact restore of a
 // parked sized state and the queries that drop it, and stale-snapshot
@@ -76,11 +78,30 @@ void expect_identical(const GraphAnalysis& got, const GraphAnalysis& want) {
   }
 }
 
+/// The engine's analysis equals a full recompute over its own constraints
+/// and overlay.
+void expect_matches_full(const IncrementalAnalysis& engine) {
+  expect_identical(engine.analysis(),
+                   compute_buffer_capacities(engine.snapshot(),
+                                             engine.constraints(),
+                                             engine.options(),
+                                             engine.overlay()));
+}
+
 // ----------------------------------------------- randomized differential
 
-/// Returns how many rejections it rolled back through the parked state.
-std::size_t run_differential_sequence(models::ModelClass model_class,
-                                      std::uint64_t seed) {
+/// What a differential sequence saw its engine do besides matching the
+/// full recompute.
+struct Served {
+  /// Rejections rolled back through the parked state.
+  std::size_t restores = 0;
+  /// Re-propagated constraint changes from a sized result to a sized
+  /// result that re-analysed fewer pairs than a full re-size.
+  std::size_t patched = 0;
+};
+
+Served run_differential_sequence(models::ModelClass model_class,
+                                 std::uint64_t seed) {
   models::RandomModelSpec spec;
   spec.model_class = model_class;
   spec.seed = seed;
@@ -88,7 +109,7 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
   const TopologySnapshot snapshot(model.graph);
   EXPECT_TRUE(snapshot.ok());
   if (!snapshot.ok()) {
-    return 0;
+    return {};
   }
   const AnalysisOptions options;
   IncrementalAnalysis engine(snapshot, model.constraints, options);
@@ -133,7 +154,18 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
     }
     return std::nullopt;
   };
-  std::size_t restores = 0;
+  Served served;
+  // Runs a constraint change and counts it when it was patched.
+  const auto change = [&](const auto& apply) {
+    const bool was_sized = !engine.analysis().leads.empty();
+    const std::uint64_t recomputes = engine.stats().pacing_recomputes;
+    apply();
+    if (was_sized && !engine.analysis().leads.empty() &&
+        engine.stats().pacing_recomputes == recomputes + 1 &&
+        engine.stats().last_cone_pairs < view.buffers.size()) {
+      ++served.patched;
+    }
+  };
 
   for (int step = 0; step < 12; ++step) {
     switch (rng() % 7) {
@@ -159,7 +191,9 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
         const ThroughputConstraint c = engine.constraints()[i];
         const Rational factor(static_cast<std::int64_t>(1 + rng() % 5),
                               static_cast<std::int64_t>(1 + rng() % 5));
-        engine.set_period(c.actor, Duration(c.period.seconds() * factor));
+        change([&] {
+          engine.set_period(c.actor, Duration(c.period.seconds() * factor));
+        });
         check("set_period");
         break;
       }
@@ -211,7 +245,7 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
             }
           }
         }
-        engine.admit(ThroughputConstraint{actor, period});
+        change([&] { engine.admit(ThroughputConstraint{actor, period}); });
         check("admit");
         break;
       }
@@ -264,7 +298,7 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
         if (parked) {
           EXPECT_EQ(engine.stats().leads_recomputed, leads_recomputed);
           EXPECT_EQ(engine.stats().last_cone_actors, 0u);
-          ++restores;
+          ++served.restores;
         }
         break;
       }
@@ -275,7 +309,7 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
           break;
         }
         const std::size_t i = rng() % engine.constraints().size();
-        engine.remove(engine.constraints()[i].actor);
+        change([&] { engine.remove(engine.constraints()[i].actor); });
         check("remove");
         break;
       }
@@ -287,15 +321,20 @@ std::size_t run_differential_sequence(models::ModelClass model_class,
       << (engine.last_certificate_violation().has_value()
               ? describe(*engine.last_certificate_violation())
               : std::string());
-  return restores;
+  return served;
 }
 
 void run_differential_sweep(models::ModelClass model_class) {
-  std::size_t restores = 0;
+  Served total;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    restores += run_differential_sequence(model_class, seed);
+    const Served served = run_differential_sequence(model_class, seed);
+    total.restores += served.restores;
+    total.patched += served.patched;
   }
-  EXPECT_GT(restores, 0u) << "no rejection was rolled back through the park";
+  EXPECT_GT(total.restores, 0u)
+      << "no rejection was rolled back through the park";
+  EXPECT_GT(total.patched, 0u)
+      << "no constraint change was served without a full re-size";
 }
 
 TEST(IncrementalDifferential, ChainSweepMatchesFullRecompute) {
@@ -316,6 +355,71 @@ TEST(IncrementalDifferential, MultiConstraintSweepMatchesFullRecompute) {
 
 TEST(IncrementalDifferential, InteriorPinnedSweepMatchesFullRecompute) {
   run_differential_sweep(models::ModelClass::InteriorPinned);
+}
+
+// Constraint changes from sized states, exhaustively per model: every
+// unconstrained actor is pinned at its own pacing and unpinned again,
+// and every pin of the initial set is removed and put back at its
+// position.  Each result must equal a full recompute; most of these
+// changes keep the result sized, so they run the pacing diff.
+TEST(IncrementalDifferential, EveryPinAndUnpinMatchesFullRecompute) {
+  std::size_t patched = 0;
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
+        models::ModelClass::InteriorPinned}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      models::RandomModelSpec spec;
+      spec.model_class = model_class;
+      spec.seed = seed;
+      const models::SyntheticModel model = models::make_random_model(spec);
+      const TopologySnapshot snapshot(model.graph);
+      ASSERT_TRUE(snapshot.ok());
+      IncrementalAnalysis engine(snapshot, model.constraints);
+      engine.set_certify(true);
+      if (engine.analysis().leads.empty()) {
+        continue;
+      }
+      const auto step = [&](const std::string& what, const auto& apply) {
+        SCOPED_TRACE(std::string(models::class_name(model_class)) +
+                     " seed " + std::to_string(seed) + ": " + what);
+        const bool was_sized = !engine.analysis().leads.empty();
+        const std::uint64_t pairs = engine.stats().pairs_recomputed;
+        apply();
+        expect_matches_full(engine);
+        if (was_sized && !engine.analysis().leads.empty() &&
+            engine.stats().pairs_recomputed - pairs <
+                engine.analysis().pairs.size()) {
+          ++patched;
+        }
+      };
+      for (const ActorId v : model.graph.actors()) {
+        bool pinned = false;
+        for (const ThroughputConstraint& c : engine.constraints()) {
+          pinned = pinned || c.actor == v;
+        }
+        if (pinned || engine.analysis().leads.empty()) {
+          continue;
+        }
+        const std::string name = model.graph.actor(v).name;
+        const Duration phi = engine.pacing().pacing_of(v);
+        step("pin " + name, [&] { engine.admit(ThroughputConstraint{v, phi}); });
+        step("unpin " + name, [&] { engine.remove(v); });
+      }
+      for (std::size_t at = 0; at < model.constraints.size(); ++at) {
+        if (engine.constraints().size() < 2) {
+          break;
+        }
+        const ThroughputConstraint c = engine.constraints()[at];
+        const std::string name = model.graph.actor(c.actor).name;
+        step("remove " + name, [&] { engine.remove(c.actor); });
+        step("re-admit " + name, [&] { engine.admit(c, at); });
+        EXPECT_EQ(engine.constraints()[at].actor, c.actor);
+      }
+      EXPECT_EQ(engine.stats().certificate_violations, 0u);
+    }
+  }
+  EXPECT_GT(patched, 0u);
 }
 
 // ------------------------------------------------------- MP3 anchor
@@ -428,6 +532,11 @@ TEST(AdmissionControl, RefusesInadmissibleInitialStateAndLastRemoval) {
   EXPECT_THROW(controller.admit(ThroughputConstraint{
                    app.dac, seconds(Rational(1, 100))}),
                ContractError);
+  EXPECT_THROW(controller.admit(ThroughputConstraint{
+                                    app.src, seconds(Rational(1, 100))},
+                                2),
+               ContractError);
+  EXPECT_EQ(controller.streams().size(), 1u);
 }
 
 // ------------------------------------------------- single-period rescale
@@ -569,6 +678,11 @@ TEST(IncrementalAnalysis, DeltaOverrideContractAndSpaceInertness) {
 /// `tokens` circulating tokens (kept above zero on a back-edge);
 /// `stream` is admitted at its own pacing as a second constraint, and
 /// the pinned period is then moved until the pacing fails and back.
+/// Where both sides of a re-propagated constraint change are sized, the
+/// engine patches instead of re-sizing: admitting `stream` re-derives
+/// `admit_cone_actors` leads and `admit_cone_pairs` pairs, removing it
+/// again `remove_cone_actors` and `remove_cone_pairs`, and re-stating the
+/// pinned period moves nothing.
 struct CounterScenario {
   const VrdfGraph* graph = nullptr;
   ThroughputConstraint constraint;
@@ -583,6 +697,10 @@ struct CounterScenario {
   /// Whether the model with `stream` pinned as well still paces; when
   /// not, admit fails the pacing and only remove recovers it.
   bool two_pins_pace = true;
+  std::uint64_t admit_cone_actors = 0;
+  std::uint64_t admit_cone_pairs = 0;
+  std::uint64_t remove_cone_actors = 0;
+  std::uint64_t remove_cone_pairs = 0;
 };
 
 /// Runs `scenario` on one certifying engine.  After each step every
@@ -645,6 +763,15 @@ void pin_counters(const CounterScenario& scenario) {
   const auto repropagate = [&] {
     ++want.queries;
     ++want.pacing_recomputes;
+  };
+  // A sized-to-sized constraint change: the cone and the pairs it moved.
+  const auto patch = [&](std::uint64_t actors, std::uint64_t moved) {
+    want.leads_recomputed += actors;
+    want.leads_reused += n - actors;
+    want.pairs_recomputed += moved;
+    want.pairs_reused += pairs - moved;
+    want.last_cone_actors = actors;
+    want.last_cone_pairs = moved;
   };
   // A return to the parked sized state: nothing re-derived.
   const auto restore = [&] {
@@ -735,14 +862,14 @@ void pin_counters(const CounterScenario& scenario) {
   engine.admit(ThroughputConstraint{scenario.stream, phi});
   repropagate();
   if (scenario.two_pins_pace) {
-    full_size();
+    patch(scenario.admit_cone_actors, scenario.admit_cone_pairs);
     ASSERT_TRUE(engine.analysis().admissible);
     expect("admit", true);
 
     engine.set_period(pinned, relaxed);
     repropagate();
-    full_size();
-    expect("multi-constraint set_period", true);
+    patch(0, 0);
+    expect("multi-constraint set_period, same period", true);
   } else {
     ASSERT_TRUE(engine.analysis().actors_in_order.empty());
     expect("admit fails pacing", false);
@@ -772,7 +899,11 @@ void pin_counters(const CounterScenario& scenario) {
 
   engine.remove(scenario.stream);
   repropagate();
-  full_size();
+  if (scenario.two_pins_pace) {
+    patch(scenario.remove_cone_actors, scenario.remove_cone_pairs);
+  } else {
+    full_size();
+  }
   ASSERT_TRUE(engine.analysis().admissible);
   expect("remove", true);
 }
@@ -793,7 +924,16 @@ TEST(IncrementalAnalysis, CountersPinnedThroughEveryBranchOnMp3) {
   scenario.block_actor = app.mp3;
   scenario.pair = app.b2;
   scenario.tokens = 2;
+  // Pinning the sample-rate converter at its own pacing moves no φ: it
+  // becomes an anchor (ω = 0), so its two producers' ω shift by a constant
+  // and are re-derived, and only its two pairs re-analyse — the input one
+  // now rounds tightly, the output one sees a new alignment gap.
+  // Unpinning it re-derives its own ω as well.
   scenario.stream = app.src;
+  scenario.admit_cone_actors = 2;
+  scenario.admit_cone_pairs = 2;
+  scenario.remove_cone_actors = 3;
+  scenario.remove_cone_pairs = 2;
   pin_counters(scenario);
 }
 
@@ -863,16 +1003,6 @@ TEST(IncrementalAnalysis, LastConeDescribesTheMostRecentQuery) {
 }
 
 // -------------------------------------------------- starving back-edges
-
-/// The engine's analysis equals a full recompute over its own constraints
-/// and overlay.
-void expect_matches_full(const IncrementalAnalysis& engine) {
-  expect_identical(engine.analysis(),
-                   compute_buffer_capacities(engine.snapshot(),
-                                             engine.constraints(),
-                                             engine.options(),
-                                             engine.overlay()));
-}
 
 /// The pair of `analysis` on `buffer`.
 const PairAnalysis& pair_on(const GraphAnalysis& analysis,
@@ -1016,6 +1146,102 @@ TEST(IncrementalAnalysis, OneOfTwoStarvingBackEdgesMoves) {
             std::string::npos);
   EXPECT_EQ(engine.analysis().diagnostics[1], mon_diagnostic);
   expect_matches_full(engine);
+}
+
+// ------------------------------------------------------ constraint diff
+
+// A gear chain pinned at its sink (a data-dependent first buffer, then
+// alternating 1:2 and 2:1 gears), the admission workload's shape in
+// small.  Pinning an interior actor at its own pacing moves no φ: the
+// pin becomes an anchor and its upstream ω all shift by one constant,
+// which no pair reads.  Admitting it and removing it again each
+// propagate once and re-analyse at most the pin's two pairs, and each
+// result equals a full recompute.
+TEST(IncrementalAnalysis, InteriorStreamAtItsOwnPacingPatchesItsTwoPairs) {
+  using dataflow::RateSet;
+  constexpr std::size_t kActors = 12;
+  const auto ms = [](std::int64_t v) { return milliseconds(Rational(v)); };
+  VrdfGraph graph;
+  std::vector<ActorId> actors;
+  for (std::size_t i = 0; i < kActors; ++i) {
+    std::string name = "v";
+    name += std::to_string(i);
+    actors.push_back(graph.add_actor(name, ms(1)));
+  }
+  (void)graph.add_buffer(actors[0], actors[1], RateSet::singleton(2),
+                         RateSet::interval(1, 2));
+  for (std::size_t i = 1; i + 1 < kActors; ++i) {
+    const std::int64_t gear = 1 + static_cast<std::int64_t>(i % 2);
+    (void)graph.add_buffer(actors[i], actors[i + 1], RateSet::singleton(gear),
+                           RateSet::singleton(3 - gear));
+  }
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  IncrementalAnalysis engine(
+      snapshot, ConstraintSet{ThroughputConstraint{actors.back(), ms(40)}});
+  engine.set_certify(true);
+  ASSERT_TRUE(engine.analysis().admissible);
+
+  const ActorId pin = actors[kActors / 2];
+  const Duration phi = engine.pacing().pacing_of(pin);
+  const auto expect_patched = [&](const char* step, const auto& apply) {
+    SCOPED_TRACE(step);
+    const InvalidationStats before = engine.stats();
+    apply();
+    const InvalidationStats& after = engine.stats();
+    ASSERT_TRUE(engine.analysis().admissible);
+    EXPECT_EQ(after.pacing_recomputes, before.pacing_recomputes + 1);
+    EXPECT_LE(after.pairs_recomputed - before.pairs_recomputed, 2u);
+    EXPECT_EQ(after.last_cone_pairs,
+              after.pairs_recomputed - before.pairs_recomputed);
+    EXPECT_LT(after.last_cone_actors, kActors);
+    EXPECT_EQ(engine.pacing().pacing_of(pin), phi);
+    expect_matches_full(engine);
+  };
+  expect_patched("admit", [&] {
+    engine.admit(ThroughputConstraint{pin, phi});
+  });
+  EXPECT_EQ(engine.analysis().leads[kActors / 2], Duration());
+  expect_patched("remove", [&] { engine.remove(pin); });
+  EXPECT_EQ(engine.stats().certificate_violations, 0u);
+}
+
+// Two sinks fed from one root (root -> a1 -> a2, root -> b1 -> b2), each
+// pinned.  Removing the a2 stream leaves a1 and a2 unpaced, so the
+// controller rejects it and re-admits the stream where it was: the order
+// stays "a2 b2" and the rollback restores the parked state, adding no
+// propagation to the candidate's one.
+TEST(AdmissionControl, RejectedRemovalKeepsTheStreamOrder) {
+  using dataflow::RateSet;
+  const auto ms = [](std::int64_t v) { return milliseconds(Rational(v)); };
+  VrdfGraph graph;
+  const ActorId root = graph.add_actor("root", ms(1));
+  const ActorId a1 = graph.add_actor("a1", ms(1));
+  const ActorId a2 = graph.add_actor("a2", ms(1));
+  const ActorId b1 = graph.add_actor("b1", ms(1));
+  const ActorId b2 = graph.add_actor("b2", ms(1));
+  for (const auto& [from, to] : {std::pair(root, a1), std::pair(a1, a2),
+                                 std::pair(root, b1), std::pair(b1, b2)}) {
+    (void)graph.add_buffer(from, to, RateSet::singleton(1),
+                           RateSet::singleton(1));
+  }
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  AdmissionController controller(
+      snapshot, ConstraintSet{ThroughputConstraint{a2, ms(10)},
+                              ThroughputConstraint{b2, ms(10)}});
+  const GraphAnalysis before = controller.analysis();
+  const std::uint64_t recomputes =
+      controller.engine().stats().pacing_recomputes;
+
+  const AdmissionDecision stop = controller.remove(a2);
+  EXPECT_FALSE(stop.accepted);
+  ASSERT_EQ(controller.streams().size(), 2u);
+  EXPECT_EQ(controller.streams()[0].actor, a2);
+  EXPECT_EQ(controller.streams()[1].actor, b2);
+  expect_identical(controller.analysis(), before);
+  expect_matches_full(controller.engine());
+  EXPECT_EQ(controller.engine().stats().pacing_recomputes, recomputes + 1);
 }
 
 // ---------------------------------------------------- park and restore

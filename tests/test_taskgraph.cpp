@@ -93,7 +93,9 @@ TEST(TaskGraph, NameIndexResolvesPrefixesSlicesAndCopies) {
 TEST(TaskGraph, NameIndexScalesAndKeepsInsertionOrder) {
   constexpr std::size_t kTasks = 4096;
   const auto name_of = [](std::size_t i) {
-    return "t" + std::to_string((i * 2654435761u) % kTasks);
+    std::string name = "t";
+    name += std::to_string((i * 2654435761u) % kTasks);
+    return name;
   };
   TaskGraph g;
   for (std::size_t i = 0; i < kTasks; ++i) {
