@@ -20,6 +20,7 @@
 
 #include "io/fleet_journal.hpp"
 #include "models/synthetic.hpp"
+#include "sim/deployment_frontier.hpp"
 #include "sim/fleet.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -213,6 +214,50 @@ TEST(FleetSweep, FaultedSweepHoldsConstraintsAndNamesEveryBreach) {
   EXPECT_GT(report.faults_expected, 0);
   // Faulted mode is part of the determinism contract too.
   EXPECT_EQ(sim::canonical_text(sweep.run(8)), sim::canonical_text(report));
+}
+
+TEST(FleetSweep, CanonicalBytesPinnedByDigest) {
+  // The thread-count tests compare runs of one build; this pins the bytes
+  // across builds.  Verify's phase-1 fit writes `lateness=` and
+  // `firings=` into every item line, so any drift in the fit shows here.
+  SweepSpec sink;
+  sink.seeds_per_class = 2;
+  sink.headroom_levels = {0, 2};
+  sink.observe_firings = 200;
+  sink.base_seed = 19;
+  sink.certify = true;
+  SweepSpec source = sink;
+  source.classes = {ModelClass::Chain, ModelClass::ForkJoin,
+                    ModelClass::Cyclic};
+  source.modes = {ConstraintMode::Source};
+  source.base_seed = 23;
+  SweepSpec faulted;
+  faulted.classes = {ModelClass::Chain, ModelClass::ForkJoin,
+                     ModelClass::Cyclic, ModelClass::MultiConstraint};
+  faulted.seeds_per_class = 2;
+  faulted.headroom_levels = {0, 2};
+  faulted.observe_firings = 120;
+  faulted.base_seed = 29;
+  faulted.faulted = true;
+  sim::FrontierSpec frontier;
+  frontier.stream_counts = {1, 2};
+  frontier.slot_sixteenths = {2, 4};
+  frontier.seeds_per_cell = 2;
+  frontier.observe_firings = 150;
+
+  for (const std::size_t threads : {1u, 4u}) {
+    std::string corpus;
+    for (const SweepSpec& spec : {sink, source, faulted}) {
+      corpus += sim::canonical_text(FleetSweep(spec).run(threads));
+    }
+    corpus += sim::canonical_text(sim::FrontierSweep(frontier).run(threads));
+    // 64-bit FNV-1a of the corpus; a mismatch prints the corpus itself.
+    std::uint64_t fnv = 0xcbf29ce484222325ULL;
+    for (const char byte : corpus) {
+      fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(fnv, 0x0fb98826f2e90ce9ULL) << threads << " threads\n" << corpus;
+  }
 }
 
 TEST(FleetSweep, CustomGeneratorsRideThePipeline) {
