@@ -21,18 +21,8 @@ std::int64_t min_deadlock_free_pair_capacity(
   // g = gcd of every positive quantum; zero quanta transfer nothing and
   // never block (a zero consumption is always enabled, a zero production
   // needs no space), so they do not constrain g.
-  std::int64_t g = 0;
-  for (const std::int64_t p : production.values()) {
-    if (p > 0) {
-      g = gcd64(g, p);
-    }
-  }
-  for (const std::int64_t c : consumption.values()) {
-    if (c > 0) {
-      g = gcd64(g, c);
-    }
-  }
-  VRDF_REQUIRE(g > 0, "rate sets must contain positive quanta");
+  const std::int64_t g =
+      gcd64(production.positive_gcd(), consumption.positive_gcd());
   return checked_sub(checked_add(production.max(), consumption.max()), g);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "util/checked_int.hpp"
 #include "util/error.hpp"
 #include "util/rational.hpp"
 
@@ -53,6 +54,17 @@ std::vector<std::int64_t> RateSet::values() const {
     out.push_back(v);
   }
   return out;
+}
+
+std::int64_t RateSet::positive_gcd() const {
+  if (values_.empty()) {
+    return min_ == max_ ? max_ : 1;
+  }
+  std::int64_t g = 0;
+  for (const std::int64_t v : values_) {
+    g = gcd64(g, v);
+  }
+  return g;
 }
 
 std::int64_t RateSet::nth(std::size_t i) const {

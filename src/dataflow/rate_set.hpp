@@ -66,6 +66,11 @@ public:
   /// All elements in ascending order (intervals are enumerated).
   [[nodiscard]] std::vector<std::int64_t> values() const;
 
+  /// gcd of the positive elements (every set has one), without
+  /// enumerating an interval: a dense set wider than one value holds two
+  /// consecutive integers, or 1, so its gcd is 1.
+  [[nodiscard]] std::int64_t positive_gcd() const;
+
   /// The i-th smallest element, 0-based; used for uniform sampling.
   [[nodiscard]] std::int64_t nth(std::size_t i) const;
 

@@ -42,6 +42,33 @@ TEST(Deadlock, PairCapacityForAllSequences) {
             8);
 }
 
+TEST(Deadlock, WideIntervalGcdIsNotEnumerated) {
+  // A dense interval holds two consecutive integers (or 1), so g = 1
+  // whatever its width; enumerating [2, 2^40] would not finish.
+  const std::int64_t wide = std::int64_t{1} << 40;
+  EXPECT_EQ(min_deadlock_free_pair_capacity(RateSet::singleton(3),
+                                            RateSet::interval(2, wide)),
+            3 + wide - 1);
+  dataflow::VrdfGraph g;
+  const auto src = g.add_actor("src", milliseconds(Rational(1)));
+  const auto snk = g.add_actor("snk", milliseconds(Rational(1)));
+  (void)g.add_buffer(src, snk, RateSet::singleton(4),
+                     RateSet::interval(2, wide), 0);
+  EXPECT_EQ(min_deadlock_free_capacities(g),
+            (std::vector<std::int64_t>{4 + wide - 1}));
+  // Only positive values count: [0, 1] contributes 1.
+  EXPECT_EQ(min_deadlock_free_pair_capacity(RateSet::singleton(4),
+                                            RateSet::interval(0, 1)),
+            4);
+  // A one-value interval gives its value; an explicit set its own gcd.
+  EXPECT_EQ(min_deadlock_free_pair_capacity(RateSet::singleton(6),
+                                            RateSet::interval(4, 4)),
+            8);
+  EXPECT_EQ(min_deadlock_free_pair_capacity(RateSet::singleton(4),
+                                            RateSet::of({0, 6, 10})),
+            12);
+}
+
 TEST(Deadlock, MixedSequenceBeatsConstantMinima) {
   // The adversarial trace behind the 5: capacity 4 survives both constant
   // sequences but deadlocks on 2,3,2 followed by a pending 3.
