@@ -13,8 +13,10 @@
 // Both representations are exact, so a run produces bit-for-bit identical
 // firing records, metrics and end times under either clock (the
 // tick/Rational equivalence test in tests/test_tick_clock.cpp asserts
-// this).  Rational values only appear at recording and reporting
-// boundaries (records, starvations, snapshots, metrics accessors).
+// this).  Rational values only appear at reporting boundaries
+// (starvations, transfer records, snapshots, metrics and firing-record
+// accessors); firing records and the periodic offset fit over them stay
+// on the clock.
 //
 // Enabling is incremental: instead of re-scanning all actors to a fixed
 // point after every event (O(actors^2) per event on chains), a dirty-actor
@@ -32,7 +34,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
+#include <unordered_map>  // det-lint: ok(release delays, never serialised)
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,8 @@
 #include "util/time_scale.hpp"
 
 namespace vrdf::sim::detail {
+
+__extension__ typedef __int128 Int128;
 
 struct RationalClock {
   using Time = Rational;
@@ -54,6 +58,21 @@ struct RationalClock {
   [[nodiscard]] static Time mul_int(const Time& a, std::int64_t k) {
     return a * Rational(k);
   }
+
+  /// Yields start_k − k·τ for k = 0, 1, 2, … in turn, exactly.
+  class PeriodLateness {
+  public:
+    PeriodLateness(const RationalClock& /*clock*/, const Rational& tau)
+        : tau_(tau), k_tau_(-tau) {}
+    [[nodiscard]] Rational next(const Rational& start) {
+      k_tau_ += tau_;
+      return start - k_tau_;
+    }
+
+  private:
+    Rational tau_;
+    Rational k_tau_;
+  };
 };
 
 struct TickClock {
@@ -71,6 +90,36 @@ struct TickClock {
   [[nodiscard]] static Time mul_int(Time a, std::int64_t k) {
     return checked_mul(a, k);
   }
+
+  /// Ranks start_k − k·τ for k = 0, 1, 2, … in turn without leaving
+  /// integers.  With D ticks per second and τ = p/q (p >= 0),
+  ///   start_k − k·τ = (S_k·q − k·p·D) / (D·q),
+  /// so the Int128 numerator orders the values exactly.  Bound: |S_k| and
+  /// q are below 2^63, so |S_k·q| < 2^126; k·p·D is kept at most 2^126
+  /// (OverflowError beyond), so the numerator lies in (−2^127, 2^126) and
+  /// never wraps.  τ's denominator need not divide D.
+  class PeriodLateness {
+  public:
+    PeriodLateness(const TickClock& clock, const Rational& tau)
+        : q_(tau.den()),
+          step_(static_cast<Int128>(tau.num()) *
+                clock.scale.ticks_per_second()),
+          k_step_(-step_) {}
+    [[nodiscard]] Int128 next(Time start) {
+      k_step_ += step_;
+      if (k_step_ > kBound) {
+        throw OverflowError(
+            "periodic offset fit: k*tau exceeds 2^126 ticks*den(tau)");
+      }
+      return static_cast<Int128>(start) * q_ - k_step_;
+    }
+
+  private:
+    static constexpr Int128 kBound = static_cast<Int128>(1) << 126;
+    std::int64_t q_;
+    Int128 step_;    // p·D < 2^126
+    Int128 k_step_;  // k·p·D for the value next() returns
+  };
 };
 
 /// A live port: the staged PortConfig with its installed quantum stream.
@@ -110,6 +159,7 @@ public:
     actor_metrics_.resize(n_actors);
     actor_times_.resize(n_actors);
     firing_records_.resize(n_actors);
+    firing_views_.resize(n_actors);
     production_records_.resize(n_edges);
     consumption_records_.resize(n_edges);
     transfer_recording_ = std::move(config.transfer_recording);
@@ -278,9 +328,49 @@ public:
     return m;
   }
 
+  /// The recorded firings as FiringRecords, converted from the clock's
+  /// records when read (records are only appended, so each is converted
+  /// once).
   [[nodiscard]] const std::vector<FiringRecord>& firings(
       dataflow::ActorId actor) const {
-    return firing_records_[actor.index()];
+    const std::vector<TimedFiring>& timed = firing_records_[actor.index()];
+    std::vector<FiringRecord>& view = firing_views_[actor.index()];
+    view.reserve(timed.size());
+    for (std::size_t k = view.size(); k < timed.size(); ++k) {
+      view.push_back(FiringRecord{actor, static_cast<std::int64_t>(k),
+                                  to_time_point(timed[k].start),
+                                  to_time_point(timed[k].finish)});
+    }
+    return view;
+  }
+
+  /// Simulator::fit_periodic_offset: finds max_k(start_k − k·τ) on the
+  /// clock's own time (Clock::PeriodLateness) and converts only the
+  /// arg-max and the first and last starts.
+  [[nodiscard]] std::optional<PeriodicFit> fit_periodic_offset(
+      dataflow::ActorId actor, const Rational& tau) const {
+    const std::vector<TimedFiring>& records = firing_records_[actor.index()];
+    if (records.empty()) {
+      return std::nullopt;
+    }
+    typename Clock::PeriodLateness lateness(clock_, tau);
+    auto best = lateness.next(records.front().start);
+    std::size_t arg = 0;
+    for (std::size_t k = 1; k < records.size(); ++k) {
+      const auto value = lateness.next(records[k].start);
+      if (best < value) {
+        best = value;
+        arg = k;
+      }
+    }
+    PeriodicFit fit;
+    fit.records = records.size();
+    fit.first_start = to_time_point(records.front().start);
+    fit.last_start = to_time_point(records.back().start);
+    fit.offset = TimePoint(clock_.to_rational(records[arg].start) -
+                           tau * Rational(static_cast<std::int64_t>(arg)));
+    fit.lateness = fit.offset - fit.first_start;
+    return fit;
   }
 
   [[nodiscard]] const std::vector<EdgeTransfer>& production_events(
@@ -316,7 +406,9 @@ private:
     bool has_faults = false;
     std::vector<FaultEntry> faults;
     bool has_release_delays = false;
-    std::unordered_map<std::int64_t, Time> release_delays;
+    // Looked up by firing index only; never iterated into output.
+    std::unordered_map<std::int64_t, Time>  // det-lint: ok(never serialised)
+        release_delays;
     bool record = false;
     std::size_t record_cap = 0;
     // Runtime.
@@ -332,6 +424,13 @@ private:
     std::optional<Time> release_not_before;
     std::optional<Time> scheduled_wakeup;
     std::optional<std::size_t> open_starvation;
+  };
+
+  /// One recorded firing on the clock; its position in the actor's
+  /// record vector is its firing index.
+  struct TimedFiring {
+    Time start;
+    Time finish;
   };
 
   struct ActorTimes {
@@ -559,22 +658,23 @@ private:
   [[nodiscard]] Time fault_extra(const ActorState& state) const {
     Time extra{};
     const std::int64_t k = state.started - 1;
-    for (const FaultEntry& f : state.faults) {
-      if (k < f.from || k >= f.until) {
+    for (const FaultEntry& fault : state.faults) {
+      if (k < fault.from || k >= fault.until) {
         continue;
       }
-      if (f.burst_period > 0 && (k - f.from) % f.burst_period >= f.burst_length) {
+      if (fault.burst_period > 0 &&
+          (k - fault.from) % fault.burst_period >= fault.burst_length) {
         continue;
       }
-      extra = Clock::add(extra, f.base);
-      if (!(f.step == Time{})) {
-        std::uint64_t z =
-            f.rng_seed + static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ULL;
+      extra = Clock::add(extra, fault.base);
+      if (!(fault.step == Time{})) {
+        std::uint64_t z = fault.rng_seed +
+                          static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ULL;
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
         z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
         z ^= z >> 31;
-        extra = Clock::add(
-            extra, Clock::mul_int(f.step, static_cast<std::int64_t>(z % 1025)));
+        const auto grid_steps = static_cast<std::int64_t>(z % 1025);
+        extra = Clock::add(extra, Clock::mul_int(fault.step, grid_steps));
       }
     }
     return extra;
@@ -625,8 +725,7 @@ private:
     if (state.record &&
         firing_records_[actor.index()].size() < state.record_cap) {
       firing_records_[actor.index()].push_back(
-          FiringRecord{actor, state.finished - 1,
-                       to_time_point(state.active_start), to_time_point(now_)});
+          TimedFiring{state.active_start, now_});
     }
     mark_dirty(actor);
   }
@@ -668,7 +767,8 @@ private:
   std::vector<dataflow::ActorId> edge_target_;
   mutable std::vector<ActorMetrics> actor_metrics_;
   std::vector<ActorTimes> actor_times_;
-  std::vector<std::vector<FiringRecord>> firing_records_;
+  std::vector<std::vector<TimedFiring>> firing_records_;
+  mutable std::vector<std::vector<FiringRecord>> firing_views_;
   std::vector<std::vector<EdgeTransfer>> production_records_;
   std::vector<std::vector<EdgeTransfer>> consumption_records_;
   std::vector<char> transfer_recording_;

@@ -356,6 +356,17 @@ const std::vector<FiringRecord>& Simulator::firings(ActorId actor) const {
       });
 }
 
+std::optional<PeriodicFit> Simulator::fit_periodic_offset(
+    ActorId actor, Duration period) const {
+  check_actor(actor);
+  VRDF_REQUIRE(!period.is_negative(), "fit period must be non-negative");
+  return dispatch(
+      [&](const auto& e) {
+        return e.fit_periodic_offset(actor, period.seconds());
+      },
+      []() -> std::optional<PeriodicFit> { return std::nullopt; });
+}
+
 const std::vector<EdgeTransfer>& Simulator::production_events(EdgeId edge) const {
   check_edge(edge);
   return dispatch(

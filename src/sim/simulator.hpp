@@ -56,6 +56,21 @@ struct FiringRecord {
   TimePoint finish;
 };
 
+/// An actor's recorded start times fitted to a period τ (see
+/// Simulator::fit_periodic_offset).
+struct PeriodicFit {
+  /// Recorded firings the fit ran over (>= 1).
+  std::size_t records = 0;
+  TimePoint first_start;
+  TimePoint last_start;
+  /// Smallest o with start_k <= o + k·τ for every record:
+  /// max_k(start_k − k·τ).
+  TimePoint offset;
+  /// max_k(start_k − start_0 − k·τ) = offset − first_start (never
+  /// negative): the worst lateness against the grid anchored at start_0.
+  Duration lateness;
+};
+
 /// One recorded token transfer on an edge (optional, see
 /// Simulator::record_transfers).  `cumulative` counts from 1.
 struct EdgeTransfer {
@@ -228,7 +243,16 @@ public:
 
   [[nodiscard]] const EdgeMetrics& edge_metrics(dataflow::EdgeId edge) const;
   [[nodiscard]] const ActorMetrics& actor_metrics(dataflow::ActorId actor) const;
+  /// Recorded firings of `actor` (requires record_firings).  They are
+  /// kept on the engine's clock and converted to FiringRecord when read.
   [[nodiscard]] const std::vector<FiringRecord>& firings(dataflow::ActorId actor) const;
+  /// Fits the recorded starts of `actor` to `period` on the engine's own
+  /// clock, converting only the results to exact Rational time; nullopt
+  /// when nothing was recorded.  `period` must be non-negative (zero
+  /// leaves offset == last_start).  Throws OverflowError where the
+  /// tick-clock arithmetic leaves its bound (see engine.hpp).
+  [[nodiscard]] std::optional<PeriodicFit> fit_periodic_offset(
+      dataflow::ActorId actor, Duration period) const;
   /// Token productions onto `edge`, in time order (requires record_transfers).
   [[nodiscard]] const std::vector<EdgeTransfer>& production_events(
       dataflow::EdgeId edge) const;

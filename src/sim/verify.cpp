@@ -1,5 +1,7 @@
 #include "sim/verify.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -74,32 +76,17 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
   offsets.reserve(constraints.size());
   Duration max_lateness;
   for (const analysis::ThroughputConstraint& c : constraints) {
-    const Duration tau = c.period;
-    // Smallest o with start_k <= o + k·τ  ==>  o = max_k(start_k − k·τ).
-    const auto& records = phase1.firings(c.actor);
-    if (records.empty()) {
+    // Smallest o with start_k <= o + k·τ  ==>  o = max_k(start_k − k·τ),
+    // fitted on the engine's clock.
+    const std::optional<PeriodicFit> fit =
+        phase1.fit_periodic_offset(c.actor, c.period);
+    if (!fit.has_value()) {
       result.detail = "phase 1 recorded no firings of constrained actor '" +
                       graph.actor(c.actor).name + "'";
       return result;
     }
-    Duration offset = records[0].start.seconds().is_zero()
-                          ? Duration()
-                          : (records[0].start - TimePoint());
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      const Duration lateness =
-          records[k].start -
-          (TimePoint() + tau * Rational(static_cast<std::int64_t>(k)));
-      if (lateness > offset) {
-        offset = lateness;
-      }
-      const Duration vs_first =
-          records[k].start -
-          (records[0].start + tau * Rational(static_cast<std::int64_t>(k)));
-      if (vs_first > max_lateness) {
-        max_lateness = vs_first;
-      }
-    }
-    offsets.push_back(TimePoint() + offset);
+    offsets.push_back(fit->offset);
+    max_lateness = std::max(max_lateness, fit->lateness);
   }
   result.max_lateness_phase1 = max_lateness;
   result.offset_used = offsets.front();
@@ -213,12 +200,15 @@ Rational measure_self_timed_throughput(const dataflow::VrdfGraph& graph,
   if (run.reason != StopReason::ReachedFiringTarget) {
     return Rational(0);
   }
-  const auto& records = sim.firings(actor);
-  const Duration span = records.back().start - records.front().start;
+  // Only the span of the records is read; a zero period leaves the fit's
+  // offset unused.
+  const std::optional<PeriodicFit> fit =
+      sim.fit_periodic_offset(actor, Duration());
+  const Duration span = fit->last_start - fit->first_start;
   if (!span.is_positive()) {
     return Rational(0);
   }
-  return Rational(static_cast<std::int64_t>(records.size()) - 1) /
+  return Rational(static_cast<std::int64_t>(fit->records) - 1) /
          span.seconds();
 }
 

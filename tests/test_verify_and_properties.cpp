@@ -2,7 +2,12 @@
 // property checkers (Defs 1 and 2), and linear-bound conservativeness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/buffer_sizing.hpp"
 #include "analysis/linear_bounds.hpp"
@@ -102,6 +107,168 @@ TEST(Verify, ThroughputZeroOnDeadlock) {
   model.graph.set_initial_tokens(model.buffer.space, 1);
   EXPECT_EQ(sim::measure_self_timed_throughput(model.graph, model.vb, 10),
             Rational(0));
+}
+
+/// The phase-1 fit as verify computed it before it moved onto the engine's
+/// clock: exact Rational arithmetic over every FiringRecord.
+struct RationalFit {
+  TimePoint offset;
+  Duration lateness;
+};
+
+RationalFit rational_fit(const std::vector<sim::FiringRecord>& records,
+                         const Duration& tau) {
+  Duration offset = records[0].start - TimePoint();
+  Duration lateness;
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    const Rational k_r(static_cast<std::int64_t>(k));
+    offset = std::max(offset, records[k].start - (TimePoint() + tau * k_r));
+    lateness =
+        std::max(lateness, records[k].start - (records[0].start + tau * k_r));
+  }
+  return RationalFit{TimePoint() + offset, lateness};
+}
+
+/// A phase-1 simulator as verify_throughput builds it, run to its target.
+std::unique_ptr<sim::Simulator> run_phase1(const dataflow::VrdfGraph& graph,
+                                           const analysis::ConstraintSet& set,
+                                           sim::ClockMode mode,
+                                           std::int64_t observe) {
+  auto phase1 = std::make_unique<sim::Simulator>(graph);
+  phase1->set_clock_mode(mode);
+  phase1->set_default_sources(1);
+  for (const ThroughputConstraint& c : set) {
+    const std::int64_t per_front = std::max<std::int64_t>(
+        (set.front().period.seconds() / c.period.seconds()).ceil(), 1);
+    phase1->record_firings(
+        c.actor, static_cast<std::size_t>(observe * per_front + 16));
+  }
+  sim::StopCondition stop;
+  stop.firing_target =
+      sim::StopCondition::FiringTarget{set.front().actor, observe};
+  (void)phase1->run(stop);
+  return phase1;
+}
+
+TEST(Verify, TickAndExactClockFitsAgree) {
+  // Each case is verified twice, once on the tick clock and once pinned
+  // to exact Rational time, and the phase-1 fit is recomputed with the
+  // old Rational loop.  Loosened periods (τ·8/7) put a 7 into τ's
+  // denominator that the phase-1 tick scale lacks: phase 1 is self-timed,
+  // so only response times set its scale.
+  struct Case {
+    std::string name;
+    dataflow::VrdfGraph graph;
+    analysis::ConstraintSet constraints;
+  };
+  std::vector<Case> cases;
+  const Rational loosen(8, 7);
+  const auto add = [&](const std::string& name, const dataflow::VrdfGraph& g,
+                       analysis::ConstraintSet set) {
+    cases.push_back(Case{name, g, set});
+    for (ThroughputConstraint& c : set) {
+      c.period = c.period * loosen;
+    }
+    cases.push_back(Case{name + " loosened", g, set});
+  };
+  // The slowest constrained actor leads a set, so a faster secondary
+  // fires several times per leading firing (verify's per_front > 1).
+  const auto by_slowest_first = [](const ThroughputConstraint& a,
+                                   const ThroughputConstraint& b) {
+    return b.period < a.period;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const models::ModelClass model_class :
+         {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+          models::ModelClass::MultiConstraint}) {
+      models::RandomModelSpec spec;
+      spec.model_class = model_class;
+      spec.seed = seed;
+      spec.response_fraction = seed % 2 == 0 ? Rational(1) : Rational(1, 2);
+      spec.source_constrained = seed % 3 == 0;
+      models::SyntheticModel m = models::make_random_model(spec);
+      std::stable_sort(m.constraints.begin(), m.constraints.end(),
+                       by_slowest_first);
+      add(std::string(models::class_name(model_class)) + " " +
+              std::to_string(seed),
+          m.graph, m.constraints);
+    }
+    models::RandomMultiSinkSpec three;
+    three.seed = seed;
+    three.sinks = 3;
+    three.response_fraction = Rational(1, 2);
+    models::SyntheticMultiConstraint m = models::make_random_multi_sink(three);
+    std::stable_sort(m.constraints.begin(), m.constraints.end(),
+                     by_slowest_first);
+    analysis::apply_capacities(
+        m.graph, analysis::compute_buffer_capacities(m.graph, m.constraints));
+    add("three sinks " + std::to_string(seed), m.graph, m.constraints);
+  }
+
+  const std::int64_t observe = 300;
+  sim::VerifyOptions options;
+  options.observe_firings = observe;
+  int faster_secondaries = 0;
+  int foreign_denominators = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const sim::VerifyResult tick =
+        sim::verify_throughput(c.graph, c.constraints, {}, options);
+    const sim::VerifyResult exact = sim::verify_throughput(
+        c.graph, c.constraints,
+        [](sim::Simulator& s) {
+          s.set_clock_mode(sim::ClockMode::ForceExactRational);
+        },
+        options);
+    EXPECT_EQ(tick.ok, exact.ok);
+    EXPECT_EQ(tick.offset_used, exact.offset_used);
+    EXPECT_EQ(tick.max_lateness_phase1, exact.max_lateness_phase1);
+    EXPECT_EQ(tick.firings_simulated, exact.firings_simulated);
+    EXPECT_EQ(tick.starvation_count, exact.starvation_count);
+    EXPECT_EQ(tick.detail, exact.detail);
+
+    const auto ticks =
+        run_phase1(c.graph, c.constraints, sim::ClockMode::Auto, observe);
+    const auto rational = run_phase1(c.graph, c.constraints,
+                                     sim::ClockMode::ForceExactRational,
+                                     observe);
+    ASSERT_TRUE(ticks->using_tick_clock());
+    ASSERT_FALSE(rational->using_tick_clock());
+    for (const ThroughputConstraint& k : c.constraints) {
+      if (*ticks->tick_resolution() % k.period.seconds().den() != 0) {
+        ++foreign_denominators;
+      }
+    }
+    Duration lateness;
+    for (const ThroughputConstraint& k : c.constraints) {
+      ASSERT_FALSE(ticks->firings(k.actor).empty());
+      const RationalFit old = rational_fit(ticks->firings(k.actor), k.period);
+      for (const sim::Simulator* s : {ticks.get(), rational.get()}) {
+        const std::optional<sim::PeriodicFit> fit =
+            s->fit_periodic_offset(k.actor, k.period);
+        ASSERT_TRUE(fit.has_value());
+        EXPECT_EQ(fit->offset, old.offset);
+        EXPECT_EQ(fit->lateness, old.lateness);
+        EXPECT_EQ(fit->records, s->firings(k.actor).size());
+        EXPECT_EQ(fit->first_start, s->firings(k.actor).front().start);
+        EXPECT_EQ(fit->last_start, s->firings(k.actor).back().start);
+      }
+      if (ticks->firings(k.actor).size() > static_cast<std::size_t>(observe)) {
+        ++faster_secondaries;
+      }
+      lateness = std::max(lateness, old.lateness);
+    }
+    EXPECT_EQ(tick.max_lateness_phase1, lateness);
+    if (c.constraints.size() == 1) {
+      // One grid is never shifted by a phase-2 retry.
+      EXPECT_EQ(tick.offset_used,
+                rational_fit(ticks->firings(c.constraints.front().actor),
+                             c.constraints.front().period)
+                    .offset);
+    }
+  }
+  EXPECT_GT(faster_secondaries, 0);
+  EXPECT_GT(foreign_denominators, 0);
 }
 
 class TemporalProperties : public ::testing::TestWithParam<std::uint64_t> {};

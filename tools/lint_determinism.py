@@ -54,8 +54,10 @@ from pathlib import Path
 
 # Files whose output participates in a canonical (bit-stable) byte
 # stream: the shared sweep engine, the fleet report/codec, the deployment
-# frontier report, the resumable journal, the graph text format, and the
-# models it writes (actor names, their name index, rate sets).  Every
+# frontier report, the resumable journal, the graph text format, the
+# models it writes (actor names, their name index, rate sets), and the
+# two-phase verify with the engine that holds its periodic offset fit
+# (their results are the `lateness=`/`firings=` fields).  Every
 # entry must exist: a stale entry would silently exempt the code it named
 # once moved, so it fails the lint.
 CANONICAL_FILES = (
@@ -65,6 +67,9 @@ CANONICAL_FILES = (
     "src/sim/fleet.hpp",
     "src/sim/deployment_frontier.cpp",
     "src/sim/deployment_frontier.hpp",
+    "src/sim/engine.hpp",
+    "src/sim/verify.cpp",
+    "src/sim/verify.hpp",
     "src/io/fleet_journal.cpp",
     "src/io/fleet_journal.hpp",
     "src/io/text_format.cpp",
