@@ -109,7 +109,7 @@ struct TickClock {
       k_step_ += step_;
       if (k_step_ > kBound) {
         throw OverflowError(
-            "periodic offset fit: k*tau exceeds 2^126 ticks*den(tau)");
+            "periodic offset fit: k*p*D exceeds its 2^126 bound");
       }
       return static_cast<Int128>(start) * q_ - k_step_;
     }
