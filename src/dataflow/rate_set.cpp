@@ -44,18 +44,6 @@ RateSet RateSet::interval(std::int64_t lo, std::int64_t hi) {
   return RateSet({}, lo, hi);
 }
 
-std::vector<std::int64_t> RateSet::values() const {
-  if (!values_.empty()) {
-    return values_;
-  }
-  std::vector<std::int64_t> out;
-  out.reserve(size());
-  for (std::int64_t v = min_; v <= max_; ++v) {
-    out.push_back(v);
-  }
-  return out;
-}
-
 std::int64_t RateSet::positive_gcd() const {
   if (values_.empty()) {
     return min_ == max_ ? max_ : 1;

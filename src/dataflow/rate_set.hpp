@@ -63,9 +63,6 @@ public:
     return values_.size();
   }
 
-  /// All elements in ascending order (intervals are enumerated).
-  [[nodiscard]] std::vector<std::int64_t> values() const;
-
   /// gcd of the positive elements (every set has one), without
   /// enumerating an interval: a dense set wider than one value holds two
   /// consecutive integers, or 1, so its gcd is 1.

@@ -68,7 +68,9 @@ TEST(RateSet, ExplicitSetDeduplicatesAndSorts) {
   EXPECT_EQ(s.min(), 2);
   EXPECT_EQ(s.max(), 5);
   EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.values(), (std::vector<std::int64_t>{2, 3, 5}));
+  EXPECT_EQ(s.nth(0), 2);
+  EXPECT_EQ(s.nth(1), 3);
+  EXPECT_EQ(s.nth(2), 5);
   EXPECT_TRUE(s.contains(3));
   EXPECT_FALSE(s.contains(4));
   EXPECT_EQ(s.to_string(), "{2,3,5}");
@@ -127,7 +129,6 @@ TEST(RateSet, SingletonSpellingsAgree) {
       EXPECT_EQ(s.size(), 1u);
       EXPECT_EQ(s.nth(0), v);
       EXPECT_THROW((void)s.nth(1), ContractError);
-      EXPECT_EQ(s.values(), (std::vector<std::int64_t>{v}));
       EXPECT_TRUE(s.contains(v));
       EXPECT_FALSE(s.contains(v - 1));
       EXPECT_FALSE(s.contains(v + 1));
