@@ -147,18 +147,20 @@ TEST_P(MinPeriodRoundTrip, ForwardThenInverseIsConsistentOnRandomChains) {
 
 /// True when the forward analysis at `period` is admissible and every
 /// pair fits the capacities installed in `graph`.
-bool fits_at(const VrdfGraph& graph, ActorId actor, const Duration& period) {
-  const GraphAnalysis forward =
-      compute_buffer_capacities(graph, ThroughputConstraint{actor, period});
+bool fits_at(const VrdfGraph& graph, ActorId actor, const Duration& period,
+             const AnalysisOptions& options) {
+  const GraphAnalysis forward = compute_buffer_capacities(
+      graph, ThroughputConstraint{actor, period}, options);
   return forward.admissible && first_over_installed(graph, forward) == nullptr;
 }
 
 TEST_P(MinPeriodRoundTrip, ForwardFitsAtTheMinimumOnRandomModels) {
-  // Every single-constraint class, sized and installed with 0, 1 and 3
-  // extra containers per buffer.  The attained minimum fits; the infimum
-  // fits exactly when it is attained; and any period above the infimum
-  // fits, however close (the open forward condition x < d is what the
-  // infimum bounds).
+  // Every single-constraint class, sized and installed under each
+  // rounding mode with 0, 1 and 3 extra containers per buffer, then
+  // solved and checked under the same mode.  The attained minimum fits;
+  // the infimum fits exactly when it is attained; and any period above
+  // the infimum fits, however close (the open forward condition x < d is
+  // what the infimum bounds).
   for (const models::ModelClass model_class :
        {models::ModelClass::Chain, models::ModelClass::ForkJoin,
         models::ModelClass::Cyclic, models::ModelClass::InteriorPinned}) {
@@ -171,19 +173,39 @@ TEST_P(MinPeriodRoundTrip, ForwardFitsAtTheMinimumOnRandomModels) {
         const models::SyntheticModel model = models::make_random_model(spec);
         ASSERT_EQ(model.constraints.size(), 1u);
         const ActorId actor = model.constraints.front().actor;
-        const std::string where = std::string(models::class_name(model_class)) +
-                                  " seed " + std::to_string(spec.seed) +
-                                  " headroom " + std::to_string(headroom);
-        const MinPeriodResult inverse =
-            min_admissible_period(model.graph, actor);
-        ASSERT_TRUE(inverse.ok) << where;
-        EXPECT_TRUE(fits_at(model.graph, actor, inverse.min_period)) << where;
-        EXPECT_EQ(fits_at(model.graph, actor, inverse.infimum_period),
-                  inverse.infimum_attained)
-            << where;
-        EXPECT_TRUE(fits_at(model.graph, actor,
-                            inverse.infimum_period * Rational(4097, 4096)))
-            << where;
+        for (const RoundingMode mode :
+             {RoundingMode::PaperPublished, RoundingMode::PaperLiteral,
+              RoundingMode::Ceil}) {
+          const AnalysisOptions options{mode};
+          VrdfGraph graph = model.graph;
+          const GraphAnalysis sized =
+              compute_buffer_capacities(graph, model.constraints, options);
+          ASSERT_TRUE(sized.admissible);
+          apply_capacities(graph, sized);
+          for (const PairAnalysis& pair : sized.pairs) {
+            graph.set_initial_tokens(
+                pair.buffer.space,
+                graph.edge(pair.buffer.space).initial_tokens + headroom);
+          }
+          const std::string where =
+              std::string(models::class_name(model_class)) + " seed " +
+              std::to_string(spec.seed) + " headroom " +
+              std::to_string(headroom) + " rounding " +
+              std::to_string(static_cast<int>(mode));
+          const MinPeriodResult inverse =
+              min_admissible_period(graph, actor, options);
+          ASSERT_TRUE(inverse.ok) << where;
+          EXPECT_TRUE(fits_at(graph, actor, inverse.min_period, options))
+              << where;
+          EXPECT_EQ(
+              fits_at(graph, actor, inverse.infimum_period, options),
+              inverse.infimum_attained)
+              << where;
+          EXPECT_TRUE(fits_at(graph, actor,
+                              inverse.infimum_period * Rational(4097, 4096),
+                              options))
+              << where;
+        }
       }
     }
   }
@@ -215,14 +237,15 @@ std::string render(const MinPeriodResult& r) {
 
 /// The agreed rendering of every entry point for designating `designated`.
 std::string golden_of(const VrdfGraph& graph, const ConstraintSet& constraints,
-                      ActorId designated) {
+                      ActorId designated, const AnalysisOptions& options = {}) {
   const std::string set_form =
-      render(min_admissible_period(graph, constraints, designated));
+      render(min_admissible_period(graph, constraints, designated, options));
   EXPECT_EQ(render(min_admissible_period(TopologySnapshot(graph), constraints,
-                                         designated, {}, {})),
+                                         designated, options, {})),
             set_form);
   if (constraints.size() == 1) {
-    EXPECT_EQ(render(min_admissible_period(graph, designated)), set_form);
+    EXPECT_EQ(render(min_admissible_period(graph, designated, options)),
+              set_form);
   }
   return set_form;
 }
@@ -368,9 +391,21 @@ TEST(MinPeriodGoldens, FailureCases) {
 }
 
 
+/// 64-bit FNV-1a of a golden text.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char byte : text) {
+    fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+  }
+  return fnv;
+}
+
 TEST(MinPeriodGoldens, RandomModels) {
-  // One line per (class, seed, headroom, designated constraint).
+  // One line per (class, seed, headroom, designated constraint) at the
+  // default rounding; the same pool under the two other rounding modes
+  // goes to a second text with its own digest.
   std::ostringstream lines;
+  std::ostringstream other_modes;
   for (const models::ModelClass model_class :
        {models::ModelClass::Chain, models::ModelClass::ForkJoin,
         models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
@@ -383,19 +418,26 @@ TEST(MinPeriodGoldens, RandomModels) {
         spec.capacity_headroom = headroom;
         const models::SyntheticModel model = models::make_random_model(spec);
         for (const ThroughputConstraint& c : model.constraints) {
-          lines << models::class_name(model_class) << ' ' << seed << ' '
-                << headroom << ' ' << model.graph.actor(c.actor).name << ": "
+          std::ostringstream head;
+          head << models::class_name(model_class) << ' ' << seed << ' '
+               << headroom << ' ' << model.graph.actor(c.actor).name;
+          lines << head.str() << ": "
                 << golden_of(model.graph, model.constraints, c.actor) << '\n';
+          for (const auto& [mode, name] :
+               {std::pair{RoundingMode::PaperLiteral, "literal"},
+                std::pair{RoundingMode::Ceil, "ceil"}}) {
+            other_modes << head.str() << ' ' << name << ": "
+                        << golden_of(model.graph, model.constraints, c.actor,
+                                     AnalysisOptions{mode})
+                        << '\n';
+          }
         }
       }
     }
   }
-  // 64-bit FNV-1a of the text; a mismatch prints the text itself.
-  std::uint64_t fnv = 0xcbf29ce484222325ULL;
-  for (const char byte : lines.str()) {
-    fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
-  }
-  EXPECT_EQ(fnv, 0xcaab2151028681c8ULL) << lines.str();
+  // A mismatch prints the text itself.
+  EXPECT_EQ(fnv1a(lines.str()), 0xcaab2151028681c8ULL) << lines.str();
+  EXPECT_EQ(fnv1a(other_modes.str()), 0x9921567635432c92ULL) << other_modes.str();
 }
 
 TEST(MinPeriodGoldens, SpaceOverlayMatchesMutatedGraph) {
