@@ -1,6 +1,5 @@
 #include "analysis/buffer_sizing.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "analysis/pacing.hpp"
@@ -12,23 +11,6 @@ namespace vrdf::analysis {
 
 using dataflow::Edge;
 using dataflow::VrdfGraph;
-
-namespace {
-
-std::int64_t round_capacity(const Rational& raw, bool tight_pair,
-                            RoundingMode mode) {
-  switch (mode) {
-    case RoundingMode::PaperLiteral:
-      return checked_add(raw.floor(), 1);
-    case RoundingMode::Ceil:
-      return raw.ceil();
-    case RoundingMode::PaperPublished:
-      return tight_pair ? raw.ceil() : checked_add(raw.floor(), 1);
-  }
-  throw ContractError("unknown rounding mode");
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -63,50 +45,53 @@ bool check_schedule_validity(const VrdfGraph& graph,
   return admissible;
 }
 
-Duration lead_pass_a_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
-                        const PacingResult& pacing,
-                        const std::vector<Duration>& lead,
-                        dataflow::ActorId v) {
+template <class Lead>
+Lead lead_pass_a_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
+                    const PacingResult& pacing, const std::vector<Lead>& lead,
+                    dataflow::ActorId v, const LeadArithmetic<Lead>& arith) {
   const dataflow::VrdfGraph::BufferView& view = *pacing.view;
-  Duration longest;
+  Lead longest{};
   for (const std::size_t pos : view.out_buffers[v.index()]) {
     if (pacing.determined_by[pos] != ConstraintSide::Sink) {
       continue;
     }
     const Edge& data = graph.edge(view.buffers[pos].data);
-    const Duration candidate =
-        lead[data.target.index()] + pacing.producer_slack[pos];
-    if (candidate > longest) {
+    const Lead candidate =
+        arith.plus_slack(lead[data.target.index()], pacing.producer_slack[pos]);
+    if (arith.longer(candidate, longest)) {
       longest = candidate;
     }
   }
-  return overlay.response_time_of(graph, v) + longest;
+  return arith.plus_response(longest, overlay.response_time_of(graph, v));
 }
 
-Duration lead_pass_b_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
-                        const PacingResult& pacing,
-                        const std::vector<Duration>& lead,
-                        dataflow::ActorId v) {
+template <class Lead>
+Lead lead_pass_b_of(const VrdfGraph& graph, const ParameterOverlay& overlay,
+                    const PacingResult& pacing, const std::vector<Lead>& lead,
+                    dataflow::ActorId v, const LeadArithmetic<Lead>& arith) {
   const dataflow::VrdfGraph::BufferView& view = *pacing.view;
-  Duration longest;
+  Lead longest{};
   for (const std::size_t pos : view.in_buffers[v.index()]) {
     if (pacing.determined_by[pos] != ConstraintSide::Source) {
       continue;
     }
     const Edge& data = graph.edge(view.buffers[pos].data);
-    const Duration candidate = lead[data.source.index()] +
-                               overlay.response_time_of(graph, data.source) +
-                               pacing.producer_slack[pos];
-    if (candidate > longest) {
+    const Lead candidate = arith.plus_slack(
+        arith.plus_response(lead[data.source.index()],
+                            overlay.response_time_of(graph, data.source)),
+        pacing.producer_slack[pos]);
+    if (arith.longer(candidate, longest)) {
       longest = candidate;
     }
   }
   return longest;
 }
 
-std::vector<Duration> compute_alignment_leads(const VrdfGraph& graph,
-                                              const ParameterOverlay& overlay,
-                                              const PacingResult& pacing) {
+template <class Lead>
+std::vector<Lead> compute_alignment_leads(const VrdfGraph& graph,
+                                          const ParameterOverlay& overlay,
+                                          const PacingResult& pacing,
+                                          const LeadArithmetic<Lead>& arith) {
   // Schedule alignment ω(v): the worst-case lead (sink-determined region)
   // or lag (source-determined region) of v's constructed schedule
   // relative to its anchoring constrained actor.  An actor shared by
@@ -130,7 +115,7 @@ std::vector<Duration> compute_alignment_leads(const VrdfGraph& graph,
   // passes at ω = 0 — its enforced schedule is the exact periodic grid
   // its upstream (pass A) and downstream (pass B) regions each align to,
   // which is what decouples the two sides.
-  std::vector<Duration> lead(graph.actor_count());
+  std::vector<Lead> lead(graph.actor_count());
   // Pass A — sink-anchored region, reverse topological order.
   for (auto it = pacing.actors_in_order.rbegin();
        it != pacing.actors_in_order.rend(); ++it) {
@@ -138,16 +123,116 @@ std::vector<Duration> compute_alignment_leads(const VrdfGraph& graph,
     if (!pacing.sink_anchored[v.index()] || constrained_kind(pacing, v, true)) {
       continue;
     }
-    lead[v.index()] = lead_pass_a_of(graph, overlay, pacing, lead, v);
+    lead[v.index()] = lead_pass_a_of(graph, overlay, pacing, lead, v, arith);
   }
   // Pass B — the rest, forward topological order.
   for (const dataflow::ActorId v : pacing.actors_in_order) {
     if (pacing.sink_anchored[v.index()] || constrained_kind(pacing, v, false)) {
       continue;
     }
-    lead[v.index()] = lead_pass_b_of(graph, overlay, pacing, lead, v);
+    lead[v.index()] = lead_pass_b_of(graph, overlay, pacing, lead, v, arith);
   }
   return lead;
+}
+
+template <class Lead>
+PairTerms<Lead> pair_terms(const VrdfGraph& graph,
+                           const ParameterOverlay& overlay,
+                           const PacingResult& pacing,
+                           const std::vector<Lead>& lead, std::size_t pos,
+                           const LeadArithmetic<Lead>& arith) {
+  const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
+  const std::size_t producer = data.source.index();
+  const std::size_t consumer = data.target.index();
+  const bool sink_side = pacing.determined_by[pos] == ConstraintSide::Sink;
+
+  PairTerms<Lead> terms;
+  // Eq (1): the upper bound on data production must cover token x while
+  // the lower bound on space consumption covers token x + π̂ - 1 of the
+  // same firing, consumed ρ(v_a) earlier than the production — plus, on
+  // fork-join graphs, the alignment gap to the far endpoint's actual
+  // schedule.  On a chain this is exactly ρ(v_a) + s·(π̂ − 1); on a
+  // skeleton edge the alignment gap is always ≥ that chain-local value,
+  // so the max below (a tie keeps the gap) reproduces the acyclic
+  // analysis bit-for-bit.  On a back-edge the consumer *leads* the
+  // producer (the gap is ≤ 0) and the chain-local term is the binding
+  // one.
+  const Lead alignment_gap = sink_side ? lead[producer] - lead[consumer]
+                                       : lead[consumer] - lead[producer];
+  const Lead chain_local = arith.local_term(
+      overlay.response_time_of(graph, data.source), pacing.producer_slack[pos]);
+  terms.delta_producer =
+      arith.longer(chain_local, alignment_gap) ? chain_local : alignment_gap;
+  // Eq (2): symmetric for the consumer with its maximum quantum γ̂.
+  terms.delta_consumer = arith.local_term(
+      overlay.response_time_of(graph, data.target), pacing.consumer_slack[pos]);
+  // Eq (3).
+  terms.delta_total = terms.delta_producer + terms.delta_consumer;
+  // Cycle throughput bound (the max-cycle-ratio constraint, period ≥
+  // cycle latency / initial tokens, in its schedule-aligned form).  On
+  // a back-edge the consumer's constructed schedule *leads* the
+  // producer's by the reversed alignment gap, consuming from the δ
+  // circulating tokens that far ahead of replenishment; the tokens must
+  // also cover the producer's transfer slack ρ(p) + s·(π̂−1) (its
+  // production lands that late against its linear bound) and the
+  // consumer's per-firing jump s·(γ̂−1).
+  const bool is_feedback = pacing.view->is_feedback[pos];
+  if (is_feedback) {
+    const Lead reverse_gap = sink_side ? lead[consumer] - lead[producer]
+                                       : lead[producer] - lead[consumer];
+    terms.credit =
+        arith.plus_slack(reverse_gap + chain_local, pacing.consumer_slack[pos]);
+  }
+  // Eq (4)'s tight value x (without the +1) is sound exactly when the pair
+  // is static and sits at a constrained end of the graph on its
+  // rate-determining side: the constrained actor's transfer times are
+  // exactly periodic, so the delay slack the +1 provides cannot be
+  // needed.  Back-edges never qualify — their consumer's schedule is
+  // pinned to the whole loop, not to the constrained actor alone.
+  terms.tight_rounding = data.production.is_singleton() &&
+                         data.consumption.is_singleton() && !is_feedback &&
+                         adjacent_to_anchor(graph, pacing, pos);
+  return terms;
+}
+
+template Duration lead_pass_a_of(const VrdfGraph&, const ParameterOverlay&,
+                                 const PacingResult&,
+                                 const std::vector<Duration>&,
+                                 dataflow::ActorId,
+                                 const LeadArithmetic<Duration>&);
+template Duration lead_pass_b_of(const VrdfGraph&, const ParameterOverlay&,
+                                 const PacingResult&,
+                                 const std::vector<Duration>&,
+                                 dataflow::ActorId,
+                                 const LeadArithmetic<Duration>&);
+template std::vector<AffineLead> compute_alignment_leads(
+    const VrdfGraph&, const ParameterOverlay&, const PacingResult&,
+    const LeadArithmetic<AffineLead>&);
+template PairTerms<AffineLead> pair_terms(const VrdfGraph&,
+                                          const ParameterOverlay&,
+                                          const PacingResult&,
+                                          const std::vector<AffineLead>&,
+                                          std::size_t,
+                                          const LeadArithmetic<AffineLead>&);
+
+bool adjacent_to_anchor(const VrdfGraph& graph, const PacingResult& pacing,
+                        std::size_t pos) {
+  const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
+  return pacing.determined_by[pos] == ConstraintSide::Sink
+             ? constrained_kind(pacing, data.target, /*sink_kind=*/true)
+             : constrained_kind(pacing, data.source, /*sink_kind=*/false);
+}
+
+bool uses_ceiling(bool tight_rounding, RoundingMode mode) {
+  switch (mode) {
+    case RoundingMode::PaperLiteral:
+      return false;
+    case RoundingMode::Ceil:
+      return true;
+    case RoundingMode::PaperPublished:
+      return tight_rounding;
+  }
+  throw ContractError("unknown rounding mode");
 }
 
 PairAnalysis analyse_pair(const VrdfGraph& graph,
@@ -155,7 +240,6 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
                           const PacingResult& pacing,
                           const std::vector<Duration>& lead, std::size_t pos,
                           const AnalysisOptions& options) {
-  const dataflow::VrdfGraph::BufferView& view = *pacing.view;
   const dataflow::BufferEdges buffer = pacing.buffers_in_order[pos];
   const Edge& data = graph.edge(buffer.data);
   const ConstraintSide pair_side = pacing.determined_by[pos];
@@ -174,67 +258,27 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
       pair_side == ConstraintSide::Sink ? data.target : data.source);
   pair.bound_rate = pacing.bound_rate[pos];
 
-  pair.is_feedback = view.is_feedback[pos];
+  pair.is_feedback = pacing.view->is_feedback[pos];
   pair.initial_tokens = overlay.initial_tokens_of(graph, buffer.data);
 
-  const Duration& rho_b = overlay.response_time_of(graph, pair.consumer);
-  // Eq (1): the upper bound on data production must cover token x while
-  // the lower bound on space consumption covers token x + π̂ - 1 of the
-  // same firing, consumed ρ(v_a) earlier than the production — plus, on
-  // fork-join graphs, the alignment gap to the far endpoint's actual
-  // schedule.  On a chain this is exactly ρ(v_a) + s·(π̂ − 1); on a
-  // skeleton edge the alignment gap is always ≥ that chain-local value,
-  // so the max below reproduces the acyclic analysis bit-for-bit.  On a
-  // back-edge the consumer *leads* the producer (the gap is ≤ 0) and
-  // the chain-local term is the binding one.
-  const Duration alignment_gap =
-      pair_side == ConstraintSide::Sink
-          ? lead[pair.producer.index()] - lead[pair.consumer.index()]
-          : lead[pair.consumer.index()] - lead[pair.producer.index()];
-  const Duration chain_local = overlay.response_time_of(graph, pair.producer) +
-                               pacing.producer_slack[pos];
-  pair.delta_producer = std::max(alignment_gap, chain_local);
-  // Eq (2): symmetric for the consumer with its maximum quantum γ̂.
-  pair.delta_consumer = rho_b + pacing.consumer_slack[pos];
-  // Eq (3).
-  pair.delta_total = pair.delta_producer + pair.delta_consumer;
-  // Eq (4): horizontal distance between the space-edge bounds in tokens.
+  const PairTerms<Duration> terms =
+      pair_terms(graph, overlay, pacing, lead, pos);
+  pair.delta_producer = terms.delta_producer;
+  pair.delta_consumer = terms.delta_consumer;
+  pair.delta_total = terms.delta_total;
+  pair.tight_rounding = terms.tight_rounding;
+  // Eq (4): horizontal distance between the space-edge bounds in tokens,
+  // ⌊x⌋ + 1, or ⌈x⌉ where the rounding mode grants the tight value.
   pair.raw_tokens = pair.delta_total / pair.bound_rate;
-  // The tight value x (without the +1) is sound exactly when the pair is
-  // static and sits at a constrained end of the graph on its
-  // rate-determining side: the constrained actor's transfer times are
-  // exactly periodic, so the delay slack the +1 provides cannot be
-  // needed.  Back-edges never qualify — their consumer's schedule is
-  // pinned to the whole loop, not to the constrained actor alone.
-  const bool adjacent_to_constrained =
-      pair_side == ConstraintSide::Sink
-          ? constrained_kind(pacing, data.target, /*sink_kind=*/true)
-          : constrained_kind(pacing, data.source, /*sink_kind=*/false);
-  pair.capacity = round_capacity(
-      pair.raw_tokens,
-      pair.is_static && adjacent_to_constrained && !pair.is_feedback,
-      options.rounding);
-  // Cycle throughput bound (the max-cycle-ratio constraint, period ≥
-  // cycle latency / initial tokens, in its schedule-aligned form).  On
-  // a back-edge the consumer's constructed schedule *leads* the
-  // producer's by the reversed alignment gap, consuming from the δ
-  // circulating tokens that far ahead of replenishment; the tokens must
-  // also cover the producer's transfer slack ρ(p) + s·(π̂−1) (its
-  // production lands that late against its linear bound) and the
-  // consumer's per-firing jump s·(γ̂−1).  δ below ⌈that credit⌉ cannot
-  // sustain the period — such a pair starves, and the analysis diagnoses
-  // it instead of emitting starving capacities (the leads are
-  // δ-independent, so the requirement can be used to size a loop's
-  // tokens).
+  pair.capacity = uses_ceiling(pair.tight_rounding, options.rounding)
+                      ? pair.raw_tokens.ceil()
+                      : checked_add(pair.raw_tokens.floor(), 1);
+  // δ below ⌈credit⌉ cannot sustain the period — such a pair starves, and
+  // the analysis diagnoses it instead of emitting starving capacities (the
+  // leads are δ-independent, so the requirement can be used to size a
+  // loop's tokens).
   if (pair.is_feedback) {
-    const Duration reverse_gap =
-        pair_side == ConstraintSide::Sink
-            ? lead[pair.consumer.index()] - lead[pair.producer.index()]
-            : lead[pair.producer.index()] - lead[pair.consumer.index()];
-    pair.required_initial_tokens =
-        ((reverse_gap + chain_local + pacing.consumer_slack[pos]) /
-         pair.bound_rate)
-            .ceil();
+    pair.required_initial_tokens = (terms.credit / pair.bound_rate).ceil();
   }
   // The containers holding the initial tokens come on top of the
   // schedule slack: a back-edge's capacity covers its circulating
@@ -289,8 +333,8 @@ GraphAnalysis size_from_pacing(const VrdfGraph& graph,
     return analysis;
   }
 
-  const std::vector<Duration> lead =
-      compute_alignment_leads(graph, overlay, pacing);
+  const std::vector<Duration> lead = compute_alignment_leads(
+      graph, overlay, pacing, LeadArithmetic<Duration>{});
   analysis.leads.reserve(pacing.actors_in_order.size());
   for (const dataflow::ActorId v : pacing.actors_in_order) {
     analysis.leads.push_back(lead[v.index()]);

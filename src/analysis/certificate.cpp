@@ -43,13 +43,6 @@ Certificate make_certificate(const dataflow::VrdfGraph& graph,
     cert.actors.push_back(fact);
   }
 
-  // Constraint index by actor, for the tight-rounding adjacency claim.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> constraint_of(graph.actor_count(), kNone);
-  for (std::size_t c = 0; c < cert.constraints.size(); ++c) {
-    constraint_of[cert.constraints[c].actor.index()] = c;
-  }
-
   cert.pairs.reserve(analysis.pairs.size());
   for (const PairAnalysis& pair : analysis.pairs) {
     PairFact fact;
@@ -65,18 +58,7 @@ Certificate make_certificate(const dataflow::VrdfGraph& graph,
     fact.initial_tokens = pair.initial_tokens;
     fact.required_initial_tokens = pair.required_initial_tokens;
     fact.capacity = pair.capacity;
-    // The tight-rounding predicate of analyse_pair, transcribed from the
-    // analysis' own side/kind assignments: a static pair directly
-    // adjacent to its constrained anchor on the rate-determining side,
-    // and never a back-edge.
-    const dataflow::ActorId anchor =
-        fact.side == ConstraintSide::Sink ? fact.consumer : fact.producer;
-    const std::size_t c = constraint_of[anchor.index()];
-    const bool adjacent =
-        c != kNone && (fact.side == ConstraintSide::Sink
-                           ? cert.constraint_is_sink_kind[c]
-                           : cert.constraint_is_source_kind[c]);
-    fact.tight_rounding = fact.is_static && adjacent && !fact.is_feedback;
+    fact.tight_rounding = pair.tight_rounding;
     cert.pairs.push_back(fact);
   }
   return cert;

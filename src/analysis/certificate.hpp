@@ -103,7 +103,7 @@ struct Certificate {
   /// Per constraint index: anchor kinds (sink-kind / source-kind region).
   std::vector<bool> constraint_is_sink_kind;
   std::vector<bool> constraint_is_source_kind;
-  RoundingMode rounding = RoundingMode::PaperPublished;
+  RoundingMode rounding = AnalysisOptions{}.rounding;
   /// One entry per actor, in the analysis' topological order.
   std::vector<ActorFact> actors;
   /// One entry per buffer, in the analysis' pair order.

@@ -213,13 +213,6 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
   }
   // Pairs whose rates or tight-adjacency rounding moved re-analyse, and
   // their endpoints' ω formulas read the rates.
-  const auto tight_adjacent = [&](const PacingResult& pacing,
-                                  std::size_t pos) {
-    const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
-    return pacing.determined_by[pos] == ConstraintSide::Sink
-               ? detail::constrained_kind(pacing, data.target, true)
-               : detail::constrained_kind(pacing, data.source, false);
-  };
   std::vector<char>& dirty_pair = scratch_dirty_pair_;
   dirty_pair.assign(analysis_.pairs.size(), 0);
   for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
@@ -233,7 +226,8 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
         dirty_a[v.index()] = 1;
         dirty_b[v.index()] = 1;
       }
-    } else if (tight_adjacent(pacing_, pos) != tight_adjacent(held, pos)) {
+    } else if (detail::adjacent_to_anchor(graph, pacing_, pos) !=
+               detail::adjacent_to_anchor(graph, held, pos)) {
       dirty_pair[pos] = 1;
     }
   }

@@ -14,24 +14,6 @@ using dataflow::VrdfGraph;
 
 namespace {
 
-/// A lead-time value that is affine in the period: resp + rate·τ.  The
-/// schedule-alignment propagation of compute_buffer_capacities only mixes
-/// response times (τ-independent) and bound-rate terms (proportional to
-/// τ), so tracking the two components separately turns each pair's
-/// sufficiency condition into a closed-form bound on τ.
-struct AffineLead {
-  Rational resp;  // seconds
-  Rational rate;  // seconds per unit period
-
-  [[nodiscard]] Rational at(const Rational& tau) const {
-    return resp + rate * tau;
-  }
-
-  friend bool operator==(const AffineLead& a, const AffineLead& b) {
-    return a.resp == b.resp && a.rate == b.rate;
-  }
-};
-
 /// "a->b" for a data edge.
 std::string endpoints(const VrdfGraph& graph, const Edge& data) {
   return graph.actor(data.source).name + "->" + graph.actor(data.target).name;
@@ -76,67 +58,6 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
   }
   const VrdfGraph& graph = snapshot.graph();
   const dataflow::VrdfGraph::BufferView& view = *unit.view;
-  // ρ(v) in seconds by ActorId::index(), read once per actor.
-  std::vector<Rational> rho(graph.actor_count());
-  for (const dataflow::ActorId v : unit.actors_in_order) {
-    rho[v.index()] = overlay.response_time_of(graph, v).seconds();
-  }
-
-  // Schedule alignment ω(v) as an affine function of τ (see
-  // compute_buffer_capacities): the two-pass split of the forward
-  // analysis — reverse topological order over the sink-anchored region,
-  // forward over the rest — with the constrained actor anchoring both
-  // passes at ω = 0.  The max over a fork's edges can switch with τ, so
-  // the binding structure is taken at a candidate period and iterated to
-  // a fixed point below; the final answer is forward-verified.
-  const auto leads_at = [&](const Rational& tau) {
-    std::vector<AffineLead> lead(graph.actor_count());
-    const auto consider = [&](AffineLead& longest, const AffineLead& candidate) {
-      if (candidate.at(tau) > longest.at(tau)) {
-        longest = candidate;
-      }
-    };
-    // Pass A — sink-anchored region.
-    for (auto it = unit.actors_in_order.rbegin();
-         it != unit.actors_in_order.rend(); ++it) {
-      const dataflow::ActorId v = *it;
-      if (!unit.sink_anchored[v.index()] || v == actor) {
-        continue;
-      }
-      AffineLead longest;
-      for (const std::size_t pos : view.out_buffers[v.index()]) {
-        if (unit.determined_by[pos] != ConstraintSide::Sink) {
-          continue;
-        }
-        const Edge& data = graph.edge(view.buffers[pos].data);
-        const AffineLead& down = lead[data.target.index()];
-        consider(longest,
-                 AffineLead{down.resp,
-                            down.rate + unit.producer_slack[pos].seconds()});
-      }
-      longest.resp = longest.resp + rho[v.index()];
-      lead[v.index()] = longest;
-    }
-    // Pass B — the rest, forward order.
-    for (const dataflow::ActorId v : unit.actors_in_order) {
-      if (unit.sink_anchored[v.index()] || v == actor) {
-        continue;
-      }
-      AffineLead longest;
-      for (const std::size_t pos : view.in_buffers[v.index()]) {
-        if (unit.determined_by[pos] != ConstraintSide::Source) {
-          continue;
-        }
-        const Edge& data = graph.edge(view.buffers[pos].data);
-        const AffineLead& up = lead[data.source.index()];
-        consider(longest,
-                 AffineLead{up.resp + rho[data.source.index()],
-                            up.rate + unit.producer_slack[pos].seconds()});
-      }
-      lead[v.index()] = longest;
-    }
-    return lead;
-  };
 
   // Response-time constraints ρ(v) ≤ c_v·τ (closed, attained) do not
   // depend on the alignment: their largest bound is a floor on τ that
@@ -145,15 +66,21 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
   std::size_t floor_actor = 0;
   for (std::size_t i = 0; i < unit.actors_in_order.size(); ++i) {
     const Rational bound =
-        rho[unit.actors_in_order[i].index()] / unit.pacing[i].seconds();
+        overlay.response_time_of(graph, unit.actors_in_order[i]).seconds() /
+        unit.pacing[i].seconds();
     if (bound > actor_floor) {
       actor_floor = bound;
       floor_actor = i;
     }
   }
 
-  Rational candidate_tau(1);
-  std::vector<AffineLead> lead = leads_at(candidate_tau);
+  // ω(v) and the pair terms, affine in τ, from the forward analysis' own
+  // lead pass and pair rule.  Their maxima can switch with τ, so the
+  // binding structure is taken at a candidate period and iterated to a
+  // fixed point below; the final answer is forward-verified.
+  detail::LeadArithmetic<detail::AffineLead> at_candidate{Rational(1)};
+  std::vector<detail::AffineLead> lead =
+      detail::compute_alignment_leads(graph, overlay, unit, at_candidate);
   for (int iteration = 0; iteration < 8; ++iteration) {
     Rational min_tau = actor_floor;
     Rational infimum_tau = actor_floor;
@@ -182,49 +109,16 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       const dataflow::BufferEdges buffer = unit.buffers_in_order[i];
       const Edge& data = graph.edge(buffer.data);
       const std::int64_t d = overlay.initial_tokens_of(graph, buffer.space);
-      const std::int64_t pi_max = data.production.max();
-      const std::int64_t gamma_max = data.consumption.max();
-
-      const ConstraintSide pair_side = unit.determined_by[i];
-      const bool is_static =
-          data.production.is_singleton() && data.consumption.is_singleton();
-      const bool adjacent = pair_side == ConstraintSide::Sink
-                                ? data.target == actor
-                                : data.source == actor;
-      // Back-edges never qualify for the tight rounding (see the forward
-      // analysis), so their slack keeps the Eq (4) +1.
-      const bool tight = options.rounding == RoundingMode::Ceil ||
-                         (options.rounding == RoundingMode::PaperPublished &&
-                          is_static && adjacent && !view.is_feedback[i]);
+      const std::int64_t delta = overlay.initial_tokens_of(graph, buffer.data);
       const Rational& s = unit.bound_rate[i].seconds();
+      const detail::PairTerms<detail::AffineLead> terms =
+          detail::pair_terms(graph, overlay, unit, lead, i, at_candidate);
+      const bool tight =
+          detail::uses_ceiling(terms.tight_rounding, options.rounding);
 
-      // Δ_producer = max(alignment gap, chain-local ρ_a + s·(π̂−1)) — the
-      // affine branch is chosen at the candidate period, like the
-      // alignment max itself, and validated by forward verification.
-      const AffineLead aligned =
-          pair_side == ConstraintSide::Sink
-              ? AffineLead{lead[data.source.index()].resp -
-                               lead[data.target.index()].resp,
-                           lead[data.source.index()].rate -
-                               lead[data.target.index()].rate}
-              : AffineLead{lead[data.target.index()].resp -
-                               lead[data.source.index()].resp,
-                           lead[data.target.index()].rate -
-                               lead[data.source.index()].rate};
-      const AffineLead chain_local{rho[data.source.index()],
-                                   unit.producer_slack[i].seconds()};
-      // Ties keep `aligned`, which on skeleton edges is always ≥ the
-      // chain-local value — acyclic graphs reproduce the pre-cyclic
-      // results exactly.
-      const AffineLead& gap =
-          chain_local.at(candidate_tau) > aligned.at(candidate_tau)
-              ? chain_local
-              : aligned;
-      // delta_total = R + C·τ with the consumer-side Eq (2) terms added.
-      const Rational resp_part = gap.resp + rho[data.target.index()];
-      // C/s, the τ-independent token count.
-      const Rational rate_tokens =
-          (gap.rate + unit.consumer_slack[i].seconds()) / s;
+      // R, and C/s — the τ-independent token count.
+      const Rational& resp_part = terms.delta_total.resp;
+      const Rational rate_tokens = terms.delta_total.rate / s;
       // Sufficiency margin in tokens: x ≤ d − 1 in general (the +1 of
       // Eq (4)); x ≤ d when the rounding mode grants the tight value.
       const Rational margin =
@@ -232,13 +126,11 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       if (!margin.is_positive()) {
         // Stated in installed containers: the circulating tokens of a
         // back-edge occupy containers on top of the free ones.
-        const std::int64_t tokens =
-            overlay.initial_tokens_of(graph, buffer.data);
         std::ostringstream os;
         os << "buffer " << endpoints(graph, data) << ": capacity "
-           << checked_add(d, tokens)
+           << checked_add(d, delta)
            << " cannot sustain any rate (needs more than "
-           << (rate_tokens + Rational(tight ? 0 : 1) + Rational(tokens))
+           << (rate_tokens + Rational(tight ? 0 : 1) + Rational(delta))
                   .to_string()
            << " containers)";
         result.diagnostics.push_back(os.str());
@@ -258,19 +150,11 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
         tighten_infimum(resp_part / (s * (margin + Rational(1))), false);
       }
 
-      // Back-edges additionally carry the cycle bound (see the forward
-      // analysis): the δ circulating tokens must cover the reversed
-      // alignment gap plus the transfer slack,
-      //   (rev + ρ_p)/(s·τ) + (π̂−1) + (γ̂−1) ≤ δ
-      // ⇔ τ ≥ (rev.resp + ρ_p) / (s·(δ − (π̂−1) − (γ̂−1) − rev.rate/s)).
+      // Back-edges additionally carry the cycle bound: the δ circulating
+      // tokens must cover the credit R' + C'·τ,
+      //   R'/(s·τ) + C'/s ≤ δ  ⇔  τ ≥ R' / (s·(δ − C'/s)).
       if (view.is_feedback[i]) {
-        const std::int64_t delta =
-            overlay.initial_tokens_of(graph, buffer.data);
-        const AffineLead reverse{-aligned.resp, -aligned.rate};
-        const Rational token_margin = Rational(delta) - Rational(pi_max - 1) -
-                                      Rational(gamma_max - 1) -
-                                      reverse.rate / s;
-        const Rational cycle_resp = reverse.resp + rho[data.source.index()];
+        const Rational token_margin = Rational(delta) - terms.credit.rate / s;
         if (!token_margin.is_positive()) {
           std::ostringstream os;
           os << "cycle through back-edge " << endpoints(graph, data)
@@ -281,7 +165,7 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
           diagnosed = true;
           break;
         }
-        const Rational cycle_bound = cycle_resp / (s * token_margin);
+        const Rational cycle_bound = terms.credit.resp / (s * token_margin);
         tighten(cycle_bound, {Binding::Kind::Cycle, i});
         tighten_infimum(cycle_bound, true);
       }
@@ -291,9 +175,11 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
     }
 
     // The binding structure of the alignment max may differ at the solved
-    // period; iterate until it reproduces itself (`lead` is exactly
-    // leads_at(candidate_tau), carried over from the previous check).
-    std::vector<AffineLead> next = leads_at(min_tau);
+    // period; iterate until it reproduces itself (`lead` is exactly the
+    // leads at the candidate period, carried over from the previous check).
+    const detail::LeadArithmetic<detail::AffineLead> at_min{min_tau};
+    std::vector<detail::AffineLead> next =
+        detail::compute_alignment_leads(graph, overlay, unit, at_min);
     if (next == lead) {
       result.ok = true;
       result.min_period = Duration(min_tau);
@@ -302,7 +188,7 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       result.binding_constraint = binding.label(graph, unit);
       break;
     }
-    candidate_tau = min_tau;
+    at_candidate = at_min;
     lead = std::move(next);
   }
   if (!result.ok) {

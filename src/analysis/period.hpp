@@ -6,8 +6,9 @@
 // the paper's framework this has a closed form, because pacing is linear
 // in the period: φ(v) = c_v·τ with a rate-only coefficient c_v from the
 // Sec 4.3/4.4 propagation.  Per pair, sufficiency of capacity d (in the
-// conservative Eq (4) sense x ≤ d − 1, or x ≤ d on the tight pair) turns
-// into a lower bound on the pair's bound rate s = c·τ/γ̂ and hence on τ:
+// conservative Eq (4) sense x ≤ d − 1, or x ≤ d on a pair the rounding
+// mode rounds to ⌈x⌉) turns into a lower bound on the pair's bound rate
+// s = c·τ/γ̂ and hence on τ:
 //
 //     x = (ρ_a + ρ_b)/s + (π̂ − 1) + (γ̂ − 1) ≤ d − 1
 //  ⇔  τ ≥ γ̂·(ρ_a + ρ_b) / (c · (d + 1 − π̂ − γ̂))        [literal form]
@@ -22,6 +23,11 @@
 // uses the closed condition x ≤ d − 1 instead, so the returned period is
 // attained, sound, and conservative by strictly less than one token's
 // worth of rate.
+//
+// ω, the Δ terms, the back-edge credit and the rounding come from the
+// forward analysis' own rules (analysis/sizing_core.hpp) over leads
+// affine in τ; the solver adds the margins, bounds, infimum, fixed point
+// and forward check.
 #pragma once
 
 #include <optional>

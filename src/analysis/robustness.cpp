@@ -55,11 +55,8 @@ struct PairLine {
   Rational x0;
   /// Installed capacity minus δ(data): the most the rounded x may reach.
   std::int64_t room = 0;
-  /// analyse_pair's default PaperPublished rule rounds this pair to ⌈x⌉
-  /// (fits while x ≤ room) rather than ⌊x⌋+1 (fits while x < room): a
-  /// static pair off the feedback edges whose rate-determining endpoint
-  /// carries a constraint (that endpoint touches the pair's edge, so it
-  /// is always of the anchoring kind).
+  /// The pair rounds to ⌈x⌉ (fits while x ≤ room) rather than ⌊x⌋+1
+  /// (fits while x < room).
   bool tight = false;
 };
 
@@ -169,20 +166,13 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
 
   // Grid point 0 of every search, kept for the secant hints: `baseline`
   // is the engine's live analysis, which the retunes below overwrite.
-  std::vector<bool> constrained(graph.actor_count(), false);
-  for (const ThroughputConstraint& c : constraints) {
-    constrained[c.actor.index()] = true;
-  }
   std::vector<PairLine> lines;
   lines.reserve(baseline.pairs.size());
   for (const PairAnalysis& pair : baseline.pairs) {
-    const dataflow::ActorId anchor = pair.determined_by == ConstraintSide::Sink
-                                         ? pair.consumer
-                                         : pair.producer;
     lines.push_back(PairLine{
         pair.raw_tokens,
         graph.buffer_capacity(pair.buffer) - pair.initial_tokens,
-        pair.is_static && !pair.is_feedback && constrained[anchor.index()]});
+        detail::uses_ceiling(pair.tight_rounding, baseline.rounding)});
   }
 
   // Per actor: retune its ρ on the engine, which re-derives only the ω

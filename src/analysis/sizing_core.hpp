@@ -1,14 +1,15 @@
-// Internal sizing primitives shared by the full analysis
-// (buffer_sizing.cpp) and the incremental re-analysis engine
-// (incremental.cpp).  Both paths MUST go through these helpers: the
-// incremental engine promises field-for-field identical GraphAnalysis
-// results, and the only way to keep that promise cheaply is to compute
-// every lead and every pair with the same code and the same evaluation
-// order as the full analysis.  The three result shapes (pacing failed,
-// ρ-blocked, sized) are assembled in size_from_pacing alone: the engine
-// takes its result on every full re-size and, between re-sizes, patches
-// single pairs with analyse_pair and re-renders the starving back-edge
-// diagnostics with append_starving_diagnostics.
+// Internal sizing primitives: the one copy of the sizing rules (ω lead
+// pass, Eq (1)–(3) pair rule and back-edge credit, Eq (4) rounding),
+// shared by the full analysis, the incremental engine (whose promise of
+// field-for-field identical GraphAnalysis results rests on computing
+// every lead and pair with the same code and evaluation order),
+// min-period (the same lead pass and pair rule over leads affine in τ),
+// and the certificate and robustness hints (via tight_rounding).  Only
+// the certificate checker keeps its own derivation.  The three result
+// shapes (pacing failed, ρ-blocked, sized) are assembled in
+// size_from_pacing alone; between re-sizes the engine patches single
+// pairs with analyse_pair and re-renders starving back-edge diagnostics
+// with append_starving_diagnostics.
 //
 // All helpers read parameters through a ParameterOverlay (an empty
 // overlay reproduces the graph's own values bit for bit, since the
@@ -47,30 +48,126 @@ namespace vrdf::analysis::detail {
                                            const PacingResult& pacing,
                                            std::vector<std::string>& diagnostics);
 
+/// A lead affine in the period τ: resp + rate·τ (seconds, and seconds per
+/// unit period).  Over a unit-period pacing ρ is τ-independent and the
+/// quantum slacks are coefficients of τ, so every ω and Eq (1)–(3) term
+/// is affine in τ and a pair's sufficiency becomes a bound on τ.
+struct AffineLead {
+  Rational resp;
+  Rational rate;
+
+  [[nodiscard]] Rational at(const Rational& tau) const {
+    return resp + rate * tau;
+  }
+  friend AffineLead operator+(const AffineLead& a, const AffineLead& b) {
+    return {a.resp + b.resp, a.rate + b.rate};
+  }
+  friend AffineLead operator-(const AffineLead& a, const AffineLead& b) {
+    return {a.resp - b.resp, a.rate - b.rate};
+  }
+  friend bool operator==(const AffineLead&, const AffineLead&) = default;
+};
+
+/// How the lead pass and the pair rule build leads of type Lead from a
+/// response time ρ and a pacing's quantum slack s·(q̂ − 1) (local_term is
+/// their sum, a pair's chain-local term), and which of two leads is
+/// longer; leads add and subtract with + and −.  Duration: leads at the
+/// pacing's own period.
+template <class Lead>
+struct LeadArithmetic {
+  static Lead local_term(const Lead& rho, const Lead& slack) {
+    return rho + slack;
+  }
+  static Lead plus_response(const Lead& lead, const Lead& rho) {
+    return lead + rho;
+  }
+  static Lead plus_slack(const Lead& lead, const Lead& slack) {
+    return lead + slack;
+  }
+  static bool longer(const Lead& a, const Lead& b) { return a > b; }
+};
+
+/// AffineLead: ρ enters the resp part and a slack the rate part.  The
+/// max over a fork's edges can switch with τ, so leads are ordered by
+/// their values at a candidate period.
+template <>
+struct LeadArithmetic<AffineLead> {
+  Rational tau;
+
+  static AffineLead local_term(const Duration& rho, const Duration& slack) {
+    return {rho.seconds(), slack.seconds()};
+  }
+  static AffineLead plus_response(AffineLead lead, const Duration& rho) {
+    lead.resp += rho.seconds();
+    return lead;
+  }
+  static AffineLead plus_slack(AffineLead lead, const Duration& slack) {
+    lead.rate += slack.seconds();
+    return lead;
+  }
+  [[nodiscard]] bool longer(const AffineLead& a, const AffineLead& b) const {
+    return a.at(tau) > b.at(tau);
+  }
+};
+
 /// ω(v) for a pass-A actor (sink-anchored, not a sink-kind constraint
 /// anchor), given the leads of its sink-determined out-neighbours.
-[[nodiscard]] Duration lead_pass_a_of(const dataflow::VrdfGraph& graph,
-                                      const ParameterOverlay& overlay,
-                                      const PacingResult& pacing,
-                                      const std::vector<Duration>& lead,
-                                      dataflow::ActorId v);
+template <class Lead>
+[[nodiscard]] Lead lead_pass_a_of(const dataflow::VrdfGraph& graph,
+                                  const ParameterOverlay& overlay,
+                                  const PacingResult& pacing,
+                                  const std::vector<Lead>& lead,
+                                  dataflow::ActorId v,
+                                  const LeadArithmetic<Lead>& arith = {});
 
 /// ω(v) for a pass-B actor (not sink-anchored, not a source-kind
 /// constraint anchor), given the leads of its source-determined
 /// in-neighbours.
-[[nodiscard]] Duration lead_pass_b_of(const dataflow::VrdfGraph& graph,
-                                      const ParameterOverlay& overlay,
-                                      const PacingResult& pacing,
-                                      const std::vector<Duration>& lead,
-                                      dataflow::ActorId v);
+template <class Lead>
+[[nodiscard]] Lead lead_pass_b_of(const dataflow::VrdfGraph& graph,
+                                  const ParameterOverlay& overlay,
+                                  const PacingResult& pacing,
+                                  const std::vector<Lead>& lead,
+                                  dataflow::ActorId v,
+                                  const LeadArithmetic<Lead>& arith = {});
 
 /// Full two-pass schedule-alignment computation: pass A over the
 /// sink-anchored region in reverse topological order, pass B over the
 /// rest forward; constraint anchors stay pinned at ω = 0.  Indexed by
 /// ActorId::index().
-[[nodiscard]] std::vector<Duration> compute_alignment_leads(
+template <class Lead>
+[[nodiscard]] std::vector<Lead> compute_alignment_leads(
     const dataflow::VrdfGraph& graph, const ParameterOverlay& overlay,
-    const PacingResult& pacing);
+    const PacingResult& pacing, const LeadArithmetic<Lead>& arith);
+
+/// One pair's Eq (1)–(3) terms, its back-edge credit (zero elsewhere) and
+/// its PairAnalysis::tight_rounding.
+template <class Lead>
+struct PairTerms {
+  Lead delta_producer;
+  Lead delta_consumer;
+  Lead delta_total;
+  Lead credit;
+  bool tight_rounding = false;
+};
+
+/// The pair rule for the pair at position `pos` of pacing.buffers_in_order.
+template <class Lead>
+[[nodiscard]] PairTerms<Lead> pair_terms(
+    const dataflow::VrdfGraph& graph, const ParameterOverlay& overlay,
+    const PacingResult& pacing, const std::vector<Lead>& lead,
+    std::size_t pos, const LeadArithmetic<Lead>& arith = {});
+
+/// True when the pair at `pos` touches the constrained anchor of its
+/// rate-determining side (its consumer on a sink-determined pair, its
+/// producer on a source-determined one).
+[[nodiscard]] bool adjacent_to_anchor(const dataflow::VrdfGraph& graph,
+                                      const PacingResult& pacing,
+                                      std::size_t pos);
+
+/// The Eq (4) rounding rule: true when a pair with the given
+/// tight_rounding takes ⌈x⌉ under `mode`, false when it takes ⌊x⌋ + 1.
+[[nodiscard]] bool uses_ceiling(bool tight_rounding, RoundingMode mode);
 
 /// Analyses the pair at position `pos` of pacing.buffers_in_order: bound
 /// rate, Eq (1)–(4) capacity with the tight-adjacency rounding rule, and

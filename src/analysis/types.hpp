@@ -107,6 +107,13 @@ struct PairAnalysis {
   ConstraintSide determined_by = ConstraintSide::Sink;
   /// True when all rate sets of the pair are singletons (data-independent).
   bool is_static = false;
+  /// True when Eq (4)'s tight value x (without the +1) may be sound for
+  /// the pair: it is static, touches the constrained anchor of its
+  /// rate-determining side, and is not a back-edge.  The constrained
+  /// actor's transfer times are exactly periodic there, so no delay can
+  /// occur on its side.  Mode-independent: the RoundingMode decides
+  /// whether the pair takes ⌈x⌉ (see RoundingMode::PaperPublished).
+  bool tight_rounding = false;
   /// True when the buffer's data edge is a back-edge of a cyclic topology
   /// (it carries the cycle's circulating tokens and is excluded from the
   /// topological propagations).

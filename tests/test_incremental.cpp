@@ -71,6 +71,7 @@ void expect_identical(const GraphAnalysis& got, const GraphAnalysis& want) {
     EXPECT_EQ(g.capacity, w.capacity) << "pair " << i;
     EXPECT_EQ(g.determined_by, w.determined_by) << "pair " << i;
     EXPECT_EQ(g.is_static, w.is_static) << "pair " << i;
+    EXPECT_EQ(g.tight_rounding, w.tight_rounding) << "pair " << i;
     EXPECT_EQ(g.is_feedback, w.is_feedback) << "pair " << i;
     EXPECT_EQ(g.initial_tokens, w.initial_tokens) << "pair " << i;
     EXPECT_EQ(g.required_initial_tokens, w.required_initial_tokens)

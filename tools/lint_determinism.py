@@ -43,6 +43,18 @@ known footguns:
       the library pins it, or the function takes one constraint by
       meaning, such as admitting one stream).
 
+  R6  One rounding rule.
+      Whether a pair's Eq (4) token count x rounds to ceil(x) or to
+      floor(x) + 1 is decided by one function, detail::uses_ceiling in
+      src/analysis/buffer_sizing.cpp, from the pair's tight_rounding
+      flag and the RoundingMode.  Naming a RoundingMode enumerator
+      (PaperLiteral, Ceil, PaperPublished) anywhere else in src/ starts
+      a second copy of that rule, so it is rejected outside
+      src/analysis/types.hpp (where the enum is declared),
+      buffer_sizing.cpp and src/analysis/checker.cpp (whose independent
+      derivation R4 protects).  The det-lint annotation does not exempt
+      a line from R6.
+
 Exit status: 0 clean, 1 violations (listed one per line), 2 usage.
 """
 
@@ -101,6 +113,15 @@ SINGLE_CONSTRAINT_PARAM = re.compile(
     r"\bconst\s+(?:analysis::)?ThroughputConstraint\s*&\s*\w*\s*(?:[,)]|$)"
 )
 
+ROUNDING_ENUMERATOR = re.compile(
+    r"\bRoundingMode::(?:PaperLiteral|Ceil|PaperPublished)\b"
+)
+ROUNDING_RULE_FILES = (
+    "src/analysis/types.hpp",
+    "src/analysis/buffer_sizing.cpp",
+    "src/analysis/checker.cpp",
+)
+
 CHECKER_FILE = "src/analysis/checker.cpp"
 ANALYZER_HEADERS = (
     "analysis/pacing.hpp",
@@ -153,6 +174,12 @@ def lint_file(root: Path, rel: str, violations: list[str]) -> None:
             violations.append(
                 f"{rel}:{number}: R5 single-constraint parameter; take "
                 f"a `const ConstraintSet&` and let callers pass `{{c}}`"
+            )
+        if rel not in ROUNDING_RULE_FILES and ROUNDING_ENUMERATOR.search(code):
+            violations.append(
+                f"{rel}:{number}: R6 RoundingMode enumerator outside the "
+                f"rounding rule; read the pair's tight_rounding through "
+                f"detail::uses_ceiling instead"
             )
         if rel == CHECKER_FILE:
             for header in ANALYZER_HEADERS:
