@@ -14,6 +14,14 @@ using dataflow::EdgeId;
 
 namespace {
 
+/// Cap on stored RhoViolation events (the total count keeps counting).
+constexpr std::size_t kMaxRhoEvents = 256;
+/// Firing-record cap installed per actor by attach().
+constexpr std::size_t kRecordCap = std::size_t{1} << 18;
+/// Starts later than this past their grid slot count as late for
+/// non-periodic (anchored-grid) lateness tracking.
+constexpr Duration kLatenessTolerance;
+
 /// "producer->consumer" of the buffer the edge belongs to (bare edges name
 /// themselves); space halves are labelled in the buffer's data direction.
 [[nodiscard]] std::string buffer_label(const dataflow::VrdfGraph& graph,
@@ -103,11 +111,9 @@ BlockageReport diagnose_blockage(const dataflow::VrdfGraph& graph,
 }
 
 ConformanceMonitor::ConformanceMonitor(const dataflow::VrdfGraph& graph,
-                                       analysis::ConstraintSet constraints,
-                                       MonitorOptions options)
+                                       analysis::ConstraintSet constraints)
     : graph_(&graph),
       constraints_(std::move(constraints)),
-      options_(options),
       rho_cursor_(graph.actor_count(), 0),
       grid_cursor_(constraints_.size(), 0),
       grid_anchor_(constraints_.size()),
@@ -126,7 +132,7 @@ ConformanceMonitor::ConformanceMonitor(const dataflow::VrdfGraph& graph,
 
 void ConformanceMonitor::attach(Simulator& sim) const {
   for (const ActorId a : graph_->actors()) {
-    sim.record_firings(a, options_.record_cap);
+    sim.record_firings(a, kRecordCap);
   }
 }
 
@@ -150,7 +156,7 @@ void ConformanceMonitor::observe_rho(const Simulator& sim) {
       }
       ++report_.rho_violation_total;
       report_.rho_conformant = false;
-      if (report_.rho_violations.size() < options_.max_events) {
+      if (report_.rho_violations.size() < kMaxRhoEvents) {
         report_.rho_violations.push_back(
             RhoViolation{a, records[k].index, declared, observed});
         VRDF_LOG(Debug) << "conformance: actor '" << graph_->actor(a).name
@@ -206,7 +212,7 @@ void ConformanceMonitor::observe_constraints(const Simulator& sim,
           records[k].start -
           (*grid_anchor_[c] + tau * Rational(records[k].index));
       conformance.max_lateness = std::max(conformance.max_lateness, lateness);
-      if (lateness > options_.lateness_tolerance) {
+      if (lateness > kLatenessTolerance) {
         ++anchored_late;
         if (!conformance.first_late_firing.has_value()) {
           conformance.first_late_firing = records[k].index;

@@ -79,16 +79,6 @@ struct BlockageReport {
 [[nodiscard]] BlockageReport diagnose_blockage(
     const dataflow::VrdfGraph& graph, const std::vector<BlockedWait>& blocked);
 
-struct MonitorOptions {
-  /// Cap on stored RhoViolation events (the total count keeps counting).
-  std::size_t max_events = 256;
-  /// Firing-record cap installed per actor by attach().
-  std::size_t record_cap = 1 << 18;
-  /// Starts later than this past their grid slot count as late for
-  /// non-periodic (anchored-grid) lateness tracking.
-  Duration lateness_tolerance;
-};
-
 /// Flat, copyable summary of everything a monitor observed; returned by
 /// ConformanceMonitor::report and embedded in VerifyResult.
 struct MonitorReport {
@@ -119,11 +109,10 @@ struct MonitorReport {
 class ConformanceMonitor {
 public:
   ConformanceMonitor(const dataflow::VrdfGraph& graph,
-                     analysis::ConstraintSet constraints,
-                     MonitorOptions options = {});
+                     analysis::ConstraintSet constraints);
 
   /// Enables firing records on every actor of the simulator (capped at
-  /// MonitorOptions::record_cap).  Call before the first run.
+  /// 2^18 records per actor).  Call before the first run.
   void attach(Simulator& sim) const;
 
   /// Ingests all firing records new since the previous observe() call,
@@ -139,7 +128,6 @@ private:
 
   const dataflow::VrdfGraph* graph_;
   analysis::ConstraintSet constraints_;
-  MonitorOptions options_;
   MonitorReport report_;
   /// Per actor id: firing records already ingested.
   std::vector<std::size_t> rho_cursor_;

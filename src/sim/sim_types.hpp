@@ -43,7 +43,6 @@ struct ActorMode {
   TimePoint offset;  // StrictlyPeriodic only
   Duration period;   // StrictlyPeriodic / RateLimited
 
-  [[nodiscard]] static ActorMode self_timed() { return ActorMode{}; }
   [[nodiscard]] static ActorMode strictly_periodic(TimePoint offset,
                                                    Duration period) {
     return ActorMode{Kind::StrictlyPeriodic, offset, period};

@@ -24,7 +24,6 @@ public:
   [[nodiscard]] bool is_zero() const { return seconds_.is_zero(); }
   [[nodiscard]] bool is_negative() const { return seconds_.is_negative(); }
   [[nodiscard]] bool is_positive() const { return seconds_.is_positive(); }
-  [[nodiscard]] double to_seconds_double() const { return seconds_.to_double(); }
   [[nodiscard]] double to_millis_double() const { return seconds_.to_double() * 1e3; }
   [[nodiscard]] std::string to_string() const { return seconds_.to_string() + " s"; }
 
@@ -72,7 +71,6 @@ public:
   explicit TimePoint(Rational seconds) : seconds_(seconds) {}
 
   [[nodiscard]] const Rational& seconds() const { return seconds_; }
-  [[nodiscard]] double to_seconds_double() const { return seconds_.to_double(); }
   [[nodiscard]] std::string to_string() const { return seconds_.to_string() + " s"; }
 
   TimePoint& operator+=(const Duration& d) {
