@@ -191,7 +191,7 @@ PairTerms<Lead> pair_terms(const VrdfGraph& graph,
   // pinned to the whole loop, not to the constrained actor alone.
   terms.tight_rounding = data.production.is_singleton() &&
                          data.consumption.is_singleton() && !is_feedback &&
-                         adjacent_to_anchor(graph, pacing, pos);
+                         adjacent_to_anchor(pacing, data, pos);
   return terms;
 }
 
@@ -214,14 +214,6 @@ template PairTerms<AffineLead> pair_terms(const VrdfGraph&,
                                           const std::vector<AffineLead>&,
                                           std::size_t,
                                           const LeadArithmetic<AffineLead>&);
-
-bool adjacent_to_anchor(const VrdfGraph& graph, const PacingResult& pacing,
-                        std::size_t pos) {
-  const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
-  return pacing.determined_by[pos] == ConstraintSide::Sink
-             ? constrained_kind(pacing, data.target, /*sink_kind=*/true)
-             : constrained_kind(pacing, data.source, /*sink_kind=*/false);
-}
 
 bool uses_ceiling(bool tight_rounding, RoundingMode mode) {
   switch (mode) {

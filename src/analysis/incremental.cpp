@@ -216,18 +216,18 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
   std::vector<char>& dirty_pair = scratch_dirty_pair_;
   dirty_pair.assign(analysis_.pairs.size(), 0);
   for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
+    const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
     if (pacing_.determined_by[pos] != held.determined_by[pos] ||
         pacing_.bound_rate[pos] != held.bound_rate[pos] ||
         pacing_.producer_slack[pos] != held.producer_slack[pos] ||
         pacing_.consumer_slack[pos] != held.consumer_slack[pos]) {
       dirty_pair[pos] = 1;
-      const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
       for (const dataflow::ActorId v : {data.source, data.target}) {
         dirty_a[v.index()] = 1;
         dirty_b[v.index()] = 1;
       }
-    } else if (detail::adjacent_to_anchor(graph, pacing_, pos) !=
-               detail::adjacent_to_anchor(graph, held, pos)) {
+    } else if (detail::adjacent_to_anchor(pacing_, data, pos) !=
+               detail::adjacent_to_anchor(held, data, pos)) {
       dirty_pair[pos] = 1;
     }
   }

@@ -158,12 +158,16 @@ template <class Lead>
     const PacingResult& pacing, const std::vector<Lead>& lead,
     std::size_t pos, const LeadArithmetic<Lead>& arith = {});
 
-/// True when the pair at `pos` touches the constrained anchor of its
-/// rate-determining side (its consumer on a sink-determined pair, its
-/// producer on a source-determined one).
-[[nodiscard]] bool adjacent_to_anchor(const dataflow::VrdfGraph& graph,
-                                      const PacingResult& pacing,
-                                      std::size_t pos);
+/// True when the pair at `pos`, whose data edge is `data`, touches the
+/// constrained anchor of its rate-determining side (its consumer on a
+/// sink-determined pair, its producer on a source-determined one).
+[[nodiscard]] inline bool adjacent_to_anchor(const PacingResult& pacing,
+                                             const dataflow::Edge& data,
+                                             std::size_t pos) {
+  return pacing.determined_by[pos] == ConstraintSide::Sink
+             ? constrained_kind(pacing, data.target, /*sink_kind=*/true)
+             : constrained_kind(pacing, data.source, /*sink_kind=*/false);
+}
 
 /// The Eq (4) rounding rule: true when a pair with the given
 /// tight_rounding takes ⌈x⌉ under `mode`, false when it takes ⌊x⌋ + 1.
