@@ -140,8 +140,8 @@ PairTerms<Lead> pair_terms(const VrdfGraph& graph,
                            const ParameterOverlay& overlay,
                            const PacingResult& pacing,
                            const std::vector<Lead>& lead, std::size_t pos,
+                           const Edge& data,
                            const LeadArithmetic<Lead>& arith) {
-  const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
   const std::size_t producer = data.source.index();
   const std::size_t consumer = data.target.index();
   const bool sink_side = pacing.determined_by[pos] == ConstraintSide::Sink;
@@ -212,20 +212,8 @@ template PairTerms<AffineLead> pair_terms(const VrdfGraph&,
                                           const ParameterOverlay&,
                                           const PacingResult&,
                                           const std::vector<AffineLead>&,
-                                          std::size_t,
+                                          std::size_t, const Edge&,
                                           const LeadArithmetic<AffineLead>&);
-
-bool uses_ceiling(bool tight_rounding, RoundingMode mode) {
-  switch (mode) {
-    case RoundingMode::PaperLiteral:
-      return false;
-    case RoundingMode::Ceil:
-      return true;
-    case RoundingMode::PaperPublished:
-      return tight_rounding;
-  }
-  throw ContractError("unknown rounding mode");
-}
 
 PairAnalysis analyse_pair(const VrdfGraph& graph,
                           const ParameterOverlay& overlay,
@@ -254,7 +242,7 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
   pair.initial_tokens = overlay.initial_tokens_of(graph, buffer.data);
 
   const PairTerms<Duration> terms =
-      pair_terms(graph, overlay, pacing, lead, pos);
+      pair_terms(graph, overlay, pacing, lead, pos, data);
   pair.delta_producer = terms.delta_producer;
   pair.delta_consumer = terms.delta_consumer;
   pair.delta_total = terms.delta_total;

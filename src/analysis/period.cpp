@@ -111,8 +111,8 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
       const std::int64_t d = overlay.initial_tokens_of(graph, buffer.space);
       const std::int64_t delta = overlay.initial_tokens_of(graph, buffer.data);
       const Rational& s = unit.bound_rate[i].seconds();
-      const detail::PairTerms<detail::AffineLead> terms =
-          detail::pair_terms(graph, overlay, unit, lead, i, at_candidate);
+      const detail::PairTerms<detail::AffineLead> terms = detail::pair_terms(
+          graph, overlay, unit, lead, i, data, at_candidate);
       const bool tight =
           detail::uses_ceiling(terms.tight_rounding, options.rounding);
 

@@ -151,12 +151,14 @@ struct PairTerms {
   bool tight_rounding = false;
 };
 
-/// The pair rule for the pair at position `pos` of pacing.buffers_in_order.
+/// The pair rule for the pair at position `pos` of pacing.buffers_in_order,
+/// whose data edge is `data`.
 template <class Lead>
 [[nodiscard]] PairTerms<Lead> pair_terms(
     const dataflow::VrdfGraph& graph, const ParameterOverlay& overlay,
     const PacingResult& pacing, const std::vector<Lead>& lead,
-    std::size_t pos, const LeadArithmetic<Lead>& arith = {});
+    std::size_t pos, const dataflow::Edge& data,
+    const LeadArithmetic<Lead>& arith = {});
 
 /// True when the pair at `pos`, whose data edge is `data`, touches the
 /// constrained anchor of its rate-determining side (its consumer on a
@@ -171,7 +173,18 @@ template <class Lead>
 
 /// The Eq (4) rounding rule: true when a pair with the given
 /// tight_rounding takes ⌈x⌉ under `mode`, false when it takes ⌊x⌋ + 1.
-[[nodiscard]] bool uses_ceiling(bool tight_rounding, RoundingMode mode);
+[[nodiscard]] inline bool uses_ceiling(bool tight_rounding,
+                                       RoundingMode mode) {
+  switch (mode) {
+    case RoundingMode::PaperLiteral:
+      return false;
+    case RoundingMode::Ceil:
+      return true;
+    case RoundingMode::PaperPublished:
+      return tight_rounding;
+  }
+  throw ContractError("unknown rounding mode");
+}
 
 /// Analyses the pair at position `pos` of pacing.buffers_in_order: bound
 /// rate, Eq (1)–(4) capacity with the tight-adjacency rounding rule, and

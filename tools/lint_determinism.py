@@ -46,12 +46,12 @@ known footguns:
   R6  One rounding rule.
       Whether a pair's Eq (4) token count x rounds to ceil(x) or to
       floor(x) + 1 is decided by one function, detail::uses_ceiling in
-      src/analysis/buffer_sizing.cpp, from the pair's tight_rounding
+      src/analysis/sizing_core.hpp, from the pair's tight_rounding
       flag and the RoundingMode.  Naming a RoundingMode enumerator
       (PaperLiteral, Ceil, PaperPublished) anywhere else in src/ starts
       a second copy of that rule, so it is rejected outside
       src/analysis/types.hpp (where the enum is declared),
-      buffer_sizing.cpp and src/analysis/checker.cpp (whose independent
+      sizing_core.hpp and src/analysis/checker.cpp (whose independent
       derivation R4 protects).  The det-lint annotation does not exempt
       a line from R6.
 
@@ -118,7 +118,7 @@ ROUNDING_ENUMERATOR = re.compile(
 )
 ROUNDING_RULE_FILES = (
     "src/analysis/types.hpp",
-    "src/analysis/buffer_sizing.cpp",
+    "src/analysis/sizing_core.hpp",
     "src/analysis/checker.cpp",
 )
 
