@@ -3,13 +3,13 @@
 // A deployed media platform faces capacity questions at run time: may a
 // new stream (a throughput constraint) start?  May a codec be moved to a
 // slower core (a retune)?  May a stream change rate (a period move)?
-// Each question is a what-if against the live analysis state; the
-// controller answers by applying the change to the IncrementalAnalysis,
-// reading admissibility off the result, and — on rejection — rolling the
-// change back so the serviced state never degrades.  Every operation is
-// self-inverse through the engine, so rollback is another (cheap)
-// incremental step, not a state copy; undoing a change that left the
-// result without leads swaps in the sized state the engine parked.
+// Each question is a what-if against the live analysis state, answered
+// as a transaction on the IncrementalAnalysis: checkpoint, apply the
+// change, read admissibility off the result, then commit it or — on
+// rejection — roll it back so the serviced state never degrades.  The
+// rollback replays the engine's undo log: every rejection kind returns
+// to the exact prior state without issuing another query, and without
+// any propagation, lead pass or pair analysis.
 //
 // Decisions carry the binding constraint on rejection (the first
 // diagnostic of the rejected candidate state: the ρ-violation, starving
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,19 +58,16 @@ public:
                       ConstraintSet initial_streams,
                       AnalysisOptions options = {});
 
-  /// May the new stream start?  (Adds its throughput constraint, at
-  /// position `at` of streams() when given, else at the end.)  The actor
-  /// must not already carry a constraint.
+  /// May the new stream start?  (Adds its throughput constraint at the
+  /// end of streams().)  The actor must not already carry a constraint.
   AdmissionDecision admit(
-      const ThroughputConstraint& stream,  // det-lint: ok(one stream)
-      std::optional<std::size_t> at = std::nullopt);
+      const ThroughputConstraint& stream);  // det-lint: ok(one stream)
   /// Stops the stream pinned at `actor`.  Removal rejects (and rolls
   /// back) when the remaining constraints no longer pace the whole
   /// graph — an actor or edge outside every remaining demand cone has
   /// no derivable rate.  Removing the *last* stream is refused with
   /// ContractError: an unconstrained graph has no analysis at all.
-  /// Rollback re-admits the stream at the position it was removed from,
-  /// so a rejected removal keeps the stream order.
+  /// A rejected removal keeps the stream order.
   AdmissionDecision remove(dataflow::ActorId actor);
   /// May `actor` run with worst-case response time `rho`?
   AdmissionDecision retune(dataflow::ActorId actor, Duration rho);
@@ -100,8 +96,19 @@ public:
     return engine_.constraints();
   }
 
+  /// The engine's checkpoint, rollback and commit, for a caller that
+  /// decides several changes as one: the decisions above nest inside its
+  /// checkpoint, and its rollback undoes accepted ones too.  Every state
+  /// a rollback returns to was serviced, so it is admissible.
+  void checkpoint() { engine_.checkpoint(); }
+  void rollback() { engine_.rollback(); }
+  void commit() { engine_.commit(); }
+
 private:
-  AdmissionDecision decide_(std::int64_t total_before);
+  /// Runs `query` on the engine under a checkpoint and commits an
+  /// admissible, certified candidate or rolls the change back.
+  template <typename Query>
+  AdmissionDecision decide_(Query&& query);
   IncrementalAnalysis engine_;
   bool require_certificate_ = false;
 };

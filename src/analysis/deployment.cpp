@@ -1,5 +1,6 @@
 #include "analysis/deployment.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "analysis/buffer_sizing.hpp"
@@ -33,6 +34,16 @@ namespace {
         ThroughputConstraint{actor_of_task[task->index()], stream.period});
   }
   return constraints;
+}
+
+/// The κ entry of `task` in `kappas` (const or not).
+template <typename Kappas>
+auto& entry_of(Kappas& kappas, const std::string& task) {
+  const auto it = std::find_if(
+      kappas.begin(), kappas.end(),
+      [&](const DerivedKappa& derived) { return derived.task_name == task; });
+  VRDF_REQUIRE(it != kappas.end(), "unknown task '" + task + "'");
+  return *it;
 }
 
 }  // namespace
@@ -165,13 +176,7 @@ dataflow::ActorId DeploymentController::actor_of(
 }
 
 Duration DeploymentController::kappa(const std::string& task) const {
-  for (const DerivedKappa& derived : kappas_) {
-    if (derived.task_name == task) {
-      return derived.kappa;
-    }
-  }
-  VRDF_REQUIRE(false, "unknown task '" + task + "'");
-  return Duration();  // unreachable
+  return entry_of(kappas_, task).kappa;
 }
 
 Certificate DeploymentController::certificate() const {
@@ -212,8 +217,47 @@ std::optional<std::string> DeploymentController::certificate_gate_() {
   return "certificate: " + check.first_violation();
 }
 
-DeploymentDecision DeploymentController::set_slot(const std::string& task,
-                                                  Duration slot) {
+template <typename Step>
+DeploymentDecision DeploymentController::transact_(const std::string* slot_task,
+                                                   Step&& step) {
+  std::optional<DerivedKappa> saved;
+  if (slot_task != nullptr) {
+    saved = entry_of(kappas_, *slot_task);
+  }
+  const auto roll_back = [&] {
+    controller_->rollback();
+    if (saved.has_value() &&
+        platform_.service_model(saved->task_name).slot != saved->service.slot) {
+      platform_.set_slot(saved->task_name, saved->service.slot);
+      entry_of(kappas_, saved->task_name) = *saved;
+    }
+  };
+  controller_->checkpoint();
+  DeploymentDecision out;
+  try {
+    out = step();
+    if (out.accepted) {
+      if (std::optional<std::string> violation = certificate_gate_()) {
+        out = DeploymentDecision{};
+        out.binding_constraint = *violation;
+        out.diagnostics.push_back(*violation);
+      }
+    }
+  } catch (...) {
+    roll_back();
+    throw;
+  }
+  if (out.accepted) {
+    controller_->commit();
+  } else {
+    roll_back();
+  }
+  out.total_capacity = analysis().total_capacity;
+  return out;
+}
+
+DeploymentDecision DeploymentController::slot_step_(const std::string& task,
+                                                    Duration slot) {
   VRDF_REQUIRE(slot.is_positive(),
                "slot budget of task '" + task + "' must be positive");
   const sched::ServiceModel before = platform_.service_model(task);
@@ -221,160 +265,61 @@ DeploymentDecision DeploymentController::set_slot(const std::string& task,
                "task '" + task +
                    "' runs under round-robin; only TDM slots can be retuned");
   const std::size_t proc = platform_.processor_of(task);
-  const Duration old_slot = before.slot;
-  const Duration old_kappa = kappa(task);
+  const Duration available = platform_.slack(proc) + before.slot;
 
   // Platform feasibility first: the wheel must hold the new slot.  A
   // shortfall is a *decision*, not an error — the wheel was binding.
-  if (platform_.slack(proc) + old_slot < slot) {
+  if (available < slot) {
     DeploymentDecision out;
     out.wheel_binding = true;
     out.binding_constraint =
         "TDM wheel of processor '" + platform_.processor_name(proc) +
         "': slot " + slot.seconds().to_string() + " s exceeds the " +
-        (platform_.slack(proc) + old_slot).seconds().to_string() +
-        " s available to task '" + task + "'";
+        available.seconds().to_string() + " s available to task '" + task +
+        "'";
     out.diagnostics.push_back(out.binding_constraint);
-    out.total_capacity = analysis().total_capacity;
     return out;
   }
 
   platform_.set_slot(task, slot);
-  const sched::ServiceModel service = platform_.service_model(task);
-  const Duration new_kappa = derive_kappa(service, options_.derivation);
-  AdmissionDecision inner = controller_->retune(actor_of(task), new_kappa);
-  if (!inner.accepted) {
-    platform_.set_slot(task, old_slot);
-    return from_inner_(inner);
-  }
-  update_kappa_(task, service, new_kappa);
-  if (auto violation = certificate_gate_()) {
-    // Roll the accepted retune back (returning to the previously
-    // admissible state always succeeds) together with the platform slot.
-    (void)controller_->retune(actor_of(task), old_kappa);
-    platform_.set_slot(task, old_slot);
-    update_kappa_(task, before, old_kappa);
-    DeploymentDecision out;
-    out.binding_constraint = *violation;
-    out.diagnostics.push_back(*violation);
-    out.total_capacity = analysis().total_capacity;
-    return out;
-  }
-  return from_inner_(inner);
+  DerivedKappa& entry = entry_of(kappas_, task);
+  entry.service = platform_.service_model(task);
+  entry.kappa = derive_kappa(entry.service, options_.derivation);
+  return from_inner_(controller_->retune(actor_of(task), entry.kappa));
+}
+
+DeploymentDecision DeploymentController::set_slot(const std::string& task,
+                                                  Duration slot) {
+  return transact_(&task, [&] { return slot_step_(task, slot); });
 }
 
 DeploymentDecision DeploymentController::admit(const std::string& task,
                                                Duration period,
                                                std::optional<Duration> slot) {
   const dataflow::ActorId actor = actor_of(task);
-  std::optional<Duration> old_slot;
-  std::optional<Duration> old_kappa;
-  std::optional<sched::ServiceModel> old_service;
-  if (slot.has_value()) {
-    old_service = platform_.service_model(task);
-    old_slot = old_service->slot;
-    old_kappa = kappa(task);
-    DeploymentDecision granted = set_slot_ungated_(task, *slot);
-    if (!granted.accepted) {
-      return granted;
-    }
-  }
-  AdmissionDecision inner =
-      controller_->admit(ThroughputConstraint{actor, period});
-  std::optional<std::string> violation;
-  if (inner.accepted) {
-    violation = certificate_gate_();
-    if (violation.has_value()) {
-      (void)controller_->remove(actor);
-    }
-  }
-  if (!inner.accepted || violation.has_value()) {
+  return transact_(slot.has_value() ? &task : nullptr, [&] {
     if (slot.has_value()) {
-      (void)controller_->retune(actor, *old_kappa);
-      platform_.set_slot(task, *old_slot);
-      update_kappa_(task, *old_service, *old_kappa);
+      DeploymentDecision granted = slot_step_(task, *slot);
+      if (!granted.accepted) {
+        return granted;
+      }
     }
-    if (violation.has_value()) {
-      DeploymentDecision out;
-      out.binding_constraint = *violation;
-      out.diagnostics.push_back(*violation);
-      out.total_capacity = analysis().total_capacity;
-      return out;
-    }
-    return from_inner_(inner);
-  }
-  DeploymentDecision out = from_inner_(inner);
-  out.total_capacity = analysis().total_capacity;
-  return out;
+    return from_inner_(controller_->admit(ThroughputConstraint{actor, period}));
+  });
 }
 
 DeploymentDecision DeploymentController::remove(const std::string& task) {
   const dataflow::ActorId actor = actor_of(task);
-  // Remember the stream and its position for the certificate-gate
-  // rollback, which puts it back where it was.
-  const ConstraintSet& streams = controller_->streams();
-  std::size_t at = 0;
-  while (at < streams.size() && !(streams[at].actor == actor)) {
-    ++at;
-  }
-  const std::optional<ThroughputConstraint> removed =
-      at < streams.size() ? std::optional(streams[at]) : std::nullopt;
-  AdmissionDecision inner = controller_->remove(actor);
-  if (inner.accepted) {
-    if (auto violation = certificate_gate_()) {
-      (void)controller_->admit(*removed, at);
-      DeploymentDecision out;
-      out.binding_constraint = *violation;
-      out.diagnostics.push_back(*violation);
-      out.total_capacity = analysis().total_capacity;
-      return out;
-    }
-  }
-  return from_inner_(inner);
+  return transact_(nullptr,
+                   [&] { return from_inner_(controller_->remove(actor)); });
 }
 
 DeploymentDecision DeploymentController::set_period(const std::string& task,
                                                     Duration period) {
   const dataflow::ActorId actor = actor_of(task);
-  Duration old_period;
-  for (const ThroughputConstraint& stream : controller_->streams()) {
-    if (stream.actor == actor) {
-      old_period = stream.period;
-    }
-  }
-  AdmissionDecision inner = controller_->set_period(actor, period);
-  if (inner.accepted) {
-    if (auto violation = certificate_gate_()) {
-      (void)controller_->set_period(actor, old_period);
-      DeploymentDecision out;
-      out.binding_constraint = *violation;
-      out.diagnostics.push_back(*violation);
-      out.total_capacity = analysis().total_capacity;
-      return out;
-    }
-  }
-  return from_inner_(inner);
-}
-
-void DeploymentController::update_kappa_(const std::string& task,
-                                         const sched::ServiceModel& service,
-                                         Duration new_kappa) {
-  for (DerivedKappa& derived : kappas_) {
-    if (derived.task_name == task) {
-      derived.service = service;
-      derived.kappa = new_kappa;
-      return;
-    }
-  }
-}
-
-DeploymentDecision DeploymentController::set_slot_ungated_(
-    const std::string& task, Duration slot) {
-  const bool gated = require_certificate_;
-  require_certificate_ = false;
-  DeploymentDecision out = set_slot(task, slot);
-  require_certificate_ = gated;
-  return out;
+  return transact_(nullptr, [&] {
+    return from_inner_(controller_->set_period(actor, period));
+  });
 }
 
 }  // namespace vrdf::analysis

@@ -14,10 +14,12 @@
 // Allocation changes are *parameter* changes: a TDM slot retune moves
 // only κ of the retuned task, so the DeploymentController routes it
 // through IncrementalAnalysis::retune — the cached pacing is reused
-// verbatim and only the ω cone re-derives — with the platform state and
-// the analysis overlay rolled back together when the candidate is
-// rejected.  Rejections name what was binding: the TDM wheel (platform
-// slack) or the violated throughput constraint (analysis diagnostic).
+// verbatim and only the ω cone re-derives.  Each decision runs under one
+// engine checkpoint that covers its slot step, its admission decision
+// and its certificate gate; a rejection rolls the engine back and puts
+// back the one platform slot and κ entry the decision moved.
+// Rejections name what was binding: the TDM wheel (platform slack) or
+// the violated throughput constraint (analysis diagnostic).
 //
 // Certified deployments additionally carry a platform clause
 // (PlatformFact per actor: the κ-derivation terms) that the independent
@@ -139,7 +141,8 @@ struct DeploymentDecision {
 /// every allocation change becomes a ρ retune routed through
 /// ParameterOverlay / IncrementalAnalysis (cached pacing reused), with
 /// the platform and the analysis rolled back *together* on rejection —
-/// the serviced platform+analysis state never degrades.
+/// one engine rollback plus the saved slot and κ entry — so the serviced
+/// platform+analysis state never degrades.
 class DeploymentController {
 public:
   /// The initial deployment must be fully bound and admissible
@@ -184,9 +187,6 @@ public:
   [[nodiscard]] const IncrementalAnalysis& engine() const {
     return controller_->engine();
   }
-  [[nodiscard]] const AdmissionController& admission() const {
-    return *controller_;
-  }
   /// Derived κ of a task in the serviced state.
   [[nodiscard]] Duration kappa(const std::string& task) const;
   [[nodiscard]] dataflow::ActorId actor_of(const std::string& task) const;
@@ -199,12 +199,18 @@ private:
   /// certificate validates, else the violation description (caller rolls
   /// back).
   [[nodiscard]] std::optional<std::string> certificate_gate_();
-  void update_kappa_(const std::string& task,
-                     const sched::ServiceModel& service, Duration new_kappa);
-  /// set_slot with the certificate gate suppressed — the admit() path
-  /// gates once over the combined slot-grant + admission.
-  [[nodiscard]] DeploymentDecision set_slot_ungated_(const std::string& task,
-                                                     Duration slot);
+  /// Runs `step` under one engine checkpoint and gates an accepted result
+  /// on the certificate.  A rejection rolls the engine back and, when
+  /// `slot_task` is given and its slot moved, restores that task's slot
+  /// and κ entry as they were.
+  template <typename Step>
+  [[nodiscard]] DeploymentDecision transact_(const std::string* slot_task,
+                                             Step&& step);
+  /// The slot step of set_slot and of admit with a slot: the wheel check
+  /// (a shortfall rejects naming the wheel), then the platform slot, the
+  /// task's κ entry and the engine retune.
+  [[nodiscard]] DeploymentDecision slot_step_(const std::string& task,
+                                              Duration slot);
 
   taskgraph::TaskGraph tasks_;
   sched::Platform platform_;

@@ -1,6 +1,5 @@
 #include "analysis/incremental.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -17,13 +16,10 @@ namespace {
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-bool same_constraints(const ConstraintSet& a, const ConstraintSet& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const ThroughputConstraint& x,
-                       const ThroughputConstraint& y) {
-                      return x.actor == y.actor && x.period == y.period;
-                    });
-}
+template <typename... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
 
 }  // namespace
 
@@ -65,6 +61,97 @@ void IncrementalAnalysis::set_certify(bool enabled) {
   }
 }
 
+void IncrementalAnalysis::checkpoint() {
+  marks_.push_back(Mark{undo_.size(), last_violation_});
+}
+
+void IncrementalAnalysis::rollback() {
+  VRDF_REQUIRE(logging_(), "rollback: no open checkpoint");
+  Mark& mark = marks_.back();
+  while (undo_.size() > mark.undo_size) {
+    replay_(undo_.back());
+    undo_.pop_back();
+  }
+  last_violation_ = std::move(mark.violation);
+  marks_.pop_back();
+}
+
+void IncrementalAnalysis::commit() {
+  VRDF_REQUIRE(logging_(), "commit: no open checkpoint");
+  marks_.pop_back();
+  if (marks_.empty()) {
+    undo_.clear();
+  }
+}
+
+template <typename Make>
+void IncrementalAnalysis::record_(Make&& make) {
+  if (logging_()) {
+    undo_.emplace_back(make());
+  }
+}
+
+template <typename T>
+void IncrementalAnalysis::record_entry_(
+    std::vector<std::optional<T>> ParameterOverlay::*field,
+    std::size_t index) {
+  record_([&] {
+    const std::vector<std::optional<T>>& entries = overlay_.*field;
+    return EntryUndo<T>{
+        field, index, entries.size(),
+        index < entries.size() ? entries[index] : std::nullopt};
+  });
+}
+
+void IncrementalAnalysis::copy_pacing_header_() {
+  analysis_.side = pacing_.side;
+  analysis_.constraints = pacing_.constraints;
+  analysis_.constraint_is_sink_kind = pacing_.constraint_is_sink_kind;
+  analysis_.constraint_is_source_kind = pacing_.constraint_is_source_kind;
+  analysis_.pacing = pacing_.pacing;
+}
+
+void IncrementalAnalysis::replay_(Undo& record) {
+  const auto reset_entry = [this](auto& u) {
+    auto& entries = overlay_.*u.field;
+    if (u.index < u.size) {
+      entries[u.index] = u.value;
+    }
+    entries.resize(u.size);
+  };
+  std::visit(
+      Overloaded{
+          [this](ConstraintSet& set) { constraints_ = std::move(set); },
+          [&](EntryUndo<Duration>& u) { reset_entry(u); },
+          [&](EntryUndo<std::int64_t>& u) { reset_entry(u); },
+          [this](std::unique_ptr<PacingResult>& pacing) {
+            // A patched result took its header from the pacing it
+            // replaced; any other result already matches it.
+            pacing_ = std::move(*pacing);
+            if (sized_()) {
+              copy_pacing_header_();
+            }
+          },
+          [this](std::unique_ptr<GraphAnalysis>& analysis) {
+            analysis_ = std::move(*analysis);
+            if (sized_()) {
+              refill_leads_();
+            }
+          },
+          [this](PairUndo& u) { analysis_.pairs[u.pos] = u.pair; },
+          [this](LeadUndo& u) {
+            lead_[analysis_.actors_in_order[u.order].index()] = u.lead;
+            analysis_.leads[u.order] = u.lead;
+          },
+          [this](SummaryUndo& u) {
+            analysis_.total_capacity = u.total_capacity;
+            analysis_.admissible = u.admissible;
+            analysis_.diagnostics = std::move(u.diagnostics);
+          },
+      },
+      record);
+}
+
 void IncrementalAnalysis::run_certification_() {
   last_violation_.reset();
   if (!certify_enabled_ || !analysis_.admissible) {
@@ -91,20 +178,19 @@ void IncrementalAnalysis::retune(dataflow::ActorId actor, Duration rho) {
   const VrdfGraph& graph = snapshot_.graph();
   (void)graph.actor(actor);  // range check before caching
   ++stats_.queries;
-  const Duration before = overlay_.response_time_of(graph, actor);
+  record_entry_(&ParameterOverlay::response_time, actor.index());
   overlay_.set_response_time(actor, rho);
-  apply_rho_change_(actor, before);
+  apply_rho_change_(actor);
   run_certification_();
 }
 
 void IncrementalAnalysis::clear_retune(dataflow::ActorId actor) {
   snapshot_.require_fresh();
-  const VrdfGraph& graph = snapshot_.graph();
-  (void)graph.actor(actor);
+  (void)snapshot_.graph().actor(actor);
   ++stats_.queries;
-  const Duration before = overlay_.response_time_of(graph, actor);
+  record_entry_(&ParameterOverlay::response_time, actor.index());
   overlay_.clear_response_time(actor);
-  apply_rho_change_(actor, before);
+  apply_rho_change_(actor);
   run_certification_();
 }
 
@@ -112,31 +198,25 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   snapshot_.require_fresh();
   ++stats_.queries;
   const std::size_t index = constraint_index_(actor, "set_period");
-  ConstraintSet before = constraints_;
-  constraints_[index].period = tau;
   std::optional<Rational> rescale;
   if (constraints_.size() == 1 && pacing_.ok && tau.is_positive()) {
     // φ is linear in τ, so the cached propagation rescales exactly (see
     // rescale_pacing); with one constraint there are no cross-seed checks
     // that a rescale could flip.
-    rescale = tau.seconds() / before[index].period.seconds();
+    rescale = tau.seconds() / constraints_[index].period.seconds();
   }
-  change_constraints_(std::move(before), rescale);
+  record_([&] { return constraints_; });
+  constraints_[index].period = tau;
+  change_constraints_(rescale);
   run_certification_();
 }
 
-void IncrementalAnalysis::admit(ThroughputConstraint stream,
-                                std::optional<std::size_t> at) {
+void IncrementalAnalysis::admit(ThroughputConstraint stream) {
   snapshot_.require_fresh();
-  VRDF_REQUIRE(!at.has_value() || *at <= constraints_.size(),
-               "admit: insertion index past the end of the set");
   ++stats_.queries;
-  ConstraintSet before = constraints_;
-  constraints_.insert(
-      constraints_.begin() +
-          static_cast<std::ptrdiff_t>(at.value_or(constraints_.size())),
-      stream);
-  change_constraints_(std::move(before), std::nullopt);
+  record_([&] { return constraints_; });
+  constraints_.push_back(stream);
+  change_constraints_(std::nullopt);
   run_certification_();
 }
 
@@ -144,39 +224,33 @@ void IncrementalAnalysis::remove(dataflow::ActorId actor) {
   snapshot_.require_fresh();
   ++stats_.queries;
   const std::size_t index = constraint_index_(actor, "remove");
-  ConstraintSet before = constraints_;
+  record_([&] { return constraints_; });
   constraints_.erase(constraints_.begin() +
                      static_cast<std::ptrdiff_t>(index));
-  change_constraints_(std::move(before), std::nullopt);
+  change_constraints_(std::nullopt);
   run_certification_();
 }
 
 void IncrementalAnalysis::change_constraints_(
-    ConstraintSet before, std::optional<Rational> rescale) {
-  if (park_.has_value() && !park_->rho_key &&
-      same_constraints(park_->constraints, constraints_)) {
-    restore_(std::move(*park_));
-    ++stats_.pacing_cache_hits;
-    return;
-  }
-  if (park_.has_value() && park_->rho_key) {
-    park_.reset();  // the parked result was sized on the old set
-  }
-  Park replaced;
-  replaced.constraints = std::move(before);
+    std::optional<Rational> rescale) {
   if (rescale.has_value()) {
-    replaced.pacing = pacing_;
+    record_([&] { return std::make_unique<PacingResult>(pacing_); });
     rescale_pacing(pacing_, snapshot_.graph(), *rescale);
     ++stats_.pacing_cache_hits;
-  } else {
-    replaced.pacing =
-        std::exchange(pacing_, compute_pacing(snapshot_, constraints_));
-    ++stats_.pacing_recomputes;
-    if (patch_moved_(replaced.pacing)) {
-      return;
-    }
+    rebuild_();
+    return;
   }
-  rebuild_(std::move(replaced));
+  // Recorded before the patch writes anything, so a rollback after a
+  // throw mid-patch still finds it; the log holds the pacing by pointer,
+  // so `replaced` stays valid.
+  auto held = std::make_unique<PacingResult>(
+      std::exchange(pacing_, compute_pacing(snapshot_, constraints_)));
+  ++stats_.pacing_recomputes;
+  const PacingResult& replaced = *held;
+  record_([&] { return std::move(held); });
+  if (!patch_moved_(replaced)) {
+    rebuild_();
+  }
 }
 
 bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
@@ -203,7 +277,7 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
     const bool phi_moved = pacing_.pacing_by_actor[i] != held.pacing_by_actor[i];
     if (phi_moved &&
         overlay_.response_time_of(graph, v) > pacing_.pacing_by_actor[i]) {
-      return false;  // ρ-blocked: rebuild_() renders and parks
+      return false;  // ρ-blocked: rebuild_() renders it
     }
     if (phi_moved || pacing_.sink_anchored[i] != held.sink_anchored[i] ||
         kinds(pacing_, v) != kinds(held, v)) {
@@ -262,11 +336,7 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
     }
   }
 
-  analysis_.side = pacing_.side;
-  analysis_.constraints = pacing_.constraints;
-  analysis_.constraint_is_sink_kind = pacing_.constraint_is_sink_kind;
-  analysis_.constraint_is_source_kind = pacing_.constraint_is_source_kind;
-  analysis_.pacing = pacing_.pacing;
+  copy_pacing_header_();
   patch_pairs_(dirty);  // an ok pacing carries no diagnostics
   return true;
 }
@@ -310,8 +380,8 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
       }
     }
   }
+  record_entry_(&ParameterOverlay::initial_tokens, edge.index());
   overlay_.set_initial_tokens(edge, tokens);
-  park_.reset();  // the parked result was sized on the old δ
   ++stats_.pacing_cache_hits;
   stats_.last_cone_actors = 0;
   stats_.last_cone_pairs = 0;
@@ -332,33 +402,16 @@ void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
   run_certification_();
 }
 
-void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor,
-                                            Duration before) {
+void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {
   const VrdfGraph& graph = snapshot_.graph();
   ++stats_.pacing_cache_hits;  // ρ never enters pacing propagation
-  const Duration& rho = overlay_.response_time_of(graph, actor);
-  if (!sized_()) {
-    // Leaving a ρ-blocked state (or retuning under a failed pacing):
-    // back to the parked ρ restores, anything else re-sizes in full.
-    if (park_.has_value() && park_->rho_key && park_->actor == actor) {
-      if (park_->rho == rho) {
-        restore_(std::move(*park_));
-        return;
-      }
-    } else {
-      park_.reset();  // the parked result was sized on the old ρ
-    }
+  // Leaving a ρ-blocked state (or retuning under a failed pacing) re-sizes
+  // in full.  ρ-admissibility is per actor (ρ(v) <= φ(v)) and only this
+  // actor's ρ moved, so on a sized result one comparison decides the
+  // whole check.
+  if (!sized_() || overlay_.response_time_of(graph, actor) >
+                       pacing_.pacing_by_actor[actor.index()]) {
     rebuild_();
-    return;
-  }
-  // ρ-admissibility is per actor (ρ(v) <= φ(v)) and only this actor's ρ
-  // moved, so on a sized result one comparison decides the whole check.
-  if (rho > pacing_.pacing_by_actor[actor.index()]) {
-    Park replaced;
-    replaced.rho_key = true;
-    replaced.actor = actor;
-    replaced.rho = before;
-    rebuild_(std::move(replaced));
     return;
   }
   // ρ(actor) enters its own pass-A formula and — as ρ(source) — the
@@ -427,6 +480,7 @@ void IncrementalAnalysis::update_lead_cone_(std::vector<char>& changed_lead) {
     if (fresh == lead_[v.index()]) {
       continue;  // early stop: the cone ends where ω is unchanged
     }
+    record_([&] { return LeadUndo{i, lead_[v.index()]}; });
     lead_[v.index()] = fresh;
     changed_lead[v.index()] = 1;
     for (const std::size_t pos : view.in_buffers[v.index()]) {
@@ -444,7 +498,8 @@ void IncrementalAnalysis::update_lead_cone_(std::vector<char>& changed_lead) {
   // consumers behind source-determined out-edges (pass A never reads a
   // pass-B lead: sink-determined targets are always sink-anchored).  An
   // actor here outside pass B is a source-kind anchor (ω = 0).
-  for (const dataflow::ActorId v : pacing_.actors_in_order) {
+  for (std::size_t i = 0; i < pacing_.actors_in_order.size(); ++i) {
+    const dataflow::ActorId v = pacing_.actors_in_order[i];
     if (!dirty_b[v.index()] || pacing_.sink_anchored[v.index()]) {
       continue;
     }
@@ -456,6 +511,7 @@ void IncrementalAnalysis::update_lead_cone_(std::vector<char>& changed_lead) {
     if (fresh == lead_[v.index()]) {
       continue;
     }
+    record_([&] { return LeadUndo{i, lead_[v.index()]}; });
     lead_[v.index()] = fresh;
     changed_lead[v.index()] = 1;
     for (const std::size_t pos : view.out_buffers[v.index()]) {
@@ -469,40 +525,23 @@ void IncrementalAnalysis::update_lead_cone_(std::vector<char>& changed_lead) {
   stats_.last_cone_actors = recomputed;
 }
 
-void IncrementalAnalysis::rebuild_(std::optional<Park> replaced) {
+void IncrementalAnalysis::rebuild_() {
   const VrdfGraph& graph = snapshot_.graph();
   GraphAnalysis next =
       detail::size_from_pacing(graph, pacing_, options_, overlay_);
-  if (next.leads.empty()) {
-    if (replaced.has_value() && sized_()) {
-      replaced->analysis = std::move(analysis_);
-      park_ = std::move(replaced);
-    }
-    analysis_ = std::move(next);
+  record_(
+      [&] { return std::make_unique<GraphAnalysis>(std::move(analysis_)); });
+  analysis_ = std::move(next);
+  if (!sized_()) {
     stats_.last_cone_actors = 0;
     stats_.last_cone_pairs = 0;
     return;
   }
-  park_.reset();
-  analysis_ = std::move(next);
   refill_leads_();
   stats_.leads_recomputed += graph.actor_count();
   stats_.pairs_recomputed += analysis_.pairs.size();
   stats_.last_cone_actors = graph.actor_count();
   stats_.last_cone_pairs = analysis_.pairs.size();
-}
-
-void IncrementalAnalysis::restore_(Park parked) {
-  park_.reset();
-  if (!parked.rho_key) {
-    pacing_ = std::move(parked.pacing);
-  }
-  analysis_ = std::move(parked.analysis);
-  refill_leads_();
-  stats_.leads_reused += snapshot_.graph().actor_count();
-  stats_.pairs_reused += analysis_.pairs.size();
-  stats_.last_cone_actors = 0;
-  stats_.last_cone_pairs = 0;
 }
 
 void IncrementalAnalysis::refill_leads_() {
@@ -514,6 +553,10 @@ void IncrementalAnalysis::refill_leads_() {
 
 void IncrementalAnalysis::patch_pairs_(const std::vector<std::size_t>& dirty) {
   const VrdfGraph& graph = snapshot_.graph();
+  record_([&] {
+    return SummaryUndo{analysis_.total_capacity, analysis_.admissible,
+                       analysis_.diagnostics};
+  });
   bool diagnostics_moved = false;
   for (const std::size_t pos : dirty) {
     const PairAnalysis fresh = detail::analyse_pair(
@@ -527,6 +570,7 @@ void IncrementalAnalysis::patch_pairs_(const std::vector<std::size_t>& dirty) {
           pair.required_initial_tokens != fresh.required_initial_tokens));
     analysis_.total_capacity = checked_add(analysis_.total_capacity,
                                            fresh.capacity - pair.capacity);
+    record_([&] { return PairUndo{pos, pair}; });
     pair = fresh;
   }
   // The lead cone may have moved some ω values (trivially copyable, O(V),

@@ -50,22 +50,24 @@
 // are re-rendered only when a starving back-edge's diagnostic appears,
 // vanishes or changes.
 //
-// Park and restore.  The sized result is a function of the constraint
-// set and the overlay's resolved ρ/δ alone.  A query that takes a sized
-// result to one without leads (a retune past φ, or a constraint change
-// whose pacing fails or leaves some ρ > φ) parks the sized pacing and
-// analysis, keyed by the one input it changed: the retuned actor's
-// resolved ρ before the retune, or the constraint set before the admit,
-// remove or set_period.  While the result stays without leads, the
-// next query that brings that input back to exactly the parked value
-// swaps the parked state back in and refills the ω array from its
-// leads — no propagation, lead pass or pair analysis, and the inputs
-// are identical, so the result is bit-identical by construction.  This
-// is how an admission controller's reject-then-undo rollback returns to
-// the state it held one query earlier.  A query that changes any other
-// input drops the park: a δ override, a retune of another actor (or of
-// any actor while a constraint set is parked), a constraint change
-// while a ρ is parked, and any query whose result is sized again.
+// Checkpoint and rollback.  The sized result is a function of the
+// constraint set and the overlay's resolved ρ/δ alone, so a caller that
+// asks a what-if and rejects it wants the state it held before the
+// question back, not a second query that re-derives it.  checkpoint()
+// opens a mark into one undo log; while a mark is open, every query
+// records what it overwrites before it writes: the constraint set, the
+// overlay entry, pacing_ or analysis_ when a query replaces them whole
+// (moved aside, not copied), each pair patch_pairs_ writes and each ω
+// update_lead_cone_ moves, and the total capacity, admissibility and
+// diagnostics of a patched result (whose copies of the pacing's fields
+// come back with the pacing).  rollback() replays the records since the
+// innermost mark in reverse and restores the certification state saved
+// with the mark, so the result is bit-identical to the one at the
+// checkpoint, and no propagation, lead pass or pair analysis runs.
+// commit() closes the innermost mark and keeps the state; an enclosing
+// mark can still roll it back, and closing the last one empties the log.
+// With no mark open the log stays empty, and each write costs one
+// branch.
 //
 // Parameter changes are applied to a ParameterOverlay, never to the
 // graph; mutating the graph itself invalidates the snapshot and every
@@ -73,7 +75,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/checker.hpp"
@@ -94,7 +99,7 @@ struct InvalidationStats {
   /// multi-constraint set_period).  One that takes a sized result to a
   /// sized result counts this one propagation, the cone's leads (as a
   /// retune does) and the pairs it re-analysed, and sets last_cone_* to
-  /// those; any other one re-sizes in full or restores the park.
+  /// those; any other one re-sizes in full.
   std::uint64_t pacing_recomputes = 0;
   /// Queries that reused the cached pacing verbatim or rescaled it.
   std::uint64_t pacing_cache_hits = 0;
@@ -113,9 +118,8 @@ struct InvalidationStats {
   /// Pairs re-analysed by the most recent query (0 whenever the result
   /// is ρ-blocked or pacing-failed).
   ///
-  /// A query that restores the parked sized state (see the header
-  /// comment) counts one pacing cache hit, reuses all n leads and P
-  /// pairs, and leaves last_cone_actors/last_cone_pairs at 0/0.
+  /// rollback() is not a query: it leaves every counter, last_cone_*
+  /// included, as the rolled-back queries left it.
   std::uint64_t last_cone_pairs = 0;
   /// Certification (set_certify): certificates emitted + checked after
   /// mutating queries, individual clauses validated, and clause
@@ -160,12 +164,9 @@ public:
   /// pacing; multi-constraint sets re-propagate on the cached snapshot.
   void set_period(dataflow::ActorId actor, Duration tau);
 
-  /// Adds a throughput constraint (a new stream's rate contract) at
-  /// position `at` of constraints(), at the end when none is given — a
-  /// rollback puts a removed stream back where it was.  Re-propagates
-  /// pacing on the cached snapshot.
-  void admit(ThroughputConstraint stream,
-             std::optional<std::size_t> at = std::nullopt);
+  /// Adds a throughput constraint (a new stream's rate contract) at the
+  /// end of constraints().  Re-propagates pacing on the cached snapshot.
+  void admit(ThroughputConstraint stream);
   /// Removes the constraint pinned at `actor` (which must carry one).
   void remove(dataflow::ActorId actor);
 
@@ -176,6 +177,15 @@ public:
   /// classification — an on-cycle data edge must keep (δ > 0) as it
   /// was at capture.
   void set_initial_tokens(dataflow::EdgeId edge, std::int64_t tokens);
+
+  /// Opens a checkpoint (see the header comment).  Checkpoints nest.
+  void checkpoint();
+  /// Restores the state at the innermost open checkpoint exactly and
+  /// closes it; a ContractError when none is open.
+  void rollback();
+  /// Closes the innermost open checkpoint and keeps the state; a
+  /// ContractError when none is open.
+  void commit();
 
   /// Self-checking mode: after every mutating query whose result is
   /// admissible, emit a certificate of the rendered analysis and run the
@@ -201,28 +211,68 @@ public:
   [[nodiscard]] const InvalidationStats& stats() const { return stats_; }
 
 private:
-  /// The last sized state, parked by the query that took it to a result
-  /// without leads, with the one input that query changed.
-  struct Park {
-    /// A ρ key: the retuned actor and its resolved ρ before the retune
-    /// (pacing_ did not move, so no pacing is parked).
-    bool rho_key = false;
-    dataflow::ActorId actor;
-    Duration rho;
-    /// A constraint key: the set before the change, and its pacing.
-    ConstraintSet constraints;
-    PacingResult pacing;
-    GraphAnalysis analysis;
+  /// Undo records: what a query overwrote, as rollback() restores it.  A
+  /// ConstraintSet, PacingResult or GraphAnalysis record is the whole
+  /// value a query replaced; the latter two are held by pointer, so a
+  /// log slot is no larger than a pair record.
+  ///
+  /// One overlay entry, with the size of its vector before the write.
+  template <typename T>
+  struct EntryUndo {
+    std::vector<std::optional<T>> ParameterOverlay::*field;
+    std::size_t index = 0;
+    std::size_t size = 0;
+    std::optional<T> value;
+  };
+  struct PairUndo {
+    std::size_t pos = 0;
+    PairAnalysis pair;
+  };
+  /// ω at position `order` of the topological order.
+  struct LeadUndo {
+    std::size_t order = 0;
+    Duration lead;
+  };
+  /// What patch_pairs_ may move besides the pairs.
+  struct SummaryUndo {
+    std::int64_t total_capacity = 0;
+    bool admissible = false;
+    std::vector<std::string> diagnostics;
+  };
+  using Undo =
+      std::variant<ConstraintSet, EntryUndo<Duration>, EntryUndo<std::int64_t>,
+                   std::unique_ptr<PacingResult>,
+                   std::unique_ptr<GraphAnalysis>, PairUndo, LeadUndo,
+                   SummaryUndo>;
+  /// An open checkpoint: where its records start in undo_, and the
+  /// certification state it restores.
+  struct Mark {
+    std::size_t undo_size = 0;
+    std::optional<ClauseViolation> violation;
   };
 
+  /// True while a checkpoint is open, so queries record into undo_.
+  [[nodiscard]] bool logging_() const { return !marks_.empty(); }
+  /// Appends make()'s record while a checkpoint is open; builds nothing
+  /// otherwise.
+  template <typename Make>
+  void record_(Make&& make);
+  /// Records the overlay entry `index` of `field` before a query writes it.
+  template <typename T>
+  void record_entry_(std::vector<std::optional<T>> ParameterOverlay::*field,
+                     std::size_t index);
+  /// analysis_'s copies of pacing_'s side, constraints, anchor kinds and
+  /// φ, which every sized or ρ-blocked result shares with its pacing.
+  void copy_pacing_header_();
+  /// Replays one record (rollback()).
+  void replay_(Undo& record);
+
   /// Shared tail of admit / remove / set_period once constraints_ holds
-  /// the new set (`before`: the old one): restores the parked state when
-  /// the new set is the parked one; otherwise rescales pacing_ by
-  /// `rescale` (a single constraint's τ_new/τ_old) and rebuild_()s or,
-  /// when there is none, re-propagates on the cached snapshot and
-  /// patch_moved_()s, falling back to rebuild_().
-  void change_constraints_(ConstraintSet before,
-                           std::optional<Rational> rescale);
+  /// the new set: rescales pacing_ by `rescale` (a single constraint's
+  /// τ_new/τ_old) and rebuild_()s or, when there is none, re-propagates
+  /// on the cached snapshot and patch_moved_()s, falling back to
+  /// rebuild_().
+  void change_constraints_(std::optional<Rational> rescale);
   /// Sized-to-sized tail of a re-propagated constraint change: diffs
   /// pacing_ against `held`, the pacing analysis_ was sized on, and
   /// patches analysis_ where they differ (see the header comment).
@@ -232,22 +282,17 @@ private:
   bool patch_moved_(const PacingResult& held);
   /// Full re-size on the current pacing_: analysis_ becomes
   /// detail::size_from_pacing's result, and lead_ is refilled from its
-  /// leads when it is sized.  A sized result drops the park; a sized
-  /// analysis_ replaced by one without leads is parked as `replaced`.
-  void rebuild_(std::optional<Park> replaced = std::nullopt);
-  /// Swaps `parked` (taken out of park_) back in and refills lead_ from
-  /// its leads.
-  void restore_(Park parked);
+  /// leads when it is sized.
+  void rebuild_();
   /// lead_ from analysis_.leads (by ActorId::index()).
   void refill_leads_();
   /// True when analysis_ holds the sized shape — false after a failed
   /// pacing or a ρ-blocked check, which carry no leads.
   [[nodiscard]] bool sized_() const { return !analysis_.leads.empty(); }
-  /// Shared retune/clear_retune tail (`before`: the actor's resolved ρ
-  /// before the move): on a sized result whose ρ check still holds,
-  /// re-derives the ω cone and patches the dirty pairs; on a return to
-  /// a parked ρ, restore_(); otherwise rebuild_().
-  void apply_rho_change_(dataflow::ActorId actor, Duration before);
+  /// Shared retune/clear_retune tail: on a sized result whose ρ check
+  /// still holds, re-derives the ω cone and patches the dirty pairs;
+  /// otherwise rebuild_().
+  void apply_rho_change_(dataflow::ActorId actor);
   /// Re-derives the ω cone in lead_ from the seeds marked in
   /// scratch_dirty_a_ / scratch_dirty_b_ (by ActorId::index(): actors
   /// whose pass-A / pass-B formula may have moved; a marked anchor drops
@@ -274,13 +319,12 @@ private:
   ParameterOverlay overlay_;
 
   PacingResult pacing_;
-  /// The one result analysis() serves; every query rebuilds, patches or
-  /// restores it.
+  /// The one result analysis() serves; every query rebuilds or patches
+  /// it, and rollback() restores it.
   GraphAnalysis analysis_;
-  /// Held only while analysis_ is not sized_().
-  std::optional<Park> park_;
   /// ω by ActorId::index(), the working array of the ω-cone pass; equal
-  /// to analysis_.leads (in topological order) while sized_().
+  /// to analysis_.leads (in topological order) while sized_(), and read
+  /// only then.
   std::vector<Duration> lead_;
 
   /// Edge index -> pair position for data/space edges.
@@ -290,6 +334,10 @@ private:
 
   bool certify_enabled_ = false;
   std::optional<ClauseViolation> last_violation_;
+
+  /// The undo log and the open checkpoints, innermost last.
+  std::vector<Undo> undo_;
+  std::vector<Mark> marks_;
 
   /// Scratch buffers for the retune hot path, kept as members so a
   /// steady-state service loop allocates nothing per query.

@@ -175,11 +175,13 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
         detail::uses_ceiling(pair.tight_rounding, baseline.rounding)});
   }
 
-  // Per actor: retune its ρ on the engine, which re-derives only the ω
-  // cone and pairs the actor reaches, then restore it.
+  // Per actor: retune its ρ on the engine under a checkpoint, which
+  // re-derives only the ω cone and pairs the actor reaches, then roll the
+  // probes back to the baseline.
   for (ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
+      engine.checkpoint();
       const std::int64_t best = max_true(
           kGridSteps,
           [&](std::int64_t k) {
@@ -188,7 +190,7 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
             return fits(engine.analysis());
           },
           [&] { return secant_hint(lines, engine.analysis()); });
-      engine.clear_retune(margin.actor);
+      engine.rollback();
       margin.margin = slack * Rational(best, kGridSteps);
     }
     VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(margin.actor).name

@@ -226,11 +226,16 @@ TEST(Deployment, ControllerNamesTheBindingDimensionAndRollsBack) {
                        controller.engine().overlay()));
 
   // Combined slot grant + admission: both roll back when the admission
-  // is flow-inconsistent (audio-dsp is 1:1 with the 4 ms sink).
+  // is flow-inconsistent (audio-dsp is 1:1 with the 4 ms sink) — the
+  // slot, κ and the analysis as they were before the decision.
+  const GraphAnalysis granted_before = controller.analysis();
   const DeploymentDecision bad_admit = controller.admit(
       "audio-dsp", milliseconds(Rational(16)), us(500));
   EXPECT_FALSE(bad_admit.accepted);
+  EXPECT_EQ(bad_admit.total_capacity, granted_before.total_capacity);
   EXPECT_EQ(controller.platform().service_model("audio-dsp").slot, us(450));
+  EXPECT_EQ(controller.kappa("audio-dsp"), us(550) + us(400));
+  expect_identical(controller.analysis(), granted_before);
   const DeploymentDecision good_admit =
       controller.admit("audio-dsp", milliseconds(Rational(4)), us(500));
   EXPECT_TRUE(good_admit.accepted);

@@ -1,16 +1,17 @@
 // Incremental re-analysis engine and admission controller: randomized
 // differential sweeps (every ModelClass × 40 seeds × random
-// retune/set_period/admit/remove/δ-override and reject-then-roll-back
+// retune/set_period/admit/remove/δ-override and checkpoint-reject-roll-back
 // sequences, asserting the incremental GraphAnalysis is field-for-field
 // identical to a full recompute after every operation — including
-// rejection shapes and diagnostics), every single pin and unpin from a
-// sized state against a full recompute, the partial re-size of a
-// constraint change, the MP3 anchor {6015, 3263, 882} served through
-// the controller, rollback-on-rejection and the stream order it keeps, the
-// single-constraint period rescale path, δ-override contracts, the
-// invalidation counters of every engine branch, the exact restore of a
-// parked sized state and the queries that drop it, and stale-snapshot
-// contract errors naming the offending mutation.
+// rejection shapes and diagnostics — and, in a second variant, that a
+// rollback after every operation restores the prior state exactly),
+// every single pin and unpin from a sized state against a full
+// recompute, the partial re-size of a constraint change, the MP3 anchor
+// {6015, 3263, 882} served through the controller, rollback-on-rejection
+// and the stream order it keeps, the single-constraint period rescale
+// path, δ-override contracts, the invalidation counters of every engine
+// branch, the exact and recompute-free rollback of every rejection kind,
+// and stale-snapshot contract errors naming the offending mutation.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -89,20 +90,73 @@ void expect_matches_full(const IncrementalAnalysis& engine) {
                                              engine.overlay()));
 }
 
+/// The engine state a rollback must bring back, captured at a checkpoint.
+struct Held {
+  GraphAnalysis analysis;
+  PacingResult pacing;
+  ConstraintSet constraints;
+  ParameterOverlay overlay;
+  bool violation = false;
+};
+
+Held hold(const IncrementalAnalysis& engine) {
+  return Held{engine.analysis(), engine.pacing(), engine.constraints(),
+              engine.overlay(),
+              engine.last_certificate_violation().has_value()};
+}
+
+void expect_same_constraints(const ConstraintSet& got,
+                             const ConstraintSet& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].actor, want[i].actor) << "constraint " << i;
+    EXPECT_EQ(got[i].period, want[i].period) << "constraint " << i;
+  }
+}
+
+/// `engine` holds `held` again, and the rollback that brought it back
+/// added no propagation, lead pass or pair analysis to `applied`, the
+/// counters before it.
+void expect_rolled_back(const IncrementalAnalysis& engine, const Held& held,
+                        const InvalidationStats& applied) {
+  expect_identical(engine.analysis(), held.analysis);
+  const PacingResult& pacing = engine.pacing();
+  EXPECT_EQ(pacing.ok, held.pacing.ok);
+  EXPECT_EQ(pacing.diagnostics, held.pacing.diagnostics);
+  expect_same_constraints(pacing.constraints, held.pacing.constraints);
+  EXPECT_EQ(pacing.pacing_by_actor, held.pacing.pacing_by_actor);
+  EXPECT_EQ(pacing.determined_by, held.pacing.determined_by);
+  EXPECT_EQ(pacing.sink_anchored, held.pacing.sink_anchored);
+  EXPECT_EQ(pacing.bound_rate, held.pacing.bound_rate);
+  EXPECT_EQ(pacing.producer_slack, held.pacing.producer_slack);
+  EXPECT_EQ(pacing.consumer_slack, held.pacing.consumer_slack);
+  expect_same_constraints(engine.constraints(), held.constraints);
+  EXPECT_EQ(engine.overlay().response_time, held.overlay.response_time);
+  EXPECT_EQ(engine.overlay().initial_tokens, held.overlay.initial_tokens);
+  EXPECT_EQ(engine.last_certificate_violation().has_value(), held.violation);
+  const InvalidationStats& s = engine.stats();
+  EXPECT_EQ(s.pacing_recomputes, applied.pacing_recomputes);
+  EXPECT_EQ(s.leads_recomputed, applied.leads_recomputed);
+  EXPECT_EQ(s.pairs_recomputed, applied.pairs_recomputed);
+}
+
 // ----------------------------------------------- randomized differential
 
 /// What a differential sequence saw its engine do besides matching the
 /// full recompute.
 struct Served {
-  /// Rejections rolled back through the parked state.
-  std::size_t restores = 0;
+  /// Rejections rolled back from a sized state.
+  std::size_t rollbacks = 0;
   /// Re-propagated constraint changes from a sized result to a sized
   /// result that re-analysed fewer pairs than a full re-size.
   std::size_t patched = 0;
 };
 
+/// With `rollback_every_op`, every operation first runs under a
+/// checkpoint and is rolled back (the state must come back exactly), then
+/// runs again for real.
 Served run_differential_sequence(models::ModelClass model_class,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, bool rollback_every_op) {
   models::RandomModelSpec spec;
   spec.model_class = model_class;
   spec.seed = seed;
@@ -156,8 +210,19 @@ Served run_differential_sequence(models::ModelClass model_class,
     return std::nullopt;
   };
   Served served;
-  // Runs a constraint change and counts it when it was patched.
-  const auto change = [&](const auto& apply) {
+  // Runs one operation (a rolled-back trial run first in the rollback
+  // variant) and counts a constraint change when it was patched.
+  const auto op = [&](const char* name, const auto& apply) {
+    if (rollback_every_op) {
+      const Held held = hold(engine);
+      engine.checkpoint();
+      apply();
+      check(name);
+      const InvalidationStats applied = engine.stats();
+      engine.rollback();
+      SCOPED_TRACE(std::string("rolled back ") + name);
+      expect_rolled_back(engine, held, applied);
+    }
     const bool was_sized = !engine.analysis().leads.empty();
     const std::uint64_t recomputes = engine.stats().pacing_recomputes;
     apply();
@@ -166,6 +231,7 @@ Served run_differential_sequence(models::ModelClass model_class,
         engine.stats().last_cone_pairs < view.buffers.size()) {
       ++served.patched;
     }
+    check(name);
   };
 
   for (int step = 0; step < 12; ++step) {
@@ -176,13 +242,14 @@ Served run_differential_sequence(models::ModelClass model_class,
         const bool blocking = rng() % 10 == 0;
         const std::int64_t num =
             1 + static_cast<std::int64_t>(rng() % (blocking ? 100000000 : 50));
-        engine.retune(random_actor(), Duration(Rational(num, 100000)));
-        check("retune");
+        const ActorId actor = random_actor();
+        op("retune",
+           [&] { engine.retune(actor, Duration(Rational(num, 100000))); });
         break;
       }
       case 1: {
-        engine.clear_retune(random_actor());
-        check("clear_retune");
+        const ActorId actor = random_actor();
+        op("clear_retune", [&] { engine.clear_retune(actor); });
         break;
       }
       case 2: {
@@ -192,10 +259,9 @@ Served run_differential_sequence(models::ModelClass model_class,
         const ThroughputConstraint c = engine.constraints()[i];
         const Rational factor(static_cast<std::int64_t>(1 + rng() % 5),
                               static_cast<std::int64_t>(1 + rng() % 5));
-        change([&] {
+        op("set_period", [&] {
           engine.set_period(c.actor, Duration(c.period.seconds() * factor));
         });
-        check("set_period");
         break;
       }
       case 3: {
@@ -204,14 +270,12 @@ Served run_differential_sequence(models::ModelClass model_class,
         // must be analysis-inert.
         const std::size_t pos = rng() % view.buffers.size();
         const bool space_side = rng() % 4 == 0;
-        if (space_side) {
-          engine.set_initial_tokens(view.buffers[pos].space,
-                                    static_cast<std::int64_t>(rng() % 2000));
-        } else {
-          const dataflow::EdgeId data = view.buffers[pos].data;
+        dataflow::EdgeId edge = view.buffers[pos].space;
+        std::int64_t tokens = static_cast<std::int64_t>(rng() % 2000);
+        if (!space_side) {
+          edge = view.buffers[pos].data;
           const std::int64_t current =
-              model.graph.edge(data).initial_tokens;
-          std::int64_t tokens;
+              model.graph.edge(edge).initial_tokens;
           if (view.on_cycle[pos]) {
             tokens = current > 0
                          ? 1 + static_cast<std::int64_t>(
@@ -221,9 +285,9 @@ Served run_differential_sequence(models::ModelClass model_class,
           } else {
             tokens = static_cast<std::int64_t>(rng() % 4);
           }
-          engine.set_initial_tokens(data, tokens);
         }
-        check("set_initial_tokens");
+        op("set_initial_tokens",
+           [&] { engine.set_initial_tokens(edge, tokens); });
         break;
       }
       case 4: {
@@ -246,60 +310,65 @@ Served run_differential_sequence(models::ModelClass model_class,
             }
           }
         }
-        change([&] { engine.admit(ThroughputConstraint{actor, period}); });
-        check("admit");
+        op("admit", [&] { engine.admit(ThroughputConstraint{actor, period}); });
         break;
       }
       case 5: {
-        // Reject and roll back, as an admission controller does: retune
-        // past φ and restore the prior ρ, or admit at a conflicting
-        // period and remove again.  From a sized state the roll back
-        // must restore the parked result without re-sizing.
-        const bool was_sized = !engine.analysis().leads.empty();
-        std::uint64_t leads_recomputed = 0;
-        const auto rejected = [&] {
-          leads_recomputed = engine.stats().leads_recomputed;
-          return was_sized && engine.analysis().leads.empty();
-        };
-        bool parked = false;
-        if (rng() % 2 == 0) {
-          const ActorId actor = random_actor();
-          std::optional<Duration> prior;
-          if (actor.index() < engine.overlay().response_time.size()) {
-            prior = engine.overlay().response_time[actor.index()];
-          }
-          engine.retune(actor, seconds(Rational(1000)));
-          check("retune past phi");
-          parked = rejected();
-          if (prior.has_value()) {
-            engine.retune(actor, *prior);
-          } else {
-            engine.clear_retune(actor);
-          }
-          check("roll back the retune");
-        } else {
-          const std::optional<ActorId> actor = unconstrained_actor();
-          if (!actor.has_value()) {
-            break;
-          }
-          Duration period = Duration(Rational(1, 1000));
+        // Reject and roll back, as an admission controller does: under one
+        // checkpoint, retune past φ or admit at a conflicting period, and
+        // half the time undo that by hand under a nested checkpoint that
+        // commits or rolls back on its own.  The outer rollback must bring
+        // the state back exactly, with nothing re-derived.
+        const ActorId actor = random_actor();
+        const bool retune_kind = rng() % 2 == 0;
+        const bool second = rng() % 2 == 0;
+        const bool second_commits = rng() % 2 == 0;
+        const std::optional<ActorId> free = unconstrained_actor();
+        if (!retune_kind && !free.has_value()) {
+          break;
+        }
+        Duration period = Duration(Rational(1, 1000));
+        if (!retune_kind) {
           const GraphAnalysis& current = engine.analysis();
           for (std::size_t i = 0; i < current.actors_in_order.size(); ++i) {
-            if (current.actors_in_order[i] == *actor) {
+            if (current.actors_in_order[i] == *free) {
               period = current.pacing[i] * Rational(3, 2);
               break;
             }
           }
-          engine.admit(ThroughputConstraint{*actor, period});
-          check("admit at a conflicting period");
-          parked = rejected();
-          engine.remove(*actor);
-          check("roll back the admit");
         }
-        if (parked) {
-          EXPECT_EQ(engine.stats().leads_recomputed, leads_recomputed);
-          EXPECT_EQ(engine.stats().last_cone_actors, 0u);
-          ++served.restores;
+        const bool was_sized = !engine.analysis().leads.empty();
+        const Held held = hold(engine);
+        engine.checkpoint();
+        if (retune_kind) {
+          engine.retune(actor, seconds(Rational(1000)));
+          check("retune past phi");
+        } else {
+          engine.admit(ThroughputConstraint{*free, period});
+          check("admit at a conflicting period");
+        }
+        if (second) {
+          engine.checkpoint();
+          if (retune_kind) {
+            engine.clear_retune(actor);
+          } else {
+            engine.remove(*free);
+          }
+          check("undo by hand");
+          if (second_commits) {
+            engine.commit();
+          } else {
+            engine.rollback();
+            check("inner rollback");
+          }
+        }
+        const InvalidationStats applied = engine.stats();
+        engine.rollback();
+        SCOPED_TRACE("roll back the rejection");
+        expect_rolled_back(engine, held, applied);
+        check("roll back the rejection");
+        if (was_sized) {
+          ++served.rollbacks;
         }
         break;
       }
@@ -309,9 +378,9 @@ Served run_differential_sequence(models::ModelClass model_class,
         if (engine.constraints().size() <= 1) {
           break;
         }
-        const std::size_t i = rng() % engine.constraints().size();
-        change([&] { engine.remove(engine.constraints()[i].actor); });
-        check("remove");
+        const ActorId actor =
+            engine.constraints()[rng() % engine.constraints().size()].actor;
+        op("remove", [&] { engine.remove(actor); });
         break;
       }
     }
@@ -325,15 +394,17 @@ Served run_differential_sequence(models::ModelClass model_class,
   return served;
 }
 
-void run_differential_sweep(models::ModelClass model_class) {
+void run_differential_sweep(models::ModelClass model_class,
+                            bool rollback_every_op = false) {
   Served total;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    const Served served = run_differential_sequence(model_class, seed);
-    total.restores += served.restores;
+    const Served served =
+        run_differential_sequence(model_class, seed, rollback_every_op);
+    total.rollbacks += served.rollbacks;
     total.patched += served.patched;
   }
-  EXPECT_GT(total.restores, 0u)
-      << "no rejection was rolled back through the park";
+  EXPECT_GT(total.rollbacks, 0u)
+      << "no rejection was rolled back from a sized state";
   EXPECT_GT(total.patched, 0u)
       << "no constraint change was served without a full re-size";
 }
@@ -358,10 +429,23 @@ TEST(IncrementalDifferential, InteriorPinnedSweepMatchesFullRecompute) {
   run_differential_sweep(models::ModelClass::InteriorPinned);
 }
 
+// The same sequences, each operation first tried under a checkpoint and
+// rolled back: every query kind, from every result shape, must come back
+// bit for bit without re-deriving anything.
+TEST(IncrementalDifferential, RollbackAfterEveryOpRestoresTheState) {
+  for (const models::ModelClass model_class :
+       {models::ModelClass::Chain, models::ModelClass::ForkJoin,
+        models::ModelClass::Cyclic, models::ModelClass::MultiConstraint,
+        models::ModelClass::InteriorPinned}) {
+    SCOPED_TRACE(models::class_name(model_class));
+    run_differential_sweep(model_class, /*rollback_every_op=*/true);
+  }
+}
+
 // Constraint changes from sized states, exhaustively per model: every
 // unconstrained actor is pinned at its own pacing and unpinned again,
-// and every pin of the initial set is removed and put back at its
-// position.  Each result must equal a full recompute; most of these
+// and every pin of the initial set is removed and admitted again (at the
+// end of the set).  Each result must equal a full recompute; most of these
 // changes keep the result sized, so they run the pacing diff.
 TEST(IncrementalDifferential, EveryPinAndUnpinMatchesFullRecompute) {
   std::size_t patched = 0;
@@ -407,15 +491,14 @@ TEST(IncrementalDifferential, EveryPinAndUnpinMatchesFullRecompute) {
         step("pin " + name, [&] { engine.admit(ThroughputConstraint{v, phi}); });
         step("unpin " + name, [&] { engine.remove(v); });
       }
-      for (std::size_t at = 0; at < model.constraints.size(); ++at) {
+      for (const ThroughputConstraint& c : model.constraints) {
         if (engine.constraints().size() < 2) {
           break;
         }
-        const ThroughputConstraint c = engine.constraints()[at];
         const std::string name = model.graph.actor(c.actor).name;
         step("remove " + name, [&] { engine.remove(c.actor); });
-        step("re-admit " + name, [&] { engine.admit(c, at); });
-        EXPECT_EQ(engine.constraints()[at].actor, c.actor);
+        step("re-admit " + name, [&] { engine.admit(c); });
+        EXPECT_EQ(engine.constraints().back().actor, c.actor);
       }
       EXPECT_EQ(engine.stats().certificate_violations, 0u);
     }
@@ -533,11 +616,16 @@ TEST(AdmissionControl, RefusesInadmissibleInitialStateAndLastRemoval) {
   EXPECT_THROW(controller.admit(ThroughputConstraint{
                    app.dac, seconds(Rational(1, 100))}),
                ContractError);
-  EXPECT_THROW(controller.admit(ThroughputConstraint{
-                                    app.src, seconds(Rational(1, 100))},
-                                2),
-               ContractError);
   EXPECT_EQ(controller.streams().size(), 1u);
+
+  // A query that throws after it began recording is rolled back: the
+  // state is as it was, and no checkpoint stays open.
+  const GraphAnalysis before = controller.analysis();
+  EXPECT_THROW(controller.retune(app.mp3, Duration()), ContractError);
+  EXPECT_THROW(controller.rollback(), ContractError);
+  expect_identical(controller.analysis(), before);
+  EXPECT_EQ(controller.engine().overlay().response_time_of(app.graph, app.mp3),
+            app.graph.actor(app.mp3).response_time);
 }
 
 // ------------------------------------------------- single-period rescale
@@ -774,14 +862,6 @@ void pin_counters(const CounterScenario& scenario) {
     want.last_cone_actors = actors;
     want.last_cone_pairs = moved;
   };
-  // A return to the parked sized state: nothing re-derived.
-  const auto restore = [&] {
-    cache_hit();
-    want.leads_reused += n;
-    want.pairs_reused += pairs;
-    want.last_cone_actors = 0;
-    want.last_cone_pairs = 0;
-  };
 
   ++want.pacing_recomputes;
   full_size();
@@ -820,8 +900,8 @@ void pin_counters(const CounterScenario& scenario) {
   ASSERT_TRUE(engine.analysis().leads.empty());
   expect("retune past phi", false);
 
-  // The δ override drops the state parked by the retune past φ, so the
-  // recovery below re-sizes in full.
+  // A ρ-blocked result stays as it is under a δ override, and leaving it
+  // re-sizes in full.
   engine.set_initial_tokens(scenario.pair.data, scenario.tokens + 1);
   cache_hit();
   expect("data-edge delta, blocked", false);
@@ -842,7 +922,8 @@ void pin_counters(const CounterScenario& scenario) {
 
   engine.retune(scenario.block_actor,
                 graph.actor(scenario.block_actor).response_time);
-  restore();
+  cache_hit();
+  full_size();
   ASSERT_TRUE(engine.analysis().admissible);
   expect("retune recovers", true);
 
@@ -1209,9 +1290,8 @@ TEST(IncrementalAnalysis, InteriorStreamAtItsOwnPacingPatchesItsTwoPairs) {
 
 // Two sinks fed from one root (root -> a1 -> a2, root -> b1 -> b2), each
 // pinned.  Removing the a2 stream leaves a1 and a2 unpaced, so the
-// controller rejects it and re-admits the stream where it was: the order
-// stays "a2 b2" and the rollback restores the parked state, adding no
-// propagation to the candidate's one.
+// controller rejects it and rolls it back: the order stays "a2 b2", and
+// the rollback adds no propagation to the candidate's one.
 TEST(AdmissionControl, RejectedRemovalKeepsTheStreamOrder) {
   using dataflow::RateSet;
   const auto ms = [](std::int64_t v) { return milliseconds(Rational(v)); };
@@ -1245,152 +1325,123 @@ TEST(AdmissionControl, RejectedRemovalKeepsTheStreamOrder) {
   EXPECT_EQ(controller.engine().stats().pacing_recomputes, recomputes + 1);
 }
 
-// ---------------------------------------------------- park and restore
+// ---------------------------------------------- checkpoint and rollback
 
-/// Runs `reject`, a query that leaves `engine`'s sized result without
-/// leads, then `undo`, which brings the one input it changed back to its
-/// value.  The undo must swap the parked state back in: the analysis and
-/// pacing equal the ones held before `reject` and a full recompute, and
-/// no propagation, lead pass or pair analysis ran — one pacing cache hit,
-/// all n leads and P pairs reused, an empty cone.
-template <typename Reject, typename Undo>
-void expect_restored(IncrementalAnalysis& engine, Reject reject, Undo undo) {
-  const GraphAnalysis before = engine.analysis();
-  ASSERT_FALSE(before.leads.empty());
-  reject();
-  ASSERT_TRUE(engine.analysis().leads.empty());
-  const InvalidationStats rejected = engine.stats();
-
-  undo();
-  const InvalidationStats& s = engine.stats();
-  EXPECT_EQ(s.pacing_recomputes, rejected.pacing_recomputes);
-  EXPECT_EQ(s.leads_recomputed, rejected.leads_recomputed);
-  EXPECT_EQ(s.pairs_recomputed, rejected.pairs_recomputed);
-  EXPECT_EQ(s.pacing_cache_hits, rejected.pacing_cache_hits + 1);
-  EXPECT_EQ(s.leads_reused,
-            rejected.leads_reused + engine.snapshot().graph().actor_count());
-  EXPECT_EQ(s.pairs_reused, rejected.pairs_reused + before.pairs.size());
-  EXPECT_EQ(s.last_cone_actors, 0u);
-  EXPECT_EQ(s.last_cone_pairs, 0u);
-  expect_identical(engine.analysis(), before);
+/// Runs `query` on `engine` under a checkpoint and rolls it back: the
+/// state held before `query` comes back exactly and equals a full
+/// recompute, and the rollback re-derives nothing.
+template <typename Query>
+void expect_rollback_exact(IncrementalAnalysis& engine, Query query) {
+  const Held held = hold(engine);
+  engine.checkpoint();
+  query();
+  const InvalidationStats applied = engine.stats();
+  engine.rollback();
+  expect_rolled_back(engine, held, applied);
   expect_matches_full(engine);
-  const PacingResult fresh =
-      compute_pacing(engine.snapshot(), engine.constraints());
-  EXPECT_EQ(engine.pacing().constraints.size(), fresh.constraints.size());
-  EXPECT_EQ(engine.pacing().pacing_by_actor, fresh.pacing_by_actor);
-  EXPECT_EQ(engine.pacing().bound_rate, fresh.bound_rate);
-  EXPECT_EQ(s.certificate_violations, 0u);
+  EXPECT_EQ(engine.stats().certificate_violations, 0u);
 }
 
-TEST(IncrementalAnalysis, RestoreIsExactForEveryRejectionKind) {
+TEST(IncrementalAnalysis, RollbackIsExactForEveryRejectionKind) {
   const models::Mp3Playback app = models::make_mp3_playback();
   const TopologySnapshot snapshot(app.graph);
   IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
   engine.set_certify(true);
+  EXPECT_THROW(engine.rollback(), ContractError);
+  EXPECT_THROW(engine.commit(), ContractError);
   const ActorId pinned = app.constraint.actor;
   const Duration tau = app.constraint.period;
   const Duration original = app.graph.actor(app.mp3).response_time;
   const Duration faster(original.seconds() * Rational(1, 2));
+  const auto blocked = [&] {
+    ASSERT_TRUE(engine.analysis().leads.empty());
+  };
 
   {
-    SCOPED_TRACE("retune past phi, cleared back");
-    expect_restored(
-        engine, [&] { engine.retune(app.mp3, seconds(Rational(1000))); },
-        [&] { engine.clear_retune(app.mp3); });
+    SCOPED_TRACE("retune past phi");
+    expect_rollback_exact(engine, [&] {
+      engine.retune(app.mp3, seconds(Rational(1000)));
+      blocked();
+    });
   }
   {
-    SCOPED_TRACE("retune past phi, retuned back");
+    SCOPED_TRACE("retune past phi from a retuned rho");
     engine.retune(app.mp3, faster);
-    expect_restored(
-        engine, [&] { engine.retune(app.mp3, seconds(Rational(1000))); },
-        [&] { engine.retune(app.mp3, faster); });
+    expect_rollback_exact(engine, [&] {
+      engine.retune(app.mp3, seconds(Rational(1000)));
+      blocked();
+    });
+    EXPECT_EQ(engine.overlay().response_time_of(app.graph, app.mp3), faster);
   }
   {
     SCOPED_TRACE("single-constraint set_period below the rho floor");
-    expect_restored(
-        engine,
-        [&] {
-          engine.set_period(pinned,
-                            Duration(tau.seconds() * Rational(1, 1000)));
-        },
-        [&] { engine.set_period(pinned, tau); });
+    expect_rollback_exact(engine, [&] {
+      engine.set_period(pinned, Duration(tau.seconds() * Rational(1, 1000)));
+      blocked();
+    });
   }
   {
     SCOPED_TRACE("admit that fails the pacing");
-    expect_restored(
-        engine,
-        [&] {
-          engine.admit(ThroughputConstraint{app.src, seconds(Rational(1, 7))});
-          ASSERT_TRUE(engine.analysis().actors_in_order.empty());
-        },
-        [&] { engine.remove(app.src); });
+    expect_rollback_exact(engine, [&] {
+      engine.admit(ThroughputConstraint{app.src, seconds(Rational(1, 7))});
+      ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+    });
+  }
+  const Duration phi_src = engine.pacing().pacing_of(app.src);
+  {
+    SCOPED_TRACE("patched sized-to-sized admit");
+    expect_rollback_exact(engine, [&] {
+      engine.admit(ThroughputConstraint{app.src, phi_src});
+      ASSERT_TRUE(engine.analysis().admissible);
+      EXPECT_LT(engine.stats().last_cone_pairs, engine.analysis().pairs.size());
+    });
+    EXPECT_EQ(engine.constraints().size(), 1u);
   }
   {
     SCOPED_TRACE("multi-constraint set_period that is not flow-consistent");
-    engine.admit(ThroughputConstraint{app.src, engine.pacing().pacing_of(app.src)});
+    engine.admit(ThroughputConstraint{app.src, phi_src});
     ASSERT_TRUE(engine.analysis().admissible);
     ASSERT_EQ(engine.constraints().size(), 2u);
-    expect_restored(
-        engine,
-        [&] {
-          engine.set_period(pinned, Duration(tau.seconds() * Rational(3)));
-          ASSERT_TRUE(engine.analysis().actors_in_order.empty());
-        },
-        [&] { engine.set_period(pinned, tau); });
-  }
-}
-
-// A query that changes an input other than the parked one drops the park:
-// the return to the parked value then re-sizes in full, on the inputs as
-// they are now.
-TEST(IncrementalAnalysis, StaleParkIsDropped) {
-  const auto expect_resized = [](IncrementalAnalysis& engine,
-                                 std::uint64_t leads_before) {
-    ASSERT_FALSE(engine.analysis().leads.empty());
-    EXPECT_EQ(engine.stats().leads_recomputed - leads_before,
-              engine.snapshot().graph().actor_count());
-    expect_matches_full(engine);
-  };
-  {
-    SCOPED_TRACE("delta override on a data edge");
-    const models::FeedbackPipeline app = models::make_feedback_pipeline();
-    const TopologySnapshot snapshot(app.graph);
-    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
-    const std::int64_t delta =
-        app.graph.edge(app.dec_rctl.data).initial_tokens;
-    engine.retune(app.dec, seconds(Rational(1000)));
-    ASSERT_TRUE(engine.analysis().leads.empty());
-    engine.set_initial_tokens(app.dec_rctl.data, delta + 7);
-    const std::uint64_t leads_before = engine.stats().leads_recomputed;
-    engine.clear_retune(app.dec);
-    expect_resized(engine, leads_before);
-    EXPECT_EQ(pair_on(engine.analysis(), app.dec_rctl).initial_tokens,
-              delta + 7);
-  }
-  const models::Mp3Playback app = models::make_mp3_playback();
-  const TopologySnapshot snapshot(app.graph);
-  {
-    SCOPED_TRACE("retune of another actor");
-    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
-    engine.retune(app.mp3, seconds(Rational(1000)));
-    engine.retune(app.br, Duration(app.graph.actor(app.br).response_time
-                                       .seconds() *
-                                   Rational(1, 2)));
-    ASSERT_TRUE(engine.analysis().leads.empty());
-    const std::uint64_t leads_before = engine.stats().leads_recomputed;
-    engine.clear_retune(app.mp3);
-    expect_resized(engine, leads_before);
+    expect_rollback_exact(engine, [&] {
+      engine.set_period(pinned, Duration(tau.seconds() * Rational(3)));
+      ASSERT_TRUE(engine.analysis().actors_in_order.empty());
+    });
   }
   {
-    SCOPED_TRACE("constraint change while a rho is parked");
-    IncrementalAnalysis engine(snapshot, ConstraintSet{app.constraint});
-    engine.retune(app.mp3, seconds(Rational(1000)));
-    engine.set_period(app.constraint.actor,
-                      Duration(app.constraint.period.seconds() * Rational(2)));
-    ASSERT_TRUE(engine.analysis().leads.empty());
-    const std::uint64_t leads_before = engine.stats().leads_recomputed;
-    engine.clear_retune(app.mp3);
-    expect_resized(engine, leads_before);
+    // A sized but inadmissible candidate: with the loop's δ at exactly
+    // its requirement, a slower dec starves the back-edge.  The decision
+    // costs the candidate's cone retune and nothing more.
+    SCOPED_TRACE("retune that starves a back-edge, through the controller");
+    const models::FeedbackPipeline loop = models::make_feedback_pipeline();
+    const ThroughputConstraint relaxed{
+        loop.present, Duration(loop.constraint.period.seconds() * Rational(2))};
+    VrdfGraph graph = loop.graph;
+    graph.set_initial_tokens(
+        loop.dec_rctl.data,
+        pair_on(compute_buffer_capacities(graph, ConstraintSet{relaxed}),
+                loop.dec_rctl)
+            .required_initial_tokens);
+    const TopologySnapshot loop_snapshot(graph);
+    AdmissionController controller(loop_snapshot, ConstraintSet{relaxed});
+    controller.set_require_certificate(true);
+    const GraphAnalysis before = controller.analysis();
+    const InvalidationStats counted = controller.engine().stats();
+    const AdmissionDecision slower = controller.retune(
+        loop.dec, Duration(graph.actor(loop.dec).response_time.seconds() *
+                           Rational(2)));
+    EXPECT_FALSE(slower.accepted);
+    EXPECT_NE(slower.binding_constraint.find(
+                  "cycle through back-edge dec -> rctl"),
+              std::string::npos);
+    const InvalidationStats& s = controller.engine().stats();
+    EXPECT_EQ(s.pacing_recomputes, counted.pacing_recomputes);
+    EXPECT_GT(s.last_cone_pairs, 0u);
+    EXPECT_EQ(s.leads_recomputed - counted.leads_recomputed,
+              s.last_cone_actors);
+    EXPECT_EQ(s.pairs_recomputed - counted.pairs_recomputed,
+              s.last_cone_pairs);
+    expect_identical(controller.analysis(), before);
+    expect_matches_full(controller.engine());
   }
 }
 
