@@ -3,7 +3,7 @@
 // captures the series:
 //  - BM_FleetSweepAggregate: aggregate verification throughput of one
 //    fixed 1000-model sweep (five classes, both constraint placements)
-//    at 1, 2, 4 and 8 pool workers.  The acceptance shape is linear
+//    at 1, 2, 4 and 8 sweep workers.  The acceptance shape is linear
 //    scaling up to the core count; the JSON context's num_cpus records
 //    the cores the run actually had, so single-core CI numbers are
 //    attributable rather than mistaken for a scaling defect.

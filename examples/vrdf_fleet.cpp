@@ -1,13 +1,13 @@
 // Fleet-scale parallel verification: expand a sweep spec into
 // independent generate → analyze → two-phase-verify pipelines, run them
-// on a thread pool, and print the aggregated report.
+// on worker threads, and print the aggregated report.
 //
 // With no arguments a small default sweep runs (all five model classes,
 // 8 seeds each, 2 workers) — suitable for CI smoke runs.  Flags:
 //
 //   --classes chain,fork_join,...   model classes swept (default: all)
 //   --seeds N                       seed ordinals per class cell
-//   --threads N                     pool workers (1 = inline, no pool)
+//   --threads N                     sweep workers (1 = inline, no thread)
 //   --headroom A,B,...              capacity headroom levels swept
 //   --modes sink,source             constraint placements swept
 //   --observe N                     firings observed per verify phase

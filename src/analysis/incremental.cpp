@@ -184,16 +184,6 @@ void IncrementalAnalysis::retune(dataflow::ActorId actor, Duration rho) {
   run_certification_();
 }
 
-void IncrementalAnalysis::clear_retune(dataflow::ActorId actor) {
-  snapshot_.require_fresh();
-  (void)snapshot_.graph().actor(actor);
-  ++stats_.queries;
-  record_entry_(&ParameterOverlay::response_time, actor.index());
-  overlay_.clear_response_time(actor);
-  apply_rho_change_(actor);
-  run_certification_();
-}
-
 void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   snapshot_.require_fresh();
   ++stats_.queries;
@@ -265,36 +255,40 @@ bool IncrementalAnalysis::patch_moved_(const PacingResult& held) {
                      detail::constrained_kind(pacing, v, /*sink_kind=*/false));
   };
 
-  // Seeds: actors whose ω formula may read something new — φ, region or
-  // anchor kinds (which pass computes ω, or pins it at 0).  A moved φ
-  // is also the only way the ρ ≤ φ check can newly fail.
+  // A change between two ok pacings moves no φ.  In an ok pacing every
+  // skeleton edge fixes the ratio of its endpoints' φ, and the skeleton
+  // spans the weakly connected graph, so any one constraint both sets
+  // keep fixes every φ.  An edge whose side differs between the two sets
+  // is sink-determined with a source-reached producer in the larger set,
+  // so the coupling rule made it static, and its ratio is the same under
+  // both sides.  A moved φ would mean no constraint was kept: re-size in
+  // full.  With φ unchanged the ρ ≤ φ check still holds, and a pair's
+  // rates (φ of its near end over a fixed rate) move only with its side.
+  if (pacing_.pacing_by_actor != held.pacing_by_actor) {
+    return false;
+  }
+
+  // Seeds: actors whose ω formula may read something new — region or
+  // anchor kinds (which pass computes ω, or pins it at 0).
   std::vector<char>& dirty_a = scratch_dirty_a_;
   std::vector<char>& dirty_b = scratch_dirty_b_;
   dirty_a.assign(n, 0);
   dirty_b.assign(n, 0);
   for (const dataflow::ActorId v : pacing_.actors_in_order) {
     const std::size_t i = v.index();
-    const bool phi_moved = pacing_.pacing_by_actor[i] != held.pacing_by_actor[i];
-    if (phi_moved &&
-        overlay_.response_time_of(graph, v) > pacing_.pacing_by_actor[i]) {
-      return false;  // ρ-blocked: rebuild_() renders it
-    }
-    if (phi_moved || pacing_.sink_anchored[i] != held.sink_anchored[i] ||
+    if (pacing_.sink_anchored[i] != held.sink_anchored[i] ||
         kinds(pacing_, v) != kinds(held, v)) {
       dirty_a[i] = 1;
       dirty_b[i] = 1;
     }
   }
-  // Pairs whose rates or tight-adjacency rounding moved re-analyse, and
-  // their endpoints' ω formulas read the rates.
+  // Pairs whose side or tight-adjacency rounding moved re-analyse, and
+  // their endpoints' ω formulas read the side's rates.
   std::vector<char>& dirty_pair = scratch_dirty_pair_;
   dirty_pair.assign(analysis_.pairs.size(), 0);
   for (std::size_t pos = 0; pos < dirty_pair.size(); ++pos) {
     const dataflow::Edge& data = graph.edge(view.buffers[pos].data);
-    if (pacing_.determined_by[pos] != held.determined_by[pos] ||
-        pacing_.bound_rate[pos] != held.bound_rate[pos] ||
-        pacing_.producer_slack[pos] != held.producer_slack[pos] ||
-        pacing_.consumer_slack[pos] != held.consumer_slack[pos]) {
+    if (pacing_.determined_by[pos] != held.determined_by[pos]) {
       dirty_pair[pos] = 1;
       for (const dataflow::ActorId v : {data.source, data.target}) {
         dirty_a[v.index()] = 1;

@@ -27,10 +27,11 @@
 //    structural tier entirely.  The sized result reads the constraint
 //    set only through that pacing, so when the held result and the new
 //    one are both sized, the new pacing is diffed against the held one
-//    instead of re-sizing: the ω cone is seeded with every actor whose
-//    φ, region (sink_anchored), anchor kinds or incident pair rates
-//    moved, and only the pairs whose rates, tight-adjacency rounding or
-//    endpoint-lead difference moved re-analyse.  An anchor that moves
+//    instead of re-sizing.  Such a change moves no φ (any constraint
+//    both sets keep fixes every φ); the ω cone is seeded with every
+//    actor whose region (sink_anchored), anchor kinds or incident pair
+//    side moved, and only the pairs whose side, tight-adjacency rounding
+//    or endpoint-lead difference moved re-analyse.  An anchor that moves
 //    shifts a whole region's ω by a constant; Eq (1)–(4) read ω only as
 //    the difference across a pair, so such a shift re-sizes nothing.
 //  * set_initial_tokens(edge, δ): pacing and leads are δ-independent;
@@ -156,8 +157,6 @@ public:
   /// pacing (ρ does not enter pacing propagation) and re-derives only
   /// the affected ω cone and pairs.
   void retune(dataflow::ActorId actor, Duration rho);
-  /// Reverts an actor to the graph's own response time.
-  void clear_retune(dataflow::ActorId actor);
 
   /// Moves the period of the constraint pinned at `actor` (which must
   /// carry a constraint).  Single-constraint sets rescale the cached
@@ -276,9 +275,9 @@ private:
   /// Sized-to-sized tail of a re-propagated constraint change: diffs
   /// pacing_ against `held`, the pacing analysis_ was sized on, and
   /// patches analysis_ where they differ (see the header comment).
-  /// Returns false, touching nothing but scratch, when either result is
-  /// not sized — analysis_ is not, pacing_ failed, or a moved φ falls
-  /// below its actor's ρ.
+  /// Returns false, touching nothing but scratch, when analysis_ is not
+  /// sized, pacing_ failed, or some φ moved (which a sized-to-sized change
+  /// cannot do; the definition says why).
   bool patch_moved_(const PacingResult& held);
   /// Full re-size on the current pacing_: analysis_ becomes
   /// detail::size_from_pacing's result, and lead_ is refilled from its
@@ -289,9 +288,9 @@ private:
   /// True when analysis_ holds the sized shape — false after a failed
   /// pacing or a ρ-blocked check, which carry no leads.
   [[nodiscard]] bool sized_() const { return !analysis_.leads.empty(); }
-  /// Shared retune/clear_retune tail: on a sized result whose ρ check
-  /// still holds, re-derives the ω cone and patches the dirty pairs;
-  /// otherwise rebuild_().
+  /// retune's tail: on a sized result whose ρ check still holds,
+  /// re-derives the ω cone and patches the dirty pairs; otherwise
+  /// rebuild_().
   void apply_rho_change_(dataflow::ActorId actor);
   /// Re-derives the ω cone in lead_ from the seeds marked in
   /// scratch_dirty_a_ / scratch_dirty_b_ (by ActorId::index(): actors

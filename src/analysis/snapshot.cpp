@@ -103,10 +103,4 @@ void ParameterOverlay::set_initial_tokens(dataflow::EdgeId edge,
   initial_tokens[edge.index()] = tokens;
 }
 
-void ParameterOverlay::clear_response_time(dataflow::ActorId actor) {
-  if (actor.index() < response_time.size()) {
-    response_time[actor.index()].reset();
-  }
-}
-
 }  // namespace vrdf::analysis

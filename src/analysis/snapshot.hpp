@@ -123,8 +123,6 @@ struct ParameterOverlay {
 
   void set_response_time(dataflow::ActorId actor, Duration rho);
   void set_initial_tokens(dataflow::EdgeId edge, std::int64_t tokens);
-  /// Removes the override for `actor` (reverts to the graph's ρ).
-  void clear_response_time(dataflow::ActorId actor);
 };
 
 }  // namespace vrdf::analysis

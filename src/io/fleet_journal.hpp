@@ -47,14 +47,14 @@ class FleetJournal {
 
   /// Copies the recorded result for `index` into `*result`; false when
   /// the item has not been recorded.  Only results loaded at open time
-  /// are visible, and record() never touches them, so pool workers may
+  /// are visible, and record() never touches them, so sweep workers may
   /// look up concurrently with in-run records.  The line carries no RNG
   /// stream: `result->item.rng_seed` is 0, and FleetSweep::run restores
   /// the item from its own expansion.
   [[nodiscard]] bool lookup(std::size_t index,
                             sim::FleetItemResult* result) const;
 
-  /// Appends one finished item and flushes.  Thread-safe: pool workers
+  /// Appends one finished item and flushes.  Thread-safe: sweep workers
   /// call this concurrently.  Recording an out-of-range index is a
   /// contract error; re-recording an index is idempotent (first write
   /// wins on the next load).

@@ -20,6 +20,16 @@ namespace vrdf::sim {
 
 namespace {
 
+// The platform and demand every item shares: streams contend for two
+// TDM processors, every stream's sink demands a 2 ms period (fixed
+// across allocations, so the sweep shows which allocations can honour
+// it), and task WCETs are drawn from 2..12 sixty-fourths of the wheel.
+constexpr std::size_t kProcessors = 2;
+constexpr std::int64_t kWcetMin64ths = 2;
+constexpr std::int64_t kWcetMax64ths = 12;
+
+[[nodiscard]] Duration stream_period() { return milliseconds(Rational(2)); }
+
 [[nodiscard]] std::string join_counts(const std::vector<std::int64_t>& values) {
   std::string out;
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -88,7 +98,6 @@ const char* frontier_outcome_name(FrontierOutcome outcome) {
 }
 
 FrontierSweep::FrontierSweep(FrontierSpec spec) : spec_(std::move(spec)) {
-  VRDF_REQUIRE(spec_.processors >= 1, "frontier needs at least one processor");
   VRDF_REQUIRE(spec_.tasks_per_stream >= 1,
                "frontier streams need at least one task");
   VRDF_REQUIRE(!spec_.stream_counts.empty(),
@@ -98,11 +107,6 @@ FrontierSweep::FrontierSweep(FrontierSpec spec) : spec_(std::move(spec)) {
   VRDF_REQUIRE(spec_.seeds_per_cell >= 1,
                "frontier needs at least one seed per cell");
   VRDF_REQUIRE(spec_.wheel.is_positive(), "wheel period must be positive");
-  VRDF_REQUIRE(spec_.stream_period.is_positive(),
-               "stream period must be positive");
-  VRDF_REQUIRE(spec_.wcet_min_64ths >= 1 &&
-                   spec_.wcet_min_64ths <= spec_.wcet_max_64ths,
-               "WCET draw range must satisfy 1 <= min <= max");
   for (const std::int64_t streams : spec_.stream_counts) {
     VRDF_REQUIRE(streams >= 1, "stream counts must be positive");
     // run_item binds a shared root plus `streams` chains of
@@ -137,13 +141,13 @@ FrontierSweep::FrontierSweep(FrontierSpec spec) : spec_(std::move(spec)) {
   }
 
   std::ostringstream os;
-  os << "procs=" << spec_.processors << " tasks=" << spec_.tasks_per_stream
+  os << "procs=" << kProcessors << " tasks=" << spec_.tasks_per_stream
      << " streams=" << join_counts(spec_.stream_counts)
      << " slots=" << join_counts(spec_.slot_sixteenths)
      << " seeds=" << spec_.seeds_per_cell << " base=" << spec_.base_seed
      << " wheel=" << spec_.wheel.seconds().to_string()
-     << " period=" << spec_.stream_period.seconds().to_string()
-     << " wcet=" << spec_.wcet_min_64ths << ".." << spec_.wcet_max_64ths
+     << " period=" << stream_period().seconds().to_string()
+     << " wcet=" << kWcetMin64ths << ".." << kWcetMax64ths
      << " observe=" << spec_.observe_firings
      << " verify=1 certify=1 derivation="
      << analysis::kappa_derivation_name(
@@ -165,11 +169,11 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
     // processor serving n tasks needs n * slot <= 16 sixteenths.  A
     // shortfall classifies the item as wheel-bound without building
     // anything.
-    std::vector<std::int64_t> tasks_on(spec_.processors, 0);
+    std::vector<std::int64_t> tasks_on(kProcessors, 0);
     for (std::int64_t t = 0; t < total_tasks; ++t) {
-      ++tasks_on[static_cast<std::size_t>(t) % spec_.processors];
+      ++tasks_on[static_cast<std::size_t>(t) % kProcessors];
     }
-    for (std::size_t p = 0; p < spec_.processors; ++p) {
+    for (std::size_t p = 0; p < kProcessors; ++p) {
       if (tasks_on[p] * item.slot_sixteenths > 16) {
         result.outcome = FrontierOutcome::RejectedWheel;
         result.detail = "TDM wheel of processor cpu" + std::to_string(p) +
@@ -184,12 +188,12 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
     // WCETs, bound round-robin across the processors at the cell's slot.
     std::mt19937_64 rng(item.rng_seed);
     std::uniform_int_distribution<std::int64_t> wcet_draw(
-        spec_.wcet_min_64ths, spec_.wcet_max_64ths);
+        kWcetMin64ths, kWcetMax64ths);
     const Duration slot(spec_.wheel.seconds() *
                         Rational(item.slot_sixteenths, 16));
 
     sched::Platform platform;
-    for (std::size_t p = 0; p < spec_.processors; ++p) {
+    for (std::size_t p = 0; p < kProcessors; ++p) {
       (void)platform.add_processor("cpu" + std::to_string(p), spec_.wheel);
     }
 
@@ -203,7 +207,7 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
       const Duration wcet(spec_.wheel.seconds() *
                           Rational(wcet_draw(rng), 64));
       platform.bind_task(
-          name, static_cast<std::size_t>(task_index) % spec_.processors, slot,
+          name, static_cast<std::size_t>(task_index) % kProcessors, slot,
           wcet);
       ++task_index;
       return id;
@@ -221,7 +225,7 @@ FrontierItemResult FrontierSweep::run_item(const FrontierItem& item) const {
       streams.push_back(analysis::DeploymentConstraint{
           "s" + std::to_string(s) + "t" +
               std::to_string(spec_.tasks_per_stream - 1),
-          spec_.stream_period});
+          stream_period()});
     }
 
     analysis::DeploymentOptions options;  // policy-exact κ derivation

@@ -1,5 +1,5 @@
-// Capacity-vs-allocation frontier sweep: N streams contending for M TDM
-// cores, swept over stream counts and slot budgets.
+// Capacity-vs-allocation frontier sweep: N streams contending for two
+// TDM cores, swept over stream counts and slot budgets.
 //
 // FrontierSweep is the second sweep on the shared engine in
 // sim/sweep.hpp, which owns dispatch, the wall clock, the detail codec,
@@ -7,7 +7,7 @@
 // canonical text is bit-identical at any thread count).  This file keeps
 // only the frontier's own pipeline.  A FrontierSpec expands slot budgets
 // × stream counts × seed ordinals into items.  run_item builds N stream
-// chains, binds their tasks round-robin across M TDM processors at the
+// chains, binds their tasks round-robin across the processors at the
 // cell's slot budget, derives κ through analysis/deployment, runs the
 // capacity analysis with a checked platform-claused certificate, and —
 // for admissible deployments — installs the computed capacities and
@@ -58,8 +58,6 @@ enum class FrontierOutcome {
 [[nodiscard]] const char* frontier_outcome_name(FrontierOutcome outcome);
 
 struct FrontierSpec {
-  /// TDM processors the streams contend for.
-  std::size_t processors = 2;
   /// Tasks per stream chain.
   std::int64_t tasks_per_stream = 3;
   /// Stream counts swept (cells, major axis).
@@ -74,12 +72,6 @@ struct FrontierSpec {
   std::uint64_t base_seed = 1;
   /// TDM wheel period of every processor.
   Duration wheel = milliseconds(Rational(1));
-  /// Demanded period of every stream's sink — fixed across allocations,
-  /// so the sweep shows which allocations can honour it.
-  Duration stream_period = milliseconds(Rational(2));
-  /// Per-task WCET draw range, in sixty-fourths of the wheel period.
-  std::int64_t wcet_min_64ths = 2;
-  std::int64_t wcet_max_64ths = 12;
   /// Firings of the leading constrained actor simulated per phase.
   std::int64_t observe_firings = 200;
 };
@@ -162,8 +154,8 @@ class FrontierSweep {
   }
 
   /// Runs every item on sim::run_sweep and aggregates.  `threads` <= 1
-  /// runs inline on the caller; larger values run on a util::ThreadPool
-  /// of that many workers.  The canonical report bytes are identical
+  /// runs inline on the caller; larger values run on that many workers,
+  /// the caller among them.  The canonical report bytes are identical
   /// either way.
   [[nodiscard]] FrontierReport run(std::size_t threads = 1) const;
 

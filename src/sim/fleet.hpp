@@ -3,13 +3,14 @@
 // into one report.
 //
 // FleetSweep is one of the two sweeps on the shared engine in
-// sim/sweep.hpp, which owns dispatch (inline, or on a util::ThreadPool),
-// the wall clock, the item-line detail codec, the tally fold and the
-// canonical layout — and with them the determinism rules: the canonical
-// text is bit-identical at any thread count.  This file keeps only what
-// is the fleet's own: a SweepSpec expands into items (model classes ×
-// seed ordinals × headroom levels × sink/source modes), run_item is the
-// per-item pipeline, and tally rows are keyed by model class.
+// sim/sweep.hpp, which owns dispatch (the caller plus self-scheduling
+// worker threads), the wall clock, the item-line detail codec, the tally
+// fold and the canonical layout — and with them the determinism rules:
+// the canonical text is bit-identical at any thread count.  This file
+// keeps only what is the fleet's own: a SweepSpec expands into items
+// (model classes × seed ordinals × headroom levels × sink/source modes),
+// run_item is the per-item pipeline, and tally rows are keyed by model
+// class.
 //
 // Resumability: pass an io::FleetJournal and every finished item is
 // appended to it; on restart, journaled items are merged back without
@@ -91,7 +92,7 @@ struct SweepSpec {
   bool certify = false;
   /// Optional custom generator (e.g. to preserve a published per-seed
   /// shape schedule).  Must be a *pure* function of the item — it is
-  /// called concurrently from pool workers.  Return the bare model
+  /// called concurrently from sweep workers.  Return the bare model
   /// (scaled response times, no capacities installed); the fleet
   /// analyzes, installs capacities plus the item's headroom, and
   /// verifies.  When unset, models::make_random_model(item.rng_seed)
@@ -206,16 +207,16 @@ class FleetSweep {
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Runs every item on sim::run_sweep and aggregates.  `threads` <= 1
-  /// runs inline on the caller; larger values run on a pool of that many
-  /// workers.  With a journal, already-recorded items are merged without
-  /// recompute and new results are appended as they finish; a record
-  /// whose class, seed, headroom or mode disagrees with items()[i] is a
-  /// ModelError naming index i.
+  /// runs inline on the caller; larger values run on that many workers,
+  /// the caller among them.  With a journal, already-recorded items are
+  /// merged without recompute and new results are appended as they
+  /// finish; a record whose class, seed, headroom or mode disagrees with
+  /// items()[i] is a ModelError naming index i.
   [[nodiscard]] FleetReport run(std::size_t threads = 1,
                                 io::FleetJournal* journal = nullptr) const;
 
-  /// Runs one item's pipeline — the unit the pool executes, public for
-  /// per-item overhead benchmarking and tests.
+  /// Runs one item's pipeline — the unit a sweep worker executes, public
+  /// for per-item overhead benchmarking and tests.
   [[nodiscard]] FleetItemResult run_item(const FleetItem& item) const;
 
  private:

@@ -3,30 +3,52 @@
 // formatting on the canonical byte path).
 #include "sim/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <future>
-
-#include "util/thread_pool.hpp"
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace vrdf::sim {
 
 double run_sweep(std::size_t count, std::size_t threads,
                  const std::function<void(std::size_t)>& work) {
   const auto started = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      work(i);
+  // Self-scheduling: every worker, the caller included, claims the next
+  // index from one counter.  Claims are made in index order, so when an
+  // item fails every lower index has already been claimed and runs to
+  // the end; the lowest failure is therefore the same at any thread
+  // count.  Declared before `helpers`, so they outlive every worker even
+  // when a later thread fails to start.
+  std::atomic<std::size_t> next{0};
+  std::mutex failure_mutex;
+  std::size_t failed_index = count;
+  std::exception_ptr failure;
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < count; i = next++) {
+      try {
+        work(i);
+      } catch (...) {
+        next = count;  // the first failure stops further claims
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (i < failed_index) {
+          failed_index = i;
+          failure = std::current_exception();
+        }
+      }
     }
-  } else {
-    util::ThreadPool pool(threads);
-    std::vector<std::future<void>> futures;
-    futures.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      futures.push_back(pool.submit([&work, i] { work(i); }));
+  };
+  {
+    std::vector<std::jthread> helpers;
+    const std::size_t workers = std::min(threads, count);
+    for (std::size_t t = 1; t < workers; ++t) {
+      helpers.emplace_back(drain);
     }
-    for (std::future<void>& future : futures) {
-      future.get();  // propagate the first worker exception, if any
-    }
+    drain();
+  }  // joins every helper
+  if (failure) {
+    std::rethrow_exception(failure);
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - started;

@@ -29,10 +29,13 @@
 
 namespace vrdf::sim {
 
-/// Runs `work(i)` for every i in [0, count): inline on the caller when
-/// `threads` <= 1, otherwise on a util::ThreadPool of `threads` workers.
-/// Rethrows the first worker exception in index order; otherwise returns
-/// the wall seconds the dispatch took.
+/// Runs `work(i)` for every i in [0, count) on min(threads, count)
+/// workers: the caller and that many less one std::jthreads, each
+/// claiming the next index from one shared counter (`threads` <= 1 starts
+/// no thread).  The first failure stops further claims; once every worker
+/// has joined, the exception of the lowest failing index is rethrown, the
+/// same one at any thread count.  Otherwise returns the wall seconds the
+/// dispatch took.
 [[nodiscard]] double run_sweep(std::size_t count, std::size_t threads,
                                const std::function<void(std::size_t)>& work);
 

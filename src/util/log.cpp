@@ -10,7 +10,7 @@ namespace {
 std::atomic<Level> g_level{Level::Warning};
 
 // Serializes the final write only.  Each LineBuilder accumulates its line
-// in a thread-local ostringstream, so pool workers never contend while
+// in a thread-local ostringstream, so sweep workers never contend while
 // formatting; the mutex guards the single flush to stderr per event and
 // keeps concurrent lines from interleaving mid-line.  Single-threaded
 // output is byte-identical to the pre-lock implementation.

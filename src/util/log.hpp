@@ -7,7 +7,7 @@
 // Thread-safety: each VRDF_LOG statement buffers its whole line privately
 // (the LineBuilder's stream lives on the emitting thread's stack) and
 // emit() flushes it atomically as one write, so lines from concurrent
-// pool workers never interleave mid-line.  Line *order* across threads is
+// sweep workers never interleave mid-line.  Line *order* across threads is
 // whatever the race produced — deterministic passes that need diffable
 // output must log from one thread, as the single-threaded paths do.
 #pragma once

@@ -1,31 +1,29 @@
-// Fleet-scale parallel verification: the thread pool, the deterministic
-// seed-derivation helper, the sharded sweep harness and its resumable
+// Fleet-scale parallel verification: the deterministic seed-derivation
+// helper, the line-atomic log, the sharded sweep harness and its resumable
 // journal.
 //
 // The load-bearing property is *scheduling-independence*: a FleetSweep
 // report's canonical serialization must be bit-identical whether the
 // sweep ran on 1, 2 or 8 workers, and whether it ran straight through or
-// was interrupted and resumed from its journal.  Everything else (pool
-// semantics, codec round-trips, published seed streams) exists to defend
-// that property.
+// was interrupted and resumed from its journal.  Everything else (codec
+// round-trips, published seed streams, line-atomic logging) exists to
+// defend that property.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "io/fleet_journal.hpp"
 #include "models/synthetic.hpp"
 #include "sim/deployment_frontier.hpp"
 #include "sim/fleet.hpp"
+#include "sim/sweep.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/seed_stream.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrdf {
 namespace {
@@ -36,63 +34,6 @@ using sim::FleetItemResult;
 using sim::FleetReport;
 using sim::FleetSweep;
 using sim::SweepSpec;
-using util::ThreadPool;
-
-// ------------------------------------------------------------ thread pool
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  std::future<void> bad =
-      pool.submit([] { throw ModelError("intentional test failure"); });
-  std::future<void> good = pool.submit([] {});
-  EXPECT_THROW(bad.get(), ModelError);
-  good.get();  // a throwing sibling must not poison other tasks
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilAllTasksFinished) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 24; ++i) {
-    (void)pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 24);
-}
-
-TEST(ThreadPool, DestructorDrainsTheQueueDeterministically) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      (void)pool.submit([&done] { ++done; });
-    }
-    // Destructor runs here: every queued task must still execute.
-  }
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, RejectsZeroWorkersAndEmptyTasks) {
-  EXPECT_THROW(ThreadPool pool(0), ContractError);
-  ThreadPool pool(1);
-  EXPECT_THROW((void)pool.submit(std::function<void()>{}), ContractError);
-}
 
 // ------------------------------------------------------- seed derivation
 
@@ -120,17 +61,11 @@ TEST(Log, ConcurrentEmitsNeverInterleaveMidLine) {
   std::streambuf* previous = std::cerr.rdbuf(captured.rdbuf());
   const log::Level saved = log::level();
   log::set_level(log::Level::Info);
-  {
-    ThreadPool pool(8);
-    for (int t = 0; t < 8; ++t) {
-      (void)pool.submit([t] {
-        for (int i = 0; i < 50; ++i) {
-          VRDF_LOG(Info) << "worker " << t << " line " << i << " payload";
-        }
-      });
+  (void)sim::run_sweep(8, 8, [](std::size_t t) {
+    for (int i = 0; i < 50; ++i) {
+      VRDF_LOG(Info) << "worker " << t << " line " << i << " payload";
     }
-    pool.wait_idle();
-  }
+  });
   log::set_level(saved);
   std::cerr.rdbuf(previous);
 

@@ -249,7 +249,9 @@ Served run_differential_sequence(models::ModelClass model_class,
       }
       case 1: {
         const ActorId actor = random_actor();
-        op("clear_retune", [&] { engine.clear_retune(actor); });
+        op("retune to the graph's rho", [&] {
+          engine.retune(actor, model.graph.actor(actor).response_time);
+        });
         break;
       }
       case 2: {
@@ -350,7 +352,7 @@ Served run_differential_sequence(models::ModelClass model_class,
         if (second) {
           engine.checkpoint();
           if (retune_kind) {
-            engine.clear_retune(actor);
+            engine.retune(actor, model.graph.actor(actor).response_time);
           } else {
             engine.remove(*free);
           }
@@ -910,11 +912,12 @@ void pin_counters(const CounterScenario& scenario) {
   cache_hit();
   expect("space-edge delta, blocked", false);
 
-  engine.clear_retune(scenario.block_actor);
+  engine.retune(scenario.block_actor,
+                graph.actor(scenario.block_actor).response_time);
   cache_hit();
   full_size();
   ASSERT_TRUE(engine.analysis().admissible);
-  expect("clear_retune recovers", false);
+  expect("retune recovers after the blocked delta overrides", false);
 
   engine.retune(scenario.block_actor, seconds(Rational(1000)));
   cache_hit();
@@ -1066,7 +1069,7 @@ TEST(IncrementalAnalysis, LastConeDescribesTheMostRecentQuery) {
   expect_cone(0, 0);
 
   const std::uint64_t leads_before = stats.leads_recomputed;
-  engine.clear_retune(app.mp3);
+  engine.retune(app.mp3, app.graph.actor(app.mp3).response_time);
   ASSERT_TRUE(engine.analysis().admissible);
   expect_cone(4, 3);
   EXPECT_EQ(stats.leads_recomputed - leads_before, 4u);
@@ -1098,7 +1101,7 @@ const PairAnalysis& pair_on(const GraphAnalysis& analysis,
 }
 
 // A cone retune raises a back-edge's requirement past its δ and a
-// clear_retune lowers it again: the diagnostic appears and vanishes on
+// retune to the graph's ρ lowers it again: the diagnostic appears and vanishes on
 // the patch path, never through a full re-size.
 TEST(IncrementalAnalysis, RetuneStarvesAndReleasesABackEdge) {
   const models::FeedbackPipeline app = models::make_feedback_pipeline();
@@ -1129,7 +1132,7 @@ TEST(IncrementalAnalysis, RetuneStarvesAndReleasesABackEdge) {
             std::string::npos);
   expect_matches_full(engine);
 
-  engine.clear_retune(app.dec);
+  engine.retune(app.dec, app.graph.actor(app.dec).response_time);
   EXPECT_LT(engine.stats().last_cone_actors, actors);
   EXPECT_TRUE(engine.analysis().admissible);
   EXPECT_TRUE(engine.analysis().diagnostics.empty());
@@ -1232,35 +1235,43 @@ TEST(IncrementalAnalysis, OneOfTwoStarvingBackEdgesMoves) {
 
 // ------------------------------------------------------ constraint diff
 
-// A gear chain pinned at its sink (a data-dependent first buffer, then
-// alternating 1:2 and 2:1 gears), the admission workload's shape in
-// small.  Pinning an interior actor at its own pacing moves no φ: the
-// pin becomes an anchor and its upstream ω all shift by one constant,
-// which no pair reads.  Admitting it and removing it again each
-// propagate once and re-analyse at most the pin's two pairs, and each
-// result equals a full recompute.
-TEST(IncrementalAnalysis, InteriorStreamAtItsOwnPacingPatchesItsTwoPairs) {
+// A gear chain: a data-dependent first buffer, then alternating 1:2 and
+// 2:1 gears (every buffer after the first is static), the admission
+// workload's shape in small.
+VrdfGraph make_gear_chain(std::size_t actor_count) {
   using dataflow::RateSet;
-  constexpr std::size_t kActors = 12;
-  const auto ms = [](std::int64_t v) { return milliseconds(Rational(v)); };
   VrdfGraph graph;
   std::vector<ActorId> actors;
-  for (std::size_t i = 0; i < kActors; ++i) {
+  for (std::size_t i = 0; i < actor_count; ++i) {
     std::string name = "v";
     name += std::to_string(i);
-    actors.push_back(graph.add_actor(name, ms(1)));
+    actors.push_back(graph.add_actor(name, milliseconds(Rational(1))));
   }
   (void)graph.add_buffer(actors[0], actors[1], RateSet::singleton(2),
                          RateSet::interval(1, 2));
-  for (std::size_t i = 1; i + 1 < kActors; ++i) {
+  for (std::size_t i = 1; i + 1 < actor_count; ++i) {
     const std::int64_t gear = 1 + static_cast<std::int64_t>(i % 2);
     (void)graph.add_buffer(actors[i], actors[i + 1], RateSet::singleton(gear),
                            RateSet::singleton(3 - gear));
   }
+  return graph;
+}
+
+// The gear chain pinned at its sink.  Pinning an interior actor at its
+// own pacing moves no φ: the pin becomes an anchor and its upstream ω
+// all shift by one constant, which no pair reads.  Admitting it and
+// removing it again each propagate once and re-analyse at most the pin's
+// two pairs, and each result equals a full recompute.
+TEST(IncrementalAnalysis, InteriorStreamAtItsOwnPacingPatchesItsTwoPairs) {
+  constexpr std::size_t kActors = 12;
+  const VrdfGraph graph = make_gear_chain(kActors);
+  const std::vector<ActorId> actors(graph.actors().begin(),
+                                    graph.actors().end());
   const TopologySnapshot snapshot(graph);
   ASSERT_TRUE(snapshot.ok());
   IncrementalAnalysis engine(
-      snapshot, ConstraintSet{ThroughputConstraint{actors.back(), ms(40)}});
+      snapshot, ConstraintSet{ThroughputConstraint{
+                    actors.back(), milliseconds(Rational(40))}});
   engine.set_certify(true);
   ASSERT_TRUE(engine.analysis().admissible);
 
@@ -1286,6 +1297,44 @@ TEST(IncrementalAnalysis, InteriorStreamAtItsOwnPacingPatchesItsTwoPairs) {
   EXPECT_EQ(engine.analysis().leads[kActors / 2], Duration());
   expect_patched("remove", [&] { engine.remove(pin); });
   EXPECT_EQ(engine.stats().certificate_violations, 0u);
+}
+
+// The gear chain pinned at its sink and at an interior actor at its own
+// pacing.  Removing the sink pin turns the static suffix behind the
+// interior pin from a sink-anchored region into a source-kind one: sides
+// and regions move, but no φ does, since every suffix buffer is static
+// and fixes the same φ ratio under either side.  The change is patched
+// on the held result, not re-sized, and equals a full recompute.
+TEST(IncrementalAnalysis, RemovingTheSinkPinBehindAnInteriorPinIsPatched) {
+  constexpr std::size_t kActors = 12;
+  const VrdfGraph graph = make_gear_chain(kActors);
+  const std::vector<ActorId> actors(graph.actors().begin(),
+                                    graph.actors().end());
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  IncrementalAnalysis engine(
+      snapshot, ConstraintSet{ThroughputConstraint{
+                    actors.back(), milliseconds(Rational(40))}});
+  engine.set_certify(true);
+  const ActorId pin = actors[kActors * 2 / 3];
+  engine.admit(ThroughputConstraint{pin, engine.pacing().pacing_of(pin)});
+  ASSERT_TRUE(engine.analysis().admissible);
+  const std::vector<Duration> phi = engine.pacing().pacing_by_actor;
+  const std::vector<bool> sink_anchored = engine.pacing().sink_anchored;
+  const std::vector<ConstraintSide> sides = engine.pacing().determined_by;
+
+  const InvalidationStats before = engine.stats();
+  engine.remove(actors.back());
+  const InvalidationStats& after = engine.stats();
+  ASSERT_TRUE(engine.analysis().admissible);
+  EXPECT_EQ(engine.pacing().pacing_by_actor, phi);
+  EXPECT_NE(engine.pacing().sink_anchored, sink_anchored);
+  EXPECT_NE(engine.pacing().determined_by, sides);
+  EXPECT_EQ(after.pacing_recomputes, before.pacing_recomputes + 1);
+  EXPECT_LT(after.leads_recomputed - before.leads_recomputed, kActors);
+  EXPECT_LT(after.pairs_recomputed - before.pairs_recomputed, kActors - 1);
+  expect_matches_full(engine);
+  EXPECT_EQ(after.certificate_violations, 0u);
 }
 
 // Two sinks fed from one root (root -> a1 -> a2, root -> b1 -> b2), each

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "models/synthetic.hpp"
@@ -26,8 +28,9 @@ namespace {
 
 // ------------------------------------------------------------- runner
 
-TEST(SweepRunner, RunsEveryIndexExactlyOnceInlineAndPooled) {
-  for (const std::size_t threads : {0u, 1u, 3u}) {
+TEST(SweepRunner, RunsEveryIndexExactlyOnceAtAnyThreadCount) {
+  // 64 threads exceed the 50 items: the surplus never starts.
+  for (const std::size_t threads : {0u, 1u, 3u, 64u}) {
     std::vector<std::atomic<int>> runs(50);
     const double elapsed = sim::run_sweep(
         runs.size(), threads, [&](std::size_t i) { runs[i].fetch_add(1); });
@@ -38,10 +41,24 @@ TEST(SweepRunner, RunsEveryIndexExactlyOnceInlineAndPooled) {
   }
 }
 
-TEST(SweepRunner, RethrowsTheFirstWorkerException) {
+TEST(SweepRunner, NeverCallsWorkForAnEmptyRange) {
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    std::atomic<int> calls{0};
+    const double elapsed =
+        sim::run_sweep(0, threads, [&](std::size_t) { calls.fetch_add(1); });
+    EXPECT_GE(elapsed, 0.0);
+    EXPECT_EQ(calls.load(), 0) << "threads " << threads;
+  }
+}
+
+TEST(SweepRunner, RethrowsTheLowestFailingIndexAtAnyThreadCount) {
   for (const std::size_t threads : {1u, 4u}) {
     try {
       (void)sim::run_sweep(20, threads, [](std::size_t i) {
+        if (i == 7) {
+          // Fails after 13 has, on a parallel run: the lower index wins.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
         if (i == 7 || i == 13) {
           throw std::runtime_error("item " + std::to_string(i));
         }
@@ -50,6 +67,21 @@ TEST(SweepRunner, RethrowsTheFirstWorkerException) {
     } catch (const std::runtime_error& error) {
       EXPECT_STREQ(error.what(), "item 7") << "threads " << threads;
     }
+  }
+}
+
+TEST(SweepRunner, TheFirstFailureStopsFurtherClaims) {
+  std::vector<std::atomic<int>> runs(20);
+  EXPECT_THROW((void)sim::run_sweep(runs.size(), 1,
+                                    [&](std::size_t i) {
+                                      runs[i].fetch_add(1);
+                                      if (i == 7) {
+                                        throw std::runtime_error("item 7");
+                                      }
+                                    }),
+               std::runtime_error);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), i <= 7 ? 1 : 0) << "index " << i;
   }
 }
 

@@ -49,7 +49,7 @@ TEST(RandomChainSweep, FleetVerifiesComputedCapacitiesAtScale) {
   // The simulation half of the sweep, through the sharded fleet harness
   // (PR 8): 64 chains per constraint placement — an 8x raise over the
   // 8-seed parameterized loop this replaces — each running the full
-  // generate -> analyze -> two-phase-verify pipeline on pool workers.
+  // generate -> analyze -> two-phase-verify pipeline on sweep workers.
   sim::SweepSpec spec;
   spec.classes = {models::ModelClass::Chain};
   spec.seeds_per_class = 64;
