@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "analysis/grid_search.hpp"
 #include "analysis/incremental.hpp"
 #include "analysis/sizing_core.hpp"
 #include "analysis/snapshot.hpp"
@@ -16,42 +17,13 @@ namespace {
 /// Margin search resolution: margins are multiples of slack/kGridSteps.
 constexpr std::int64_t kGridSteps = 64;
 
-/// Largest k in [0, grid] such that holds(k), assuming the predicate is
-/// monotone (true at 0, and once false stays false) — the capacity of
-/// every pair is monotone nondecreasing in every ρ(v).  After the top
-/// probe fails, the search probes hint() and, if that holds, the point
-/// after it, then bisects what is left of the bracket.  Monotonicity makes
-/// the threshold unique, so any hint returns what plain bisection
-/// returns; a good hint ends the search in three probes, a wrong one
-/// costs at most two extra.
-template <typename Predicate, typename Hint>
-[[nodiscard]] std::int64_t max_true(std::int64_t grid, Predicate&& holds,
-                                    Hint&& hint) {
-  if (holds(grid)) {
-    return grid;
-  }
-  std::int64_t lo = 0;  // known true (caller checks the baseline)
-  std::int64_t hi = grid;  // known false
-  const std::int64_t guess = std::clamp<std::int64_t>(hint(), 1, grid - 1);
-  if (holds(guess)) {
-    lo = guess;
-    if (guess + 1 < hi) {
-      (holds(guess + 1) ? lo : hi) = guess + 1;
-    }
-  } else {
-    hi = guess;
-  }
-  while (hi - lo > 1) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    (holds(mid) ? lo : hi) = mid;
-  }
-  return lo;
-}
-
-/// One pair's side of the secant hint, fixed before the searches: its raw
-/// token count at the declared ρ (grid point 0) and what its installed
-/// capacity admits.
+/// One pair of the baseline, fixed before the searches: its endpoints,
+/// its bound rate s, its raw token count x at the declared ρ (grid point
+/// 0) and what its installed capacity admits.
 struct PairLine {
+  dataflow::ActorId producer;
+  dataflow::ActorId consumer;
+  Duration bound_rate;
   Rational x0;
   /// Installed capacity minus δ(data): the most the rounded x may reach.
   std::int64_t room = 0;
@@ -60,38 +32,67 @@ struct PairLine {
   bool tight = false;
 };
 
-/// The secant prediction of the largest fitting grid point, from grid
-/// point 0 and the failing top probe: every pair over its installed
-/// capacity at the top is taken as linear in k between the two, and the
-/// hint is the smallest largest-fitting k among them.  On a chain x is
-/// affine in one ρ, so the hint is exact.  With no pair to extrapolate
-/// (the top failed only on a back-edge's credit) or on overflow, the hint
-/// is the midpoint; it only steers the search, never its result.
-[[nodiscard]] std::int64_t secant_hint(const std::vector<PairLine>& lines,
-                                       const GraphAnalysis& top) {
-  constexpr std::int64_t kMidpoint = kGridSteps / 2;
-  if (top.pairs.size() != lines.size()) {
-    return kMidpoint;
-  }
+/// The largest grid point k at which x0 + step·k still fits the line's
+/// room (step > 0).
+[[nodiscard]] std::int64_t last_fitting(const PairLine& line,
+                                        const Rational& step) {
+  const Rational t = (Rational(line.room) - line.x0) / step;
+  return line.tight ? t.floor() : t.ceil() - 1;
+}
+
+/// The first-order prediction of a search's threshold from the baseline
+/// alone.  `lift(line)` is how much the pair's Δ grows over the whole
+/// slack — the moved ρ enters Δ once per endpoint — so its x rises by
+/// lift/s over kGridSteps grid points.  The hint is the smallest last
+/// fitting k over the pairs that rise; on a chain it is exact.  Pairs
+/// whose Δ moves only through the ω leads, and back-edge credits, are
+/// not predicted; the search corrects for them.
+template <typename Lift>
+[[nodiscard]] std::int64_t predicted_hint(const std::vector<PairLine>& lines,
+                                          Lift&& lift) {
   std::int64_t hint = kGridSteps;
+  try {
+    for (const PairLine& line : lines) {
+      const Duration rise = lift(line);
+      if (rise.is_positive()) {
+        hint = std::min(hint, last_fitting(line, rise / line.bound_rate /
+                                                     Rational(kGridSteps)));
+      }
+    }
+  } catch (const OverflowError&) {
+    return kGridSteps / 2;
+  }
+  return hint;
+}
+
+/// The secant prediction after a failed probe of grid point `failed`:
+/// every pair over its installed capacity there is taken as linear in k
+/// between grid point 0 and that probe, and the hint is the smallest last
+/// fitting k among them.  With no pair to extrapolate (the probe failed
+/// only on a back-edge's credit) or on overflow, the hint is the midpoint
+/// below the failed point; it only steers the search, never its result.
+[[nodiscard]] std::int64_t secant_hint(const std::vector<PairLine>& lines,
+                                       const GraphAnalysis& probe,
+                                       std::int64_t failed) {
+  const std::int64_t midpoint = failed / 2;
+  if (probe.pairs.size() != lines.size()) {
+    return midpoint;
+  }
+  std::int64_t hint = failed;
   try {
     for (std::size_t i = 0; i < lines.size(); ++i) {
       const PairLine& line = lines[i];
-      const PairAnalysis& pair = top.pairs[i];
+      const PairAnalysis& pair = probe.pairs[i];
       const Rational rise = pair.raw_tokens - line.x0;
-      if (pair.capacity - pair.initial_tokens <= line.room ||
-          !rise.is_positive()) {
-        continue;
+      if (pair.capacity - pair.initial_tokens > line.room &&
+          rise.is_positive()) {
+        hint = std::min(hint, last_fitting(line, rise / Rational(failed)));
       }
-      // x0 + rise·k/kGridSteps reaches the room at k = t.
-      const Rational t =
-          (Rational(line.room) - line.x0) * Rational(kGridSteps) / rise;
-      hint = std::min(hint, line.tight ? t.floor() : t.ceil() - 1);
     }
   } catch (const OverflowError&) {
-    return kMidpoint;
+    return midpoint;
   }
-  return hint == kGridSteps ? kMidpoint : hint;
+  return hint == failed ? midpoint : hint;
 }
 
 /// ρ(v) + slack·k/kGridSteps: the response time of grid point k.
@@ -164,13 +165,13 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
     return probe.admissible && first_over_installed(graph, probe) == nullptr;
   };
 
-  // Grid point 0 of every search, kept for the secant hints: `baseline`
-  // is the engine's live analysis, which the retunes below overwrite.
+  // Grid point 0 of every search, kept for the hints: `baseline` is the
+  // engine's live analysis, which the retunes below overwrite.
   std::vector<PairLine> lines;
   lines.reserve(baseline.pairs.size());
   for (const PairAnalysis& pair : baseline.pairs) {
     lines.push_back(PairLine{
-        pair.raw_tokens,
+        pair.producer, pair.consumer, pair.bound_rate, pair.raw_tokens,
         graph.buffer_capacity(pair.buffer) - pair.initial_tokens,
         detail::uses_ceiling(pair.tight_rounding, baseline.rounding)});
   }
@@ -178,18 +179,27 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
   // Per actor: retune its ρ on the engine under a checkpoint, which
   // re-derives only the ω cone and pairs the actor reaches, then roll the
   // probes back to the baseline.
+  std::vector<Duration> slack_of(graph.actor_count());
   for (ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
+      slack_of[margin.actor.index()] = slack;
+      const std::int64_t hint = predicted_hint(lines, [&](const PairLine& l) {
+        return l.producer == margin.actor || l.consumer == margin.actor
+                   ? slack
+                   : Duration();
+      });
       engine.checkpoint();
-      const std::int64_t best = max_true(
-          kGridSteps,
+      const std::int64_t best = detail::largest_holding_point(
+          kGridSteps, hint,
           [&](std::int64_t k) {
             ++report.probes;
             engine.retune(margin.actor, grid_point(margin, k));
             return fits(engine.analysis());
           },
-          [&] { return secant_hint(lines, engine.analysis()); });
+          [&](std::int64_t failed) {
+            return secant_hint(lines, engine.analysis(), failed);
+          });
       engine.rollback();
       margin.margin = slack * Rational(best, kGridSteps);
     }
@@ -202,11 +212,17 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
   // Per-actor margins hold the *other* actors at their declared ρ and do
   // not compose; the joint fraction is what all actors may take at once.
   // Every ρ moves, so each probe sizes the engine's pacing (which no ρ
-  // move changes) under one overlay.
+  // move changes) under one overlay, and a pair's Δ grows by both its
+  // endpoints' slack.
   ParameterOverlay overlay;
   GraphAnalysis probe;
-  const std::int64_t joint = max_true(
+  const std::int64_t joint = detail::largest_holding_point(
       kGridSteps,
+      predicted_hint(lines,
+                     [&](const PairLine& l) {
+                       return slack_of[l.producer.index()] +
+                              slack_of[l.consumer.index()];
+                     }),
       [&](std::int64_t k) {
         ++report.probes;
         for (const ActorMargin& m : report.actors) {
@@ -217,7 +233,7 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
         probe = detail::size_from_pacing(graph, engine.pacing(), {}, overlay);
         return fits(probe);
       },
-      [&] { return secant_hint(lines, probe); });
+      [&](std::int64_t failed) { return secant_hint(lines, probe, failed); });
   report.joint_safe_fraction = Rational(joint, kGridSteps);
 
   report.ok = true;

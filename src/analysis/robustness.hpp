@@ -29,22 +29,27 @@
 // for every actor: raising only v's ρ by that fraction asks for no more
 // than raising every ρ by it.
 //
-// Each search probes the top grid point first.  If that fails, it probes
-// the point a secant predicts — every over-capacity pair's raw token
-// count taken as linear between grid point 0 and the top — and the point
-// after it, then bisects what is left.  On a chain the prediction is
-// exact.  Any prediction yields the same margin; only the probe count
-// depends on it.
+// Each search first probes the grid point the baseline predicts: the
+// moved ρ enters Δ once per endpoint of a pair, so every pair's raw token
+// count x rises by δ/s (s the pair's bound rate) and the hint is the last
+// grid point at which every such pair still fits its installed capacity
+// — the first-order form of parametric throughput analysis (Ghamarian et
+// al., DATE 2008).  If the hint holds, the search probes the point after
+// it, and the top if that holds too.  After a failed probe it probes the
+// point a secant through that probe predicts, then bisects what is left
+// (detail::largest_holding_point).  On a chain the first hint is exact.
+// Any prediction yields the same margin; only the probe count depends on
+// it.
 //
 // Cost: ρ enters neither the structural snapshot nor the pacing
 // propagation, so one TopologySnapshot and one IncrementalAnalysis serve
 // every probe.  A per-actor probe is a ρ-cone retune — only the ω leads
 // and pairs the actor reaches are re-derived — and the actor is restored
 // after its search; a joint probe moves every ρ at once and sizes the
-// engine's pacing under one overlay (detail::size_from_pacing).  On the repo benchmark's 8–32-actor
-// margins pool a report runs about 58 probes, 2.7 per search (plain
-// bisection ran 143, 6.8 per search); RobustnessReport::probes counts
-// them.
+// engine's pacing under one overlay (detail::size_from_pacing).  On the
+// repo benchmark's 8–32-actor margins pool a report runs about 41
+// probes, 1.9 per search (probing the top first ran 58, 2.7 per search;
+// plain bisection 143, 6.8); RobustnessReport::probes counts them.
 #pragma once
 
 #include <string>

@@ -16,6 +16,16 @@ namespace vrdf::io {
 
 namespace {
 
+/// A period's frequency in Hz, the readable aside the reports print next
+/// to the exact period.  IEEE conversion and division round the same way
+/// everywhere, and the stream prints six significant digits, so the text
+/// depends on the Rational alone.
+std::string hertz(const Duration& period) {
+  std::ostringstream os;
+  os << period.seconds().reciprocal().to_double();  // det-lint: ok(Hz aside)
+  return os.str();
+}
+
 std::string render_report(const dataflow::VrdfGraph& graph,
                           const analysis::ConstraintSet& constraints,
                           const analysis::GraphAnalysis& analysis) {
@@ -45,7 +55,7 @@ std::string render_report(const dataflow::VrdfGraph& graph,
     os << "Throughput constraint: actor `"
        << graph.actor(constraint.actor).name << "` strictly periodic, period "
        << constraint.period.seconds().to_string() << " s ("
-       << constraint.period.seconds().reciprocal().to_double() << " Hz), "
+       << hertz(constraint.period) << " Hz), "
        << (is_interior(0)
                ? "interior-pinned"
                : (analysis.side == analysis::ConstraintSide::Sink
@@ -62,7 +72,7 @@ std::string render_report(const dataflow::VrdfGraph& graph,
       os << "actor `" << graph.actor(constraints[c].actor).name
          << "` strictly periodic, period "
          << constraints[c].period.seconds().to_string() << " s ("
-         << constraints[c].period.seconds().reciprocal().to_double() << " Hz"
+         << hertz(constraints[c].period) << " Hz"
          << (is_interior(c) ? ", interior" : "") << ")";
     }
     os << " — multi-constrained " << shape_word << " of "
@@ -223,7 +233,7 @@ std::string admission_summary(const dataflow::VrdfGraph& graph,
   for (const analysis::ThroughputConstraint& c : controller.streams()) {
     os << "  - actor `" << graph.actor(c.actor).name << "`, period "
        << c.period.seconds().to_string() << " s ("
-       << c.period.seconds().reciprocal().to_double() << " Hz)\n";
+       << hertz(c.period) << " Hz)\n";
   }
   os << "\nTotal buffer capacity: " << analysis.total_capacity
      << " containers across " << analysis.pairs.size() << " pairs\n";

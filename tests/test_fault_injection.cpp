@@ -3,7 +3,8 @@
 //    seeded replayability;
 //  * ConformanceMonitor ρ-contract events, lateness grading and the
 //    stall watchdog's blocked-cycle diagnosis;
-//  * analysis::robustness_margins against installed capacities;
+//  * analysis::robustness_margins against installed capacities, and the
+//    grid search behind every margin;
 //  * the randomized validation harness: within-margin faults never
 //    starve phase 2, beyond-margin faults are always detected and named,
 //    lateness is monotone and linear in a single-firing stall delta —
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "analysis/buffer_sizing.hpp"
+#include "analysis/grid_search.hpp"
 #include "analysis/robustness.hpp"
 #include "dataflow/vrdf_graph.hpp"
 #include "io/report.hpp"
@@ -447,6 +450,62 @@ TEST(Robustness, ReportContainsTheMarginsSection) {
   EXPECT_NE(csv.find("buffer,required,installed,headroom"), std::string::npos);
 }
 
+// ---------------------------------------------- Robustness: the grid search
+
+TEST(Robustness, GridSearchFindsEveryThresholdFromAnyHint) {
+  // The search behind every margin, on the margins' 64-step grid: for
+  // every threshold and every hint, clamped ones included, and refine
+  // predictions inside and outside the bracket, it returns the threshold
+  // without probing grid point 0 (known to hold) or any point twice.  An
+  // exact hint costs at most two probes.
+  constexpr std::int64_t kGrid = 64;
+  int most_probes = 0;
+  for (std::int64_t threshold = 0; threshold <= kGrid; ++threshold) {
+    const std::vector<std::function<std::int64_t(std::int64_t)>> refines = {
+        [&](std::int64_t) { return threshold; },
+        [&](std::int64_t) { return threshold - 3; },
+        [&](std::int64_t) { return threshold + 3; },
+        [](std::int64_t failed) { return failed; },
+        [](std::int64_t failed) { return failed / 2; },
+        [](std::int64_t) { return std::int64_t{-100}; },
+        [](std::int64_t) { return std::int64_t{1000}; },
+    };
+    for (std::int64_t hint = -2; hint <= kGrid + 2; ++hint) {
+      for (std::size_t r = 0; r < refines.size(); ++r) {
+        SCOPED_TRACE("threshold " + std::to_string(threshold) + " hint " +
+                     std::to_string(hint) + " refine " + std::to_string(r));
+        std::vector<bool> probed(kGrid + 1, false);
+        int probes = 0;
+        const std::int64_t got = analysis::detail::largest_holding_point(
+            kGrid, hint,
+            [&](std::int64_t k) {
+              ++probes;
+              const bool on_grid = k >= 1 && k <= kGrid;
+              EXPECT_TRUE(on_grid) << "probed " << k;
+              EXPECT_FALSE(on_grid && probed[k]) << "probed " << k << " twice";
+              if (on_grid) {
+                probed[k] = true;
+              }
+              return k <= threshold;
+            },
+            refines[r]);
+        ASSERT_EQ(got, threshold);
+        most_probes = std::max(most_probes, probes);
+        if (std::clamp<std::int64_t>(hint, 0, kGrid) == threshold) {
+          EXPECT_LE(probes, 2);
+        }
+        if ((threshold == kGrid && hint == kGrid) ||
+            (threshold == 0 && hint == 1)) {
+          EXPECT_EQ(probes, 1);
+        }
+      }
+    }
+  }
+  // Hint and its successor, the top, refine and its successor, then
+  // bisection of at most 62 points.
+  EXPECT_LE(most_probes, 11);
+}
+
 // ------------------------------------- Robustness: per-probe reference check
 
 constexpr std::int64_t kReferenceGrid = 64;
@@ -707,9 +766,9 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
   // Some cyclic probes must fail admissibility (the back-edge's tokens no
   // longer cover the inflated loop), not just the installed capacities.
   EXPECT_GT(cyclic_inadmissible_probes, 0);
-  // The secant-seeded bracket finds the same margins in at most half the
-  // probes of the plain bisection.
-  EXPECT_LE(2 * probes, reference_probes)
+  // Searches aimed at the baseline's prediction find the same margins in
+  // at most 35% of the plain bisection's probes (measured: 1,458 of 4,785).
+  EXPECT_LE(100 * probes, 35 * reference_probes)
       << probes << " probes vs the reference's " << reference_probes;
 
   {
@@ -847,9 +906,11 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
     EXPECT_EQ(report.joint_safe_fraction, Rational(joint, kReferenceGrid));
   };
 
-  // Seed 13's fork-join and cyclic models each hold a search whose
-  // threshold lies two or more grid points past the secant hint, so the
-  // search must bisect after the hint, not trust it.
+  // The baseline's prediction misses by two or more grid points, both
+  // ways, in seed 13's fork-join model (headroom 0: actor s0_b0_0 is
+  // predicted at 12 and fits to 25, s0_b1_1 at 25 and fits to 12) and its
+  // cyclic model, so the search must go on past the first hint, not
+  // trust it.
   for (const ModelClass model_class : kAllClasses) {
     for (const std::int64_t headroom : {0, 1}) {
       for (const std::uint64_t seed : {1, 2, 13}) {
@@ -878,8 +939,9 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
   }
   {
     // With ample containers only the back-edge's credit can fail a
-    // probe: no pair rises over its capacity, so a search whose top
-    // probe fails starts from the midpoint instead of a secant.
+    // probe: the baseline predicts the top, and when the top fails no
+    // pair has risen over its capacity, so the search goes on from the
+    // midpoint instead of a secant.
     SCOPED_TRACE("feedback pipeline (cyclic), ample capacities");
     const MarginFixture fb = primed_feedback_fixture(1000);
     check(fb.graph, fb.constraints);

@@ -6,7 +6,8 @@
 // rejection shapes and diagnostics — and, in a second variant, that a
 // rollback after every operation restores the prior state exactly),
 // every single pin and unpin from a sized state against a full
-// recompute, the partial re-size of a constraint change, the MP3 anchor
+// recompute, the partial re-size of a constraint change (a self-loop
+// whose side change only the side compare catches included), the MP3 anchor
 // {6015, 3263, 882} served through the controller, rollback-on-rejection
 // and the stream order it keeps, the single-constraint period rescale
 // path, δ-override contracts, the invalidation counters of every engine
@@ -1335,6 +1336,56 @@ TEST(IncrementalAnalysis, RemovingTheSinkPinBehindAnInteriorPinIsPatched) {
   EXPECT_LT(after.pairs_recomputed - before.pairs_recomputed, kActors - 1);
   expect_matches_full(engine);
   EXPECT_EQ(after.certificate_violations, 0u);
+}
+
+// The same change with a tokened self-loop on an actor behind the
+// interior pin.  The self-loop is a back-edge whose side is its actor's
+// region, so it changes side with the suffix, yet its two endpoints are
+// one actor: their ω shifts are equal by construction, it touches no
+// anchor, and only the side compare in the patch re-analyses it.  On a
+// skeleton pair a side change always shifts its endpoints apart: the
+// pair turns its pass-A lead ω(p) − ω(c) ≥ ρ(p) into a pass-B lag
+// ω(c) − ω(p) ≥ ρ(p), or moves an anchor's ω off 0, and every ρ is
+// positive.
+TEST(IncrementalAnalysis, SelfLoopChangingSideWithItsRegionIsPatched) {
+  constexpr std::size_t kActors = 12;
+  VrdfGraph graph = make_gear_chain(kActors);
+  const std::vector<ActorId> actors(graph.actors().begin(),
+                                    graph.actors().end());
+  const ActorId looped = actors[kActors - 2];
+  (void)graph.add_buffer(looped, looped, dataflow::RateSet::singleton(1),
+                         dataflow::RateSet::singleton(1), 0, 1);
+  const TopologySnapshot snapshot(graph);
+  ASSERT_TRUE(snapshot.ok());
+  IncrementalAnalysis engine(
+      snapshot, ConstraintSet{ThroughputConstraint{
+                    actors.back(), milliseconds(Rational(40))}});
+  const ActorId pin = actors[kActors * 2 / 3];
+  engine.admit(ThroughputConstraint{pin, engine.pacing().pacing_of(pin)});
+  ASSERT_TRUE(engine.analysis().admissible);
+  const auto self_loop = [&]() -> const PairAnalysis& {
+    for (const PairAnalysis& pair : engine.analysis().pairs) {
+      if (pair.producer == looped && pair.consumer == looped) {
+        return pair;
+      }
+    }
+    throw ContractError("no self-loop pair");
+  };
+  ASSERT_TRUE(self_loop().is_feedback);
+  EXPECT_EQ(self_loop().determined_by, ConstraintSide::Sink);
+  const std::vector<Duration> phi = engine.pacing().pacing_by_actor;
+  const std::vector<Duration> leads = engine.analysis().leads;
+
+  const InvalidationStats before = engine.stats();
+  engine.remove(actors.back());
+  ASSERT_TRUE(engine.analysis().admissible);
+  EXPECT_EQ(engine.pacing().pacing_by_actor, phi);
+  EXPECT_EQ(engine.stats().pacing_recomputes, before.pacing_recomputes + 1);
+  EXPECT_LT(engine.stats().pairs_recomputed - before.pairs_recomputed,
+            engine.analysis().pairs.size());
+  EXPECT_EQ(self_loop().determined_by, ConstraintSide::Source);
+  EXPECT_NE(engine.analysis().leads[looped.index()], leads[looped.index()]);
+  expect_matches_full(engine);
 }
 
 // Two sinks fed from one root (root -> a1 -> a2, root -> b1 -> b2), each

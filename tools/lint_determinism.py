@@ -69,7 +69,9 @@ from pathlib import Path
 # frontier report, the resumable journal, the graph text format, the
 # models it writes (actor names, their name index, rate sets), and the
 # two-phase verify with the engine that holds its periodic offset fit
-# (their results are the `lateness=`/`firings=` fields).  Every
+# (their results are the `lateness=`/`firings=` fields), the robustness
+# margins (the faulted fleet injects them) and the analysis report that
+# renders them (its bytes are pinned by golden files).  Every
 # entry must exist: a stale entry would silently exempt the code it named
 # once moved, so it fails the lint.
 CANONICAL_FILES = (
@@ -82,8 +84,12 @@ CANONICAL_FILES = (
     "src/sim/engine.hpp",
     "src/sim/verify.cpp",
     "src/sim/verify.hpp",
+    "src/analysis/robustness.cpp",
+    "src/analysis/robustness.hpp",
     "src/io/fleet_journal.cpp",
     "src/io/fleet_journal.hpp",
+    "src/io/report.cpp",
+    "src/io/report.hpp",
     "src/io/text_format.cpp",
     "src/io/text_format.hpp",
     "src/dataflow/vrdf_graph.cpp",
