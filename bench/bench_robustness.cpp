@@ -43,22 +43,25 @@ void BM_RobustnessMargins(benchmark::State& state) {
 BENCHMARK(BM_RobustnessMargins)->RangeMultiplier(2)->Range(2, 16);
 
 void BM_SimulatorFiringsFaulted(benchmark::State& state) {
-  // The BM_SimulatorFirings fixture with a bursty-jitter plan on both
-  // actors: every start draws a hashed perturbation, the worst case for
-  // the fault branch in the scheduler.
+  // The BM_SimulatorFirings fixture with a 50 us overrun plan and
+  // per-firing jitter on both actors: every start sums two fault entries
+  // and draws a hashed perturbation, the worst case for the fault branch
+  // in the scheduler.
   dataflow::VrdfGraph g;
   const auto a = g.add_actor("a", milliseconds(Rational(1)));
   const auto b = g.add_actor("b", milliseconds(Rational(1)));
   (void)g.add_buffer(a, b, dataflow::RateSet::singleton(3),
                      dataflow::RateSet::of({2, 3}), 11);
   sim::FaultPlan plan(9);
-  plan.bursty_jitter(a, microseconds(Rational(50)), 1, 1);
-  plan.bursty_jitter(b, microseconds(Rational(50)), 1, 1);
+  plan.rho_overrun(a, milliseconds(Rational(1, 20)));
+  plan.rho_overrun(b, milliseconds(Rational(1, 20)));
   std::int64_t fired = 0;
   for (auto _ : state) {
     sim::Simulator sim(g);
     sim.set_default_sources(42);
     plan.apply(sim);
+    sim.set_response_time_jitter(a, 9, Rational(1, 2));
+    sim.set_response_time_jitter(b, 10, Rational(1, 2));
     sim::StopCondition stop;
     stop.firing_target = sim::StopCondition::FiringTarget{b, 10000};
     const sim::RunResult result = sim.run(stop);

@@ -27,27 +27,18 @@ AdmissionDecision AdmissionController::decide_(Query&& query) {
     throw;
   }
   const GraphAnalysis& candidate = engine_.analysis();
-  const std::optional<ClauseViolation>& violation =
-      engine_.last_certificate_violation();
   AdmissionDecision decision;
-  if (candidate.admissible && !violation.has_value()) {
+  if (candidate.admissible) {
     engine_.commit();
     decision.accepted = true;
     decision.capacity_delta = candidate.total_capacity - before;
     decision.total_capacity = candidate.total_capacity;
     return decision;
   }
-  if (violation.has_value()) {
-    // An admissible candidate whose certificate failed the independent
-    // checker: the violated clause is the binding constraint.
-    decision.binding_constraint = "certificate: " + describe(*violation);
-    decision.diagnostics.push_back(decision.binding_constraint);
-  } else {
-    decision.diagnostics = candidate.diagnostics;
-    decision.binding_constraint =
-        candidate.diagnostics.empty() ? std::string("(no diagnostic)")
-                                      : candidate.diagnostics.front();
-  }
+  decision.diagnostics = candidate.diagnostics;
+  decision.binding_constraint = candidate.diagnostics.empty()
+                                    ? std::string("(no diagnostic)")
+                                    : candidate.diagnostics.front();
   engine_.rollback();
   decision.total_capacity = engine_.analysis().total_capacity;
   return decision;
@@ -78,11 +69,6 @@ AdmissionDecision AdmissionController::retune(dataflow::ActorId actor,
 AdmissionDecision AdmissionController::set_period(dataflow::ActorId actor,
                                                   Duration tau) {
   return decide_([&] { engine_.set_period(actor, tau); });
-}
-
-void AdmissionController::set_require_certificate(bool require) {
-  require_certificate_ = require;
-  engine_.set_certify(require);
 }
 
 }  // namespace vrdf::analysis

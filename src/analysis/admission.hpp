@@ -74,19 +74,6 @@ public:
   /// May the stream pinned at `actor` move to period `tau`?
   AdmissionDecision set_period(dataflow::ActorId actor, Duration tau);
 
-  /// Certificate gating: puts the engine in certify mode, so every
-  /// decision's candidate analysis is transcribed into a certificate and
-  /// re-validated by the independent checker (analysis/checker.hpp)
-  /// before it may be committed.  An admissible candidate whose
-  /// certificate fails a clause is treated as a rejection — the
-  /// violation becomes the binding constraint and the change rolls
-  /// back — so a checker/analyzer disagreement can never enter the
-  /// serviced state.
-  void set_require_certificate(bool require);
-  [[nodiscard]] bool require_certificate() const {
-    return require_certificate_;
-  }
-
   /// The serviced (always admissible) analysis state.
   [[nodiscard]] const GraphAnalysis& analysis() const {
     return engine_.analysis();
@@ -106,11 +93,10 @@ public:
 
 private:
   /// Runs `query` on the engine under a checkpoint and commits an
-  /// admissible, certified candidate or rolls the change back.
+  /// admissible candidate or rolls the change back.
   template <typename Query>
   AdmissionDecision decide_(Query&& query);
   IncrementalAnalysis engine_;
-  bool require_certificate_ = false;
 };
 
 }  // namespace vrdf::analysis

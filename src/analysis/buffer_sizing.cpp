@@ -239,7 +239,7 @@ PairAnalysis analyse_pair(const VrdfGraph& graph,
   pair.bound_rate = pacing.bound_rate[pos];
 
   pair.is_feedback = pacing.view->is_feedback[pos];
-  pair.initial_tokens = overlay.initial_tokens_of(graph, buffer.data);
+  pair.initial_tokens = data.initial_tokens;
 
   const PairTerms<Duration> terms =
       pair_terms(graph, overlay, pacing, lead, pos, data);
@@ -370,10 +370,9 @@ void apply_capacities(VrdfGraph& graph, const GraphAnalysis& analysis) {
 }
 
 const PairAnalysis* first_over_installed(const VrdfGraph& graph,
-                                         const GraphAnalysis& analysis,
-                                         const ParameterOverlay& overlay) {
+                                         const GraphAnalysis& analysis) {
   for (const PairAnalysis& pair : analysis.pairs) {
-    if (pair.capacity > overlay.buffer_capacity_of(graph, pair.buffer)) {
+    if (pair.capacity > graph.buffer_capacity(pair.buffer)) {
       return &pair;
     }
   }

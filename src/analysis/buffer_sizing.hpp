@@ -67,9 +67,9 @@ namespace vrdf::analysis {
 
 /// Snapshot entry point: identical semantics and bit-identical results,
 /// but the model validation and buffer-network view come from the
-/// captured TopologySnapshot, and per-actor ρ / per-edge δ reads go
-/// through the ParameterOverlay (empty overlay = the graph's own
-/// values).  The graph entry points above are exactly
+/// captured TopologySnapshot, and per-actor ρ reads go through the
+/// ParameterOverlay (empty overlay = the graph's own values).  The graph
+/// entry points above are exactly
 /// `compute_buffer_capacities(TopologySnapshot(graph), ...)` with an
 /// empty overlay.
 [[nodiscard]] GraphAnalysis compute_buffer_capacities(
@@ -83,11 +83,9 @@ namespace vrdf::analysis {
 void apply_capacities(dataflow::VrdfGraph& graph, const GraphAnalysis& analysis);
 
 /// The first pair of `analysis` whose capacity exceeds the buffer's
-/// installed total (δ(space) + δ(data), read through `overlay`); nullptr
-/// when every pair fits.
+/// installed total (δ(space) + δ(data)); nullptr when every pair fits.
 [[nodiscard]] const PairAnalysis* first_over_installed(
-    const dataflow::VrdfGraph& graph, const GraphAnalysis& analysis,
-    const ParameterOverlay& overlay = {});
+    const dataflow::VrdfGraph& graph, const GraphAnalysis& analysis);
 
 /// Maximal admissible worst-case response times (the paper derives the MP3
 /// response times 51.2/24/10/0.0227 ms this way): κ(w) may be at most

@@ -3,8 +3,8 @@
 //
 // A Certificate is a compact, self-contained transcript of everything an
 // admissible GraphAnalysis claims: per-actor pacing witnesses φ and
-// schedule-alignment leads ω, the per-actor ρ and per-edge δ the analysis
-// actually ran with (graph values or overlay overrides), per-pair capacity
+// schedule-alignment leads ω, the per-actor ρ (graph value or overlay
+// override) and per-edge δ the analysis actually ran with, per-pair capacity
 // facts with their rounding/adjacency terms, and the back-edge
 // cycle-ratio bounds.  Emission is a *pure transcription* — it computes
 // nothing the analysis did not already compute — so a certificate is
@@ -56,7 +56,7 @@ struct PairFact {
   Duration delta_producer;
   Duration delta_consumer;
   Rational raw_tokens;
-  /// δ(data edge) the analysis ran with (overlay-resolved).
+  /// δ(data edge) the analysis ran with.
   std::int64_t initial_tokens = 0;
   /// Back-edges: the recorded max-cycle-ratio bound; 0 on skeleton edges.
   std::int64_t required_initial_tokens = 0;
@@ -117,7 +117,7 @@ struct Certificate {
 
 /// Transcribes an admissible analysis into a certificate.  `overlay`
 /// must be the overlay the analysis ran with (empty for the plain graph
-/// entry points) — the certificate records the overlay-resolved ρ/δ so
+/// entry points) — the certificate records the overlay-resolved ρ so
 /// the checker validates the parameters that were actually analysed.
 /// Throws ContractError when the analysis is not admissible or does not
 /// carry its alignment leads (pre-PR-9 result shapes).

@@ -8,14 +8,6 @@
 
 namespace vrdf::analysis {
 
-std::int64_t min_deadlock_free_capacity(std::int64_t production,
-                                        std::int64_t consumption) {
-  VRDF_REQUIRE(production > 0, "production quantum must be positive");
-  VRDF_REQUIRE(consumption > 0, "consumption quantum must be positive");
-  return checked_sub(checked_add(production, consumption),
-                     gcd64(production, consumption));
-}
-
 std::int64_t min_deadlock_free_pair_capacity(
     const dataflow::RateSet& production, const dataflow::RateSet& consumption) {
   // g = gcd of every positive quantum; zero quanta transfer nothing and

@@ -39,16 +39,11 @@
 
 namespace vrdf::analysis {
 
-/// p + c − gcd(p, c): minimal deadlock-free capacity for *constant*
-/// positive quanta (the per-sequence minima of the Fig 1 discussion:
-/// 3 for n ≡ 3, 4 for n ≡ 2).
-[[nodiscard]] std::int64_t min_deadlock_free_capacity(std::int64_t production,
-                                                      std::int64_t consumption);
-
 /// π̂ + γ̂ − gcd(all positive quanta of both sets): the smallest capacity
 /// that is deadlock-free for *every* admissible quantum sequence (sound by
 /// the argument above; matched by adversarial simulation search in the
-/// tests).
+/// tests).  On singleton sets {p} and {c} it is p + c − gcd(p, c), the
+/// per-sequence minima of the Fig 1 discussion (3 for n ≡ 3, 4 for n ≡ 2).
 [[nodiscard]] std::int64_t min_deadlock_free_pair_capacity(
     const dataflow::RateSet& production, const dataflow::RateSet& consumption);
 

@@ -175,10 +175,6 @@ dataflow::ActorId DeploymentController::actor_of(
   return construction_.actor_of_task[id->index()];
 }
 
-Duration DeploymentController::kappa(const std::string& task) const {
-  return entry_of(kappas_, task).kappa;
-}
-
 Certificate DeploymentController::certificate() const {
   Certificate cert = make_certificate(construction_.graph,
                                       controller_->analysis(),
@@ -312,14 +308,6 @@ DeploymentDecision DeploymentController::remove(const std::string& task) {
   const dataflow::ActorId actor = actor_of(task);
   return transact_(nullptr,
                    [&] { return from_inner_(controller_->remove(actor)); });
-}
-
-DeploymentDecision DeploymentController::set_period(const std::string& task,
-                                                    Duration period) {
-  const dataflow::ActorId actor = actor_of(task);
-  return transact_(nullptr, [&] {
-    return from_inner_(controller_->set_period(actor, period));
-  });
 }
 
 }  // namespace vrdf::analysis

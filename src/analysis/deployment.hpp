@@ -167,9 +167,6 @@ public:
   /// Stops the stream pinned at `task`.
   DeploymentDecision remove(const std::string& task);
 
-  /// May the stream pinned at `task` move to `period`?
-  DeploymentDecision set_period(const std::string& task, Duration period);
-
   /// Certificate gating: every accepted decision's state is transcribed
   /// into a platform-claused certificate and re-validated by the
   /// independent checker; a clause violation turns the decision into a
@@ -187,8 +184,6 @@ public:
   [[nodiscard]] const IncrementalAnalysis& engine() const {
     return controller_->engine();
   }
-  /// Derived κ of a task in the serviced state.
-  [[nodiscard]] Duration kappa(const std::string& task) const;
   [[nodiscard]] dataflow::ActorId actor_of(const std::string& task) const;
   /// Platform-claused certificate of the current serviced state.
   [[nodiscard]] Certificate certificate() const;

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "analysis/certificate.hpp"
 #include "analysis/sizing_core.hpp"
 #include "util/checked_int.hpp"
 #include "util/error.hpp"
@@ -13,8 +12,6 @@ namespace vrdf::analysis {
 using dataflow::VrdfGraph;
 
 namespace {
-
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 template <typename... F>
 struct Overloaded : F... {
@@ -30,15 +27,6 @@ IncrementalAnalysis::IncrementalAnalysis(const TopologySnapshot& snapshot,
       constraints_(std::move(constraints)),
       options_(options) {
   snapshot_.require_fresh();
-  if (snapshot_.ok()) {
-    const VrdfGraph& graph = snapshot_.graph();
-    pair_of_edge_.assign(graph.edge_count(), npos);
-    const dataflow::VrdfGraph::BufferView& view = snapshot_.view();
-    for (std::size_t pos = 0; pos < view.buffers.size(); ++pos) {
-      pair_of_edge_[view.buffers[pos].data.index()] = pos;
-      pair_of_edge_[view.buffers[pos].space.index()] = pos;
-    }
-  }
   ++stats_.pacing_recomputes;
   pacing_ = compute_pacing(snapshot_, constraints_);
   rebuild_();
@@ -54,25 +42,14 @@ const PacingResult& IncrementalAnalysis::pacing() const {
   return pacing_;
 }
 
-void IncrementalAnalysis::set_certify(bool enabled) {
-  certify_enabled_ = enabled;
-  if (!enabled) {
-    last_violation_.reset();
-  }
-}
-
-void IncrementalAnalysis::checkpoint() {
-  marks_.push_back(Mark{undo_.size(), last_violation_});
-}
+void IncrementalAnalysis::checkpoint() { marks_.push_back(undo_.size()); }
 
 void IncrementalAnalysis::rollback() {
   VRDF_REQUIRE(logging_(), "rollback: no open checkpoint");
-  Mark& mark = marks_.back();
-  while (undo_.size() > mark.undo_size) {
+  while (undo_.size() > marks_.back()) {
     replay_(undo_.back());
     undo_.pop_back();
   }
-  last_violation_ = std::move(mark.violation);
   marks_.pop_back();
 }
 
@@ -91,15 +68,12 @@ void IncrementalAnalysis::record_(Make&& make) {
   }
 }
 
-template <typename T>
-void IncrementalAnalysis::record_entry_(
-    std::vector<std::optional<T>> ParameterOverlay::*field,
-    std::size_t index) {
+void IncrementalAnalysis::record_entry_(std::size_t index) {
   record_([&] {
-    const std::vector<std::optional<T>>& entries = overlay_.*field;
-    return EntryUndo<T>{
-        field, index, entries.size(),
-        index < entries.size() ? entries[index] : std::nullopt};
+    const std::vector<std::optional<Duration>>& entries =
+        overlay_.response_time;
+    return EntryUndo{index, entries.size(),
+                     index < entries.size() ? entries[index] : std::nullopt};
   });
 }
 
@@ -112,18 +86,17 @@ void IncrementalAnalysis::copy_pacing_header_() {
 }
 
 void IncrementalAnalysis::replay_(Undo& record) {
-  const auto reset_entry = [this](auto& u) {
-    auto& entries = overlay_.*u.field;
-    if (u.index < u.size) {
-      entries[u.index] = u.value;
-    }
-    entries.resize(u.size);
-  };
   std::visit(
       Overloaded{
           [this](ConstraintSet& set) { constraints_ = std::move(set); },
-          [&](EntryUndo<Duration>& u) { reset_entry(u); },
-          [&](EntryUndo<std::int64_t>& u) { reset_entry(u); },
+          [this](EntryUndo& u) {
+            std::vector<std::optional<Duration>>& entries =
+                overlay_.response_time;
+            if (u.index < u.size) {
+              entries[u.index] = u.value;
+            }
+            entries.resize(u.size);
+          },
           [this](std::unique_ptr<PacingResult>& pacing) {
             // A patched result took its header from the pacing it
             // replaced; any other result already matches it.
@@ -152,36 +125,14 @@ void IncrementalAnalysis::replay_(Undo& record) {
       record);
 }
 
-void IncrementalAnalysis::run_certification_() {
-  last_violation_.reset();
-  if (!certify_enabled_ || !analysis_.admissible) {
-    return;
-  }
-  const Certificate cert =
-      make_certificate(snapshot_.graph(), analysis_, overlay_);
-  CheckerOptions checker_options;
-  // The engine's ρ/δ live in its overlay, not in the graph; the
-  // certificate records the overlay-resolved values.
-  checker_options.bind_parameters_to_graph = false;
-  const CertificateCheck check =
-      check_certificate(snapshot_.graph(), cert, checker_options);
-  ++stats_.certificates_checked;
-  stats_.certificate_clauses += check.clauses_checked;
-  if (!check.ok) {
-    stats_.certificate_violations += check.violations.size();
-    last_violation_ = check.violations.front();
-  }
-}
-
 void IncrementalAnalysis::retune(dataflow::ActorId actor, Duration rho) {
   snapshot_.require_fresh();
   const VrdfGraph& graph = snapshot_.graph();
   (void)graph.actor(actor);  // range check before caching
   ++stats_.queries;
-  record_entry_(&ParameterOverlay::response_time, actor.index());
+  record_entry_(actor.index());
   overlay_.set_response_time(actor, rho);
   apply_rho_change_(actor);
-  run_certification_();
 }
 
 void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
@@ -198,7 +149,6 @@ void IncrementalAnalysis::set_period(dataflow::ActorId actor, Duration tau) {
   record_([&] { return constraints_; });
   constraints_[index].period = tau;
   change_constraints_(rescale);
-  run_certification_();
 }
 
 void IncrementalAnalysis::admit(ThroughputConstraint stream) {
@@ -207,7 +157,6 @@ void IncrementalAnalysis::admit(ThroughputConstraint stream) {
   record_([&] { return constraints_; });
   constraints_.push_back(stream);
   change_constraints_(std::nullopt);
-  run_certification_();
 }
 
 void IncrementalAnalysis::remove(dataflow::ActorId actor) {
@@ -218,7 +167,6 @@ void IncrementalAnalysis::remove(dataflow::ActorId actor) {
   constraints_.erase(constraints_.begin() +
                      static_cast<std::ptrdiff_t>(index));
   change_constraints_(std::nullopt);
-  run_certification_();
 }
 
 void IncrementalAnalysis::change_constraints_(
@@ -345,55 +293,6 @@ std::size_t IncrementalAnalysis::constraint_index_(dataflow::ActorId actor,
                std::string(what) +
                    ": actor carries no constraint in the set");
   return index;
-}
-
-void IncrementalAnalysis::set_initial_tokens(dataflow::EdgeId edge,
-                                             std::int64_t tokens) {
-  snapshot_.require_fresh();
-  const VrdfGraph& graph = snapshot_.graph();
-  const dataflow::Edge& e = graph.edge(edge);  // range check
-  ++stats_.queries;
-  std::size_t pos = npos;
-  bool is_data_edge = false;
-  if (snapshot_.ok() && edge.index() < pair_of_edge_.size()) {
-    pos = pair_of_edge_[edge.index()];
-    if (pos != npos) {
-      is_data_edge = snapshot_.view().buffers[pos].data == edge;
-      if (is_data_edge && snapshot_.view().on_cycle[pos]) {
-        // The snapshot's feedback classification keyed on which on-cycle
-        // data edges carried tokens at capture; an override that crosses
-        // zero would describe a differently-classified graph.
-        VRDF_REQUIRE(
-            (tokens > 0) == (e.initial_tokens > 0),
-            "set_initial_tokens: overriding delta across zero on the "
-            "on-cycle data edge " +
-                graph.actor(e.source).name + " -> " +
-                graph.actor(e.target).name +
-                " would change the snapshot's feedback classification; "
-                "mutate the graph and re-capture the snapshot instead");
-      }
-    }
-  }
-  record_entry_(&ParameterOverlay::initial_tokens, edge.index());
-  overlay_.set_initial_tokens(edge, tokens);
-  ++stats_.pacing_cache_hits;
-  stats_.last_cone_actors = 0;
-  stats_.last_cone_pairs = 0;
-  if (sized_()) {
-    // Pacing and leads are δ-independent, and only the pair whose
-    // circulating credit moved re-analyses: nothing in the sized analysis
-    // reads installed space (only min_admissible_period does).  A failed
-    // or ρ-blocked shape stands as it is, since δ enters neither pacing
-    // nor the ρ checks.
-    stats_.leads_reused += graph.actor_count();
-    if (is_data_edge) {
-      scratch_dirty_.assign(1, pos);
-      patch_pairs_(scratch_dirty_);
-    } else {
-      stats_.pairs_reused += analysis_.pairs.size();
-    }
-  }
-  run_certification_();
 }
 
 void IncrementalAnalysis::apply_rho_change_(dataflow::ActorId actor) {

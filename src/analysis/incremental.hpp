@@ -34,10 +34,6 @@
 //    or endpoint-lead difference moved re-analyse.  An anchor that moves
 //    shifts a whole region's ω by a constant; Eq (1)–(4) read ω only as
 //    the difference across a pair, so such a shift re-sizes nothing.
-//  * set_initial_tokens(edge, δ): pacing and leads are δ-independent;
-//    a data-edge override re-analyses just its own pair (feedback
-//    credit / capacity), a space-edge override changes nothing in the
-//    sized analysis (only min_admissible_period reads installed space).
 //
 // The engine holds one result, the GraphAnalysis it serves.  Every full
 // re-size (construction, the single-constraint set_period rescale, and
@@ -45,14 +41,13 @@
 // detail::size_from_pacing's result on the current pacing — the same
 // code compute_buffer_capacities runs, so the three result shapes
 // (pacing failed, ρ-blocked, sized) are assembled in one place.  The
-// retune cone, the constraint diff and the data-edge δ override patch
-// that result in place: each re-analysed pair is written over its old
-// entry, total_capacity moves by the difference, and the diagnostics
-// are re-rendered only when a starving back-edge's diagnostic appears,
-// vanishes or changes.
+// retune cone and the constraint diff patch that result in place: each
+// re-analysed pair is written over its old entry, total_capacity moves
+// by the difference, and the diagnostics are re-rendered only when a
+// starving back-edge's diagnostic appears, vanishes or changes.
 //
 // Checkpoint and rollback.  The sized result is a function of the
-// constraint set and the overlay's resolved ρ/δ alone, so a caller that
+// constraint set and the overlay's resolved ρ alone, so a caller that
 // asks a what-if and rejects it wants the state it held before the
 // question back, not a second query that re-derives it.  checkpoint()
 // opens a mark into one undo log; while a mark is open, every query
@@ -62,9 +57,9 @@
 // update_lead_cone_ moves, and the total capacity, admissibility and
 // diagnostics of a patched result (whose copies of the pacing's fields
 // come back with the pacing).  rollback() replays the records since the
-// innermost mark in reverse and restores the certification state saved
-// with the mark, so the result is bit-identical to the one at the
-// checkpoint, and no propagation, lead pass or pair analysis runs.
+// innermost mark in reverse, so the result is bit-identical to the one
+// at the checkpoint, and no propagation, lead pass or pair analysis
+// runs.
 // commit() closes the innermost mark and keeps the state; an enclosing
 // mark can still roll it back, and closing the last one empties the log.
 // With no mark open the log stays empty, and each write costs one
@@ -82,7 +77,6 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/checker.hpp"
 #include "analysis/pacing.hpp"
 #include "analysis/snapshot.hpp"
 #include "analysis/types.hpp"
@@ -93,8 +87,7 @@ namespace vrdf::analysis {
 /// Work counters for the memoization tiers — exported into the bench
 /// JSON so cache behaviour is visible, not inferred.
 struct InvalidationStats {
-  /// Mutating queries served (retune / set_period / admit / remove /
-  /// set_initial_tokens).
+  /// Mutating queries served (retune / set_period / admit / remove).
   std::uint64_t queries = 0;
   /// Queries that re-ran the pacing propagation (admit / remove /
   /// multi-constraint set_period).  One that takes a sized result to a
@@ -112,9 +105,9 @@ struct InvalidationStats {
   std::uint64_t pairs_reused = 0;
   /// Actors whose ω the most recent query re-derived: every actor on a
   /// full re-size, the cone on a retune or a sized-to-sized constraint
-  /// change, 0 on a δ override and whenever the result is ρ-blocked or
-  /// pacing-failed.  The cone counts each ω formula it evaluates; an
-  /// actor that became an anchor drops to ω = 0 uncounted.
+  /// change, 0 whenever the result is ρ-blocked or pacing-failed.  The
+  /// cone counts each ω formula it evaluates; an actor that became an
+  /// anchor drops to ω = 0 uncounted.
   std::uint64_t last_cone_actors = 0;
   /// Pairs re-analysed by the most recent query (0 whenever the result
   /// is ρ-blocked or pacing-failed).
@@ -122,13 +115,6 @@ struct InvalidationStats {
   /// rollback() is not a query: it leaves every counter, last_cone_*
   /// included, as the rolled-back queries left it.
   std::uint64_t last_cone_pairs = 0;
-  /// Certification (set_certify): certificates emitted + checked after
-  /// mutating queries, individual clauses validated, and clause
-  /// violations observed (a nonzero count means the incremental cache
-  /// and the independent checker disagree — a bug, not an input error).
-  std::uint64_t certificates_checked = 0;
-  std::uint64_t certificate_clauses = 0;
-  std::uint64_t certificate_violations = 0;
 };
 
 /// Long-lived analysis state over one TopologySnapshot.  analysis() is
@@ -169,14 +155,6 @@ public:
   /// Removes the constraint pinned at `actor` (which must carry one).
   void remove(dataflow::ActorId actor);
 
-  /// Overrides the initial-token count of an edge.  On a pair's data
-  /// edge this is the circulating feedback credit (pair-local
-  /// re-analysis); on a space edge it only affects min-period queries.
-  /// Contract: the override must not change the snapshot's feedback
-  /// classification — an on-cycle data edge must keep (δ > 0) as it
-  /// was at capture.
-  void set_initial_tokens(dataflow::EdgeId edge, std::int64_t tokens);
-
   /// Opens a checkpoint (see the header comment).  Checkpoints nest.
   void checkpoint();
   /// Restores the state at the innermost open checkpoint exactly and
@@ -185,21 +163,6 @@ public:
   /// Closes the innermost open checkpoint and keeps the state; a
   /// ContractError when none is open.
   void commit();
-
-  /// Self-checking mode: after every mutating query whose result is
-  /// admissible, emit a certificate of the rendered analysis and run the
-  /// independent checker over it (bind_parameters_to_graph=false — the
-  /// engine's ρ/δ live in its overlay).  The engine stays usable on a
-  /// violation; callers inspect last_certificate_violation() and the
-  /// stats counters.  Admission control uses this as its trust gate.
-  void set_certify(bool enabled);
-  [[nodiscard]] bool certify() const { return certify_enabled_; }
-  /// The first clause violation of the most recent certified query, or
-  /// nullopt when the query was uncertified, inadmissible, or valid.
-  [[nodiscard]] const std::optional<ClauseViolation>&
-  last_certificate_violation() const {
-    return last_violation_;
-  }
 
   [[nodiscard]] const TopologySnapshot& snapshot() const { return snapshot_; }
   [[nodiscard]] const ConstraintSet& constraints() const {
@@ -215,13 +178,11 @@ private:
   /// value a query replaced; the latter two are held by pointer, so a
   /// log slot is no larger than a pair record.
   ///
-  /// One overlay entry, with the size of its vector before the write.
-  template <typename T>
+  /// One overlay ρ entry, with the size of its vector before the write.
   struct EntryUndo {
-    std::vector<std::optional<T>> ParameterOverlay::*field;
     std::size_t index = 0;
     std::size_t size = 0;
-    std::optional<T> value;
+    std::optional<Duration> value;
   };
   struct PairUndo {
     std::size_t pos = 0;
@@ -238,17 +199,10 @@ private:
     bool admissible = false;
     std::vector<std::string> diagnostics;
   };
-  using Undo =
-      std::variant<ConstraintSet, EntryUndo<Duration>, EntryUndo<std::int64_t>,
-                   std::unique_ptr<PacingResult>,
-                   std::unique_ptr<GraphAnalysis>, PairUndo, LeadUndo,
-                   SummaryUndo>;
-  /// An open checkpoint: where its records start in undo_, and the
-  /// certification state it restores.
-  struct Mark {
-    std::size_t undo_size = 0;
-    std::optional<ClauseViolation> violation;
-  };
+  using Undo = std::variant<ConstraintSet, EntryUndo,
+                            std::unique_ptr<PacingResult>,
+                            std::unique_ptr<GraphAnalysis>, PairUndo,
+                            LeadUndo, SummaryUndo>;
 
   /// True while a checkpoint is open, so queries record into undo_.
   [[nodiscard]] bool logging_() const { return !marks_.empty(); }
@@ -256,10 +210,8 @@ private:
   /// otherwise.
   template <typename Make>
   void record_(Make&& make);
-  /// Records the overlay entry `index` of `field` before a query writes it.
-  template <typename T>
-  void record_entry_(std::vector<std::optional<T>> ParameterOverlay::*field,
-                     std::size_t index);
+  /// Records the overlay's ρ entry `index` before a query writes it.
+  void record_entry_(std::size_t index);
   /// analysis_'s copies of pacing_'s side, constraints, anchor kinds and
   /// φ, which every sized or ρ-blocked result shares with its pacing.
   void copy_pacing_header_();
@@ -307,10 +259,6 @@ private:
   /// there is none.
   [[nodiscard]] std::size_t constraint_index_(dataflow::ActorId actor,
                                               const char* what) const;
-  /// Certification tail of every mutating query: resets
-  /// last_violation_, and when certify mode is on and the analysis is
-  /// admissible, emits + checks its certificate.
-  void run_certification_();
 
   TopologySnapshot snapshot_;
   ConstraintSet constraints_;
@@ -326,17 +274,12 @@ private:
   /// only then.
   std::vector<Duration> lead_;
 
-  /// Edge index -> pair position for data/space edges.
-  std::vector<std::size_t> pair_of_edge_;
-
   InvalidationStats stats_;
 
-  bool certify_enabled_ = false;
-  std::optional<ClauseViolation> last_violation_;
-
-  /// The undo log and the open checkpoints, innermost last.
+  /// The undo log and the open checkpoints (where each one's records
+  /// start in undo_), innermost last.
   std::vector<Undo> undo_;
-  std::vector<Mark> marks_;
+  std::vector<std::size_t> marks_;
 
   /// Scratch buffers for the retune hot path, kept as members so a
   /// steady-state service loop allocates nothing per query.

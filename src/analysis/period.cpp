@@ -108,8 +108,8 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
     for (std::size_t i = 0; i < unit.buffers_in_order.size(); ++i) {
       const dataflow::BufferEdges buffer = unit.buffers_in_order[i];
       const Edge& data = graph.edge(buffer.data);
-      const std::int64_t d = overlay.initial_tokens_of(graph, buffer.space);
-      const std::int64_t delta = overlay.initial_tokens_of(graph, buffer.data);
+      const std::int64_t d = graph.edge(buffer.space).initial_tokens;
+      const std::int64_t delta = data.initial_tokens;
       const Rational& s = unit.bound_rate[i].seconds();
       const detail::PairTerms<detail::AffineLead> terms = detail::pair_terms(
           graph, overlay, unit, lead, i, data, at_candidate);
@@ -206,7 +206,7 @@ MinPeriodResult solve_single(const TopologySnapshot& snapshot,
   const GraphAnalysis forward =
       detail::size_from_pacing(graph, unit, options, overlay);
   if (!forward.admissible ||
-      first_over_installed(graph, forward, overlay) != nullptr) {
+      first_over_installed(graph, forward) != nullptr) {
     result.ok = false;
     result.diagnostics.push_back(
         "closed-form period failed forward verification");
@@ -332,11 +332,11 @@ MinPeriodResult min_admissible_period(const TopologySnapshot& snapshot,
     return result;
   }
   if (const PairAnalysis* over =
-          first_over_installed(graph, forward, overlay)) {
+          first_over_installed(graph, forward)) {
     std::ostringstream os;
     os << "buffer " << endpoints(graph, graph.edge(over->buffer.data))
        << ": installed capacity "
-       << overlay.buffer_capacity_of(graph, over->buffer)
+       << graph.buffer_capacity(over->buffer)
        << " cannot sustain the flow-coupled period " << tau->to_string()
        << " s (needs " << over->capacity << " containers)";
     result.diagnostics.push_back(os.str());

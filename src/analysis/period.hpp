@@ -62,11 +62,11 @@ struct MinPeriodResult {
   std::string binding_constraint;
 };
 
-/// The solver.  Takes the structure from the captured `snapshot` and reads
-/// ρ and the installed capacities (δ of each buffer's space and data edge)
-/// through `overlay` (empty = the graph's own values); returns the fastest
-/// admissible strictly periodic rate of `designated`, whose constraint must
-/// be in `constraints` (its period there is ignored).
+/// The solver.  Takes the structure from the captured `snapshot`, reads ρ
+/// through `overlay` (empty = the graph's own values) and the installed
+/// capacities (δ of each buffer's space and data edge) from the graph;
+/// returns the fastest admissible strictly periodic rate of `designated`,
+/// whose constraint must be in `constraints` (its period there is ignored).
 ///
 /// With no other constraint in the set this is the closed form above: the
 /// designated actor may be a data source, a sink or an interior pin.  On

@@ -22,12 +22,16 @@
 //    the largest fraction f of its individual slack φ(v) − ρ(v) that
 //    *every* actor may consume simultaneously.
 //
-// Both searches exploit that computed capacities are monotone
-// nondecreasing in every ρ(v), so the largest fitting point of a 64-step
-// grid of the slack is unique and gives the margin exactly to grid
-// resolution.  Consequently joint_safe_fraction · slack(v) ≤ margin(v)
-// for every actor: raising only v's ρ by that fraction asks for no more
-// than raising every ρ by it.
+// Both searches rely on the fits predicate (the re-analysis is admissible
+// and every pair fits its installed capacity) being monotone along the
+// search direction, so the largest fitting point of a 64-step grid of the
+// slack is unique and gives the margin exactly to grid resolution.  That
+// is measured on every grid point by
+// Robustness.MarginIsTheLargestFittingGridPoint.  Per-pair capacities
+// are not monotone in ρ: on fork-join seed 8 (sink mode), raising
+// ρ(s0_b1_1) takes s0_pre_0 -> s0_b1_0 from 23 to 22.  Likewise
+// joint_safe_fraction · slack(v) ≤ margin(v) is measured for every actor
+// (Robustness.JointFractionBoundedByEachActorsMargin), not derived.
 //
 // Each search first probes the grid point the baseline predicts: the
 // moved ρ enters Δ once per endpoint of a pair, so every pair's raw token

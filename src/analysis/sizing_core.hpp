@@ -11,7 +11,7 @@
 // pairs with analyse_pair and re-renders starving back-edge diagnostics
 // with append_starving_diagnostics.
 //
-// All helpers read parameters through a ParameterOverlay (an empty
+// All helpers read ρ through a ParameterOverlay (an empty
 // overlay reproduces the graph's own values bit for bit, since the
 // overlay merely forwards to the graph accessor).
 //

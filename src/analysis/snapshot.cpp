@@ -46,20 +46,6 @@ void TopologySnapshot::require_fresh() const {
       "memoized structure that no longer matches the graph");
 }
 
-bool ParameterOverlay::empty() const {
-  for (const auto& rho : response_time) {
-    if (rho.has_value()) {
-      return false;
-    }
-  }
-  for (const auto& tokens : initial_tokens) {
-    if (tokens.has_value()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 const Duration& ParameterOverlay::response_time_of(
     const dataflow::VrdfGraph& graph, dataflow::ActorId actor) const {
   if (actor.index() < response_time.size() &&
@@ -69,22 +55,6 @@ const Duration& ParameterOverlay::response_time_of(
   return graph.actor(actor).response_time;
 }
 
-std::int64_t ParameterOverlay::initial_tokens_of(
-    const dataflow::VrdfGraph& graph, dataflow::EdgeId edge) const {
-  if (edge.index() < initial_tokens.size() &&
-      initial_tokens[edge.index()].has_value()) {
-    return *initial_tokens[edge.index()];
-  }
-  return graph.edge(edge).initial_tokens;
-}
-
-std::int64_t ParameterOverlay::buffer_capacity_of(
-    const dataflow::VrdfGraph& graph,
-    const dataflow::BufferEdges& buffer) const {
-  return initial_tokens_of(graph, buffer.space) +
-         initial_tokens_of(graph, buffer.data);
-}
-
 void ParameterOverlay::set_response_time(dataflow::ActorId actor,
                                          Duration rho) {
   VRDF_REQUIRE(rho.is_positive(), "overlay response time must be positive");
@@ -92,15 +62,6 @@ void ParameterOverlay::set_response_time(dataflow::ActorId actor,
     response_time.resize(actor.index() + 1);
   }
   response_time[actor.index()] = rho;
-}
-
-void ParameterOverlay::set_initial_tokens(dataflow::EdgeId edge,
-                                          std::int64_t tokens) {
-  VRDF_REQUIRE(tokens >= 0, "overlay initial tokens must be non-negative");
-  if (edge.index() >= initial_tokens.size()) {
-    initial_tokens.resize(edge.index() + 1);
-  }
-  initial_tokens[edge.index()] = tokens;
 }
 
 }  // namespace vrdf::analysis

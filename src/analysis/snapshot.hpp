@@ -10,11 +10,11 @@
 // the data edges yields both the diagnostics and the buffer view — and
 // every analysis entry point accepts it in place of the raw graph.
 //
-// The *parameters* that do change between queries (per-actor ρ, per-edge
-// initial tokens / installed capacities) are layered on top as a
-// ParameterOverlay: a sparse set of overrides consulted by the analysis
-// instead of mutating the graph.  Constraint periods are not part of the
-// overlay — they are inputs of each analysis call.
+// The parameter that does change between queries, per-actor ρ, is
+// layered on top as a ParameterOverlay: a sparse set of overrides
+// consulted by the analysis instead of mutating the graph.  Constraint
+// periods are not part of the overlay — they are inputs of each analysis
+// call; initial tokens and installed capacities are read from the graph.
 //
 // Staleness: a snapshot records the graph's mutation revision at capture
 // time.  Using a stale snapshot would silently answer from memoized
@@ -94,35 +94,18 @@ private:
   mutable bool incident_pairs_built_ = false;
 };
 
-/// Sparse per-actor / per-edge parameter overrides applied on top of a
+/// Sparse per-actor response-time overrides applied on top of a
 /// snapshot.  An empty overlay reproduces the graph's own values — the
 /// graph-based analysis entry points are exactly snapshot + empty overlay.
 struct ParameterOverlay {
   /// ρ override by ActorId::index(); empty vector = no overrides.
   std::vector<std::optional<Duration>> response_time;
-  /// δ override by EdgeId::index().  On a buffer's *data* edge this is the
-  /// circulating-token count (feedback credits); on the *space* edge the
-  /// installed free-container count read by min_admissible_period.
-  /// Contract: an override must not change the snapshot's feedback
-  /// classification — a data edge on a directed cycle must keep δ ≥ 1.
-  std::vector<std::optional<std::int64_t>> initial_tokens;
-
-  [[nodiscard]] bool empty() const;
 
   /// ρ(actor) with the override applied.
   [[nodiscard]] const Duration& response_time_of(
       const dataflow::VrdfGraph& graph, dataflow::ActorId actor) const;
-  /// δ(edge) with the override applied.
-  [[nodiscard]] std::int64_t initial_tokens_of(
-      const dataflow::VrdfGraph& graph, dataflow::EdgeId edge) const;
-  /// Installed total container count of a buffer (data δ + space δ), both
-  /// sides override-aware — the overlay twin of VrdfGraph::buffer_capacity.
-  [[nodiscard]] std::int64_t buffer_capacity_of(
-      const dataflow::VrdfGraph& graph,
-      const dataflow::BufferEdges& buffer) const;
 
   void set_response_time(dataflow::ActorId actor, Duration rho);
-  void set_initial_tokens(dataflow::EdgeId edge, std::int64_t tokens);
 };
 
 }  // namespace vrdf::analysis

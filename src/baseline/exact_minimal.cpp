@@ -28,13 +28,13 @@ bool capacity_feasible(const PairSearchSpec& spec, std::int64_t capacity) {
           s.set_quantum_source(producer, buffer.data, spec.producer_sequence());
         } else {
           s.set_quantum_source(producer, buffer.data,
-                               sim::always_max_source(spec.production));
+                               sim::constant_source(spec.production.max()));
         }
         if (spec.consumer_sequence) {
           s.set_quantum_source(consumer, buffer.data, spec.consumer_sequence());
         } else {
           s.set_quantum_source(consumer, buffer.data,
-                               sim::always_max_source(spec.consumption));
+                               sim::constant_source(spec.consumption.max()));
         }
       },
       options);

@@ -25,9 +25,6 @@ std::string VrdfGraph::last_mutation() const {
       return "add_edge " + endpoints(last_mutation_index_);
     case Mutation::SetInitialTokens:
       return "set_initial_tokens on edge " + endpoints(last_mutation_index_);
-    case Mutation::SetResponseTime:
-      return "set_response_time on actor '" +
-             actors_[last_mutation_index_].name + "'";
   }
   return {};
 }
@@ -104,14 +101,6 @@ void VrdfGraph::set_initial_tokens(EdgeId id, std::int64_t tokens) {
   VRDF_REQUIRE(tokens >= 0, "initial tokens must be non-negative");
   edges_[id.index()].initial_tokens = tokens;
   record_mutation(Mutation::SetInitialTokens, id.index());
-}
-
-void VrdfGraph::set_response_time(ActorId id, Duration response_time) {
-  VRDF_REQUIRE(id.index() < actors_.size(), "actor id out of range");
-  VRDF_REQUIRE(response_time.is_positive(),
-               "actor response time must be positive");
-  actors_[id.index()].response_time = response_time;
-  record_mutation(Mutation::SetResponseTime, id.index());
 }
 
 }  // namespace vrdf::dataflow

@@ -103,11 +103,6 @@ public:
   /// Replaces δ(e); used to install computed buffer capacities.
   void set_initial_tokens(EdgeId id, std::int64_t tokens);
 
-  /// Replaces ρ(v) (must stay positive); used by what-if probes such as
-  /// the robustness-margin search, which re-analyses a copy of the graph
-  /// with one actor's response time inflated.
-  void set_response_time(ActorId id, Duration response_time);
-
   /// All buffers (each anti-parallel pair reported once, as it was added).
   [[nodiscard]] const std::vector<BufferEdges>& buffers() const {
     return buffers_;
@@ -118,7 +113,7 @@ public:
   [[nodiscard]] std::int64_t buffer_capacity(const BufferEdges& buffer) const;
 
   /// Monotonic mutation counter: bumped by every mutator (add_actor,
-  /// add_edge/add_buffer, set_initial_tokens, set_response_time).  Captured
+  /// add_edge/add_buffer, set_initial_tokens).  Captured
   /// by analysis::TopologySnapshot so that a query against a snapshot of a
   /// since-mutated graph fails loudly instead of answering from stale
   /// memoized structure.
@@ -196,7 +191,6 @@ private:
     AddActor,          // index: the actor
     AddEdge,           // index: the edge
     SetInitialTokens,  // index: the edge
-    SetResponseTime,   // index: the actor
   };
   void record_mutation(Mutation kind, std::size_t index);
   [[nodiscard]] auto actor_name() const {

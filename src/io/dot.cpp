@@ -118,30 +118,4 @@ std::string to_dot(const dataflow::VrdfGraph& graph,
   return render_vrdf_dot(graph, constraints, &analysis);
 }
 
-std::string to_dot(const taskgraph::TaskGraph& graph) {
-  std::ostringstream os;
-  os << "digraph taskgraph {\n  rankdir=LR;\n  node [shape=box];\n";
-  for (std::size_t i = 0; i < graph.task_count(); ++i) {
-    const auto id =
-        taskgraph::TaskId(static_cast<taskgraph::TaskId::underlying_type>(i));
-    const taskgraph::Task& task = graph.task(id);
-    os << "  n" << i << " [label=\"" << escape(task.name) << "\\nkappa="
-       << task.worst_case_response_time.seconds().to_string() << " s\"];\n";
-  }
-  for (std::size_t i = 0; i < graph.buffer_count(); ++i) {
-    const auto id = taskgraph::BufferId(
-        static_cast<taskgraph::BufferId::underlying_type>(i));
-    const taskgraph::Buffer& buffer = graph.buffer(id);
-    os << "  n" << buffer.producer.value() << " -> n" << buffer.consumer.value()
-       << " [label=\"" << escape(buffer.production.to_string()) << " / "
-       << escape(buffer.consumption.to_string());
-    if (buffer.capacity.has_value()) {
-      os << " zeta=" << *buffer.capacity;
-    }
-    os << "\"];\n";
-  }
-  os << "}\n";
-  return os.str();
-}
-
 }  // namespace vrdf::io

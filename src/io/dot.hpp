@@ -1,11 +1,10 @@
-// Graphviz DOT export for task graphs and VRDF graphs.
+// Graphviz DOT export for VRDF graphs.
 #pragma once
 
 #include <string>
 
 #include "analysis/types.hpp"
 #include "dataflow/vrdf_graph.hpp"
-#include "taskgraph/task_graph.hpp"
 
 namespace vrdf::io {
 
@@ -23,9 +22,5 @@ namespace vrdf::io {
 [[nodiscard]] std::string to_dot(const dataflow::VrdfGraph& graph,
                                  const analysis::ConstraintSet& constraints,
                                  const analysis::GraphAnalysis& analysis);
-
-/// DOT digraph: tasks as boxes (name, κ), buffers as edges labelled
-/// "ξ / λ [ζ]".
-[[nodiscard]] std::string to_dot(const taskgraph::TaskGraph& graph);
 
 }  // namespace vrdf::io

@@ -247,11 +247,6 @@ std::string admission_summary(const dataflow::VrdfGraph& graph,
      << ", reused: " << stats.pairs_reused << "\n";
   os << "  - last invalidation cone: " << stats.last_cone_actors
      << " actors, " << stats.last_cone_pairs << " pairs\n";
-  if (controller.require_certificate()) {
-    os << "  - certificates checked: " << stats.certificates_checked << " ("
-       << stats.certificate_clauses << " clauses, "
-       << stats.certificate_violations << " violations)\n";
-  }
   return os.str();
 }
 

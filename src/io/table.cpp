@@ -1,7 +1,6 @@
 #include "io/table.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -48,7 +47,5 @@ std::string Table::to_string() const {
   }
   return os.str();
 }
-
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace vrdf::io

@@ -1,8 +1,7 @@
-// Fixed-width ASCII table writer used by the benchmark binaries to print
-// paper-versus-measured rows.
+// Fixed-width ASCII table writer used by the reports to print their
+// tables.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -17,8 +16,6 @@ public:
 
   /// Renders with column separators and a header rule.
   [[nodiscard]] std::string to_string() const;
-
-  void print(std::ostream& os) const;
 
 private:
   std::vector<std::string> headers_;

@@ -1,10 +1,6 @@
 #include "io/trace.hpp"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
-
-#include "util/error.hpp"
 
 namespace vrdf::io {
 
@@ -58,57 +54,7 @@ std::vector<std::pair<TimePoint, std::int64_t>> occupancy_steps(
   return steps;
 }
 
-std::int64_t to_nanoseconds(const TimePoint& t) {
-  // Floor to nanoseconds; see header note.
-  return (t.seconds() * Rational(1'000'000'000)).floor();
-}
-
-std::string to_binary(std::int64_t value) {
-  VRDF_REQUIRE(value >= 0, "token counts are non-negative");
-  if (value == 0) {
-    return "0";
-  }
-  std::string bits;
-  for (std::int64_t v = value; v > 0; v >>= 1) {
-    bits.push_back((v & 1) != 0 ? '1' : '0');
-  }
-  std::reverse(bits.begin(), bits.end());
-  return bits;
-}
-
-std::string sanitize(std::string label) {
-  // "a->b/space" becomes "a_to_b_space".
-  std::string out;
-  for (std::size_t i = 0; i < label.size(); ++i) {
-    if (label[i] == '-' && i + 1 < label.size() && label[i + 1] == '>') {
-      out += "_to_";
-      ++i;
-    } else if (label[i] == '/' || label[i] == ' ' || label[i] == '-' ||
-               label[i] == '>') {
-      out += '_';
-    } else {
-      out += label[i];
-    }
-  }
-  return out;
-}
-
 }  // namespace
-
-std::string firings_to_csv(const sim::Simulator& sim,
-                           const dataflow::VrdfGraph& graph,
-                           const std::vector<dataflow::ActorId>& actors) {
-  std::ostringstream os;
-  os << "actor,firing,start_s,finish_s\n";
-  for (const dataflow::ActorId a : actors) {
-    for (const sim::FiringRecord& r : sim.firings(a)) {
-      os << graph.actor(a).name << ',' << r.index << ','
-         << r.start.seconds().to_string() << ','
-         << r.finish.seconds().to_string() << '\n';
-    }
-  }
-  return os.str();
-}
 
 std::string occupancy_to_csv(const sim::Simulator& sim,
                              const dataflow::VrdfGraph& graph,
@@ -120,55 +66,6 @@ std::string occupancy_to_csv(const sim::Simulator& sim,
     for (const auto& [time, tokens] : occupancy_steps(sim, graph, e)) {
       os << time.seconds().to_string() << ',' << label << ',' << tokens << '\n';
     }
-  }
-  return os.str();
-}
-
-std::string occupancy_to_vcd(const sim::Simulator& sim,
-                             const dataflow::VrdfGraph& graph,
-                             const std::vector<dataflow::EdgeId>& edges) {
-  VRDF_REQUIRE(!edges.empty(), "VCD export needs at least one edge");
-  VRDF_REQUIRE(edges.size() < 94, "VCD export supports at most 93 signals");
-  std::ostringstream os;
-  os << "$timescale 1ns $end\n$scope module vrdf $end\n";
-  std::vector<char> ids;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const char id = static_cast<char>('!' + i);
-    ids.push_back(id);
-    os << "$var integer 64 " << id << ' '
-       << sanitize(edge_label(graph, edges[i])) << " $end\n";
-  }
-  os << "$upscope $end\n$enddefinitions $end\n";
-
-  // Merge all edges' steps into one global timeline.
-  std::map<std::int64_t, std::vector<std::pair<char, std::int64_t>>> timeline;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    for (const auto& [time, tokens] : occupancy_steps(sim, graph, edges[i])) {
-      timeline[to_nanoseconds(time)].emplace_back(ids[i], tokens);
-    }
-  }
-  for (const auto& [ns, changes] : timeline) {
-    os << '#' << ns << '\n';
-    // Simultaneous changes to the same signal: the last one wins.
-    std::map<char, std::int64_t> final_values;
-    for (const auto& [id, tokens] : changes) {
-      final_values[id] = tokens;
-    }
-    for (const auto& [id, tokens] : final_values) {
-      os << 'b' << to_binary(tokens) << ' ' << id << '\n';
-    }
-  }
-  return os.str();
-}
-
-std::string rho_violations_to_csv(const sim::MonitorReport& report,
-                                  const dataflow::VrdfGraph& graph) {
-  std::ostringstream os;
-  os << "actor,firing,declared_s,observed_s\n";
-  for (const sim::RhoViolation& v : report.rho_violations) {
-    os << graph.actor(v.actor).name << ',' << v.firing << ','
-       << v.declared.seconds().to_string() << ','
-       << v.observed.seconds().to_string() << '\n';
   }
   return os.str();
 }

@@ -1,14 +1,7 @@
-// Trace export: CSV for analysis scripts, VCD for waveform viewers.
+// Trace export: CSV for analysis scripts.
 //
-// CSV: one row per recorded firing (actor, index, start, finish) or per
-// token-count change (time, edge, tokens).
-//
-// VCD: each selected edge becomes an integer signal holding its current
-// token count — load the file in GTKWave and the back-pressure patterns of
-// a chain are directly visible.  VCD timestamps are integers; we emit a
-// 1 ns timescale and round rational times down to the nanosecond (model
-// times in this library are exact rationals; sub-nanosecond structure is
-// below any real arbiter's resolution).
+// One row per token-count change (time, edge, tokens), per monitored
+// throughput constraint, or per robustness margin.
 #pragma once
 
 #include <string>
@@ -21,28 +14,12 @@
 
 namespace vrdf::io {
 
-/// "actor,firing,start_s,finish_s" rows for every recorded firing of the
-/// given actors (record_firings must have been enabled).
-[[nodiscard]] std::string firings_to_csv(
-    const sim::Simulator& sim, const dataflow::VrdfGraph& graph,
-    const std::vector<dataflow::ActorId>& actors);
-
 /// "time_s,edge,tokens" rows tracking each edge's token count over time
 /// (record_transfers must have been enabled).  Edges are labelled
 /// "producer->consumer[/space]".
 [[nodiscard]] std::string occupancy_to_csv(
     const sim::Simulator& sim, const dataflow::VrdfGraph& graph,
     const std::vector<dataflow::EdgeId>& edges);
-
-/// A VCD document with one integer signal per edge (token count).
-[[nodiscard]] std::string occupancy_to_vcd(
-    const sim::Simulator& sim, const dataflow::VrdfGraph& graph,
-    const std::vector<dataflow::EdgeId>& edges);
-
-/// "actor,firing,declared_s,observed_s" rows — one per recorded ρ-contract
-/// violation of a conformance monitor run.
-[[nodiscard]] std::string rho_violations_to_csv(
-    const sim::MonitorReport& report, const dataflow::VrdfGraph& graph);
 
 /// "actor,period_s,firings,late_firings,max_lateness_s" rows — one per
 /// monitored throughput constraint.

@@ -35,17 +35,6 @@ LatencyRateServer TdmAllocation::as_latency_rate() const {
   return LatencyRateServer{period - slot, slot.seconds() / period.seconds()};
 }
 
-Duration round_robin_response_time(const std::vector<Duration>& all_wcets,
-                                   std::size_t task_index) {
-  VRDF_REQUIRE(task_index < all_wcets.size(), "task index out of range");
-  Duration total;
-  for (const Duration& c : all_wcets) {
-    VRDF_REQUIRE(c.is_positive(), "WCET must be positive");
-    total += c;
-  }
-  return total;
-}
-
 Duration ServiceModel::response_time() const {
   VRDF_REQUIRE(wcet.is_positive(), "WCET must be positive");
   if (policy == ArbiterPolicy::Tdm) {

@@ -54,12 +54,6 @@ struct TdmAllocation {
   [[nodiscard]] LatencyRateServer as_latency_rate() const;
 };
 
-/// Run-to-completion round-robin among tasks with the given WCETs: a task's
-/// activation can wait for one full execution of every other task plus its
-/// own execution; κ_i = Σ_j wcet_j.
-[[nodiscard]] Duration round_robin_response_time(
-    const std::vector<Duration>& all_wcets, std::size_t task_index);
-
 /// The uniform service derivation of one binding.  Every (policy, terms)
 /// combination yields both the policy-exact response-time bound and a
 /// latency-rate abstraction of the allocation, so downstream layers

@@ -18,25 +18,12 @@ std::size_t Platform::add_processor(std::string name, Duration wheel_period,
 
 void Platform::bind_task(const std::string& task, std::size_t processor,
                          Duration slot, Duration wcet) {
-  bind_(task, processor, slot, wcet, ArbiterPolicy::Tdm);
-}
-
-void Platform::bind_task(const std::string& task, std::size_t processor,
-                         Duration wcet) {
-  // A round-robin binding's "slot" is the WCET itself: the load the
-  // processor's budget accounts.
-  bind_(task, processor, wcet, wcet, ArbiterPolicy::RoundRobin);
-}
-
-void Platform::bind_(const std::string& task, std::size_t processor,
-                     Duration slot, Duration wcet,
-                     ArbiterPolicy expected_policy) {
   const Processor& checked = checked_processor_(processor);
-  VRDF_REQUIRE(checked.policy == expected_policy,
+  VRDF_REQUIRE(checked.policy == ArbiterPolicy::Tdm,
                "processor '" + checked.name + "' runs a " +
                    arbiter_policy_name(checked.policy) +
-                   " arbiter; use the matching bind_task overload for task '" +
-                   task + "'");
+                   " arbiter; task '" + task +
+                   "' needs a TDM processor for its slot");
   VRDF_REQUIRE(slot.is_positive(), "slot budget of task '" + task +
                                        "' must be positive");
   VRDF_REQUIRE(wcet.is_positive(),
@@ -115,10 +102,6 @@ ServiceModel Platform::service_model(const std::string& task) const {
     }
   }
   return model;
-}
-
-Duration Platform::response_time(const std::string& task) const {
-  return service_model(task).response_time();
 }
 
 std::size_t Platform::processor_of(const std::string& task) const {

@@ -4,14 +4,13 @@
 // activation rates, per [15]).
 //
 // A Platform is a set of processors, each running either a TDM wheel or a
-// run-to-completion round-robin arbiter.  Tasks are bound to a processor
-// with a worst-case execution time (TDM bindings additionally carry a
-// slot budget); the platform derives each task's uniform ServiceModel,
-// from which the deployment analysis takes the worst-case response time
-// κ that feeds the task graph and from there the buffer-capacity
-// analysis.  Validation guarantees a TDM wheel is never oversubscribed
-// (Σ slots ≤ period) and a round-robin processor's served load never
-// exceeds its budget (Σ WCET ≤ period).
+// run-to-completion round-robin arbiter.  Tasks are bound to a TDM
+// processor with a slot budget and a worst-case execution time; the
+// platform derives each task's uniform ServiceModel, from which the
+// deployment analysis takes the worst-case response time κ that feeds
+// the task graph and from there the buffer-capacity analysis.
+// Validation guarantees a TDM wheel is never oversubscribed
+// (Σ slots ≤ period).
 #pragma once
 
 #include <cstdint>
@@ -49,12 +48,6 @@ public:
   void bind_task(const std::string& task, std::size_t processor, Duration slot,
                  Duration wcet);
 
-  /// Binds a task to a round-robin processor with its WCET (the WCET is
-  /// the load the processor's budget accounts).  Same error contract as
-  /// the TDM overload.
-  void bind_task(const std::string& task, std::size_t processor,
-                 Duration wcet);
-
   /// Retunes the slot budget of a TDM-bound task in place.  Throws when
   /// the task is unknown, its processor is not TDM, the slot is not
   /// positive, or the new slot would oversubscribe the wheel.
@@ -72,10 +65,6 @@ public:
   /// round-robin bindings the Σ-WCET term reflects the processor's
   /// *current* task set, so it changes as peers bind.
   [[nodiscard]] ServiceModel service_model(const std::string& task) const;
-
-  /// Worst-case response time of a bound task (policy-exact bound:
-  /// slot-granular TDM or round-robin sum).
-  [[nodiscard]] Duration response_time(const std::string& task) const;
 
   /// Processor index a bound task runs on.
   [[nodiscard]] std::size_t processor_of(const std::string& task) const;
@@ -101,8 +90,6 @@ private:
   /// processor count (PR 4 error conventions).
   [[nodiscard]] const Processor& checked_processor_(std::size_t index) const;
   [[nodiscard]] const Binding* find_binding(const std::string& task) const;
-  void bind_(const std::string& task, std::size_t processor, Duration slot,
-             Duration wcet, ArbiterPolicy expected_policy);
 
   std::vector<Processor> processors_;
   std::vector<Binding> bindings_;

@@ -156,7 +156,6 @@ public:
     actors_.resize(n_actors);
     edges_.resize(n_edges);
     edge_target_.resize(n_edges);
-    actor_metrics_.resize(n_actors);
     actor_times_.resize(n_actors);
     firing_records_.resize(n_actors);
     firing_views_.resize(n_actors);
@@ -204,8 +203,7 @@ public:
         state.faults.push_back(
             FaultEntry{clock_.from_rational(fault.base.seconds()),
                        clock_.from_rational(fault.step.seconds()),
-                       fault.rng_seed, fault.from, fault.until,
-                       fault.burst_length, fault.burst_period});
+                       fault.rng_seed, fault.from, fault.until});
       }
       state.has_faults = !state.faults.empty();
       state.record = cfg.record;
@@ -318,16 +316,6 @@ public:
     return edges_[edge.index()];
   }
 
-  [[nodiscard]] const ActorMetrics& actor_metrics(dataflow::ActorId actor) const {
-    // Time-valued fields are materialized on access; integer counters are
-    // maintained in place.
-    ActorMetrics& m = actor_metrics_[actor.index()];
-    const ActorTimes& t = actor_times_[actor.index()];
-    m.first_start = to_opt_time_point(t.first_start);
-    m.last_start = to_opt_time_point(t.last_start);
-    return m;
-  }
-
   /// The recorded firings as FiringRecords, converted from the clock's
   /// records when read (records are only appended, so each is converted
   /// once).
@@ -346,7 +334,7 @@ public:
 
   /// Simulator::fit_periodic_offset: finds max_k(start_k − k·τ) on the
   /// clock's own time (Clock::PeriodLateness) and converts only the
-  /// arg-max and the first and last starts.
+  /// arg-max and the first start.
   [[nodiscard]] std::optional<PeriodicFit> fit_periodic_offset(
       dataflow::ActorId actor, const Rational& tau) const {
     const std::vector<TimedFiring>& records = firing_records_[actor.index()];
@@ -364,12 +352,9 @@ public:
       }
     }
     PeriodicFit fit;
-    fit.records = records.size();
-    fit.first_start = to_time_point(records.front().start);
-    fit.last_start = to_time_point(records.back().start);
     fit.offset = TimePoint(clock_.to_rational(records[arg].start) -
                            tau * Rational(static_cast<std::int64_t>(arg)));
-    fit.lateness = fit.offset - fit.first_start;
+    fit.lateness = fit.offset - to_time_point(records.front().start);
     return fit;
   }
 
@@ -392,8 +377,6 @@ private:
     std::uint64_t rng_seed = 0;
     std::int64_t from = 0;
     std::int64_t until = 0;
-    std::int64_t burst_length = 0;
-    std::int64_t burst_period = 0;
   };
 
   struct ActorState {
@@ -434,7 +417,6 @@ private:
   };
 
   struct ActorTimes {
-    std::optional<Time> first_start;
     std::optional<Time> last_start;
   };
 
@@ -458,12 +440,6 @@ private:
 
   [[nodiscard]] TimePoint to_time_point(const Time& t) const {
     return TimePoint(clock_.to_rational(t));
-  }
-
-  [[nodiscard]] std::optional<TimePoint> to_opt_time_point(
-      const std::optional<Time>& t) const {
-    return t.has_value() ? std::optional<TimePoint>(to_time_point(*t))
-                         : std::nullopt;
   }
 
   void push_event(const Time& time, EventKind kind,
@@ -605,13 +581,9 @@ private:
     state.open_starvation = starvations_.size();
     starvations_.push_back(Starvation{actor, state.started,
                                       to_time_point(scheduled), std::nullopt});
-    ++actor_metrics_[actor.index()].starvation_count;
   }
 
   void start_firing(dataflow::ActorId actor, ActorState& state) {
-    ActorMetrics& metrics = actor_metrics_[actor.index()];
-    ActorTimes& times = actor_times_[actor.index()];
-
     for (std::size_t i = 0; i < state.ports.size(); ++i) {
       const Port& port = state.ports[i];
       if (port.in_edge.is_valid() && state.pending_quanta[i] > 0) {
@@ -636,11 +608,7 @@ private:
 
     ++state.started;
     ++total_firings_;
-    if (!times.first_start.has_value()) {
-      times.first_start = now_;
-    }
-    times.last_start = now_;
-    ++metrics.firings_started;
+    actor_times_[actor.index()].last_start = now_;
 
     Time rho = state.rho;
     if (state.has_faults) {
@@ -652,7 +620,7 @@ private:
 
   /// Injected extra duration for the firing just counted by start_firing
   /// (index started − 1): the sum over the actor's fault entries whose
-  /// window and burst pattern cover it.  The random part is a *stateless*
+  /// window covers it.  The random part is a *stateless*
   /// hash of (rng_seed, firing index), so replay is exact regardless of
   /// how the run is segmented across run() calls.
   [[nodiscard]] Time fault_extra(const ActorState& state) const {
@@ -660,10 +628,6 @@ private:
     const std::int64_t k = state.started - 1;
     for (const FaultEntry& fault : state.faults) {
       if (k < fault.from || k >= fault.until) {
-        continue;
-      }
-      if (fault.burst_period > 0 &&
-          (k - fault.from) % fault.burst_period >= fault.burst_length) {
         continue;
       }
       extra = Clock::add(extra, fault.base);
@@ -721,7 +685,6 @@ private:
     }
     state.busy = false;
     ++state.finished;
-    ++actor_metrics_[actor.index()].firings_finished;
     if (state.record &&
         firing_records_[actor.index()].size() < state.record_cap) {
       firing_records_[actor.index()].push_back(
@@ -765,7 +728,6 @@ private:
   std::vector<dataflow::ActorId> worklist_;
   std::vector<EdgeMetrics> edges_;
   std::vector<dataflow::ActorId> edge_target_;
-  mutable std::vector<ActorMetrics> actor_metrics_;
   std::vector<ActorTimes> actor_times_;
   std::vector<std::vector<TimedFiring>> firing_records_;
   mutable std::vector<std::vector<FiringRecord>> firing_views_;

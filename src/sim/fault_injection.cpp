@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/seed_stream.hpp"
 
 namespace vrdf::sim {
 
@@ -17,19 +16,6 @@ constexpr std::int64_t kNoEnd = std::numeric_limits<std::int64_t>::max();
     return kNoEnd;
   }
   return from > kNoEnd - firings ? kNoEnd : from + firings;
-}
-
-/// Per-spec hash seed: independent streams per (plan seed, actor, spec
-/// position) so composed faults never correlate.  The stream index packs
-/// (actor, spec position) into the shared splitmix64 derivation —
-/// bit-identical to the inline arithmetic this replaced, so published
-/// fault-plan seeds keep replaying the same faults.
-[[nodiscard]] std::uint64_t spec_seed(std::uint64_t plan_seed,
-                                      dataflow::ActorId actor,
-                                      std::size_t spec_index) {
-  return util::derive_seed(plan_seed,
-                           (static_cast<std::uint64_t>(actor.value()) << 32) +
-                               spec_index + 1);
 }
 
 }  // namespace
@@ -67,48 +53,6 @@ FaultPlan& FaultPlan::transient_stall(dataflow::ActorId actor,
   return *this;
 }
 
-FaultPlan& FaultPlan::bursty_jitter(dataflow::ActorId actor, Duration max_extra,
-                                    std::int64_t burst_length,
-                                    std::int64_t burst_period,
-                                    std::int64_t from_firing,
-                                    std::int64_t firings) {
-  VRDF_REQUIRE(actor.is_valid(), "fault actor must be valid");
-  VRDF_REQUIRE(max_extra.is_positive(), "jitter maximum must be positive");
-  VRDF_REQUIRE(burst_period > 0 && burst_length > 0 &&
-                   burst_length <= burst_period,
-               "burst pattern must satisfy 0 < length <= period");
-  VRDF_REQUIRE(from_firing >= 0, "fault window start must be non-negative");
-  FaultSpec spec;
-  spec.kind = FaultSpec::Kind::BurstyJitter;
-  spec.actor = actor;
-  spec.extra = max_extra;
-  spec.from_firing = from_firing;
-  spec.firings = firings;
-  spec.burst_length = burst_length;
-  spec.burst_period = burst_period;
-  specs_.push_back(spec);
-  return *this;
-}
-
-FaultPlan& FaultPlan::source_dropout(dataflow::ActorId actor, Duration outage,
-                                     std::int64_t every_firings,
-                                     std::int64_t from_firing) {
-  VRDF_REQUIRE(actor.is_valid(), "fault actor must be valid");
-  VRDF_REQUIRE(outage.is_positive(), "drop-out outage must be positive");
-  VRDF_REQUIRE(every_firings > 0, "drop-out spacing must be positive");
-  VRDF_REQUIRE(from_firing >= 0, "fault window start must be non-negative");
-  FaultSpec spec;
-  spec.kind = FaultSpec::Kind::SourceDropout;
-  spec.actor = actor;
-  spec.extra = outage;
-  spec.from_firing = from_firing;
-  spec.firings = -1;
-  spec.burst_length = 1;
-  spec.burst_period = every_firings;
-  specs_.push_back(spec);
-  return *this;
-}
-
 void FaultPlan::apply(Simulator& sim) const {
   const dataflow::VrdfGraph& graph = sim.graph();
   for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -128,19 +72,8 @@ void FaultPlan::apply(Simulator& sim) const {
       case FaultSpec::Kind::TransientStall:
         fault.base = spec.extra;
         break;
-      case FaultSpec::Kind::BurstyJitter:
-        fault.step = spec.extra / Rational(1024);
-        fault.rng_seed = spec_seed(seed_, spec.actor, i);
-        fault.burst_length = spec.burst_length;
-        fault.burst_period = spec.burst_period;
-        break;
-      case FaultSpec::Kind::SourceDropout:
-        fault.base = spec.extra;
-        fault.burst_length = spec.burst_length;
-        fault.burst_period = spec.burst_period;
-        break;
     }
-    if (fault.base.is_zero() && fault.step.is_zero()) {
+    if (fault.base.is_zero()) {
       continue;  // a zero-extra overrun is a no-op
     }
     sim.add_response_time_fault(spec.actor, fault);
@@ -165,15 +98,6 @@ std::string FaultPlan::describe(const dataflow::VrdfGraph& graph) const {
       case FaultSpec::Kind::TransientStall:
         os << "transient_stall on '" << name << "': firing "
            << spec.from_firing << " frozen for " << spec.extra.to_string();
-        break;
-      case FaultSpec::Kind::BurstyJitter:
-        os << "bursty_jitter on '" << name << "': up to "
-           << spec.extra.to_string() << " on " << spec.burst_length
-           << " of every " << spec.burst_period << " firings";
-        break;
-      case FaultSpec::Kind::SourceDropout:
-        os << "source_dropout on '" << name << "': " << spec.extra.to_string()
-           << " outage every " << spec.burst_period << " firings";
         break;
     }
   }

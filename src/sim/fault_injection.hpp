@@ -5,23 +5,17 @@
 // declared worst-case response times ρ(v).  A FaultPlan perturbs firings
 // at the engine's response-time scheduling point (the instant start_firing
 // fixes the firing's finish) so that affected firings take *longer* than
-// ρ(v) — i.e. the actor violates its contract.  Four fault kinds, all
+// ρ(v) — i.e. the actor violates its contract.  Two fault kinds, both
 // lowering to per-firing extra durations:
 //
 //  * rho_overrun     — every firing in a window runs ρ·factor + extra;
 //  * transient_stall — one firing is frozen for a window of `outage`
 //                      before it produces (the actor is unresponsive for
-//                      that long);
-//  * bursty_jitter   — firings in periodic bursts each gain a random
-//                      extra drawn from a 1024-step grid over [0, max];
-//  * source_dropout  — one firing out of every `every_firings` is frozen
-//                      for `outage` (a source with periodic losses).
+//                      that long).
 //
-// Plans are composable per actor (extras add up per firing) and fully
-// replayable from their seed: the only randomness is a stateless
-// splitmix64 hash of (seed, actor, spec index, firing index), so the two
-// phases of the verification harness — and any clock representation —
-// see bit-for-bit identical perturbations.
+// Plans are composable per actor (extras add up per firing) and
+// deterministic, so the two phases of the verification harness — and any
+// clock representation — see bit-for-bit identical perturbations.
 //
 // Within-margin faults (extra per firing ≤ the actor's
 // analysis::robustness_margins tolerable overrun) provably keep the
@@ -47,19 +41,12 @@ struct FaultSpec {
     RhoOverrun,
     /// Firing `from_firing` is frozen for `extra` before producing.
     TransientStall,
-    /// Firings in the first `burst_length` of every `burst_period`
-    /// positions of the window gain a random extra from a 1024-step grid
-    /// over [0, extra].
-    BurstyJitter,
-    /// One firing out of every `burst_period` in the window is frozen for
-    /// `extra` — a source with periodic drop-outs.
-    SourceDropout,
   };
 
   Kind kind = Kind::RhoOverrun;
   dataflow::ActorId actor;
-  /// Additive extra duration (RhoOverrun), stall/outage length
-  /// (TransientStall, SourceDropout), or random-grid maximum (BurstyJitter).
+  /// Additive extra duration (RhoOverrun) or stall length
+  /// (TransientStall).
   Duration extra;
   /// RhoOverrun only: multiplicative factor on ρ (>= 1).
   Rational factor{1};
@@ -68,15 +55,12 @@ struct FaultSpec {
   /// Affected firing count from from_firing; < 0 means "to the end".
   /// TransientStall always affects exactly one firing.
   std::int64_t firings = -1;
-  /// BurstyJitter / SourceDropout burst pattern.
-  std::int64_t burst_length = 1;
-  std::int64_t burst_period = 1;
 };
 
-/// A deterministic, seeded, composable set of faults.  Build with the
-/// fluent helpers, then `apply` to every simulator of a run (both phases
-/// of verify_throughput via its configurer): identical plans replay
-/// identically.
+/// A deterministic, composable set of faults.  Build with the fluent
+/// helpers, then `apply` to every simulator of a run (both phases of
+/// verify_throughput via its configurer): identical plans replay
+/// identically.  The seed only labels the plan in describe().
 class FaultPlan {
 public:
   explicit FaultPlan(std::uint64_t seed = 1) : seed_(seed) {}
@@ -91,27 +75,9 @@ public:
   FaultPlan& transient_stall(dataflow::ActorId actor, std::int64_t at_firing,
                              Duration outage);
 
-  /// Firings of `actor` in the first `burst_length` of every
-  /// `burst_period` window positions gain a random extra in [0, max_extra]
-  /// (1024-step grid, hashed from the plan seed — replayable).
-  FaultPlan& bursty_jitter(dataflow::ActorId actor, Duration max_extra,
-                           std::int64_t burst_length, std::int64_t burst_period,
-                           std::int64_t from_firing = 0,
-                           std::int64_t firings = -1);
-
-  /// One firing of `actor` out of every `every_firings` freezes for
-  /// `outage` — periodic source drop-outs.
-  FaultPlan& source_dropout(dataflow::ActorId actor, Duration outage,
-                            std::int64_t every_firings,
-                            std::int64_t from_firing = 0);
-
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] const std::vector<FaultSpec>& specs() const { return specs_; }
-  [[nodiscard]] bool empty() const { return specs_.empty(); }
-
   /// Installs the plan on a simulator (resolves ρ factors against the
   /// simulator's graph).  Must be called before the simulator's first run,
-  /// like every simulator setter; the plan's grids then join the tick
+  /// like every simulator setter; the plan's extras then join the tick
   /// scale.
   void apply(Simulator& sim) const;
 

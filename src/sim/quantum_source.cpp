@@ -127,10 +127,6 @@ std::unique_ptr<QuantumSource> constant_source(std::int64_t value) {
   return std::make_unique<ConstantSource>(value);
 }
 
-std::unique_ptr<QuantumSource> cyclic_source(std::vector<std::int64_t> values) {
-  return std::make_unique<CyclicSource>(std::move(values));
-}
-
 std::unique_ptr<QuantumSource> scripted_source(std::vector<std::int64_t> prefix,
                                                std::int64_t tail_value) {
   return std::make_unique<ScriptedSource>(std::move(prefix), tail_value);
@@ -139,14 +135,6 @@ std::unique_ptr<QuantumSource> scripted_source(std::vector<std::int64_t> prefix,
 std::unique_ptr<QuantumSource> uniform_random_source(dataflow::RateSet set,
                                                      std::uint64_t seed) {
   return std::make_unique<UniformRandomSource>(std::move(set), seed);
-}
-
-std::unique_ptr<QuantumSource> always_min_source(const dataflow::RateSet& set) {
-  return std::make_unique<ConstantSource>(set.min());
-}
-
-std::unique_ptr<QuantumSource> always_max_source(const dataflow::RateSet& set) {
-  return std::make_unique<ConstantSource>(set.max());
 }
 
 std::unique_ptr<QuantumSource> random_walk_source(dataflow::RateSet set,

@@ -36,10 +36,6 @@ public:
 /// Always `value`.
 [[nodiscard]] std::unique_ptr<QuantumSource> constant_source(std::int64_t value);
 
-/// Cycles through `values` (v0, v1, ..., vk-1, v0, ...).
-[[nodiscard]] std::unique_ptr<QuantumSource> cyclic_source(
-    std::vector<std::int64_t> values);
-
 /// Plays `prefix` once, then repeats `tail_value` forever.
 [[nodiscard]] std::unique_ptr<QuantumSource> scripted_source(
     std::vector<std::int64_t> prefix, std::int64_t tail_value);
@@ -47,15 +43,6 @@ public:
 /// Uniformly random element of `set` (mt19937_64 with `seed`).
 [[nodiscard]] std::unique_ptr<QuantumSource> uniform_random_source(
     dataflow::RateSet set, std::uint64_t seed);
-
-/// The set's minimum forever — the adversarial case of Fig 1 (a consumer
-/// that always takes its minimum quantum maximises the required capacity).
-[[nodiscard]] std::unique_ptr<QuantumSource> always_min_source(
-    const dataflow::RateSet& set);
-
-/// The set's maximum forever.
-[[nodiscard]] std::unique_ptr<QuantumSource> always_max_source(
-    const dataflow::RateSet& set);
 
 /// Random walk over the set's sorted elements: moves at most `max_step`
 /// positions per firing — models smoothly varying bit-rates.

@@ -91,15 +91,6 @@ struct EdgeMetrics {
   std::int64_t consumed_total = 0;  // tokens ever consumed from the edge
 };
 
-struct ActorMetrics {
-  std::int64_t firings_started = 0;
-  std::int64_t firings_finished = 0;
-  std::optional<TimePoint> first_start;
-  std::optional<TimePoint> last_start;
-  /// StrictlyPeriodic actors: number of activations that started late.
-  std::int64_t starvation_count = 0;
-};
-
 /// One unsatisfied token demand of an idle actor at a deadlock: the
 /// actor's next firing needs `needed` tokens on `edge` but only
 /// `available` are present.  The set of these waits is the wait-for

@@ -20,7 +20,6 @@ Simulator::Simulator(const dataflow::VrdfGraph& graph) : graph_(graph) {
   config_.actors.resize(n_actors);
   config_.transfer_recording.assign(n_edges, 0);
   config_.transfer_caps.assign(n_edges, 0);
-  initial_actor_metrics_.resize(n_actors);
   initial_edge_metrics_.resize(n_edges);
   for (const EdgeId e : graph.edges()) {
     initial_edge_metrics_[e.index()].tokens = graph.edge(e).initial_tokens;
@@ -66,7 +65,7 @@ decltype(auto) Simulator::dispatch(Fn&& fn, Fallback&& fallback) const {
 }
 
 void Simulator::check_actor(ActorId actor) const {
-  VRDF_REQUIRE(actor.is_valid() && actor.index() < initial_actor_metrics_.size(),
+  VRDF_REQUIRE(actor.is_valid() && actor.index() < config_.actors.size(),
                "actor id out of range");
 }
 
@@ -190,9 +189,6 @@ void Simulator::add_response_time_fault(ActorId actor,
                "fault base/step must be non-negative");
   VRDF_REQUIRE(fault.from >= 0 && fault.from <= fault.until,
                "fault firing window must be non-negative and ordered");
-  VRDF_REQUIRE(fault.burst_period >= 0 && fault.burst_length >= 0 &&
-                   fault.burst_length <= fault.burst_period,
-               "fault burst pattern must satisfy 0 <= length <= period");
   config_.actors[actor.index()].faults.push_back(fault);
 }
 
@@ -324,17 +320,6 @@ const EdgeMetrics& Simulator::edge_metrics(EdgeId edge) const {
   return dispatch(
       [&](const auto& e) -> const EdgeMetrics& { return e.edge_metrics(edge); },
       [&]() -> const EdgeMetrics& { return initial_edge_metrics_[edge.index()]; });
-}
-
-const ActorMetrics& Simulator::actor_metrics(ActorId actor) const {
-  check_actor(actor);
-  return dispatch(
-      [&](const auto& e) -> const ActorMetrics& {
-        return e.actor_metrics(actor);
-      },
-      [&]() -> const ActorMetrics& {
-        return initial_actor_metrics_[actor.index()];
-      });
 }
 
 namespace {

@@ -59,14 +59,10 @@ struct FiringRecord {
 /// An actor's recorded start times fitted to a period τ (see
 /// Simulator::fit_periodic_offset).
 struct PeriodicFit {
-  /// Recorded firings the fit ran over (>= 1).
-  std::size_t records = 0;
-  TimePoint first_start;
-  TimePoint last_start;
   /// Smallest o with start_k <= o + k·τ for every record:
   /// max_k(start_k − k·τ).
   TimePoint offset;
-  /// max_k(start_k − start_0 − k·τ) = offset − first_start (never
+  /// max_k(start_k − start_0 − k·τ) = offset − start_0 (never
   /// negative): the worst lateness against the grid anchored at start_0.
   Duration lateness;
 };
@@ -81,9 +77,8 @@ struct EdgeTransfer {
 
 /// One compiled response-time perturbation of one actor — the low-level
 /// form every fault kind of sim/fault_injection.hpp lowers to.  On each
-/// affected firing k (from <= k < until and, when burst_period > 0, with
-/// (k − from) mod burst_period < burst_length) the firing's duration
-/// becomes ρ + base + step·u_k, where u_k ∈ [0, 1024] is a stateless
+/// affected firing k (from <= k < until) the firing's duration becomes
+/// ρ + base + step·u_k, where u_k ∈ [0, 1024] is a stateless
 /// splitmix64 hash of (rng_seed, k) — replayable regardless of run
 /// segmentation, and exactly representable by a tick clock because every
 /// grid point is base + step·integer.
@@ -98,10 +93,6 @@ struct ResponseTimeFault {
   /// Affected firing window [from, until) in 0-based firing indices.
   std::int64_t from = 0;
   std::int64_t until = std::numeric_limits<std::int64_t>::max();
-  /// Burst pattern within the window: the first `burst_length` of every
-  /// `burst_period` firings are affected; 0/0 affects every firing.
-  std::int64_t burst_length = 0;
-  std::int64_t burst_period = 0;
 };
 
 namespace detail {
@@ -242,15 +233,14 @@ public:
   [[nodiscard]] StateSnapshot snapshot() const;
 
   [[nodiscard]] const EdgeMetrics& edge_metrics(dataflow::EdgeId edge) const;
-  [[nodiscard]] const ActorMetrics& actor_metrics(dataflow::ActorId actor) const;
   /// Recorded firings of `actor` (requires record_firings).  They are
   /// kept on the engine's clock and converted to FiringRecord when read.
   [[nodiscard]] const std::vector<FiringRecord>& firings(dataflow::ActorId actor) const;
   /// Fits the recorded starts of `actor` to `period` on the engine's own
   /// clock, converting only the results to exact Rational time; nullopt
-  /// when nothing was recorded.  `period` must be non-negative (zero
-  /// leaves offset == last_start).  Throws OverflowError where the
-  /// tick-clock arithmetic leaves its bound (see engine.hpp).
+  /// when nothing was recorded.  `period` must be non-negative.  Throws
+  /// OverflowError where the tick-clock arithmetic leaves its bound (see
+  /// engine.hpp).
   [[nodiscard]] std::optional<PeriodicFit> fit_periodic_offset(
       dataflow::ActorId actor, Duration period) const;
   /// Token productions onto `edge`, in time order (requires record_transfers).
@@ -287,7 +277,6 @@ private:
   // Pre-run answers for the metric accessors (initial token counts, zeroed
   // actor metrics, empty record vectors).
   std::vector<EdgeMetrics> initial_edge_metrics_;
-  std::vector<ActorMetrics> initial_actor_metrics_;
 };
 
 }  // namespace vrdf::sim

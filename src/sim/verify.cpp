@@ -182,34 +182,4 @@ VerifyResult verify_throughput(const dataflow::VrdfGraph& graph,
   return result;
 }
 
-Rational measure_self_timed_throughput(const dataflow::VrdfGraph& graph,
-                                       ActorId actor,
-                                       std::int64_t observe_firings,
-                                       const SimulatorConfigurer& configure,
-                                       std::uint64_t default_seed) {
-  VRDF_REQUIRE(observe_firings > 1, "need at least two observed firings");
-  Simulator sim(graph);
-  if (configure) {
-    configure(sim);
-  }
-  sim.set_default_sources(default_seed);
-  sim.record_firings(actor, static_cast<std::size_t>(observe_firings));
-  StopCondition stop;
-  stop.firing_target = StopCondition::FiringTarget{actor, observe_firings};
-  const RunResult run = sim.run(stop);
-  if (run.reason != StopReason::ReachedFiringTarget) {
-    return Rational(0);
-  }
-  // Only the span of the records is read; a zero period leaves the fit's
-  // offset unused.
-  const std::optional<PeriodicFit> fit =
-      sim.fit_periodic_offset(actor, Duration());
-  const Duration span = fit->last_start - fit->first_start;
-  if (!span.is_positive()) {
-    return Rational(0);
-  }
-  return Rational(static_cast<std::int64_t>(fit->records) - 1) /
-         span.seconds();
-}
-
 }  // namespace vrdf::sim

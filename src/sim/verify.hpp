@@ -77,12 +77,4 @@ struct VerifyResult {
     const analysis::ConstraintSet& constraints,
     const SimulatorConfigurer& configure = {}, const VerifyOptions& options = {});
 
-/// Long-run average throughput (finished firings per second) of an actor
-/// under self-timed execution; 0 when the graph deadlocks before
-/// `observe_firings` completes.
-[[nodiscard]] Rational measure_self_timed_throughput(
-    const dataflow::VrdfGraph& graph, dataflow::ActorId actor,
-    std::int64_t observe_firings, const SimulatorConfigurer& configure = {},
-    std::uint64_t default_seed = 1);
-
 }  // namespace vrdf::sim

@@ -34,11 +34,6 @@ const Task& TaskGraph::task(TaskId id) const {
   return tasks_[id.index()];
 }
 
-const Buffer& TaskGraph::buffer(BufferId id) const {
-  VRDF_REQUIRE(id.index() < buffers_.size(), "buffer id out of range");
-  return buffers_[id.index()];
-}
-
 std::optional<TaskId> TaskGraph::find_task(std::string_view name) const {
   return names_.find(name, task_name());
 }
@@ -47,11 +42,6 @@ void TaskGraph::set_capacity(BufferId id, std::int64_t capacity) {
   VRDF_REQUIRE(id.index() < buffers_.size(), "buffer id out of range");
   VRDF_REQUIRE(capacity > 0, "buffer capacity must be positive");
   buffers_[id.index()].capacity = capacity;
-}
-
-bool TaskGraph::is_chain() const {
-  const auto view = to_vrdf().graph.buffer_view();
-  return view.has_value() && view->is_chain;
 }
 
 VrdfConstruction TaskGraph::to_vrdf() const {

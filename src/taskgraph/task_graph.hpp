@@ -69,18 +69,11 @@ public:
   [[nodiscard]] std::size_t task_count() const { return tasks_.size(); }
   [[nodiscard]] std::size_t buffer_count() const { return buffers_.size(); }
   [[nodiscard]] const Task& task(TaskId id) const;
-  [[nodiscard]] const Buffer& buffer(BufferId id) const;
   /// Task lookup by unique name, O(log n).
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const;
 
   /// Sets ζ(b).
   void set_capacity(BufferId id, std::int64_t capacity);
-
-  /// True when every task has at most one input and one output buffer and
-  /// the graph is a weakly connected chain (Sec 3.1 restriction): the
-  /// buffer view of the Sec 3.3 construction is a chain.  The chain order
-  /// itself is that view's `actors` (actor i is task i).
-  [[nodiscard]] bool is_chain() const;
 
   /// Sec 3.3 construction: one actor per task with ρ(v) = κ(w); one buffer
   /// pair of anti-parallel edges per buffer with δ(space edge) = ζ(b).

@@ -1,14 +1,11 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace vrdf::log {
 
 namespace {
-std::atomic<Level> g_level{Level::Warning};
-
 // Serializes the final write only.  Each LineBuilder accumulates its line
 // in a thread-local ostringstream, so sweep workers never contend while
 // formatting; the mutex guards the single flush to stderr per event and
@@ -17,9 +14,7 @@ std::atomic<Level> g_level{Level::Warning};
 std::mutex g_emit_mutex;
 }  // namespace
 
-void set_level(Level level) { g_level.store(level, std::memory_order_relaxed); }
-
-Level level() { return g_level.load(std::memory_order_relaxed); }
+Level level() { return Level::Warning; }
 
 const char* level_name(Level lvl) {
   switch (lvl) {

@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
-// The library is a set of analysis algorithms, so logging is sparse and
-// opt-in: default level is Warning, benches raise it to Info for progress
-// lines.  No timestamps/threads — output must be diffable in tests.
+// The library is a set of analysis algorithms, so logging is sparse: the
+// threshold is Warning.  No timestamps/threads — output must be diffable
+// in tests.
 //
 // Thread-safety: each VRDF_LOG statement buffers its whole line privately
 // (the LineBuilder's stream lives on the emitting thread's stack) and
@@ -19,8 +19,7 @@ namespace vrdf::log {
 
 enum class Level { Trace = 0, Debug = 1, Info = 2, Warning = 3, Error = 4, Off = 5 };
 
-/// Global threshold; messages below it are discarded.
-void set_level(Level level);
+/// Threshold (Warning); messages below it are discarded.
 [[nodiscard]] Level level();
 
 /// Emits one line to stderr when `level >= level()`.

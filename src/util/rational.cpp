@@ -89,10 +89,6 @@ std::int64_t Rational::ceil() const {
   return ceil_div(num_, den_);
 }
 
-std::int64_t Rational::trunc() const {
-  return num_ / den_;
-}
-
 double Rational::to_double() const {
   return static_cast<double>(num_) / static_cast<double>(den_);
 }
@@ -175,10 +171,6 @@ Rational Rational::operator-() const {
 Rational Rational::reciprocal() const {
   VRDF_REQUIRE(num_ != 0, "reciprocal of zero");
   return Rational(den_, num_);
-}
-
-Rational Rational::abs() const {
-  return num_ < 0 ? -*this : *this;
 }
 
 Rational& Rational::operator+=(const Rational& rhs) {
@@ -325,7 +317,6 @@ std::ostream& operator<<(std::ostream& os, const Rational& r) {
   return os << r.to_string();
 }
 
-Rational min(const Rational& a, const Rational& b) { return a < b ? a : b; }
 Rational max(const Rational& a, const Rational& b) { return a > b ? a : b; }
 
 }  // namespace vrdf

@@ -43,8 +43,6 @@ public:
   [[nodiscard]] std::int64_t floor() const;
   /// Smallest integer >= value.
   [[nodiscard]] std::int64_t ceil() const;
-  /// Truncation towards zero.
-  [[nodiscard]] std::int64_t trunc() const;
 
   /// Lossy conversion for reporting only; never used in analysis decisions.
   [[nodiscard]] double to_double() const;
@@ -62,7 +60,6 @@ public:
 
   [[nodiscard]] Rational operator-() const;
   [[nodiscard]] Rational reciprocal() const;
-  [[nodiscard]] Rational abs() const;
 
   Rational& operator+=(const Rational& rhs);
   Rational& operator-=(const Rational& rhs);
@@ -97,8 +94,7 @@ void append_integer(std::string& out, std::int64_t value);
 [[nodiscard]] std::from_chars_result parse_integer(std::string_view text,
                                                    std::int64_t& value);
 
-/// min/max by value.
-[[nodiscard]] Rational min(const Rational& a, const Rational& b);
+/// max by value.
 [[nodiscard]] Rational max(const Rational& a, const Rational& b);
 
 namespace rational_literals {

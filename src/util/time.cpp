@@ -1,24 +1,12 @@
 #include "util/time.hpp"
 
-#include <ostream>
-
 #include "util/error.hpp"
 
 namespace vrdf {
 
-std::ostream& operator<<(std::ostream& os, const Duration& d) {
-  return os << d.to_string();
-}
-
-std::ostream& operator<<(std::ostream& os, const TimePoint& t) {
-  return os << t.to_string();
-}
-
 Duration seconds(Rational s) { return Duration(s); }
 
 Duration milliseconds(Rational ms) { return Duration(ms / Rational(1000)); }
-
-Duration microseconds(Rational us) { return Duration(us / Rational(1000000)); }
 
 Duration period_of_hz(Rational hz) {
   VRDF_REQUIRE(hz.is_positive(), "frequency must be positive");

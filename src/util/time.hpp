@@ -6,7 +6,6 @@
 // offsets are durations, event times are points.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "util/rational.hpp"
@@ -98,13 +97,9 @@ private:
   Rational seconds_;
 };
 
-std::ostream& operator<<(std::ostream& os, const Duration& d);
-std::ostream& operator<<(std::ostream& os, const TimePoint& t);
-
 /// Duration construction helpers.
 [[nodiscard]] Duration seconds(Rational s);
 [[nodiscard]] Duration milliseconds(Rational ms);
-[[nodiscard]] Duration microseconds(Rational us);
 /// Period of a frequency given in hertz: period_of_hz(44100) == 1/44100 s.
 [[nodiscard]] Duration period_of_hz(Rational hz);
 

@@ -81,15 +81,24 @@ TEST(ExactMinimal, Fig1PerSequenceMinimaNeverExceedTheAnalysisBound) {
   // sequences (how tight Eq (4) is).
   const std::int64_t analysis_capacity = 11;
   using Factory = std::function<std::unique_ptr<sim::QuantumSource>()>;
+  // `pattern` over every firing the search observes (2048 of them), as a
+  // scripted prefix 8x that long.
+  const auto repeating = [](const std::vector<std::int64_t>& pattern) {
+    std::vector<std::int64_t> prefix;
+    while (prefix.size() < 8 * 2048) {
+      prefix.insert(prefix.end(), pattern.begin(), pattern.end());
+    }
+    return sim::scripted_source(std::move(prefix), pattern.front());
+  };
   const struct {
     Factory make;
     std::int64_t minimum;
   } sequences[] = {
       {[] { return sim::constant_source(3); }, 6},
       {[] { return sim::constant_source(2); }, 6},
-      {[] { return sim::cyclic_source({2, 3}); }, 7},
-      {[] { return sim::cyclic_source({3, 2}); }, 7},
-      {[] { return sim::cyclic_source({2, 2, 2, 3, 3, 3}); }, 6},
+      {[] { return sim::min_max_alternating_source(RateSet::of({2, 3})); }, 7},
+      {[&] { return repeating({3, 2}); }, 7},
+      {[&] { return repeating({2, 2, 2, 3, 3, 3}); }, 6},
       {[] { return sim::uniform_random_source(RateSet::of({2, 3}), 5); }, 8},
   };
   std::int64_t largest = 0;

@@ -589,65 +589,57 @@ TEST(CertificateIncremental, EngineCertifiesMp3AdmissionSequence) {
   ASSERT_TRUE(snapshot.ok());
   analysis::AdmissionController controller(
       snapshot, analysis::ConstraintSet{mp3.constraint});
-  controller.set_require_certificate(true);
-  EXPECT_TRUE(controller.require_certificate());
+  // Every serviced state, accepted or rolled back to, is certified: its
+  // certificate (ρ from the engine's overlay) passes the independent
+  // checker.
+  std::uint64_t clauses = 0;
+  const auto expect_certified = [&](const char* step) {
+    SCOPED_TRACE(step);
+    analysis::CheckerOptions options;
+    options.bind_parameters_to_graph = false;
+    const analysis::CertificateCheck check = analysis::check_certificate(
+        mp3.graph,
+        analysis::make_certificate(mp3.graph, controller.analysis(),
+                                   controller.engine().overlay()),
+        options);
+    EXPECT_TRUE(check.ok) << check.first_violation();
+    clauses += check.clauses_checked;
+  };
 
   // A retune within budget: accepted, and certified.
   const Duration original_rho = mp3.graph.actor(mp3.mp3).response_time;
   const analysis::AdmissionDecision ok_decision = controller.retune(
       mp3.mp3, Duration(original_rho.seconds() * Rational(1, 2)));
   EXPECT_TRUE(ok_decision.accepted);
-  // A retune past the pacing budget: rejected on admissibility (the
-  // certificate gate never sees an inadmissible candidate).
+  expect_certified("retune within budget");
+  // A retune past the pacing budget: rejected on admissibility and
+  // rolled back to a certified state.
   const analysis::AdmissionDecision bad_decision =
       controller.retune(mp3.mp3, seconds(Rational(1000)));
   EXPECT_FALSE(bad_decision.accepted);
+  expect_certified("rejected retune");
   // A period move and its revert: both certified; the revert restores
-  // the published numbers under active certification.
+  // the published numbers.
   const analysis::AdmissionDecision slower = controller.set_period(
       mp3.constraint.actor,
       Duration(mp3.constraint.period.seconds() * Rational(2)));
   EXPECT_TRUE(slower.accepted);
+  expect_certified("slower period");
   const analysis::AdmissionDecision restore_period =
       controller.set_period(mp3.constraint.actor, mp3.constraint.period);
   EXPECT_TRUE(restore_period.accepted);
+  expect_certified("period restored");
   const analysis::AdmissionDecision restore_rho =
       controller.retune(mp3.mp3, original_rho);
   EXPECT_TRUE(restore_rho.accepted);
+  expect_certified("rho restored");
+  EXPECT_GT(clauses, 0u);
 
-  const analysis::InvalidationStats& stats = controller.engine().stats();
-  EXPECT_GE(stats.certificates_checked, 3u);  // accepted ops + rollbacks
-  EXPECT_GT(stats.certificate_clauses, 0u);
-  EXPECT_EQ(stats.certificate_violations, 0u)
-      << (controller.engine().last_certificate_violation().has_value()
-              ? describe(*controller.engine().last_certificate_violation())
-              : std::string());
-  EXPECT_FALSE(
-      controller.engine().last_certificate_violation().has_value());
-
-  // The serviced state stays the published shape under certification.
+  // The serviced state is the published shape again.
   EXPECT_EQ(controller.analysis().total_capacity,
             models::Mp3PaperNumbers::kVrdfCapacities[0] +
                 models::Mp3PaperNumbers::kVrdfCapacities[1] +
                 models::Mp3PaperNumbers::kVrdfCapacities[2]);
-}
-
-TEST(CertificateIncremental, SetCertifyTogglesAndClearsState) {
-  models::Mp3Playback mp3 = models::make_mp3_playback();
-  const analysis::TopologySnapshot snapshot(mp3.graph);
-  analysis::IncrementalAnalysis engine(
-      snapshot, analysis::ConstraintSet{mp3.constraint});
-  EXPECT_FALSE(engine.certify());
-  const Duration rho = mp3.graph.actor(mp3.mp3).response_time;
-  engine.retune(mp3.mp3, Duration(rho.seconds() * Rational(1, 2)));
-  EXPECT_EQ(engine.stats().certificates_checked, 0u);  // off by default
-  engine.set_certify(true);
-  engine.retune(mp3.mp3, Duration(rho.seconds() * Rational(1, 4)));
-  EXPECT_EQ(engine.stats().certificates_checked, 1u);
-  EXPECT_FALSE(engine.last_certificate_violation().has_value());
-  engine.set_certify(false);
-  engine.retune(mp3.mp3, rho);
-  EXPECT_EQ(engine.stats().certificates_checked, 1u);  // unchanged
 }
 
 }  // namespace

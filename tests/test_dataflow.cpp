@@ -194,7 +194,6 @@ TEST(VrdfGraph, RejectsDanglingEdgesAndOutOfRangeIds) {
     EXPECT_THROW(g.add_buffer(a, bad, one, one), ContractError);
     EXPECT_THROW(g.add_buffer(bad, a, one, one), ContractError);
     EXPECT_THROW((void)g.actor(bad), ContractError);
-    EXPECT_THROW(g.set_response_time(bad, kRho), ContractError);
   }
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_TRUE(g.buffers().empty());

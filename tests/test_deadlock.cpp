@@ -12,13 +12,18 @@ namespace {
 
 using dataflow::RateSet;
 
+/// p + c − gcd(p, c): the pair formula on constant quanta.
+std::int64_t constant_pair_capacity(std::int64_t p, std::int64_t c) {
+  return min_deadlock_free_pair_capacity(RateSet::singleton(p),
+                                         RateSet::singleton(c));
+}
+
 TEST(Deadlock, ConstantPairFormula) {
-  EXPECT_EQ(min_deadlock_free_capacity(3, 3), 3);   // Fig 1, n ≡ 3
-  EXPECT_EQ(min_deadlock_free_capacity(3, 2), 4);   // Fig 1, n ≡ 2
-  EXPECT_EQ(min_deadlock_free_capacity(1, 1), 1);
-  EXPECT_EQ(min_deadlock_free_capacity(441, 1), 441);
-  EXPECT_EQ(min_deadlock_free_capacity(4, 6), 8);
-  EXPECT_THROW((void)min_deadlock_free_capacity(0, 1), ContractError);
+  EXPECT_EQ(constant_pair_capacity(3, 3), 3);   // Fig 1, n ≡ 3
+  EXPECT_EQ(constant_pair_capacity(3, 2), 4);   // Fig 1, n ≡ 2
+  EXPECT_EQ(constant_pair_capacity(1, 1), 1);
+  EXPECT_EQ(constant_pair_capacity(441, 1), 441);
+  EXPECT_EQ(constant_pair_capacity(4, 6), 8);
 }
 
 TEST(Deadlock, PairCapacityForAllSequences) {
@@ -129,7 +134,7 @@ TEST_P(DeadlockGrid, FormulaMatchesSimulationSearch) {
     stop.firing_target = sim::StopCondition::FiringTarget{b, 64};
     return sim.run(stop).reason == sim::StopReason::ReachedFiringTarget;
   };
-  const std::int64_t formula = min_deadlock_free_capacity(p, c);
+  const std::int64_t formula = constant_pair_capacity(p, c);
   EXPECT_TRUE(deadlock_free(formula)) << p << '/' << c;
   EXPECT_FALSE(deadlock_free(formula - 1)) << p << '/' << c;
 }

@@ -135,30 +135,6 @@ TEST(Deployment, HandComputedTdmForkModel) {
   EXPECT_NE(report.find("## Buffer capacities"), std::string::npos);
 }
 
-TEST(Deployment, RoundRobinPeerCouplingAndServiceModel) {
-  // Round-robin ring: κ of every task is the ring's Σ WCET, so binding a
-  // peer *after* a task retroactively grows its service model.
-  sched::Platform platform;
-  const auto ring =
-      platform.add_processor("ring", milliseconds(Rational(1)),
-                             sched::ArbiterPolicy::RoundRobin);
-  platform.bind_task("a", ring, us(200));
-  platform.bind_task("b", ring, us(300));
-  EXPECT_EQ(platform.response_time("a"), us(500));
-  platform.bind_task("c", ring, us(100));
-  EXPECT_EQ(platform.response_time("a"), us(600));
-  EXPECT_EQ(platform.response_time("c"), us(600));
-
-  const sched::ServiceModel model = platform.service_model("a");
-  EXPECT_EQ(model.policy, sched::ArbiterPolicy::RoundRobin);
-  EXPECT_EQ(model.total_wcet, us(600));
-  // Latency-rate abstraction: 2Σ − C = 1200 − 200 = 1000 us.
-  EXPECT_EQ(model.as_latency_rate().response_time(model.wcet), us(1000));
-
-  // The budget caps the ring's load.
-  EXPECT_THROW(platform.bind_task("d", ring, us(500)), ContractError);
-}
-
 TEST(Deployment, LatencyRateDerivationIsConservativeEndToEnd) {
   const ForkDeployment d = make_fork_deployment();
   DeploymentOptions exact;
@@ -183,6 +159,20 @@ TEST(Deployment, LatencyRateDerivationIsConservativeEndToEnd) {
 
 // --------------------------------------------- controller + rollback
 
+/// κ of `task` in the controller's serviced state, as its certificate's
+/// platform clause records it.
+Duration kappa_of(const DeploymentController& controller,
+                  const std::string& task) {
+  const dataflow::ActorId actor = controller.actor_of(task);
+  for (const PlatformFact& fact : controller.certificate().platform) {
+    if (fact.actor == actor) {
+      return fact.kappa;
+    }
+  }
+  ADD_FAILURE() << "no platform fact for " << task;
+  return Duration();
+}
+
 TEST(Deployment, ControllerNamesTheBindingDimensionAndRollsBack) {
   const ForkDeployment d = make_fork_deployment();
   DeploymentController controller(d.tasks, d.platform, d.streams);
@@ -201,7 +191,7 @@ TEST(Deployment, ControllerNamesTheBindingDimensionAndRollsBack) {
   expect_identical(controller.analysis(), before);
   EXPECT_EQ(controller.platform().service_model("audio-dsp").slot,
             slot_before);
-  EXPECT_EQ(controller.kappa("audio-dsp"), us(900));
+  EXPECT_EQ(kappa_of(controller, "audio-dsp"), us(900));
 
   // Wheel-bound: cpu1 has 250 us slack; growing ctl-act to 600 us
   // rejects *before* the analysis, naming the wheel.
@@ -216,7 +206,7 @@ TEST(Deployment, ControllerNamesTheBindingDimensionAndRollsBack) {
   const DeploymentDecision accepted =
       controller.set_slot("audio-dsp", us(450));
   EXPECT_TRUE(accepted.accepted);
-  EXPECT_EQ(controller.kappa("audio-dsp"),
+  EXPECT_EQ(kappa_of(controller, "audio-dsp"),
             us(550) + us(400));  // (1000−450) + 400
   expect_identical(controller.analysis(),
                    compute_buffer_capacities(
@@ -234,7 +224,7 @@ TEST(Deployment, ControllerNamesTheBindingDimensionAndRollsBack) {
   EXPECT_FALSE(bad_admit.accepted);
   EXPECT_EQ(bad_admit.total_capacity, granted_before.total_capacity);
   EXPECT_EQ(controller.platform().service_model("audio-dsp").slot, us(450));
-  EXPECT_EQ(controller.kappa("audio-dsp"), us(550) + us(400));
+  EXPECT_EQ(kappa_of(controller, "audio-dsp"), us(550) + us(400));
   expect_identical(controller.analysis(), granted_before);
   const DeploymentDecision good_admit =
       controller.admit("audio-dsp", milliseconds(Rational(4)), us(500));

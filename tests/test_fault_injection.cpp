@@ -46,6 +46,40 @@ using sim::RunResult;
 using sim::Simulator;
 using sim::StopCondition;
 
+/// Every actor's response time, by ActorId::index().
+std::vector<Duration> response_times(const VrdfGraph& graph) {
+  std::vector<Duration> rho;
+  for (const ActorId v : graph.actors()) {
+    rho.push_back(graph.actor(v).response_time);
+  }
+  return rho;
+}
+
+/// `graph` rebuilt with ρ(v) = rho[v.index()]; names, rates, δ and every
+/// id are kept.  The reference searches probe such a fresh graph, so they
+/// share no state with the analysis under test.
+VrdfGraph with_response_times(const VrdfGraph& graph,
+                              const std::vector<Duration>& rho) {
+  VrdfGraph out;
+  for (const ActorId v : graph.actors()) {
+    (void)out.add_actor(graph.actor(v).name, rho[v.index()]);
+  }
+  for (const dataflow::EdgeId e : graph.edges()) {
+    const dataflow::Edge& edge = graph.edge(e);
+    if (!edge.paired.is_valid()) {
+      (void)out.add_edge(edge.source, edge.target, edge.production,
+                         edge.consumption, edge.initial_tokens);
+    } else if (edge.paired.index() > e.index()) {
+      // add_buffer adds the data edge, then its space edge.
+      const std::int64_t space = graph.edge(edge.paired).initial_tokens;
+      (void)out.add_buffer(edge.source, edge.target, edge.production,
+                           edge.consumption, space + edge.initial_tokens,
+                           edge.initial_tokens);
+    }
+  }
+  return out;
+}
+
 const Duration kMs = milliseconds(Rational(1));
 
 struct Pipeline {
@@ -186,59 +220,6 @@ TEST(FaultInjection, ComposedFaultsAddUpPerFiring) {
   EXPECT_EQ(records[0].finish - records[0].start, kMs * Rational(4));
 }
 
-TEST(FaultInjection, SourceDropoutHitsPeriodicFirings) {
-  Pipeline p = make_pipeline();
-  FaultPlan plan;
-  plan.source_dropout(p.producer, kMs * Rational(5), 4);
-  Simulator sim(p.graph);
-  sim.set_default_sources(1);
-  sim.record_firings(p.producer);
-  plan.apply(sim);
-  StopCondition stop;
-  stop.until_time = TimePoint() + kMs * Rational(60);
-  (void)sim.run(stop);
-  const auto& records = sim.firings(p.producer);
-  ASSERT_GE(records.size(), 9u);
-  for (std::size_t k = 0; k < 9; ++k) {
-    const Duration expected =
-        (k % 4 == 0) ? kMs * Rational(6) : kMs;  // every 4th firing drops out
-    EXPECT_EQ(records[k].finish - records[k].start, expected) << "firing " << k;
-  }
-}
-
-TEST(FaultInjection, BurstyJitterReplaysBitForBitFromItsSeed) {
-  Pipeline p = make_pipeline();
-  FaultPlan plan(7);
-  plan.bursty_jitter(p.producer, kMs, 2, 5);
-  const auto first = starts_under(p, plan, p.consumer, kMs * Rational(40));
-  const auto second = starts_under(p, plan, p.consumer, kMs * Rational(40));
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-
-  // The extras stay within [0, max] and hit only burst positions.
-  Simulator sim(p.graph);
-  sim.set_default_sources(1);
-  sim.record_firings(p.producer);
-  plan.apply(sim);
-  StopCondition stop;
-  stop.until_time = TimePoint() + kMs * Rational(40);
-  (void)sim.run(stop);
-  bool any_jitter = false;
-  const auto& records = sim.firings(p.producer);
-  ASSERT_GE(records.size(), 10u);
-  for (const auto& record : records) {
-    const Duration extra = record.finish - record.start - kMs;
-    EXPECT_FALSE(extra.is_negative());
-    EXPECT_LE(extra, kMs);
-    const std::int64_t pos = record.index % 5;
-    if (pos >= 2) {
-      EXPECT_TRUE(extra.is_zero()) << "firing " << record.index;
-    }
-    any_jitter = any_jitter || extra.is_positive();
-  }
-  EXPECT_TRUE(any_jitter);
-}
-
 TEST(FaultInjection, DescribeNamesActorsAndKinds) {
   Pipeline p = make_pipeline();
   FaultPlan plan(3);
@@ -351,11 +332,9 @@ TEST(Monitor, CsvEmittersAreStructured) {
   const RunResult run = sim.run(stop);
   monitor.observe(sim, run);
 
-  const std::string violations =
-      io::rho_violations_to_csv(monitor.report(), p.graph);
-  EXPECT_NE(violations.find("actor,firing,declared_s,observed_s"),
-            std::string::npos);
-  EXPECT_NE(violations.find("p,0,"), std::string::npos);
+  ASSERT_FALSE(monitor.report().rho_violations.empty());
+  EXPECT_EQ(monitor.report().rho_violations.front().actor, p.producer);
+  EXPECT_EQ(monitor.report().rho_violations.front().firing, 0);
   const std::string conformance =
       io::conformance_to_csv(monitor.report(), p.graph);
   EXPECT_NE(conformance.find("actor,period_s,firings,late_firings"),
@@ -612,26 +591,25 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
   for (analysis::ActorMargin& margin : report.actors) {
     const Duration slack = margin.max_response_time - margin.response_time;
     if (slack.is_positive()) {
-      VrdfGraph probe = graph;
+      std::vector<Duration> rho = response_times(graph);
       const std::int64_t best = max_true([&](std::int64_t k) {
-        probe.set_response_time(
-            margin.actor,
-            margin.response_time + slack * Rational(k, kReferenceGrid));
-        return fits(probe);
+        rho[margin.actor.index()] =
+            margin.response_time + slack * Rational(k, kReferenceGrid);
+        return fits(with_response_times(graph, rho));
       });
       margin.margin = slack * Rational(best, kReferenceGrid);
     }
   }
   const std::int64_t joint = max_true([&](std::int64_t k) {
-    VrdfGraph probe = graph;
+    std::vector<Duration> rho = response_times(graph);
     for (const analysis::ActorMargin& m : report.actors) {
       const Duration slack = m.max_response_time - m.response_time;
       if (slack.is_positive()) {
-        probe.set_response_time(
-            m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
+        rho[m.actor.index()] =
+            m.response_time + slack * Rational(k, kReferenceGrid);
       }
     }
-    return fits(probe);
+    return fits(with_response_times(graph, rho));
   });
   report.joint_safe_fraction = Rational(joint, kReferenceGrid);
   report.ok = true;
@@ -688,10 +666,11 @@ void install_capacities(VrdfGraph& graph,
 
 /// Halves every actor's response time, leaving each one slack to search.
 void halve_response_times(VrdfGraph& graph) {
-  for (std::size_t i = 0; i < graph.actor_count(); ++i) {
-    const ActorId v(static_cast<ActorId::underlying_type>(i));
-    graph.set_response_time(v, graph.actor(v).response_time * Rational(1, 2));
+  std::vector<Duration> rho = response_times(graph);
+  for (Duration& r : rho) {
+    r = r * Rational(1, 2);
   }
+  graph = with_response_times(graph, rho);
 }
 
 /// A model with installed capacities, searched by the margin tests.
@@ -811,10 +790,12 @@ TEST(Robustness, MarginsMatchPerProbeFullRecompute) {
 }
 
 TEST(Robustness, JointFractionBoundedByEachActorsMargin) {
-  // Capacities are monotone in every ρ, so raising one actor's ρ by a
-  // fraction of its slack asks for no more than raising every actor's ρ
-  // by that fraction: the joint fraction can never exceed any actor's
-  // own margin fraction.  Margins are resolved on the 64-step grid.
+  // The joint fraction never exceeds any actor's own margin fraction on
+  // these models.  This is measured, not derived: only the fits
+  // predicate is monotone along each search direction, and per-pair
+  // capacities are not monotone in ρ (fork-join seed 8, sink mode:
+  // raising ρ(s0_b1_1) takes s0_pre_0 -> s0_b1_0 from 23 to 22).
+  // Margins are resolved on the 64-step grid.
   int partial_joint = 0;  // 0 < joint fraction < 1: the bound can bind
   for (const ModelClass model_class : kAllClasses) {
     for (const std::int64_t headroom : {0, 1, 2}) {
@@ -864,14 +845,15 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
         analysis::robustness_margins(graph, constraints);
     ASSERT_TRUE(report.ok);
     int inadmissible = 0;
-    // The last grid point at which set_point(probe, k) fits.
+    // The last grid point at which set_point(rho, k) fits.
     const auto last_fit = [&](const auto& set_point) {
-      VrdfGraph probe = graph;
+      std::vector<Duration> rho = response_times(graph);
       std::int64_t last = -1;
       bool missed = false;
       for (std::int64_t k = 0; k <= kReferenceGrid; ++k) {
-        set_point(probe, k);
-        const bool fits = fits_installed(probe, constraints, inadmissible);
+        set_point(rho, k);
+        const bool fits = fits_installed(with_response_times(graph, rho),
+                                         constraints, inadmissible);
         EXPECT_FALSE(fits && missed) << "grid point " << k << " fits again";
         missed = missed || !fits;
         last = fits ? k : last;
@@ -887,22 +869,24 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
         continue;
       }
       SCOPED_TRACE(graph.actor(m.actor).name);
-      const std::int64_t last = last_fit([&](VrdfGraph& probe, std::int64_t k) {
-        probe.set_response_time(
-            m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
-      });
+      const std::int64_t last =
+          last_fit([&](std::vector<Duration>& rho, std::int64_t k) {
+            rho[m.actor.index()] =
+                m.response_time + slack * Rational(k, kReferenceGrid);
+          });
       EXPECT_EQ(m.margin, slack * Rational(last, kReferenceGrid));
     }
     SCOPED_TRACE("joint fraction");
-    const std::int64_t joint = last_fit([&](VrdfGraph& probe, std::int64_t k) {
-      for (const analysis::ActorMargin& m : report.actors) {
-        const Duration slack = m.max_response_time - m.response_time;
-        if (slack.is_positive()) {
-          probe.set_response_time(
-              m.actor, m.response_time + slack * Rational(k, kReferenceGrid));
-        }
-      }
-    });
+    const std::int64_t joint =
+        last_fit([&](std::vector<Duration>& rho, std::int64_t k) {
+          for (const analysis::ActorMargin& m : report.actors) {
+            const Duration slack = m.max_response_time - m.response_time;
+            if (slack.is_positive()) {
+              rho[m.actor.index()] =
+                  m.response_time + slack * Rational(k, kReferenceGrid);
+            }
+          }
+        });
     EXPECT_EQ(report.joint_safe_fraction, Rational(joint, kReferenceGrid));
   };
 

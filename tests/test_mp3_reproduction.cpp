@@ -50,6 +50,21 @@ TEST(Mp3Reproduction, VrdfCapacitiesMatchPaper) {
   EXPECT_EQ(analysis.pairs[0].capacity, Mp3PaperNumbers::kVrdfCapacities[0]);
   EXPECT_EQ(analysis.pairs[1].capacity, Mp3PaperNumbers::kVrdfCapacities[1]);
   EXPECT_EQ(analysis.pairs[2].capacity, Mp3PaperNumbers::kVrdfCapacities[2]);
+
+  // The Sec 3.1 task graph, through the Sec 3.3 construction, sizes the
+  // same.
+  const models::Mp3TaskGraph tasks = models::make_mp3_task_graph();
+  const taskgraph::VrdfConstruction built = tasks.graph.to_vrdf();
+  const GraphAnalysis via_tasks = analysis::compute_buffer_capacities(
+      built.graph,
+      analysis::ConstraintSet{analysis::ThroughputConstraint{
+          built.actor_of_task[tasks.dac.index()], app.constraint.period}});
+  ASSERT_TRUE(via_tasks.admissible);
+  ASSERT_EQ(via_tasks.pairs.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(via_tasks.pairs[i].capacity,
+              Mp3PaperNumbers::kVrdfCapacities[i]);
+  }
 }
 
 TEST(Mp3Reproduction, RawTokenCountsAreIntegral) {

@@ -440,27 +440,24 @@ TEST(MinPeriodGoldens, RandomModels) {
   EXPECT_EQ(fnv1a(other_modes.str()), 0x9921567635432c92ULL) << other_modes.str();
 }
 
-TEST(MinPeriodGoldens, SpaceOverlayMatchesMutatedGraph) {
-  // Space-edge δ overrides on a snapshot answer exactly what installing
-  // the same capacities on the graph answers.
+TEST(MinPeriodGoldens, LargerInstalledSpaceMovesThePeriod) {
+  // The solver reads installed capacities from the graph: three more free
+  // containers per buffer give the period pinned below, through the
+  // snapshot form and the graph form alike.
   models::RandomModelSpec spec;
   spec.model_class = models::ModelClass::ForkJoin;
   spec.seed = 3;
   const models::SyntheticModel model = models::make_random_model(spec);
   const ActorId designated = model.constraints.front().actor;
   VrdfGraph mutated = model.graph;
-  ParameterOverlay overlay;
   for (const dataflow::BufferEdges& buffer : model.graph.buffers()) {
-    const std::int64_t larger =
-        model.graph.edge(buffer.space).initial_tokens + 3;
-    overlay.set_initial_tokens(buffer.space, larger);
-    mutated.set_initial_tokens(buffer.space, larger);
+    mutated.set_initial_tokens(
+        buffer.space, model.graph.edge(buffer.space).initial_tokens + 3);
   }
-  const std::string via_overlay = render(min_admissible_period(
-      TopologySnapshot(model.graph), model.constraints, designated, {},
-      overlay));
-  EXPECT_EQ(via_overlay, golden_of(mutated, model.constraints, designated));
-  EXPECT_EQ(via_overlay,
+  const std::string via_snapshot = render(min_admissible_period(
+      TopologySnapshot(mutated), model.constraints, designated));
+  EXPECT_EQ(via_snapshot, golden_of(mutated, model.constraints, designated));
+  EXPECT_EQ(via_snapshot,
             "ok=1 min=7/10000 inf=7/11000 attained=0 binding=buffer "
             "src->s0_b1_0");
 }

@@ -20,7 +20,8 @@ TEST(Platform, BindingAndResponseTimes) {
   platform.bind_task("decode", p0, milliseconds(Rational(1)),
                      milliseconds(Rational(2)));
   // κ = ceil(2/1)·(4−1) + 2 = 8 ms.
-  EXPECT_EQ(platform.response_time("decode"), milliseconds(Rational(8)));
+  EXPECT_EQ(platform.service_model("decode").response_time(),
+            milliseconds(Rational(8)));
   EXPECT_EQ(platform.utilization(p0), Rational(1, 4));
   EXPECT_EQ(platform.slack(p0), milliseconds(Rational(3)));
 }
@@ -49,7 +50,8 @@ TEST(Platform, RejectsDuplicateBindingsAndUnknownLookups) {
   EXPECT_THROW(platform.bind_task("t", p0, milliseconds(Rational(1)),
                                   milliseconds(Rational(1))),
                ContractError);
-  EXPECT_THROW((void)platform.response_time("nope"), ContractError);
+  EXPECT_THROW((void)platform.service_model("nope").response_time(),
+               ContractError);
   EXPECT_THROW((void)platform.add_processor("dsp0", milliseconds(Rational(1))),
                ContractError);
 }
@@ -63,9 +65,10 @@ TEST(Platform, DrivesChainAdmissibility) {
         platform.add_processor("dsp", milliseconds(Rational(2)));
     platform.bind_task("wa", dsp, slot_a, milliseconds(Rational(1)));
     platform.bind_task("wb", dsp, slot_b, milliseconds(Rational(1)));
-    const models::Fig1Vrdf model = models::make_fig1_vrdf(
-        milliseconds(Rational(8)), platform.response_time("wa"),
-        platform.response_time("wb"));
+    const models::Fig1Vrdf model =
+        models::make_fig1_vrdf(milliseconds(Rational(8)),
+                               platform.service_model("wa").response_time(),
+                               platform.service_model("wb").response_time());
     return analysis::compute_buffer_capacities(model.graph, model.constraint)
         .admissible;
   };
@@ -99,9 +102,12 @@ TEST(Platform, FullDesignFlowOnMp3) {
   // vDAC is dedicated hardware: kappa = 1/44100 s (no arbitration).
 
   dataflow::VrdfGraph graph;
-  const auto br = graph.add_actor("vBR", platform.response_time("vBR"));
-  const auto mp3 = graph.add_actor("vMP3", platform.response_time("vMP3"));
-  const auto src = graph.add_actor("vSRC", platform.response_time("vSRC"));
+  const auto kappa = [&](const char* task) {
+    return platform.service_model(task).response_time();
+  };
+  const auto br = graph.add_actor("vBR", kappa("vBR"));
+  const auto mp3 = graph.add_actor("vMP3", kappa("vMP3"));
+  const auto src = graph.add_actor("vSRC", kappa("vSRC"));
   const auto dac = graph.add_actor("vDAC", period_of_hz(Rational(44100)));
   (void)graph.add_buffer(br, mp3, RateSet::singleton(2048),
                          RateSet::interval(0, 960));
@@ -128,7 +134,8 @@ TEST(Platform, FullDesignFlowOnMp3) {
   dataflow::VrdfGraph slow;
   const auto br2 = slow.add_actor("vBR", milliseconds(Rational(512, 10)));
   const auto mp32 = slow.add_actor("vMP3", milliseconds(Rational(24)));
-  const auto src2 = slow.add_actor("vSRC", bad.response_time("vSRC"));
+  const auto src2 =
+      slow.add_actor("vSRC", bad.service_model("vSRC").response_time());
   const auto dac2 = slow.add_actor("vDAC", period_of_hz(Rational(44100)));
   (void)slow.add_buffer(br2, mp32, RateSet::singleton(2048),
                         RateSet::interval(0, 960));
@@ -168,19 +175,6 @@ TracedRun traced_run() {
   return run;
 }
 
-TEST(Trace, FiringsCsvShape) {
-  const TracedRun run = traced_run();
-  const std::string csv =
-      io::firings_to_csv(*run.sim, run.graph, {run.a, run.b});
-  EXPECT_EQ(csv.rfind("actor,firing,start_s,finish_s\n", 0), 0u);
-  EXPECT_NE(csv.find("\na,0,0,1/1000\n"), std::string::npos);
-  // One line per recorded firing plus the header.
-  const auto lines = static_cast<std::size_t>(
-      std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, 1 + run.sim->firings(run.a).size() +
-                       run.sim->firings(run.b).size());
-}
-
 TEST(Trace, OccupancyCsvTracksTokens) {
   const TracedRun run = traced_run();
   const std::string csv =
@@ -188,35 +182,6 @@ TEST(Trace, OccupancyCsvTracksTokens) {
   EXPECT_EQ(csv.rfind("time_s,edge,tokens\n", 0), 0u);
   EXPECT_NE(csv.find("0,a->b,0\n"), std::string::npos);  // starts empty
   EXPECT_NE(csv.find(",a->b,2"), std::string::npos);     // fills to 2
-}
-
-TEST(Trace, VcdIsWellFormed) {
-  const TracedRun run = traced_run();
-  const std::string vcd = io::occupancy_to_vcd(
-      *run.sim, run.graph, {run.buffer.data, run.buffer.space});
-  EXPECT_NE(vcd.find("$timescale 1ns $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$var integer 64 ! a_to_b $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$var integer 64 \" a_to_b_space $end"), std::string::npos);
-  EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
-  EXPECT_NE(vcd.find("#0\n"), std::string::npos);
-  // Timestamps are non-decreasing.
-  std::int64_t last = -1;
-  std::istringstream is(vcd);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line[0] == '#') {
-      const std::int64_t t = std::stoll(line.substr(1));
-      EXPECT_GE(t, last);
-      last = t;
-    }
-  }
-  EXPECT_GE(last, 0);
-}
-
-TEST(Trace, VcdRejectsBadInputs) {
-  const TracedRun run = traced_run();
-  EXPECT_THROW((void)io::occupancy_to_vcd(*run.sim, run.graph, {}),
-               ContractError);
 }
 
 }  // namespace

@@ -24,16 +24,7 @@ std::vector<std::int64_t> draw(QuantumSource& source, std::int64_t count) {
 
 TEST(QuantumSource, ConstantAndExtremes) {
   EXPECT_EQ(draw(*constant_source(5), 3), (std::vector<std::int64_t>{5, 5, 5}));
-  const RateSet set = RateSet::of({2, 7, 9});
-  EXPECT_EQ(draw(*always_min_source(set), 2), (std::vector<std::int64_t>{2, 2}));
-  EXPECT_EQ(draw(*always_max_source(set), 2), (std::vector<std::int64_t>{9, 9}));
   EXPECT_THROW((void)constant_source(-1), ContractError);
-}
-
-TEST(QuantumSource, CyclicWrapsAround) {
-  EXPECT_EQ(draw(*cyclic_source({1, 2, 3}), 7),
-            (std::vector<std::int64_t>{1, 2, 3, 1, 2, 3, 1}));
-  EXPECT_THROW((void)cyclic_source({}), ContractError);
 }
 
 TEST(QuantumSource, ScriptedPrefixThenTail) {
@@ -74,7 +65,7 @@ TEST(QuantumSource, ClonesReproduceTheStream) {
   const RateSet set = RateSet::interval(0, 960);
   for (const auto& make :
        {uniform_random_source(set, 77), random_walk_source(set, 78, 5),
-        cyclic_source({1, 4, 2}), scripted_source({5, 5}, 2)}) {
+        min_max_alternating_source(set), scripted_source({5, 5}, 2)}) {
     auto clone = make->clone();
     auto original_again = make->clone();
     EXPECT_EQ(draw(*clone, 100), draw(*original_again, 100))

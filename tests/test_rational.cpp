@@ -77,13 +77,11 @@ TEST(Rational, DivisionByZeroThrows) {
   EXPECT_THROW((void)Rational(0).reciprocal(), ContractError);
 }
 
-TEST(Rational, FloorCeilTrunc) {
+TEST(Rational, FloorCeil) {
   EXPECT_EQ(Rational(7, 2).floor(), 3);
   EXPECT_EQ(Rational(7, 2).ceil(), 4);
-  EXPECT_EQ(Rational(7, 2).trunc(), 3);
   EXPECT_EQ(Rational(-7, 2).floor(), -4);
   EXPECT_EQ(Rational(-7, 2).ceil(), -3);
-  EXPECT_EQ(Rational(-7, 2).trunc(), -3);
   EXPECT_EQ(Rational(6).floor(), 6);
   EXPECT_EQ(Rational(6).ceil(), 6);
 }
@@ -93,11 +91,9 @@ TEST(Rational, IsIntegerDetection) {
   EXPECT_FALSE(Rational(8, 3).is_integer());
 }
 
-TEST(Rational, ReciprocalAndAbs) {
+TEST(Rational, Reciprocal) {
   EXPECT_EQ(Rational(3, 4).reciprocal(), Rational(4, 3));
   EXPECT_EQ(Rational(-3, 4).reciprocal(), Rational(-4, 3));
-  EXPECT_EQ(Rational(-3, 4).abs(), Rational(3, 4));
-  EXPECT_EQ(Rational(3, 4).abs(), Rational(3, 4));
 }
 
 TEST(Rational, ToStringFormats) {
@@ -469,8 +465,7 @@ TEST(Rational, FastPathsMatchReferenceArithmetic) {
   }
 }
 
-TEST(Rational, MinMaxHelpers) {
-  EXPECT_EQ(min(Rational(1, 3), Rational(1, 2)), Rational(1, 3));
+TEST(Rational, MaxHelper) {
   EXPECT_EQ(max(Rational(1, 3), Rational(1, 2)), Rational(1, 2));
 }
 

@@ -51,17 +51,6 @@ TEST(Arbiter, LatencyRateFormula) {
             milliseconds(Rational(14)));
 }
 
-TEST(Arbiter, RoundRobinSumsAllWcets) {
-  const std::vector<Duration> wcets{milliseconds(Rational(1)),
-                                    milliseconds(Rational(2)),
-                                    milliseconds(Rational(3))};
-  EXPECT_EQ(sched::round_robin_response_time(wcets, 0),
-            milliseconds(Rational(6)));
-  EXPECT_EQ(sched::round_robin_response_time(wcets, 2),
-            milliseconds(Rational(6)));
-  EXPECT_THROW((void)sched::round_robin_response_time(wcets, 3), ContractError);
-}
-
 TEST(Arbiter, InputValidation) {
   const sched::TdmAllocation bad{milliseconds(Rational(4)),
                                  milliseconds(Rational(1))};
@@ -93,14 +82,6 @@ TEST(Dot, VrdfGraphExportContainsActorsAndEdges) {
   EXPECT_NE(dot.find("vMP3"), std::string::npos);
   EXPECT_NE(dot.find("{2048} / [0,960]"), std::string::npos);
   EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-}
-
-TEST(Dot, TaskGraphExportContainsCapacities) {
-  models::Mp3TaskGraph app = models::make_mp3_task_graph();
-  app.graph.set_capacity(app.b3, 882);
-  const std::string dot = io::to_dot(app.graph);
-  EXPECT_NE(dot.find("digraph taskgraph"), std::string::npos);
-  EXPECT_NE(dot.find("zeta=882"), std::string::npos);
 }
 
 TEST(TextFormat, RoundTripPreservesModel) {
@@ -286,7 +267,8 @@ TEST(ArbiterProperty, LatencyRateDominatesSlotGranularTdm) {
 
 TEST(ArbiterProperty, LatencyRateDominatesRoundRobinServiceModel) {
   // Same property through the uniform ServiceModel, round-robin side:
-  // 2Σ − C ≥ Σ for any C ≤ Σ.
+  // κ = Σ exactly, its latency-rate form gives 2Σ − C, and 2Σ − C ≥ Σ
+  // for any C ≤ Σ.
   std::mt19937_64 rng(43);
   std::uniform_int_distribution<std::int64_t> wcet_64ths(1, 64);
   for (int trial = 0; trial < 200; ++trial) {
@@ -298,6 +280,8 @@ TEST(ArbiterProperty, LatencyRateDominatesRoundRobinServiceModel) {
     const Duration exact = model.response_time();
     const Duration abstracted =
         model.as_latency_rate().response_time(model.wcet);
+    EXPECT_EQ(exact, model.total_wcet);
+    EXPECT_EQ(abstracted, model.total_wcet + model.total_wcet - model.wcet);
     EXPECT_FALSE((abstracted - exact).is_negative());
   }
 }
@@ -312,7 +296,7 @@ TEST(Platform, UnknownTaskAndProcessorErrorsAreLineAttributable) {
   // Unknown task: the error names the task and carries the PR 4
   // file:line attribution suffix.
   try {
-    (void)platform.response_time("ghost");
+    (void)platform.service_model("ghost").response_time();
     FAIL() << "expected ContractError";
   } catch (const ContractError& e) {
     const std::string what = e.what();
@@ -341,13 +325,18 @@ TEST(Platform, UnknownTaskAndProcessorErrorsAreLineAttributable) {
   EXPECT_THROW((void)platform.wheel_period(3), ContractError);
   EXPECT_THROW((void)platform.slack(3), ContractError);
 
-  // Policy-mismatched bind overloads are rejected naming both sides.
+  // A slot binding on a round-robin processor is rejected naming both
+  // sides.
+  const auto ring = platform.add_processor(
+      "ring", milliseconds(Rational(1)), sched::ArbiterPolicy::RoundRobin);
   try {
-    platform.bind_task("rr-style", cpu, milliseconds(Rational(1, 8)));
+    platform.bind_task("rr-style", ring, milliseconds(Rational(1, 8)),
+                       milliseconds(Rational(1, 8)));
     FAIL() << "expected ContractError";
   } catch (const ContractError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("runs a tdm arbiter"), std::string::npos) << what;
+    EXPECT_NE(what.find("runs a round-robin arbiter"), std::string::npos)
+        << what;
     EXPECT_NE(what.find("rr-style"), std::string::npos) << what;
   }
 }

@@ -5,11 +5,15 @@
 // "theorem holds in practice" test.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/buffer_sizing.hpp"
 #include "dataflow/validation.hpp"
+#include "io/text_format.hpp"
 #include "models/synthetic.hpp"
 #include "sim/fleet.hpp"
 #include "sim/verify.hpp"
+#include "util/error.hpp"
 
 namespace vrdf {
 namespace {
@@ -44,6 +48,53 @@ INSTANTIATE_TEST_SUITE_P(
     SinkAndSource, RandomChainSweep,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u),
                        ::testing::Bool()));
+
+/// 64-bit FNV-1a of a golden text.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t fnv = 0xcbf29ce484222325ULL;
+  for (const char byte : text) {
+    fnv = (fnv ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+  }
+  return fnv;
+}
+
+TEST(RandomChainSweep, OverlongChainsAreRejectedByName) {
+  // 255 random rate ratios: for every seed the pacing leaves int64, and
+  // the error names the seed, the length and the actor where it does.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomChainSpec spec;
+    spec.seed = seed;
+    spec.length = 256;
+    try {
+      (void)models::make_random_chain(spec);
+      ADD_FAILURE() << "seed " << seed << " generated a chain";
+    } catch (const OverflowError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("random chain (seed " + std::to_string(seed) +
+                               ", length 256): the rate product leaves "
+                               "int64 at actor 't",
+                           0),
+                0u)
+          << what;
+    }
+  }
+}
+
+TEST(RandomChainSweep, ShortChainsKeepTheirBytes) {
+  // Length 8 never overflows; the generated models are pinned by digest.
+  std::string text;
+  for (const bool source_constrained : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      RandomChainSpec spec;
+      spec.seed = seed;
+      spec.length = 8;
+      spec.source_constrained = source_constrained;
+      const SyntheticChain chain = models::make_random_chain(spec);
+      text += io::write_chain(chain.graph, {chain.constraint});
+    }
+  }
+  EXPECT_EQ(fnv1a(text), 0xf7b31dd376ab104dULL) << text;
+}
 
 TEST(RandomChainSweep, FleetVerifiesComputedCapacitiesAtScale) {
   // The simulation half of the sweep, through the sharded fleet harness
