@@ -52,7 +52,7 @@ void BM_SimulatorFiringsFaulted(benchmark::State& state) {
   const auto b = g.add_actor("b", milliseconds(Rational(1)));
   (void)g.add_buffer(a, b, dataflow::RateSet::singleton(3),
                      dataflow::RateSet::of({2, 3}), 11);
-  sim::FaultPlan plan(9);
+  sim::FaultPlan plan;
   plan.rho_overrun(a, milliseconds(Rational(1, 20)));
   plan.rho_overrun(b, milliseconds(Rational(1, 20)));
   std::int64_t fired = 0;

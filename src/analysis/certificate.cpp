@@ -8,8 +8,6 @@ const char* service_policy_name(ServicePolicy policy) {
   switch (policy) {
     case ServicePolicy::TdmSlotGranular: return "tdm-slot-granular";
     case ServicePolicy::TdmLatencyRate: return "tdm-latency-rate";
-    case ServicePolicy::RoundRobin: return "round-robin";
-    case ServicePolicy::RoundRobinLatencyRate: return "round-robin-latency-rate";
   }
   return "unknown";
 }

@@ -63,21 +63,18 @@ struct PairFact {
   std::int64_t capacity = 0;
 };
 
-/// κ-derivation policy recorded in a platform clause.  TdmSlotGranular
-/// and RoundRobin are the policy-exact bounds; the LatencyRate variants
-/// are the (conservative) latency-rate abstractions of the same arbiter
-/// terms.
+/// κ-derivation policy recorded in a platform clause: the policy-exact
+/// slot-granular TDM bound, or the (conservative) latency-rate
+/// abstraction of the same wheel terms.
 enum class ServicePolicy {
   TdmSlotGranular,
   TdmLatencyRate,
-  RoundRobin,
-  RoundRobinLatencyRate,
 };
 
 [[nodiscard]] const char* service_policy_name(ServicePolicy policy);
 
 /// Per-actor κ-derivation fact for deployed analyses: the arbiter terms
-/// (slot, wheel, WCET, ceil term / Σ-WCET) and the derived κ, which must
+/// (slot, wheel, WCET, ceil term) and the derived κ, which must
 /// equal the ρ recorded in the actor's ActorFact.  The checker re-derives
 /// κ from the terms in exact Rationals (ClauseKind::Kappa) without any
 /// sched includes — the platform clause is self-contained.
@@ -86,11 +83,8 @@ struct PlatformFact {
   ServicePolicy policy = ServicePolicy::TdmSlotGranular;
   /// The task's own worst-case execution time C.
   Duration wcet;
-  /// TDM terms (zero for round-robin policies).
   Duration slot;
   Duration wheel;
-  /// Round-robin term: Σ WCET over the processor's tasks (zero for TDM).
-  Duration total_wcet;
   /// TDM slot-granular: the ⌈C/slot⌉ witness; 0 otherwise.
   std::int64_t ceil_term = 0;
   /// Derived κ — the ρ the analysis ran with.

@@ -583,51 +583,32 @@ class Checker {
                        "platform WCET must be positive")) {
         continue;
       }
-      const bool tdm = fact.policy == ServicePolicy::TdmSlotGranular ||
-                       fact.policy == ServicePolicy::TdmLatencyRate;
+      if (!VRDF_CLAUSE(fact.slot.is_positive() && fact.slot <= fact.wheel,
+                       ClauseKind::Kappa, subject(), dur(fact.slot),
+                       dur(fact.wheel),
+                       "TDM slot must be positive and no larger than the "
+                       "wheel period")) {
+        continue;
+      }
       Duration kappa;
-      if (tdm) {
-        if (!VRDF_CLAUSE(fact.slot.is_positive() && fact.slot <= fact.wheel,
-                         ClauseKind::Kappa, subject(), dur(fact.slot),
-                         dur(fact.wheel),
-                         "TDM slot must be positive and no larger than the "
-                         "wheel period")) {
+      if (fact.policy == ServicePolicy::TdmSlotGranular) {
+        // ⌈C/slot⌉ witness: ceil_term − 1 < C/slot ≤ ceil_term, checked
+        // as pure inequalities so the checker needs no ceiling code.
+        const Rational chunks = fact.wcet.seconds() / fact.slot.seconds();
+        const bool witness = Rational(fact.ceil_term) >= chunks &&
+                             Rational(fact.ceil_term) - Rational(1) < chunks;
+        if (!VRDF_CLAUSE(witness, ClauseKind::Kappa, subject(),
+                         num(fact.ceil_term), chunks.to_string(),
+                         "ceil term is not the ceiling of WCET/slot")) {
           continue;
         }
-        if (fact.policy == ServicePolicy::TdmSlotGranular) {
-          // ⌈C/slot⌉ witness: ceil_term − 1 < C/slot ≤ ceil_term, checked
-          // as pure inequalities so the checker needs no ceiling code.
-          const Rational chunks = fact.wcet.seconds() / fact.slot.seconds();
-          const bool witness = Rational(fact.ceil_term) >= chunks &&
-                               Rational(fact.ceil_term) - Rational(1) < chunks;
-          if (!VRDF_CLAUSE(witness, ClauseKind::Kappa, subject(),
-                           num(fact.ceil_term), chunks.to_string(),
-                           "ceil term is not the ceiling of WCET/slot")) {
-            continue;
-          }
-          kappa = (fact.wheel - fact.slot) * Rational(fact.ceil_term) +
-                  fact.wcet;
-        } else {
-          // Latency-rate abstraction of the wheel:
-          // κ = (wheel − slot) + C·wheel/slot.
-          kappa = (fact.wheel - fact.slot) +
-                  fact.wcet * (fact.wheel.seconds() / fact.slot.seconds());
-        }
+        kappa = (fact.wheel - fact.slot) * Rational(fact.ceil_term) +
+                fact.wcet;
       } else {
-        if (!VRDF_CLAUSE(fact.total_wcet >= fact.wcet, ClauseKind::Kappa,
-                         subject(), dur(fact.total_wcet),
-                         dur(fact.wcet),
-                         "round-robin total WCET must cover the task's own "
-                         "WCET")) {
-          continue;
-        }
-        if (fact.policy == ServicePolicy::RoundRobin) {
-          kappa = fact.total_wcet;
-        } else {
-          // Latency-rate abstraction of the round: latency = Σ − C,
-          // rate = C/Σ, so κ = (Σ − C) + C·Σ/C = 2Σ − C.
-          kappa = fact.total_wcet * Rational(2) - fact.wcet;
-        }
+        // Latency-rate abstraction of the wheel:
+        // κ = (wheel − slot) + C·wheel/slot.
+        kappa = (fact.wheel - fact.slot) +
+                fact.wcet * (fact.wheel.seconds() / fact.slot.seconds());
       }
       VRDF_CLAUSE(fact.kappa == kappa, ClauseKind::Kappa, subject(),
                   dur(fact.kappa), dur(kappa),

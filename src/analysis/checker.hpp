@@ -48,7 +48,7 @@ enum class ClauseKind {
   /// placement, constraint coupling and parameter binding.
   Coverage,
   /// Platform clause of deployed analyses: each recorded κ re-derived
-  /// from its arbiter terms (slot, wheel, WCET, ceil term / Σ-WCET) in
+  /// from its arbiter terms (slot, wheel, WCET, ceil term) in
   /// exact Rationals, and linked to the ρ the capacity clauses ran with.
   Kappa,
 };

@@ -89,17 +89,11 @@ PlatformFact to_platform_fact(const DerivedKappa& derived,
   fact.actor = actor;
   fact.wcet = service.wcet;
   fact.kappa = derived.kappa;
-  if (service.policy == sched::ArbiterPolicy::Tdm) {
-    fact.policy = exact ? ServicePolicy::TdmSlotGranular
-                        : ServicePolicy::TdmLatencyRate;
-    fact.slot = service.slot;
-    fact.wheel = service.wheel;
-    fact.ceil_term = exact ? service.ceil_term() : 0;
-  } else {
-    fact.policy = exact ? ServicePolicy::RoundRobin
-                        : ServicePolicy::RoundRobinLatencyRate;
-    fact.total_wcet = service.total_wcet;
-  }
+  fact.policy = exact ? ServicePolicy::TdmSlotGranular
+                      : ServicePolicy::TdmLatencyRate;
+  fact.slot = service.slot;
+  fact.wheel = service.wheel;
+  fact.ceil_term = exact ? service.ceil_term() : 0;
   return fact;
 }
 
@@ -257,9 +251,6 @@ DeploymentDecision DeploymentController::slot_step_(const std::string& task,
   VRDF_REQUIRE(slot.is_positive(),
                "slot budget of task '" + task + "' must be positive");
   const sched::ServiceModel before = platform_.service_model(task);
-  VRDF_REQUIRE(before.policy == sched::ArbiterPolicy::Tdm,
-               "task '" + task +
-                   "' runs under round-robin; only TDM slots can be retuned");
   const std::size_t proc = platform_.processor_of(task);
   const Duration available = platform_.slack(proc) + before.slot;
 

@@ -4,9 +4,9 @@
 //
 // The paper assumes every task's worst-case response time κ(w) is handed
 // down by a run-time arbiter.  This module closes that loop: each task's
-// binding on the platform yields a uniform sched::ServiceModel, κ is
-// derived from it (the policy-exact slot-granular TDM bound, the
-// round-robin sum, or the conservative latency-rate abstraction), the
+// binding on the platform yields a sched::ServiceModel, κ is derived
+// from it (the policy-exact slot-granular TDM bound or the conservative
+// latency-rate abstraction), the
 // task graph is instantiated as a VRDF model with ρ(v) = κ(w) via the
 // existing Sec 3.3 construction, and the capacity analysis runs
 // unchanged on top.
@@ -44,7 +44,7 @@ namespace vrdf::analysis {
 
 /// How κ is derived from each binding's service model.
 enum class KappaDerivation {
-  /// The policy-exact bound: slot-granular TDM or the round-robin sum.
+  /// The policy-exact bound: slot-granular TDM.
   PolicyExact,
   /// The latency-rate abstraction of the allocation — conservative
   /// (never smaller), but composable across arbiters.

@@ -17,6 +17,14 @@ namespace {
 
 constexpr std::size_t kNone = PacingResult::npos;
 
+/// Rethrows an int64 overflow in the pacing arithmetic of `actor` (its
+/// demand, or the rates of the buffer that paces it) naming the actor.
+[[noreturn]] void overflow_at(const VrdfGraph& graph, ActorId actor,
+                              const OverflowError& error) {
+  throw OverflowError("the rate product leaves int64 at actor '" +
+                      graph.actor(actor).name + "' (" + error.what() + ")");
+}
+
 /// Everything the shared propagation computes; compute_pacing and
 /// compute_partial_pacing wrap it with their respective coverage rules.
 struct CoreResult {
@@ -438,8 +446,12 @@ CoreResult propagate_core(const VrdfGraph& graph,
         return core;
       }
       // Demand of e_xy: φ(v_x) ≤ (φ(v_y)/γ̂(e_xy)) · π̌(e_xy).
-      const Duration demand =
-          core.phi[data.target.index()] * Rational(pi_min, gamma_max);
+      Duration demand;
+      try {
+        demand = core.phi[data.target.index()] * Rational(pi_min, gamma_max);
+      } catch (const OverflowError& e) {
+        overflow_at(graph, v, e);
+      }
       if (seeded) {
         if (!check_seed(v, demand, pos)) {
           return core;
@@ -494,8 +506,12 @@ CoreResult propagate_core(const VrdfGraph& graph,
         return core;
       }
       // Demand of e_xy: φ(v_y) ≤ (φ(v_x)/π̂(e_xy)) · γ̌(e_xy).
-      const Duration demand =
-          core.phi[data.source.index()] * Rational(gamma_min, pi_max);
+      Duration demand;
+      try {
+        demand = core.phi[data.source.index()] * Rational(gamma_min, pi_max);
+      } catch (const OverflowError& e) {
+        overflow_at(graph, v, e);
+      }
       if (seeded) {
         if (!check_seed(v, demand, pos)) {
           return core;
@@ -579,12 +595,19 @@ void derive_pair_rates(PacingResult& pacing, const VrdfGraph& graph) {
     const Edge& data = graph.edge(pacing.buffers_in_order[pos].data);
     const std::int64_t pi_max = data.production.max();
     const std::int64_t gamma_max = data.consumption.max();
+    const bool sink = pacing.determined_by[pos] == ConstraintSide::Sink;
     Duration& s = pacing.bound_rate[pos];
-    s = pacing.determined_by[pos] == ConstraintSide::Sink
-            ? pacing.pacing_by_actor[data.target.index()] / Rational(gamma_max)
-            : pacing.pacing_by_actor[data.source.index()] / Rational(pi_max);
-    pacing.producer_slack[pos] = s * Rational(pi_max - 1);
-    pacing.consumer_slack[pos] = s * Rational(gamma_max - 1);
+    try {
+      s = sink ? pacing.pacing_by_actor[data.target.index()] /
+                     Rational(gamma_max)
+               : pacing.pacing_by_actor[data.source.index()] /
+                     Rational(pi_max);
+      pacing.producer_slack[pos] = s * Rational(pi_max - 1);
+      pacing.consumer_slack[pos] = s * Rational(gamma_max - 1);
+    } catch (const OverflowError& e) {
+      // The pair paces its far endpoint.
+      overflow_at(graph, sink ? data.source : data.target, e);
+    }
   }
 }
 

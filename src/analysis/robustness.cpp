@@ -8,7 +8,6 @@
 #include "analysis/sizing_core.hpp"
 #include "analysis/snapshot.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace vrdf::analysis {
 
@@ -203,10 +202,6 @@ RobustnessReport robustness_margins(const dataflow::VrdfGraph& graph,
       engine.rollback();
       margin.margin = slack * Rational(best, kGridSteps);
     }
-    VRDF_LOG(Trace) << "robustness: actor '" << graph.actor(margin.actor).name
-                    << "' rho=" << margin.response_time.to_string()
-                    << " phi=" << margin.max_response_time.to_string()
-                    << " margin=" << margin.margin.to_string();
   }
 
   // Per-actor margins hold the *other* actors at their declared ρ and do

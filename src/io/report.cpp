@@ -260,7 +260,7 @@ std::string deployment_report(const taskgraph::TaskGraph& tasks,
   Table procs({"processor", "arbiter", "wheel (s)", "utilization", "slack (s)"});
   for (std::size_t p = 0; p < platform.processor_count(); ++p) {
     procs.add_row({platform.processor_name(p),
-                   sched::arbiter_policy_name(platform.policy(p)),
+                   "tdm",
                    platform.wheel_period(p).seconds().to_string(),
                    platform.utilization(p).to_string(),
                    platform.slack(p).seconds().to_string()});
@@ -272,15 +272,11 @@ std::string deployment_report(const taskgraph::TaskGraph& tasks,
                 "derivation", "kappa (s)"});
   for (const analysis::DerivedKappa& derived : result.kappas) {
     const sched::ServiceModel& service = derived.service;
-    const std::string allocation =
-        service.policy == sched::ArbiterPolicy::Tdm
-            ? service.slot.seconds().to_string() + " / " +
-                  service.wheel.seconds().to_string()
-            : "sum " + service.total_wcet.seconds().to_string();
     kappas.add_row({derived.task_name,
-                    platform.processor_name(derived.processor),
-                    sched::arbiter_policy_name(service.policy),
-                    service.wcet.seconds().to_string(), allocation,
+                    platform.processor_name(derived.processor), "tdm",
+                    service.wcet.seconds().to_string(),
+                    service.slot.seconds().to_string() + " / " +
+                        service.wheel.seconds().to_string(),
                     analysis::kappa_derivation_name(derived.derivation),
                     derived.kappa.seconds().to_string()});
   }

@@ -25,14 +25,21 @@ std::optional<VrdfGraph> with_scaled_response_times(
   if (!pacing.ok) {
     return std::nullopt;
   }
-  // φ per actor id (pacing is reported in chain order).
-  std::vector<Duration> phi(graph.actor_count());
+  // fraction · φ per actor id (pacing is reported in chain order).
+  std::vector<Duration> rho(graph.actor_count());
   for (std::size_t i = 0; i < pacing.actors_in_order.size(); ++i) {
-    phi[pacing.actors_in_order[i].index()] = pacing.pacing[i];
+    rho[pacing.actors_in_order[i].index()] = pacing.pacing[i] * fraction;
   }
+  return with_response_times(graph, rho);
+}
+
+VrdfGraph with_response_times(const VrdfGraph& graph,
+                              const std::vector<Duration>& rho) {
+  VRDF_REQUIRE(rho.size() == graph.actor_count(),
+               "one response time per actor");
   VrdfGraph out;
   for (const ActorId a : graph.actors()) {
-    (void)out.add_actor(graph.actor(a).name, phi[a.index()] * fraction);
+    (void)out.add_actor(graph.actor(a).name, rho[a.index()]);
   }
   for (const dataflow::BufferEdges& b : graph.buffers()) {
     const dataflow::Edge& data = graph.edge(b.data);
@@ -46,42 +53,6 @@ std::optional<VrdfGraph> with_scaled_response_times(
   }
   return out;
 }
-
-namespace {
-
-/// The first actor of a generated chain, walking away from the
-/// constrained end, at which the pacing arithmetic leaves int64: its φ
-/// (the period times the rate ratios on the way, π̌/γ̂ towards the
-/// source, γ̌/π̂ towards the sink), its scaled response time, or the rate
-/// terms of the buffer that paces it (φ(near)/q̂ and its slacks, as
-/// analysis::compute_pacing derives them); nullptr when all of it fits.
-const std::string* first_unpaceable_actor(const VrdfGraph& bare,
-                                          const RandomChainSpec& spec) {
-  const std::size_t n = bare.actor_count();
-  Duration phi = spec.period;
-  for (std::size_t step = 0; step + 1 < n; ++step) {
-    const std::size_t pos = spec.source_constrained ? step : n - 2 - step;
-    const dataflow::Edge& data = bare.edge(bare.buffers()[pos].data);
-    const std::int64_t pi_max = data.production.max();
-    const std::int64_t gamma_max = data.consumption.max();
-    const ActorId next = spec.source_constrained ? data.target : data.source;
-    try {
-      const Duration rate =
-          phi / Rational(spec.source_constrained ? pi_max : gamma_max);
-      (void)(rate * Rational(pi_max - 1));
-      (void)(rate * Rational(gamma_max - 1));
-      phi = spec.source_constrained
-                ? phi * Rational(data.consumption.min(), pi_max)
-                : phi * Rational(data.production.min(), gamma_max);
-      (void)(phi * spec.response_fraction);
-    } catch (const OverflowError&) {
-      return &bare.actor(next).name;
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 SyntheticChain make_random_chain(const RandomChainSpec& spec) {
   VRDF_REQUIRE(spec.length >= 2, "a chain needs at least two actors");
@@ -150,18 +121,11 @@ SyntheticChain make_random_chain(const RandomChainSpec& spec) {
     scaled =
         with_scaled_response_times(bare, {constraint}, spec.response_fraction);
   } catch (const OverflowError& e) {
-    // Long chains multiply many random rate ratios; the error names the
-    // chain and the actor where their product leaves int64.
-    std::string what = "random chain (seed " + std::to_string(spec.seed) +
-                       ", length " + std::to_string(spec.length) + "): ";
-    if (const std::string* actor = first_unpaceable_actor(bare, spec)) {
-      what += "the rate product leaves int64 at actor '";
-      what += *actor;
-      what += "'";
-    } else {
-      what += e.what();
-    }
-    throw OverflowError(what);
+    // Long chains multiply many random rate ratios; the pacing names the
+    // actor where their product leaves int64, this names the chain.
+    throw OverflowError("random chain (seed " + std::to_string(spec.seed) +
+                        ", length " + std::to_string(spec.length) +
+                        "): " + e.what());
   }
   VRDF_REQUIRE(scaled.has_value(),
                "generated chain must be admissible by construction");

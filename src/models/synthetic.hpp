@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/types.hpp"
 #include "dataflow/vrdf_graph.hpp"
@@ -66,6 +67,12 @@ struct RandomChainSpec {
 [[nodiscard]] std::optional<dataflow::VrdfGraph> with_scaled_response_times(
     const dataflow::VrdfGraph& graph,
     const analysis::ConstraintSet& constraints, Rational fraction);
+
+/// A copy of `graph` with ρ(v) = rho[v.index()]; names, rates, δ and
+/// every id are kept.  Copies the graph's buffers (every edge of a model
+/// built with add_buffer).
+[[nodiscard]] dataflow::VrdfGraph with_response_times(
+    const dataflow::VrdfGraph& graph, const std::vector<Duration>& rho);
 
 /// Parameters of the random fork-join generator.  Rates follow a "gear"
 /// scheme: each actor v gets an integer gear g(v), and every data edge

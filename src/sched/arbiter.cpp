@@ -4,14 +4,6 @@
 
 namespace vrdf::sched {
 
-const char* arbiter_policy_name(ArbiterPolicy policy) {
-  switch (policy) {
-    case ArbiterPolicy::Tdm: return "tdm";
-    case ArbiterPolicy::RoundRobin: return "round-robin";
-  }
-  return "unknown";
-}
-
 Duration LatencyRateServer::response_time(Duration wcet) const {
   VRDF_REQUIRE(!latency.is_negative(), "latency must be non-negative");
   VRDF_REQUIRE(rate.is_positive() && rate <= Rational(1),
@@ -36,19 +28,10 @@ LatencyRateServer TdmAllocation::as_latency_rate() const {
 }
 
 Duration ServiceModel::response_time() const {
-  VRDF_REQUIRE(wcet.is_positive(), "WCET must be positive");
-  if (policy == ArbiterPolicy::Tdm) {
-    return TdmAllocation{slot, wheel}.response_time(wcet);
-  }
-  VRDF_REQUIRE(total_wcet >= wcet,
-               "round-robin total WCET must cover the task's own WCET");
-  return total_wcet;
+  return TdmAllocation{slot, wheel}.response_time(wcet);
 }
 
 std::int64_t ServiceModel::ceil_term() const {
-  if (policy != ArbiterPolicy::Tdm) {
-    return 0;
-  }
   VRDF_REQUIRE(slot.is_positive(), "TDM slot must be positive");
   VRDF_REQUIRE(wcet.is_positive(), "WCET must be positive");
   return (wcet.seconds() / slot.seconds()).ceil();
@@ -56,13 +39,7 @@ std::int64_t ServiceModel::ceil_term() const {
 
 LatencyRateServer ServiceModel::as_latency_rate() const {
   VRDF_REQUIRE(wcet.is_positive(), "WCET must be positive");
-  if (policy == ArbiterPolicy::Tdm) {
-    return TdmAllocation{slot, wheel}.as_latency_rate();
-  }
-  VRDF_REQUIRE(total_wcet >= wcet,
-               "round-robin total WCET must cover the task's own WCET");
-  return LatencyRateServer{total_wcet - wcet,
-                           wcet.seconds() / total_wcet.seconds()};
+  return TdmAllocation{slot, wheel}.as_latency_rate();
 }
 
 }  // namespace vrdf::sched

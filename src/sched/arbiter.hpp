@@ -4,9 +4,9 @@
 // run-time arbiter that guarantees a worst-case response time κ(w) given
 // the task's worst-case execution time and the scheduler settings — a
 // guarantee that must hold regardless of how often the task is enabled.
-// Time-division multiplex (TDM) and round-robin are the named examples;
-// this module computes κ for both, plus the generic latency-rate server
-// abstraction that covers them.
+// Time-division multiplex (TDM) is the arbiter this module computes κ
+// for, together with the generic latency-rate server abstraction that
+// covers it.
 #pragma once
 
 #include <cstdint>
@@ -15,18 +15,6 @@
 #include "util/time.hpp"
 
 namespace vrdf::sched {
-
-/// Per-processor arbiter policy — the two run-time arbiters the paper
-/// names (Sec 3.1).
-enum class ArbiterPolicy {
-  /// TDM wheel: each task owns a slot budget out of every wheel period.
-  Tdm,
-  /// Run-to-completion round-robin: an activation waits at most one full
-  /// execution of every peer task plus its own execution.
-  RoundRobin,
-};
-
-[[nodiscard]] const char* arbiter_policy_name(ArbiterPolicy policy);
 
 /// A latency-rate server: a task receives service at least at `rate`
 /// (fraction of the processor, 0 < rate <= 1) after an initial latency.
@@ -54,33 +42,24 @@ struct TdmAllocation {
   [[nodiscard]] LatencyRateServer as_latency_rate() const;
 };
 
-/// The uniform service derivation of one binding.  Every (policy, terms)
-/// combination yields both the policy-exact response-time bound and a
-/// latency-rate abstraction of the allocation, so downstream layers
-/// (analysis/deployment, certificates) treat heterogeneous arbiters
-/// uniformly.  TDM bindings carry (slot, wheel); round-robin bindings
-/// carry the processor's Σ-WCET.
+/// The service derivation of one TDM binding: both the policy-exact
+/// response-time bound and the latency-rate abstraction of the
+/// allocation, which downstream layers (analysis/deployment,
+/// certificates) choose between.
 struct ServiceModel {
-  ArbiterPolicy policy = ArbiterPolicy::Tdm;
   /// The task's own worst-case execution time C.
   Duration wcet;
-  /// TDM terms (zero for round-robin).
   Duration slot;
   Duration wheel;
-  /// Round-robin term: Σ WCET over the processor's tasks, this one
-  /// included (zero for TDM).
-  Duration total_wcet;
 
-  /// Policy-exact κ: the slot-granular TDM bound or the round-robin sum.
+  /// Policy-exact κ: the slot-granular TDM bound.
   [[nodiscard]] Duration response_time() const;
 
-  /// TDM: ⌈C/slot⌉, the number of slot chunks the execution spans — the
-  /// witness term recorded in certificate platform clauses.  0 for
-  /// round-robin (its bound has no rounding).
+  /// ⌈C/slot⌉, the number of slot chunks the execution spans — the
+  /// witness term recorded in certificate platform clauses.
   [[nodiscard]] std::int64_t ceil_term() const;
 
-  /// The latency-rate abstraction of the allocation: TDM is
-  /// (wheel − slot, slot/wheel); round-robin is (Σ − C, C/Σ).  Its κ is
+  /// The latency-rate abstraction (wheel − slot, slot/wheel).  Its κ is
   /// never smaller than response_time() — see the property test in
   /// tests/test_sched_io.cpp.
   [[nodiscard]] LatencyRateServer as_latency_rate() const;

@@ -4,26 +4,20 @@
 
 namespace vrdf::sched {
 
-std::size_t Platform::add_processor(std::string name, Duration wheel_period,
-                                    ArbiterPolicy policy) {
+std::size_t Platform::add_processor(std::string name, Duration wheel_period) {
   VRDF_REQUIRE(!name.empty(), "processor name must be non-empty");
   VRDF_REQUIRE(wheel_period.is_positive(), "wheel period must be positive");
   for (const Processor& p : processors_) {
     VRDF_REQUIRE(p.name != name, "processor name '" + name + "' already used");
   }
   processors_.push_back(
-      Processor{std::move(name), wheel_period, Duration(), policy});
+      Processor{std::move(name), wheel_period, Duration()});
   return processors_.size() - 1;
 }
 
 void Platform::bind_task(const std::string& task, std::size_t processor,
                          Duration slot, Duration wcet) {
-  const Processor& checked = checked_processor_(processor);
-  VRDF_REQUIRE(checked.policy == ArbiterPolicy::Tdm,
-               "processor '" + checked.name + "' runs a " +
-                   arbiter_policy_name(checked.policy) +
-                   " arbiter; task '" + task +
-                   "' needs a TDM processor for its slot");
+  (void)checked_processor_(processor);  // the range error comes first
   VRDF_REQUIRE(slot.is_positive(), "slot budget of task '" + task +
                                        "' must be positive");
   VRDF_REQUIRE(wcet.is_positive(),
@@ -33,11 +27,8 @@ void Platform::bind_task(const std::string& task, std::size_t processor,
   Processor& proc = processors_[processor];
   const Duration after = proc.allocated + slot;
   VRDF_REQUIRE(after <= proc.wheel_period,
-               std::string(proc.policy == ArbiterPolicy::Tdm
-                               ? "TDM wheel of processor '"
-                               : "round-robin load budget of processor '") +
-                   proc.name + "' oversubscribed by binding task '" + task +
-                   "'");
+               "TDM wheel of processor '" + proc.name +
+                   "' oversubscribed by binding task '" + task + "'");
   proc.allocated = after;
   bindings_.push_back(Binding{task, processor, slot, wcet});
 }
@@ -54,10 +45,6 @@ void Platform::set_slot(const std::string& task, Duration slot) {
   }
   VRDF_REQUIRE(binding != nullptr, "task '" + task + "' is not bound");
   Processor& proc = processors_[binding->processor];
-  VRDF_REQUIRE(proc.policy == ArbiterPolicy::Tdm,
-               "task '" + task + "' runs under " +
-                   arbiter_policy_name(proc.policy) + " on processor '" +
-                   proc.name + "'; only TDM slots can be retuned");
   const Duration after = proc.allocated - binding->slot + slot;
   VRDF_REQUIRE(after <= proc.wheel_period,
                "TDM wheel of processor '" + proc.name +
@@ -69,10 +56,6 @@ void Platform::set_slot(const std::string& task, Duration slot) {
 
 const std::string& Platform::processor_name(std::size_t index) const {
   return checked_processor_(index).name;
-}
-
-ArbiterPolicy Platform::policy(std::size_t index) const {
-  return checked_processor_(index).policy;
 }
 
 Duration Platform::wheel_period(std::size_t index) const {
@@ -87,21 +70,8 @@ Duration Platform::slack(std::size_t processor) const {
 ServiceModel Platform::service_model(const std::string& task) const {
   const Binding* binding = find_binding(task);
   VRDF_REQUIRE(binding != nullptr, "task '" + task + "' is not bound");
-  const Processor& proc = processors_[binding->processor];
-  ServiceModel model;
-  model.policy = proc.policy;
-  model.wcet = binding->wcet;
-  if (proc.policy == ArbiterPolicy::Tdm) {
-    model.slot = binding->slot;
-    model.wheel = proc.wheel_period;
-  } else {
-    for (const Binding& peer : bindings_) {
-      if (peer.processor == binding->processor) {
-        model.total_wcet += peer.wcet;
-      }
-    }
-  }
-  return model;
+  return ServiceModel{binding->wcet, binding->slot,
+                      processors_[binding->processor].wheel_period};
 }
 
 std::size_t Platform::processor_of(const std::string& task) const {

@@ -3,10 +3,9 @@
 // run-time arbiters" whose worst-case response time is independent of
 // activation rates, per [15]).
 //
-// A Platform is a set of processors, each running either a TDM wheel or a
-// run-to-completion round-robin arbiter.  Tasks are bound to a TDM
-// processor with a slot budget and a worst-case execution time; the
-// platform derives each task's uniform ServiceModel, from which the
+// A Platform is a set of processors, each running a TDM wheel.  Tasks are
+// bound to a processor with a slot budget and a worst-case execution
+// time; the platform derives each task's ServiceModel, from which the
 // deployment analysis takes the worst-case response time κ that feeds
 // the task graph and from there the buffer-capacity analysis.
 // Validation guarantees a TDM wheel is never oversubscribed
@@ -28,42 +27,34 @@ public:
   struct Binding {
     std::string task;
     std::size_t processor = 0;
-    /// TDM: the slot budget.  Round-robin: equals the WCET (the load the
-    /// processor's budget accounts).
     Duration slot;
     Duration wcet;
   };
 
-  /// Adds a processor with the given arbiter policy; returns its index.
-  /// For TDM, `wheel_period` is the wheel; for round-robin it is the
-  /// served-load budget (Σ WCET of bound tasks may not exceed it).
-  std::size_t add_processor(std::string name, Duration wheel_period,
-                            ArbiterPolicy policy = ArbiterPolicy::Tdm);
+  /// Adds a processor with a TDM wheel of `wheel_period`; returns its
+  /// index.
+  std::size_t add_processor(std::string name, Duration wheel_period);
 
-  /// Binds a task to a TDM processor with a slot budget and WCET.  Throws
-  /// a line-attributable ContractError when the processor index is out of
-  /// range, the processor is not TDM, the wheel would be oversubscribed
-  /// (Σ slots > period), the slot is not positive, or the task name is
-  /// already bound.
+  /// Binds a task to a processor with a slot budget and WCET.  Throws a
+  /// line-attributable ContractError when the processor index is out of
+  /// range, the wheel would be oversubscribed (Σ slots > period), the
+  /// slot is not positive, or the task name is already bound.
   void bind_task(const std::string& task, std::size_t processor, Duration slot,
                  Duration wcet);
 
-  /// Retunes the slot budget of a TDM-bound task in place.  Throws when
-  /// the task is unknown, its processor is not TDM, the slot is not
-  /// positive, or the new slot would oversubscribe the wheel.
+  /// Retunes the slot budget of a bound task in place.  Throws when the
+  /// task is unknown, the slot is not positive, or the new slot would
+  /// oversubscribe the wheel.
   void set_slot(const std::string& task, Duration slot);
 
   [[nodiscard]] std::size_t processor_count() const { return processors_.size(); }
   [[nodiscard]] const std::string& processor_name(std::size_t index) const;
-  [[nodiscard]] ArbiterPolicy policy(std::size_t index) const;
   [[nodiscard]] Duration wheel_period(std::size_t index) const;
 
-  /// Remaining unallocated wheel time (TDM) or load budget (round-robin).
+  /// Remaining unallocated wheel time.
   [[nodiscard]] Duration slack(std::size_t processor) const;
 
-  /// The uniform service derivation of a bound task's allocation.  For
-  /// round-robin bindings the Σ-WCET term reflects the processor's
-  /// *current* task set, so it changes as peers bind.
+  /// The service derivation of a bound task's allocation.
   [[nodiscard]] ServiceModel service_model(const std::string& task) const;
 
   /// Processor index a bound task runs on.
@@ -74,8 +65,8 @@ public:
   /// All bindings in insertion order.
   [[nodiscard]] const std::vector<Binding>& bindings() const { return bindings_; }
 
-  /// Utilization of a processor: allocated slot time (TDM) or served load
-  /// (round-robin) over the wheel period.
+  /// Utilization of a processor: allocated slot time over the wheel
+  /// period.
   [[nodiscard]] Rational utilization(std::size_t processor) const;
 
 private:
@@ -83,7 +74,6 @@ private:
     std::string name;
     Duration wheel_period;
     Duration allocated;
-    ArbiterPolicy policy = ArbiterPolicy::Tdm;
   };
 
   /// Bounds-checked processor access; the error names the index and the

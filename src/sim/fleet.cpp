@@ -328,7 +328,7 @@ FleetItemResult FleetSweep::run_item(const FleetItem& item) const {
     options.monitor = spec_.faulted;
 
     SimulatorConfigurer configure;
-    FaultPlan plan(item.rng_seed);
+    FaultPlan plan;
     dataflow::ActorId faulted_actor;
     if (spec_.faulted) {
       const analysis::RobustnessReport margins =

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace vrdf::sim {
 
@@ -106,7 +105,6 @@ BlockageReport diagnose_blockage(const dataflow::VrdfGraph& graph,
     }
   }
   report.message = os.str();
-  VRDF_LOG(Debug) << "watchdog: " << report.message;
   return report;
 }
 
@@ -159,11 +157,6 @@ void ConformanceMonitor::observe_rho(const Simulator& sim) {
       if (report_.rho_violations.size() < kMaxRhoEvents) {
         report_.rho_violations.push_back(
             RhoViolation{a, records[k].index, declared, observed});
-        VRDF_LOG(Debug) << "conformance: actor '" << graph_->actor(a).name
-                        << "' firing " << records[k].index
-                        << " violated its rho contract (declared "
-                        << declared.to_string() << ", observed "
-                        << observed.to_string() << ")";
       }
     }
     rho_cursor_[a.index()] = records.size();
@@ -226,13 +219,6 @@ void ConformanceMonitor::observe_constraints(const Simulator& sim,
     // A starving periodic actor shows up through both lenses; count each
     // late activation once, preferring the engine's starvation record.
     conformance.late_firings += std::max(starved, anchored_late);
-
-    VRDF_LOG(Trace) << "conformance: constraint '"
-                    << graph_->actor(conformance.actor).name << "' period "
-                    << tau.to_string() << ": " << conformance.firings_observed
-                    << " firings, " << conformance.late_firings
-                    << " late, max lateness "
-                    << conformance.max_lateness.to_string();
   }
 }
 

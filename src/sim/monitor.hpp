@@ -19,10 +19,8 @@
 //    cycle (which actor waits on which buffer, space vs tokens) instead
 //    of a bare deadlock flag.
 //
-// Events are routed through util/log.hpp at Debug (violations, watchdog)
-// and Trace (per-constraint summaries); nothing here runs on the engine's
-// firing hot path — the monitor reads the simulator's firing records
-// after (segments of) a run.
+// Nothing here runs on the engine's firing hot path — the monitor reads
+// the simulator's firing records after (segments of) a run.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 
 #include "sim/engine.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace vrdf::sim {
 
@@ -266,11 +265,6 @@ void Simulator::create_engine(const StopCondition& stop) {
     tick_ = std::make_unique<detail::Engine<detail::TickClock>>(
         graph_, std::move(config_), detail::TickClock{*scale});
   } else {
-    if (clock_mode_ == ClockMode::Auto) {
-      VRDF_LOG(Info) << "simulator: no int64 tick scale for this model "
-                        "(denominator LCM overflow); using exact Rational "
-                        "time";
-    }
     rational_ = std::make_unique<detail::Engine<detail::RationalClock>>(
         graph_, std::move(config_), detail::RationalClock{});
   }

@@ -447,14 +447,16 @@ TEST(CertificateGoldens, ViolationTextPinnedPerClauseFamily) {
        "endpoints do not match the recorded data edge\n"},
       {"kappa",
        [](Certificate& c) {
-         // Round-robin: kappa must be the sum of WCETs, not one WCET.
-         analysis::PlatformFact rr;
-         rr.actor = c.actors[1].actor;
-         rr.policy = analysis::ServicePolicy::RoundRobin;
-         rr.wcet = c.actors[1].rho;
-         rr.total_wcet = c.actors[1].rho * Rational(2);
-         rr.kappa = c.actors[1].rho;
-         c.platform.push_back(rr);
+         // Latency-rate: kappa must be (wheel - slot) + C·wheel/slot, not
+         // the bare WCET.
+         analysis::PlatformFact lr;
+         lr.actor = c.actors[1].actor;
+         lr.policy = analysis::ServicePolicy::TdmLatencyRate;
+         lr.wcet = c.actors[1].rho;
+         lr.slot = c.actors[1].rho;
+         lr.wheel = c.actors[1].rho * Rational(2);
+         lr.kappa = c.actors[1].rho;
+         c.platform.push_back(lr);
          // TDM slot-granular with a wrong ceiling witness.
          analysis::PlatformFact tdm;
          tdm.actor = c.actors[2].actor;
@@ -467,8 +469,8 @@ TEST(CertificateGoldens, ViolationTextPinnedPerClauseFamily) {
        },
        106,
        "kappa clause violated at actor 'vMP3': recorded kappa does not "
-       "equal the round-robin bound re-derived from the arbiter terms "
-       "(3/125 s vs 6/125 s)\n"
+       "equal the tdm-latency-rate bound re-derived from the arbiter terms "
+       "(3/125 s vs 9/125 s)\n"
        "kappa clause violated at actor 'vSRC': ceil term is not the ceiling "
        "of WCET/slot (4 vs 3)\n"},
   };

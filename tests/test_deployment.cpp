@@ -1,6 +1,6 @@
 // Shared-platform deployment arc (PR 10): hand-computed 2-processor TDM
-// deployment with exact derived κ and locked capacities, round-robin
-// peer coupling, latency-rate conservatism end-to-end, the ≥40-seed
+// deployment with exact derived κ and locked capacities, latency-rate
+// conservatism end-to-end, the ≥40-seed
 // randomized differential slot-retune sweep (DeploymentController vs a
 // full recompute over the same snapshot/constraints/overlay),
 // certificate platform-clause validation with a per-term tamper matrix,
@@ -411,10 +411,9 @@ TEST(DeploymentCertificate, TamperedKappaTermsAreRejectedNamingTheClause) {
   }
   {
     // Swapping the policy breaks the κ re-derivation (the recorded κ is
-    // the TDM bound, not 2Σ−C of a fabricated ring).
+    // the slot-granular bound, strictly below its latency-rate form).
     Certificate tampered = good;
-    tampered.platform[1].policy = ServicePolicy::RoundRobinLatencyRate;
-    tampered.platform[1].total_wcet = tampered.platform[1].wcet * Rational(2);
+    tampered.platform[1].policy = ServicePolicy::TdmLatencyRate;
     expect_kappa_violation(std::move(tampered), "swapped policy");
   }
   {

@@ -55,31 +55,6 @@ std::vector<Duration> response_times(const VrdfGraph& graph) {
   return rho;
 }
 
-/// `graph` rebuilt with ρ(v) = rho[v.index()]; names, rates, δ and every
-/// id are kept.  The reference searches probe such a fresh graph, so they
-/// share no state with the analysis under test.
-VrdfGraph with_response_times(const VrdfGraph& graph,
-                              const std::vector<Duration>& rho) {
-  VrdfGraph out;
-  for (const ActorId v : graph.actors()) {
-    (void)out.add_actor(graph.actor(v).name, rho[v.index()]);
-  }
-  for (const dataflow::EdgeId e : graph.edges()) {
-    const dataflow::Edge& edge = graph.edge(e);
-    if (!edge.paired.is_valid()) {
-      (void)out.add_edge(edge.source, edge.target, edge.production,
-                         edge.consumption, edge.initial_tokens);
-    } else if (edge.paired.index() > e.index()) {
-      // add_buffer adds the data edge, then its space edge.
-      const std::int64_t space = graph.edge(edge.paired).initial_tokens;
-      (void)out.add_buffer(edge.source, edge.target, edge.production,
-                           edge.consumption, space + edge.initial_tokens,
-                           edge.initial_tokens);
-    }
-  }
-  return out;
-}
-
 const Duration kMs = milliseconds(Rational(1));
 
 struct Pipeline {
@@ -595,7 +570,7 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
       const std::int64_t best = max_true([&](std::int64_t k) {
         rho[margin.actor.index()] =
             margin.response_time + slack * Rational(k, kReferenceGrid);
-        return fits(with_response_times(graph, rho));
+        return fits(models::with_response_times(graph, rho));
       });
       margin.margin = slack * Rational(best, kReferenceGrid);
     }
@@ -609,7 +584,7 @@ ReferenceMargins reference_margins(const VrdfGraph& graph,
             m.response_time + slack * Rational(k, kReferenceGrid);
       }
     }
-    return fits(with_response_times(graph, rho));
+    return fits(models::with_response_times(graph, rho));
   });
   report.joint_safe_fraction = Rational(joint, kReferenceGrid);
   report.ok = true;
@@ -670,7 +645,7 @@ void halve_response_times(VrdfGraph& graph) {
   for (Duration& r : rho) {
     r = r * Rational(1, 2);
   }
-  graph = with_response_times(graph, rho);
+  graph = models::with_response_times(graph, rho);
 }
 
 /// A model with installed capacities, searched by the margin tests.
@@ -852,8 +827,9 @@ TEST(Robustness, MarginIsTheLargestFittingGridPoint) {
       bool missed = false;
       for (std::int64_t k = 0; k <= kReferenceGrid; ++k) {
         set_point(rho, k);
-        const bool fits = fits_installed(with_response_times(graph, rho),
-                                         constraints, inadmissible);
+        const bool fits =
+            fits_installed(models::with_response_times(graph, rho),
+                           constraints, inadmissible);
         EXPECT_FALSE(fits && missed) << "grid point " << k << " fits again";
         missed = missed || !fits;
         last = fits ? k : last;
@@ -1008,7 +984,7 @@ TEST(RandomizedSweep, BeyondMarginFaultsAreDetectedAndNamed) {
       ASSERT_NE(feed, nullptr);
       const Duration beyond =
           constraint.period * Rational(4 * (feed->installed + 1));
-      FaultPlan plan(seed);
+      FaultPlan plan;
       plan.rho_overrun(feed->producer, beyond);
       sim::VerifyOptions options;
       options.observe_firings = 200;

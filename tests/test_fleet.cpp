@@ -1,28 +1,22 @@
 // Fleet-scale parallel verification: the deterministic seed-derivation
-// helper, the line-atomic log, the sharded sweep harness and its resumable
-// journal.
+// helper, the sharded sweep harness and its resumable journal.
 //
 // The load-bearing property is *scheduling-independence*: a FleetSweep
 // report's canonical serialization must be bit-identical whether the
 // sweep ran on 1, 2 or 8 workers, and whether it ran straight through or
 // was interrupted and resumed from its journal.  Everything else (codec
-// round-trips, published seed streams, line-atomic logging) exists to
-// defend that property.
+// round-trips, published seed streams) exists to defend that property.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "io/fleet_journal.hpp"
 #include "models/synthetic.hpp"
 #include "sim/deployment_frontier.hpp"
 #include "sim/fleet.hpp"
-#include "sim/sweep.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/seed_stream.hpp"
 
 namespace vrdf {
@@ -52,30 +46,6 @@ TEST(SeedStream, DistinctIndicesYieldDistinctStreams) {
   for (std::uint64_t i = 1; i < 64; ++i) {
     EXPECT_NE(util::derive_seed(1, i), util::derive_seed(1, i - 1));
   }
-}
-
-// ------------------------------------------------------- thread-safe log
-
-TEST(Log, ConcurrentEmitsNeverInterleaveMidLine) {
-  std::ostringstream captured;
-  std::streambuf* previous = std::cerr.rdbuf(captured.rdbuf());
-  (void)sim::run_sweep(8, 8, [](std::size_t t) {
-    for (int i = 0; i < 50; ++i) {
-      VRDF_LOG(Warning) << "worker " << t << " line " << i << " payload";
-    }
-  });
-  std::cerr.rdbuf(previous);
-
-  std::istringstream lines(captured.str());
-  std::string line;
-  int complete = 0;
-  while (std::getline(lines, line)) {
-    // Every line is exactly one event: prefix, then an un-split payload.
-    EXPECT_EQ(line.rfind("[vrdf WARN] worker ", 0), 0u) << line;
-    EXPECT_NE(line.find(" payload"), std::string::npos) << line;
-    ++complete;
-  }
-  EXPECT_EQ(complete, 8 * 50);
 }
 
 // -------------------------------------------------------- fleet sweeps

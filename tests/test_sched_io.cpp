@@ -265,27 +265,6 @@ TEST(ArbiterProperty, LatencyRateDominatesSlotGranularTdm) {
   }
 }
 
-TEST(ArbiterProperty, LatencyRateDominatesRoundRobinServiceModel) {
-  // Same property through the uniform ServiceModel, round-robin side:
-  // κ = Σ exactly, its latency-rate form gives 2Σ − C, and 2Σ − C ≥ Σ
-  // for any C ≤ Σ.
-  std::mt19937_64 rng(43);
-  std::uniform_int_distribution<std::int64_t> wcet_64ths(1, 64);
-  for (int trial = 0; trial < 200; ++trial) {
-    sched::ServiceModel model;
-    model.policy = sched::ArbiterPolicy::RoundRobin;
-    const std::int64_t own = wcet_64ths(rng);
-    model.wcet = milliseconds(Rational(own, 64));
-    model.total_wcet = milliseconds(Rational(own + wcet_64ths(rng), 64));
-    const Duration exact = model.response_time();
-    const Duration abstracted =
-        model.as_latency_rate().response_time(model.wcet);
-    EXPECT_EQ(exact, model.total_wcet);
-    EXPECT_EQ(abstracted, model.total_wcet + model.total_wcet - model.wcet);
-    EXPECT_FALSE((abstracted - exact).is_negative());
-  }
-}
-
 TEST(Platform, UnknownTaskAndProcessorErrorsAreLineAttributable) {
   sched::Platform platform;
   const auto cpu =
@@ -324,21 +303,6 @@ TEST(Platform, UnknownTaskAndProcessorErrorsAreLineAttributable) {
                ContractError);
   EXPECT_THROW((void)platform.wheel_period(3), ContractError);
   EXPECT_THROW((void)platform.slack(3), ContractError);
-
-  // A slot binding on a round-robin processor is rejected naming both
-  // sides.
-  const auto ring = platform.add_processor(
-      "ring", milliseconds(Rational(1)), sched::ArbiterPolicy::RoundRobin);
-  try {
-    platform.bind_task("rr-style", ring, milliseconds(Rational(1, 8)),
-                       milliseconds(Rational(1, 8)));
-    FAIL() << "expected ContractError";
-  } catch (const ContractError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("runs a round-robin arbiter"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("rr-style"), std::string::npos) << what;
-  }
 }
 
 }  // namespace

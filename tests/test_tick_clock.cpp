@@ -542,7 +542,7 @@ TEST(TickClock, PerturbationGoldens) {
       {"jitter plus rho_overrun on mp3",
        [&](Simulator& sim) {
          sim.set_response_time_jitter(app.mp3, 9, Rational(1, 3));
-         FaultPlan(2)
+         FaultPlan()
              .rho_overrun(app.mp3, milliseconds(Rational(1, 50)),
                           Rational(11, 10))
              .apply(sim);

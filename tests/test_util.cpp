@@ -1,12 +1,9 @@
 // Unit tests for checked integers, time quantities and logging.
 #include <gtest/gtest.h>
 
-#include <iostream>
 #include <limits>
-#include <sstream>
 
 #include "util/checked_int.hpp"
-#include "util/log.hpp"
 #include "util/time.hpp"
 
 namespace vrdf {
@@ -95,21 +92,6 @@ TEST(Time, SignQueries) {
 TEST(Time, Printing) {
   EXPECT_EQ(milliseconds(Rational(10)).to_string(), "1/100 s");
   EXPECT_EQ(TimePoint(Rational(2)).to_string(), "2 s");
-}
-
-TEST(Log, LevelFiltering) {
-  EXPECT_EQ(log::level(), log::Level::Warning);
-  std::ostringstream captured;
-  std::streambuf* previous = std::cerr.rdbuf(captured.rdbuf());
-  VRDF_LOG(Info) << "discarded below Warning";
-  VRDF_LOG(Warning) << "kept";
-  std::cerr.rdbuf(previous);
-  EXPECT_EQ(captured.str(), "[vrdf WARN] kept\n");
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log::level_name(log::Level::Info), "INFO");
-  EXPECT_STREQ(log::level_name(log::Level::Warning), "WARN");
 }
 
 TEST(Error, RequireMacroCarriesContext) {
